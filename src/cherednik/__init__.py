@@ -13,7 +13,7 @@ from .polynomials import (MPoly, monomials, weyl_act, div_linear, reynolds,
                           clear_content)
 from .rootsystem import RootSystem, build_root_system, hbar_poly, kappa_poly
 from .wrep import (Irrep, irreps, irreps_for, get_irrep, tensor_one_dim,
-                   twist_couplings, isotypic_projector)
+                   twist_couplings)
 from .dunkl import (poly_coords, coords_poly, dunkl_apply, lowering_matrix,
                     b_lowering_matrix, e_mult_matrix, f_matrix,
                     reflection_sum_scalar, lowest_weight_scalar,
@@ -37,7 +37,7 @@ __all__ = [
     "clear_content",
     "RootSystem", "build_root_system", "hbar_poly", "kappa_poly",
     "Irrep", "irreps", "irreps_for", "get_irrep", "tensor_one_dim",
-    "twist_couplings", "isotypic_projector",
+    "twist_couplings",
     "poly_coords", "coords_poly", "dunkl_apply", "lowering_matrix",
     "b_lowering_matrix", "e_mult_matrix", "f_matrix",
     "reflection_sum_scalar", "lowest_weight_scalar", "sl2_calibration",

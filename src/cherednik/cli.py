@@ -47,8 +47,15 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(/\d+)?(:-?\d+(/\d+)?){0,2}$")
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _nonneg_int(text: str) -> int:
+    """argparse type for degrees and bounds."""
+    if not re.match(r"^\+?\d+$", text.strip()):
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _parse_rat(text: str) -> Rat:
@@ -113,19 +120,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _classify_dict(res) -> dict:
-    return {
-        "type": res.label,
-        "chi": res.chi,
-        "k1": str(res.k1),
-        "k2": str(res.k2),
-        "finite": res.finite,
-        "m": res.m,
-        "graded_dims": list(res.dims) if res.finite else None,
-        "dim": res.total_dim,
-    }
-
-
 def _csv_row(res) -> list:
     return [res.label, str(res.k1), str(res.k2), res.chi,
             "true" if res.finite else "false",
@@ -140,7 +134,7 @@ def _cmd_classify(args) -> int:
     k1, k2 = _resolve_couplings(args)
     res = _classify(args.type, args.chi, k1, k2, scan_bound=args.max_degree)
     if args.format == "json":
-        _emit_json(_classify_dict(res))
+        _emit_json(res.as_dict())
     elif args.format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(_CSV_HEADER)
@@ -170,7 +164,7 @@ def _cmd_gram(args) -> int:
         vm = VermaModule(rs, rep, k1, k2)
     g = vm.gram(args.degree)
     if args.symbolic:
-        entries = [[e.to_str() for e in row] for row in g]
+        entries = [[ParamPoly.coerce(e).to_str() for e in row] for row in g]
     else:
         entries = [[str(QuadExt.coerce(e)) for e in row] for row in g]
     _emit_json({
@@ -317,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=TYPES)
     p.add_argument("--chi", required=True, help="lowest-weight character label")
     _add_k_flags(p)
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_nonneg_int, default=None,
                    help="scan bound override for the graded-dimension scan")
     p.add_argument("--format", default="json", choices=("json", "csv", "table"))
     p.set_defaults(fn=_cmd_classify)
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, choices=TYPES)
     p.add_argument("--chi", required=True)
     _add_k_flags(p)
-    p.add_argument("--degree", required=True, type=int)
+    p.add_argument("--degree", required=True, type=_nonneg_int)
     p.add_argument("--symbolic", action="store_true",
                    help="entries as polynomials in k1, k2")
     p.set_defaults(fn=_cmd_gram)
@@ -341,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture",
                        help="verify the conjectured kappa-factor root pattern")
-    p.add_argument("--max-q", required=True, type=int)
+    p.add_argument("--max-q", required=True, type=_nonneg_int)
     p.set_defaults(fn=_cmd_conjecture)
 
     p = sub.add_parser("selftest", help="seeded randomized property suite")

@@ -3,7 +3,7 @@ hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
 Polynomial-layer data (partial derivatives, difference quotients,
-substitution action) does not depend on the character or on the
+multiplication by the quadric) does not depend on the character or on the
 couplings, so those matrices are cached on the root system and shared
 by every module and every coupling value.
 """
@@ -79,21 +79,6 @@ def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
     out = [[cols[c][r] for c in range(len(src))]
            for r in range(len(monomials(nv, n - 1)))]
     rs._quot_cache[key] = out
-    return out
-
-
-def weyl_poly_matrix(rs: RootSystem, w: int, n: int):
-    """Matrix of the group element w acting on the degree-n layer."""
-    key = (w, n)
-    hit = rs._subst_cache.get(key)
-    if hit is not None:
-        return hit
-    nv = rs.rank
-    src = monomials(nv, n)
-    cols = [poly_coords(weyl_act(rs.elements[w], MPoly(nv, {m: QuadExt(1)})), n, nv)
-            for m in src]
-    out = [[cols[c][r] for c in range(len(src))] for r in range(len(src))]
-    rs._subst_cache[key] = out
     return out
 
 
@@ -230,16 +215,11 @@ def _kron_identity(base, d):
     return out
 
 
-def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
-    """Matrix of the quadratic lowering operator from the degree-n layer
-    to the degree-(n-2) layer: -(1/2) of the inverse-metric contraction
-    of composed Dunkl operators."""
-    if n < 2:
-        raise ValueError("the quadratic lowering operator needs degree >= 2")
+def f_contract(rs: RootSystem, low_n, low_m):
+    """The quadratic lowering operator -(1/2) sum g^{jl} L_j L_l, from
+    the lowerings along the metric transfers: low_n[l] on the degree-n
+    layer and low_m[j] on the degree-(n-1) layer."""
     ginv = rs.metric.inv
-    low_n = [b_lowering_matrix(rs, rep, j, n, k1, k2) for j in range(rs.rank)]
-    low_m = [b_lowering_matrix(rs, rep, j, n - 1, k1, k2) for j in range(rs.rank)]
-    half = Rat(1, 2)
     acc = None
     for l in range(rs.rank):
         for j in range(rs.rank):
@@ -247,25 +227,29 @@ def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
             if not g:
                 continue
             prod = mat_mul(low_m[j], low_n[l])
-            scale = g * half
-            for r in range(len(prod)):
-                prow = prod[r]
-                for c in range(len(prow)):
-                    if prow[c]:
-                        prow[c] = prow[c] * scale
+            scale = g * Rat(-1, 2)
+            for prow in prod:
+                for c, v in enumerate(prow):
+                    if v:
+                        prow[c] = v * scale
             if acc is None:
                 acc = prod
             else:
-                for r in range(len(prod)):
-                    arow, prow = acc[r], prod[r]
-                    for c in range(len(prow)):
-                        if prow[c]:
-                            arow[c] = arow[c] + prow[c]
-    rows = len(monomials(rs.rank, n - 2)) * rep.dim
-    cols = len(monomials(rs.rank, n)) * rep.dim
-    if acc is None:
-        acc = [[QuadExt(0)] * cols for _ in range(rows)]
-    return [[-v if v else v for v in row] for row in acc]
+                for arow, prow in zip(acc, prod):
+                    for c, v in enumerate(prow):
+                        if v:
+                            arow[c] = arow[c] + v
+    return acc
+
+
+def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
+    """Matrix of the quadratic lowering operator from the degree-n layer
+    to the degree-(n-2) layer."""
+    if n < 2:
+        raise ValueError("the quadratic lowering operator needs degree >= 2")
+    low_n, low_m = ([b_lowering_matrix(rs, rep, j, d, k1, k2) for j in range(rs.rank)]
+                    for d in (n, n - 1))
+    return f_contract(rs, low_n, low_m)
 
 
 def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):

@@ -116,41 +116,6 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def independent_columns(mat) -> list[int]:
-    """Indices of a maximal independent set of columns (field entries)."""
-    if not mat or not mat[0]:
-        return []
-    m = [row[:] for row in mat]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        pinv = pr[c].inv()
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if not f:
-                continue
-            f = f * pinv
-            row = m[i]
-            for j in range(c, ncols):
-                if pr[j]:
-                    row[j] = row[j] - f * pr[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def is_symmetric(mat) -> bool:
     n = len(mat)
     return all(mat[i][j] == mat[j][i] for i in range(n) for j in range(i + 1, n))

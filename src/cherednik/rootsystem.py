@@ -115,7 +115,6 @@ class RootSystem:
         self._check()
         # per-degree caches shared by the operator layer
         self._quot_cache = {}
-        self._subst_cache = {}
         self._sl2_checked = False
 
     # -- construction ---------------------------------------------------------

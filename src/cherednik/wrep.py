@@ -1,5 +1,5 @@
 """Irreducible representations of the reflection groups, with exact
-orthogonal matrices, characters, isotypic projectors, and coupling twists.
+orthogonal matrices, characters, and coupling twists.
 
 Every irreducible here is realized with an orthonormal basis for its
 invariant pairing, so the pairing is the plain dot product and the
@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .scalars import QuadExt, Rat, rat
+from .scalars import QuadExt, rat
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -168,37 +168,3 @@ def twist_couplings(rs: RootSystem, tau: Irrep, k1, k2):
     t2 = tau.refl_char[1].rational() if rs.orbit_counts[1] else rat(1)
     return (k1 * t1, k2 * t2)
 
-
-def isotypic_projector(rs: RootSystem, chi: Irrep, action):
-    """Projector onto the chi-isotypic part of a module.
-
-    action: one matrix per group element, aligned with rs.elements.  A
-    homomorphism spot-check guards against mis-ordered input.
-    """
-    order = len(rs.elements)
-    if len(action) != order:
-        raise ValueError("action must have one matrix per group element")
-    for i, j in ((1, 1), (1, order - 1), (order - 1, 2 % order)):
-        if _mat_mul_small(_tupled(action[i]), _tupled(action[j])) != _tupled(
-                action[rs.mult[i][j]]):
-            raise ValueError("not a representation")
-    n = len(action[0])
-    scale = Rat(int(chi.dim), order)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = None
-            for w in range(order):
-                ch = chi.character[rs.inverse[w]]
-                if not ch:
-                    continue
-                v = ch * action[w][r][c]
-                acc = v if acc is None else acc + v
-            row.append(acc * scale if acc is not None else QuadExt(0))
-        rows.append(row)
-    return rows
-
-
-def _tupled(m):
-    return tuple(tuple(row) for row in m)

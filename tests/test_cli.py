@@ -106,15 +106,42 @@ def test_gram_numeric_matches_library(capsys):
 
 
 def test_gram_symbolic(capsys):
+    # (type, chi, degree, layer dimension); degree 0 and rank-2 layers
+    # carry entries that are not polynomials in the couplings
+    for label, chi, degree, size in (("A1", "triv", 1, 1), ("A1", "triv", 0, 1),
+                                     ("A2", "triv", 2, 3), ("G2", "std", 1, 4)):
+        code, out, _ = run_cli(
+            ["gram", "--type", label, "--chi", chi, "--degree", str(degree),
+             "--symbolic"], capsys)
+        assert code == 0
+        d = json.loads(out)
+        assert d["k1"] is None and d["k2"] is None and d["layer_rank"] is None
+        assert d["size"] == size == len(d["entries"])
+        assert all(isinstance(e, str) for row in d["entries"] for e in row)
+        if degree:
+            assert "k1" in d["entries"][0][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--type", "A2", "--chi", "triv", "--k", "1", "--degree", "-1"],
+    ["classify", "--type", "A2", "--chi", "triv", "--k", "1",
+     "--max-degree", "-3"],
+    ["conjecture", "--max-q", "-2"],
+])
+def test_negative_bounds_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "non-negative integer" in err
+
+
+def test_gram_deep_one_wide_layer(capsys):
+    # one Gram layer per degree, built without recursion
     code, out, _ = run_cli(
-        ["gram", "--type", "A1", "--chi", "triv", "--degree", "1",
-         "--symbolic"], capsys)
+        ["gram", "--type", "A1", "--chi", "triv", "--k", "1/2",
+         "--degree", "1200"], capsys)
     assert code == 0
     d = json.loads(out)
-    assert d["k1"] is None and d["k2"] is None and d["layer_rank"] is None
-    assert d["size"] == 1
-    cell = d["entries"][0][0]
-    assert isinstance(cell, str) and "k1" in cell
+    assert d["size"] == 1 and d["layer_rank"] == 1
 
 
 def test_sweep_diagonal(capsys):

@@ -3,8 +3,8 @@ import random
 from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, clear_content, div_linear, monomials,
                                    reynolds, weyl_act)
-from cherednik.linalg import (bareiss_rank, gauss_rank, independent_columns,
-                              is_symmetric, mat_mul, mat_vec, transpose)
+from cherednik.linalg import (bareiss_rank, gauss_rank, is_symmetric, mat_mul,
+                              mat_vec, transpose)
 
 RNG = random.Random(202)
 
@@ -121,10 +121,6 @@ def test_rank_with_quadratic_entries():
     assert gauss_rank(b) == 2
 
 
-def test_independent_columns():
-    a = [[QuadExt(1), QuadExt(2), QuadExt(3)],
-         [QuadExt(2), QuadExt(4), QuadExt(7)]]
-    cols = independent_columns(a)
-    assert cols == [0, 2]
+def test_is_symmetric():
     assert is_symmetric([[Rat(1), Rat(5)], [Rat(5), Rat(2)]])
     assert not is_symmetric([[Rat(1), Rat(5)], [Rat(4), Rat(2)]])

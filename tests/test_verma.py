@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, Rat
 from cherednik.rootsystem import build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
@@ -12,6 +14,21 @@ TYPES = ("A1", "A2", "B2", "G2")
 
 def rand_k():
     return Rat(RNG.randint(-5, 5), RNG.choice((1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("label,chi,k1,k2,want", [
+    ("A2", "triv", Rat(-1), Rat(-1), (True, 2, False)),
+    ("A2", "sgn", Rat(1), Rat(1), (True, 2, False)),
+    ("A2", "triv", Rat(-4, 3), Rat(-4, 3), (True, 3, True)),
+    ("B2", "triv", Rat(-3, 2), Rat(-1, 2), (True, 3, True)),
+    ("B2", "triv", Rat(-1, 4), Rat(-3, 4), (True, 1, False)),
+    ("G2", "triv", Rat(-1, 3), Rat(-2, 3), (True, 2, False)),
+    ("A2", "std", Rat(-1, 3), Rat(-1, 3), (False, None, False)),
+    ("G2", "std", Rat(-1, 2), Rat(-1, 2), (False, None, False)),
+])
+def test_epower_criterion(label, chi, k1, k2, want):
+    ep = standard_module(label, chi, k1, k2).epower_criterion()
+    assert (ep.natural, ep.m, ep.finite) == want
 
 
 def test_layer_dims():

@@ -2,8 +2,7 @@ import random
 
 from cherednik.scalars import QuadExt, Rat
 from cherednik.rootsystem import build_root_system
-from cherednik.wrep import (get_irrep, irreps, isotypic_projector,
-                            tensor_one_dim, twist_couplings)
+from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 
 RNG = random.Random(404)
 
@@ -85,36 +84,6 @@ def test_tensor_one_dim():
     a2 = build_root_system("A2")
     assert tensor_one_dim(a2, get_irrep(a2, "std"),
                           get_irrep(a2, "sgn")).label == "std"
-
-
-def test_isotypic_projector_on_irreps():
-    # projecting an irreducible onto itself is the identity, onto any
-    # other character zero
-    for label in LABELS:
-        rs = build_root_system(label)
-        for rep in irreps(rs):
-            action = [rep.matrix(w) for w in range(len(rs.elements))]
-            for chi in irreps(rs):
-                proj = isotypic_projector(rs, chi, action)
-                if chi.label == rep.label:
-                    want = [[QuadExt(1 if i == j else 0)
-                             for j in range(rep.dim)] for i in range(rep.dim)]
-                else:
-                    want = [[QuadExt(0)] * rep.dim for _ in range(rep.dim)]
-                assert [list(r) for r in proj] == want
-
-
-def test_isotypic_projector_rejects_shuffled_action():
-    rs = build_root_system("A2")
-    std = get_irrep(rs, "std")
-    action = [std.matrix(w) for w in range(len(rs.elements))]
-    action[1], action[2] = action[2], action[1]
-    try:
-        isotypic_projector(rs, std, action)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError for mis-ordered action")
 
 
 def test_get_irrep_unknown_label():
