@@ -29,6 +29,8 @@ from .rank2 import (check_kappa_factorization, f_power_image,
 TYPES = ("A1", "A2", "B2", "G2")
 ONE_ORBIT = ("A1", "A2")
 
+MAX_SWEEP_POINTS = 10_000
+
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -82,7 +84,8 @@ def _resolve_couplings(args) -> tuple:
 
 
 def _parse_range(text: str):
-    """a:b:step with exact rational endpoints, inclusive of b when hit."""
+    """a:b:step with exact rational endpoints, inclusive of b when hit,
+    as (a, step, number of points); the points are a + i*step."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"range must be a:b:step, got {text!r}")
@@ -91,12 +94,7 @@ def _parse_range(text: str):
         raise UsageError("range step must be positive")
     if a > b:
         raise UsageError("range start exceeds range end")
-    out = []
-    v = a
-    while v <= b:
-        out.append(v)
-        v = v + step
-    return out
+    return a, step, (b - a) // step + 1
 
 
 def _emit_json(obj) -> None:
@@ -181,13 +179,18 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    k1s = _parse_range(args.k1_range)
+    a1, s1, n1 = _parse_range(args.k1_range)
     # without --k2-range the sweep is diagonal: k2 = k1 at every point
-    k2s = _parse_range(args.k2_range) if args.k2_range else None
+    a2, s2, n2 = _parse_range(args.k2_range) if args.k2_range else (None, None, 1)
+    if n1 * n2 > MAX_SWEEP_POINTS:
+        raise UsageError(f"sweep has {n1 * n2} points, more than the limit "
+                         f"of {MAX_SWEEP_POINTS}")
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(_CSV_HEADER)
-    for k1 in k1s:
-        for k2 in (k2s if k2s is not None else [k1]):
+    for i in range(n1):
+        k1 = a1 + i * s1
+        for j in range(n2):
+            k2 = k1 if a2 is None else a2 + j * s2
             res = _classify(args.type, args.chi, k1, k2)
             w.writerow(_csv_row(res))
     return 0
@@ -212,8 +215,10 @@ def _cmd_selftest(args) -> int:
 
     # exact scalar arithmetic
     s3 = QuadExt(0, 1)
-    assert (QuadExt(1) + s3) * (QuadExt(1) - s3) == QuadExt(-2)
-    assert (QuadExt(2) + s3).inv() * (QuadExt(2) + s3) == QuadExt(1)
+    if (QuadExt(1) + s3) * (QuadExt(1) - s3) != QuadExt(-2):
+        raise InvariantViolation("scalars: (1 + s3)(1 - s3) != -2")
+    if (QuadExt(2) + s3).inv() * (QuadExt(2) + s3) != QuadExt(1):
+        raise InvariantViolation("scalars: (2 + s3)^-1 (2 + s3) != 1")
     report("scalars")
 
     def rand_poly(nvars, maxdeg):
@@ -276,11 +281,15 @@ def _cmd_selftest(args) -> int:
 
     # a known finite and a known infinite point
     res = _classify("A2", "triv", Rat(-1, 3), Rat(-1, 3))
-    assert res.finite and res.total_dim == 1
+    if not (res.finite and res.total_dim == 1):
+        raise InvariantViolation(f"A2 triv at k = -1/3: {res!r}, expected dim 1")
     res = _classify("A2", "triv", Rat(1, 2), Rat(1, 2))
-    assert not res.finite
+    if res.finite:
+        raise InvariantViolation(f"A2 triv at k = 1/2: {res!r}, expected infinite")
     vs = very_singular("G2", Rat(-1, 2), Rat(-1, 2))
-    assert vs.finite and vs.m == 2
+    if not (vs.finite and vs.m == 2):
+        raise InvariantViolation(f"G2 very singular at k = -1/2: finite={vs.finite}, "
+                                 f"m={vs.m}, expected m = 2")
     report("classification spot checks")
 
     print(f"selftest passed (seed {args.seed})")

@@ -5,12 +5,16 @@ operator, grading element).
 Polynomial-layer data (partial derivatives, difference quotients,
 multiplication by the quadric) does not depend on the character or on the
 couplings, so those matrices are cached on the root system and shared
-by every module and every coupling value.
+by every module and every coupling value.  A lowering matrix is affine in
+the couplings, L = D + k1*A + k2*B; the parts D, A, B depend only on the
+character, which caches them, so a module at new couplings pays one
+linear combination per layer (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from .errors import InvariantViolation
 from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
@@ -60,26 +64,69 @@ def deriv_matrix(rs: RootSystem, i: int, n: int):
 def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
     """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
     positive root (a reflection difference quotient)."""
-    key = ("q", root_idx, n)
-    hit = rs._quot_cache.get(key)
+    return [list(row) for row in zip(*_quotient_columns(rs, root_idx, n))]
+
+
+def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
+    """Columns of the difference quotient Q on the degree-n layer, one per
+    source monomial, built upward one degree at a time:
+
+        Q(x_v p) = x_v Q(p) + Q(x_v) r(p),    r(x_v p) = r(x_v) r(p).
+
+    Every degree's Q is cached; of the reflection r only the topmost
+    layer is kept, which is all the next degree needs.
+    """
+    cache = rs._quot_cache
+    hit = cache.get(("q", root_idx, n))
     if hit is not None:
         return hit
     nv = rs.rank
+    deg, r_cols = rs._refl_top.get(root_idx, (0, None))
+    q_cols = cache.get(("q", root_idx, deg))  # degree 0 is never cached
+    if q_cols is None or deg >= n:
+        deg, r_cols = 0, [[QuadExt(1)]]
+        q_cols = [[QuadExt(0)] * len(monomials(nv, -1))]
+    # the degree-1 data: Q(x_v), a constant, and r(x_v), a linear form
     alpha = rs.positive_roots[root_idx]
     refl = rs.elements[rs.reflection_element[root_idx]]
-    src = monomials(nv, n)
-    cols = []
-    for m in src:
-        p = MPoly(nv, {m: QuadExt(1)})
-        diff = p - weyl_act(refl, p)
-        if diff:
-            cols.append(poly_coords(div_linear(diff, alpha), n - 1, nv))
-        else:
-            cols.append([QuadExt(0)] * len(monomials(nv, n - 1)))
-    out = [[cols[c][r] for c in range(len(src))]
-           for r in range(len(monomials(nv, n - 1)))]
-    rs._quot_cache[key] = out
-    return out
+    lin = []
+    for v in range(nv):
+        xv = MPoly.var(v, nv)
+        img = weyl_act(refl, xv)
+        lin.append((div_linear(xv - img, alpha).constant_term(),
+                    poly_coords(img, 1, nv)))
+    while deg < n:
+        deg += 1
+        q_cols, r_cols = _raise_quotient(nv, deg, q_cols, r_cols, lin, rs._pool)
+        cache[("q", root_idx, deg)] = q_cols
+    rs._refl_top[root_idx] = (deg, r_cols)
+    return q_cols
+
+
+def _raise_quotient(nv, deg, q_prev, r_prev, lin, pool):
+    """Q and r on the degree-deg layer from their columns one degree down;
+    the values of Q are interned in pool, those of r are not.  In the
+    order of `monomials`, x_v times the i-th monomial of one degree is
+    the (i + v)-th monomial of the next."""
+    zero = QuadExt(0)
+    q_cols, r_cols = [], []
+    for c, m in enumerate(monomials(nv, deg)):
+        v = 0 if m[0] else 1  # m = x_v times monomial c - v one degree down
+        rp = r_prev[c - v]
+        const, img = lin[v]
+        qc = [const * x if const and x else zero for x in rp]
+        for t, x in enumerate(q_prev[c - v], v):
+            if x:
+                qc[t] = x if qc[t] is zero else qc[t] + x
+        rc = [zero] * (len(rp) + nv - 1)
+        for u, l in enumerate(img):
+            if l:
+                for t, x in enumerate(rp, u):
+                    if x:
+                        rc[t] = l * x if rc[t] is zero else rc[t] + l * x
+        q_cols.append([pool.setdefault(x, x) if x else zero for x in qc])
+        r_cols.append(rc)
+    return q_cols, r_cols
 
 
 def mult_matrix(rs: RootSystem, q: MPoly, n: int, cache_key=None):
@@ -134,52 +181,91 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
     return out
 
 
-def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
-    """Matrix of the Dunkl operator in direction y on the degree-n layer
-    of the standard module with lowest-weight representation rep."""
+class LoweringParts:
+    """The coupling-free parts of one Dunkl lowering matrix on one layer,
+    L = D + k1*A + k2*B.
+
+    Each part is stored sparse, as its row-major cell indices and its
+    values; the values are interned in the root system's pool, so equal
+    entries are one object and a combination scales each distinct value
+    once.
+    """
+
+    __slots__ = ("rows", "cols", "d", "a", "b")
+
+    def __init__(self, rs: RootSystem, rows: int, cols: int, d, a, b):
+        self.rows, self.cols = rows, cols
+        pool = rs._pool
+        self.d, self.a, self.b = (_sparse(pool, part) for part in (d, a, b))
+
+    def at(self, k1, k2):
+        """The dense matrix D + k1*A + k2*B."""
+        zero = QuadExt(0)
+        flat = [zero] * (self.rows * self.cols)
+        idx, vals = self.d
+        for i, v in zip(idx, vals):
+            flat[i] = v
+        for (idx, vals), k in ((self.a, k1), (self.b, k2)):
+            scaled = {}
+            for i, v in zip(idx, vals):
+                w = scaled.get(id(v))
+                if w is None:
+                    w = scaled[id(v)] = v * k
+                cur = flat[i]
+                flat[i] = w if cur is zero else cur + w
+        c = self.cols
+        return [flat[r * c:(r + 1) * c] for r in range(self.rows)]
+
+
+def _sparse(pool, part):
+    """Row-major indices and interned values of the nonzero entries of
+    a {cell index: value} map."""
+    idx = sorted(i for i, v in part.items() if v)
+    return array("I", idx), tuple(pool.setdefault(part[i], part[i]) for i in idx)
+
+
+def lowering_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
+    """Split the Dunkl operator in direction y on the degree-n layer of
+    the standard module of rep into D = d_y (x) 1 and the orbit sums
+    A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the short and the
+    long positive roots."""
     nv, d = rs.rank, rep.dim
-    src = monomials(nv, n)
-    dst = monomials(nv, n - 1)
-    rows, cols = len(dst) * d, len(src) * d
-    out = [[QuadExt(0)] * cols for _ in range(rows)]
+    rows, cols = len(monomials(nv, n - 1)) * d, len(monomials(nv, n)) * d
+    parts = ({}, {}, {})
+
+    def add(part, idx, v):
+        part[idx] = part[idx] + v if idx in part else v
+
     for i in range(nv):
         yi = y[i]
         if not yi:
             continue
-        dm = deriv_matrix(rs, i, n)
-        for a in range(len(dst)):
-            drow = dm[a]
-            for b in range(len(src)):
-                v = drow[b]
-                if not v:
-                    continue
-                v = v * yi
-                for s in range(d):
-                    out[a * d + s][b * d + s] = out[a * d + s][b * d + s] + v
+        for a, drow in enumerate(deriv_matrix(rs, i, n)):
+            for b, v in enumerate(drow):
+                if v:
+                    v = v * yi
+                    for s in range(d):
+                        add(parts[0], (a * d + s) * cols + b * d + s, v)
     for ridx in range(rs.num_positive):
-        alpha = rs.positive_roots[ridx]
-        ay = pairing(alpha, y)
+        ay = pairing(rs.positive_roots[ridx], y)
         if not ay:
             continue
-        c = ay * rs.coupling_of_root(ridx, k1, k2)
-        if not c:
-            continue
-        qm = quotient_matrix(rs, ridx, n)
+        part = parts[1 + rs.orbit_of[ridx]]
         rm = rep.matrix(rs.reflection_element[ridx])
-        for a in range(len(dst)):
-            qrow = qm[a]
-            for b in range(len(src)):
-                qv = qrow[b]
-                if not qv:
-                    continue
-                for s in range(d):
-                    for t in range(d):
-                        rv = rm[s][t]
-                        if not rv:
-                            continue
-                        cell = out[a * d + s][b * d + t]
-                        out[a * d + s][b * d + t] = cell + (qv * rv) * c
-    return out
+        weights = [(s * cols + t, ay * rm[s][t])
+                   for s in range(d) for t in range(d) if rm[s][t]]
+        for b, qcol in enumerate(_quotient_columns(rs, ridx, n)):
+            for a, qv in enumerate(qcol):
+                if qv:
+                    for off, w in weights:
+                        add(part, a * d * cols + b * d + off, qv * w)
+    return LoweringParts(rs, rows, cols, *parts)
+
+
+def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
+    """Matrix of the Dunkl operator in direction y on the degree-n layer
+    of the standard module with lowest-weight representation rep."""
+    return lowering_parts(rs, rep, y, n).at(k1, k2)
 
 
 def b_direction(rs: RootSystem, j: int):
@@ -188,7 +274,11 @@ def b_direction(rs: RootSystem, j: int):
 
 
 def b_lowering_matrix(rs: RootSystem, rep, j: int, n: int, k1, k2):
-    return lowering_matrix(rs, rep, b_direction(rs, j), n, k1, k2)
+    """lowering_matrix along b_direction(rs, j), from parts cached on rep."""
+    parts = rep._parts.get((j, n))
+    if parts is None:
+        parts = rep._parts[(j, n)] = lowering_parts(rs, rep, b_direction(rs, j), n)
+    return parts.at(k1, k2)
 
 
 # -- the sl2 triple -------------------------------------------------------------

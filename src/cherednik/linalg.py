@@ -11,8 +11,8 @@ from .scalars import ParamPoly
 
 
 def _exact_div(x, y):
-    if isinstance(x, ParamPoly):
-        return x.divexact(ParamPoly.coerce(y))
+    if isinstance(x, ParamPoly) or isinstance(y, ParamPoly):
+        return ParamPoly.coerce(x).divexact(ParamPoly.coerce(y))
     return x / y
 
 

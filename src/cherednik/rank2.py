@@ -221,7 +221,7 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
 
 # -- direct Dunkl route -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _direct_module(label: str, k1, k2) -> VermaModule:
     rs = build_root_system(label)
     return VermaModule(rs, get_irrep(rs, "triv"), k1, k2)

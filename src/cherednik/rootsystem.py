@@ -113,8 +113,12 @@ class RootSystem:
         self._build_metric()
         self._build_invariants()
         self._check()
-        # per-degree caches shared by the operator layer
+        # per-degree caches shared by the operator layer: derivative and
+        # difference-quotient matrices, the topmost reflection layer per
+        # root, and the pool that interns the values of lowering parts
         self._quot_cache = {}
+        self._refl_top = {}
+        self._pool = {}
         self._sl2_checked = False
 
     # -- construction ---------------------------------------------------------

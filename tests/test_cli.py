@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cherednik
 from cherednik.cli import run
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
@@ -246,3 +251,25 @@ def test_selftest_reproducible(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "selftest passed" in out1
+
+
+def test_sweep_point_cap(capsys):
+    # the count is known before any point runs: no header, one error line
+    for ranges in (["--k1-range", "0:1:1/10000000"],
+                   ["--k1-range", "0:1:1/200", "--k2-range", "0:1:1/200"]):
+        code, out, err = run_cli(
+            ["sweep", "--type", "B2", "--chi", "triv"] + ranges, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cherednik: error:") and "limit" in err
+
+
+def test_selftest_survives_optimized_mode():
+    # python -O strips assert statements; the selftest checks must stay
+    src = str(Path(cherednik.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "cherednik", "selftest",
+                           "--seed", "0"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest passed" in proc.stdout

@@ -1,13 +1,15 @@
 import random
 
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
-from cherednik.polynomials import MPoly, monomials, weyl_act
-from cherednik.rootsystem import build_root_system, hbar_poly
-from cherednik.wrep import get_irrep
+from cherednik.polynomials import MPoly, div_linear, monomials, weyl_act
+from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
+from cherednik.wrep import Irrep, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_matrix, coords_poly,
                              dunkl_apply, e_mult_matrix, f_matrix,
+                             lowering_matrix, lowering_parts,
                              lowest_weight_scalar, pairing, poly_coords,
-                             reflection_sum_scalar, sl2_calibration)
+                             quotient_matrix, reflection_sum_scalar,
+                             sl2_calibration)
 from cherednik.linalg import mat_mul, mat_vec
 
 RNG = random.Random(505)
@@ -99,19 +101,133 @@ def test_commutator_with_coordinate():
             assert lhs == rhs
 
 
+def quotient_oracle(rs, ridx, n):
+    """Matrix of p -> (p - r.p)/alpha built monomial by monomial."""
+    nv = rs.rank
+    alpha = rs.positive_roots[ridx]
+    refl = rs.elements[rs.reflection_element[ridx]]
+    cols = []
+    for m in monomials(nv, n):
+        p = MPoly(nv, {m: QuadExt(1)})
+        diff = p - weyl_act(refl, p)
+        q = div_linear(diff, alpha) if diff else MPoly.zero(nv)
+        cols.append(poly_coords(q, n - 1, nv))
+    return [list(row) for row in zip(*cols)]
+
+
+def test_quotient_matrix_matches_definition():
+    for label in TYPES:
+        rs = RootSystem(label)  # fresh caches: every degree comes from the recursion
+        for ridx in range(rs.num_positive):
+            for n in range(1, 13):
+                assert quotient_matrix(rs, ridx, n) == quotient_oracle(rs, ridx, n)
+        # with the cached layers gone, a lower degree restarts from degree 0
+        rs._quot_cache.clear()
+        for ridx in range(rs.num_positive):
+            assert quotient_matrix(rs, ridx, 5) == quotient_oracle(rs, ridx, 5)
+
+
+def direct_action(rs, rep, y, p, t, k1, k2):
+    """The Dunkl operator on p (x) e_t in M(rep), one polynomial per basis
+    vector of rep: d_y p (x) e_t + sum k <alpha, y> Q_alpha(p) (x) rep(s_alpha) e_t."""
+    out = []
+    for s in range(rep.dim):
+        acc = MPoly.zero(rs.rank)
+        if s == t:
+            for i in range(rs.rank):
+                if y[i]:
+                    acc = acc + p.diff(i) * y[i]
+        for a in range(rs.num_positive):
+            alpha = rs.positive_roots[a]
+            rv = rep.matrix(rs.reflection_element[a])[s][t]
+            c = pairing(alpha, y) * rv
+            if not c:
+                continue
+            diff = p - weyl_act(rs.elements[rs.reflection_element[a]], p)
+            if diff:
+                acc = acc + div_linear(diff, alpha) * (rs.coupling_of_root(a, k1, k2) * c)
+        out.append(acc)
+    return out
+
+
 def test_lowering_matrix_matches_direct_action():
     for label in TYPES:
         rs = build_root_system(label)
+        for rep in irreps(rs):
+            d = rep.dim
+            for k1, k2 in ((rand_k(), rand_k()), (PP_K1, PP_K2)):
+                for n in (1, 2, 3):
+                    for j in range(rs.rank):
+                        mat = b_lowering_matrix(rs, rep, j, n, k1, k2)
+                        for b, mono in enumerate(monomials(rs.rank, n)):
+                            p = MPoly(rs.rank, {mono: Rat(1)})
+                            for t in range(d):
+                                want = direct_action(rs, rep, b_direction(rs, j),
+                                                     p, t, k1, k2)
+                                col = [row[b * d + t] for row in mat]
+                                for s in range(d):
+                                    got = coords_poly(col[s::d], n - 1, rs.rank)
+                                    assert got == want[s]
         triv = get_irrep(rs, "triv")
         k1, k2 = rand_k(), rand_k()
-        for n in (1, 2, 3):
-            for j in range(rs.rank):
-                mat = b_lowering_matrix(rs, triv, j, n, k1, k2)
-                for mono in monomials(rs.rank, n):
-                    p = MPoly(rs.rank, {mono: Rat(1)})
-                    want = dunkl_apply(rs, b_direction(rs, j), p, k1, k2)
-                    got = mat_vec(mat, poly_coords(p, n, rs.rank))
-                    assert coords_poly(got, n - 1, rs.rank) == want
+        mat = b_lowering_matrix(rs, triv, 0, 2, k1, k2)
+        for mono in monomials(rs.rank, 2):
+            p = MPoly(rs.rank, {mono: Rat(1)})
+            got = coords_poly(mat_vec(mat, poly_coords(p, 2, rs.rank)), 1, rs.rank)
+            assert got == dunkl_apply(rs, b_direction(rs, 0), p, k1, k2)
+
+
+def test_lowering_parts_split_by_orbit():
+    def dense(parts, part):
+        flat = [QuadExt(0)] * (parts.rows * parts.cols)
+        for i, v in zip(*part):
+            flat[i] = v
+        return [flat[r * parts.cols:(r + 1) * parts.cols] for r in range(parts.rows)]
+
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            d = rep.dim
+            y = rand_dir(rs.rank)
+            k1, k2 = rand_k(), rand_k()
+            for n in (1, 3):
+                parts = lowering_parts(rs, rep, y, n)
+                dm, am, bm = (dense(parts, p) for p in (parts.d, parts.a, parts.b))
+                want = lowering_matrix(rs, rep, y, n, k1, k2)
+                assert [[x + a * k1 + b * k2 for x, a, b in zip(*rows)]
+                        for rows in zip(dm, am, bm)] == want
+                # D is d_y (x) 1; B is empty on the one-orbit types
+                assert all(not v for r, row in enumerate(dm)
+                           for c, v in enumerate(row) if r % d != c % d)
+                if not rs.orbit_counts[1]:
+                    assert not any(v for row in bm for v in row)
+
+
+def test_numeric_lowering_is_symbolic_evaluated():
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            k1, k2 = rand_k(), rand_k()
+            for n in range(1, 5):
+                for j in range(rs.rank):
+                    num = b_lowering_matrix(rs, rep, j, n, k1, k2)
+                    sym = b_lowering_matrix(rs, rep, j, n, PP_K1, PP_K2)
+                    assert num == [[ParamPoly.coerce(e).eval2(k1, k2) for e in row]
+                                   for row in sym]
+
+
+def test_hand_built_irrep_gets_its_own_parts():
+    # a rep whose label matches a stock one but whose matrices do not
+    rs = build_root_system("G2")
+    std, std_tau = get_irrep(rs, "std"), get_irrep(rs, "std_tau")
+    impostor = Irrep(rs, "std", std_tau.matrices)
+    k1, k2 = Rat(1, 3), Rat(-2, 5)
+    for n in (1, 2, 3):
+        for j in range(rs.rank):
+            b_lowering_matrix(rs, std, j, n, k1, k2)  # fill the stock cache first
+            got = b_lowering_matrix(rs, impostor, j, n, k1, k2)
+            assert got == b_lowering_matrix(rs, std_tau, j, n, k1, k2)
+            assert got != b_lowering_matrix(rs, std, j, n, k1, k2)
 
 
 def test_sl2_calibration_all_types():
