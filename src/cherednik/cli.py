@@ -18,16 +18,13 @@ import sys
 from .errors import InvariantViolation, NonDivisibleError
 from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat, rat
 from .polynomials import MPoly
-from .rootsystem import build_root_system
+from .rootsystem import LABELS, build_root_system
 from .wrep import get_irrep, irreps
 from .dunkl import dunkl_apply
 from .verma import VermaModule, classify as _classify
-from .rank2 import (check_kappa_factorization, f_power_image,
+from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
                     f_power_image_closed, f_power_image_direct,
                     evaluate_at_couplings, very_singular)
-
-TYPES = ("A1", "A2", "B2", "G2")
-ONE_ORBIT = ("A1", "A2")
 
 MAX_SWEEP_POINTS = 10_000
 
@@ -78,7 +75,7 @@ def _resolve_couplings(args) -> tuple:
     k1 = _parse_rat(args.k1)
     if args.k2 is not None:
         return k1, _parse_rat(args.k2)
-    if args.type in ONE_ORBIT:
+    if build_root_system(args.type).orbit_counts[1] == 0:
         return k1, k1
     raise UsageError(f"{args.type} has two root orbits: give --k2 or use --k")
 
@@ -197,13 +194,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    rep = check_kappa_factorization(args.max_q)
-    d = rep.as_dict()
-    _emit_json({
-        "verified_up_to": d["verified_up_to"],
-        "first_failure": d["first_failure"],
-        "checked_up_to": d["checked_up_to"],
-    })
+    _emit_json(check_kappa_factorization(args.max_q).as_dict())
     return 0
 
 
@@ -230,7 +221,7 @@ def _cmd_selftest(args) -> int:
             p = p + MPoly(nvars, {e: Rat(rng.randint(-4, 4))})
         return p
 
-    for label in TYPES:
+    for label in LABELS:
         rs = build_root_system(label)  # builds + structural checks
         n = rs.rank
         k1 = Rat(rng.randint(-5, 5), rng.choice((1, 2, 3)))
@@ -245,7 +236,7 @@ def _cmd_selftest(args) -> int:
                 raise InvariantViolation(f"{label}: Dunkl operators fail to commute")
         report(f"dunkl commutativity {label}")
 
-    for label in TYPES:
+    for label in LABELS:
         rs = build_root_system(label)
         rep = get_irrep(rs, "triv")
         k1 = Rat(rng.randint(-4, 4), 2)
@@ -257,16 +248,14 @@ def _cmd_selftest(args) -> int:
 
     for label in ("A2", "B2", "G2"):
         for nn in range(7):
-            top = nn // 2 if label == "B2" else nn // 3
-            for r in range(top + 1):
+            for r in range(_max_r(label, nn) + 1):
                 if f_power_image(label, nn, r) != f_power_image_closed(label, nn, r):
                     raise InvariantViolation(
                         f"{label}: recursion/closed-form mismatch at ({nn},{r})")
         k1 = Rat(rng.randint(-4, 4), rng.choice((1, 2, 3)))
         k2 = k1 if label == "A2" else Rat(rng.randint(-4, 4), rng.choice((1, 2, 3)))
         for nn in range(4):
-            top = nn // 2 if label == "B2" else nn // 3
-            for r in range(top + 1):
+            for r in range(_max_r(label, nn) + 1):
                 want = QuadExt.coerce(evaluate_at_couplings(
                     label, f_power_image(label, nn, r), k1, k2))
                 if f_power_image_direct(label, nn, r, k1, k2) != want:
@@ -312,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
                              parser_class=_Parser)
 
     p = sub.add_parser("info", help="root-system summary")
-    p.add_argument("--type", required=True, choices=TYPES)
+    p.add_argument("--type", required=True, choices=LABELS)
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("classify",
                        help="finite-dimensionality of one simple quotient")
-    p.add_argument("--type", required=True, choices=TYPES)
+    p.add_argument("--type", required=True, choices=LABELS)
     p.add_argument("--chi", required=True, help="lowest-weight character label")
     _add_k_flags(p)
     p.add_argument("--max-degree", type=_nonneg_int, default=None,
@@ -326,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("gram", help="contravariant form on one graded layer")
-    p.add_argument("--type", required=True, choices=TYPES)
+    p.add_argument("--type", required=True, choices=LABELS)
     p.add_argument("--chi", required=True)
     _add_k_flags(p)
     p.add_argument("--degree", required=True, type=_nonneg_int)
@@ -335,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gram)
 
     p = sub.add_parser("sweep", help="classification over a coupling grid (CSV)")
-    p.add_argument("--type", required=True, choices=TYPES)
+    p.add_argument("--type", required=True, choices=LABELS)
     p.add_argument("--chi", required=True)
     p.add_argument("--k1-range", required=True, metavar="a:b:step")
     p.add_argument("--k2-range", default=None, metavar="a:b:step",

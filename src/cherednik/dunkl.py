@@ -18,7 +18,7 @@ from array import array
 
 from .errors import InvariantViolation
 from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
-from .linalg import mat_mul, mat_vec
+from .linalg import dot, kron_identity, mat_mul, mat_vec, transpose
 from .polynomials import MPoly, div_linear, monomials, weyl_act
 from .rootsystem import RootSystem, hbar_poly
 
@@ -64,7 +64,7 @@ def deriv_matrix(rs: RootSystem, i: int, n: int):
 def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
     """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
     positive root (a reflection difference quotient)."""
-    return [list(row) for row in zip(*_quotient_columns(rs, root_idx, n))]
+    return transpose(_quotient_columns(rs, root_idx, n))
 
 
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
@@ -149,15 +149,6 @@ def mult_matrix(rs: RootSystem, q: MPoly, n: int, cache_key=None):
 
 # -- Dunkl operators -----------------------------------------------------------
 
-def pairing(x, y):
-    """Pairing of dual coordinates with a-coordinates (plain dot)."""
-    acc = None
-    for a, b in zip(x, y):
-        v = a * b
-        acc = v if acc is None else acc + v
-    return acc
-
-
 def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
     """Apply the Dunkl operator in direction y (a-coordinates) to a
     polynomial: directional derivative plus weighted reflection
@@ -169,7 +160,7 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
             out = out + p.diff(i) * y[i]
     for a in range(rs.num_positive):
         alpha = rs.positive_roots[a]
-        ay = pairing(alpha, y)
+        ay = dot(alpha, y)
         if not ay:
             continue
         c = rs.coupling_of_root(a, k1, k2) * ay
@@ -247,7 +238,7 @@ def lowering_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
                     for s in range(d):
                         add(parts[0], (a * d + s) * cols + b * d + s, v)
     for ridx in range(rs.num_positive):
-        ay = pairing(rs.positive_roots[ridx], y)
+        ay = dot(rs.positive_roots[ridx], y)
         if not ay:
             continue
         part = parts[1 + rs.orbit_of[ridx]]
@@ -287,22 +278,7 @@ def e_mult_matrix(rs: RootSystem, rep, n: int):
     """Matrix of the raising operator (multiplication by the invariant
     quadric) from the degree-n layer to the degree-(n+2) layer."""
     base = mult_matrix(rs, rs.e_poly, n, cache_key="e")
-    return _kron_identity(base, rep.dim)
-
-
-def _kron_identity(base, d):
-    if d == 1:
-        return [row[:] for row in base]
-    rows, cols = len(base), len(base[0])
-    out = [[QuadExt(0)] * (cols * d) for _ in range(rows * d)]
-    for a in range(rows):
-        for b in range(cols):
-            v = base[a][b]
-            if not v:
-                continue
-            for s in range(d):
-                out[a * d + s][b * d + s] = v
-    return out
+    return kron_identity(base, rep.dim)
 
 
 def f_contract(rs: RootSystem, low_n, low_m):

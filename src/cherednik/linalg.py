@@ -1,4 +1,5 @@
-"""Small exact linear algebra over the scalar tower.
+"""Small exact linear algebra over the scalar tower: every matrix and
+vector helper of the package lives here.
 
 Matrices are plain lists of row lists.  Entries are QuadExt (field mode)
 or ParamPoly (domain mode; rank via fraction-free Bareiss elimination, so
@@ -7,7 +8,7 @@ symbolic rank means rank over the fraction field).
 
 from __future__ import annotations
 
-from .scalars import ParamPoly
+from .scalars import ParamPoly, QuadExt
 
 
 def _exact_div(x, y):
@@ -35,20 +36,63 @@ def mat_mul(a, b):
     return out
 
 
+def dot(x, y):
+    """Sum of x[i] * y[i]; also the pairing of a*-coordinates with
+    a-coordinates."""
+    acc = None
+    for a, b in zip(x, y):
+        if a and b:
+            p = a * b
+            acc = p if acc is None else acc + p
+    return acc if acc is not None else x[0] - x[0]
+
+
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x and y:
-                p = x * y
-                acc = p if acc is None else acc + p
-        out.append(acc if acc is not None else row[0] - row[0])
-    return out
+    return [dot(row, v) for row in a]
+
+
+def vec_mat(v, a):
+    """Row vector times matrix."""
+    return [dot(v, col) for col in zip(*a)]
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def identity(n):
+    return [[QuadExt(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def mat_inv(a):
+    """Inverse of a 1x1 or 2x2 matrix over QuadExt."""
+    if len(a) == 1:
+        return [[a[0][0].inv()]]
+    (p, q), (r, s) = a
+    det = p * s - q * r
+    return [[s / det, -q / det], [-r / det, p / det]]
+
+
+def kron_identity(a, d):
+    """a tensor the d x d identity: entry (i, j) of a on the diagonal of
+    block (i, j)."""
+    if d == 1:
+        return [row[:] for row in a]
+    rows, cols = len(a), len(a[0])
+    out = [[QuadExt(0)] * (cols * d) for _ in range(rows * d)]
+    for i in range(rows):
+        for j in range(cols):
+            v = a[i][j]
+            if not v:
+                continue
+            for s in range(d):
+                out[i * d + s][j * d + s] = v
+    return out
+
+
+def freeze(a):
+    """The matrix as a tuple of row tuples, usable as a dict key."""
+    return tuple(map(tuple, a))
 
 
 def gauss_rank(mat) -> int:

@@ -54,6 +54,14 @@ def _max_r(label: str, n: int) -> int:
     return n // 2 if label == "B2" else n // 3
 
 
+def _check_entry(label: str, n: int):
+    """The argument check shared by the three routes to the (n, r) entry."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if label not in _TABLE_TYPES:
+        raise ValueError(f"no such table family: {label!r}")
+
+
 def _step(label: str, row, n: int):
     """One recursion step: row n -> row n+1."""
 
@@ -84,8 +92,6 @@ def _step(label: str, row, n: int):
 
 
 def _rows(label: str, n: int):
-    if label not in _TABLE_TYPES:
-        raise ValueError(f"no such table family: {label!r}")
     rows = _PNR_TABLES.setdefault(label, [[_PONE]])
     while len(rows) <= n:
         rows.append(_step(label, rows[-1], len(rows) - 1))
@@ -95,10 +101,8 @@ def _rows(label: str, n: int):
 def f_power_image(label: str, n: int, r: int) -> ParamPoly:
     """Recursion route to the (n, r) entry; out-of-triangle indices are
     zero by convention."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
-        _rows(label, 0)
         return _PZERO
     return _rows(label, n)[n][r]
 
@@ -113,6 +117,7 @@ def _product(factors):
 def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
     """Product-formula route: numerator product divided exactly by the
     skipped factors, scaled by the combinatorial constant."""
+    _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
         return _PZERO
     if label == "A2":
@@ -132,14 +137,12 @@ def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
         den = _product(hb + Rat(2 * i - 1) for i in range(1, r + 1))
         quot = num.divexact(den)
         return quot * Rat((-1) ** n * math.factorial(n))
-    if label == "G2":
-        hb = PP_K1
-        num = _product(hb + Rat(i) for i in range(n))
-        den = _product(hb + Rat(2 + 3 * j) for j in range(r))
-        quot = num.divexact(den)
-        c = Rat((-1) ** (n + r) * math.factorial(n), 3 ** r)
-        return kappa_factor(r) * quot * c
-    raise ValueError(f"no such table family: {label!r}")
+    hb = PP_K1  # G2
+    num = _product(hb + Rat(i) for i in range(n))
+    den = _product(hb + Rat(2 + 3 * j) for j in range(r))
+    quot = num.divexact(den)
+    c = Rat((-1) ** (n + r) * math.factorial(n), 3 ** r)
+    return kappa_factor(r) * quot * c
 
 
 # -- kappa-factor sequence (G2) --------------------------------------------------
@@ -198,9 +201,9 @@ class FactorizationReport:
 
     def as_dict(self):
         return {
-            "checked_up_to": self.checked_up_to,
             "verified_up_to": self.verified_up_to,
             "first_failure": self.first_failure,
+            "checked_up_to": self.checked_up_to,
         }
 
     def __repr__(self):
@@ -239,118 +242,59 @@ def _f_cascade_scalar(vm: VermaModule, poly, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _a2_scale() -> QuadExt:
-    """Second-power normalization for the A2 cubic invariant: the
-    lowering operator sends its square to this multiple of the squared
-    quadric, independently of the couplings."""
-    rs = build_root_system("A2")
-    vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
-    q2 = rs.invariant_gens[1]
-    for i, v in enumerate(mat_vec(vm.f_mat(3), poly_coords(q2, 3, 2))):
-        if ParamPoly.coerce(v):
-            raise InvariantViolation("A2 cubic invariant should lower to zero")
-    val = mat_vec(vm.f_mat(6), poly_coords(q2 * q2, 6, 2))
-    e2 = poly_coords(rs.e_poly * rs.e_poly, 4, 2)
-    lam = None
-    for v, e in zip(val, e2):
-        v = ParamPoly.coerce(v)
-        if not e:
-            if v:
-                raise InvariantViolation("A2 normalization: not a quadric multiple")
-            continue
-        cand = v / e
-        if not cand.is_constant or (lam is not None and cand.constant_value() != lam):
-            raise InvariantViolation("A2 normalization is not a constant")
-        lam = cand.constant_value()
-    if not lam:
-        raise InvariantViolation("A2 normalization vanished")
-    return QuadExt.coerce(lam)
-
-
-@lru_cache(maxsize=None)
-def _b2_scale() -> QuadExt:
-    """Normalization for the B2 quartic invariant: scale lambda with
-    F(lambda Q) = -2(2 k1 + 1) E, the value forced by the recursion's
-    first column-shift step."""
-    rs = build_root_system("B2")
+def _table_invariant(label: str):
+    """The invariant Q whose r-th power enters the (n, r) entry, and the
+    constant c with F(Q) = c * shape * E^(deg Q/2 - 1), where the shape is
+    1 for A2, -2(2 k1 + 1) for B2 and kappa for G2 (the values forced by
+    the recursions).  For A2, Q is the square of the cubic invariant,
+    which itself lowers to zero."""
+    rs = build_root_system(label)
     vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
     q = rs.invariant_gens[1]
-    val = mat_vec(vm.f_mat(4), poly_coords(q, 4, 2))
-    ev = poly_coords(rs.e_poly, 2, 2)
-    want = PP_K1 * Rat(-4) - Rat(2)
-    inv_lam = None
-    for v, e in zip(val, ev):
+    if label == "A2":
+        for v in mat_vec(vm.f_mat(3), poly_coords(q, 3, 2)):
+            if ParamPoly.coerce(v):
+                raise InvariantViolation("A2 cubic invariant should lower to zero")
+        q, shape = q * q, _PONE
+    elif label == "B2":
+        shape = PP_K1 * Rat(-4) - Rat(2)
+    else:  # G2
+        shape = PP_K2 - PP_K1
+    deg = q.degree()
+    val = mat_vec(vm.f_mat(deg), poly_coords(q, deg, 2))
+    epow = poly_coords(rs.e_poly ** (deg // 2 - 1), deg - 2, 2)
+    lead, lead_coef = shape.leading()
+    c = None
+    for v, e in zip(val, epow):
         v = ParamPoly.coerce(v)
         if not e:
             if v:
-                raise InvariantViolation("B2 normalization: not a quadric multiple")
+                raise InvariantViolation(f"{label} normalization: not a quadric multiple")
             continue
         ratio = v / e
-        c = ratio.coefficient(1, 0) / Rat(-4)
-        if ratio != want * ParamPoly.const(c):
-            raise InvariantViolation("B2 normalization has the wrong shape")
-        if inv_lam is not None and c != inv_lam:
-            raise InvariantViolation("B2 normalization is not constant")
-        inv_lam = c
-    if not inv_lam:
-        raise InvariantViolation("B2 normalization vanished")
-    return QuadExt.coerce(inv_lam)
-
-
-@lru_cache(maxsize=None)
-def _g2_scale() -> QuadExt:
-    """Linear normalization for the G2 sextic invariant: scale lambda
-    with F(lambda Q') = kappa E^2."""
-    rs = build_root_system("G2")
-    vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
-    qp = rs.invariant_gens[1]
-    val = mat_vec(vm.f_mat(6), poly_coords(qp, 6, 2))
-    e2 = poly_coords(rs.e_poly * rs.e_poly, 4, 2)
-    kappa = PP_K2 - PP_K1
-    inv_lam = None
-    for v, e in zip(val, e2):
-        v = ParamPoly.coerce(v)
-        if not e:
-            if v:
-                raise InvariantViolation("G2 normalization: not a quadric multiple")
-            continue
-        ratio = v / e
-        c = ratio.coefficient(0, 1)
-        if ratio != kappa * ParamPoly.const(c):
-            raise InvariantViolation("G2 normalization is not a kappa multiple")
-        if inv_lam is not None and c != inv_lam:
-            raise InvariantViolation("G2 normalization is not constant")
-        inv_lam = c
-    if not inv_lam:
-        raise InvariantViolation("G2 normalization vanished")
-    return QuadExt.coerce(inv_lam).inv()
+        cand = ratio.coefficient(*lead) / lead_coef
+        if ratio != shape * ParamPoly.const(cand):
+            raise InvariantViolation(f"{label} normalization has the wrong shape")
+        if c is not None and cand != c:
+            raise InvariantViolation(f"{label} normalization is not constant")
+        c = cand
+    if not c:
+        raise InvariantViolation(f"{label} normalization vanished")
+    return q, c
 
 
 def f_power_image_direct(label: str, n: int, r: int, k1, k2):
     """Evaluate the (n, r) entry by genuinely composing Dunkl operators
     at numeric couplings.  Cost-guarded to n <= 6."""
+    _check_entry(label, n)
     if n > 6:
         raise ValueError("direct route is cost-guarded to n <= 6")
     if r < 0 or r > _max_r(label, n):
         return QuadExt(0)
-    k1, k2 = rat(k1), rat(k2)
-    vm = _direct_module(label, k1, k2)
-    rs = vm.rs
-    if label == "A2":
-        q = rs.invariant_gens[1]
-        poly = rs.e_poly ** (n - 3 * r) * q ** (2 * r)
-        scale = _a2_scale().inv() ** r
-    elif label == "B2":
-        q = rs.invariant_gens[1]
-        poly = rs.e_poly ** (n - 2 * r) * q ** r
-        scale = _b2_scale().inv() ** r
-    elif label == "G2":
-        q = rs.invariant_gens[1]
-        poly = rs.e_poly ** (n - 3 * r) * q ** r
-        scale = _g2_scale() ** r
-    else:
-        raise ValueError(f"no such table family: {label!r}")
-    return QuadExt.coerce(_f_cascade_scalar(vm, poly, 2 * n)) * scale
+    vm = _direct_module(label, rat(k1), rat(k2))
+    q, c = _table_invariant(label)
+    poly = vm.rs.e_poly ** (n - (q.degree() // 2) * r) * q ** r
+    return QuadExt.coerce(_f_cascade_scalar(vm, poly, 2 * n)) * c.inv() ** r
 
 
 def evaluate_at_couplings(label: str, poly: ParamPoly, k1, k2):

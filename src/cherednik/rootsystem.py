@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantViolation
+from .linalg import (dot, freeze, identity, is_symmetric, mat_inv, mat_mul,
+                     mat_vec, transpose)
 from .polynomials import MPoly, clear_content, reynolds, weyl_act
-from .scalars import (HALF, PP_K1, PP_K2, ParamPoly, QONE, QuadExt, Rat,
-                      SQRT3)
+from .scalars import HALF, PP_K1, PP_K2, ParamPoly, QONE, QuadExt, Rat
 
 LABELS = ("A1", "A2", "B2", "G2")
 
@@ -29,36 +30,6 @@ _EXPECTED_HBAR = {
     "B2": ParamPoly({(0, 0): QONE, (1, 0): QuadExt(2), (0, 1): QuadExt(2)}),
     "G2": ParamPoly({(0, 0): QONE, (1, 0): QuadExt(3), (0, 1): QuadExt(3)}),
 }
-
-
-def _pairing(y, x):
-    acc = None
-    for a, b in zip(y, x):
-        p = a * b
-        acc = p if acc is None else acc + p
-    return acc
-
-
-def _mat_apply(m, v):
-    return tuple(_pairing(row, v) for row in m)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][l] * b[l][j] for l in range(n)), QuadExt(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_inv_transpose(m):
-    n = len(m)
-    if n == 1:
-        return ((m[0][0].inv(),),)
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    det = a * d - b * c
-    inv = ((d / det, -b / det), (-c / det, a / det))
-    return tuple(zip(*inv))
 
 
 def _reflection_matrix(alpha, coroot):
@@ -78,25 +49,19 @@ class Metric:
 
     def __init__(self, gram):
         self.gram = gram
-        n = len(gram)
-        if n == 1:
-            self.inv = ((gram[0][0].inv(),),)
-        else:
-            a, b, c, d = gram[0][0], gram[0][1], gram[1][0], gram[1][1]
-            det = a * d - b * c
-            self.inv = ((d / det, -b / det), (-c / det, a / det))
+        self.inv = mat_inv(gram)
 
     def pair_dual(self, x, z):
         """B*(x, z) for x, z in a*-coordinates."""
-        return _pairing(_mat_apply(self.gram, x), z)
+        return dot(self.to_a(x), z)
 
     def to_a(self, x):
         """The transfer a* -> a (pairing against it recovers B*)."""
-        return _mat_apply(self.gram, x)
+        return mat_vec(self.gram, x)
 
     def to_dual(self, y):
         """Inverse transfer a -> a*."""
-        return _mat_apply(self.inv, y)
+        return mat_vec(self.inv, y)
 
 
 class RootSystem:
@@ -177,10 +142,7 @@ class RootSystem:
             _reflection_matrix(self.positive_roots[i], self.coroots[i])
             for i in self.simple
         ]
-        ident = tuple(
-            tuple(QuadExt(1 if i == j else 0) for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        ident = freeze(identity(self.rank))
         elements = [ident]
         index = {ident: 0}
         parent = [None]
@@ -188,7 +150,7 @@ class RootSystem:
         while cursor < len(elements):
             base = elements[cursor]
             for gi, g in enumerate(gens):
-                m = _mat_mul(base, g)
+                m = freeze(mat_mul(base, g))
                 if m not in index:
                     index[m] = len(elements)
                     elements.append(m)
@@ -197,11 +159,11 @@ class RootSystem:
         self.elements = elements
         self.parent = parent
         n = len(elements)
-        self.mult = [[index[_mat_mul(elements[i], elements[j])] for j in range(n)]
-                     for i in range(n)]
+        self.mult = [[index[freeze(mat_mul(elements[i], elements[j]))]
+                      for j in range(n)] for i in range(n)]
         self.inverse = [next(j for j in range(n) if self.mult[i][j] == 0)
                         for i in range(n)]
-        self.amats = [_mat_inv_transpose(m) for m in elements]
+        self.amats = [transpose(mat_inv(m)) for m in elements]
         self.reflection_element = []
         for a, c in zip(self.positive_roots, self.coroots):
             m = _reflection_matrix(a, c)
@@ -218,8 +180,7 @@ class RootSystem:
         adj = [set() for _ in pos]
         for i, a in enumerate(pos):
             for m in self.elements:
-                img = _mat_apply(m, a)
-                j = key.get(img)
+                j = key.get(tuple(mat_vec(m, a)))
                 if j is None:
                     raise InvariantViolation("group does not permute the roots")
                 adj[i].add(j)
@@ -304,13 +265,11 @@ class RootSystem:
                 f"{self.label}: group order {len(self.elements)}, "
                 f"expected {_GROUP_ORDER[self.label]}")
         for a, c in zip(self.positive_roots, self.coroots):
-            if _pairing(c, a) != 2:
+            if dot(c, a) != 2:
                 raise InvariantViolation("coroot pairing <a^, a> != 2")
         g = self.metric.gram
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if g[i][j] != g[j][i]:
-                    raise InvariantViolation("metric is not symmetric")
+        if not is_symmetric(g):
+            raise InvariantViolation("metric is not symmetric")
         lead = g[0][0]
         if lead.sign() <= 0:
             raise InvariantViolation("metric is not positive definite")
@@ -319,8 +278,7 @@ class RootSystem:
             if det.sign() <= 0:
                 raise InvariantViolation("metric is not positive definite")
         for m in self.elements:
-            mg = _mat_mul(tuple(zip(*m)), _mat_mul(g, m))
-            if mg != g:
+            if freeze(mat_mul(transpose(m), mat_mul(g, m))) != g:
                 raise InvariantViolation("group does not preserve the metric")
         for q in self.invariant_gens:
             for m in self.elements:
@@ -351,11 +309,11 @@ class RootSystem:
 
     def act_dual(self, w: int, x):
         """Action of element w on a*-coordinates."""
-        return _mat_apply(self.elements[w], x)
+        return mat_vec(self.elements[w], x)
 
     def act_a(self, w: int, y):
         """Action of element w on a-coordinates (inverse transpose)."""
-        return _mat_apply(self.amats[w], y)
+        return mat_vec(self.amats[w], y)
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,9 @@ layer chi, so it already kills every isotypic component other than chi
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, QuadExt, is_nonneg_int, rat
-from .linalg import bareiss_rank, gauss_rank, mat_mul
+from .scalars import ParamPoly, is_nonneg_int, rat
+from .linalg import (bareiss_rank, gauss_rank, identity, is_symmetric,
+                     mat_mul, vec_mat)
 from .polynomials import monomials
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
@@ -29,23 +30,6 @@ from .dunkl import (b_lowering_matrix, f_contract, lowest_weight_scalar,
                     sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
-
-
-def _vec_mat(v, m):
-    """Row vector times matrix."""
-    out = []
-    for c in range(len(m[0])):
-        acc = None
-        for r, x in enumerate(v):
-            if x and m[r][c]:
-                p = x * m[r][c]
-                acc = p if acc is None else acc + p
-        out.append(acc if acc is not None else v[0] - v[0])
-    return out
-
-
-def _identity(d):
-    return [[QuadExt(1 if i == j else 0) for j in range(d)] for i in range(d)]
 
 
 class VermaModule:
@@ -104,7 +88,7 @@ class VermaModule:
         d = self.rep.dim
         grams = self._gram
         if not grams:
-            grams[0] = _identity(d)
+            grams[0] = identity(d)
         for deg in range(len(grams), n + 1):
             prev = grams[deg - 1]
             prod1 = mat_mul(prev, self.lowering(0, deg))
@@ -117,14 +101,11 @@ class VermaModule:
                 else:
                     low2 = self.lowering(1, deg)
                     for s in range(d):
-                        rows.append(_vec_mat(prev[(deg - 1) * d + s], low2))
-            if not self.symbolic:
-                for i in range(len(rows)):
-                    for j in range(i):
-                        if rows[i][j] != rows[j][i]:
-                            raise InvariantViolation(
-                                f"{self.rs.label}/{self.rep.label}: form is not "
-                                f"symmetric at degree {deg}")
+                        rows.append(vec_mat(prev[(deg - 1) * d + s], low2))
+            if not self.symbolic and not is_symmetric(rows):
+                raise InvariantViolation(
+                    f"{self.rs.label}/{self.rep.label}: form is not "
+                    f"symmetric at degree {deg}")
             grams[deg] = rows
         return grams[n]
 
@@ -143,7 +124,7 @@ class VermaModule:
                     comp = low if comp is None else mat_mul(low, comp)
                     cur -= 1
             if comp is None:
-                comp = _identity(d)
+                comp = identity(d)
             for s in range(d):
                 rows.append(comp[s])
         return rows
@@ -186,7 +167,7 @@ class VermaModule:
         if not is_nonneg_int(m0):
             return EPowerResult(False, None, False)
         m = int(m0)
-        rows = _identity(self.rep.dim)
+        rows = identity(self.rep.dim)
         for cur in range(2, 2 * m + 3, 2):
             rows = mat_mul(rows, self.f_mat(cur))
         return EPowerResult(True, m, not any(v for row in rows for v in row))

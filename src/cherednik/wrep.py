@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantViolation
+from .linalg import freeze, identity, mat_mul, transpose
 from .scalars import QuadExt, rat
 from .rootsystem import RootSystem, build_root_system
 
@@ -124,30 +125,15 @@ def _validate(rs, reps):
     for r in reps:
         for i in range(order):
             for j in range(order):
-                prod = _mat_mul_small(r.matrices[i], r.matrices[j])
+                prod = freeze(mat_mul(r.matrices[i], r.matrices[j]))
                 if prod != r.matrices[rs.mult[i][j]]:
                     raise InvariantViolation(f"{r.label} is not a homomorphism")
         for m in r.matrices:
-            mt = tuple(zip(*m))
-            if _mat_mul_small(mt, m) != _identity(r.dim):
+            if mat_mul(transpose(m), m) != identity(r.dim):
                 raise InvariantViolation(f"{r.label} matrices are not orthogonal")
     chars = [tuple(r.character) for r in reps]
     if len(set(chars)) != len(chars):
         raise InvariantViolation("duplicate characters")
-
-
-def _identity(n):
-    return tuple(tuple(QuadExt(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def _mat_mul_small(a, b):
-    n = len(a)
-    m = len(b[0])
-    return tuple(
-        tuple(sum((a[i][l] * b[l][j] for l in range(len(b))), QuadExt(0))
-              for j in range(m))
-        for i in range(n)
-    )
 
 
 def tensor_one_dim(rs: RootSystem, chi: Irrep, tau: Irrep) -> Irrep:

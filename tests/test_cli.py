@@ -13,6 +13,7 @@ import pytest
 
 import cherednik
 from cherednik.cli import run
+from cherednik.rank2 import check_kappa_factorization
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
 
@@ -192,6 +193,7 @@ def test_conjecture_small(capsys):
     assert d["checked_up_to"] == 7
     assert d["verified_up_to"] == 7
     assert d["first_failure"] is None
+    assert out == json.dumps(check_kappa_factorization(3).as_dict(), indent=2) + "\n"
 
 
 def test_exit_code_bad_rational(capsys):

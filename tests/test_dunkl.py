@@ -7,10 +7,10 @@ from cherednik.wrep import Irrep, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_matrix, coords_poly,
                              dunkl_apply, e_mult_matrix, f_matrix,
                              lowering_matrix, lowering_parts,
-                             lowest_weight_scalar, pairing, poly_coords,
+                             lowest_weight_scalar, poly_coords,
                              quotient_matrix, reflection_sum_scalar,
                              sl2_calibration)
-from cherednik.linalg import mat_mul, mat_vec
+from cherednik.linalg import dot, mat_mul, mat_vec
 
 RNG = random.Random(505)
 TYPES = ("A1", "A2", "B2", "G2")
@@ -93,7 +93,7 @@ def test_commutator_with_coordinate():
             for a in range(rs.num_positive):
                 alpha = rs.positive_roots[a]
                 co = rs.coroots[a]
-                c = rs.coupling_of_root(a, k1, k2) * pairing(alpha, y) * co[j]
+                c = rs.coupling_of_root(a, k1, k2) * dot(alpha, y) * co[j]
                 if not c:
                     continue
                 refl = weyl_act(rs.elements[rs.reflection_element[a]], p)
@@ -140,7 +140,7 @@ def direct_action(rs, rep, y, p, t, k1, k2):
         for a in range(rs.num_positive):
             alpha = rs.positive_roots[a]
             rv = rep.matrix(rs.reflection_element[a])[s][t]
-            c = pairing(alpha, y) * rv
+            c = dot(alpha, y) * rv
             if not c:
                 continue
             diff = p - weyl_act(rs.elements[rs.reflection_element[a]], p)

@@ -3,8 +3,9 @@ import random
 from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, clear_content, div_linear, monomials,
                                    reynolds, weyl_act)
-from cherednik.linalg import (bareiss_rank, gauss_rank, is_symmetric, mat_mul,
-                              mat_vec, transpose)
+from cherednik.linalg import (bareiss_rank, dot, freeze, gauss_rank,
+                              identity, is_symmetric, kron_identity, mat_inv,
+                              mat_mul, mat_vec, transpose, vec_mat)
 
 RNG = random.Random(202)
 
@@ -105,6 +106,28 @@ def test_linalg_mat_ops():
     v = [Rat(1), Rat(-2)]
     assert mat_vec(ab, v) == mat_vec(a, mat_vec(b, v))
     assert transpose(transpose(a)) == [list(r) for r in a]
+    w = [Rat(2), Rat(0), Rat(-1)]
+    assert vec_mat(w, a) == mat_mul([w], a)[0]
+    col = [r[0] for r in b]
+    assert mat_vec(a, col) == [dot(row, col) for row in a]
+    assert dot([QuadExt(0), SQRT3], [Rat(5), Rat(0)]) == QuadExt(0)
+    assert mat_mul(identity(3), a) == a
+    assert freeze(a) == tuple(tuple(r) for r in a)
+    assert hash(freeze(a)) == hash(freeze([list(r) for r in a]))
+
+
+def test_linalg_inverse_and_kron():
+    for m in ([[QuadExt(3)]], [[QuadExt(1), SQRT3], [SQRT3, QuadExt(4)]],
+              [[QuadExt(0), QuadExt(2)], [QuadExt(-1), SQRT3]]):
+        assert mat_mul(mat_inv(m), m) == identity(len(m))
+    a = [[QuadExt(1), QuadExt(0), SQRT3], [QuadExt(0), QuadExt(2), QuadExt(0)]]
+    k = kron_identity(a, 2)
+    assert len(k) == 4 and len(k[0]) == 6
+    for i in range(4):
+        for j in range(6):
+            want = a[i // 2][j // 2] if i % 2 == j % 2 else QuadExt(0)
+            assert k[i][j] == want
+    assert kron_identity(a, 1) == a and kron_identity(a, 1) is not a
 
 
 def test_rank_methods_agree_random():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
@@ -76,6 +78,21 @@ def test_direct_route_cost_guard():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize("label, n, r", [("XX", 0, 5), ("A2", -1, 0),
+                                         ("A1", 1, 5)])
+def test_table_routes_reject_bad_arguments(label, n, r):
+    for route in (f_power_image, f_power_image_closed,
+                  lambda *a: f_power_image_direct(*a, Rat(0), Rat(0))):
+        with pytest.raises(ValueError):
+            route(label, n, r)
+
+
+def test_out_of_triangle_entries_are_zero():
+    assert f_power_image("A2", 1, 5) == ParamPoly.const(Rat(0))
+    assert f_power_image_closed("A2", 1, -1) == ParamPoly.const(Rat(0))
+    assert f_power_image_direct("A2", 1, 5, Rat(0), Rat(0)) == QuadExt(0)
 
 
 def test_kappa_factor_sequence():

@@ -1,6 +1,7 @@
 import random
 
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
+from cherednik.linalg import identity, mat_mul, transpose
 from cherednik.polynomials import weyl_act
 from cherednik.rootsystem import build_root_system, hbar_poly, kappa_poly
 
@@ -104,6 +105,16 @@ def test_mult_table_and_inverses():
             assert rs.elements[k] == m
         for i in range(n):
             assert rs.mult[i][rs.inverse[i]] == 0
+
+
+def test_metric_inverse_and_contragredient_matrices():
+    for label in ORDERS:
+        rs = build_root_system(label)
+        ident = identity(rs.rank)
+        assert mat_mul(rs.metric.inv, rs.metric.gram) == ident
+        assert mat_mul(rs.metric.gram, rs.metric.inv) == ident
+        for m, a in zip(rs.elements, rs.amats):
+            assert mat_mul(transpose(a), m) == ident
 
 
 def test_reflections_fix_their_root_orbit():
