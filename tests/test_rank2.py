@@ -48,6 +48,8 @@ def test_out_of_triangle_is_zero():
     assert f_power_image("B2", 1, 1) == zero
     assert f_power_image("G2", 5, 2) == zero
     assert f_power_image("A2", 4, -1) == zero
+    assert f_power_image_closed("A2", 1, 5) == zero
+    assert f_power_image_direct("B2", 1, -1, Rat(0), Rat(0)) == QuadExt(0)
 
 
 def test_recursion_equals_closed_form():
@@ -87,12 +89,6 @@ def test_table_routes_reject_bad_arguments(label, n, r):
                   lambda *a: f_power_image_direct(*a, Rat(0), Rat(0))):
         with pytest.raises(ValueError):
             route(label, n, r)
-
-
-def test_out_of_triangle_entries_are_zero():
-    assert f_power_image("A2", 1, 5) == ParamPoly.const(Rat(0))
-    assert f_power_image_closed("A2", 1, -1) == ParamPoly.const(Rat(0))
-    assert f_power_image_direct("A2", 1, 5, Rat(0), Rat(0)) == QuadExt(0)
 
 
 def test_kappa_factor_sequence():
