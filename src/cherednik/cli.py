@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import re
 import sys
@@ -73,11 +74,19 @@ def _resolve_couplings(args) -> tuple:
     if args.k1 is None:
         raise UsageError("need --k, or --k1 (and --k2 for two-orbit types)")
     k1 = _parse_rat(args.k1)
+    one_orbit = _one_orbit(args.type)
     if args.k2 is not None:
-        return k1, _parse_rat(args.k2)
-    if build_root_system(args.type).orbit_counts[1] == 0:
+        k2 = _parse_rat(args.k2)
+        if one_orbit and k2 != k1:
+            raise UsageError(f"{args.type} has one root orbit: --k2 must equal --k1")
+        return k1, k2
+    if one_orbit:
         return k1, k1
     raise UsageError(f"{args.type} has two root orbits: give --k2 or use --k")
+
+
+def _one_orbit(label: str) -> bool:
+    return build_root_system(label).orbit_counts[1] == 0
 
 
 def _parse_range(text: str):
@@ -176,6 +185,8 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.k2_range and _one_orbit(args.type):
+        raise UsageError(f"{args.type} has one root orbit: no --k2-range")
     a1, s1, n1 = _parse_range(args.k1_range)
     # without --k2-range the sweep is diagonal: k2 = k1 at every point
     a2, s2, n2 = _parse_range(args.k2_range) if args.k2_range else (None, None, 1)
@@ -348,6 +359,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so the flush at interpreter shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"cherednik: error: {e}", file=sys.stderr)
         return 1

@@ -2,13 +2,13 @@
 hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
-Polynomial-layer data (partial derivatives, difference quotients,
-multiplication by the quadric) does not depend on the character or on the
-couplings, so those matrices are cached on the root system and shared
-by every module and every coupling value.  A lowering matrix is affine in
-the couplings, L = D + k1*A + k2*B; the parts D, A, B depend only on the
-character, which caches them, so a module at new couplings pays one
-linear combination per layer (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).
+Polynomial-layer data (partial derivatives, difference quotients) does
+not depend on the character or on the couplings, so those matrices are
+cached on the root system and shared by every module and every coupling
+value.  A lowering matrix is affine in the couplings, L = D + k1*A + k2*B;
+the parts D, A, B depend only on the character, which caches them, so a
+module at new couplings pays one linear combination per layer
+(Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from array import array
 
 from .errors import InvariantViolation
 from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
-from .linalg import dot, kron_identity, mat_mul, mat_vec, transpose
+from .linalg import (dot, identity, kron_identity, mat_add, mat_mul,
+                     mat_vec, transpose)
 from .polynomials import MPoly, div_linear, monomials, weyl_act
 from .rootsystem import RootSystem, hbar_poly
 
@@ -129,22 +130,14 @@ def _raise_quotient(nv, deg, q_prev, r_prev, lin, pool):
     return q_cols, r_cols
 
 
-def mult_matrix(rs: RootSystem, q: MPoly, n: int, cache_key=None):
+def mult_matrix(rs: RootSystem, q: MPoly, n: int):
     """Matrix of multiplication by a homogeneous q from degree n up."""
-    key = ("m", cache_key, n)
-    if cache_key is not None:
-        hit = rs._quot_cache.get(key)
-        if hit is not None:
-            return hit
     nv = rs.rank
     d = q.degree()
     src = monomials(nv, n)
     cols = [poly_coords(q * MPoly(nv, {m: QuadExt(1)}), n + d, nv) for m in src]
-    out = [[cols[c][r] for c in range(len(src))]
-           for r in range(len(monomials(nv, n + d)))]
-    if cache_key is not None:
-        rs._quot_cache[key] = out
-    return out
+    return [[cols[c][r] for c in range(len(src))]
+            for r in range(len(monomials(nv, n + d)))]
 
 
 # -- Dunkl operators -----------------------------------------------------------
@@ -277,45 +270,43 @@ def b_lowering_matrix(rs: RootSystem, rep, j: int, n: int, k1, k2):
 def e_mult_matrix(rs: RootSystem, rep, n: int):
     """Matrix of the raising operator (multiplication by the invariant
     quadric) from the degree-n layer to the degree-(n+2) layer."""
-    base = mult_matrix(rs, rs.e_poly, n, cache_key="e")
+    base = mult_matrix(rs, rs.e_poly, n)
     return kron_identity(base, rep.dim)
 
 
-def f_contract(rs: RootSystem, low_n, low_m):
-    """The quadratic lowering operator -(1/2) sum g^{jl} L_j L_l, from
-    the lowerings along the metric transfers: low_n[l] on the degree-n
-    layer and low_m[j] on the degree-(n-1) layer."""
+def f_apply(rs: RootSystem, rows, low_m, low_n):
+    """rows times the quadratic lowering operator F = -(1/2) sum g^{jl}
+    L_j L_l on the degree-n layer, from the lowerings along the metric
+    transfers: low_m[j] on the degree-(n-1) layer and low_n[l] on the
+    degree-n layer.  F itself is never formed:
+
+        rows F = sum_l (sum_j -(1/2) g^{jl} rows L_j) L_l.
+    """
     ginv = rs.metric.inv
+    minus_half = Rat(-1, 2)
+    lowered = [mat_mul(rows, low) for low in low_m]
     acc = None
     for l in range(rs.rank):
+        comb = None
         for j in range(rs.rank):
-            g = ginv[j][l]
-            if not g:
-                continue
-            prod = mat_mul(low_m[j], low_n[l])
-            scale = g * Rat(-1, 2)
-            for prow in prod:
-                for c, v in enumerate(prow):
-                    if v:
-                        prow[c] = v * scale
-            if acc is None:
-                acc = prod
-            else:
-                for arow, prow in zip(acc, prod):
-                    for c, v in enumerate(prow):
-                        if v:
-                            arow[c] = arow[c] + v
+            s = ginv[j][l] * minus_half
+            if s:
+                term = [[v * s for v in row] for row in lowered[j]]
+                comb = term if comb is None else mat_add(comb, term)
+        if comb is not None:
+            prod = mat_mul(comb, low_n[l])
+            acc = prod if acc is None else mat_add(acc, prod)
     return acc
 
 
 def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
     """Matrix of the quadratic lowering operator from the degree-n layer
-    to the degree-(n-2) layer."""
+    to the degree-(n-2) layer: f_apply on the identity rows."""
     if n < 2:
         raise ValueError("the quadratic lowering operator needs degree >= 2")
-    low_n, low_m = ([b_lowering_matrix(rs, rep, j, d, k1, k2) for j in range(rs.rank)]
-                    for d in (n, n - 1))
-    return f_contract(rs, low_n, low_m)
+    low_m, low_n = ([b_lowering_matrix(rs, rep, j, d, k1, k2) for j in range(rs.rank)]
+                    for d in (n - 1, n))
+    return f_apply(rs, identity(len(low_m[0])), low_m, low_n)
 
 
 def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):
@@ -412,8 +403,7 @@ def _frame_check(rs: RootSystem, triv):
             dn = lowering_matrix(rs, triv, y, n, PP_K1, PP_K2)
             dm = lowering_matrix(rs, triv, y, n - 1, PP_K1, PP_K2)
             prod = mat_mul(dm, dn)
-            alt = prod if alt is None else [
-                [a + b for a, b in zip(ra, rb)] for ra, rb in zip(alt, prod)]
+            alt = prod if alt is None else mat_add(alt, prod)
         for r in range(len(alt)):
             for c in range(len(alt[0])):
                 v = alt[r][c] * half

@@ -36,6 +36,10 @@ def mat_mul(a, b):
     return out
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def dot(x, y):
     """Sum of x[i] * y[i]; also the pairing of a*-coordinates with
     a-coordinates."""

@@ -23,10 +23,10 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat, is_nonneg_int, rat
-from .linalg import mat_vec
+from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
 from .wrep import get_irrep, irreps, twist_couplings
-from .dunkl import poly_coords
+from .dunkl import f_matrix, poly_coords
 from .verma import VermaModule
 
 _PZERO = ParamPoly.const(Rat(0))
@@ -230,17 +230,6 @@ def _direct_module(label: str, k1, k2) -> VermaModule:
     return VermaModule(rs, get_irrep(rs, "triv"), k1, k2)
 
 
-def _f_cascade_scalar(vm: VermaModule, poly, degree: int):
-    """Apply the quadratic lowering operator degree/2 times to an
-    invariant-layer element and return the resulting scalar."""
-    vec = poly_coords(poly, degree, vm.rs.rank)
-    cur = degree
-    while cur > 0:
-        vec = mat_vec(vm.f_mat(cur), vec)
-        cur -= 2
-    return vec[0]
-
-
 @lru_cache(maxsize=None)
 def _table_invariant(label: str):
     """The invariant Q whose r-th power enters the (n, r) entry, and the
@@ -249,10 +238,10 @@ def _table_invariant(label: str):
     the recursions).  For A2, Q is the square of the cubic invariant,
     which itself lowers to zero."""
     rs = build_root_system(label)
-    vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
+    triv = get_irrep(rs, "triv")
     q = rs.invariant_gens[1]
     if label == "A2":
-        for v in mat_vec(vm.f_mat(3), poly_coords(q, 3, 2)):
+        for v in mat_vec(f_matrix(rs, triv, 3, PP_K1, PP_K2), poly_coords(q, 3, 2)):
             if ParamPoly.coerce(v):
                 raise InvariantViolation("A2 cubic invariant should lower to zero")
         q, shape = q * q, _PONE
@@ -261,7 +250,7 @@ def _table_invariant(label: str):
     else:  # G2
         shape = PP_K2 - PP_K1
     deg = q.degree()
-    val = mat_vec(vm.f_mat(deg), poly_coords(q, deg, 2))
+    val = mat_vec(f_matrix(rs, triv, deg, PP_K1, PP_K2), poly_coords(q, deg, 2))
     epow = poly_coords(rs.e_poly ** (deg // 2 - 1), deg - 2, 2)
     lead, lead_coef = shape.leading()
     c = None
@@ -294,7 +283,8 @@ def f_power_image_direct(label: str, n: int, r: int, k1, k2):
     vm = _direct_module(label, rat(k1), rat(k2))
     q, c = _table_invariant(label)
     poly = vm.rs.e_poly ** (n - (q.degree() // 2) * r) * q ** r
-    return QuadExt.coerce(_f_cascade_scalar(vm, poly, 2 * n)) * c.inv() ** r
+    val = dot(vm.f_chain(2 * n)[0], poly_coords(poly, 2 * n, vm.rs.rank))
+    return QuadExt.coerce(val) * c.inv() ** r
 
 
 def evaluate_at_couplings(label: str, poly: ParamPoly, k1, k2):

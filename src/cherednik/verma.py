@@ -12,7 +12,8 @@ Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
 scan of the form ranks.  A disagreement raises InvariantViolation.  The
 raised-vector test pushes the rows of the degree-0 layer up the chain of
-quadratic lowerings; the chain commutes with the group and ends in the
+quadratic lowerings, applied through the cached Dunkl lowerings without
+forming their matrices; the chain commutes with the group and ends in the
 layer chi, so it already kills every isotypic component other than chi
 (Berest-Etingof-Ginzburg, IMRN 2003; Etingof-Ma, arXiv:1001.0432).
 """
@@ -26,7 +27,7 @@ from .linalg import (bareiss_rank, gauss_rank, identity, is_symmetric,
 from .polynomials import monomials
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_lowering_matrix, f_contract, lowest_weight_scalar,
+from .dunkl import (b_lowering_matrix, f_apply, lowest_weight_scalar,
                     sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
@@ -46,7 +47,6 @@ class VermaModule:
         self.k1, self.k2 = k1, k2
         self._low = {}
         self._gram = {}
-        self._fmat = {}
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -64,15 +64,16 @@ class VermaModule:
             self._low[key] = hit
         return hit
 
-    def f_mat(self, n: int):
-        """Quadratic lowering operator, degree n -> n-2."""
-        hit = self._fmat.get(n)
-        if hit is None:
-            lows = [[self.lowering(j, d) for j in range(self.rs.rank)]
-                    for d in (n, n - 1)]
-            hit = f_contract(self.rs, *lows)
-            self._fmat[n] = hit
-        return hit
+    def f_chain(self, top: int):
+        """The dim-chi rows of F(2) F(4) ... F(top), the product of the
+        quadratic lowerings from layer top down to layer 0: the layer-0
+        identity rows pushed up through the cached lowerings."""
+        rows = identity(self.rep.dim)
+        for cur in range(2, top + 1, 2):
+            low_m, low_n = ([self.lowering(j, d) for j in range(self.rs.rank)]
+                            for d in (cur - 1, cur))
+            rows = f_apply(self.rs, rows, low_m, low_n)
+        return rows
 
     # -- the contravariant form -------------------------------------------------
     def gram(self, n: int):
@@ -102,7 +103,7 @@ class VermaModule:
                     low2 = self.lowering(1, deg)
                     for s in range(d):
                         rows.append(vec_mat(prev[(deg - 1) * d + s], low2))
-            if not self.symbolic and not is_symmetric(rows):
+            if not is_symmetric(rows):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
                     f"symmetric at degree {deg}")
@@ -135,16 +136,10 @@ class VermaModule:
             return bareiss_rank(g)
         return gauss_rank(g)
 
-    def graded_dims(self, max_degree: int, stop_at_zero: bool = False):
+    def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple
         quotient."""
-        dims = []
-        for n in range(max_degree + 1):
-            r = self.layer_rank(n)
-            dims.append(r)
-            if stop_at_zero and r == 0:
-                break
-        return dims
+        return [self.layer_rank(n) for n in range(max_degree + 1)]
 
     # -- finiteness tests --------------------------------------------------------
     def epower_criterion(self):
@@ -167,9 +162,7 @@ class VermaModule:
         if not is_nonneg_int(m0):
             return EPowerResult(False, None, False)
         m = int(m0)
-        rows = identity(self.rep.dim)
-        for cur in range(2, 2 * m + 3, 2):
-            rows = mat_mul(rows, self.f_mat(cur))
+        rows = self.f_chain(2 * m + 2)
         return EPowerResult(True, m, not any(v for row in rows for v in row))
 
     def classify(self, scan_bound: int | None = None):

@@ -275,3 +275,44 @@ def test_selftest_survives_optimized_mode():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+def test_broken_pipe_exits_quietly():
+    # about 140 kB of CSV, past the 64 KiB pipe buffer: with the read end
+    # closed after the first line, a later write must hit EPIPE
+    src = str(Path(cherednik.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "cherednik", "sweep",
+                             "--type", "A1", "--chi", "triv",
+                             "--k1-range", "1/7:700:1/7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, bufsize=0)
+    assert proc.stdout.readline() == b"type,k1,k2,chi,finite,m,dim\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--type", "A2", "--chi", "triv", "--k1", "-1/3", "--k2", "5"],
+    ["classify", "--type", "A1", "--chi", "sgn", "--k1", "1/2", "--k2", "-1/2"],
+    ["gram", "--type", "A2", "--chi", "std", "--k1", "1", "--k2", "2",
+     "--degree", "1"],
+    ["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1:1",
+     "--k2-range", "0:1:1"],
+])
+def test_one_orbit_rejects_second_coupling(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cherednik: error:") and "one root orbit" in err
+
+
+def test_one_orbit_accepts_equal_second_coupling(capsys):
+    code, out, _ = run_cli(["classify", "--type", "A2", "--chi", "triv",
+                            "--k1", "-1/3", "--k2", "-2/6"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["k1"] == d["k2"] == "-1/3" and d["finite"]

@@ -5,6 +5,8 @@ import pytest
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, Rat
 from cherednik.rootsystem import build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
+from cherednik.dunkl import f_matrix
+from cherednik.linalg import mat_mul
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -29,6 +31,26 @@ def rand_k():
 def test_epower_criterion(label, chi, k1, k2, want):
     ep = standard_module(label, chi, k1, k2).epower_criterion()
     assert (ep.natural, ep.m, ep.finite) == want
+
+
+def test_f_chain_matches_f_matrix_product():
+    # f_chain never forms F; the product of the formed F(n) must agree
+    for label in TYPES:
+        rs = build_root_system(label)
+        k1 = Rat(-2, 3)
+        k2 = k1 if rs.orbit_counts[1] == 0 else Rat(5, 4)
+        for rep in irreps(rs):
+            for a, b in ((k1, k2), (PP_K1, PP_K2)):
+                vm = VermaModule(rs, rep, a, b)
+                prod = None
+                for top in (2, 4, 6):
+                    f = f_matrix(rs, rep, top, a, b)
+                    prod = f if prod is None else mat_mul(prod, f)
+                    want = [[ParamPoly.coerce(v) for v in row]
+                            for row in prod[:rep.dim]]
+                    got = [[ParamPoly.coerce(v) for v in row]
+                           for row in vm.f_chain(top)]
+                    assert got == want, (label, rep.label, a, top)
 
 
 def test_layer_dims():
