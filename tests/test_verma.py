@@ -61,12 +61,13 @@ def test_layer_dims():
 
 
 def test_gram_recursion_equals_direct_assembly():
-    combos = [("A1", "sgn"), ("A2", "std"), ("B2", "chi1"), ("G2", "tau")]
-    for label, chi in combos:
-        k1, k2 = rand_k(), rand_k()
-        vm = standard_module(label, chi, k1, k2)
-        for n in range(5):
-            assert vm.gram(n) == vm.gram_direct(n)
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            k1, k2 = rand_k(), rand_k()
+            vm = VermaModule(rs, rep, k1, k2)
+            for n in range(5):
+                assert vm.gram(n) == vm.gram_direct(n), (label, rep.label, n)
 
 
 def test_gram_symbolic_matches_evaluation():
