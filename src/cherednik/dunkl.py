@@ -274,27 +274,32 @@ def e_mult_matrix(rs: RootSystem, rep, n: int):
     return kron_identity(base, rep.dim)
 
 
-def f_apply(rs: RootSystem, rows, low_m, low_n):
-    """rows times the quadratic lowering operator F = -(1/2) sum g^{jl}
-    L_j L_l on the degree-n layer, from the lowerings along the metric
-    transfers: low_m[j] on the degree-(n-1) layer and low_n[l] on the
-    degree-n layer.  F itself is never formed:
-
-        rows F = sum_l (sum_j -(1/2) g^{jl} rows L_j) L_l.
-    """
-    ginv = rs.metric.inv
+def f_coefficients(rs: RootSystem):
+    """The coefficients -(1/2) g^{jl} of the quadratic lowering operator
+    F = sum c_{jl} L_j L_l in the lowerings along the metric transfers."""
     minus_half = Rat(-1, 2)
+    return [[v * minus_half for v in row] for row in rs.metric.inv]
+
+
+def f_apply(coef, rows, low_m, low_n):
+    """rows times sum_{j,l} coef[j][l] L_j L_l on the degree-n layer, from
+    the lowerings along the metric transfers: low_m[j] on the degree-(n-1)
+    layer and low_n[l] on the degree-n layer.  With coef from
+    f_coefficients this is rows F; F itself is never formed:
+
+        rows F = sum_l (sum_j c_{jl} rows L_j) L_l.
+    """
     lowered = [mat_mul(rows, low) for low in low_m]
     acc = None
-    for l in range(rs.rank):
+    for l, low in enumerate(low_n):
         comb = None
-        for j in range(rs.rank):
-            s = ginv[j][l] * minus_half
+        for j, part in enumerate(lowered):
+            s = coef[j][l]
             if s:
-                term = [[v * s for v in row] for row in lowered[j]]
+                term = [[v * s for v in row] for row in part]
                 comb = term if comb is None else mat_add(comb, term)
         if comb is not None:
-            prod = mat_mul(comb, low_n[l])
+            prod = mat_mul(comb, low)
             acc = prod if acc is None else mat_add(acc, prod)
     return acc
 
@@ -306,7 +311,7 @@ def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
         raise ValueError("the quadratic lowering operator needs degree >= 2")
     low_m, low_n = ([b_lowering_matrix(rs, rep, j, d, k1, k2) for j in range(rs.rank)]
                     for d in (n - 1, n))
-    return f_apply(rs, identity(len(low_m[0])), low_m, low_n)
+    return f_apply(f_coefficients(rs), identity(len(low_m[0])), low_m, low_n)
 
 
 def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):

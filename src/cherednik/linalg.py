@@ -1,17 +1,27 @@
 """Small exact linear algebra over the scalar tower: every matrix and
 vector helper of the package lives here.
 
-Matrices are plain lists of row lists.  Entries are QuadExt (field mode)
-or ParamPoly (domain mode; rank via fraction-free Bareiss elimination, so
-symbolic rank means rank over the fraction field).
+Matrices are plain lists of row lists.  Entries are ints (numeric Gram
+layers, see integer_scale), QuadExt, or ParamPoly (symbolic layers).  There
+is one rank: fraction-free Bareiss elimination, whose divisions are exact
+in every one of these rings, so symbolic rank means rank over the fraction
+field (Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
-from .scalars import ParamPoly, QuadExt
+from math import gcd, lcm
+
+from .errors import InvariantViolation, NonDivisibleError
+from .scalars import ParamPoly, QuadExt, Rat
 
 
 def _exact_div(x, y):
+    if isinstance(x, int) and isinstance(y, int):
+        q, r = divmod(x, y)
+        if r:
+            raise NonDivisibleError(f"Bareiss step: {y} does not divide {x}")
+        return q
     if isinstance(x, ParamPoly) or isinstance(y, ParamPoly):
         return ParamPoly.coerce(x).divexact(ParamPoly.coerce(y))
     return x / y
@@ -99,37 +109,32 @@ def freeze(a):
     return tuple(map(tuple, a))
 
 
-def gauss_rank(mat) -> int:
-    """Rank over a field by exact Gaussian elimination, first-nonzero pivots."""
-    if not mat or not mat[0]:
-        return 0
-    m = [row[:] for row in mat]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pinv = 1 / pr[c] if not hasattr(pr[c], "inv") else pr[c].inv()
-        for i in range(rank + 1, nrows):
-            f = m[i][c]
-            if not f:
-                continue
-            f = f * pinv
-            row = m[i]
-            for j in range(c, ncols):
-                if pr[j]:
-                    row[j] = row[j] - f * pr[j]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def integer_scale(mats):
+    """Integer matrices sharing no common factor, and one rational scale s,
+    with mats[i] == s * ints[i] entrywise.
+
+    Entries are ints, rationals or QuadExt; a QuadExt with a nonzero
+    sqrt(3) part has no such form and raises InvariantViolation.  All-zero
+    input gets the scale 1.
+    """
+    vals = []
+    for mat in mats:
+        for row in mat:
+            for x in row:
+                if isinstance(x, QuadExt):
+                    if x.b:
+                        raise InvariantViolation(
+                            f"{x} has a sqrt(3) part: no integer form")
+                    x = x.a
+                vals.append(x)
+    den = lcm(*(x.denominator for x in vals))
+    vals = [x.numerator * (den // x.denominator) for x in vals]
+    g = gcd(*vals) or 1
+    if g != 1:
+        vals = [v // g for v in vals]
+    it = iter(vals)
+    return ([[[next(it) for _ in row] for row in mat] for mat in mats],
+            Rat(g, den))
 
 
 def bareiss_rank(mat) -> int:

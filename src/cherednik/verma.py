@@ -21,14 +21,14 @@ layer chi, so it already kills every isotypic component other than chi
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, is_nonneg_int, rat
-from .linalg import (bareiss_rank, gauss_rank, identity, is_symmetric,
+from .scalars import ParamPoly, QuadExt, is_nonneg_int, rat
+from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, vec_mat)
 from .polynomials import monomials
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_lowering_matrix, f_apply, lowest_weight_scalar,
-                    sl2_calibration)
+from .dunkl import (b_lowering_matrix, f_apply, f_coefficients,
+                    lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 
@@ -55,60 +55,91 @@ class VermaModule:
     def layer_dim(self, n: int) -> int:
         return len(self.layer_monomials(n)) * self.rep.dim
 
+    def _scaled(self, mats):
+        """(matrices, scale) with mats == scale * matrices: integer
+        matrices without common content at numeric couplings, the
+        matrices themselves and the scale 1 at symbolic ones."""
+        if self.symbolic:
+            return mats, 1
+        return integer_scale(mats)
+
+    def _value(self, mat, scale):
+        """The true matrix scale * mat."""
+        if self.symbolic:
+            return mat
+        return [[QuadExt(v * scale) for v in row] for row in mat]
+
     def lowering(self, j: int, n: int):
         """Dunkl operator along the metric transfer of x_j, degree n -> n-1."""
-        key = (j, n)
-        hit = self._low.get(key)
+        return b_lowering_matrix(self.rs, self.rep, j, n, self.k1, self.k2)
+
+    def _lowerings(self, n: int):
+        """The degree-n lowerings along every transfer, and their shared
+        scale (cached)."""
+        hit = self._low.get(n)
         if hit is None:
-            hit = b_lowering_matrix(self.rs, self.rep, j, n, self.k1, self.k2)
-            self._low[key] = hit
+            hit = self._low[n] = self._scaled(
+                [self.lowering(j, n) for j in range(self.rs.rank)])
         return hit
 
-    def f_chain(self, top: int):
-        """The dim-chi rows of F(2) F(4) ... F(top), the product of the
-        quadratic lowerings from layer top down to layer 0: the layer-0
-        identity rows pushed up through the cached lowerings."""
-        rows = identity(self.rep.dim)
+    def _f_rows(self, top: int):
+        """(rows, scale) of the dim-chi rows of F(2) F(4) ... F(top), the
+        product of the quadratic lowerings from layer top down to layer
+        0: the layer-0 identity rows pushed up through the cached
+        lowerings."""
+        (coef,), cs = self._scaled([f_coefficients(self.rs)])
+        (rows,), scale = self._scaled([identity(self.rep.dim)])
         for cur in range(2, top + 1, 2):
-            low_m, low_n = ([self.lowering(j, d) for j in range(self.rs.rank)]
-                            for d in (cur - 1, cur))
-            rows = f_apply(self.rs, rows, low_m, low_n)
-        return rows
+            (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
+            (rows,), s = self._scaled([f_apply(coef, rows, low_m, low_n)])
+            scale *= s * cs * sm * sn
+        return rows, scale
+
+    def f_chain(self, top: int):
+        """The dim-chi rows of F(2) F(4) ... F(top)."""
+        return self._value(*self._f_rows(top))
 
     # -- the contravariant form -------------------------------------------------
-    def gram(self, n: int):
-        """Gram matrix of the contravariant form on the degree-n layer.
+    def _layer(self, n: int):
+        """The degree-n Gram matrix as (matrix, scale), cached per degree.
 
         Built one degree at a time: the row of x_i * u equals the row of
         u in the previous Gram matrix composed with the Dunkl lowering
         along the transfer of x_i (the form moves multiplication to a
-        Dunkl operator).
+        Dunkl operator).  Both lowerings of a degree share one scale, so
+        the rows of a layer do too.
         """
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         d = self.rep.dim
         grams = self._gram
         if not grams:
-            grams[0] = identity(d)
+            (one,), s = self._scaled([identity(d)])
+            grams[0] = one, s
         for deg in range(len(grams), n + 1):
-            prev = grams[deg - 1]
-            prod1 = mat_mul(prev, self.lowering(0, deg))
+            prev, scale = grams[deg - 1]
+            lows, s = self._lowerings(deg)
+            prod1 = mat_mul(prev, lows[0])
             rows = []
             for m in self.layer_monomials(deg):
                 if m[0] > 0:
                     pidx = m[1] if self.rs.rank == 2 else 0
-                    for s in range(d):
-                        rows.append(prod1[pidx * d + s])
+                    for t in range(d):
+                        rows.append(prod1[pidx * d + t])
                 else:
-                    low2 = self.lowering(1, deg)
-                    for s in range(d):
-                        rows.append(vec_mat(prev[(deg - 1) * d + s], low2))
+                    for t in range(d):
+                        rows.append(vec_mat(prev[(deg - 1) * d + t], lows[1]))
             if not is_symmetric(rows):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
                     f"symmetric at degree {deg}")
-            grams[deg] = rows
+            (rows,), c = self._scaled([rows])
+            grams[deg] = rows, scale * s * c
         return grams[n]
+
+    def gram(self, n: int):
+        """Gram matrix of the contravariant form on the degree-n layer."""
+        return self._value(*self._layer(n))
 
     def gram_direct(self, n: int):
         """The same Gram matrix assembled monomial by monomial from
@@ -131,10 +162,7 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        g = self.gram(n)
-        if self.symbolic:
-            return bareiss_rank(g)
-        return gauss_rank(g)
+        return bareiss_rank(self._layer(n)[0])
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple
@@ -162,7 +190,7 @@ class VermaModule:
         if not is_nonneg_int(m0):
             return EPowerResult(False, None, False)
         m = int(m0)
-        rows = self.f_chain(2 * m + 2)
+        rows, _ = self._f_rows(2 * m + 2)
         return EPowerResult(True, m, not any(v for row in rows for v in row))
 
     def classify(self, scan_bound: int | None = None):

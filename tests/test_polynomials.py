@@ -1,11 +1,14 @@
 import random
 
+import pytest
+
+from cherednik.errors import InvariantViolation
 from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, clear_content, div_linear, monomials,
                                    reynolds, weyl_act)
-from cherednik.linalg import (bareiss_rank, dot, freeze, gauss_rank,
-                              identity, is_symmetric, kron_identity, mat_inv,
-                              mat_mul, mat_vec, transpose, vec_mat)
+from cherednik.linalg import (bareiss_rank, dot, freeze, identity,
+                              integer_scale, is_symmetric, kron_identity,
+                              mat_inv, mat_mul, mat_vec, transpose, vec_mat)
 
 RNG = random.Random(202)
 
@@ -130,18 +133,37 @@ def test_linalg_inverse_and_kron():
     assert kron_identity(a, 1) == a and kron_identity(a, 1) is not a
 
 
-def test_rank_methods_agree_random():
-    for _ in range(25):
-        n, m = RNG.randint(1, 5), RNG.randint(1, 5)
-        a = rand_matrix(n, m)
-        assert gauss_rank(a) == bareiss_rank(a)
-
-
 def test_rank_with_quadratic_entries():
     a = [[QuadExt(1), SQRT3], [SQRT3, QuadExt(3)]]      # rank 1
-    assert gauss_rank(a) == 1
+    assert bareiss_rank(a) == 1
     b = [[QuadExt(1), SQRT3], [SQRT3, QuadExt(4)]]      # det = 1
-    assert gauss_rank(b) == 2
+    assert bareiss_rank(b) == 2
+
+
+def test_bareiss_rank_over_integers():
+    assert bareiss_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+    assert bareiss_rank([[0, 0], [0, 0]]) == 0
+    # a pivotless first column and a zero pivot met after a row swap
+    assert bareiss_rank([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 2
+    assert bareiss_rank([[3, 1], [6, 5], [9, 1]]) == 2
+    assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
+
+
+def test_integer_scale():
+    mats = [[[QuadExt(Rat(3, 4)), QuadExt(0)], [Rat(-9, 2), 6]],
+            [[QuadExt(Rat(15, 8)), Rat(0)]]]
+    ints, s = integer_scale(mats)
+    assert ints == [[[2, 0], [-12, 16]], [[5, 0]]] and s == Rat(3, 8)
+    assert all(type(v) is int for m in ints for row in m for v in row)
+    for mat, imat in zip(mats, ints):
+        for row, irow in zip(mat, imat):
+            assert [QuadExt.coerce(v) for v in row] == [QuadExt(s * v) for v in irow]
+    assert integer_scale([[[0, 0]], [[QuadExt(0)]]]) == ([[[0, 0]], [[0]]], 1)
+
+
+def test_integer_scale_rejects_sqrt3_part():
+    with pytest.raises(InvariantViolation):
+        integer_scale([[[QuadExt(1)], [QuadExt(Rat(1, 2), Rat(1, 2))]]])
 
 
 def test_is_symmetric():
