@@ -118,21 +118,16 @@ def integer_scale(mats):
     input gets the scale 1.
     """
     vals = []
-    for mat in mats:
-        for row in mat:
-            for x in row:
-                if isinstance(x, QuadExt):
-                    if x.b:
-                        raise InvariantViolation(
-                            f"{x} has a sqrt(3) part: no integer form")
-                    x = x.a
-                vals.append(x)
+    for x in (x for mat in mats for row in mat for x in row):
+        if isinstance(x, QuadExt):
+            if x.b:
+                raise InvariantViolation(f"{x} has a sqrt(3) part: no integer form")
+            x = x.a
+        vals.append(x)
     den = lcm(*(x.denominator for x in vals))
     vals = [x.numerator * (den // x.denominator) for x in vals]
     g = gcd(*vals) or 1
-    if g != 1:
-        vals = [v // g for v in vals]
-    it = iter(vals)
+    it = (v // g for v in vals)
     return ([[[next(it) for _ in row] for row in mat] for mat in mats],
             Rat(g, den))
 

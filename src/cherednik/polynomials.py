@@ -176,14 +176,6 @@ class MPoly:
         e = max(self.terms, key=_glex_key)
         return e, self.terms[e]
 
-    def map_coeff(self, f) -> "MPoly":
-        t = {}
-        for e, c in self.terms.items():
-            v = f(c)
-            if v:
-                t[e] = v
-        return self._like(t)
-
     def to_str(self, names=None) -> str:
         if not self.terms:
             return "0"

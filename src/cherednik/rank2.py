@@ -34,20 +34,7 @@ _PONE = ParamPoly.const(Rat(1))
 
 _TABLE_TYPES = ("A2", "B2", "G2")
 
-_VAR_NAMES = {
-    "A2": ("hbar", "_"),
-    "B2": ("k1", "hbar"),
-    "G2": ("hbar", "kappa"),
-}
-
 _PNR_TABLES: dict[str, list] = {}
-
-
-def table_variables(label: str):
-    """Printing names of the two polynomial slots for this type's tables."""
-    if label not in _VAR_NAMES:
-        raise ValueError(f"no such table family: {label!r}")
-    return _VAR_NAMES[label]
 
 
 def _max_r(label: str, n: int) -> int:

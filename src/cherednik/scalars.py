@@ -353,11 +353,6 @@ class ParamPoly:
             return self.terms[(0, 0)]
         raise ValueError(f"{self} is not constant")
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(e[0] + e[1] for e in self.terms)
-
     def leading(self):
         """(exponent, coefficient) that is largest in graded-lex order."""
         if not self.terms:

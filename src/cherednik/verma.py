@@ -82,22 +82,18 @@ class VermaModule:
                 [self.lowering(j, n) for j in range(self.rs.rank)])
         return hit
 
-    def _f_rows(self, top: int):
-        """(rows, scale) of the dim-chi rows of F(2) F(4) ... F(top), the
-        product of the quadratic lowerings from layer top down to layer
-        0: the layer-0 identity rows pushed up through the cached
-        lowerings."""
+    def f_chain(self, top: int):
+        """The dim-chi rows of F(2) F(4) ... F(top), the product of the
+        quadratic lowerings from layer top down to layer 0: the layer-0
+        identity rows pushed up through the cached lowerings, as integer
+        rows with one scale at numeric couplings."""
         (coef,), cs = self._scaled([f_coefficients(self.rs)])
         (rows,), scale = self._scaled([identity(self.rep.dim)])
         for cur in range(2, top + 1, 2):
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
             (rows,), s = self._scaled([f_apply(coef, rows, low_m, low_n)])
             scale *= s * cs * sm * sn
-        return rows, scale
-
-    def f_chain(self, top: int):
-        """The dim-chi rows of F(2) F(4) ... F(top)."""
-        return self._value(*self._f_rows(top))
+        return self._value(rows, scale)
 
     # -- the contravariant form -------------------------------------------------
     def _layer(self, n: int):
@@ -124,11 +120,9 @@ class VermaModule:
             for m in self.layer_monomials(deg):
                 if m[0] > 0:
                     pidx = m[1] if self.rs.rank == 2 else 0
-                    for t in range(d):
-                        rows.append(prod1[pidx * d + t])
+                    rows.extend(prod1[pidx * d:(pidx + 1) * d])
                 else:
-                    for t in range(d):
-                        rows.append(vec_mat(prev[(deg - 1) * d + t], lows[1]))
+                    rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
             if not is_symmetric(rows):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
@@ -155,10 +149,7 @@ class VermaModule:
                     low = self.lowering(j, cur)
                     comp = low if comp is None else mat_mul(low, comp)
                     cur -= 1
-            if comp is None:
-                comp = identity(d)
-            for s in range(d):
-                rows.append(comp[s])
+            rows.extend(identity(d) if comp is None else comp[:d])
         return rows
 
     def layer_rank(self, n: int) -> int:
@@ -190,7 +181,7 @@ class VermaModule:
         if not is_nonneg_int(m0):
             return EPowerResult(False, None, False)
         m = int(m0)
-        rows, _ = self._f_rows(2 * m + 2)
+        rows = self.f_chain(2 * m + 2)
         return EPowerResult(True, m, not any(v for row in rows for v in row))
 
     def classify(self, scan_bound: int | None = None):
