@@ -275,10 +275,9 @@ def e_mult_matrix(rs: RootSystem, rep, n: int):
 
 
 def f_coefficients(rs: RootSystem):
-    """The coefficients -(1/2) g^{jl} of the quadratic lowering operator
-    F = sum c_{jl} L_j L_l in the lowerings along the metric transfers."""
-    minus_half = Rat(-1, 2)
-    return [[v * minus_half for v in row] for row in rs.metric.inv]
+    """The c_{jl} = -(1/2) g^{jl} of F = sum c_{jl} L_j L_l (L_j along the
+    metric transfers)."""
+    return [[v * Rat(-1, 2) for v in row] for row in rs.metric.inv]
 
 
 def f_apply(coef, rows, low_m, low_n):

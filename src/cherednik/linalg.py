@@ -109,16 +109,13 @@ def freeze(a):
     return tuple(map(tuple, a))
 
 
-def integer_scale(mats):
-    """Integer matrices sharing no common factor, and one rational scale s,
-    with mats[i] == s * ints[i] entrywise.
-
-    Entries are ints, rationals or QuadExt; a QuadExt with a nonzero
-    sqrt(3) part has no such form and raises InvariantViolation.  All-zero
-    input gets the scale 1.
-    """
+def integer_scale(mat):
+    """An integer matrix without common content and a rational scale s
+    with mat == s * ints entrywise (s = 1 for the zero matrix).  Entries
+    are ints, rationals or QuadExt; a QuadExt with a nonzero sqrt(3) part
+    has no such form and raises InvariantViolation."""
     vals = []
-    for x in (x for mat in mats for row in mat for x in row):
+    for x in (x for row in mat for x in row):
         if isinstance(x, QuadExt):
             if x.b:
                 raise InvariantViolation(f"{x} has a sqrt(3) part: no integer form")
@@ -128,8 +125,7 @@ def integer_scale(mats):
     vals = [x.numerator * (den // x.denominator) for x in vals]
     g = gcd(*vals) or 1
     it = (v // g for v in vals)
-    return ([[[next(it) for _ in row] for row in mat] for mat in mats],
-            Rat(g, den))
+    return [[next(it) for _ in row] for row in mat], Rat(g, den)
 
 
 def bareiss_rank(mat) -> int:

@@ -8,6 +8,11 @@ coordinate multiplications to Dunkl operators through the metric
 transfer.  The form's radical cuts out the simple quotient, so layer
 ranks are the quotient's graded dimensions.
 
+At numeric couplings the lowerings of a degree, each Gram layer and the
+raised rows are integer matrices with one rational scale each (a lowering
+value with a sqrt(3) part raises InvariantViolation), so ranks are
+fraction-free integer eliminations; symbolic modules keep ParamPoly entries.
+
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
 scan of the form ranks.  A disagreement raises InvariantViolation.  The
@@ -55,13 +60,10 @@ class VermaModule:
     def layer_dim(self, n: int) -> int:
         return len(self.layer_monomials(n)) * self.rep.dim
 
-    def _scaled(self, mats):
-        """(matrices, scale) with mats == scale * matrices: integer
-        matrices without common content at numeric couplings, the
-        matrices themselves and the scale 1 at symbolic ones."""
-        if self.symbolic:
-            return mats, 1
-        return integer_scale(mats)
+    def _scaled(self, mat):
+        """(matrix, scale) with mat == scale * matrix: an integer matrix
+        without common content at numeric couplings, mat and 1 at symbolic."""
+        return (mat, 1) if self.symbolic else integer_scale(mat)
 
     def _value(self, mat, scale):
         """The true matrix scale * mat."""
@@ -78,8 +80,10 @@ class VermaModule:
         scale (cached)."""
         hit = self._low.get(n)
         if hit is None:
-            hit = self._low[n] = self._scaled(
-                [self.lowering(j, n) for j in range(self.rs.rank)])
+            lows = [self.lowering(j, n) for j in range(self.rs.rank)]
+            rows, s = self._scaled([row for low in lows for row in low])
+            size = len(lows[0])
+            hit = self._low[n] = [rows[i:i + size] for i in range(0, len(rows), size)], s
         return hit
 
     def f_chain(self, top: int):
@@ -87,11 +91,11 @@ class VermaModule:
         quadratic lowerings from layer top down to layer 0: the layer-0
         identity rows pushed up through the cached lowerings, as integer
         rows with one scale at numeric couplings."""
-        (coef,), cs = self._scaled([f_coefficients(self.rs)])
-        (rows,), scale = self._scaled([identity(self.rep.dim)])
+        coef, cs = self._scaled(f_coefficients(self.rs))
+        rows, scale = self._scaled(identity(self.rep.dim))
         for cur in range(2, top + 1, 2):
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
-            (rows,), s = self._scaled([f_apply(coef, rows, low_m, low_n)])
+            rows, s = self._scaled(f_apply(coef, rows, low_m, low_n))
             scale *= s * cs * sm * sn
         return self._value(rows, scale)
 
@@ -110,8 +114,7 @@ class VermaModule:
         d = self.rep.dim
         grams = self._gram
         if not grams:
-            (one,), s = self._scaled([identity(d)])
-            grams[0] = one, s
+            grams[0] = self._scaled(identity(d))
         for deg in range(len(grams), n + 1):
             prev, scale = grams[deg - 1]
             lows, s = self._lowerings(deg)
@@ -127,7 +130,7 @@ class VermaModule:
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
                     f"symmetric at degree {deg}")
-            (rows,), c = self._scaled([rows])
+            rows, c = self._scaled(rows)
             grams[deg] = rows, scale * s * c
         return grams[n]
 

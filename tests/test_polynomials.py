@@ -150,20 +150,20 @@ def test_bareiss_rank_over_integers():
 
 
 def test_integer_scale():
-    mats = [[[QuadExt(Rat(3, 4)), QuadExt(0)], [Rat(-9, 2), 6]],
-            [[QuadExt(Rat(15, 8)), Rat(0)]]]
-    ints, s = integer_scale(mats)
-    assert ints == [[[2, 0], [-12, 16]], [[5, 0]]] and s == Rat(3, 8)
-    assert all(type(v) is int for m in ints for row in m for v in row)
-    for mat, imat in zip(mats, ints):
-        for row, irow in zip(mat, imat):
-            assert [QuadExt.coerce(v) for v in row] == [QuadExt(s * v) for v in irow]
-    assert integer_scale([[[0, 0]], [[QuadExt(0)]]]) == ([[[0, 0]], [[0]]], 1)
+    mat = [[QuadExt(Rat(3, 4)), QuadExt(0)], [Rat(-9, 2), 6],
+           [QuadExt(Rat(15, 8)), Rat(0)]]
+    ints, s = integer_scale(mat)
+    assert ints == [[2, 0], [-12, 16], [5, 0]] and s == Rat(3, 8)
+    assert all(type(v) is int for row in ints for v in row)
+    for row, irow in zip(mat, ints):
+        assert [QuadExt.coerce(v) for v in row] == [QuadExt(s * v) for v in irow]
+    assert integer_scale([[0, 0], [QuadExt(0), Rat(0)]]) == ([[0, 0], [0, 0]], 1)
+    assert integer_scale([[6, -4], [10, 0]]) == ([[3, -2], [5, 0]], 2)
 
 
 def test_integer_scale_rejects_sqrt3_part():
     with pytest.raises(InvariantViolation):
-        integer_scale([[[QuadExt(1)], [QuadExt(Rat(1, 2), Rat(1, 2))]]])
+        integer_scale([[QuadExt(1)], [QuadExt(Rat(1, 2), Rat(1, 2))]])
 
 
 def test_is_symmetric():
