@@ -83,7 +83,8 @@ class VermaModule:
             lows = [self.lowering(j, n) for j in range(self.rs.rank)]
             rows, s = self._scaled([row for low in lows for row in low])
             size = len(lows[0])
-            hit = self._low[n] = [rows[i:i + size] for i in range(0, len(rows), size)], s
+            hit = self._low[n] = ([rows[j * size:(j + 1) * size]
+                                   for j in range(self.rs.rank)], s)
         return hit
 
     def f_chain(self, top: int):
@@ -152,7 +153,7 @@ class VermaModule:
                     low = self.lowering(j, cur)
                     comp = low if comp is None else mat_mul(low, comp)
                     cur -= 1
-            rows.extend(identity(d) if comp is None else comp[:d])
+            rows.extend(identity(d) if comp is None else comp)
         return rows
 
     def layer_rank(self, n: int) -> int:
