@@ -115,12 +115,13 @@ def integer_scale(mat):
     are ints, rationals or QuadExt; a QuadExt with a nonzero sqrt(3) part
     has no such form and raises InvariantViolation."""
     vals = []
-    for x in (x for row in mat for x in row):
-        if isinstance(x, QuadExt):
-            if x.b:
-                raise InvariantViolation(f"{x} has a sqrt(3) part: no integer form")
-            x = x.a
-        vals.append(x)
+    for row in mat:
+        for x in row:
+            if isinstance(x, QuadExt):
+                if x.b:
+                    raise InvariantViolation(f"{x} has a sqrt(3) part: no integer form")
+                x = x.a
+            vals.append(x)
     den = lcm(*(x.denominator for x in vals))
     vals = [x.numerator * (den // x.denominator) for x in vals]
     g = gcd(*vals) or 1

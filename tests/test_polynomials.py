@@ -143,8 +143,8 @@ def test_rank_with_quadratic_entries():
 def test_bareiss_rank_over_integers():
     assert bareiss_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
-    # a pivotless first column and a zero pivot met after a row swap
-    assert bareiss_rank([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 2
+    assert bareiss_rank([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 2  # no pivot in column 0
+    assert bareiss_rank([[0, 2, 1], [3, 1, 0], [6, 4, 1]]) == 2  # pivot after a row swap
     assert bareiss_rank([[3, 1], [6, 5], [9, 1]]) == 2
     assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
 
