@@ -161,6 +161,8 @@ def _cmd_gram(args) -> int:
     rs = build_root_system(args.type)
     rep = get_irrep(rs, args.chi)
     if args.symbolic:
+        if args.k is not None or args.k1 is not None or args.k2 is not None:
+            raise UsageError("--symbolic takes no --k/--k1/--k2")
         k1 = k2 = None
         vm = VermaModule(rs, rep, PP_K1, PP_K2)
     else:
@@ -321,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", required=True, help="lowest-weight character label")
     _add_k_flags(p)
     p.add_argument("--max-degree", type=_nonneg_int, default=None,
-                   help="scan bound override for the graded-dimension scan")
+                   help="depth of the graded-dimension scan; with lowest-weight "
+                        "scalar -m (m natural) it still reaches degree 2m+2")
     p.add_argument("--format", default="json", choices=("json", "csv", "table"))
     p.set_defaults(fn=_cmd_classify)
 

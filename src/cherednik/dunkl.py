@@ -2,13 +2,15 @@
 hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
-Polynomial-layer data (partial derivatives, difference quotients) does
-not depend on the character or on the couplings, so those matrices are
-cached on the root system and shared by every module and every coupling
-value.  A lowering matrix is affine in the couplings, L = D + k1*A + k2*B;
-the parts D, A, B depend only on the character, which caches them, so a
-module at new couplings pays one linear combination per layer
-(Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).
+The reflection difference quotients do not depend on the character or on
+the couplings, so they are cached on the root system, each degree raised
+from the one below.  A lowering matrix is affine in the couplings,
+L = D + k1*A + k2*B (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  Along the
+metric transfers the parts D, A, B are rational, so each character caches
+them once as sparse integer matrices over one denominator (a sqrt(3) part
+raises InvariantViolation when they are built); a module at new couplings
+pays one integer combination per layer.  True QuadExt or ParamPoly
+matrices are combined from the same parts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from array import array
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
+from .scalars import ParamPoly, PP_K1, PP_K2, QZERO, QuadExt, Rat
 from .linalg import (dot, identity, kron_identity, mat_add, mat_mul,
                      mat_vec, transpose)
 from .polynomials import MPoly, div_linear, monomials, weyl_act
@@ -38,30 +40,6 @@ def poly_coords(p: MPoly, degree: int, nvars: int):
     return vec
 
 
-def coords_poly(vec, degree: int, nvars: int) -> MPoly:
-    basis = monomials(nvars, degree)
-    terms = {m: c for m, c in zip(basis, vec) if c}
-    return MPoly(nvars, terms)
-
-
-def deriv_matrix(rs: RootSystem, i: int, n: int):
-    """Matrix of d/dx_i from the degree-n layer to the degree-(n-1) layer."""
-    key = ("d", i, n)
-    hit = rs._quot_cache.get(key)
-    if hit is not None:
-        return hit
-    nv = rs.rank
-    src = monomials(nv, n)
-    dst = {m: r for r, m in enumerate(monomials(nv, n - 1))}
-    out = [[QuadExt(0)] * len(src) for _ in range(len(dst))]
-    for c, m in enumerate(src):
-        if m[i]:
-            down = tuple(e - (1 if j == i else 0) for j, e in enumerate(m))
-            out[dst[down]][c] = QuadExt(m[i])
-    rs._quot_cache[key] = out
-    return out
-
-
 def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
     """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
     positive root (a reflection difference quotient)."""
@@ -70,64 +48,53 @@ def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
 
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     """Columns of the difference quotient Q on the degree-n layer, one per
-    source monomial, built upward one degree at a time:
+    source monomial, raised from Q one degree down: the reflection sends
+    x_v to x_v - c_v alpha (c the coroot), so
 
-        Q(x_v p) = x_v Q(p) + Q(x_v) r(p),    r(x_v p) = r(x_v) r(p).
+        Q(x_v p) = x_v Q(p) + c_v (p - alpha Q(p)).
 
-    Every degree's Q is cached; of the reflection r only the topmost
-    layer is kept, which is all the next degree needs.
+    Every degree is cached; a degree above the cached ones is raised from
+    the highest of them, or from Q = 0 on degree 0.
     """
     cache = rs._quot_cache
-    hit = cache.get(("q", root_idx, n))
-    if hit is not None:
-        return hit
+    deg = n
+    while deg > 0 and (root_idx, deg) not in cache:
+        deg -= 1
     nv = rs.rank
-    deg, r_cols = rs._refl_top.get(root_idx, (0, None))
-    q_cols = cache.get(("q", root_idx, deg))  # degree 0 is never cached
-    if q_cols is None or deg >= n:
-        deg, r_cols = 0, [[QuadExt(1)]]
-        q_cols = [[QuadExt(0)] * len(monomials(nv, -1))]
-    # the degree-1 data: Q(x_v), a constant, and r(x_v), a linear form
-    alpha = rs.positive_roots[root_idx]
-    refl = rs.elements[rs.reflection_element[root_idx]]
-    lin = []
-    for v in range(nv):
-        xv = MPoly.var(v, nv)
-        img = weyl_act(refl, xv)
-        lin.append((div_linear(xv - img, alpha).constant_term(),
-                    poly_coords(img, 1, nv)))
+    q_cols = cache[(root_idx, deg)] if deg else [[QZERO] * len(monomials(nv, -1))]
+    alpha, coroot = rs.positive_roots[root_idx], rs.coroots[root_idx]
+    # -c_v alpha_u, the coefficient of x_u Q(p) in Q(x_v p)
+    lin = [[(u, -(c * a)) for u, a in enumerate(alpha) if a] if c else []
+           for c in coroot]
     while deg < n:
         deg += 1
-        q_cols, r_cols = _raise_quotient(nv, deg, q_cols, r_cols, lin, rs._pool)
-        cache[("q", root_idx, deg)] = q_cols
-    rs._refl_top[root_idx] = (deg, r_cols)
+        q_cols = cache[(root_idx, deg)] = _raise_quotient(
+            nv, deg, q_cols, coroot, lin, rs._pool)
     return q_cols
 
 
-def _raise_quotient(nv, deg, q_prev, r_prev, lin, pool):
-    """Q and r on the degree-deg layer from their columns one degree down;
-    the values of Q are interned in pool, those of r are not.  In the
-    order of `monomials`, x_v times the i-th monomial of one degree is
-    the (i + v)-th monomial of the next."""
-    zero = QuadExt(0)
-    q_cols, r_cols = [], []
+def _raise_quotient(nv, deg, q_prev, coroot, lin, pool):
+    """Q on the degree-deg layer from its columns one degree down, with
+    its values interned in pool.  In the order of `monomials`, x_v times
+    the i-th monomial of one degree is the (i + v)-th monomial of the
+    next."""
+    size = len(monomials(nv, deg - 1))
+    cols = []
     for c, m in enumerate(monomials(nv, deg)):
         v = 0 if m[0] else 1  # m = x_v times monomial c - v one degree down
-        rp = r_prev[c - v]
-        const, img = lin[v]
-        qc = [const * x if const and x else zero for x in rp]
-        for t, x in enumerate(q_prev[c - v], v):
+        q = q_prev[c - v]
+        col = [QZERO] * size
+        if coroot[v]:
+            col[c - v] = coroot[v]
+        for u, w in lin[v]:
+            for t, x in enumerate(q, u):
+                if x:
+                    col[t] = col[t] + w * x
+        for t, x in enumerate(q, v):
             if x:
-                qc[t] = x if qc[t] is zero else qc[t] + x
-        rc = [zero] * (len(rp) + nv - 1)
-        for u, l in enumerate(img):
-            if l:
-                for t, x in enumerate(rp, u):
-                    if x:
-                        rc[t] = l * x if rc[t] is zero else rc[t] + l * x
-        q_cols.append([pool.setdefault(x, x) if x else zero for x in qc])
-        r_cols.append(rc)
-    return q_cols, r_cols
+                col[t] = col[t] + x
+        cols.append([pool.setdefault(x, x) if x else QZERO for x in col])
+    return cols
 
 
 def mult_matrix(rs: RootSystem, q: MPoly, n: int):
@@ -165,71 +132,22 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
     return out
 
 
-class LoweringParts:
-    """The coupling-free parts of one Dunkl lowering matrix on one layer,
-    L = D + k1*A + k2*B.
-
-    Each part is stored sparse, as its row-major cell indices and its
-    values; the values are interned in the root system's pool, so equal
-    entries are one object and a combination scales each distinct value
-    once.
-    """
-
-    __slots__ = ("rows", "cols", "d", "a", "b")
-
-    def __init__(self, rs: RootSystem, rows: int, cols: int, d, a, b):
-        self.rows, self.cols = rows, cols
-        pool = rs._pool
-        self.d, self.a, self.b = (_sparse(pool, part) for part in (d, a, b))
-
-    def at(self, k1, k2):
-        """The dense matrix D + k1*A + k2*B."""
-        zero = QuadExt(0)
-        flat = [zero] * (self.rows * self.cols)
-        idx, vals = self.d
-        for i, v in zip(idx, vals):
-            flat[i] = v
-        for (idx, vals), k in ((self.a, k1), (self.b, k2)):
-            scaled = {}
-            for i, v in zip(idx, vals):
-                w = scaled.get(id(v))
-                if w is None:
-                    w = scaled[id(v)] = v * k
-                cur = flat[i]
-                flat[i] = w if cur is zero else cur + w
-        c = self.cols
-        return [flat[r * c:(r + 1) * c] for r in range(self.rows)]
-
-
-def _sparse(pool, part):
-    """Row-major indices and interned values of the nonzero entries of
-    a {cell index: value} map."""
-    idx = sorted(i for i, v in part.items() if v)
-    return array("I", idx), tuple(pool.setdefault(part[i], part[i]) for i in idx)
-
-
-def lowering_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
-    """Split the Dunkl operator in direction y on the degree-n layer of
-    the standard module of rep into D = d_y (x) 1 and the orbit sums
-    A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the short and the
-    long positive roots."""
+def _assemble(rs: RootSystem, rep, y, n: int):
+    """The Dunkl operator in direction y on the degree-n layer of the
+    standard module of rep, split into D = d_y (x) 1 and the orbit sums
+    A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the short and the long
+    positive roots: (rows, cols, (D, A, B)), each part a {row-major cell
+    index: value} map."""
     nv, d = rs.rank, rep.dim
     rows, cols = len(monomials(nv, n - 1)) * d, len(monomials(nv, n)) * d
     parts = ({}, {}, {})
-
-    def add(part, idx, v):
-        part[idx] = part[idx] + v if idx in part else v
-
-    for i in range(nv):
-        yi = y[i]
-        if not yi:
-            continue
-        for a, drow in enumerate(deriv_matrix(rs, i, n)):
-            for b, v in enumerate(drow):
-                if v:
-                    v = v * yi
-                    for s in range(d):
-                        add(parts[0], (a * d + s) * cols + b * d + s, v)
+    # d/dx_i sends monomial b to m_i times monomial b - i
+    for b, m in enumerate(monomials(nv, n)):
+        for i in range(nv):
+            if y[i] and m[i]:
+                v = y[i] * m[i]
+                for s in range(d):
+                    parts[0][((b - i) * d + s) * cols + b * d + s] = v
     for ridx in range(rs.num_positive):
         ay = dot(rs.positive_roots[ridx], y)
         if not ay:
@@ -242,14 +160,74 @@ def lowering_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
             for a, qv in enumerate(qcol):
                 if qv:
                     for off, w in weights:
-                        add(part, a * d * cols + b * d + off, qv * w)
-    return LoweringParts(rs, rows, cols, *parts)
+                        idx = a * d * cols + b * d + off
+                        part[idx] = part[idx] + qv * w if idx in part else qv * w
+    return rows, cols, parts
+
+
+def _combine(rows, cols, parts, coefs, zero):
+    """The dense rows x cols matrix sum_i coefs[i] * parts[i], each part
+    given as (cell indices, values), with zero in the empty cells."""
+    flat = [zero] * (rows * cols)
+    for (idx, vals), c in zip(parts, coefs):
+        if c:
+            for i, v in zip(idx, vals):
+                flat[i] = flat[i] + c * v
+    return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+
+
+class LoweringParts:
+    """The coupling-free parts of one Dunkl lowering on one layer,
+    L = (D + k1*A + k2*B) / den, where D, A, B are sparse integer matrices
+    over one shared denominator; each part is stored as its row-major cell
+    indices and its values.
+
+    Built from the {cell: value} maps of `_assemble`; a value with a
+    sqrt(3) part has no integer form and raises InvariantViolation, so the
+    check runs once per part set, for every coupling at once.
+    """
+
+    __slots__ = ("rows", "cols", "den", "parts")
+
+    def __init__(self, rows: int, cols: int, parts):
+        self.rows, self.cols = rows, cols
+        rational = []
+        for part in parts:
+            rp = {}
+            for i, v in sorted(part.items()):
+                if v.b:
+                    raise InvariantViolation(
+                        f"lowering part value {v} has a sqrt(3) part: no integer form")
+                if v.a:
+                    rp[i] = v.a
+            rational.append(rp)
+        den = math.lcm(*(v.denominator for rp in rational for v in rp.values()))
+        self.den = den
+        self.parts = tuple(
+            (array("I", rp), tuple(v.numerator * (den // v.denominator)
+                                   for v in rp.values()))
+            for rp in rational)
+
+    def ints(self, c0: int, c1: int, c2: int):
+        """The dense integer matrix c0*D + c1*A + c2*B."""
+        return _combine(self.rows, self.cols, self.parts, (c0, c1, c2), 0)
+
+    def at(self, k1, k2):
+        """The true matrix (D + k1*A + k2*B) / den: QuadExt entries at
+        rational couplings, ParamPoly ones at symbolic couplings."""
+        inv = QuadExt(Rat(1, self.den))
+        return _combine(self.rows, self.cols, self.parts,
+                        (inv, k1 * inv, k2 * inv), QZERO)
 
 
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
     """Matrix of the Dunkl operator in direction y on the degree-n layer
-    of the standard module with lowest-weight representation rep."""
-    return lowering_parts(rs, rep, y, n).at(k1, k2)
+    of the standard module with lowest-weight representation rep.  Any
+    direction is allowed, so values may carry sqrt(3): the parts of
+    `_assemble` are combined exactly, without the integer form."""
+    rows, cols, parts = _assemble(rs, rep, y, n)
+    return _combine(rows, cols, [(p.keys(), p.values()) for p in parts],
+                    (1, k1, k2), QZERO)
 
 
 def b_direction(rs: RootSystem, j: int):
@@ -257,12 +235,19 @@ def b_direction(rs: RootSystem, j: int):
     return rs.metric.gram[j]
 
 
-def b_lowering_matrix(rs: RootSystem, rep, j: int, n: int, k1, k2):
-    """lowering_matrix along b_direction(rs, j), from parts cached on rep."""
+def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
+    """The integer parts of the lowering along b_direction(rs, j) on the
+    degree-n layer, cached on rep."""
     parts = rep._parts.get((j, n))
     if parts is None:
-        parts = rep._parts[(j, n)] = lowering_parts(rs, rep, b_direction(rs, j), n)
-    return parts.at(k1, k2)
+        parts = rep._parts[(j, n)] = LoweringParts(
+            *_assemble(rs, rep, b_direction(rs, j), n))
+    return parts
+
+
+def b_lowering_matrix(rs: RootSystem, rep, j: int, n: int, k1, k2):
+    """lowering_matrix along b_direction(rs, j), from the parts cached on rep."""
+    return b_lowering_parts(rs, rep, j, n).at(k1, k2)
 
 
 # -- the sl2 triple -------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import NonDivisibleError
-from .scalars import QONE, QZERO, QuadExt
+from .scalars import QONE, QuadExt
 
 
 def _glex_key(e):
@@ -159,16 +159,6 @@ class MPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, d: int) -> "MPoly":
-        return self._like({e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, QZERO)
 
     def leading(self):
         if not self.terms:

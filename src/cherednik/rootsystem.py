@@ -59,10 +59,6 @@ class Metric:
         """The transfer a* -> a (pairing against it recovers B*)."""
         return mat_vec(self.gram, x)
 
-    def to_dual(self, y):
-        """Inverse transfer a -> a*."""
-        return mat_vec(self.inv, y)
-
 
 class RootSystem:
     """One of the fixed rank <= 2 realizations plus derived group data."""
@@ -78,11 +74,9 @@ class RootSystem:
         self._build_metric()
         self._build_invariants()
         self._check()
-        # per-degree caches shared by the operator layer: derivative and
-        # difference-quotient matrices, the topmost reflection layer per
-        # root, and the pool that interns the values of lowering parts
+        # caches shared by the operator layer: the difference-quotient
+        # columns per (root, degree), and the pool that interns their values
         self._quot_cache = {}
-        self._refl_top = {}
         self._pool = {}
         self._sl2_checked = False
 
@@ -163,7 +157,6 @@ class RootSystem:
                       for j in range(n)] for i in range(n)]
         self.inverse = [next(j for j in range(n) if self.mult[i][j] == 0)
                         for i in range(n)]
-        self.amats = [transpose(mat_inv(m)) for m in elements]
         self.reflection_element = []
         for a, c in zip(self.positive_roots, self.coroots):
             m = _reflection_matrix(a, c)
@@ -304,17 +297,6 @@ class RootSystem:
     def b_map(self, x):
         return self.metric.to_a(x)
 
-    def b_inv(self, y):
-        return self.metric.to_dual(y)
-
-    def act_dual(self, w: int, x):
-        """Action of element w on a*-coordinates."""
-        return mat_vec(self.elements[w], x)
-
-    def act_a(self, w: int, y):
-        """Action of element w on a-coordinates (inverse transpose)."""
-        return mat_vec(self.amats[w], y)
-
 
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
@@ -327,8 +309,3 @@ def hbar_poly(rs: RootSystem) -> ParamPoly:
     c1, c2 = rs.orbit_counts
     return (ParamPoly.const(Rat(rs.rank, 2))
             + PP_K1 * ParamPoly.const(c1) + PP_K2 * ParamPoly.const(c2))
-
-
-def kappa_poly() -> ParamPoly:
-    """The coupling difference k2 - k1."""
-    return PP_K2 - PP_K1

@@ -285,9 +285,13 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = ParamPoly.coerce(other)
-        except TypeError:
+        out = ParamPoly.__new__(ParamPoly)
+        if isinstance(other, (QuadExt,) + _INTLIKE):
+            # a scalar: no product of a field's nonzero elements is zero
+            t = {e: c * other for e, c in self.terms.items()} if other else {}
+            object.__setattr__(out, "terms", t)
+            return out
+        if not isinstance(other, ParamPoly):
             return NotImplemented
         t = {}
         for (a1, a2), c in self.terms.items():
@@ -300,7 +304,6 @@ class ParamPoly:
                     t[e] = s
                 elif e in t:
                     del t[e]
-        out = ParamPoly.__new__(ParamPoly)
         object.__setattr__(out, "terms", t)
         return out
 
@@ -341,17 +344,6 @@ class ParamPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {(0, 0)}
-
-    def constant_value(self) -> QuadExt:
-        if not self.terms:
-            return QZERO
-        if self.terms.keys() == {(0, 0)}:
-            return self.terms[(0, 0)]
-        raise ValueError(f"{self} is not constant")
 
     def leading(self):
         """(exponent, coefficient) that is largest in graded-lex order."""

@@ -9,9 +9,10 @@ transfer.  The form's radical cuts out the simple quotient, so layer
 ranks are the quotient's graded dimensions.
 
 At numeric couplings the lowerings of a degree, each Gram layer and the
-raised rows are integer matrices with one rational scale each (a lowering
-value with a sqrt(3) part raises InvariantViolation), so ranks are
-fraction-free integer eliminations; symbolic modules keep ParamPoly entries.
+raised rows are integer matrices with one rational scale each (the
+lowerings are combined in integer arithmetic from the integer parts of
+dunkl.LoweringParts), so ranks are fraction-free integer eliminations;
+symbolic modules keep ParamPoly entries.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -25,15 +26,17 @@ layer chi, so it already kills every isotypic component other than chi
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import InvariantViolation
-from .scalars import ParamPoly, QuadExt, is_nonneg_int, rat
+from .scalars import ParamPoly, QuadExt, Rat, is_nonneg_int, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, vec_mat)
 from .polynomials import monomials
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_lowering_matrix, f_apply, f_coefficients,
-                    lowest_weight_scalar, sl2_calibration)
+from .dunkl import (b_lowering_matrix, b_lowering_parts, f_apply,
+                    f_coefficients, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 
@@ -57,9 +60,6 @@ class VermaModule:
     def layer_monomials(self, n: int):
         return monomials(self.rs.rank, n)
 
-    def layer_dim(self, n: int) -> int:
-        return len(self.layer_monomials(n)) * self.rep.dim
-
     def _scaled(self, mat):
         """(matrix, scale) with mat == scale * matrix: an integer matrix
         without common content at numeric couplings, mat and 1 at symbolic."""
@@ -77,14 +77,27 @@ class VermaModule:
 
     def _lowerings(self, n: int):
         """The degree-n lowerings along every transfer, and their shared
-        scale (cached)."""
+        scale (cached).  At numeric couplings, with q the common
+        denominator of k1, k2 and den that of the parts, each lowering
+        times q * den is combined from its integer parts as an int matrix."""
         hit = self._low.get(n)
         if hit is None:
-            lows = [self.lowering(j, n) for j in range(self.rs.rank)]
-            rows, s = self._scaled([row for low in lows for row in low])
-            size = len(lows[0])
-            hit = self._low[n] = ([rows[j * size:(j + 1) * size]
-                                   for j in range(self.rs.rank)], s)
+            parts = [b_lowering_parts(self.rs, self.rep, j, n)
+                     for j in range(self.rs.rank)]
+            if self.symbolic:
+                hit = [p.at(self.k1, self.k2) for p in parts], 1
+            else:
+                k1, k2 = self.k1, self.k2
+                q = lcm(k1.denominator, k2.denominator)
+                den = lcm(*(p.den for p in parts))
+                c1 = k1.numerator * (q // k1.denominator)
+                c2 = k2.numerator * (q // k2.denominator)
+                lows = []
+                for p in parts:
+                    f = den // p.den
+                    lows.append(p.ints(q * f, c1 * f, c2 * f))
+                hit = lows, Rat(1, q * den)
+            self._low[n] = hit
         return hit
 
     def f_chain(self, top: int):

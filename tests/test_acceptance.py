@@ -30,6 +30,7 @@ from cherednik.rootsystem import build_root_system, hbar_poly
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import (b_direction, dunkl_apply, lowest_weight_scalar,
                              reflection_sum_scalar)
+from cherednik.linalg import mat_inv, mat_vec, transpose
 from cherednik.verma import VermaModule, classify
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
@@ -158,7 +159,7 @@ def test_criterion_02_defining_relations():
         for w in range(len(rs.elements)):
             mat, imat = rs.elements[w], rs.elements[rs.inverse[w]]
             for y in dirs:
-                wy = rs.act_a(w, y)
+                wy = mat_vec(transpose(mat_inv(mat)), y)
                 for p in basis:
                     lhs = weyl_act(mat, dunkl_apply(rs, y, weyl_act(imat, p),
                                                     PP_K1, PP_K2))

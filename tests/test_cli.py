@@ -310,6 +310,21 @@ def test_one_orbit_rejects_second_coupling(argv, capsys):
     assert err.startswith("cherednik: error:") and "one root orbit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--type", "A1", "--chi", "triv", "--degree", "1", "--symbolic",
+     "--k", "1/2"],
+    ["gram", "--type", "A2", "--chi", "std", "--degree", "2", "--symbolic",
+     "--k1", "1/2"],
+    ["gram", "--type", "B2", "--chi", "triv", "--degree", "1", "--symbolic",
+     "--k1", "1", "--k2", "2"],
+])
+def test_symbolic_gram_rejects_couplings(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cherednik: error:") and "--symbolic" in err
+
+
 def test_one_orbit_accepts_equal_second_coupling(capsys):
     code, out, _ = run_cli(["classify", "--type", "A2", "--chi", "triv",
                             "--k1", "-1/3", "--k2", "-2/6"], capsys)

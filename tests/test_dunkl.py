@@ -1,16 +1,18 @@
 import random
 
+import pytest
+
+from cherednik.errors import InvariantViolation
 from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
 from cherednik.polynomials import MPoly, div_linear, monomials, weyl_act
 from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, get_irrep, irreps
-from cherednik.dunkl import (b_direction, b_lowering_matrix, coords_poly,
-                             dunkl_apply, e_mult_matrix, f_matrix,
-                             lowering_matrix, lowering_parts,
-                             lowest_weight_scalar, poly_coords,
-                             quotient_matrix, reflection_sum_scalar,
-                             sl2_calibration)
-from cherednik.linalg import dot, mat_mul, mat_vec
+from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_matrix,
+                             b_lowering_parts, dunkl_apply, e_mult_matrix,
+                             f_matrix, lowering_matrix, lowest_weight_scalar,
+                             poly_coords, quotient_matrix,
+                             reflection_sum_scalar, sl2_calibration)
+from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
 TYPES = ("A1", "A2", "B2", "G2")
@@ -32,6 +34,16 @@ def rand_k():
 
 def rand_dir(n):
     return [Rat(RNG.randint(-3, 3)) for _ in range(n)]
+
+
+def coords_poly(vec, degree, nvars):
+    """The polynomial with coordinates vec in the degree-d monomial basis."""
+    return MPoly(nvars, {m: c for m, c in zip(monomials(nvars, degree), vec) if c})
+
+
+def act_a(rs, w, y):
+    """Action of group element w on a-coordinates (inverse transpose)."""
+    return mat_vec(transpose(mat_inv(rs.elements[w])), y)
 
 
 def test_reduces_to_derivative_at_zero_coupling():
@@ -72,7 +84,7 @@ def test_covariance_under_group():
             lhs = weyl_act(rs.elements[w],
                            dunkl_apply(rs, y, weyl_act(rs.elements[wi], p),
                                        k1, k2))
-            wy = rs.act_a(w, [QuadExt.coerce(c) for c in y])
+            wy = act_a(rs, w, [QuadExt.coerce(c) for c in y])
             rhs = dunkl_apply(rs, wy, p, k1, k2)
             assert lhs == rhs
 
@@ -168,6 +180,18 @@ def test_lowering_matrix_matches_direct_action():
                                 for s in range(d):
                                     got = coords_poly(col[s::d], n - 1, rs.rank)
                                     assert got == want[s]
+            # the general-direction path, along a direction with sqrt(3) parts
+            y = [QuadExt(RNG.randint(-3, 3), RNG.randint(-3, 3)) for _ in range(rs.rank)]
+            k1, k2 = rand_k(), rand_k()
+            n = 3
+            mat = lowering_matrix(rs, rep, y, n, k1, k2)
+            for b, mono in enumerate(monomials(rs.rank, n)):
+                p = MPoly(rs.rank, {mono: Rat(1)})
+                for t in range(d):
+                    want = direct_action(rs, rep, y, p, t, k1, k2)
+                    col = [row[b * d + t] for row in mat]
+                    for s in range(d):
+                        assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
         triv = get_irrep(rs, "triv")
         k1, k2 = rand_k(), rand_k()
         mat = b_lowering_matrix(rs, triv, 0, 2, k1, k2)
@@ -179,7 +203,7 @@ def test_lowering_matrix_matches_direct_action():
 
 def test_lowering_parts_split_by_orbit():
     def dense(parts, part):
-        flat = [QuadExt(0)] * (parts.rows * parts.cols)
+        flat = [0] * (parts.rows * parts.cols)
         for i, v in zip(*part):
             flat[i] = v
         return [flat[r * parts.cols:(r + 1) * parts.cols] for r in range(parts.rows)]
@@ -188,19 +212,25 @@ def test_lowering_parts_split_by_orbit():
         rs = build_root_system(label)
         for rep in irreps(rs):
             d = rep.dim
-            y = rand_dir(rs.rank)
             k1, k2 = rand_k(), rand_k()
             for n in (1, 3):
-                parts = lowering_parts(rs, rep, y, n)
-                dm, am, bm = (dense(parts, p) for p in (parts.d, parts.a, parts.b))
-                want = lowering_matrix(rs, rep, y, n, k1, k2)
-                assert [[x + a * k1 + b * k2 for x, a, b in zip(*rows)]
-                        for rows in zip(dm, am, bm)] == want
-                # D is d_y (x) 1; B is empty on the one-orbit types
-                assert all(not v for r, row in enumerate(dm)
-                           for c, v in enumerate(row) if r % d != c % d)
-                if not rs.orbit_counts[1]:
-                    assert not any(v for row in bm for v in row)
+                for j in range(rs.rank):
+                    parts = b_lowering_parts(rs, rep, j, n)
+                    dm, am, bm = (dense(parts, p) for p in parts.parts)
+                    want = lowering_matrix(rs, rep, b_direction(rs, j), n, k1, k2)
+                    assert [[(x + a * k1 + b * k2) / parts.den
+                             for x, a, b in zip(*rows)]
+                            for rows in zip(dm, am, bm)] == want
+                    # D is d_y (x) 1; B is empty on the one-orbit types
+                    assert all(not v for r, row in enumerate(dm)
+                               for c, v in enumerate(row) if r % d != c % d)
+                    if not rs.orbit_counts[1]:
+                        assert not any(v for row in bm for v in row)
+
+
+def test_lowering_parts_reject_sqrt3_part():
+    with pytest.raises(InvariantViolation):
+        LoweringParts(1, 2, ({0: QuadExt(1)}, {1: QuadExt(Rat(1, 2), Rat(1, 2))}, {}))
 
 
 def test_numeric_lowering_is_symbolic_evaluated():

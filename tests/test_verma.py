@@ -54,10 +54,25 @@ def test_f_chain_matches_f_matrix_product():
 
 
 def test_layer_dims():
+    def layer_dim(vm, n):
+        return len(vm.layer_monomials(n)) * vm.rep.dim
+
     vm = standard_module("A2", "std", Rat(1, 5), Rat(1, 5))
-    assert [vm.layer_dim(n) for n in range(4)] == [2, 4, 6, 8]
+    assert [layer_dim(vm, n) for n in range(4)] == [2, 4, 6, 8]
     vm = standard_module("A1", "triv", Rat(1, 5), Rat(1, 5))
-    assert [vm.layer_dim(n) for n in range(4)] == [1, 1, 1, 1]
+    assert [layer_dim(vm, n) for n in range(4)] == [1, 1, 1, 1]
+
+
+def test_numeric_lowerings_and_layers_are_ints():
+    # no silent fallback to QuadExt entries at rational couplings
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, rand_k(), rand_k())
+            for n in range(5):
+                mats = list(vm._lowerings(n)[0]) if n else []
+                mats.append(vm._layer(n)[0])
+                assert all(type(v) is int for mat in mats for row in mat for v in row)
 
 
 def test_gram_recursion_equals_direct_assembly():
