@@ -181,7 +181,8 @@ def test_lowering_matrix_matches_direct_action():
                                     got = coords_poly(col[s::d], n - 1, rs.rank)
                                     assert got == want[s]
             # the general-direction path, along a direction with sqrt(3) parts
-            y = [QuadExt(RNG.randint(-3, 3), RNG.randint(-3, 3)) for _ in range(rs.rank)]
+            y = [QuadExt(RNG.randint(-3, 3), RNG.randint(-3, 3))
+                 for _ in range(rs.rank)]
             k1, k2 = rand_k(), rand_k()
             n = 3
             mat = lowering_matrix(rs, rep, y, n, k1, k2)
