@@ -22,7 +22,8 @@ from .polynomials import MPoly
 from .rootsystem import LABELS, build_root_system
 from .wrep import get_irrep, irreps
 from .dunkl import dunkl_apply
-from .verma import VermaModule, classify as _classify
+from .linalg import bareiss_rank
+from .verma import VermaModule, classify as _classify, standard_module
 from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
                     f_power_image_closed, f_power_image_direct,
                     evaluate_at_couplings, very_singular)
@@ -258,6 +259,13 @@ def _cmd_selftest(args) -> int:
         for d in range(1, 4):
             vm.gram(d)  # symmetry is enforced internally
         report(f"gram symmetry {label}")
+
+    for label in ("A2", "B2", "G2"):
+        vm = standard_module(label, "triv", PP_K1, PP_K2)
+        layer = vm.gram(2)
+        if not vm.layer_rank(2) == bareiss_rank(layer) == len(layer):
+            raise InvariantViolation(f"{label} triv: rank certificate fails at degree 2")
+    report("symbolic rank certificate")
 
     for label in ("A2", "B2", "G2"):
         for nn in range(7):

@@ -3,9 +3,9 @@ vector helper of the package lives here.
 
 Matrices are plain lists of row lists.  Entries are ints (numeric Gram
 layers, see integer_scale), QuadExt, or ParamPoly (symbolic layers).  There
-is one rank: fraction-free Bareiss elimination, whose divisions are exact
-in every one of these rings, so symbolic rank means rank over the fraction
-field (Bareiss, Math. Comp. 22, 1968).
+is one rank: fraction-free Bareiss elimination, exact in each of these rings
+(Bareiss, Math. Comp. 22, 1968).  Over ParamPoly it is rank over the fraction
+field, the fallback of verma's rank certificate at one rational point.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ ranks are the quotient's graded dimensions.
 At numeric couplings the lowerings of a degree, each Gram layer and the
 raised rows are integer matrices with one rational scale each (the
 lowerings are combined in integer arithmetic from the integer parts of
-dunkl.LoweringParts), so ranks are fraction-free integer eliminations;
-symbolic modules keep ParamPoly entries.
+dunkl.LoweringParts), so ranks are fraction-free integer eliminations.  A
+symbolic layer is ranked at the rational point _CERT_POINT first (a rank
+certificate), then, if it falls short of full rank there, over ParamPoly.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -39,6 +40,7 @@ from .dunkl import (b_lowering_matrix, b_lowering_parts, f_apply,
                     f_coefficients, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
+_CERT_POINT = (Rat(3, 7), Rat(-5, 11))  # where symbolic layers are ranked first
 
 
 class VermaModule:
@@ -170,7 +172,12 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        return bareiss_rank(self._layer(n)[0])
+        mat = self._layer(n)[0]
+        if self.symbolic:  # minors are polynomials: full rank at a point proves it
+            at = [[ParamPoly.coerce(v).eval2(*_CERT_POINT) for v in row] for row in mat]
+            if bareiss_rank(integer_scale(at)[0]) == len(mat):
+                return len(mat)
+        return bareiss_rank(mat)
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cherednik.errors import InvariantViolation
-from cherednik.scalars import QuadExt, Rat, SQRT3
+from cherednik.scalars import PP_K1, PP_K2, ParamPoly, QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, clear_content, div_linear, monomials,
                                    reynolds, weyl_act)
 from cherednik.linalg import (bareiss_rank, dot, freeze, identity,
@@ -147,6 +147,20 @@ def test_bareiss_rank_over_integers():
     assert bareiss_rank([[0, 2, 1], [3, 1, 0], [6, 4, 1]]) == 2  # pivot after a row swap
     assert bareiss_rank([[3, 1], [6, 5], [9, 1]]) == 2
     assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
+
+
+def test_bareiss_rank_over_parampoly():
+    k1, k2 = PP_K1, PP_K2
+    one, zero = ParamPoly.const(1), ParamPoly()
+    assert bareiss_rank([[k1, k1 * k2], [one, k2]]) == 1
+    assert bareiss_rank([[k1, one], [one, k2]]) == 2
+    assert bareiss_rank([[zero] * 3 for _ in range(2)]) == 0
+    # the first pivot needs a row swap; the third row is k2 * row 2 + k1 * row 1,
+    # and the second Bareiss step divides exactly by the first pivot k1
+    m = [[zero, k2, one], [k1, one, zero], [k1 * k2, k2 + k1 * k2, k1]]
+    assert bareiss_rank(m) == 2
+    m[2][2] = k1 + one
+    assert bareiss_rank(m) == 3
 
 
 def test_integer_scale():

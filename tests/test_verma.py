@@ -6,7 +6,8 @@ from cherednik.scalars import ParamPoly, PP_K1, PP_K2, Rat
 from cherednik.rootsystem import build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
-from cherednik.linalg import mat_mul
+from cherednik import verma
+from cherednik.linalg import bareiss_rank, integer_scale, mat_mul
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -98,6 +99,28 @@ def test_gram_symbolic_matches_evaluation():
             for j in range(len(gs)):
                 v = ParamPoly.coerce(gs[i][j]).eval2(k1, k2)
                 assert v == gn[i][j]
+
+
+def test_symbolic_rank_certificate_matches_parampoly_bareiss():
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, PP_K1, PP_K2)
+            for n in range(3):
+                layer = vm._layer(n)[0]
+                want = bareiss_rank(layer)
+                assert vm.layer_rank(n) == want == len(layer), (label, rep.label, n)
+
+
+def test_symbolic_rank_falls_back_below_full_rank(monkeypatch):
+    # at k = -1/3, L(triv) of A2 is 1-dimensional: its degree-1 layer
+    # evaluates to rank 0 there, but has rank 2 over Q(k1, k2)
+    point = (Rat(-1, 3), Rat(-1, 3))
+    monkeypatch.setattr(verma, "_CERT_POINT", point)
+    vm = standard_module("A2", "triv", PP_K1, PP_K2)
+    at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm._layer(1)[0]]
+    assert bareiss_rank(integer_scale(at)[0]) == 0
+    assert vm.layer_rank(1) == 2
 
 
 def test_a1_dimension_law():
