@@ -7,7 +7,8 @@ rational (or quadratic-extension) arithmetic.  No floats anywhere.
 """
 
 from .errors import InvariantViolation, NonDivisibleError
-from .scalars import Rat, rat, QuadExt, ParamPoly, PP_K1, PP_K2
+from .scalars import Rat, rat, QuadExt
+from .polynomials import ParamPoly, PP_K1, PP_K2
 from .rootsystem import build_root_system
 from .wrep import get_irrep
 from .dunkl import dunkl_apply, lowest_weight_scalar, sl2_calibration

@@ -17,8 +17,8 @@ import re
 import sys
 
 from .errors import InvariantViolation, NonDivisibleError
-from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat, rat
-from .polynomials import MPoly
+from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
+from .scalars import QuadExt, Rat, rat
 from .rootsystem import LABELS, build_root_system
 from .wrep import get_irrep, irreps
 from .dunkl import dunkl_apply

@@ -19,10 +19,10 @@ import math
 from array import array
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, PP_K1, PP_K2, QZERO, QuadExt, Rat
+from .scalars import QZERO, QuadExt, Rat
 from .linalg import (dot, identity, kron_identity, mat_add, mat_mul,
                      mat_vec, transpose)
-from .polynomials import MPoly, div_linear, monomials, weyl_act
+from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem, hbar_poly
 
 
@@ -128,7 +128,7 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
             continue
         diff = p - weyl_act(rs.elements[rs.reflection_element[a]], p)
         if diff:
-            out = out + div_linear(diff, alpha) * c
+            out = out + diff.divexact(MPoly.from_linear(alpha)) * c
     return out
 
 

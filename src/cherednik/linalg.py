@@ -13,7 +13,8 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NonDivisibleError
-from .scalars import ParamPoly, QuadExt, Rat
+from .polynomials import ParamPoly
+from .scalars import QuadExt, Rat
 
 
 def _exact_div(x, y):

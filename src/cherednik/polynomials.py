@@ -1,19 +1,23 @@
-"""Polynomials on the reflection representation.
+"""Sparse exact polynomials: one class for both polynomial rings.
 
-MPoly is a sparse multivariate polynomial in the coordinate functions
-x1..xn (n = 1 or 2 here), with coefficients in any ring of the scalar
-tower (QuadExt for evaluated couplings, ParamPoly for symbolic ones).
-Coefficient rings interoperate through the coercion protocol, so a
-polynomial may safely acquire ParamPoly coefficients when multiplied by
-a symbolic scalar.
+MPoly is a sparse multivariate polynomial, exponent tuple -> coefficient.
+In the coordinate functions x1..xn (n = 1 or 2 here) its coefficients
+come from any ring of the scalar tower: QuadExt for evaluated couplings,
+ParamPoly for symbolic ones.  ParamPoly is the two-variable subclass for
+the couplings k1, k2 over Q(sqrt(3)): immutable, hashable, with QuadExt
+coefficients.  An MPoly in x may carry ParamPoly coefficients, never the
+reverse, so ParamPoly arithmetic defers to MPoly for any other MPoly.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add, sub
 
 from .errors import NonDivisibleError
-from .scalars import QONE, QuadExt
+from .scalars import QONE, QZERO, QuadExt, RatType
+
+_SCALARS = (QuadExt, int, RatType)
 
 
 def _glex_key(e):
@@ -21,7 +25,11 @@ def _glex_key(e):
 
 
 class MPoly:
-    """Sparse polynomial, exponent tuple -> coefficient, zeros dropped."""
+    """Sparse polynomial, exponent tuple -> coefficient, zeros dropped.
+
+    A value that is not a polynomial of the same type is a scalar: a
+    constant in + and ==, a factor of every coefficient in *.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -38,10 +46,6 @@ class MPoly:
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
         return cls(nvars)
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, i: int, nvars: int) -> "MPoly":
@@ -62,13 +66,21 @@ class MPoly:
 
     # -- ring operations -------------------------------------------------------
     def _like(self, terms) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out.terms = terms
+        out = object.__new__(type(self))
+        object.__setattr__(out, "nvars", self.nvars)
+        object.__setattr__(out, "terms", terms)
         return out
 
+    def _lift(self, other):
+        """other in this ring: a polynomial of this type as it is, anything
+        else as a constant; None where this ring cannot hold it."""
+        if type(other) is type(self):
+            return other
+        return self._like({(0,) * self.nvars: other} if other else {})
+
     def __add__(self, other):
-        if not isinstance(other, MPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         t = dict(self.terms)
         for e, c in other.terms.items():
@@ -80,8 +92,11 @@ class MPoly:
                 del t[e]
         return self._like(t)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, MPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         t = dict(self.terms)
         for e, c in other.terms.items():
@@ -93,15 +108,21 @@ class MPoly:
                 del t[e]
         return self._like(t)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self):
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
             t = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     p = c1 * c2
                     s = t.get(e)
                     s = p if s is None else s + p
@@ -110,20 +131,21 @@ class MPoly:
                     elif e in t:
                         del t[e]
             return self._like(t)
-        # scalar
+        # a scalar: no product of a field's nonzero elements is zero
         if not other:
             return self._like({})
         return self._like({e: c * other for e, c in self.terms.items()})
 
-    def __rmul__(self, other):
-        if not other:
-            return self._like({})
-        return self._like({e: other * c for e, c in self.terms.items()})
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero scalar."""
+        return self * (QONE / other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = MPoly.const(self.nvars, QONE)
+        out = self._lift(QONE)
         base = self
         while n:
             if n & 1:
@@ -133,17 +155,50 @@ class MPoly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, MPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[e] == c for e, c in self.terms.items())
+        return self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __hash__(self):
         raise TypeError("MPoly is not hashable")
+
+    def divexact(self, other: "MPoly") -> "MPoly":
+        """Exact quotient self / other; NonDivisibleError if inexact.
+
+        The loop cancels the graded-lex leading monomial of the remainder
+        at every step, so it terminates; a leading monomial that the
+        divisor's leading monomial does not divide certifies
+        non-divisibility.
+        """
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        le, lc = other.leading()
+        lc_inv = QONE / lc
+        rest = [(f, c) for f, c in other.terms.items() if f != le]
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            e = max(rem, key=_glex_key)
+            c = rem.pop(e)
+            d = tuple(map(sub, e, le))
+            if min(d) < 0:
+                raise NonDivisibleError(f"{self} is not divisible by {other}")
+            qc = c * lc_inv
+            quot[d] = qc
+            for f, fc in rest:
+                g = tuple(map(add, d, f))
+                v = qc * fc
+                s = rem.get(g)
+                s = -v if s is None else s - v
+                if s:
+                    rem[g] = s
+                elif g in rem:
+                    del rem[g]
+        return self._like(quot)
 
     # -- calculus / structure -----------------------------------------------
     def diff(self, i: int) -> "MPoly":
@@ -161,6 +216,7 @@ class MPoly:
         return max(sum(e) for e in self.terms)
 
     def leading(self):
+        """(exponent, coefficient) that is largest in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_glex_key)
@@ -194,7 +250,95 @@ class MPoly:
         return self.to_str()
 
     def __repr__(self):
-        return f"MPoly<{self}>"
+        return f"{type(self).__name__}<{self}>"
+
+
+class ParamPoly(MPoly):
+    """Polynomial in the two couplings k1, k2 with QuadExt coefficients.
+
+    The two slots are anonymous; callers attach meaning per context
+    (coupling constants k1/k2, or derived quantities such as the lowest
+    weight scalar and the coupling difference).  Immutable and hashable.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for e, c in terms.items():
+                c = QuadExt.coerce(c)
+                if c:
+                    t[(int(e[0]), int(e[1]))] = c
+        object.__setattr__(self, "nvars", 2)
+        object.__setattr__(self, "terms", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParamPoly is immutable")
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    # -- constructors -------------------------------------------------------
+    @classmethod
+    def const(cls, c) -> "ParamPoly":
+        return cls({(0, 0): QuadExt.coerce(c)})
+
+    @classmethod
+    def gen(cls, i: int) -> "ParamPoly":
+        if i not in (0, 1):
+            raise ValueError("generator index must be 0 or 1")
+        return cls({(1, 0) if i == 0 else (0, 1): QONE})
+
+    @classmethod
+    def coerce(cls, x) -> "ParamPoly":
+        if isinstance(x, ParamPoly):
+            return x
+        if isinstance(x, _SCALARS):
+            return cls.const(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to ParamPoly")
+
+    def _lift(self, other):
+        if type(other) is ParamPoly:
+            return other
+        # an MPoly in x may have ParamPoly coefficients, never the reverse
+        return ParamPoly.const(other) if isinstance(other, _SCALARS) else None
+
+    # -- queries / evaluation / composition -----------------------------------
+    def coefficient(self, e1: int, e2: int) -> QuadExt:
+        return self.terms.get((e1, e2), QZERO)
+
+    def eval2(self, v1, v2) -> QuadExt:
+        """Evaluate at scalar values of the two slots."""
+        v1 = QuadExt.coerce(v1)
+        v2 = QuadExt.coerce(v2)
+        p1, p2 = {0: QONE}, {0: QONE}
+        out = QZERO
+        for (e1, e2), c in self.terms.items():
+            if e1 not in p1:
+                m = max(p1)
+                for j in range(m + 1, e1 + 1):
+                    p1[j] = p1[j - 1] * v1
+            if e2 not in p2:
+                m = max(p2)
+                for j in range(m + 1, e2 + 1):
+                    p2[j] = p2[j - 1] * v2
+            out = out + c * p1[e1] * p2[e2]
+        return out
+
+    def subst(self, q1: "ParamPoly", q2: "ParamPoly") -> "ParamPoly":
+        """Compose: substitute polynomials for the two slots."""
+        out = ParamPoly()
+        for (e1, e2), c in self.terms.items():
+            out = out + ParamPoly.const(c) * q1 ** e1 * q2 ** e2
+        return out
+
+    def to_str(self, names=("k1", "k2")) -> str:
+        return super().to_str(names)
+
+
+PP_K1 = ParamPoly.gen(0)
+PP_K2 = ParamPoly.gen(1)
 
 
 def monomials(nvars: int, degree: int) -> list[tuple]:
@@ -263,88 +407,3 @@ def weyl_act(mat, p: MPoly) -> MPoly:
             elif f in out:
                 del out[f]
     return MPoly(nv, out)
-
-
-def div_linear(p: MPoly, lin) -> MPoly:
-    """Exact quotient p / (lin[0]*x1 + ... ); NonDivisibleError if inexact.
-
-    The loop cancels the graded-lex leading monomial at every step, so it
-    terminates; a leading monomial without the pivot variable certifies
-    non-divisibility.
-    """
-    nv = p.nvars
-    pivot = None
-    for i, c in enumerate(lin):
-        if c:
-            pivot = i
-            break
-    if pivot is None:
-        raise ZeroDivisionError("division by zero")
-    pc = lin[pivot]
-    pc_inv = pc.inv() if hasattr(pc, "inv") else 1 / pc
-    rest = [(i, c) for i, c in enumerate(lin) if c and i != pivot]
-    rem = dict(p.terms)
-    quot = {}
-    while rem:
-        e = max(rem, key=_glex_key)
-        c = rem.pop(e)
-        if not e[pivot]:
-            raise NonDivisibleError("polynomial is not divisible by the linear form")
-        d = list(e)
-        d[pivot] -= 1
-        d = tuple(d)
-        qc = c * pc_inv
-        quot[d] = qc
-        for i, lc in rest:
-            f = list(d)
-            f[i] += 1
-            f = tuple(f)
-            s = rem.get(f)
-            v = qc * lc
-            s = -v if s is None else s - v
-            if s:
-                rem[f] = s
-            elif f in rem:
-                del rem[f]
-    return MPoly(nv, quot)
-
-
-def reynolds(elements, p: MPoly) -> MPoly:
-    """Group average of p over a list of element matrices (no 1/|G| factor)."""
-    out = MPoly.zero(p.nvars)
-    for m in elements:
-        out = out + weyl_act(m, p)
-    return out
-
-
-def clear_content(p: MPoly) -> MPoly:
-    """Divide by the gcd of all rational components; leading coeff made positive.
-
-    Assumes QuadExt coefficients.  Used to fix a canonical scale for
-    invariant generators.
-    """
-    from math import gcd
-
-    if not p.terms:
-        return p
-    nums, dens = [], []
-    for c in p.terms.values():
-        q = QuadExt.coerce(c)
-        for part in (q.a, q.b):
-            if part:
-                nums.append(abs(int(part.numerator)))
-                dens.append(int(part.denominator))
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // gcd(l, d)
-    from .scalars import Rat
-
-    scale = QuadExt(Rat(l, g if g else 1))
-    q = p * scale
-    _, lead = q.leading()
-    if QuadExt.coerce(lead).sign() < 0:
-        q = -q
-    return q

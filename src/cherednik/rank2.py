@@ -22,7 +22,8 @@ import math
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat, is_nonneg_int, rat
+from .polynomials import ParamPoly, PP_K1, PP_K2
+from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
 from .wrep import get_irrep, irreps, twist_couplings

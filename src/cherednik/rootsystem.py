@@ -15,8 +15,8 @@ from functools import lru_cache
 from .errors import InvariantViolation
 from .linalg import (dot, freeze, identity, is_symmetric, mat_inv, mat_mul,
                      mat_vec, transpose)
-from .polynomials import MPoly, clear_content, reynolds, weyl_act
-from .scalars import HALF, PP_K1, PP_K2, ParamPoly, QONE, QuadExt, Rat
+from .polynomials import MPoly, PP_K1, PP_K2, ParamPoly, weyl_act
+from .scalars import HALF, QONE, QuadExt, Rat
 
 LABELS = ("A1", "A2", "B2", "G2")
 
@@ -237,13 +237,7 @@ class RootSystem:
         self.e_poly = e
         gens = [e]
         if self.label == "A2":
-            q2 = None
-            for i in range(n):
-                cand = reynolds(self.elements, MPoly.var(i, n) ** 3)
-                if cand:
-                    q2 = clear_content(cand)
-                    break
-            gens.append(q2)
+            gens.append(MPoly(2, {(2, 1): QuadExt(3), (0, 3): QuadExt(-1)}))
         elif self.label == "B2":
             gens.append(MPoly(2, {(2, 2): QONE}))
         elif self.label == "G2":

@@ -30,10 +30,10 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import InvariantViolation
-from .scalars import ParamPoly, QuadExt, Rat, is_nonneg_int, rat
+from .polynomials import ParamPoly, monomials
+from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, vec_mat)
-from .polynomials import monomials
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
 from .dunkl import (b_lowering_matrix, b_lowering_parts, f_apply,

@@ -38,12 +38,6 @@ class Irrep:
     def matrix(self, w: int):
         return self.matrices[w]
 
-    def value(self, w: int):
-        """Scalar value of a one-dimensional representation."""
-        if self.dim != 1:
-            raise ValueError(f"{self.label} is not one-dimensional")
-        return self.matrices[w][0][0]
-
     def __repr__(self):
         return f"Irrep({self.rs.label}:{self.label}, dim {self.dim})"
 

@@ -23,9 +23,9 @@ mismatch is printed as a counterexample candidate instead of failing.
 import random
 import time
 
-from cherednik.scalars import (ParamPoly, PP_K1, PP_K2, QuadExt, Rat,
-                               is_nonneg_int, rat)
-from cherednik.polynomials import MPoly, monomials, weyl_act
+from cherednik.scalars import QuadExt, Rat, is_nonneg_int, rat
+from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
+                                   weyl_act)
 from cherednik.rootsystem import build_root_system, hbar_poly
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import (b_direction, dunkl_apply, lowest_weight_scalar,

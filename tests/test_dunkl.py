@@ -3,8 +3,9 @@ import random
 import pytest
 
 from cherednik.errors import InvariantViolation
-from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
-from cherednik.polynomials import MPoly, div_linear, monomials, weyl_act
+from cherednik.scalars import QuadExt, Rat
+from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
+                                   weyl_act)
 from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, get_irrep, irreps
 from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_matrix,
@@ -122,7 +123,7 @@ def quotient_oracle(rs, ridx, n):
     for m in monomials(nv, n):
         p = MPoly(nv, {m: QuadExt(1)})
         diff = p - weyl_act(refl, p)
-        q = div_linear(diff, alpha) if diff else MPoly.zero(nv)
+        q = diff.divexact(MPoly.from_linear(alpha)) if diff else MPoly.zero(nv)
         cols.append(poly_coords(q, n - 1, nv))
     return [list(row) for row in zip(*cols)]
 
@@ -157,7 +158,8 @@ def direct_action(rs, rep, y, p, t, k1, k2):
                 continue
             diff = p - weyl_act(rs.elements[rs.reflection_element[a]], p)
             if diff:
-                acc = acc + div_linear(diff, alpha) * (rs.coupling_of_root(a, k1, k2) * c)
+                acc = acc + (diff.divexact(MPoly.from_linear(alpha))
+                             * (rs.coupling_of_root(a, k1, k2) * c))
         out.append(acc)
     return out
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from cherednik.errors import InvariantViolation
-from cherednik.scalars import PP_K1, PP_K2, ParamPoly, QuadExt, Rat, SQRT3
-from cherednik.polynomials import (MPoly, clear_content, div_linear, monomials,
-                                   reynolds, weyl_act)
+from cherednik.errors import InvariantViolation, NonDivisibleError
+from cherednik.scalars import QuadExt, Rat, SQRT3
+from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
+                                   weyl_act)
 from cherednik.linalg import (bareiss_rank, dot, freeze, identity,
                               integer_scale, is_symmetric, kron_identity,
                               mat_inv, mat_mul, mat_vec, transpose, vec_mat)
@@ -59,13 +59,27 @@ def test_homogeneous_split():
     assert total == p
 
 
-def test_div_linear_exact():
-    # (x1 + 2 x2) * q recovered by division
-    lin = (Rat(1), Rat(2))
-    linp = MPoly.from_linear(lin)
+def test_divexact_coordinate_ring():
+    # (x1 + 2 x2) * q and q * (x1^2 + x2^2) recovered by division
+    lin = MPoly.from_linear((Rat(1), Rat(2)))
+    quad = MPoly(2, {(2, 0): Rat(1), (0, 2): Rat(1)})
     for _ in range(20):
         q = rand_mpoly(2, 3)
-        assert div_linear(linp * q, lin) == q
+        assert (lin * q).divexact(lin) == q
+        assert (q * quad).divexact(quad) == q
+    # the remainder x2 has a leading monomial that x1^2 does not divide
+    with pytest.raises(NonDivisibleError):
+        (quad * lin + MPoly.var(1, 2)).divexact(quad)
+
+
+def test_mixed_ring_products():
+    # an MPoly in x takes ParamPoly coefficients, a ParamPoly never MPoly ones
+    x1 = MPoly.var(0, 2)
+    left, right = PP_K1 * x1, x1 * PP_K1
+    for p in (left, right):
+        assert type(p) is MPoly and p.terms == {(1, 0): PP_K1}
+    assert left == right
+    assert ParamPoly.const(3) == QuadExt(3)
 
 
 def test_weyl_act_is_multiplicative():
@@ -77,24 +91,6 @@ def test_weyl_act_is_multiplicative():
     for _ in range(10):
         p = rand_mpoly(2, 3)
         assert weyl_act(prod, p) == weyl_act(m1, weyl_act(m2, p))
-
-
-def test_reynolds_fixes_invariants():
-    group = [((QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(1))),
-             ((QuadExt(-1), QuadExt(0)), (QuadExt(0), QuadExt(-1)))]
-    p = MPoly(2, {(2, 0): Rat(1), (1, 1): Rat(3)})
-    r = reynolds(group, p)
-    for m in group:
-        assert weyl_act(m, r) == r
-    # odd part dies
-    odd = MPoly(2, {(1, 0): Rat(1)})
-    assert not reynolds(group, odd)
-
-
-def test_clear_content_normalizes():
-    p = MPoly(2, {(2, 0): QuadExt(Rat(4, 3)), (0, 2): QuadExt(Rat(-8, 3))})
-    c = clear_content(p)
-    assert c == MPoly(2, {(2, 0): QuadExt(1), (0, 2): QuadExt(-2)})
 
 
 def rand_matrix(n, m):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
+from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.scalars import QuadExt, Rat
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,

@@ -1,6 +1,7 @@
 import random
 
-from cherednik.scalars import ParamPoly, PP_K1, PP_K2, QuadExt, Rat
+from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.scalars import QuadExt, Rat
 from cherednik.linalg import identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import weyl_act
 from cherednik.rootsystem import build_root_system, hbar_poly

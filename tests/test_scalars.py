@@ -1,7 +1,7 @@
 import random
 
-from cherednik.scalars import (ParamPoly, PP_K1, PP_K2, QuadExt, Rat, SQRT3,
-                               is_nonneg_int, rat)
+from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
 
 RNG = random.Random(101)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cherednik.scalars import ParamPoly, PP_K1, PP_K2, Rat
+from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.scalars import Rat
 from cherednik.rootsystem import build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
