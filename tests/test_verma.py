@@ -87,6 +87,19 @@ def test_gram_recursion_equals_direct_assembly():
                 assert vm.gram(n) == vm.gram_direct(n), (label, rep.label, n)
 
 
+def test_gram_recursion_equals_direct_assembly_symbolic():
+    # gram_direct composes the ParamPoly lowerings of LoweringParts.at, so it
+    # shares no Gram arithmetic with the recursion at symbolic couplings
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, PP_K1, PP_K2)
+            for n in range(5):
+                got = [[ParamPoly.coerce(v) for v in row] for row in vm.gram(n)]
+                want = [[ParamPoly.coerce(v) for v in row] for row in vm.gram_direct(n)]
+                assert got == want, (label, rep.label, n)
+
+
 def test_gram_symbolic_matches_evaluation():
     rs = build_root_system("B2")
     rep = get_irrep(rs, "triv")
