@@ -170,10 +170,7 @@ def _cmd_gram(args) -> int:
         k1, k2 = _resolve_couplings(args)
         vm = VermaModule(rs, rep, k1, k2)
     g = vm.gram(args.degree)
-    if args.symbolic:
-        entries = [[ParamPoly.coerce(e).to_str() for e in row] for row in g]
-    else:
-        entries = [[str(QuadExt.coerce(e)) for e in row] for row in g]
+    entries = [[str(e) for e in row] for row in g]  # QuadExt or ParamPoly
     _emit_json({
         "type": rs.label,
         "chi": rep.label,
@@ -266,6 +263,13 @@ def _cmd_selftest(args) -> int:
         if not vm.layer_rank(2) == bareiss_rank(layer) == len(layer):
             raise InvariantViolation(f"{label} triv: rank certificate fails at degree 2")
     report("symbolic rank certificate")
+
+    for label in ("A2", "B2", "G2"):
+        vm = standard_module(label, "triv", PP_K1, PP_K2)
+        if vm.gram(3) != [[ParamPoly.coerce(v) for v in row] for row in vm.gram_direct(3)]:
+            raise InvariantViolation(f"{label} triv: packed layer differs from "
+                                     "direct assembly at degree 3")
+    report("symbolic packing")
 
     for label in ("A2", "B2", "G2"):
         for nn in range(7):

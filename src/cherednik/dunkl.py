@@ -212,6 +212,12 @@ class LoweringParts:
         """The dense integer matrix c0*D + c1*A + c2*B."""
         return _combine(self.rows, self.cols, self.parts, (c0, c1, c2), 0)
 
+    def norms(self, c: int):
+        """c * (|D| + |A| + |B|) as a dense int matrix: c * the coefficient
+        1-norms of the entries of D + k1*A + k2*B."""
+        parts = [(idx, map(abs, vals)) for idx, vals in self.parts]
+        return _combine(self.rows, self.cols, parts, (c, c, c), 0)
+
     def at(self, k1, k2):
         """The true matrix (D + k1*A + k2*B) / den: QuadExt entries at
         rational couplings, ParamPoly ones at symbolic couplings."""

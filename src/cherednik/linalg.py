@@ -1,11 +1,12 @@
 """Small exact linear algebra over the scalar tower: every matrix and
 vector helper of the package lives here.
 
-Matrices are plain lists of row lists.  Entries are ints (numeric Gram
-layers, see integer_scale), QuadExt, or ParamPoly (symbolic layers).  There
-is one rank: fraction-free Bareiss elimination, exact in each of these rings
-(Bareiss, Math. Comp. 22, 1968).  Over ParamPoly it is rank over the fraction
-field, the fallback of verma's rank certificate at one rational point.
+Matrices are plain lists of row lists.  Entries are ints (every Gram layer,
+the packed symbolic ones too; see integer_scale), QuadExt, or ParamPoly
+(unpacked symbolic layers, F matrices).  There is one rank: fraction-free
+Bareiss elimination, exact in each of these rings (Bareiss, Math. Comp. 22,
+1968).  Over ParamPoly it runs only as the fallback of verma's rank
+certificate at one rational point.
 """
 
 from __future__ import annotations

@@ -385,22 +385,3 @@ def finite_dim_table(label: str, k1, k2) -> dict:
         out[rep.label] = very_singular(label, t1, t2)
     return out
 
-
-def singular_reference(label: str, k1, k2):
-    """Membership in the quoted singular-multiplicity lists (reference
-    data; None when the sampled shape is not covered by them)."""
-    k1, k2 = rat(k1), rat(k2)
-    if label == "G2":
-        def neg_half_odd(x):
-            t = -2 * x
-            return t.denominator == 1 and int(t) % 2 == 1 and t >= 1
-        if neg_half_odd(k1) or neg_half_odd(k2):
-            return True
-        s = 3 * (k1 + k2)
-        return s.denominator == 1 and s <= -1 and int(s) % 3 != 0
-    if label == "B2" and k1 != k2:
-        return None
-    degrees = build_root_system(label).degrees
-    if k1 >= 0 or k1.denominator == 1:
-        return False
-    return any((k1 * d).denominator == 1 for d in degrees)

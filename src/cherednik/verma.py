@@ -8,12 +8,12 @@ coordinate multiplications to Dunkl operators through the metric
 transfer.  The form's radical cuts out the simple quotient, so layer
 ranks are the quotient's graded dimensions.
 
-At numeric couplings the lowerings of a degree, each Gram layer and the
-raised rows are integer matrices with one rational scale each (the
-lowerings are combined in integer arithmetic from the integer parts of
-dunkl.LoweringParts), so ranks are fraction-free integer eliminations.  A
-symbolic layer is ranked at the rational point _CERT_POINT first (a rank
-certificate), then, if it falls short of full rank there, over ParamPoly.
+The lowerings, Gram layers and raised rows are integer matrices with one
+rational scale each, combined from the integer parts of LoweringParts, so
+ranks are fraction-free integer eliminations.  A symbolic layer (or row) is
+read off a numeric module at k = (B, B^(n+1)) by Kronecker substitution, one
+coefficient per base-B digit.  It is ranked at the rational point _CERT_POINT
+(a certificate), over ParamPoly only if it falls short of full rank there.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import InvariantViolation
-from .polynomials import ParamPoly, monomials
+from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
 from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, vec_mat)
@@ -43,77 +43,91 @@ DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(3, 7), Rat(-5, 11))  # where symbolic layers are ranked first
 
 
+def _value(rows, scale):
+    """The true matrix scale * rows."""
+    return [[QuadExt(v * scale) for v in row] for row in rows]
+
+
+def _unpack(v: int, s: int, stride: int, den: int) -> ParamPoly:
+    """The ParamPoly sum of (c_ij / den) k1^i k2^j from v, the sum of
+    c_ij B^(i + stride j) with B = 2^s, i < stride and |c_ij| < B / 2:
+    the c_ij are the balanced base-B digits of v."""
+    terms, e, half, mask = {}, 0, 1 << (s - 1), (1 << s) - 1
+    while v:
+        c = ((v + half) & mask) - half
+        if c:
+            terms[e % stride, e // stride] = Rat(c, den)
+        v, e = (v - c) >> s, e + 1
+    return ParamPoly(terms)
+
+
 class VermaModule:
     """One standard module M(chi) at fixed couplings, with cached
     per-degree operator matrices and Gram matrices."""
+
+    absolute = False  # True in _NormBound: the recursion on absolute parts
 
     def __init__(self, rs: RootSystem, rep: Irrep, k1, k2):
         sl2_calibration(rs)
         self.rs = rs
         self.rep = rep
-        self.symbolic = isinstance(k1, ParamPoly) or isinstance(k2, ParamPoly)
+        self.symbolic = (k1, k2) == (PP_K1, PP_K2)
         if not self.symbolic:
             k1, k2 = rat(k1), rat(k2)
         self.k1, self.k2 = k1, k2
         self._low = {}
         self._gram = {}
+        self._norms = None  # symbolic: the _NormBound module
+        self._pack = -1, 0, None  # symbolic: t, s and the module at (2^s, 2^(s(t+1)))
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
         return monomials(self.rs.rank, n)
-
-    def _scaled(self, mat):
-        """(matrix, scale) with mat == scale * matrix: an integer matrix
-        without common content at numeric couplings, mat and 1 at symbolic."""
-        return (mat, 1) if self.symbolic else integer_scale(mat)
-
-    def _value(self, mat, scale):
-        """The true matrix scale * mat."""
-        if self.symbolic:
-            return mat
-        return [[QuadExt(v * scale) for v in row] for row in mat]
 
     def lowering(self, j: int, n: int):
         """Dunkl operator along the metric transfer of x_j, degree n -> n-1."""
         return b_lowering_matrix(self.rs, self.rep, j, n, self.k1, self.k2)
 
     def _lowerings(self, n: int):
-        """The degree-n lowerings along every transfer, and their shared
-        scale (cached).  At numeric couplings, with q the common
-        denominator of k1, k2 and den that of the parts, each lowering
-        times q * den is combined from its integer parts as an int matrix."""
+        """The degree-n lowerings along every transfer as int matrices, and
+        their shared scale (cached).  With q the common denominator of k1,
+        k2 and den that of the parts, each lowering times q * den is
+        combined from its integer parts (from |D| + |A| + |B| if absolute)."""
         hit = self._low.get(n)
         if hit is None:
             parts = [b_lowering_parts(self.rs, self.rep, j, n)
                      for j in range(self.rs.rank)]
-            if self.symbolic:
-                hit = [p.at(self.k1, self.k2) for p in parts], 1
-            else:
-                k1, k2 = self.k1, self.k2
-                q = lcm(k1.denominator, k2.denominator)
-                den = lcm(*(p.den for p in parts))
-                c1 = k1.numerator * (q // k1.denominator)
-                c2 = k2.numerator * (q // k2.denominator)
-                lows = []
-                for p in parts:
-                    f = den // p.den
-                    lows.append(p.ints(q * f, c1 * f, c2 * f))
-                hit = lows, Rat(1, q * den)
-            self._low[n] = hit
+            k1, k2 = self.k1, self.k2
+            q = lcm(k1.denominator, k2.denominator)
+            den = lcm(*(p.den for p in parts))
+            c1 = k1.numerator * (q // k1.denominator)
+            c2 = k2.numerator * (q // k2.denominator)
+            lows = []
+            for p in parts:
+                f = den // p.den
+                lows.append(p.norms(f) if self.absolute
+                            else p.ints(q * f, c1 * f, c2 * f))
+            hit = self._low[n] = lows, Rat(1, q * den)
         return hit
 
-    def f_chain(self, top: int):
+    def _f_rows(self, top: int):
         """The dim-chi rows of F(2) F(4) ... F(top), the product of the
-        quadratic lowerings from layer top down to layer 0: the layer-0
-        identity rows pushed up through the cached lowerings, as integer
-        rows with one scale at numeric couplings."""
-        coef, cs = self._scaled(f_coefficients(self.rs))
-        rows, scale = self._scaled(identity(self.rep.dim))
+        quadratic lowerings from layer top down to layer 0, as integer rows
+        and one scale: the layer-0 identity rows pushed up through the
+        cached lowerings."""
+        coef, cs = integer_scale(f_coefficients(self.rs))
+        if self.absolute:
+            coef = [[abs(v) for v in row] for row in coef]
+        rows, scale = integer_scale(identity(self.rep.dim))
         for cur in range(2, top + 1, 2):
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
-            rows, s = self._scaled(f_apply(coef, rows, low_m, low_n))
+            rows, s = integer_scale(f_apply(coef, rows, low_m, low_n))
             scale *= s * cs * sm * sn
-        return self._value(rows, scale)
+        return rows, scale
+
+    def f_chain(self, top: int):
+        """The dim-chi rows of F(2) F(4) ... F(top) (see _f_rows)."""
+        return self._unpacked(top, True) if self.symbolic else _value(*self._f_rows(top))
 
     # -- the contravariant form -------------------------------------------------
     def _layer(self, n: int):
@@ -130,7 +144,7 @@ class VermaModule:
         d = self.rep.dim
         grams = self._gram
         if not grams:
-            grams[0] = self._scaled(identity(d))
+            grams[0] = integer_scale(identity(d))
         for deg in range(len(grams), n + 1):
             prev, scale = grams[deg - 1]
             lows, s = self._lowerings(deg)
@@ -142,17 +156,46 @@ class VermaModule:
                     rows.extend(prod1[pidx * d:(pidx + 1) * d])
                 else:
                     rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
-            if not is_symmetric(rows):
+            if not (self.absolute or is_symmetric(rows)):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
                     f"symmetric at degree {deg}")
-            rows, c = self._scaled(rows)
+            rows, c = integer_scale(rows)
             grams[deg] = rows, scale * s * c
         return grams[n]
 
     def gram(self, n: int):
         """Gram matrix of the contravariant form on the degree-n layer."""
-        return self._value(*self._layer(n))
+        return self._unpacked(n, False) if self.symbolic else _value(*self._layer(n))
+
+    def _unpacked(self, n: int, chain: bool):
+        """The degree-n layer, or with chain the rows of F(2) ... F(n), over
+        ParamPoly, by Kronecker substitution: read off the numeric module at
+        k = (B, B^(t+1)), n <= t, B = 2^s.  Each entry is a polynomial of
+        total degree <= n, and D times it, D the denominator of the product
+        of the coupling-free scales (parts and F coefficients), has integer
+        coefficients c_ij: the balanced base-B digits of its packed value
+        once B > 2 max |c_ij|, which _NormBound bounds."""
+        bound = self._norms = self._norms or _NormBound(self.rs, self.rep, 1, 1)
+        run = VermaModule._f_rows if chain else VermaModule._layer
+        rows, scale = run(bound, n)
+        steps = max(n, 0) // 2 if chain else 0
+        unit = integer_scale(f_coefficients(self.rs))[1] ** steps
+        for d in range(1, 2 * steps + 1 if chain else n + 1):
+            unit *= bound._lowerings(d)[1]
+        den = unit.denominator
+        need = (2 * int(den * scale * max(map(max, rows)))).bit_length()
+        if self._pack[0] < n or self._pack[1] < need:
+            t, s = max(self._pack[0], n), max(self._pack[1], need)
+            self._pack = t, s, VermaModule(self.rs, self.rep, 1 << s, 1 << s * (t + 1))
+        t, s, packed = self._pack
+        rows, scale = run(packed, n)
+        mult = den * scale
+        if mult.denominator != 1:
+            raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "
+                                     f"degree-{n} values times {den} are not integers")
+        return [[_unpack(v * mult.numerator, s, t + 1, den) for v in row]
+                for row in rows]
 
     def gram_direct(self, n: int):
         """The same Gram matrix assembled monomial by monomial from
@@ -172,12 +215,11 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        mat = self._layer(n)[0]
-        if self.symbolic:  # minors are polynomials: full rank at a point proves it
-            at = [[ParamPoly.coerce(v).eval2(*_CERT_POINT) for v in row] for row in mat]
-            if bareiss_rank(integer_scale(at)[0]) == len(mat):
-                return len(mat)
-        return bareiss_rank(mat)
+        if not self.symbolic:
+            return bareiss_rank(self._layer(n)[0])
+        # minors are polynomials: full rank at a point proves it
+        cert = VermaModule(self.rs, self.rep, *_CERT_POINT)._layer(n)[0]
+        return len(cert) if bareiss_rank(cert) == len(cert) else bareiss_rank(self.gram(n))
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple
@@ -246,6 +288,12 @@ class VermaModule:
                                   True, ep.m, tuple(dims), sum(dims))
         return ClassifyResult(self.rs.label, self.rep.label, self.k1, self.k2,
                               False, None, tuple(dims), None)
+
+
+class _NormBound(VermaModule):
+    """The recursions on |D| + |A| + |B| and |coef| at k = (1, 1): each entry
+    bounds the sum of the absolute coefficients of its symbolic entry."""
+    absolute = True
 
 
 class EPowerResult:

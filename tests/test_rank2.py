@@ -3,13 +3,14 @@ import random
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat
+from cherednik.scalars import QuadExt, Rat, rat
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,
                              kappa_factor, kappa_factor_at_critical,
-                             kappa_factor_conjectured, singular_reference,
+                             kappa_factor_conjectured,
                              very_singular)
+from cherednik.rootsystem import build_root_system
 from cherednik.verma import classify
 
 RNG = random.Random(707)
@@ -156,6 +157,26 @@ def test_standard_types_never_finite_in_table():
     assert not table["std"].finite and not table["std_tau"].finite
     table = finite_dim_table("A2", Rat(-1, 3), Rat(-1, 3))
     assert not table["std"].finite
+
+
+def singular_reference(label: str, k1, k2):
+    """Membership in the quoted singular-multiplicity lists (reference
+    data; None when the sampled shape is not covered by them)."""
+    k1, k2 = rat(k1), rat(k2)
+    if label == "G2":
+        def neg_half_odd(x):
+            t = -2 * x
+            return t.denominator == 1 and int(t) % 2 == 1 and t >= 1
+        if neg_half_odd(k1) or neg_half_odd(k2):
+            return True
+        s = 3 * (k1 + k2)
+        return s.denominator == 1 and s <= -1 and int(s) % 3 != 0
+    if label == "B2" and k1 != k2:
+        return None
+    degrees = build_root_system(label).degrees
+    if k1 >= 0 or k1.denominator == 1:
+        return False
+    return any((k1 * d).denominator == 1 for d in degrees)
 
 
 def test_singular_reference_sets():

@@ -8,7 +8,7 @@ from cherednik.rootsystem import build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
 from cherednik import verma
-from cherednik.linalg import bareiss_rank, integer_scale, mat_mul
+from cherednik.linalg import bareiss_rank, identity, integer_scale, mat_mul, vec_mat
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -100,6 +100,84 @@ def test_gram_recursion_equals_direct_assembly_symbolic():
                 assert got == want, (label, rep.label, n)
 
 
+def _parampoly_layers(vm, top):
+    """The Gram recursion over ParamPoly, on the lowerings of
+    LoweringParts.at: the symbolic layers as they were built before the
+    packing."""
+    d, rank = vm.rep.dim, vm.rs.rank
+    layers = [[[ParamPoly.coerce(v) for v in row] for row in identity(d)]]
+    for deg in range(1, top + 1):
+        prev, lows = layers[-1], [vm.lowering(j, deg) for j in range(rank)]
+        prod1 = mat_mul(prev, lows[0])
+        rows = []
+        for m in vm.layer_monomials(deg):
+            if m[0] > 0:
+                pidx = m[1] if rank == 2 else 0
+                rows.extend(prod1[pidx * d:(pidx + 1) * d])
+            else:
+                rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
+        layers.append([[ParamPoly.coerce(v) for v in row] for row in rows])
+    return layers
+
+
+def test_symbolic_layers_out_of_order():
+    # the packed point is chosen for the deepest degree asked so far; a
+    # shallower layer reuses it, a deeper one rebuilds it
+    for label, chi in (("B2", "triv"), ("A2", "std")):
+        vm = standard_module(label, chi, PP_K1, PP_K2)
+        want = _parampoly_layers(vm, 7)
+        for n, top in ((6, 6), (2, 6), (7, 7)):
+            assert vm.gram(n) == want[n], (label, chi, n)
+            assert vm._pack[0] == top
+
+
+def test_symbolic_gram_entries_are_parampoly():
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, PP_K1, PP_K2)
+            for n in range(4):
+                assert all(type(v) is ParamPoly for row in vm.gram(n) for v in row)
+            assert all(type(v) is ParamPoly for row in vm.f_chain(4) for v in row)
+
+
+def test_symbolic_negative_degree_raises():
+    vm = standard_module("G2", "std", PP_K1, PP_K2)
+    for call in (vm.gram, vm.layer_rank):
+        with pytest.raises(ValueError):
+            call(-1)
+
+
+def test_unpack_balanced_digits():
+    # B = 2^8: digits in [-128, 128), so +-127 are the extreme coefficients
+    s, stride, den = 8, 4, 6
+    coefs = {(0, 0): -1, (1, 0): 127, (3, 0): -127, (0, 1): 5, (2, 1): -127,
+             (0, 2): 1, (3, 3): -127}
+    v = sum(c << (s * (i + stride * j)) for (i, j), c in coefs.items())
+    want = ParamPoly({e: Rat(c, den) for e, c in coefs.items()})
+    assert verma._unpack(v, s, stride, den) == want
+    assert verma._unpack(0, s, stride, den) == ParamPoly()
+    assert verma._unpack(-v, s, stride, 1) == ParamPoly({e: -c for e, c in coefs.items()})
+
+
+def test_packing_rejects_fractional_values(monkeypatch):
+    # packed values carrying a denominator (a large prime) that D, read off the
+    # bound module, does not account for are caught before decoding
+    lowerings = VermaModule._lowerings
+
+    def off_scale(self, n):
+        lows, scale = lowerings(self, n)
+        return lows, scale / 1000003
+
+    monkeypatch.setattr(VermaModule, "_lowerings", off_scale)
+    monkeypatch.setattr(verma._NormBound, "_lowerings", lowerings)
+    vm = standard_module("B2", "triv", PP_K1, PP_K2)
+    with pytest.raises(InvariantViolation):
+        vm.gram(2)
+    with pytest.raises(InvariantViolation):
+        vm.f_chain(2)
+
+
 def test_gram_symbolic_matches_evaluation():
     rs = build_root_system("B2")
     rep = get_irrep(rs, "triv")
@@ -121,7 +199,7 @@ def test_symbolic_rank_certificate_matches_parampoly_bareiss():
         for rep in irreps(rs):
             vm = VermaModule(rs, rep, PP_K1, PP_K2)
             for n in range(3):
-                layer = vm._layer(n)[0]
+                layer = vm.gram(n)
                 want = bareiss_rank(layer)
                 assert vm.layer_rank(n) == want == len(layer), (label, rep.label, n)
 
@@ -132,7 +210,7 @@ def test_symbolic_rank_falls_back_below_full_rank(monkeypatch):
     point = (Rat(-1, 3), Rat(-1, 3))
     monkeypatch.setattr(verma, "_CERT_POINT", point)
     vm = standard_module("A2", "triv", PP_K1, PP_K2)
-    at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm._layer(1)[0]]
+    at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm.gram(1)]
     assert bareiss_rank(integer_scale(at)[0]) == 0
     assert vm.layer_rank(1) == 2
 
