@@ -10,7 +10,9 @@ metric transfers the parts D, A, B are rational, so each character caches
 them once as sparse integer matrices over one denominator (a sqrt(3) part
 raises InvariantViolation when they are built); a module at new couplings
 pays one integer combination per layer.  True QuadExt or ParamPoly
-matrices are combined from the same parts.
+matrices (lowering_matrix, along any direction) are combined from the maps
+of _assemble without the integer parts, so the cross-checks built on them
+also cover the integer conversion.
 """
 
 from __future__ import annotations
@@ -218,13 +220,6 @@ class LoweringParts:
         parts = [(idx, map(abs, vals)) for idx, vals in self.parts]
         return _combine(self.rows, self.cols, parts, (c, c, c), 0)
 
-    def at(self, k1, k2):
-        """The true matrix (D + k1*A + k2*B) / den: QuadExt entries at
-        rational couplings, ParamPoly ones at symbolic couplings."""
-        inv = QuadExt(Rat(1, self.den))
-        return _combine(self.rows, self.cols, self.parts,
-                        (inv, k1 * inv, k2 * inv), QZERO)
-
 
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
     """Matrix of the Dunkl operator in direction y on the degree-n layer
@@ -249,11 +244,6 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
         parts = rep._parts[(j, n)] = LoweringParts(
             *_assemble(rs, rep, b_direction(rs, j), n))
     return parts
-
-
-def b_lowering_matrix(rs: RootSystem, rep, j: int, n: int, k1, k2):
-    """lowering_matrix along b_direction(rs, j), from the parts cached on rep."""
-    return b_lowering_parts(rs, rep, j, n).at(k1, k2)
 
 
 # -- the sl2 triple -------------------------------------------------------------
@@ -299,8 +289,8 @@ def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
     to the degree-(n-2) layer: f_apply on the identity rows."""
     if n < 2:
         raise ValueError("the quadratic lowering operator needs degree >= 2")
-    low_m, low_n = ([b_lowering_matrix(rs, rep, j, d, k1, k2) for j in range(rs.rank)]
-                    for d in (n - 1, n))
+    low_m, low_n = ([lowering_matrix(rs, rep, b_direction(rs, j), d, k1, k2)
+                     for j in range(rs.rank)] for d in (n - 1, n))
     return f_apply(f_coefficients(rs), identity(len(low_m[0])), low_m, low_n)
 
 
@@ -407,22 +397,11 @@ def _frame_check(rs: RootSystem, triv):
 
 
 def _orthonormal_frame(rs: RootSystem):
-    """Gram-Schmidt frame for the invariant form, if it stays inside the
-    quadratic extension."""
-    g = rs.metric.gram
-    if rs.rank == 1:
-        s = _quad_sqrt(g[0][0])
-        return ((s.inv(),),) if s is not None else None
-    if g[0][1]:
-        b01 = g[0][1] / g[0][0]
-        u2 = (-b01, QuadExt(1))
-        u2_len = g[1][1] - g[0][1] * b01
-    else:
-        u2 = (QuadExt(0), QuadExt(1))
-        u2_len = g[1][1]
-    s1 = _quad_sqrt(g[0][0])
-    s2 = _quad_sqrt(u2_len)
-    if s1 is None or s2 is None:
+    """The frame of the invariant form along the coordinate axes of a rank-2
+    system: exact when the form is diagonal with square roots inside the
+    quadratic extension, None otherwise."""
+    (g00, g01), (_, g11) = rs.metric.gram
+    s1, s2 = _quad_sqrt(g00), _quad_sqrt(g11)
+    if g01 or s1 is None or s2 is None:
         return None
-    i1, i2 = s1.inv(), s2.inv()
-    return ((i1, QuadExt(0)), (u2[0] * i2, u2[1] * i2))
+    return ((s1.inv(), QZERO), (QZERO, s2.inv()))

@@ -30,22 +30,9 @@ def _exact_div(x, y):
 
 
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    assert inner == len(a[0])
-    bt = [[b[i][j] for i in range(inner)] for j in range(m)]
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x and y:
-                    p = x * y
-                    acc = p if acc is None else acc + p
-            orow.append(acc if acc is not None else row[0] - row[0])
-        out.append(orow)
-    return out
+    assert len(b) == len(a[0])
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def mat_add(a, b):

@@ -11,7 +11,6 @@ reverse, so ParamPoly arithmetic defers to MPoly for any other MPoly.
 
 from __future__ import annotations
 
-from math import comb
 from operator import add, sub
 
 from .errors import NonDivisibleError
@@ -95,18 +94,7 @@ class MPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = -c if s is None else s - c
-            if s:
-                t[e] = s
-            elif e in t:
-                del t[e]
-        return self._like(t)
+        return self + -other
 
     def __rsub__(self, other):
         return -self + other
@@ -310,21 +298,9 @@ class ParamPoly(MPoly):
 
     def eval2(self, v1, v2) -> QuadExt:
         """Evaluate at scalar values of the two slots."""
-        v1 = QuadExt.coerce(v1)
-        v2 = QuadExt.coerce(v2)
-        p1, p2 = {0: QONE}, {0: QONE}
-        out = QZERO
-        for (e1, e2), c in self.terms.items():
-            if e1 not in p1:
-                m = max(p1)
-                for j in range(m + 1, e1 + 1):
-                    p1[j] = p1[j - 1] * v1
-            if e2 not in p2:
-                m = max(p2)
-                for j in range(m + 1, e2 + 1):
-                    p2[j] = p2[j - 1] * v2
-            out = out + c * p1[e1] * p2[e2]
-        return out
+        v1, v2 = QuadExt.coerce(v1), QuadExt.coerce(v2)
+        return sum((c * v1 ** e1 * v2 ** e2 for (e1, e2), c in self.terms.items()),
+                   QZERO)
 
     def subst(self, q1: "ParamPoly", q2: "ParamPoly") -> "ParamPoly":
         """Compose: substitute polynomials for the two slots."""
@@ -348,62 +324,23 @@ def monomials(nvars: int, degree: int) -> list[tuple]:
     return [(degree - i, i) for i in range(degree + 1)]
 
 
-def _linform_pow(col, n: int):
-    """Expansion of (col[0]*x1 + col[1]*x2)^n  (or col[0]*x1 for 1 var)."""
-    if len(col) == 1:
-        return {(n,): col[0] ** n}
-    a, b = col
-    out = {}
-    if not b:
-        out[(n, 0)] = a ** n
-        return out
-    if not a:
-        out[(0, n)] = b ** n
-        return out
-    ai = QONE
-    bpow = [QONE]
-    for _ in range(n):
-        bpow.append(bpow[-1] * b)
-    for i in range(n + 1):
-        out[(i, n - i)] = comb(n, i) * ai * bpow[n - i]
-        ai = ai * a
-    return out
-
-
 def weyl_act(mat, p: MPoly) -> MPoly:
     """Substitute x_j -> sum_i mat[i][j] * x_i (the group action on P).
 
     mat is the matrix of the group element on the span of the x_i, its
     columns giving the images of the generators.  This is an algebra map,
-    so it is computed monomial by monomial from powers of linear forms.
+    so each monomial goes to the product of powers of the column forms;
+    the powers are kept for the length of one call.
     """
     nv = p.nvars
-    cols = [tuple(mat[i][j] for i in range(nv)) for j in range(nv)]
-    out = {}
+    forms = [MPoly.from_linear([mat[i][j] for i in range(nv)]) for j in range(nv)]
+    powers = [[MPoly(nv, {(0,) * nv: QONE})] for _ in forms]  # [j][e]: form j ** e
+    out = MPoly.zero(nv)
     for e, c in p.terms.items():
-        img = {(0,) * nv: QONE}
-        for j, ej in enumerate(e):
-            if not ej:
-                continue
-            pw = _linform_pow(cols[j], ej)
-            nxt = {}
-            for e1, c1 in img.items():
-                for e2, c2 in pw.items():
-                    f = tuple(a + b for a, b in zip(e1, e2))
-                    pr = c1 * c2
-                    s = nxt.get(f)
-                    s = pr if s is None else s + pr
-                    if s:
-                        nxt[f] = s
-                    elif f in nxt:
-                        del nxt[f]
-            img = nxt
-        for f, q in img.items():
-            s = out.get(f)
-            v = c * q
-            s = v if s is None else s + v
-            if s:
-                out[f] = s
-            elif f in out:
-                del out[f]
-    return MPoly(nv, out)
+        img = None
+        for form, pw, ej in zip(forms, powers, e):
+            while len(pw) <= ej:
+                pw.append(pw[-1] * form)
+            img = pw[ej] if img is None else img * pw[ej]
+        out = out + img * c
+    return out

@@ -165,30 +165,21 @@ class RootSystem:
             self.reflection_element.append(index[m])
 
     def _build_orbits(self):
+        """Group the positive roots into W-orbits: the orbit of a root is
+        its image set under the group, each image read up to sign."""
         pos = self.positive_roots
         key = {}
         for i, a in enumerate(pos):
             key[a] = i
             key[tuple(-c for c in a)] = i
-        adj = [set() for _ in pos]
-        for i, a in enumerate(pos):
-            for m in self.elements:
-                j = key.get(tuple(mat_vec(m, a)))
-                if j is None:
-                    raise InvariantViolation("group does not permute the roots")
-                adj[i].add(j)
         orbit_id = [-1] * len(pos)
         orbits = []
-        for i in range(len(pos)):
+        for i, a in enumerate(pos):
             if orbit_id[i] >= 0:
                 continue
-            stack, members = [i], set()
-            while stack:
-                v = stack.pop()
-                if v in members:
-                    continue
-                members.add(v)
-                stack.extend(adj[v] - members)
+            members = {key.get(tuple(mat_vec(m, a))) for m in self.elements}
+            if None in members:
+                raise InvariantViolation("group does not permute the roots")
             for v in members:
                 orbit_id[v] = len(orbits)
             orbits.append(sorted(members))
@@ -230,10 +221,7 @@ class RootSystem:
         e = MPoly.zero(n)
         for i in range(n):
             for j in range(n):
-                if ginv[i][j]:
-                    e = e + MPoly(n, {tuple(
-                        (1 if l == i else 0) + (1 if l == j else 0) for l in range(n)
-                    ): HALF * ginv[i][j]})
+                e = e + MPoly.var(i, n) * MPoly.var(j, n) * (HALF * ginv[i][j])
         self.e_poly = e
         gens = [e]
         if self.label == "A2":

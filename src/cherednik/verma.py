@@ -36,8 +36,8 @@ from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, vec_mat)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_lowering_matrix, b_lowering_parts, f_apply,
-                    f_coefficients, lowest_weight_scalar, sl2_calibration)
+from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
+                    lowering_matrix, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(3, 7), Rat(-5, 11))  # where symbolic layers are ranked first
@@ -78,6 +78,7 @@ class VermaModule:
         self._low = {}
         self._gram = {}
         self._norms = None  # symbolic: the _NormBound module
+        self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._pack = -1, 0, None  # symbolic: t, s and the module at (2^s, 2^(s(t+1)))
 
     # -- layers and cached operators -------------------------------------------
@@ -86,7 +87,8 @@ class VermaModule:
 
     def lowering(self, j: int, n: int):
         """Dunkl operator along the metric transfer of x_j, degree n -> n-1."""
-        return b_lowering_matrix(self.rs, self.rep, j, n, self.k1, self.k2)
+        return lowering_matrix(self.rs, self.rep, b_direction(self.rs, j), n,
+                               self.k1, self.k2)
 
     def _lowerings(self, n: int):
         """The degree-n lowerings along every transfer as int matrices, and
@@ -218,7 +220,8 @@ class VermaModule:
         if not self.symbolic:
             return bareiss_rank(self._layer(n)[0])
         # minors are polynomials: full rank at a point proves it
-        cert = VermaModule(self.rs, self.rep, *_CERT_POINT)._layer(n)[0]
+        self._cert = self._cert or VermaModule(self.rs, self.rep, *_CERT_POINT)
+        cert = self._cert._layer(n)[0]
         return len(cert) if bareiss_rank(cert) == len(cert) else bareiss_rank(self.gram(n))
 
     def graded_dims(self, max_degree: int):

@@ -24,7 +24,7 @@ class Irrep:
         self.label = label
         self.matrices = matrices
         self.dim = len(matrices[0])
-        self._parts = {}  # (j, n) -> dunkl.LoweringParts of b_lowering_matrix
+        self._parts = {}  # (j, n) -> dunkl.LoweringParts of b_lowering_parts
         self.character = [_trace(m) for m in matrices]
         self.refl_char = []
         for orbit in (0, 1):

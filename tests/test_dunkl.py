@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -6,13 +7,14 @@ from cherednik.errors import InvariantViolation
 from cherednik.scalars import QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
-from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
+from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, get_irrep, irreps
-from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_matrix,
-                             b_lowering_parts, dunkl_apply, e_mult_matrix,
+from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_parts,
+                             dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, quotient_matrix,
                              reflection_sum_scalar, sl2_calibration)
+from cherednik.dunkl import _frame_check, _orthonormal_frame
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
@@ -172,7 +174,7 @@ def test_lowering_matrix_matches_direct_action():
             for k1, k2 in ((rand_k(), rand_k()), (PP_K1, PP_K2)):
                 for n in (1, 2, 3):
                     for j in range(rs.rank):
-                        mat = b_lowering_matrix(rs, rep, j, n, k1, k2)
+                        mat = lowering_matrix(rs, rep, b_direction(rs, j), n, k1, k2)
                         for b, mono in enumerate(monomials(rs.rank, n)):
                             p = MPoly(rs.rank, {mono: Rat(1)})
                             for t in range(d):
@@ -197,7 +199,7 @@ def test_lowering_matrix_matches_direct_action():
                         assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
         triv = get_irrep(rs, "triv")
         k1, k2 = rand_k(), rand_k()
-        mat = b_lowering_matrix(rs, triv, 0, 2, k1, k2)
+        mat = lowering_matrix(rs, triv, b_direction(rs, 0), 2, k1, k2)
         for mono in monomials(rs.rank, 2):
             p = MPoly(rs.rank, {mono: Rat(1)})
             got = coords_poly(mat_vec(mat, poly_coords(p, 2, rs.rank)), 1, rs.rank)
@@ -243,8 +245,9 @@ def test_numeric_lowering_is_symbolic_evaluated():
             k1, k2 = rand_k(), rand_k()
             for n in range(1, 5):
                 for j in range(rs.rank):
-                    num = b_lowering_matrix(rs, rep, j, n, k1, k2)
-                    sym = b_lowering_matrix(rs, rep, j, n, PP_K1, PP_K2)
+                    y = b_direction(rs, j)
+                    num = lowering_matrix(rs, rep, y, n, k1, k2)
+                    sym = lowering_matrix(rs, rep, y, n, PP_K1, PP_K2)
                     assert num == [[ParamPoly.coerce(e).eval2(k1, k2) for e in row]
                                    for row in sym]
 
@@ -254,18 +257,27 @@ def test_hand_built_irrep_gets_its_own_parts():
     rs = build_root_system("G2")
     std, std_tau = get_irrep(rs, "std"), get_irrep(rs, "std_tau")
     impostor = Irrep(rs, "std", std_tau.matrices)
-    k1, k2 = Rat(1, 3), Rat(-2, 5)
     for n in (1, 2, 3):
         for j in range(rs.rank):
-            b_lowering_matrix(rs, std, j, n, k1, k2)  # fill the stock cache first
-            got = b_lowering_matrix(rs, impostor, j, n, k1, k2)
-            assert got == b_lowering_matrix(rs, std_tau, j, n, k1, k2)
-            assert got != b_lowering_matrix(rs, std, j, n, k1, k2)
+            b_lowering_parts(rs, std, j, n)  # fill the stock cache first
+            got = b_lowering_parts(rs, impostor, j, n).parts
+            assert got == b_lowering_parts(rs, std_tau, j, n).parts
+            assert got != b_lowering_parts(rs, std, j, n).parts
 
 
 def test_sl2_calibration_all_types():
     for label in TYPES:
         sl2_calibration(build_root_system(label))  # raises on failure
+
+
+def test_frame_check_rejects_a_non_diagonal_metric():
+    # the frame is exact along the coordinate axes only; a metric with an
+    # off-diagonal entry (here one with an exact Gram-Schmidt frame) has none
+    rs = copy.copy(build_root_system("A2"))
+    rs.metric = Metric(((QuadExt(12), QuadExt(6)), (QuadExt(6), QuadExt(12))))
+    assert _orthonormal_frame(rs) is None
+    with pytest.raises(InvariantViolation, match="no exact orthonormal frame"):
+        _frame_check(rs, get_irrep(rs, "triv"))
 
 
 def test_commutator_ef_is_graded_scalar():

@@ -3,7 +3,7 @@ import random
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat
 from cherednik.linalg import identity, mat_inv, mat_mul, mat_vec, transpose
-from cherednik.polynomials import weyl_act
+from cherednik.polynomials import MPoly, weyl_act
 from cherednik.rootsystem import build_root_system, hbar_poly
 
 RNG = random.Random(303)
@@ -135,6 +135,38 @@ def test_invariant_generators():
         for g in rs.invariant_gens:
             for m in rs.elements:
                 assert weyl_act(m, g) == g
+
+
+def _rand_param_poly(nv):
+    """A random polynomial in x of degree <= 8 with ParamPoly coefficients."""
+    terms = {}
+    for _ in range(10):
+        e = tuple(RNG.randint(0, 8) for _ in range(nv))
+        if sum(e) <= 8:
+            terms[e] = ParamPoly({(RNG.randint(0, 2), RNG.randint(0, 2)):
+                                  QuadExt(Rat(RNG.randint(-5, 5), RNG.randint(1, 3)),
+                                          Rat(RNG.randint(-2, 2))),
+                                  (0, 0): QuadExt(Rat(RNG.randint(1, 4)))})
+    return MPoly(nv, terms)
+
+
+def test_weyl_act_on_parampoly_coefficients():
+    for label in ORDERS:
+        rs = build_root_system(label)
+        nv = rs.rank
+        ident = tuple(tuple(QuadExt(int(i == j)) for j in range(nv)) for i in range(nv))
+        minus = tuple(tuple(-v for v in row) for row in ident)
+        assert ident in rs.elements
+        assert (minus in rs.elements) == (label != "A2")
+        for _ in range(4):
+            p = _rand_param_poly(nv)
+            assert weyl_act(ident, p) == p
+            for w in rs.reflection_element:
+                assert weyl_act(rs.elements[w], weyl_act(rs.elements[w], p)) == p
+            if minus in rs.elements:
+                # -I scales the degree-d part by (-1)^d
+                want = MPoly(nv, {e: -c if sum(e) % 2 else c for e, c in p.terms.items()})
+                assert weyl_act(minus, p) == want
 
 
 def test_hbar_polys():

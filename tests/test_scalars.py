@@ -1,5 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
+import cherednik
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
@@ -78,6 +81,13 @@ def test_parampoly_eval_and_subst():
     assert p.eval2(Rat(2), Rat(1, 3)) == QuadExt(4)
     s = p.subst(PP_K2, PP_K1)  # swap the slots
     assert s.eval2(Rat(1, 3), Rat(2)) == QuadExt(4)
+    # at points with a sqrt(3) part, against the constant term of subst
+    for _ in range(10):
+        p = ParamPoly({(a, b): rand_quad() for a in range(9) for b in range(9 - a)
+                       if RNG.random() < 0.2})
+        v1, v2 = rand_quad(), QuadExt(Rat(RNG.randint(-3, 3)), Rat(RNG.randint(1, 3)))
+        want = p.subst(ParamPoly.const(v1), ParamPoly.const(v2)).coefficient(0, 0)
+        assert p.eval2(v1, v2) == want
 
 
 def test_parampoly_divexact_roundtrip():
@@ -107,3 +117,32 @@ def test_parampoly_constant_queries():
     assert is_constant(c) and c.coefficient(0, 0) == QuadExt(Rat(5, 2))
     assert not is_constant(PP_K1)
     assert is_constant(ParamPoly()) and ParamPoly().coefficient(0, 0) == 0  # zero
+
+
+_INTEGER_MATH = {"lcm", "gcd", "isqrt", "factorial", "comb"}
+
+
+def test_package_source_has_no_floats():
+    # the package computes over Q(sqrt(3)) only: no float or complex
+    # literal, no float()/complex() call, and from math only its integer
+    # functions
+    bad = []
+    for path in sorted(Path(cherednik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        math_names = {a.asname or a.name for node in ast.walk(tree)
+                      if isinstance(node, ast.Import)
+                      for a in node.names if a.name == "math"}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                bad.append(f"{where}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex")):
+                bad.append(f"{where}: call to {node.func.id}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in math_names and node.attr not in _INTEGER_MATH):
+                bad.append(f"{where}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                bad.extend(f"{where}: from math import {a.name}" for a in node.names
+                           if a.name not in _INTEGER_MATH)
+    assert not bad, bad

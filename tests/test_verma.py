@@ -88,8 +88,9 @@ def test_gram_recursion_equals_direct_assembly():
 
 
 def test_gram_recursion_equals_direct_assembly_symbolic():
-    # gram_direct composes the ParamPoly lowerings of LoweringParts.at, so it
-    # shares no Gram arithmetic with the recursion at symbolic couplings
+    # gram_direct composes the ParamPoly lowerings of lowering_matrix, so it
+    # shares neither the integer parts nor the Gram arithmetic of the
+    # recursion at symbolic couplings
     for label in TYPES:
         rs = build_root_system(label)
         for rep in irreps(rs):
@@ -102,7 +103,7 @@ def test_gram_recursion_equals_direct_assembly_symbolic():
 
 def _parampoly_layers(vm, top):
     """The Gram recursion over ParamPoly, on the lowerings of
-    LoweringParts.at: the symbolic layers as they were built before the
+    lowering_matrix: the symbolic layers as they were built before the
     packing."""
     d, rank = vm.rep.dim, vm.rs.rank
     layers = [[[ParamPoly.coerce(v) for v in row] for row in identity(d)]]
@@ -213,6 +214,21 @@ def test_symbolic_rank_falls_back_below_full_rank(monkeypatch):
     at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm.gram(1)]
     assert bareiss_rank(integer_scale(at)[0]) == 0
     assert vm.layer_rank(1) == 2
+
+
+def test_symbolic_certificate_module_is_built_once(monkeypatch):
+    built = []
+    init = VermaModule.__init__
+
+    def counting_init(self, rs, rep, k1, k2):
+        if (k1, k2) == verma._CERT_POINT:
+            built.append(self)
+        init(self, rs, rep, k1, k2)
+
+    monkeypatch.setattr(VermaModule, "__init__", counting_init)
+    vm = standard_module("G2", "std", PP_K1, PP_K2)
+    assert vm.graded_dims(6) == [(n + 1) * vm.rep.dim for n in range(7)]
+    assert len(built) == 1
 
 
 def test_a1_dimension_law():
