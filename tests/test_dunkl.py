@@ -8,7 +8,7 @@ from cherednik.scalars import QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
-from cherednik.wrep import Irrep, get_irrep, irreps
+from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
 from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
@@ -231,6 +231,32 @@ def test_lowering_parts_split_by_orbit():
                                for c, v in enumerate(row) if r % d != c % d)
                     if not rs.orbit_counts[1]:
                         assert not any(v for row in bm for v in row)
+
+
+def test_cold_lowering_parts_match_direct_action():
+    # a fresh root system and fresh irreps: every quotient and part of the
+    # degree-7 layer is built from nothing, then checked against the
+    # polynomial-side operator at a random rational point
+    n = 7
+    for label in TYPES:
+        rs = RootSystem(label)
+        for rep in _build_irreps(rs):
+            d = rep.dim
+            k1, k2 = rand_k(), rand_k()
+            for j in range(rs.rank):
+                parts = b_lowering_parts(rs, rep, j, n)
+                flat = [Rat(0)] * (parts.rows * parts.cols)
+                for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
+                    for i, v in zip(idx, vals):
+                        flat[i] += c * Rat(v, parts.den)
+                y = b_direction(rs, j)
+                for b, mono in enumerate(monomials(rs.rank, n)):
+                    p = MPoly(rs.rank, {mono: Rat(1)})
+                    for t in range(d):
+                        want = direct_action(rs, rep, y, p, t, k1, k2)
+                        col = flat[b * d + t::parts.cols]
+                        for s in range(d):
+                            assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
 
 
 def test_lowering_parts_reject_sqrt3_part():
