@@ -4,24 +4,31 @@ operator, grading element).
 
 The reflection difference quotients do not depend on the character or on
 the couplings, so they are cached on the root system, each degree raised
-from the one below.  A lowering matrix is affine in the couplings,
-L = D + k1*A + k2*B (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  Along the
-metric transfers the parts D, A, B are rational, so each character caches
-them once as sparse integer matrices over one denominator (a sqrt(3) part
-raises InvariantViolation when they are built); a module at new couplings
-pays one integer combination per layer.  True QuadExt or ParamPoly
-matrices (lowering_matrix, along any direction) are combined from the maps
-of _assemble without the integer parts, so the cross-checks built on them
-also cover the integer conversion.
+from the one below.  They are raised in the working coordinates v = S x of
+the root system (see rootsystem), where every root and coroot is rational,
+as integer columns over one denominator.  A lowering matrix is affine in
+the couplings, L = D + k1*A + k2*B (Dunkl-de Jeu-Opdam, Trans. AMS 346,
+1994).  _assemble builds D, A and B in the v-coordinates on ints, each
+weight split into a rational and a sqrt(3) piece; a cell reaches the public
+basis through one power of sqrt(3).  Along the metric transfers every
+nonzero cell lands on an even power, so each character caches the parts
+once as sparse integer matrices over one denominator (an odd power raises
+InvariantViolation when they are built); a module at new couplings pays
+one integer combination per layer.  True QuadExt or ParamPoly matrices
+(lowering_matrix, along any direction) finish the same assembly in QuadExt
+without the integer parts, so the cross-checks built on them also cover the
+integer conversion.  dunkl_apply acts on polynomials through
+MPoly.divexact and weyl_act and shares none of this.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain
 
 from .errors import InvariantViolation
-from .scalars import QZERO, QuadExt, Rat
+from .scalars import QZERO, SQRT3, QuadExt, Rat
 from .linalg import (dot, identity, kron_identity, mat_add, mat_mul,
                      mat_vec, transpose)
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
@@ -44,16 +51,36 @@ def poly_coords(p: MPoly, degree: int, nvars: int):
 
 def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
     """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
-    positive root (a reflection difference quotient)."""
-    return transpose(_quotient_columns(rs, root_idx, n))
+    positive root (a reflection difference quotient): the integer columns
+    of _quotient_columns taken to the public basis."""
+    den, cols = _quotient_columns(rs, root_idx, n)
+    hr, hc = _sqrt3_powers(rs, n - 1), _sqrt3_powers(rs, n)
+    return [[_to_public(Rat(col[a], den), h - hc[b]) for b, col in enumerate(cols)]
+            for a, h in enumerate(hr)]
+
+
+def _sqrt3_powers(rs: RootSystem, n: int, d: int = 1):
+    """h(m) = sum_i e_i m_i for each monomial m of degree n, each repeated d
+    times (one per basis vector of a d-dimensional rep): x^m = sqrt(3)^(-h(m))
+    v^m, so a v-basis matrix entry (r, c) is sqrt(3)^(h(r) - h(c)) times the
+    public one's."""
+    return [dot(rs.sqrt3_exp, m) for m in monomials(rs.rank, n) for _ in range(d)]
+
+
+def _to_public(q, k: int) -> QuadExt:
+    """The rational q times sqrt(3)^k."""
+    x = q * Rat(3) ** (k // 2)
+    return QuadExt(0, x) if k % 2 else QuadExt(x)
 
 
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
-    """Columns of the difference quotient Q on the degree-n layer, one per
-    source monomial, raised from Q one degree down: the reflection sends
-    x_v to x_v - c_v alpha (c the coroot), so
+    """The difference quotient Q on the degree-n layer in the working
+    coordinates v of the root system, where the root alpha and its coroot c
+    are rational: (den, columns), one integer column per source monomial,
+    all over den.  Each degree is raised from Q one degree down: the
+    reflection sends v_u to v_u - c_u alpha, so
 
-        Q(x_v p) = x_v Q(p) + c_v (p - alpha Q(p)).
+        Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)).
 
     Every degree is cached; a degree above the cached ones is raised from
     the highest of them, or from Q = 0 on degree 0.
@@ -63,40 +90,39 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     while deg > 0 and (root_idx, deg) not in cache:
         deg -= 1
     nv = rs.rank
-    q_cols = cache[(root_idx, deg)] if deg else [[QZERO] * len(monomials(nv, -1))]
-    alpha, coroot = rs.positive_roots[root_idx], rs.coroots[root_idx]
-    # -c_v alpha_u, the coefficient of x_u Q(p) in Q(x_v p)
-    lin = [[(u, -(c * a)) for u, a in enumerate(alpha) if a] if c else []
+    den, q_cols = cache[(root_idx, deg)] if deg else (1, [[0] * len(monomials(nv, -1))])
+    alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
+    # one degree up multiplies the denominator by step
+    step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
+    co = [int(c * step) for c in coroot]
+    # -c_u alpha_w step, the coefficient of v_w Q(p) in Q(v_u p) step
+    lin = [[(w, int(-c * a * step)) for w, a in enumerate(alpha) if a] if c else []
            for c in coroot]
     while deg < n:
         deg += 1
-        q_cols = cache[(root_idx, deg)] = _raise_quotient(
-            nv, deg, q_cols, coroot, lin, rs._pool)
-    return q_cols
+        den, q_cols = cache[(root_idx, deg)] = _raise_quotient(
+            nv, deg, den, q_cols, step, co, lin)
+    return den, q_cols
 
 
-def _raise_quotient(nv, deg, q_prev, coroot, lin, pool):
-    """Q on the degree-deg layer from its columns one degree down, with
-    its values interned in pool.  In the order of `monomials`, x_v times
-    the i-th monomial of one degree is the (i + v)-th monomial of the
-    next."""
+def _raise_quotient(nv, deg, den, q_prev, step, coroot, lin):
+    """(den * step, columns) of Q on the degree-deg layer from (den,
+    columns) one degree down.  In the order of `monomials`, v_u times the
+    i-th monomial of one degree is the (i + u)-th monomial of the next."""
     size = len(monomials(nv, deg - 1))
     cols = []
     for c, m in enumerate(monomials(nv, deg)):
-        v = 0 if m[0] else 1  # m = x_v times monomial c - v one degree down
-        q = q_prev[c - v]
-        col = [QZERO] * size
-        if coroot[v]:
-            col[c - v] = coroot[v]
-        for u, w in lin[v]:
-            for t, x in enumerate(q, u):
-                if x:
-                    col[t] = col[t] + w * x
-        for t, x in enumerate(q, v):
-            if x:
-                col[t] = col[t] + x
-        cols.append([pool.setdefault(x, x) if x else QZERO for x in col])
-    return cols
+        u = 0 if m[0] else 1  # m = v_u times monomial c - u one degree down
+        q = q_prev[c - u]
+        col = [0] * size
+        col[c - u] = coroot[u] * den
+        for w, x in lin[u]:
+            for t, qv in enumerate(q, w):
+                col[t] += x * qv
+        for t, qv in enumerate(q, u):
+            col[t] += step * qv
+        cols.append(col)
+    return den * step, cols
 
 
 def mult_matrix(rs: RootSystem, q: MPoly, n: int):
@@ -134,37 +160,63 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
     return out
 
 
+def _split(w: QuadExt):
+    """The nonzero pieces (sigma, w_sigma) of w = w_0 + w_1 sqrt(3)."""
+    return [(sg, v) for sg, v in enumerate((w.a, w.b)) if v]
+
+
 def _assemble(rs: RootSystem, rep, y, n: int):
     """The Dunkl operator in direction y on the degree-n layer of the
-    standard module of rep, split into D = d_y (x) 1 and the orbit sums
-    A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the short and the long
-    positive roots: (rows, cols, (D, A, B)), each part a {row-major cell
-    index: value} map."""
+    standard module of rep, in the working coordinates: D = d_y (x) 1 and
+    the orbit sums A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the
+    short and the long positive roots.
+
+    Each weight (y_i s_i for D, since d/dx_i = s_i d/dv_i, and
+    <alpha, y> rep(s_alpha)[s][t] for A and B) is split as
+    w_0 + w_1 sqrt(3), so each part P is a pair of integer matrices P_0, P_1
+    over one denominator den, and its public cell (r, c) is
+    sum_sigma P_sigma[r][c] / den * sqrt(3)^(h(r) - h(c) + sigma), h from
+    _sqrt3_powers.  Returns (rows, cols, den, cells): per part, its nonzero
+    entries as (row-major cell index, value, power of sqrt(3)).
+    """
     nv, d = rs.rank, rep.dim
-    rows, cols = len(monomials(nv, n - 1)) * d, len(monomials(nv, n)) * d
-    parts = ({}, {}, {})
-    # d/dx_i sends monomial b to m_i times monomial b - i
-    for b, m in enumerate(monomials(nv, n)):
-        for i in range(nv):
-            if y[i] and m[i]:
-                v = y[i] * m[i]
-                for s in range(d):
-                    parts[0][((b - i) * d + s) * cols + b * d + s] = v
+    mono = monomials(nv, n)
+    rows, cols = len(monomials(nv, n - 1)) * d, len(mono) * d
+    size = rows * cols
+    dw = [(i, sg, v) for i in range(nv)
+          for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])]
+    roots = []  # ((den, columns) of Q_alpha, [(flat offset, weight piece)])
     for ridx in range(rs.num_positive):
         ay = dot(rs.positive_roots[ridx], y)
-        if not ay:
-            continue
-        part = parts[1 + rs.orbit_of[ridx]]
-        rm = rep.matrix(rs.reflection_element[ridx])
-        weights = [(s * cols + t, ay * rm[s][t])
-                   for s in range(d) for t in range(d) if rm[s][t]]
-        for b, qcol in enumerate(_quotient_columns(rs, ridx, n)):
+        if ay:
+            base = (2 + 2 * rs.orbit_of[ridx]) * size
+            rm = rep.matrix(rs.reflection_element[ridx])
+            ws = [(base + sg * size + s * cols + t, v) for s in range(d)
+                  for t in range(d) for sg, v in _split(ay * rm[s][t])]
+            roots.append((_quotient_columns(rs, ridx, n), ws))
+    den = math.lcm(*(v.denominator for _, _, v in dw),
+                   *(qden * v.denominator for (qden, _), ws in roots for _, v in ws))
+    flat = [0] * (6 * size)
+    # d/dv_i sends monomial b to m_i times monomial b - i
+    for i, sg, v in dw:
+        w = v.numerator * (den // v.denominator)
+        for b, m in enumerate(mono):
+            if m[i]:
+                for s in range(d):
+                    flat[sg * size + ((b - i) * d + s) * cols + b * d + s] = w * m[i]
+    for (qden, qcols), ws in roots:
+        wi = [(off, v.numerator * (den // (qden * v.denominator))) for off, v in ws]
+        for b, qcol in enumerate(qcols):
             for a, qv in enumerate(qcol):
                 if qv:
-                    for off, w in weights:
-                        idx = a * d * cols + b * d + off
-                        part[idx] = part[idx] + qv * w if idx in part else qv * w
-    return rows, cols, parts
+                    cell = a * d * cols + b * d
+                    for off, w in wi:
+                        flat[cell + off] += qv * w
+    hr, hc = _sqrt3_powers(rs, n - 1, d), _sqrt3_powers(rs, n, d)
+    return rows, cols, den, [
+        [(i, v, hr[i // cols] - hc[i % cols] + sg) for sg in (0, 1)
+         for i, v in enumerate(flat[(2 * p + sg) * size:(2 * p + sg + 1) * size]) if v]
+        for p in range(3)]
 
 
 def _combine(rows, cols, parts, coefs, zero):
@@ -182,33 +234,12 @@ class LoweringParts:
     """The coupling-free parts of one Dunkl lowering on one layer,
     L = (D + k1*A + k2*B) / den, where D, A, B are sparse integer matrices
     over one shared denominator; each part is stored as its row-major cell
-    indices and its values.
-
-    Built from the {cell: value} maps of `_assemble`; a value with a
-    sqrt(3) part has no integer form and raises InvariantViolation, so the
-    check runs once per part set, for every coupling at once.
-    """
+    indices and its values.  Built by _integer_parts."""
 
     __slots__ = ("rows", "cols", "den", "parts")
 
-    def __init__(self, rows: int, cols: int, parts):
-        self.rows, self.cols = rows, cols
-        rational = []
-        for part in parts:
-            rp = {}
-            for i, v in sorted(part.items()):
-                if v.b:
-                    raise InvariantViolation(
-                        f"lowering part value {v} has a sqrt(3) part: no integer form")
-                if v.a:
-                    rp[i] = v.a
-            rational.append(rp)
-        den = math.lcm(*(v.denominator for rp in rational for v in rp.values()))
-        self.den = den
-        self.parts = tuple(
-            (array("I", rp), tuple(v.numerator * (den // v.denominator)
-                                   for v in rp.values()))
-            for rp in rational)
+    def __init__(self, rows: int, cols: int, den: int, parts):
+        self.rows, self.cols, self.den, self.parts = rows, cols, den, parts
 
     def ints(self, c0: int, c1: int, c2: int):
         """The dense integer matrix c0*D + c1*A + c2*B."""
@@ -221,14 +252,41 @@ class LoweringParts:
         return _combine(self.rows, self.cols, parts, (c, c, c), 0)
 
 
+def _integer_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
+    """The parts of _assemble in the public basis over the least common
+    denominator.  A nonzero entry with an odd power of sqrt(3) has no
+    integer form and raises InvariantViolation, so the check runs once per
+    part set, for every coupling at once."""
+    rows, cols, den, parts = _assemble(rs, rep, y, n)
+    for i, _, k in chain.from_iterable(parts):
+        if k % 2:
+            raise InvariantViolation(
+                f"lowering part cell {i} has a sqrt(3) part: no integer form")
+    # value * 3^(k/2) / den, over den * 3^shift
+    shift = max([0] + [-k // 2 for _, _, k in chain.from_iterable(parts)])
+    ints = [sorted((i, v * 3 ** (k // 2 + shift)) for i, v, k in cells)
+            for cells in parts]
+    den *= 3 ** shift
+    g = math.gcd(den, *(v for _, v in chain.from_iterable(ints)))
+    return LoweringParts(rows, cols, den // g, tuple(
+        (array("I", (i for i, _ in cells)), tuple(v // g for _, v in cells))
+        for cells in ints))
+
+
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
     """Matrix of the Dunkl operator in direction y on the degree-n layer
     of the standard module with lowest-weight representation rep.  Any
     direction is allowed, so values may carry sqrt(3): the parts of
-    `_assemble` are combined exactly, without the integer form."""
-    rows, cols, parts = _assemble(rs, rep, y, n)
-    return _combine(rows, cols, [(p.keys(), p.values()) for p in parts],
-                    (1, k1, k2), QZERO)
+    `_assemble` are taken to the public basis in QuadExt, without the
+    integer form."""
+    rows, cols, den, cells_by_part = _assemble(rs, rep, y, n)
+    parts = []
+    for cells in cells_by_part:
+        vals = {}
+        for i, v, k in cells:
+            vals[i] = vals.get(i, QZERO) + _to_public(Rat(v, den), k)
+        parts.append((vals.keys(), vals.values()))
+    return _combine(rows, cols, parts, (1, k1, k2), QZERO)
 
 
 def b_direction(rs: RootSystem, j: int):
@@ -241,8 +299,7 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
     degree-n layer, cached on rep."""
     parts = rep._parts.get((j, n))
     if parts is None:
-        parts = rep._parts[(j, n)] = LoweringParts(
-            *_assemble(rs, rep, b_direction(rs, j), n))
+        parts = rep._parts[(j, n)] = _integer_parts(rs, rep, b_direction(rs, j), n)
     return parts
 
 

@@ -6,6 +6,14 @@ hexagonal types, integer coordinates for the hyperoctahedral one.  Vectors
 in the dual space a* are coefficient tuples on the coordinate functions
 x1..xn; vectors in a are tuples on the dual basis, so the natural pairing
 <y, x> is the coordinate dot product.
+
+The operator layer works in the coordinates v = S x, S = diag(sqrt(3)^e_i),
+where e_i = 1 exactly when some root has a sqrt(3) i-th coordinate (the
+second coordinate of A2 and G2; none for A1 and B2).  There every root
+alpha' = S^-1 alpha and coroot c' = S c is rational, which construction
+checks: the A2 root (-1/2, sqrt(3)/2) becomes (-1/2, 1/2) and its coroot
+(-1, sqrt(3)) becomes (-1, 3).  The monomial bases differ by a diagonal,
+x^m = sqrt(3)^(-sum e_i m_i) v^m.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from .errors import InvariantViolation
 from .linalg import (dot, freeze, identity, is_symmetric, mat_inv, mat_mul,
                      mat_vec, transpose)
 from .polynomials import MPoly, PP_K1, PP_K2, ParamPoly, weyl_act
-from .scalars import HALF, QONE, QuadExt, Rat
+from .scalars import HALF, QONE, SQRT3, QuadExt, Rat
 
 LABELS = ("A1", "A2", "B2", "G2")
 
@@ -73,11 +81,11 @@ class RootSystem:
         self._build_orbits()
         self._build_metric()
         self._build_invariants()
+        self._build_working_coordinates()
         self._check()
-        # caches shared by the operator layer: the difference-quotient
-        # columns per (root, degree), and the pool that interns their values
+        # the integer difference-quotient columns per (root, degree), shared
+        # by the operator layer
         self._quot_cache = {}
-        self._pool = {}
         self._sl2_checked = False
 
     # -- construction ---------------------------------------------------------
@@ -232,6 +240,21 @@ class RootSystem:
             gens.append(MPoly(2, {(6, 0): QuadExt(2), (4, 2): QuadExt(-30),
                                   (2, 4): QuadExt(30), (0, 6): QuadExt(-2)}))
         self.invariant_gens = gens
+
+    def _build_working_coordinates(self):
+        """sqrt3_exp (the e_i of v = S x) and the rational roots and coroots
+        in the v-coordinates; InvariantViolation if one is irrational."""
+        exps = tuple(int(any(a[i].b for a in self.positive_roots))
+                     for i in range(self.rank))
+        scale = [SQRT3 ** e for e in exps]
+        roots = [tuple(v / s for v, s in zip(a, scale)) for a in self.positive_roots]
+        coroots = [tuple(v * s for v, s in zip(c, scale)) for c in self.coroots]
+        if not all(v.is_rational for r in roots + coroots for v in r):
+            raise InvariantViolation(
+                f"{self.label}: a root or coroot is irrational in the working coordinates")
+        self.sqrt3_exp = exps
+        self.work_roots = [tuple(v.a for v in r) for r in roots]
+        self.work_coroots = [tuple(v.a for v in c) for c in coroots]
 
     # -- sanity checks run once at construction --------------------------------
     def _check(self):

@@ -80,7 +80,7 @@ class QuadExt:
     def __mul__(self, other):
         if isinstance(other, QuadExt):
             a, b, c, d = self.a, self.b, other.a, other.b
-            if not b:  # rational fast paths matter: B2/A1 data stay rational
+            if not b:  # rational fast paths: most factors have one nonzero part
                 return QuadExt(a * c, a * d)
             if not d:
                 return QuadExt(a * c, b * c)

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from cherednik.errors import InvariantViolation
-from cherednik.scalars import QuadExt, Rat
+from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
-from cherednik.dunkl import (LoweringParts, b_direction, b_lowering_parts,
+from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, quotient_matrix,
@@ -260,8 +260,41 @@ def test_cold_lowering_parts_match_direct_action():
 
 
 def test_lowering_parts_reject_sqrt3_part():
-    with pytest.raises(InvariantViolation):
-        LoweringParts(1, 2, ({0: QuadExt(1)}, {1: QuadExt(Rat(1, 2), Rat(1, 2))}, {}))
+    # a one-dimensional "rep" of A2 whose matrices are sqrt(3): the A part of
+    # each lowering has entries with a sqrt(3) part, which have no integer form
+    rs = RootSystem("A2")
+    bad = Irrep(rs, "sqrt3", [((SQRT3,),)] * len(rs.elements))
+    k1, k2 = rand_k(), rand_k()
+    for j in range(rs.rank):
+        with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
+            b_lowering_parts(rs, bad, j, 2)
+        # the general path finishes the same assembly in Q(sqrt(3))
+        mat = lowering_matrix(rs, bad, b_direction(rs, j), 2, k1, k2)
+        assert any(v.b for row in mat for v in row)
+
+
+def test_cold_lowering_parts_make_no_quadext_products_per_cell():
+    # the quotients and the part assembly run on ints: a cold build makes the
+    # same few QuadExt products (the weights) at every degree
+    def count_products(n):
+        rs = RootSystem("G2")
+        std = next(rep for rep in _build_irreps(rs) if rep.label == "std")
+        calls = [0]
+        mul = QuadExt.__mul__
+
+        def counting(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        QuadExt.__mul__ = QuadExt.__rmul__ = counting
+        try:
+            for j in range(rs.rank):
+                b_lowering_parts(rs, std, j, n)
+        finally:
+            QuadExt.__mul__ = QuadExt.__rmul__ = mul
+        return calls[0]
+
+    assert count_products(12) == count_products(4)
 
 
 def test_numeric_lowering_is_symbolic_evaluated():

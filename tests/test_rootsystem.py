@@ -1,7 +1,11 @@
+import copy
 import random
 
+import pytest
+
+from cherednik.errors import InvariantViolation
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat
+from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.linalg import identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import MPoly, weyl_act
 from cherednik.rootsystem import build_root_system, hbar_poly
@@ -167,6 +171,29 @@ def test_weyl_act_on_parampoly_coefficients():
                 # -I scales the degree-d part by (-1)^d
                 want = MPoly(nv, {e: -c if sum(e) % 2 else c for e, c in p.terms.items()})
                 assert weyl_act(minus, p) == want
+
+
+def test_working_coordinates_are_rational():
+    a2 = build_root_system("A2")
+    assert a2.sqrt3_exp == (0, 1)
+    assert a2.work_roots[1] == (Rat(-1, 2), Rat(1, 2))  # (-1/2, sqrt(3)/2)
+    assert a2.work_coroots[1] == (Rat(-1), Rat(3))  # (-1, sqrt(3))
+    for label in ORDERS:
+        rs = build_root_system(label)
+        scale = [SQRT3 ** e for e in rs.sqrt3_exp]
+        assert rs.sqrt3_exp == ((0, 1) if label in ("A2", "G2") else (0,) * rs.rank)
+        for a, c, wa, wc in zip(rs.positive_roots, rs.coroots,
+                                rs.work_roots, rs.work_coroots):
+            assert [QuadExt(v) * s for v, s in zip(wa, scale)] == list(a)
+            assert [QuadExt(v) for v in wc] == [v * s for v, s in zip(c, scale)]
+
+
+def test_working_coordinates_reject_a_mixed_root():
+    # a coordinate that is neither rational nor a rational multiple of sqrt(3)
+    rs = copy.copy(build_root_system("A2"))
+    rs.positive_roots = rs.positive_roots[:2] + [(QuadExt(1), QuadExt(1, 1))]
+    with pytest.raises(InvariantViolation, match="working coordinates"):
+        rs._build_working_coordinates()
 
 
 def test_hbar_polys():
