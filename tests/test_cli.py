@@ -168,6 +168,20 @@ def test_sweep_diagonal(capsys):
     assert by_k["-1"][5] == "" and by_k["-1"][6] == ""
 
 
+def test_second_sweep_adds_no_memo_entry(capsys):
+    # the memos grow with the deepest degree asked, not with the requests
+    from cherednik.dunkl import _quotient_columns, b_lowering_parts
+
+    argv = ["sweep", "--type", "B2", "--chi", "triv",
+            "--k1-range", "-3/2:1/2:1/2", "--k2-range", "-1/2:1/2:1/2"]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0
+    memos = (_quotient_columns, b_lowering_parts)
+    info = [(m.cache_info().currsize, m.cache_info().misses) for m in memos]
+    assert run_cli(argv, capsys) == first
+    assert [(m.cache_info().currsize, m.cache_info().misses) for m in memos] == info
+
+
 def test_sweep_two_dimensional_order(capsys):
     code, out, _ = run_cli(
         ["sweep", "--type", "B2", "--chi", "triv",

@@ -14,7 +14,8 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, quotient_matrix,
                              reflection_sum_scalar, sl2_calibration)
-from cherednik.dunkl import _frame_check, _orthonormal_frame
+from cherednik.dunkl import (_frame_check, _integer_parts, _orthonormal_frame,
+                             _quotient_columns)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
@@ -137,7 +138,7 @@ def test_quotient_matrix_matches_definition():
             for n in range(1, 13):
                 assert quotient_matrix(rs, ridx, n) == quotient_oracle(rs, ridx, n)
         # with the cached layers gone, a lower degree restarts from degree 0
-        rs._quot_cache.clear()
+        _quotient_columns.cache_clear()
         for ridx in range(rs.num_positive):
             assert quotient_matrix(rs, ridx, 5) == quotient_oracle(rs, ridx, 5)
 
@@ -322,6 +323,34 @@ def test_hand_built_irrep_gets_its_own_parts():
             got = b_lowering_parts(rs, impostor, j, n).parts
             assert got == b_lowering_parts(rs, std_tau, j, n).parts
             assert got != b_lowering_parts(rs, std, j, n).parts
+
+
+def test_lowering_parts_follow_a_copied_root_system():
+    # a copy of B2 with another metric has other transfer directions, so
+    # other parts, even when the stock parts of the same irrep are memoized
+    stock = build_root_system("B2")
+    rs = copy.copy(stock)
+    rs.metric = Metric(((QuadExt(24), QuadExt(0)), (QuadExt(0), QuadExt(24))))
+    for rep in irreps(stock):
+        for j in range(rs.rank):
+            for n in (1, 2, 3):
+                b_lowering_parts(stock, rep, j, n)
+                got = b_lowering_parts(rs, rep, j, n)
+                want = _integer_parts(rs, rep, b_direction(rs, j), n)
+                assert (got.den, got.parts) == (want.den, want.parts)
+
+
+def test_degree_zero_layer_shapes():
+    # the degree -1 layer is empty in every rank: no rows below degree 0
+    for label in TYPES:
+        rs = build_root_system(label)
+        assert quotient_matrix(rs, 0, 0) == []
+        for rep in irreps(rs):
+            for j in range(rs.rank):
+                parts = b_lowering_parts(rs, rep, j, 0)
+                assert (parts.rows, parts.cols) == (0, rep.dim)
+                low = lowering_matrix(rs, rep, b_direction(rs, j), 0, rand_k(), rand_k())
+                assert low == []
 
 
 def test_sl2_calibration_all_types():

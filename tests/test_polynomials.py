@@ -30,6 +30,10 @@ def test_monomial_basis_order_and_count():
     assert monomials(1, 5) == [(5,)]
 
 
+def test_no_monomial_has_negative_degree():
+    assert monomials(1, -1) == monomials(2, -1) == []
+
+
 def test_ring_axioms_random():
     for _ in range(40):
         p = rand_mpoly(2, 4)

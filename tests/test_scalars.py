@@ -79,15 +79,25 @@ def test_parampoly_mixed_scalar_arithmetic():
 def test_parampoly_eval_and_subst():
     p = PP_K1 * PP_K1 - PP_K2 * Rat(3) + Rat(1)
     assert p.eval2(Rat(2), Rat(1, 3)) == QuadExt(4)
-    s = p.subst(PP_K2, PP_K1)  # swap the slots
+    s = p.eval2(PP_K2, PP_K1)  # swap the slots
+    assert s == PP_K2 * PP_K2 - PP_K1 * Rat(3) + Rat(1)
     assert s.eval2(Rat(1, 3), Rat(2)) == QuadExt(4)
-    # at points with a sqrt(3) part, against the constant term of subst
+    # at points with a sqrt(3) part, against the sum written term by term
     for _ in range(10):
         p = ParamPoly({(a, b): rand_quad() for a in range(9) for b in range(9 - a)
                        if RNG.random() < 0.2})
         v1, v2 = rand_quad(), QuadExt(Rat(RNG.randint(-3, 3)), Rat(RNG.randint(1, 3)))
-        want = p.subst(ParamPoly.const(v1), ParamPoly.const(v2)).coefficient(0, 0)
+        want = QuadExt(0)
+        for (a, b), c in p.terms.items():
+            term = c
+            for _ in range(a):
+                term = term * v1
+            for _ in range(b):
+                term = term * v2
+            want = want + term
         assert p.eval2(v1, v2) == want
+        # a scalar in one slot and a polynomial in the other
+        assert p.eval2(v1, PP_K2).eval2(Rat(0), v2) == want
 
 
 def test_parampoly_divexact_roundtrip():

@@ -4,7 +4,7 @@ import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import Rat
-from cherednik.rootsystem import build_root_system
+from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
 from cherednik import verma
@@ -331,3 +331,18 @@ def test_chi_validation():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_classifying_leaves_no_state_on_root_system_or_irreps():
+    # the memos live on the functions that compute them, not on their inputs
+    def state(obj):
+        return {name: len(v) if hasattr(v, "__len__") else v
+                for name, v in vars(obj).items()}
+
+    rs = RootSystem("G2")
+    reps = irreps(rs)
+    before = [state(obj) for obj in (rs, *reps)]
+    res = VermaModule(rs, get_irrep(rs, "triv"), Rat(-1, 3), Rat(-1, 3)).classify()
+    assert res.finite
+    VermaModule(rs, get_irrep(rs, "std"), Rat(1, 2), Rat(1, 3)).classify(4)
+    assert [state(obj) for obj in (rs, *reps)] == before

@@ -1,7 +1,7 @@
 import random
 
 from cherednik.scalars import QuadExt, Rat
-from cherednik.rootsystem import build_root_system
+from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 
 RNG = random.Random(404)
@@ -20,6 +20,13 @@ def test_tables_complete():
         reps = irreps(rs)
         assert {r.label: r.dim for r in reps} == want
         assert sum(r.dim ** 2 for r in reps) == len(rs.elements)
+
+
+def test_irreps_belong_to_their_root_system():
+    rs = RootSystem("A2")
+    assert get_irrep(rs, "triv").rs is rs
+    assert all(rep.rs is rs for rep in irreps(rs))
+    assert irreps(rs) is irreps(rs)
 
 
 def test_homomorphism_random():
