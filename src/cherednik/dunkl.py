@@ -3,16 +3,17 @@ hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
 The reflection difference quotients do not depend on the character or on
-the couplings, so they are cached on the root system, each degree raised
-from the one below.  They are raised in the working coordinates v = S x of
-the root system (see rootsystem), where every root and coroot is rational,
-as integer columns over one denominator.  A lowering matrix is affine in
-the couplings, L = D + k1*A + k2*B (Dunkl-de Jeu-Opdam, Trans. AMS 346,
-1994).  _assemble builds D, A and B in the v-coordinates on ints, each
-weight split into a rational and a sqrt(3) piece; a cell reaches the public
-basis through one power of sqrt(3).  Along the metric transfers every
-nonzero cell lands on an even power, so each character caches the parts
-once as sparse integer matrices over one denominator (an odd power raises
+the couplings, so _quotient_columns memoizes them per (root system, root,
+degree), each degree raised from the one below.  They are raised in the
+working coordinates v = S x of the root system (see rootsystem), where every
+root and coroot is rational, as integer columns over one denominator.  A
+lowering matrix is affine in the couplings, L = D + k1*A + k2*B
+(Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
+the v-coordinates on ints, each weight split into a rational and a sqrt(3)
+piece; a cell reaches the public basis through one power of sqrt(3).  Along
+the metric transfers every nonzero cell lands on an even power, so
+b_lowering_parts memoizes the parts per (root system, character, direction,
+degree) as sparse integer matrices over one denominator (an odd power raises
 InvariantViolation when they are built); a module at new couplings pays
 one integer combination per layer.  True QuadExt or ParamPoly matrices
 (lowering_matrix, along any direction) finish the same assembly in QuadExt
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import lru_cache
 from itertools import chain
 
 from .errors import InvariantViolation
@@ -73,6 +75,7 @@ def _to_public(q, k: int) -> QuadExt:
     return QuadExt(0, x) if k % 2 else QuadExt(x)
 
 
+@lru_cache(maxsize=None)
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     """The difference quotient Q on the degree-n layer in the working
     coordinates v of the root system, where the root alpha and its coroot c
@@ -80,17 +83,16 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     all over den.  Each degree is raised from Q one degree down: the
     reflection sends v_u to v_u - c_u alpha, so
 
-        Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)).
+        Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)),
 
-    Every degree is cached; a degree above the cached ones is raised from
-    the highest of them, or from Q = 0 on degree 0.
+    with Q = 0 on degree 0.  The recursion goes down one level per degree,
+    to the highest memoized degree or to 0; callers build degrees in
+    ascending order, so on every CLI input it stays a few levels deep.
     """
-    cache = rs._quot_cache
-    deg = n
-    while deg > 0 and (root_idx, deg) not in cache:
-        deg -= 1
     nv = rs.rank
-    den, q_cols = cache[(root_idx, deg)] if deg else (1, [[0] * len(monomials(nv, -1))])
+    if n == 0:
+        return 1, [[0] * len(monomials(nv, -1))]
+    den, q_cols = _quotient_columns(rs, root_idx, n - 1)
     alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
     # one degree up multiplies the denominator by step
     step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
@@ -98,11 +100,7 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     # -c_u alpha_w step, the coefficient of v_w Q(p) in Q(v_u p) step
     lin = [[(w, int(-c * a * step)) for w, a in enumerate(alpha) if a] if c else []
            for c in coroot]
-    while deg < n:
-        deg += 1
-        den, q_cols = cache[(root_idx, deg)] = _raise_quotient(
-            nv, deg, den, q_cols, step, co, lin)
-    return den, q_cols
+    return _raise_quotient(nv, n, den, q_cols, step, co, lin)
 
 
 def _raise_quotient(nv, deg, den, q_prev, step, coroot, lin):
@@ -294,13 +292,12 @@ def b_direction(rs: RootSystem, j: int):
     return rs.metric.gram[j]
 
 
+@lru_cache(maxsize=None)
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
     """The integer parts of the lowering along b_direction(rs, j) on the
-    degree-n layer, cached on rep."""
-    parts = rep._parts.get((j, n))
-    if parts is None:
-        parts = rep._parts[(j, n)] = _integer_parts(rs, rep, b_direction(rs, j), n)
-    return parts
+    degree-n layer, memoized per (root system, character, direction,
+    degree): they do not depend on the couplings."""
+    return _integer_parts(rs, rep, b_direction(rs, j), n)
 
 
 # -- the sl2 triple -------------------------------------------------------------
@@ -397,6 +394,7 @@ def _quad_sqrt(v: QuadExt):
     return None
 
 
+@lru_cache(maxsize=None)
 def sl2_calibration(rs: RootSystem):
     """One-time consistency check of the sl2 triple, with symbolic couplings.
 
@@ -404,10 +402,10 @@ def sl2_calibration(rs: RootSystem):
     the polynomial module returns minus the lowest-weight scalar of the
     trivial character, and (in rank 2, where the metric admits an exact
     orthonormal frame) that the frame-built raising and lowering
-    operators agree with the inverse-metric contraction.
+    operators agree with the inverse-metric contraction.  Memoized per
+    root system; a failed check raises and is not memoized, so it runs
+    again on the next call.
     """
-    if rs._sl2_checked:
-        return
     from .wrep import get_irrep
 
     triv = get_irrep(rs, "triv")
@@ -419,7 +417,6 @@ def sl2_calibration(rs: RootSystem):
             f"{rs.label}: sl2 calibration failed (F of the quadric is {got.to_str()})")
     if rs.rank == 2:
         _frame_check(rs, triv)
-    rs._sl2_checked = True
 
 
 def _frame_check(rs: RootSystem, triv):

@@ -296,18 +296,21 @@ class ParamPoly(MPoly):
     def coefficient(self, e1: int, e2: int) -> QuadExt:
         return self.terms.get((e1, e2), QZERO)
 
-    def eval2(self, v1, v2) -> QuadExt:
-        """Evaluate at scalar values of the two slots."""
-        v1, v2 = QuadExt.coerce(v1), QuadExt.coerce(v2)
-        return sum((c * v1 ** e1 * v2 ** e2 for (e1, e2), c in self.terms.items()),
-                   QZERO)
-
-    def subst(self, q1: "ParamPoly", q2: "ParamPoly") -> "ParamPoly":
-        """Compose: substitute polynomials for the two slots."""
-        out = ParamPoly()
-        for (e1, e2), c in self.terms.items():
-            out = out + ParamPoly.const(c) * q1 ** e1 * q2 ** e2
-        return out
+    def eval2(self, v1, v2):
+        """Substitute v1, v2 for the two slots: at scalars the QuadExt
+        value, with a ParamPoly among them the composition.  The powers are
+        kept for the length of one call."""
+        ring = ParamPoly if any(isinstance(v, ParamPoly) for v in (v1, v2)) else QuadExt
+        vals = ring.coerce(v1), ring.coerce(v2)
+        powers = [ring.coerce(1)], [ring.coerce(1)]  # [slot][e]: vals[slot] ** e
+        acc = ring.coerce(0)
+        for e, c in self.terms.items():
+            for v, pw, ej in zip(vals, powers, e):
+                while len(pw) <= ej:
+                    pw.append(pw[-1] * v)
+                c = pw[ej] * c
+            acc = acc + c
+        return acc
 
     def to_str(self, names=("k1", "k2")) -> str:
         return super().to_str(names)
@@ -320,7 +323,7 @@ PP_K2 = ParamPoly.gen(1)
 def monomials(nvars: int, degree: int) -> list[tuple]:
     """Degree-d exponent tuples in descending lex order: (d,0),(d-1,1),..."""
     if nvars == 1:
-        return [(degree,)]
+        return [(degree,)] if degree >= 0 else []
     return [(degree - i, i) for i in range(degree + 1)]
 
 

@@ -35,8 +35,6 @@ _PONE = ParamPoly.const(Rat(1))
 
 _TABLE_TYPES = ("A2", "B2", "G2")
 
-_PNR_TABLES: dict[str, list] = {}
-
 
 def _max_r(label: str, n: int) -> int:
     return n // 2 if label == "B2" else n // 3
@@ -79,11 +77,13 @@ def _step(label: str, row, n: int):
     return out
 
 
-def _rows(label: str, n: int):
-    rows = _PNR_TABLES.setdefault(label, [[_PONE]])
-    while len(rows) <= n:
-        rows.append(_step(label, rows[-1], len(rows) - 1))
-    return rows
+@lru_cache(maxsize=None)
+def _row(label: str, n: int) -> tuple:
+    """Row n of the recursion, raised from row n - 1 (one recursion level
+    per row; callers ask for rows in ascending order)."""
+    if n == 0:
+        return (_PONE,)
+    return tuple(_step(label, _row(label, n - 1), n - 1))
 
 
 def f_power_image(label: str, n: int, r: int) -> ParamPoly:
@@ -92,7 +92,7 @@ def f_power_image(label: str, n: int, r: int) -> ParamPoly:
     _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
         return _PZERO
-    return _rows(label, n)[n][r]
+    return _row(label, n)[r]
 
 
 def _product(factors):
@@ -154,7 +154,7 @@ def kappa_factor_at_critical(r: int) -> ParamPoly:
     """The kappa-factor specialized to the grading value -(3r-1), a
     polynomial in kappa alone; its vanishing decides the G2
     equal-grading branch."""
-    return kappa_factor(r).subst(ParamPoly.const(Rat(-(3 * r - 1))), PP_K2)
+    return kappa_factor(r).eval2(Rat(-(3 * r - 1)), PP_K2)
 
 
 def kappa_factor_conjectured(r: int) -> ParamPoly:

@@ -83,10 +83,6 @@ class RootSystem:
         self._build_invariants()
         self._build_working_coordinates()
         self._check()
-        # the integer difference-quotient columns per (root, degree), shared
-        # by the operator layer
-        self._quot_cache = {}
-        self._sl2_checked = False
 
     # -- construction ---------------------------------------------------------
     def _build_roots(self):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from .errors import InvariantViolation
 from .linalg import freeze, identity, mat_mul, transpose
 from .scalars import QuadExt, rat
-from .rootsystem import RootSystem, build_root_system
+from .rootsystem import RootSystem
 
 
 class Irrep:
@@ -24,7 +24,6 @@ class Irrep:
         self.label = label
         self.matrices = matrices
         self.dim = len(matrices[0])
-        self._parts = {}  # (j, n) -> dunkl.LoweringParts of b_lowering_parts
         self.character = [_trace(m) for m in matrices]
         self.refl_char = []
         for orbit in (0, 1):
@@ -70,12 +69,10 @@ def _tensor_scalar(matrices, values):
 
 
 @lru_cache(maxsize=None)
-def irreps_for(label: str) -> tuple:
-    return tuple(_build_irreps(build_root_system(label)))
-
-
 def irreps(rs: RootSystem) -> tuple:
-    return irreps_for(rs.label)
+    """The irreducibles of this root system's group, built once per root
+    system object."""
+    return tuple(_build_irreps(rs))
 
 
 def get_irrep(rs: RootSystem, label: str) -> Irrep:

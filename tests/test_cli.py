@@ -13,6 +13,7 @@ import pytest
 
 import cherednik
 from cherednik.cli import run
+from cherednik.dunkl import _quotient_columns, b_lowering_parts
 from cherednik.rank2 import check_kappa_factorization
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
@@ -170,8 +171,6 @@ def test_sweep_diagonal(capsys):
 
 def test_second_sweep_adds_no_memo_entry(capsys):
     # the memos grow with the deepest degree asked, not with the requests
-    from cherednik.dunkl import _quotient_columns, b_lowering_parts
-
     argv = ["sweep", "--type", "B2", "--chi", "triv",
             "--k1-range", "-3/2:1/2:1/2", "--k2-range", "-1/2:1/2:1/2"]
     first = run_cli(argv, capsys)
