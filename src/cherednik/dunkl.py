@@ -51,16 +51,6 @@ def poly_coords(p: MPoly, degree: int, nvars: int):
     return vec
 
 
-def quotient_matrix(rs: RootSystem, root_idx: int, n: int):
-    """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
-    positive root (a reflection difference quotient): the integer columns
-    of _quotient_columns taken to the public basis."""
-    den, cols = _quotient_columns(rs, root_idx, n)
-    hr, hc = _sqrt3_powers(rs, n - 1), _sqrt3_powers(rs, n)
-    return [[_to_public(Rat(col[a], den), h - hc[b]) for b, col in enumerate(cols)]
-            for a, h in enumerate(hr)]
-
-
 def _sqrt3_powers(rs: RootSystem, n: int, d: int = 1):
     """h(m) = sum_i e_i m_i for each monomial m of degree n, each repeated d
     times (one per basis vector of a d-dimensional rep): x^m = sqrt(3)^(-h(m))
@@ -85,13 +75,15 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
 
         Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)),
 
-    with Q = 0 on degree 0.  The recursion goes down one level per degree,
-    to the highest memoized degree or to 0; callers build degrees in
-    ascending order, so on every CLI input it stays a few levels deep.
+    with Q = 0 on degree 0.  A miss first fills the degrees below in
+    ascending order, so the recursion is at most two levels deep at any
+    degree.
     """
     nv = rs.rank
     if n == 0:
         return 1, [[0] * len(monomials(nv, -1))]
+    for d in range(1, n):
+        _quotient_columns(rs, root_idx, d)
     den, q_cols = _quotient_columns(rs, root_idx, n - 1)
     alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
     # one degree up multiplies the denominator by step
@@ -243,11 +235,15 @@ class LoweringParts:
         """The dense integer matrix c0*D + c1*A + c2*B."""
         return _combine(self.rows, self.cols, self.parts, (c0, c1, c2), 0)
 
-    def norms(self, c: int):
-        """c * (|D| + |A| + |B|) as a dense int matrix: c * the coefficient
-        1-norms of the entries of D + k1*A + k2*B."""
-        parts = [(idx, map(abs, vals)) for idx, vals in self.parts]
-        return _combine(self.rows, self.cols, parts, (c, c, c), 0)
+    def column_norm(self) -> int:
+        """The largest column sum of |D| + |A| + |B|: no entry of the row
+        v (D + k1*A + k2*B) has a coefficient 1-norm above this times the
+        largest one among the entries of v."""
+        sums = [0] * self.cols
+        for idx, vals in self.parts:
+            for i, v in zip(idx, vals):
+                sums[i % self.cols] += abs(v)
+        return max(sums)
 
 
 def _integer_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:

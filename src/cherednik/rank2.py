@@ -79,10 +79,12 @@ def _step(label: str, row, n: int):
 
 @lru_cache(maxsize=None)
 def _row(label: str, n: int) -> tuple:
-    """Row n of the recursion, raised from row n - 1 (one recursion level
-    per row; callers ask for rows in ascending order)."""
+    """Row n of the recursion, raised from row n - 1.  A miss first fills
+    the rows below in ascending order, so the recursion stays shallow."""
     if n == 0:
         return (_PONE,)
+    for i in range(1, n):
+        _row(label, i)
     return tuple(_step(label, _row(label, n - 1), n - 1))
 
 
@@ -145,6 +147,8 @@ def kappa_factor(p: int) -> ParamPoly:
         return _PONE
     if p == 1:
         return PP_K2
+    for i in range(2, p):  # ascending, so the recursion stays shallow
+        kappa_factor(i)
     hb, kap = PP_K1, PP_K2
     return (kap * kappa_factor(p - 1)
             + kappa_factor(p - 2) * (hb + Rat(3 * p - 4)) * Rat(p - 1, 3))

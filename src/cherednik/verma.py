@@ -12,7 +12,8 @@ The lowerings, Gram layers and raised rows are integer matrices with one
 rational scale each, combined from the integer parts of LoweringParts, so
 ranks are fraction-free integer eliminations.  A symbolic layer (or row) is
 read off a numeric module at k = (B, B^(n+1)) by Kronecker substitution, one
-coefficient per base-B digit.  It is ranked at the rational point _CERT_POINT
+coefficient per base-B digit, with B = 2^s sized by a product of the
+lowerings' column norms.  It is ranked at the rational point _CERT_POINT
 (a certificate), over ParamPoly only if it falls short of full rank there.
 
 Two independent finiteness tests are run and cross-checked: vanishing
@@ -65,8 +66,6 @@ class VermaModule:
     """One standard module M(chi) at fixed couplings, with cached
     per-degree operator matrices and Gram matrices."""
 
-    absolute = False  # True in _NormBound: the recursion on absolute parts
-
     def __init__(self, rs: RootSystem, rep: Irrep, k1, k2):
         sl2_calibration(rs)
         self.rs = rs
@@ -77,9 +76,7 @@ class VermaModule:
         self.k1, self.k2 = k1, k2
         self._low = {}
         self._gram = {}
-        self._norms = None  # symbolic: the _NormBound module
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
-        self._pack = -1, 0, None  # symbolic: t, s and the module at (2^s, 2^(s(t+1)))
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -94,7 +91,7 @@ class VermaModule:
         """The degree-n lowerings along every transfer as int matrices, and
         their shared scale (cached).  With q the common denominator of k1,
         k2 and den that of the parts, each lowering times q * den is
-        combined from its integer parts (from |D| + |A| + |B| if absolute)."""
+        combined from its integer parts."""
         hit = self._low.get(n)
         if hit is None:
             parts = [b_lowering_parts(self.rs, self.rep, j, n)
@@ -107,8 +104,7 @@ class VermaModule:
             lows = []
             for p in parts:
                 f = den // p.den
-                lows.append(p.norms(f) if self.absolute
-                            else p.ints(q * f, c1 * f, c2 * f))
+                lows.append(p.ints(q * f, c1 * f, c2 * f))
             hit = self._low[n] = lows, Rat(1, q * den)
         return hit
 
@@ -118,8 +114,6 @@ class VermaModule:
         and one scale: the layer-0 identity rows pushed up through the
         cached lowerings."""
         coef, cs = integer_scale(f_coefficients(self.rs))
-        if self.absolute:
-            coef = [[abs(v) for v in row] for row in coef]
         rows, scale = integer_scale(identity(self.rep.dim))
         for cur in range(2, top + 1, 2):
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
@@ -158,7 +152,7 @@ class VermaModule:
                     rows.extend(prod1[pidx * d:(pidx + 1) * d])
                 else:
                     rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
-            if not (self.absolute or is_symmetric(rows)):
+            if not is_symmetric(rows):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "
                     f"symmetric at degree {deg}")
@@ -173,30 +167,34 @@ class VermaModule:
     def _unpacked(self, n: int, chain: bool):
         """The degree-n layer, or with chain the rows of F(2) ... F(n), over
         ParamPoly, by Kronecker substitution: read off the numeric module at
-        k = (B, B^(t+1)), n <= t, B = 2^s.  Each entry is a polynomial of
-        total degree <= n, and D times it, D the denominator of the product
-        of the coupling-free scales (parts and F coefficients), has integer
+        k = (B, B^(n+1)), B = 2^s.  Each entry is a polynomial of total
+        degree <= n, and D times it, D the denominator of the product u of
+        the coupling-free scales (parts and F coefficients), has integer
         coefficients c_ij: the balanced base-B digits of its packed value
-        once B > 2 max |c_ij|, which _NormBound bounds."""
-        bound = self._norms = self._norms or _NormBound(self.rs, self.rep, 1, 1)
-        run = VermaModule._f_rows if chain else VermaModule._layer
-        rows, scale = run(bound, n)
+        once B > 2 max |c_ij|.  Every row is a row one degree (or F step)
+        down times an integer lowering (or F), and coefficient 1-norms are
+        submultiplicative, so max |c_ij| is at most the numerator of u times
+        the product of the lowerings' largest column norms (and of the
+        1-norm of the integer F coefficients per step)."""
         steps = max(n, 0) // 2 if chain else 0
-        unit = integer_scale(f_coefficients(self.rs))[1] ** steps
+        coef, unit = integer_scale(f_coefficients(self.rs))
+        unit **= steps
+        bound = sum(abs(v) for row in coef for v in row) ** steps
         for d in range(1, 2 * steps + 1 if chain else n + 1):
-            unit *= bound._lowerings(d)[1]
+            parts = [b_lowering_parts(self.rs, self.rep, j, d)
+                     for j in range(self.rs.rank)]
+            den = lcm(*(p.den for p in parts))
+            unit /= den
+            bound *= max(p.column_norm() * (den // p.den) for p in parts)
         den = unit.denominator
-        need = (2 * int(den * scale * max(map(max, rows)))).bit_length()
-        if self._pack[0] < n or self._pack[1] < need:
-            t, s = max(self._pack[0], n), max(self._pack[1], need)
-            self._pack = t, s, VermaModule(self.rs, self.rep, 1 << s, 1 << s * (t + 1))
-        t, s, packed = self._pack
-        rows, scale = run(packed, n)
+        s, stride = (2 * unit.numerator * bound).bit_length(), max(n, 0) + 1
+        packed = VermaModule(self.rs, self.rep, 1 << s, 1 << s * stride)
+        rows, scale = packed._f_rows(n) if chain else packed._layer(n)
         mult = den * scale
         if mult.denominator != 1:
             raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "
                                      f"degree-{n} values times {den} are not integers")
-        return [[_unpack(v * mult.numerator, s, t + 1, den) for v in row]
+        return [[_unpack(v * mult.numerator, s, stride, den) for v in row]
                 for row in rows]
 
     def gram_direct(self, n: int):
@@ -291,12 +289,6 @@ class VermaModule:
                                   True, ep.m, tuple(dims), sum(dims))
         return ClassifyResult(self.rs.label, self.rep.label, self.k1, self.k2,
                               False, None, tuple(dims), None)
-
-
-class _NormBound(VermaModule):
-    """The recursions on |D| + |A| + |B| and |coef| at k = (1, 1): each entry
-    bounds the sum of the absolute coefficients of its symbolic entry."""
-    absolute = True
 
 
 class EPowerResult:

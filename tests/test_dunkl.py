@@ -12,10 +12,10 @@ from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
-                             poly_coords, quotient_matrix,
-                             reflection_sum_scalar, sl2_calibration)
+                             poly_coords, reflection_sum_scalar,
+                             sl2_calibration)
 from cherednik.dunkl import (_frame_check, _integer_parts, _orthonormal_frame,
-                             _quotient_columns)
+                             _quotient_columns, _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
@@ -131,6 +131,16 @@ def quotient_oracle(rs, ridx, n):
     return [list(row) for row in zip(*cols)]
 
 
+def quotient_matrix(rs, root_idx, n):
+    """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
+    positive root (a reflection difference quotient): the integer columns
+    of _quotient_columns taken to the public basis."""
+    den, cols = _quotient_columns(rs, root_idx, n)
+    hr, hc = _sqrt3_powers(rs, n - 1), _sqrt3_powers(rs, n)
+    return [[_to_public(Rat(col[a], den), h - hc[b]) for b, col in enumerate(cols)]
+            for a, h in enumerate(hr)]
+
+
 def test_quotient_matrix_matches_definition():
     for label in TYPES:
         rs = RootSystem(label)  # fresh caches: every degree comes from the recursion
@@ -141,6 +151,16 @@ def test_quotient_matrix_matches_definition():
         _quotient_columns.cache_clear()
         for ridx in range(rs.num_positive):
             assert quotient_matrix(rs, ridx, 5) == quotient_oracle(rs, ridx, 5)
+
+
+def test_cold_deep_quotient_recurses_shallowly():
+    # a miss fills the degrees below in ascending order, so a cold call far
+    # above the interpreter's recursion limit returns; on A1, Q(v^n) is
+    # 2 v^(n-1) / alpha for odd n and 0 for even n
+    rs = build_root_system("A1")
+    _quotient_columns.cache_clear()
+    assert _quotient_columns(rs, 0, 3000)[1] == [[0]]
+    assert quotient_matrix(rs, 0, 2999) == quotient_matrix(rs, 0, 1) != [[0]]
 
 
 def direct_action(rs, rep, y, p, t, k1, k2):

@@ -1,9 +1,13 @@
+import inspect
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, rat
+from cherednik.rank2 import _row
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,
@@ -101,6 +105,35 @@ def test_kappa_factor_sequence():
     assert kappa_factor_at_critical(3) == KAP * (KAP * KAP - Rat(4))
     assert kappa_factor_conjectured(4) == \
         (KAP * KAP - Rat(1)) * (KAP * KAP - Rat(9))
+
+
+@contextmanager
+def shallow_recursion(frames=40):
+    """A recursion limit a few dozen frames above the caller's own depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cold_rows_recurse_shallowly():
+    # a miss fills the rows below in ascending order, so a cold deep row
+    # needs only a few frames
+    _row.cache_clear()
+    with shallow_recursion():
+        rows = {label: _row(label, 25) for label in ("A2", "B2", "G2")}
+    for label, row in rows.items():
+        assert list(row) == [f_power_image_closed(label, 25, r)
+                             for r in range(len(row))], label
+
+
+def test_cold_kappa_factor_recurses_shallowly():
+    kappa_factor.cache_clear()
+    with shallow_recursion():
+        kappa_factor(25)
+    assert kappa_factor_at_critical(25) == kappa_factor_conjectured(25)
 
 
 def test_kappa_factorization_report():

@@ -122,14 +122,31 @@ def _parampoly_layers(vm, top):
 
 
 def test_symbolic_layers_out_of_order():
-    # the packed point is chosen for the deepest degree asked so far; a
-    # shallower layer reuses it, a deeper one rebuilds it
+    # each layer is read off a packed point chosen for its own degree
     for label, chi in (("B2", "triv"), ("A2", "std")):
         vm = standard_module(label, chi, PP_K1, PP_K2)
         want = _parampoly_layers(vm, 7)
-        for n, top in ((6, 6), (2, 6), (7, 7)):
+        for n in (6, 2, 7):
             assert vm.gram(n) == want[n], (label, chi, n)
-            assert vm._pack[0] == top
+
+
+def test_symbolic_reads_build_one_packed_module_each(monkeypatch):
+    # the digit width comes from the memoized parts: no second recursion
+    built = []
+    init = VermaModule.__init__
+
+    def counted(self, rs, rep, k1, k2):
+        built.append((k1, k2))
+        init(self, rs, rep, k1, k2)
+
+    vm = standard_module("G2", "std", PP_K1, PP_K2)
+    monkeypatch.setattr(VermaModule, "__init__", counted)
+    vm.gram(4)
+    vm.f_chain(4)
+    assert len(built) == 2
+    for k1, k2 in built:
+        s = k1.bit_length() - 1
+        assert s > 0 and (k1, k2) == (1 << s, 1 << 5 * s)
 
 
 def test_symbolic_gram_entries_are_parampoly():
@@ -147,6 +164,13 @@ def test_symbolic_negative_degree_raises():
     for call in (vm.gram, vm.layer_rank):
         with pytest.raises(ValueError):
             call(-1)
+
+
+def test_symbolic_f_chain_below_degree_two_is_identity():
+    vm = standard_module("G2", "std", PP_K1, PP_K2)
+    want = [[ParamPoly.coerce(v) for v in row] for row in identity(2)]
+    for top in (-1, 0, 1):
+        assert vm.f_chain(top) == want, top
 
 
 def test_unpack_balanced_digits():
@@ -171,7 +195,6 @@ def test_packing_rejects_fractional_values(monkeypatch):
         return lows, scale / 1000003
 
     monkeypatch.setattr(VermaModule, "_lowerings", off_scale)
-    monkeypatch.setattr(verma._NormBound, "_lowerings", lowerings)
     vm = standard_module("B2", "triv", PP_K1, PP_K2)
     with pytest.raises(InvariantViolation):
         vm.gram(2)
