@@ -29,6 +29,12 @@ from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
                     evaluate_at_couplings, very_singular)
 
 MAX_SWEEP_POINTS = 10_000
+# the highest `gram --degree` per (rank, --symbolic).  The slowest accepted
+# request takes about a minute (2-core x86, Python 3.11, fractions backend):
+# at the caps, a numeric G2 std layer at the singular point k = -5/6 took
+# 51 s, a symbolic G2 std one 49 s and a symbolic A1 one 19 s (a numeric A1
+# layer is 1 x 1 and took under a second).
+MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True): 20}
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -160,6 +166,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_gram(args) -> int:
     rs = build_root_system(args.type)
+    cap = MAX_GRAM_DEGREE[rs.rank, args.symbolic]
+    if args.degree > cap:
+        raise UsageError(f"--degree {args.degree} is above the limit of {cap} "
+                         f"for {'symbolic ' * args.symbolic}{rs.label} layers")
     rep = get_irrep(rs, args.chi)
     if args.symbolic:
         if args.k is not None or args.k1 is not None or args.k2 is not None:

@@ -3,10 +3,13 @@ vector helper of the package lives here.
 
 Matrices are plain lists of row lists.  Entries are ints (every Gram layer,
 the packed symbolic ones too; see integer_scale), QuadExt, or ParamPoly
-(unpacked symbolic layers, F matrices).  There is one rank: fraction-free
-Bareiss elimination, exact in each of these rings (Bareiss, Math. Comp. 22,
-1968).  Over ParamPoly it runs only as the fallback of verma's rank
-certificate at one rational point.
+(unpacked symbolic layers, F matrices).  Ranks are proven, never
+guessed.  A square int matrix whose determinant is nonzero modulo the
+prime PRIME is nonsingular over Q, since a determinant that is 0 over Z
+is 0 mod every prime (nonsingular_mod_p).  Otherwise the rank is exact
+fraction-free Bareiss elimination, in each of these rings (Bareiss, Math.
+Comp. 22, 1968).  Over ParamPoly Bareiss runs only as the fallback of
+verma's rank certificate at one rational point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from math import gcd, lcm
 from .errors import InvariantViolation, NonDivisibleError
 from .polynomials import ParamPoly
 from .scalars import QuadExt, Rat
+
+# below 2^30, so every residue is a single CPython digit
+PRIME = 1_073_741_789
 
 
 def _exact_div(x, y):
@@ -148,6 +154,28 @@ def bareiss_rank(mat) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def nonsingular_mod_p(mat) -> bool:
+    """True when the square int matrix has a nonzero determinant modulo
+    PRIME, which proves it nonsingular over Q.  False is no verdict over Q:
+    p may divide a nonzero determinant.  Gaussian elimination over GF(p),
+    stopped at the first column with no pivot."""
+    p = PRIME
+    m = [[v % p for v in row] for row in mat]
+    n = len(m)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return False
+        m[c], m[piv] = m[piv], m[c]
+        pr = m[c][c + 1:]
+        inv = pow(m[c][c], -1, p)
+        for i in range(c + 1, n):
+            f = m[i][c] * inv % p
+            if f:
+                m[i][c + 1:] = [(x - f * y) % p for x, y in zip(m[i][c + 1:], pr)]
+    return True
 
 
 def is_symmetric(mat) -> bool:

@@ -11,6 +11,8 @@ reverse, so ParamPoly arithmetic defers to MPoly for any other MPoly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from operator import add, sub
 
 from .errors import NonDivisibleError
@@ -327,23 +329,49 @@ def monomials(nvars: int, degree: int) -> list[tuple]:
     return [(degree - i, i) for i in range(degree + 1)]
 
 
+@lru_cache(maxsize=None)
+def _monomial_image(mat: tuple, e: tuple) -> MPoly:
+    """x^e under the substitution of weyl_act, for mat as a tuple of row
+    tuples: the product of the images of its powers of single variables,
+    x_j^d going to the d-th power of column form j, expanded by the
+    binomial theorem (one or two variables, as everywhere here).
+    Memoized per (group element, exponent); MPoly values are never changed
+    in place, so every caller may share one."""
+    nv = len(e)
+    support = [j for j in range(nv) if e[j]]
+    if len(support) != 1:
+        img = MPoly(nv, {(0,) * nv: QONE})
+        for j in support:
+            img = img * _monomial_image(mat, tuple(e[j] if i == j else 0 for i in range(nv)))
+        return img
+    j = support[0]
+    d = e[j]
+    pows = []  # pows[i][k] = mat[i][j] ** k
+    for i in range(nv):
+        pw = [QONE]
+        for _ in range(d):
+            pw.append(pw[-1] * mat[i][j])
+        pows.append(pw)
+    terms = {}
+    for m in monomials(nv, d):
+        c = QONE * comb(d, m[0])
+        for pw, k in zip(pows, m):
+            c = c * pw[k]
+        terms[m] = c
+    return MPoly(nv, terms)
+
+
 def weyl_act(mat, p: MPoly) -> MPoly:
     """Substitute x_j -> sum_i mat[i][j] * x_i (the group action on P).
 
     mat is the matrix of the group element on the span of the x_i, its
     columns giving the images of the generators.  This is an algebra map,
-    so each monomial goes to the product of powers of the column forms;
-    the powers are kept for the length of one call.
+    so each monomial goes to the product of powers of the column forms.
     """
-    nv = p.nvars
-    forms = [MPoly.from_linear([mat[i][j] for i in range(nv)]) for j in range(nv)]
-    powers = [[MPoly(nv, {(0,) * nv: QONE})] for _ in forms]  # [j][e]: form j ** e
-    out = MPoly.zero(nv)
+    key = tuple(map(tuple, mat))
+    t = {}
     for e, c in p.terms.items():
-        img = None
-        for form, pw, ej in zip(forms, powers, e):
-            while len(pw) <= ej:
-                pw.append(pw[-1] * form)
-            img = pw[ej] if img is None else img * pw[ej]
-        out = out + img * c
-    return out
+        for f, a in _monomial_image(key, e).terms.items():
+            s = t.get(f)
+            t[f] = a * c if s is None else s + a * c
+    return MPoly(p.nvars, t)

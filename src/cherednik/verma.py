@@ -9,12 +9,18 @@ transfer.  The form's radical cuts out the simple quotient, so layer
 ranks are the quotient's graded dimensions.
 
 The lowerings, Gram layers and raised rows are integer matrices with one
-rational scale each, combined from the integer parts of LoweringParts, so
-ranks are fraction-free integer eliminations.  A symbolic layer (or row) is
-read off a numeric module at k = (B, B^(n+1)) by Kronecker substitution, one
-coefficient per base-B digit, with B = 2^s sized by a product of the
-lowerings' column norms.  It is ranked at the rational point _CERT_POINT
-(a certificate), over ParamPoly only if it falls short of full rank there.
+rational scale each, combined from the integer parts of LoweringParts.
+Every layer rank is proven.  A determinant nonzero modulo the prime
+linalg.PRIME proves a layer full rank; otherwise its rank is exact
+fraction-free Bareiss elimination over Z.  Once a layer is singular, every
+higher layer is singular (the radical is a submodule, and x_1 is injective
+on polynomials tensor chi), so no determinant is tried there.  A symbolic
+layer (or row) is read off a numeric module at k = (B, B^(n+1)) by
+Kronecker substitution, one coefficient per base-B digit, with B = 2^s
+sized by a product of the lowerings' column norms.  Its minors are
+polynomials in k1, k2, so full rank at the rational point _CERT_POINT
+proves full rank; only a layer that falls short there is ranked by Bareiss
+over ParamPoly.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -34,7 +40,7 @@ from .errors import InvariantViolation
 from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
 from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
-                     mat_mul, vec_mat)
+                     mat_mul, nonsingular_mod_p, vec_mat)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
 from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
@@ -77,6 +83,7 @@ class VermaModule:
         self._low = {}
         self._gram = {}
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
+        self._singular_from = None  # numeric: lowest degree found singular
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -215,12 +222,24 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        if not self.symbolic:
-            return bareiss_rank(self._layer(n)[0])
-        # minors are polynomials: full rank at a point proves it
-        self._cert = self._cert or VermaModule(self.rs, self.rep, *_CERT_POINT)
-        cert = self._cert._layer(n)[0]
-        return len(cert) if bareiss_rank(cert) == len(cert) else bareiss_rank(self.gram(n))
+        """Rank of the degree-n layer, proven: full rank by a determinant
+        nonzero mod linalg.PRIME (numeric) or at _CERT_POINT (symbolic), else by
+        exact Bareiss elimination."""
+        if self.symbolic:
+            # minors are polynomials: full rank at a point proves it
+            self._cert = self._cert or VermaModule(self.rs, self.rep, *_CERT_POINT)
+            size = len(self.layer_monomials(n)) * self.rep.dim
+            return size if self._cert.layer_rank(n) == size else bareiss_rank(self.gram(n))
+        rows = self._layer(n)[0]
+        # the radical is a submodule and x_1 is injective on polynomials
+        # tensor chi, so every layer above a singular one is singular
+        below = self._singular_from is None or n < self._singular_from
+        if below and nonsingular_mod_p(rows):
+            return len(rows)
+        rank = bareiss_rank(rows)
+        if below and rank < len(rows):
+            self._singular_from = n
+        return rank
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple

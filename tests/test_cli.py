@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cherednik
+from cherednik import cli
 from cherednik.cli import run
 from cherednik.dunkl import _quotient_columns, b_lowering_parts
 from cherednik.rank2 import check_kappa_factorization
@@ -149,6 +150,21 @@ def test_gram_deep_one_wide_layer(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["size"] == 1 and d["layer_rank"] == 1
+
+
+def test_gram_degree_cap(capsys, monkeypatch):
+    # refused before any module is built: one error line, nothing on stdout
+    def no_module(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(cli, "VermaModule", no_module)
+    for argv in (["--type", "G2", "--chi", "std", "--k", "1/2", "--degree", "81"],
+                 ["--type", "B2", "--chi", "triv", "--degree", "21", "--symbolic"],
+                 ["--type", "A1", "--chi", "triv", "--k", "1/2", "--degree", "1201"]):
+        code, out, err = run_cli(["gram"] + argv, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cherednik: error:") and "limit" in err
 
 
 def test_sweep_diagonal(capsys):

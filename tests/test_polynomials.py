@@ -4,11 +4,12 @@ import pytest
 
 from cherednik.errors import InvariantViolation, NonDivisibleError
 from cherednik.scalars import QuadExt, Rat, SQRT3
-from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
-                                   weyl_act)
+from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_image,
+                                   monomials, weyl_act)
 from cherednik.linalg import (bareiss_rank, dot, freeze, identity,
                               integer_scale, is_symmetric, kron_identity,
-                              mat_inv, mat_mul, mat_vec, transpose, vec_mat)
+                              mat_inv, mat_mul, mat_vec, nonsingular_mod_p,
+                              transpose, vec_mat)
 
 RNG = random.Random(202)
 
@@ -97,6 +98,15 @@ def test_weyl_act_is_multiplicative():
         assert weyl_act(prod, p) == weyl_act(m1, weyl_act(m2, p))
 
 
+def test_cold_weyl_act_of_a_high_power():
+    # a missing image is built without recursing through the memo per
+    # degree, so a cold call far above the interpreter's recursion limit
+    # returns
+    _monomial_image.cache_clear()
+    p = MPoly(2, {(3001, 0): QuadExt(1), (1, 2): QuadExt(5)})
+    assert weyl_act(((QuadExt(-1), QuadExt(0)), (QuadExt(0), QuadExt(1))), p) == -p
+
+
 def rand_matrix(n, m):
     return [[Rat(RNG.randint(-5, 5)) for _ in range(m)] for _ in range(n)]
 
@@ -147,6 +157,20 @@ def test_bareiss_rank_over_integers():
     assert bareiss_rank([[0, 2, 1], [3, 1, 0], [6, 4, 1]]) == 2  # pivot after a row swap
     assert bareiss_rank([[3, 1], [6, 5], [9, 1]]) == 2
     assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
+
+
+def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
+    # |det| <= 6! * 9^6 < PRIME here, so det = 0 mod PRIME only when det = 0
+    for _ in range(200):
+        n = RNG.randint(1, 6)
+        m = [[RNG.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if RNG.random() < 0.5:  # a dependent row
+            i, j = RNG.randrange(n), RNG.randrange(n)
+            c = RNG.randint(-3, 3)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])] if i != j else [0] * n
+        assert nonsingular_mod_p(m) == (bareiss_rank(m) == n), m
+    assert nonsingular_mod_p([[0, 2], [3, 1]])  # pivot after a row swap
+    assert not nonsingular_mod_p([[0, 1], [0, 2]])  # no pivot in column 0
 
 
 def test_bareiss_rank_over_parampoly():

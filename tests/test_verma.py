@@ -1,19 +1,27 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import Rat
+from cherednik.scalars import Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
-from cherednik import verma
-from cherednik.linalg import bareiss_rank, identity, integer_scale, mat_mul, vec_mat
+from cherednik import linalg, verma
+from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
+                              nonsingular_mod_p, vec_mat)
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
 RNG = random.Random(606)
 TYPES = ("A1", "A2", "B2", "G2")
+GRID = json.loads((Path(__file__).parent / "golden" / "classify_grid.json").read_text())
+GRID_POINTS = [(p["type"], p["chi"], rat(p["k1"]), rat(p["k2"])) for p in GRID]
+# finite points whose scans reach degree 61 (A2, m = 30) and 19 (B2 and G2, m = 9)
+DEEP = [("A2", "triv", Rat(-31, 3), Rat(-31, 3)), ("B2", "triv", Rat(-1, 2), Rat(-9, 2)),
+        ("G2", "triv", Rat(-1), Rat(-7, 3))]
 
 
 def rand_k():
@@ -222,10 +230,59 @@ def test_symbolic_rank_certificate_matches_parampoly_bareiss():
         rs = build_root_system(label)
         for rep in irreps(rs):
             vm = VermaModule(rs, rep, PP_K1, PP_K2)
-            for n in range(3):
+            for n in range(4):
                 layer = vm.gram(n)
                 want = bareiss_rank(layer)
                 assert vm.layer_rank(n) == want == len(layer), (label, rep.label, n)
+
+
+def _scanned_ranks(label, chi, k1, k2):
+    """The module and the layer ranks its classification scanned."""
+    vm = standard_module(label, chi, k1, k2)
+    res = vm.classify()
+    return vm, list(res.dims) + [0] * res.finite
+
+
+@pytest.mark.parametrize("point", GRID_POINTS + DEEP, ids=lambda p: "/".join(map(str, p)))
+def test_layer_rank_matches_bareiss_on_every_scanned_layer(point):
+    vm, ranks = _scanned_ranks(*point)
+    assert ranks == [bareiss_rank(vm._layer(n)[0]) for n in range(len(ranks))]
+
+
+def test_layer_rank_descending_order_matches_ascending():
+    for point in DEEP[1:]:  # the A2 point would add seconds and no new case
+        up = _scanned_ranks(*point)[1]
+        vm = standard_module(*point)
+        assert [vm.layer_rank(n) for n in range(len(up) - 1, -1, -1)] == up[::-1], point
+
+
+def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p():
+    p = linalg.PRIME
+    for mat, label, chi in (([[p]], "A1", "triv"), ([[1, 0], [0, p]], "A2", "std")):
+        assert not nonsingular_mod_p(mat)
+        # layer_rank must prove full rank by elimination over Z instead
+        vm = standard_module(label, chi, Rat(2, 7), Rat(2, 7))
+        vm._gram[0] = mat, Rat(1)
+        assert vm.layer_rank(0) == len(mat)
+    assert nonsingular_mod_p([[1, 0], [0, p + 1]])
+
+
+def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
+    want = [_scanned_ranks(*point)[1] for point in GRID_POINTS]
+    fallbacks = []
+
+    def counting_rank(mat):
+        r = bareiss_rank(mat)
+        fallbacks.append(r == len(mat))
+        return r
+
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
+    for point, pinned, ranks in zip(GRID_POINTS, GRID, want):
+        assert classify(*point).as_dict() == pinned
+        assert _scanned_ranks(*point)[1] == ranks
+    # mod 3, some full-rank layers have a vanishing determinant
+    assert any(fallbacks)
 
 
 def test_symbolic_rank_falls_back_below_full_rank(monkeypatch):
