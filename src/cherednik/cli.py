@@ -15,13 +15,14 @@ import os
 import random
 import re
 import sys
+from functools import lru_cache
 
 from .errors import InvariantViolation, NonDivisibleError
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
-from .scalars import QuadExt, Rat, rat
+from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .rootsystem import LABELS, build_root_system
 from .wrep import get_irrep, irreps
-from .dunkl import dunkl_apply
+from .dunkl import dunkl_apply, lowest_weight_scalar
 from .linalg import bareiss_rank
 from .verma import VermaModule, classify as _classify, standard_module
 from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
@@ -35,6 +36,9 @@ MAX_SWEEP_POINTS = 10_000
 # 51 s, a symbolic G2 std one 49 s and a symbolic A1 one 19 s (a numeric A1
 # layer is 1 x 1 and took under a second).
 MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True): 20}
+# the highest degree a `classify` or `sweep` point may scan, per rank; at the
+# caps A2 triv m = 52 took 60 s and A1 sgn k = 1/3 61 s (as MAX_GRAM_DEGREE)
+MAX_SCAN_DEGREE = {1: 20000, 2: 106}
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -114,6 +118,17 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _check_scan_degree(label: str, chi: str, k1, k2, max_degree=None) -> None:
+    """UsageError when a classification would scan above MAX_SCAN_DEGREE:
+    to 2m + 2 for a lowest-weight scalar -m (m natural), or to max_degree."""
+    rs = build_root_system(label)
+    m = -lowest_weight_scalar(rs, get_irrep(rs, chi), k1, k2)
+    top = max(2 * m + 2 if is_nonneg_int(m) else 0, max_degree or 0)
+    if top > MAX_SCAN_DEGREE[rs.rank]:
+        raise UsageError(f"{label} {chi} at k = ({k1}, {k2}) scans to degree {top}, "
+                         f"above the limit of {MAX_SCAN_DEGREE[rs.rank]}")
+
+
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_info(args) -> int:
@@ -143,6 +158,7 @@ _CSV_HEADER = ["type", "k1", "k2", "chi", "finite", "m", "dim"]
 
 def _cmd_classify(args) -> int:
     k1, k2 = _resolve_couplings(args)
+    _check_scan_degree(args.type, args.chi, k1, k2, args.max_degree)
     res = _classify(args.type, args.chi, k1, k2, scan_bound=args.max_degree)
     if args.format == "json":
         _emit_json(res.as_dict())
@@ -180,7 +196,15 @@ def _cmd_gram(args) -> int:
         k1, k2 = _resolve_couplings(args)
         vm = VermaModule(rs, rep, k1, k2)
     g = vm.gram(args.degree)
-    entries = [[str(e) for e in row] for row in g]  # QuadExt or ParamPoly
+    # entries may pass the 4,300 digits Python >= 3.11 prints by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        entries = [[str(e) for e in row] for row in g]  # QuadExt or ParamPoly
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     _emit_json({
         "type": rs.label,
         "chi": rep.label,
@@ -203,14 +227,14 @@ def _cmd_sweep(args) -> int:
     if n1 * n2 > MAX_SWEEP_POINTS:
         raise UsageError(f"sweep has {n1 * n2} points, more than the limit "
                          f"of {MAX_SWEEP_POINTS}")
+    points = [(k1, k1 if a2 is None else a2 + j * s2)
+              for k1 in (a1 + i * s1 for i in range(n1)) for j in range(n2)]
+    for k1, k2 in points:
+        _check_scan_degree(args.type, args.chi, k1, k2)
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(_CSV_HEADER)
-    for i in range(n1):
-        k1 = a1 + i * s1
-        for j in range(n2):
-            k2 = k1 if a2 is None else a2 + j * s2
-            res = _classify(args.type, args.chi, k1, k2)
-            w.writerow(_csv_row(res))
+    for k1, k2 in points:
+        w.writerow(_csv_row(_classify(args.type, args.chi, k1, k2)))
     return 0
 
 
@@ -379,9 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# one parser per process: in-process callers run many commands
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:
@@ -389,11 +416,8 @@ def run(argv=None) -> int:
         # so the flush at interpreter shutdown does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except UsageError as e:
-        print(f"cherednik: error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        # unknown character labels and similar request-level problems
+    except (UsageError, ValueError) as e:
+        # ValueError: unknown character labels and similar request-level problems
         print(f"cherednik: error: {e}", file=sys.stderr)
         return 1
     except (InvariantViolation, NonDivisibleError, AssertionError) as e:

@@ -2,24 +2,25 @@
 hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
-The reflection difference quotients do not depend on the character or on
-the couplings, so _quotient_columns memoizes them per (root system, root,
-degree), each degree raised from the one below.  They are raised in the
-working coordinates v = S x of the root system (see rootsystem), where every
-root and coroot is rational, as integer columns over one denominator.  A
+The reflection difference quotients are character- and coupling-free, so
+_quotient_columns memoizes them per (root system, root, degree), raised from
+the degree below on integer columns over one denominator, in working
+coordinates v = S x where every root and coroot is rational (rootsystem).  A
 lowering matrix is affine in the couplings, L = D + k1*A + k2*B
 (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
-the v-coordinates on ints, each weight split into a rational and a sqrt(3)
-piece; a cell reaches the public basis through one power of sqrt(3).  Along
-the metric transfers every nonzero cell lands on an even power, so
-b_lowering_parts memoizes the parts per (root system, character, direction,
-degree) as sparse integer matrices over one denominator (an odd power raises
-InvariantViolation when they are built); a module at new couplings pays
-one integer combination per layer.  True QuadExt or ParamPoly matrices
-(lowering_matrix, along any direction) finish the same assembly in QuadExt
-without the integer parts, so the cross-checks built on them also cover the
-integer conversion.  dunkl_apply acts on polynomials through
-MPoly.divexact and weyl_act and shares none of this.
+the v-coordinates on ints from weights split into a rational and a sqrt(3)
+piece, computed once per (root system, character, direction); a cell reaches
+the public basis through one power of sqrt(3).  Along the metric transfers
+every nonzero cell lands on an even power, so b_lowering_parts memoizes the
+parts per (root system, character, direction, degree) as sparse integer
+matrices over one denominator, read from the assembly in cell order in one
+pass (an odd power raises InvariantViolation).  Characters whose reflection
+matrices agree up to one sign per root orbit share one assembly: rho (x)
+tau, tau one-dimensional, has rho's D, tau_0 A and tau_1 B.  New couplings
+cost one integer combination per layer.  lowering_matrix (any direction)
+finishes the same assembly in QuadExt, so the cross-checks built on it also
+cover the integer conversion.  dunkl_apply acts on polynomials through
+MPoly.divexact and weyl_act, sharing none of it.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, product
+from operator import add, neg, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat
-from .linalg import (dot, identity, kron_identity, mat_add, mat_mul,
-                     mat_vec, transpose)
+from .linalg import dot, identity, kron_identity, mat_add, mat_mul, mat_vec
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem, hbar_poly
+from .wrep import get_irrep, irreps
 
 
 # -- polynomial-layer matrices (character- and coupling-independent) -----------
@@ -155,37 +157,38 @@ def _split(w: QuadExt):
     return [(sg, v) for sg, v in enumerate((w.a, w.b)) if v]
 
 
+@lru_cache(maxsize=None)
+def _weights(rs: RootSystem, rep, y: tuple):
+    """The weights of _assemble along y, split: (i, sigma, piece) of y_i s_i
+    (d/dx_i = s_i d/dv_i), and per root with <alpha, y> != 0, (root, [(plane,
+    s, t, piece)]) of <alpha, y> rep(s_alpha)[s][t], plane 2 + 2 orbit + sigma."""
+    roots = [(r, [(2 + 2 * rs.orbit_of[r] + sg, s, t, v)
+                  for s, row in enumerate(rep.matrix(rs.reflection_element[r]))
+                  for t, x in enumerate(row) for sg, v in _split(ay * x)])
+             for r, ay in enumerate(dot(a, y) for a in rs.positive_roots) if ay]
+    return [(i, sg, v) for i in range(rs.rank)
+            for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])], roots
+
+
 def _assemble(rs: RootSystem, rep, y, n: int):
     """The Dunkl operator in direction y on the degree-n layer of the
     standard module of rep, in the working coordinates: D = d_y (x) 1 and
     the orbit sums A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the
     short and the long positive roots.
 
-    Each weight (y_i s_i for D, since d/dx_i = s_i d/dv_i, and
-    <alpha, y> rep(s_alpha)[s][t] for A and B) is split as
-    w_0 + w_1 sqrt(3), so each part P is a pair of integer matrices P_0, P_1
-    over one denominator den, and its public cell (r, c) is
-    sum_sigma P_sigma[r][c] / den * sqrt(3)^(h(r) - h(c) + sigma), h from
-    _sqrt3_powers.  Returns (rows, cols, den, cells): per part, its nonzero
-    entries as (row-major cell index, value, power of sqrt(3)).
+    Each weight (_weights) is split as w_0 + w_1 sqrt(3), so each part P is
+    a pair of integer matrices P_0, P_1 over one denominator den, and its
+    public cell (r, c) is sum_sigma P_sigma[r][c] / den *
+    sqrt(3)^(hr[r] - hc[c] + sigma), hr and hc from _sqrt3_powers.  Returns
+    (den, flat, hr, hc), flat the row-major planes D_0, D_1, ..., B_1.
     """
-    nv, d = rs.rank, rep.dim
-    mono = monomials(nv, n)
-    rows, cols = len(monomials(nv, n - 1)) * d, len(mono) * d
-    size = rows * cols
-    dw = [(i, sg, v) for i in range(nv)
-          for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])]
-    roots = []  # ((den, columns) of Q_alpha, [(flat offset, weight piece)])
-    for ridx in range(rs.num_positive):
-        ay = dot(rs.positive_roots[ridx], y)
-        if ay:
-            base = (2 + 2 * rs.orbit_of[ridx]) * size
-            rm = rep.matrix(rs.reflection_element[ridx])
-            ws = [(base + sg * size + s * cols + t, v) for s in range(d)
-                  for t in range(d) for sg, v in _split(ay * rm[s][t])]
-            roots.append((_quotient_columns(rs, ridx, n), ws))
+    d, mono = rep.dim, monomials(rs.rank, n)
+    hr, hc = _sqrt3_powers(rs, n - 1, d), _sqrt3_powers(rs, n, d)
+    cols, size = len(hc), len(hr) * len(hc)
+    dw, rw = _weights(rs, rep, tuple(y))
+    roots = [(_quotient_columns(rs, ridx, n), ws) for ridx, ws in rw]
     den = math.lcm(*(v.denominator for _, _, v in dw),
-                   *(qden * v.denominator for (qden, _), ws in roots for _, v in ws))
+                   *(qden * v.denominator for (qden, _), ws in roots for *_, v in ws))
     flat = [0] * (6 * size)
     # d/dv_i sends monomial b to m_i times monomial b - i
     for i, sg, v in dw:
@@ -194,19 +197,20 @@ def _assemble(rs: RootSystem, rep, y, n: int):
             if m[i]:
                 for s in range(d):
                     flat[sg * size + ((b - i) * d + s) * cols + b * d + s] = w * m[i]
+    # per (plane, s, t), the sum of its weights times Q_alpha, Q_alpha
+    # row-major: entry (a, b) is the cell (a d + s) cols + b d + t of plane
+    sums = {}
     for (qden, qcols), ws in roots:
-        wi = [(off, v.numerator * (den // (qden * v.denominator))) for off, v in ws]
-        for b, qcol in enumerate(qcols):
-            for a, qv in enumerate(qcol):
-                if qv:
-                    cell = a * d * cols + b * d
-                    for off, w in wi:
-                        flat[cell + off] += qv * w
-    hr, hc = _sqrt3_powers(rs, n - 1, d), _sqrt3_powers(rs, n, d)
-    return rows, cols, den, [
-        [(i, v, hr[i // cols] - hc[i % cols] + sg) for sg in (0, 1)
-         for i, v in enumerate(flat[(2 * p + sg) * size:(2 * p + sg + 1) * size]) if v]
-        for p in range(3)]
+        qrows = list(chain.from_iterable(zip(*qcols)))
+        for plane, s, t, v in ws:
+            terms = map((v.numerator * (den // (qden * v.denominator))).__mul__, qrows)
+            acc = sums.get((plane, s, t))
+            sums[plane, s, t] = list(terms if acc is None else map(add, acc, terms))
+    for (plane, s, t), acc in sums.items():
+        for a in range(len(hr) // d):
+            start = plane * size + (a * d + s) * cols + t
+            flat[start:start + cols:d] = acc[a * len(mono):(a + 1) * len(mono)]
+    return den, flat, hr, hc
 
 
 def _combine(rows, cols, parts, coefs, zero):
@@ -248,39 +252,48 @@ class LoweringParts:
 
 def _integer_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
     """The parts of _assemble in the public basis over the least common
-    denominator.  A nonzero entry with an odd power of sqrt(3) has no
-    integer form and raises InvariantViolation, so the check runs once per
-    part set, for every coupling at once."""
-    rows, cols, den, parts = _assemble(rs, rep, y, n)
-    for i, _, k in chain.from_iterable(parts):
-        if k % 2:
-            raise InvariantViolation(
-                f"lowering part cell {i} has a sqrt(3) part: no integer form")
-    # value * 3^(k/2) / den, over den * 3^shift
-    shift = max([0] + [-k // 2 for _, _, k in chain.from_iterable(parts)])
-    ints = [sorted((i, v * 3 ** (k // 2 + shift)) for i, v, k in cells)
-            for cells in parts]
+    denominator, in cell order: a cell with k = hr - hc is value * 3^((k +
+    1) // 2) / den on the plane k mod 2.  An entry on the other plane (a zero
+    read, or a cell with two entries) has no integer form and raises
+    InvariantViolation, once per part set for every coupling.  den * 3^shift
+    clears the lowest power; the gcd undoes any excess."""
+    den, flat, hr, hc = _assemble(rs, rep, y, n)
+    rows, cols, size = len(hr), len(hc), len(hr) * len(hc)
+    ks = [a - h for a in hr for h in hc]
+    shift = max(0, -((min(ks, default=0) + 1) // 2))
+    scale = {k: 3 ** ((k + 1) // 2 + shift) for k in set(ks)}
+    parts = []
+    for p in (0, 2 * size, 4 * size):
+        planes = flat[p:p + size], flat[p + size:p + 2 * size]
+        idx = array("I", compress(range(size), map(or_, *planes)))
+        vals = [planes[ks[i] % 2][i] * scale[ks[i]] for i in idx]
+        if 0 in vals or planes[0].count(0) + planes[1].count(0) != 2 * size - len(idx):
+            raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
+        parts.append((idx, vals))
     den *= 3 ** shift
-    g = math.gcd(den, *(v for _, v in chain.from_iterable(ints)))
+    g = math.gcd(den, *chain.from_iterable(vals for _, vals in parts))
     return LoweringParts(rows, cols, den // g, tuple(
-        (array("I", (i for i, _ in cells)), tuple(v // g for _, v in cells))
-        for cells in ints))
+        (idx, tuple(map(g.__rfloordiv__, vals))) for idx, vals in parts))
 
 
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
     """Matrix of the Dunkl operator in direction y on the degree-n layer
     of the standard module with lowest-weight representation rep.  Any
-    direction is allowed, so values may carry sqrt(3): the parts of
+    direction is allowed, so values may carry sqrt(3): the planes of
     `_assemble` are taken to the public basis in QuadExt, without the
     integer form."""
-    rows, cols, den, cells_by_part = _assemble(rs, rep, y, n)
+    den, flat, hr, hc = _assemble(rs, rep, y, n)
+    cols, size = len(hc), len(hr) * len(hc)
     parts = []
-    for cells in cells_by_part:
+    for p in range(3):
         vals = {}
-        for i, v, k in cells:
-            vals[i] = vals.get(i, QZERO) + _to_public(Rat(v, den), k)
+        for i, v in enumerate(flat[2 * p * size:(2 * p + 2) * size]):
+            if v:
+                c, sg = i % size, i // size
+                k = hr[c // cols] - hc[c % cols] + sg
+                vals[c] = vals.get(c, QZERO) + _to_public(Rat(v, den), k)
         parts.append((vals.keys(), vals.values()))
-    return _combine(rows, cols, parts, (1, k1, k2), QZERO)
+    return _combine(len(hr), cols, parts, (1, k1, k2), QZERO)
 
 
 def b_direction(rs: RootSystem, j: int):
@@ -289,11 +302,31 @@ def b_direction(rs: RootSystem, j: int):
 
 
 @lru_cache(maxsize=None)
+def _sign_class(rs: RootSystem, rep):
+    """(base, signs): the first irrep of rs whose reflection matrices are
+    rep's up to one sign per root orbit, or (rep, (1, 1)).  D does not see
+    rep and A, B are orbit sums, so rep's parts are base's D, s_0 A, s_1 B."""
+    mats = [(rs.orbit_of[r], w, [list(row) for row in rep.matrix(w)])
+            for r, w in enumerate(rs.reflection_element)]
+    for base, signs in product(irreps(rs), ((1, 1), (-1, 1), (1, -1), (-1, -1))):
+        if all(m == [[x if signs[o] == 1 else -x for x in row]
+                     for row in base.matrix(w)] for o, w, m in mats):
+            return base, signs
+    return rep, (1, 1)
+
+
+@lru_cache(maxsize=None)
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
-    """The integer parts of the lowering along b_direction(rs, j) on the
-    degree-n layer, memoized per (root system, character, direction,
-    degree): they do not depend on the couplings."""
-    return _integer_parts(rs, rep, b_direction(rs, j), n)
+    """The coupling-free integer parts of the lowering along b_direction(rs,
+    j) on the degree-n layer, memoized per (root system, character, direction,
+    degree); a character other than the base of its _sign_class negates A, B."""
+    base, signs = _sign_class(rs, rep)
+    if base is rep:
+        return _integer_parts(rs, rep, b_direction(rs, j), n)
+    p = b_lowering_parts(rs, base, j, n)
+    return LoweringParts(p.rows, p.cols, p.den, p.parts[:1] + tuple(
+        (idx, vals if s == 1 else tuple(map(neg, vals)))
+        for (idx, vals), s in zip(p.parts[1:], signs)))
 
 
 # -- the sl2 triple -------------------------------------------------------------
@@ -301,8 +334,7 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
 def e_mult_matrix(rs: RootSystem, rep, n: int):
     """Matrix of the raising operator (multiplication by the invariant
     quadric) from the degree-n layer to the degree-(n+2) layer."""
-    base = mult_matrix(rs, rs.e_poly, n)
-    return kron_identity(base, rep.dim)
+    return kron_identity(mult_matrix(rs, rs.e_poly, n), rep.dim)
 
 
 def f_coefficients(rs: RootSystem):
@@ -365,28 +397,13 @@ def lowest_weight_scalar(rs: RootSystem, rep, k1, k2):
     return reflection_sum_scalar(rs, rep, k1, k2) + Rat(rs.rank, 2)
 
 
-def _rat_sqrt(r):
-    """Exact square root of a nonnegative rational, or None."""
-    num, den = r.numerator, r.denominator
-    sn, sd = math.isqrt(int(num)), math.isqrt(int(den))
-    if sn * sn == num and sd * sd == den:
-        return Rat(sn, sd)
-    return None
-
-
 def _quad_sqrt(v: QuadExt):
-    """Square root of a rational value inside the quadratic extension."""
-    if not v.is_rational:
-        return None
-    r = v.rational()
-    if r < 0:
-        return None
-    s = _rat_sqrt(r)
-    if s is not None:
-        return QuadExt(s)
-    s = _rat_sqrt(r / 3)
-    if s is not None:
-        return QuadExt(0, s)
+    """Square root of a rational value inside the quadratic extension: a
+    rational s or s sqrt(3), or None."""
+    for k, r in enumerate((v.a, v.a / 3) if v.is_rational and v.a >= 0 else ()):
+        sn, sd = math.isqrt(r.numerator), math.isqrt(r.denominator)
+        if sn * sn == r.numerator and sd * sd == r.denominator:
+            return QuadExt(0, Rat(sn, sd)) if k else QuadExt(Rat(sn, sd))
     return None
 
 
@@ -402,8 +419,6 @@ def sl2_calibration(rs: RootSystem):
     root system; a failed check raises and is not memoized, so it runs
     again on the next call.
     """
-    from .wrep import get_irrep
-
     triv = get_irrep(rs, "triv")
     evec = poly_coords(rs.e_poly, 2, rs.rank)
     fmat = f_matrix(rs, triv, 2, PP_K1, PP_K2)

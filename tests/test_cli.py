@@ -167,6 +167,78 @@ def test_gram_degree_cap(capsys, monkeypatch):
         assert err.startswith("cherednik: error:") and "limit" in err
 
 
+def test_gram_prints_entries_of_any_size(capsys):
+    # the entries run past the 4,300 digits Python prints by default; the
+    # limit is lifted only while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(
+        ["gram", "--type", "A1", "--chi", "sgn", "--k", "123456/654321",
+         "--degree", "1200"], capsys)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    g = standard_module("A1", "sgn", Rat(123456, 654321), Rat(123456, 654321)).gram(1200)
+    entries = json.loads(out)["entries"]
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(e) for row in entries for e in row) > 4300
+        assert [[Rat(e) for e in row] for row in entries] == [
+            [e.rational() for e in row] for row in g]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_one_process_runs_usage_error_then_golden_commands(capsys):
+    # the parser is built once and serves every later call unchanged
+    golden = Path(__file__).parent / "golden"
+    cases = {c["id"]: c for c in json.loads((golden / "cases.json").read_text())}
+    cli._parser.cache_clear()
+    code, out, err = run_cli(["classify", "--type", "A2", "--chi", "triv"], capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    for cid in ("classify-B2-triv-m1_2-json", "gram-B2-std-readme"):
+        code, out, _ = run_cli(cases[cid]["argv"], capsys)
+        assert code == 0
+        assert out == (golden / f"{cid}.out").read_text()
+    assert cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+CAP1, CAP2 = cli.MAX_SCAN_DEGREE[1], cli.MAX_SCAN_DEGREE[2]
+
+
+@pytest.mark.parametrize("argv", [
+    # A2 triv at k = -(m + 1)/3 scans to 2m + 2 = CAP2 + 2
+    ["classify", "--type", "A2", "--chi", "triv", "--k", f"-{CAP2 // 2 + 1}/3"],
+    ["classify", "--type", "G2", "--chi", "std", "--k", "1/2",
+     "--max-degree", str(CAP2 + 1)],
+    # A1 sgn at k = m + 1/2 scans to 2m + 2 = CAP1 + 2
+    ["classify", "--type", "A1", "--chi", "sgn", "--k", f"{CAP1 + 1}/2"],
+    # the first point (-1/2, -100) has m = 200
+    ["sweep", "--type", "B2", "--chi", "triv", "--k1-range", "-1/2:1/2:1/2",
+     "--k2-range", "-100:0:50"],
+])
+def test_scan_degree_cap(argv, capsys, monkeypatch):
+    # refused before any classification: one error line, nothing on stdout
+    def no_classify(*args, **kwargs):
+        raise AssertionError("a point was classified")
+
+    monkeypatch.setattr(cli, "_classify", no_classify)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cherednik: error:") and "limit" in err
+
+
+def test_scan_degree_cap_accepts_the_cap():
+    # m = CAP2 // 2 - 1 scans exactly to CAP2; generic points scan to 10
+    k = Rat(-(CAP2 // 2), 3)
+    cli._check_scan_degree("A2", "triv", k, k)
+    cli._check_scan_degree("G2", "std", Rat(1, 2), Rat(1, 2), CAP2)
+    cli._check_scan_degree("A1", "sgn", Rat(CAP1 - 1, 2), Rat(CAP1 - 1, 2))
+    with pytest.raises(cli.UsageError):
+        cli._check_scan_degree("A1", "sgn", Rat(CAP1 + 1, 2), Rat(CAP1 + 1, 2))
+
+
 def test_sweep_diagonal(capsys):
     code, out, _ = run_cli(
         ["sweep", "--type", "A1", "--chi", "triv",

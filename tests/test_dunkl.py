@@ -8,14 +8,16 @@ from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
-from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
+from cherednik.wrep import Irrep, _build_irreps, _tensor_scalar, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, reflection_sum_scalar,
                              sl2_calibration)
+from cherednik import dunkl
 from cherednik.dunkl import (_frame_check, _integer_parts, _orthonormal_frame,
-                             _quotient_columns, _sqrt3_powers, _to_public)
+                             _quotient_columns, _sign_class, _sqrt3_powers,
+                             _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
@@ -316,6 +318,67 @@ def test_cold_lowering_parts_make_no_quadext_products_per_cell():
         return calls[0]
 
     assert count_products(12) == count_products(4)
+
+
+def test_shared_parts_equal_direct_assembly_for_every_twist():
+    # every stock irrep and each of its twists by a one-dimensional
+    # character, the twist built by hand as a new Irrep object: the memoized
+    # parts, shared across a sign class, equal a direct assembly
+    def key(parts):
+        return parts.rows, parts.cols, parts.den, parts.parts
+
+    for label in TYPES:
+        rs = RootSystem(label)
+        stock = irreps(rs)
+        reps = list(stock) + [
+            Irrep(rs, f"{rep.label}*{tau.label}",
+                  _tensor_scalar(rep.matrices, [m[0][0] for m in tau.matrices]))
+            for rep in stock for tau in stock if tau.dim == 1]
+        for rep in reps:
+            for j in range(rs.rank):
+                for n in range(9):
+                    want = _integer_parts(rs, rep, b_direction(rs, j), n)
+                    assert key(b_lowering_parts(rs, rep, j, n)) == key(want)
+
+
+def test_cold_g2_parts_assemble_only_triv_and_std(monkeypatch):
+    # tau, sgn and sgn_tau are sign twists of triv, std_tau one of std
+    rs = RootSystem("G2")
+    assembled = []
+    assemble = dunkl._assemble
+
+    def counting(rs_, rep, y, n):
+        assembled.append(rep.label)
+        return assemble(rs_, rep, y, n)
+
+    monkeypatch.setattr(dunkl, "_assemble", counting)
+    for rep in irreps(rs):
+        for j in range(rs.rank):
+            for n in range(5):
+                b_lowering_parts(rs, rep, j, n)
+    assert sorted(set(assembled)) == ["std", "triv"]
+    assert len(assembled) == 2 * rs.rank * 5
+
+
+@pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])
+def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
+    # no sign times a stock reflection matrix, so the rep reaches the full
+    # assembly and its integer check; with 1 + sqrt(3) every cell of A has
+    # an entry on each plane
+    rs = RootSystem("A2")
+    bad = Irrep(rs, "sqrt3", [((value,),)] * len(rs.elements))
+    assert _sign_class(rs, bad) == (bad, (1, 1))
+    assembled = []
+    assemble = dunkl._assemble
+
+    def counting(rs_, rep, y, n):
+        assembled.append(rep)
+        return assemble(rs_, rep, y, n)
+
+    monkeypatch.setattr(dunkl, "_assemble", counting)
+    with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
+        b_lowering_parts(rs, bad, 0, 2)
+    assert assembled == [bad]
 
 
 def test_numeric_lowering_is_symbolic_evaluated():
