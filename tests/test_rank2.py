@@ -107,6 +107,51 @@ def test_kappa_factor_sequence():
         (KAP * KAP - Rat(1)) * (KAP * KAP - Rat(9))
 
 
+# -- reference recursions in ParamPoly arithmetic -------------------------------
+# Row n and kappa-factor p computed with rational coefficients, step by step
+# as the paper states them: an oracle for the scalings (9^n for G2 rows, 3^p
+# for the kappa-factors) that the package's integer tables carry.
+
+def reference_step(label, row, n):
+    def get(r):
+        return row[r] if 0 <= r < len(row) else ParamPoly()
+
+    out = []
+    for r in range(max_r(label, n + 1) + 1):
+        if label == "A2":
+            t = get(r - 1) * Rat(r * (2 * r - 1))
+            u = get(r) * (HB + Rat(n + 3 * r)) * Rat(n + 1 - 3 * r)
+            out.append(t - u)
+        elif label == "B2":
+            t = get(r - 1) * (PP_K1 * Rat(2) + Rat(2 * r - 1)) * Rat(-2 * r)
+            u = get(r) * (PP_K2 + Rat(n + 2 * r)) * Rat(n + 1 - 2 * r)
+            out.append(t - u)
+        else:
+            t = get(r) * (HB + Rat(n + 3 * r)) * Rat(-(n + 1 - 3 * r))
+            u = get(r - 1) * KAP * Rat(r)
+            v = get(r - 2) * Rat(r * (r - 1), 9)
+            out.append(t + u - v)
+    return out
+
+
+def reference_kappa_factors(top):
+    ks = [ParamPoly.const(Rat(1)), KAP]
+    for p in range(2, top + 1):
+        ks.append(KAP * ks[p - 1] + ks[p - 2] * (HB + Rat(3 * p - 4)) * Rat(p - 1, 3))
+    return ks
+
+
+def test_tables_match_param_poly_reference():
+    for label in ("A2", "B2", "G2"):
+        row = [ParamPoly.const(Rat(1))]
+        for n in range(15):
+            if n:
+                row = reference_step(label, row, n - 1)
+            got = [f_power_image(label, n, r) for r in range(max_r(label, n) + 1)]
+            assert got == row, (label, n)
+    assert [kappa_factor(p) for p in range(32)] == reference_kappa_factors(31)
+
+
 @contextmanager
 def shallow_recursion(frames=40):
     """A recursion limit a few dozen frames above the caller's own depth."""
