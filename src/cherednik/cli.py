@@ -39,6 +39,9 @@ MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True):
 # the highest degree a `classify` or `sweep` point may scan, per rank; at the
 # caps A2 triv m = 52 took 60 s and A1 sgn k = 1/3 61 s (as MAX_GRAM_DEGREE)
 MAX_SCAN_DEGREE = {1: 20000, 2: 106}
+# the highest `conjecture --max-q`; at the cap the check (r <= 501) took 61 s
+# and 96 MB (as MAX_GRAM_DEGREE)
+MAX_CONJECTURE_Q = 250
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -239,6 +242,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.max_q > MAX_CONJECTURE_Q:
+        raise UsageError(f"--max-q {args.max_q} is above the limit of {MAX_CONJECTURE_Q}")
     _emit_json(check_kappa_factorization(args.max_q).as_dict())
     return 0
 

@@ -167,7 +167,8 @@ class MPoly:
         if not other:
             raise ZeroDivisionError("division by zero")
         le, lc = other.leading()
-        lc_inv = QONE / lc
+        # a monic divisor keeps the coefficient ring: int quotients stay int
+        lc_inv = None if lc == 1 else QONE / lc
         rest = [(f, c) for f, c in other.terms.items() if f != le]
         rem = dict(self.terms)
         quot = {}
@@ -177,7 +178,7 @@ class MPoly:
             d = tuple(map(sub, e, le))
             if min(d) < 0:
                 raise NonDivisibleError(f"{self} is not divisible by {other}")
-            qc = c * lc_inv
+            qc = c if lc_inv is None else c * lc_inv
             quot[d] = qc
             for f, fc in rest:
                 g = tuple(map(add, d, f))

@@ -14,15 +14,21 @@ couplings: A2 tables use (hbar,), B2 tables (k1, hbar), G2 tables
 (hbar, kappa) — where hbar is the lowest-weight scalar of the trivial
 character and kappa = k2 - k1.  evaluate_at_couplings bridges back to
 raw couplings.
+
+Rows, products and kappa-factors are computed as MPoly(2, ...) with int
+coefficients over one known denominator (1 for A2 and B2 rows, 9^n for G2
+row n, 3^p for kappa-factor p), and become ParamPoly only when returned.
+The rows are memoized; a kappa-factor call holds two at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .polynomials import ParamPoly, PP_K1, PP_K2
+from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
 from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
@@ -32,12 +38,20 @@ from .verma import VermaModule
 
 _PZERO = ParamPoly.const(Rat(0))
 _PONE = ParamPoly.const(Rat(1))
+# the two table variables (hbar or k1, then kappa or hbar) over the integers
+_X, _Y = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
+_ZERO, _ONE = MPoly(2), MPoly(2, {(0, 0): 1})
 
 _TABLE_TYPES = ("A2", "B2", "G2")
 
 
 def _max_r(label: str, n: int) -> int:
     return n // 2 if label == "B2" else n // 3
+
+
+def _param(poly: MPoly, den: int = 1) -> ParamPoly:
+    """An integer table polynomial over its denominator, as a ParamPoly."""
+    return ParamPoly({e: Rat(c, den) for e, c in poly.terms.items()})
 
 
 def _check_entry(label: str, n: int):
@@ -49,40 +63,42 @@ def _check_entry(label: str, n: int):
 
 
 def _step(label: str, row, n: int):
-    """One recursion step: row n -> row n+1."""
+    """One recursion step on integer rows: row n -> row n+1.  A2 and B2
+    rows are integral as they stand; the G2 step is scaled by 9."""
 
     def get(r):
-        return row[r] if 0 <= r < len(row) else _PZERO
+        return row[r] if 0 <= r < len(row) else _ZERO
 
     out = []
     if label == "A2":
-        hb = PP_K1
+        hb = _X
         for r in range(_max_r(label, n + 1) + 1):
-            t = get(r - 1) * Rat(r * (2 * r - 1))
-            u = get(r) * (hb + Rat(n + 3 * r)) * Rat(n + 1 - 3 * r)
+            t = get(r - 1) * (r * (2 * r - 1))
+            u = get(r) * (hb + (n + 3 * r)) * (n + 1 - 3 * r)
             out.append(t - u)
     elif label == "B2":
-        k1v, hb = PP_K1, PP_K2
+        k1v, hb = _X, _Y
         for r in range(_max_r(label, n + 1) + 1):
-            t = get(r - 1) * (k1v * Rat(2) + Rat(2 * r - 1)) * Rat(-2 * r)
-            u = get(r) * (hb + Rat(n + 2 * r)) * Rat(n + 1 - 2 * r)
+            t = get(r - 1) * (k1v * 2 + (2 * r - 1)) * (-2 * r)
+            u = get(r) * (hb + (n + 2 * r)) * (n + 1 - 2 * r)
             out.append(t - u)
     else:  # G2
-        hb, kap = PP_K1, PP_K2
+        hb, kap = _X, _Y
         for r in range(_max_r(label, n + 1) + 1):
-            t = get(r) * (hb + Rat(n + 3 * r)) * Rat(-(n + 1 - 3 * r))
-            u = get(r - 1) * kap * Rat(r)
-            v = get(r - 2) * Rat(r * (r - 1), 9)
-            out.append(t + u - v)
+            t = get(r) * (hb + (n + 3 * r)) * (-(n + 1 - 3 * r))
+            u = get(r - 1) * kap * r
+            v = get(r - 2) * (r * (r - 1))
+            out.append((t + u) * 9 - v)
     return out
 
 
 @lru_cache(maxsize=None)
 def _row(label: str, n: int) -> tuple:
-    """Row n of the recursion, raised from row n - 1.  A miss first fills
-    the rows below in ascending order, so the recursion stays shallow."""
+    """Row n of the recursion in integer polynomials (G2 rows times 9^n),
+    raised from row n - 1.  A miss first fills the rows below in ascending
+    order, so the recursion stays shallow."""
     if n == 0:
-        return (_PONE,)
+        return (_ONE,)
     for i in range(1, n):
         _row(label, i)
     return tuple(_step(label, _row(label, n - 1), n - 1))
@@ -94,11 +110,11 @@ def f_power_image(label: str, n: int, r: int) -> ParamPoly:
     _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
         return _PZERO
-    return _row(label, n)[r]
+    return _param(_row(label, n)[r], 9 ** n if label == "G2" else 1)
 
 
-def _product(factors):
-    acc = _PONE
+def _product(factors) -> MPoly:
+    acc = _ONE
     for f in factors:
         acc = acc * f
     return acc
@@ -110,67 +126,73 @@ def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
     _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
         return _PZERO
-    if label == "A2":
-        hb = PP_K1
-        num = _product(hb + Rat(j) for j in range(n))
-        den = _product(hb + Rat(3 * i + 2) for i in range(r))
-        quot = num.divexact(den)
-        odd = 1
-        for i in range(1, r + 1):
-            odd *= 2 * i - 1
-        c = Rat((-1) ** (n + r) * math.factorial(n) * odd, 3 ** r)
-        return quot * c
     if label == "B2":
-        k1v, hb = PP_K1, PP_K2
-        num = _product(k1v * Rat(2) + Rat(2 * i - 1) for i in range(1, r + 1))
-        num = num * _product(hb + Rat(j) for j in range(n))
-        den = _product(hb + Rat(2 * i - 1) for i in range(1, r + 1))
-        quot = num.divexact(den)
-        return quot * Rat((-1) ** n * math.factorial(n))
-    hb = PP_K1  # G2
-    num = _product(hb + Rat(i) for i in range(n))
-    den = _product(hb + Rat(2 + 3 * j) for j in range(r))
-    quot = num.divexact(den)
-    c = Rat((-1) ** (n + r) * math.factorial(n), 3 ** r)
-    return kappa_factor(r) * quot * c
+        k1v, hb = _X, _Y
+        num = _product(k1v * 2 + (2 * i - 1) for i in range(1, r + 1))
+        num = num * _product(hb + j for j in range(n))
+        den = _product(hb + (2 * i - 1) for i in range(1, r + 1))
+        return _param(num.divexact(den) * ((-1) ** n * math.factorial(n)))
+    hb = _X  # A2 and G2 skip the same grading factors
+    num = _product(hb + j for j in range(n))
+    quot = num.divexact(_product(hb + (3 * i + 2) for i in range(r)))
+    c = (-1) ** (n + r) * math.factorial(n)
+    if label == "A2":
+        odd = math.factorial(2 * r) // (2 ** r * math.factorial(r))  # (2r - 1)!!
+        return _param(quot * (c * odd), 3 ** r)
+    return _param(_kappa(r) * quot * c, 9 ** r)
 
 
 # -- kappa-factor sequence (G2) --------------------------------------------------
 
-@lru_cache(maxsize=None)
+def _kappas():
+    """3^p times the kappa-factors, p = 0, 1, 2, ...: integer polynomials
+    with K'(p) = 3 kappa K'(p-1) + 3 (p-1) (hbar + 3p - 4) K'(p-2).  Only
+    the last two are held, so a deep index needs no more memory than its own."""
+    prev, cur = _ONE, _Y * 3
+    yield prev
+    for p in itertools.count(2):
+        yield cur
+        prev, cur = cur, _Y * cur * 3 + prev * (_X + (3 * p - 4)) * (3 * (p - 1))
+
+
+def _kappa(p: int) -> MPoly:
+    if p < 0:
+        raise ValueError("index must be nonnegative")
+    return next(itertools.islice(_kappas(), p, None))
+
+
 def kappa_factor(p: int) -> ParamPoly:
     """The G2 factor sequence in (hbar, kappa): the part of the table
     entries not explained by the grading products."""
-    if p < 0:
-        raise ValueError("index must be nonnegative")
-    if p == 0:
-        return _PONE
-    if p == 1:
-        return PP_K2
-    for i in range(2, p):  # ascending, so the recursion stays shallow
-        kappa_factor(i)
-    hb, kap = PP_K1, PP_K2
-    return (kap * kappa_factor(p - 1)
-            + kappa_factor(p - 2) * (hb + Rat(3 * p - 4)) * Rat(p - 1, 3))
+    return _param(_kappa(p), 3 ** p)
+
+
+def _critical(r: int, k: MPoly) -> MPoly:
+    """k (3^r times kappa-factor r) at hbar = -(3r-1), in kappa alone."""
+    pw = [(-(3 * r - 1)) ** i for i in range(r + 1)]
+    t = {}
+    for (i, j), c in k.terms.items():
+        t[0, j] = t.get((0, j), 0) + c * pw[i]
+    return MPoly(2, t)
 
 
 def kappa_factor_at_critical(r: int) -> ParamPoly:
     """The kappa-factor specialized to the grading value -(3r-1), a
     polynomial in kappa alone; its vanishing decides the G2
     equal-grading branch."""
-    return kappa_factor(r).eval2(Rat(-(3 * r - 1)), PP_K2)
+    return _param(_critical(r, _kappa(r)), 3 ** r)
+
+
+def _conjectured(r: int) -> MPoly:
+    head = _Y if r % 2 else _ONE
+    return head * _product(_Y * _Y - j * j for j in range(r - 1, 0, -2))
 
 
 def kappa_factor_conjectured(r: int) -> ParamPoly:
     """The conjectured factorization: products of (kappa^2 - j^2) over
     odd j below r for even r, over even j below r (with a kappa factor)
     for odd r."""
-    kap = PP_K2
-    if r % 2 == 0:
-        q = r // 2
-        return _product(kap * kap - Rat((2 * j - 1) ** 2) for j in range(1, q + 1))
-    q = (r - 1) // 2
-    return kap * _product(kap * kap - Rat((2 * j) ** 2) for j in range(1, q + 1))
+    return _param(_conjectured(r))
 
 
 class FactorizationReport:
@@ -208,8 +230,8 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
     """Compare the exact critical kappa-factors with the conjectured
     products for every index up to 2*max_q + 1."""
     top = 2 * max_q + 1
-    for r in range(top + 1):
-        if kappa_factor_at_critical(r) != kappa_factor_conjectured(r):
+    for r, k in zip(range(top + 1), _kappas()):
+        if _critical(r, k) != _conjectured(r) * 3 ** r:
             return FactorizationReport(top, r)
     return FactorizationReport(top, None)
 

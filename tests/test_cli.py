@@ -15,7 +15,7 @@ import cherednik
 from cherednik import cli
 from cherednik.cli import run
 from cherednik.dunkl import _quotient_columns, b_lowering_parts
-from cherednik.rank2 import check_kappa_factorization
+from cherednik.rank2 import FactorizationReport, check_kappa_factorization
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
 
@@ -227,6 +227,24 @@ def test_scan_degree_cap(argv, capsys, monkeypatch):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("cherednik: error:") and "limit" in err
+
+
+def test_conjecture_cap(capsys, monkeypatch):
+    # refused before any check: one error line, nothing on stdout
+    def no_check(max_q):
+        raise AssertionError("the factorization was checked")
+
+    monkeypatch.setattr(cli, "check_kappa_factorization", no_check)
+    cap = cli.MAX_CONJECTURE_Q
+    code, out, err = run_cli(["conjecture", "--max-q", str(cap + 1)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cherednik: error:") and "limit" in err
+    # the cap itself is accepted
+    monkeypatch.setattr(cli, "check_kappa_factorization",
+                        lambda max_q: FactorizationReport(2 * max_q + 1, None))
+    code, out, _ = run_cli(["conjecture", "--max-q", str(cap)], capsys)
+    assert code == 0 and json.loads(out)["checked_up_to"] == 2 * cap + 1
 
 
 def test_scan_degree_cap_accepts_the_cap():

@@ -77,6 +77,29 @@ def test_divexact_coordinate_ring():
         (quad * lin + MPoly.var(1, 2)).divexact(quad)
 
 
+def int_mpoly(maxdeg, terms=4):
+    return MPoly(2, {(RNG.randint(0, maxdeg), RNG.randint(0, maxdeg)):
+                     RNG.randint(-9, 9) for _ in range(terms)})
+
+
+def test_divexact_over_the_integers_stays_integral():
+    # monic divisors in y and in x; the quotient keeps int coefficients
+    for den in (MPoly(2, {(0, 1): 1, (0, 0): -5}),
+                MPoly(2, {(2, 0): 1, (1, 1): 3, (0, 0): -2})):
+        for _ in range(20):
+            q = int_mpoly(3)
+            got = (q * den).divexact(den)
+            assert got == q
+            assert all(type(c) is int for c in got.terms.values())
+
+
+def test_divexact_over_the_integers_refuses_a_remainder():
+    den = MPoly(2, {(1, 0): 1, (0, 0): 3})
+    num = MPoly(2, {(2, 1): 1, (0, 0): 7}) * den + 1
+    with pytest.raises(NonDivisibleError):
+        num.divexact(den)
+
+
 def test_mixed_ring_products():
     # an MPoly in x takes ParamPoly coefficients, a ParamPoly never MPoly ones
     x1 = MPoly.var(0, 2)
