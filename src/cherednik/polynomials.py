@@ -264,6 +264,16 @@ class ParamPoly(MPoly):
         object.__setattr__(self, "nvars", 2)
         object.__setattr__(self, "terms", t)
 
+    @classmethod
+    def _of(cls, terms) -> "ParamPoly":
+        """A ParamPoly on terms that are already canonical, (int, int) ->
+        nonzero QuadExt with Rat parts, unchecked and not copied: for
+        callers that build the terms themselves."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", 2)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 

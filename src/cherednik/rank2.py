@@ -51,7 +51,7 @@ def _max_r(label: str, n: int) -> int:
 
 def _param(poly: MPoly, den: int = 1) -> ParamPoly:
     """An integer table polynomial over its denominator, as a ParamPoly."""
-    return ParamPoly({e: Rat(c, den) for e, c in poly.terms.items()})
+    return ParamPoly._of({e: QuadExt._of(Rat(c, den)) for e, c in poly.terms.items()})
 
 
 def _check_entry(label: str, n: int):
@@ -230,8 +230,11 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
     """Compare the exact critical kappa-factors with the conjectured
     products for every index up to 2*max_q + 1."""
     top = 2 * max_q + 1
+    conj = [_ONE, _Y]  # conj[r % 2]: _conjectured(r), carried two indices at a time
     for r, k in zip(range(top + 1), _kappas()):
-        if _critical(r, k) != _conjectured(r) * 3 ** r:
+        if r >= 2:
+            conj[r % 2] = conj[r % 2] * (_Y * _Y - (r - 1) ** 2)
+        if _critical(r, k) != conj[r % 2] * 3 ** r:
             return FactorizationReport(top, r)
     return FactorizationReport(top, None)
 

@@ -14,6 +14,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 RatType = type(Rat(0))
 _INTLIKE = (int, RatType)
+_RZERO = Rat(0)  # the default part: one zero, not a new one per QuadExt
 
 
 def rat(x) -> Rat:
@@ -37,9 +38,18 @@ class QuadExt:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a=0, b=0):
+    def __init__(self, a=_RZERO, b=_RZERO):
         object.__setattr__(self, "a", rat(a))
         object.__setattr__(self, "b", rat(b))
+
+    @classmethod
+    def _of(cls, a, b=_RZERO) -> "QuadExt":
+        """a + b*s3 from parts that are already Rat, unchecked: for callers
+        that build the parts themselves."""
+        out = _new(cls)
+        _set_a(out, a)
+        _set_b(out, b)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -191,6 +201,9 @@ class QuadExt:
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r})"
 
+
+_new = object.__new__
+_set_a, _set_b = QuadExt.a.__set__, QuadExt.b.__set__
 
 QZERO = QuadExt(0)
 QONE = QuadExt(1)

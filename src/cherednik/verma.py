@@ -17,10 +17,13 @@ higher layer is singular (the radical is a submodule, and x_1 is injective
 on polynomials tensor chi), so no determinant is tried there.  A symbolic
 layer (or row) is read off a numeric module at k = (B, B^(n+1)) by
 Kronecker substitution, one coefficient per base-B digit, with B = 2^s
-sized by a product of the lowerings' column norms.  Its minors are
-polynomials in k1, k2, so full rank at the rational point _CERT_POINT
-proves full rank; only a layer that falls short there is ranked by Bareiss
-over ParamPoly.
+sized by a product of the lowerings' column norms.  The digits become
+ParamPoly coefficients directly, already canonical, and a Gram layer is
+unpacked once per symmetric pair: the packed layer has passed the
+symmetry check and unpacking is injective, so both cells hold one value.
+A symbolic layer's minors are polynomials in k1, k2, so full rank at the
+rational point _CERT_POINT proves full rank; only a layer that falls
+short there is ranked by Bareiss over ParamPoly.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -63,9 +66,9 @@ def _unpack(v: int, s: int, stride: int, den: int) -> ParamPoly:
     while v:
         c = ((v + half) & mask) - half
         if c:
-            terms[e % stride, e // stride] = Rat(c, den)
+            terms[e % stride, e // stride] = QuadExt._of(Rat(c, den))
         v, e = (v - c) >> s, e + 1
-    return ParamPoly(terms)
+    return ParamPoly._of(terms)
 
 
 class VermaModule:
@@ -182,7 +185,12 @@ class VermaModule:
         down times an integer lowering (or F), and coefficient 1-norms are
         submultiplicative, so max |c_ij| is at most the numerator of u times
         the product of the lowerings' largest column norms (and of the
-        1-norm of the integer F coefficients per step)."""
+        1-norm of the integer F coefficients per step).
+
+        A Gram layer unpacks the cells j >= i only and puts the same
+        immutable ParamPoly at [i][j] and [j][i]: _layer has checked the
+        packed layer for symmetry, and equal integers unpack to equal
+        polynomials.  F rows are not square and unpack every cell."""
         steps = max(n, 0) // 2 if chain else 0
         coef, unit = integer_scale(f_coefficients(self.rs))
         unit **= steps
@@ -201,8 +209,14 @@ class VermaModule:
         if mult.denominator != 1:
             raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "
                                      f"degree-{n} values times {den} are not integers")
-        return [[_unpack(v * mult.numerator, s, stride, den) for v in row]
-                for row in rows]
+        k = mult.numerator
+        if chain:
+            return [[_unpack(v * k, s, stride, den) for v in row] for row in rows]
+        out = [[None] * len(rows) for _ in rows]
+        for i, row in enumerate(rows):
+            for j in range(i, len(row)):
+                out[i][j] = out[j][i] = _unpack(row[j] * k, s, stride, den)
+        return out
 
     def gram_direct(self, n: int):
         """The same Gram matrix assembled monomial by monomial from

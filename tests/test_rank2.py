@@ -6,7 +6,8 @@ from contextlib import contextmanager
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat, rat
+from cherednik.scalars import QuadExt, Rat, RatType, rat
+from cherednik import verma
 from cherednik.rank2 import _row
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
@@ -189,6 +190,53 @@ def test_kappa_factorization_report():
     assert rep.first_failure is None
     d = rep.as_dict()
     assert d["verified_up_to"] == 31 and d["first_failure"] is None
+
+
+def test_kappa_factorization_matches_one_index_at_a_time():
+    # the check carries one conjectured product per parity; the reference
+    # compares the public kappa-factors index by index
+    agree = [kappa_factor_at_critical(r) == kappa_factor_conjectured(r)
+             for r in range(62)]
+    for max_q in (0, 1, 2, 5, 15, 30):
+        top = 2 * max_q + 1
+        first = next((r for r in range(top + 1) if not agree[r]), None)
+        want = {"verified_up_to": top if first is None else first - 1,
+                "first_failure": first, "checked_up_to": top}
+        assert check_kappa_factorization(max_q).as_dict() == want, max_q
+
+
+def assert_canonical(p):
+    """p is what the checked ParamPoly constructor would build from it:
+    (int, int) exponents, nonzero QuadExt coefficients with Rat parts."""
+    assert type(p) is ParamPoly
+    fresh = ParamPoly(p.terms)
+    assert fresh == p and hash(fresh) == hash(p)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == 2 and all(type(i) is int for i in e)
+        assert type(c) is QuadExt and c
+        assert type(c.a) is RatType and type(c.b) is RatType
+
+
+def test_trusted_constructors_give_canonical_values():
+    for label in ("A2", "B2", "G2"):
+        for n in range(13):
+            for r in range(max_r(label, n) + 1):
+                assert_canonical(f_power_image(label, n, r))
+                assert_canonical(f_power_image_closed(label, n, r))
+    for p in range(21):
+        for f in (kappa_factor, kappa_factor_at_critical, kappa_factor_conjectured):
+            assert_canonical(f(p))
+    # balanced digits over a denominator they share factors with
+    s, stride = 6, 3
+    v = sum(c << (s * e) for e, c in enumerate((3, -31, 0, 12, 1, -6)))
+    assert_canonical(verma._unpack(v, s, stride, 6))
+    assert_canonical(verma._unpack(0, s, stride, 6))
+    for label, chi in (("A2", "std"), ("B2", "triv"), ("G2", "std")):
+        vm = verma.standard_module(label, chi, PP_K1, PP_K2)
+        for rows in (vm.gram(4), vm.f_chain(4)):
+            for row in rows:
+                for entry in row:
+                    assert_canonical(entry)
 
 
 def test_very_singular_matches_classifier():

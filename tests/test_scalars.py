@@ -53,6 +53,15 @@ def test_quadext_rational_detection():
     assert QuadExt(Rat(7, 3)).rational() == Rat(7, 3)
 
 
+def test_trusted_quadext_matches_the_checked_constructor():
+    for a, b in ((Rat(3, 4), None), (Rat(-5), Rat(1, 2)), (Rat(0), None)):
+        q = QuadExt._of(a) if b is None else QuadExt._of(a, b)
+        want = QuadExt(a) if b is None else QuadExt(a, b)
+        assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
+    # the default sqrt(3) part is one shared rational zero
+    assert QuadExt._of(Rat(3, 4)).b is QuadExt(Rat(3, 4)).b is QuadExt().b
+
+
 def test_rat_helpers():
     assert rat("5/3") == Rat(5, 3)
     assert rat(2) == Rat(2)

@@ -138,6 +138,50 @@ def test_symbolic_layers_out_of_order():
             assert vm.gram(n) == want[n], (label, chi, n)
 
 
+@pytest.mark.parametrize("label, chi", [("B2", "triv"), ("G2", "std")])
+def test_symmetry_check_guards_the_mirrored_unpack(label, chi, monkeypatch):
+    # a symbolic layer unpacks j >= i and mirrors it: exact only because
+    # _layer checks the packed layer for symmetry
+    vm = standard_module(label, chi, PP_K1, PP_K2)
+    want = _parampoly_layers(vm, 6)
+    for n in range(7):
+        got = vm.gram(n)
+        size = len(got)
+        assert all(got[i][j] is got[j][i] for i in range(size) for j in range(size))
+        assert got == want[n], (label, chi, n)
+    lowerings = VermaModule._lowerings
+
+    def skewed(self, n):
+        # only the packed numeric module reads lowerings for a symbolic gram:
+        # one cell of the second direction, in a column the first fills
+        lows, scale = lowerings(self, n)
+        second = [list(row) for row in lows[1]]
+        second[(n - 1) * self.rep.dim][0] += 1
+        return [lows[0], second], scale
+
+    monkeypatch.setattr(VermaModule, "_lowerings", skewed)
+    for n in (1, 4):
+        with pytest.raises(InvariantViolation):
+            standard_module(label, chi, PP_K1, PP_K2).gram(n)
+
+
+def test_symbolic_gram_unpacks_each_symmetric_pair_once(monkeypatch):
+    calls = []
+    unpack = verma._unpack
+
+    def counted(*args):
+        calls.append(args)
+        return unpack(*args)
+
+    monkeypatch.setattr(verma, "_unpack", counted)
+    vm = standard_module("G2", "std", PP_K1, PP_K2)
+    assert len(vm.gram(4)) == 10
+    assert len(calls) == 10 * 11 // 2
+    calls.clear()
+    rows = vm.f_chain(4)
+    assert len(calls) == len(rows) * len(rows[0]) == 2 * 10
+
+
 def test_symbolic_reads_build_one_packed_module_each(monkeypatch):
     # the digit width comes from the memoized parts: no second recursion
     built = []
