@@ -397,26 +397,15 @@ def lowest_weight_scalar(rs: RootSystem, rep, k1, k2):
     return reflection_sum_scalar(rs, rep, k1, k2) + Rat(rs.rank, 2)
 
 
-def _quad_sqrt(v: QuadExt):
-    """Square root of a rational value inside the quadratic extension: a
-    rational s or s sqrt(3), or None."""
-    for k, r in enumerate((v.a, v.a / 3) if v.is_rational and v.a >= 0 else ()):
-        sn, sd = math.isqrt(r.numerator), math.isqrt(r.denominator)
-        if sn * sn == r.numerator and sd * sd == r.denominator:
-            return QuadExt(0, Rat(sn, sd)) if k else QuadExt(Rat(sn, sd))
-    return None
-
-
 @lru_cache(maxsize=None)
 def sl2_calibration(rs: RootSystem):
     """One-time consistency check of the sl2 triple, with symbolic couplings.
 
     Confirms that the lowering operator applied to the raising quadric in
     the polynomial module returns minus the lowest-weight scalar of the
-    trivial character, and (in rank 2, where the metric admits an exact
-    orthonormal frame) that the frame-built raising and lowering
-    operators agree with the inverse-metric contraction.  Memoized per
-    root system; a failed check raises and is not memoized, so it runs
+    trivial character.  Both operators contract the inverse metric, which
+    RootSystem checks against the gram matrix when it is built.  Memoized
+    per root system; a failed check raises and is not memoized, so it runs
     again on the next call.
     """
     triv = get_irrep(rs, "triv")
@@ -426,47 +415,3 @@ def sl2_calibration(rs: RootSystem):
     if got != -hbar_poly(rs):
         raise InvariantViolation(
             f"{rs.label}: sl2 calibration failed (F of the quadric is {got.to_str()})")
-    if rs.rank == 2:
-        _frame_check(rs, triv)
-
-
-def _frame_check(rs: RootSystem, triv):
-    """Cross-check the sl2 pair against an exact orthonormal frame."""
-    frame = _orthonormal_frame(rs)
-    if frame is None:
-        raise InvariantViolation(f"{rs.label}: no exact orthonormal frame")
-    nv = rs.rank
-    half = Rat(1, 2)
-    e_alt = MPoly.zero(nv)
-    for f in frame:
-        lf = MPoly.from_linear(f)
-        e_alt = e_alt + lf * lf * half
-    if e_alt != rs.e_poly:
-        raise InvariantViolation(f"{rs.label}: frame quadric mismatch")
-    # frame form of the lowering operator: -(1/2) the sum of squared
-    # Dunkl operators along the frame directions
-    for n in (2, 3):
-        direct = f_matrix(rs, triv, n, PP_K1, PP_K2)
-        alt = None
-        for f in frame:
-            y = rs.b_map(f)
-            dn = lowering_matrix(rs, triv, y, n, PP_K1, PP_K2)
-            dm = lowering_matrix(rs, triv, y, n - 1, PP_K1, PP_K2)
-            prod = mat_mul(dm, dn)
-            alt = prod if alt is None else mat_add(alt, prod)
-        for r in range(len(alt)):
-            for c in range(len(alt[0])):
-                v = alt[r][c] * half
-                if ParamPoly.coerce(direct[r][c]) != ParamPoly.coerce(-v if v else v):
-                    raise InvariantViolation(f"{rs.label}: frame lowering mismatch")
-
-
-def _orthonormal_frame(rs: RootSystem):
-    """The frame of the invariant form along the coordinate axes of a rank-2
-    system: exact when the form is diagonal with square roots inside the
-    quadratic extension, None otherwise."""
-    (g00, g01), (_, g11) = rs.metric.gram
-    s1, s2 = _quad_sqrt(g00), _quad_sqrt(g11)
-    if g01 or s1 is None or s2 is None:
-        return None
-    return ((s1.inv(), QZERO), (QZERO, s2.inv()))

@@ -184,6 +184,8 @@ def kappa_factor_at_critical(r: int) -> ParamPoly:
 
 
 def _conjectured(r: int) -> MPoly:
+    if r < 0:
+        raise ValueError("index must be nonnegative")
     head = _Y if r % 2 else _ONE
     return head * _product(_Y * _Y - j * j for j in range(r - 1, 0, -2))
 
@@ -229,6 +231,8 @@ class FactorizationReport:
 def check_kappa_factorization(max_q: int) -> FactorizationReport:
     """Compare the exact critical kappa-factors with the conjectured
     products for every index up to 2*max_q + 1."""
+    if max_q < 0:
+        raise ValueError("max_q must be nonnegative")
     top = 2 * max_q + 1
     conj = [_ONE, _Y]  # conj[r % 2]: _conjectured(r), carried two indices at a time
     for r, k in zip(range(top + 1), _kappas()):

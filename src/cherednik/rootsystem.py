@@ -271,6 +271,8 @@ class RootSystem:
             det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
             if det.sign() <= 0:
                 raise InvariantViolation("metric is not positive definite")
+        if mat_mul(g, self.metric.inv) != identity(self.rank):
+            raise InvariantViolation("inverse metric is not the inverse of the gram matrix")
         for m in self.elements:
             if freeze(mat_mul(transpose(m), mat_mul(g, m))) != g:
                 raise InvariantViolation("group does not preserve the metric")
@@ -294,9 +296,6 @@ class RootSystem:
 
     def coupling_of_root(self, i: int, k1, k2):
         return k1 if self.orbit_of[i] == 0 else k2
-
-    def b_map(self, x):
-        return self.metric.to_a(x)
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,8 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
-from cherednik.dunkl import (_frame_check, _integer_parts, _orthonormal_frame,
-                             _quotient_columns, _sign_class, _sqrt3_powers,
-                             _to_public)
+from cherednik.dunkl import (_integer_parts, _quotient_columns, _sign_class,
+                             _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 
 RNG = random.Random(505)
@@ -439,16 +438,6 @@ def test_degree_zero_layer_shapes():
 def test_sl2_calibration_all_types():
     for label in TYPES:
         sl2_calibration(build_root_system(label))  # raises on failure
-
-
-def test_frame_check_rejects_a_non_diagonal_metric():
-    # the frame is exact along the coordinate axes only; a metric with an
-    # off-diagonal entry (here one with an exact Gram-Schmidt frame) has none
-    rs = copy.copy(build_root_system("A2"))
-    rs.metric = Metric(((QuadExt(12), QuadExt(6)), (QuadExt(6), QuadExt(12))))
-    assert _orthonormal_frame(rs) is None
-    with pytest.raises(InvariantViolation, match="no exact orthonormal frame"):
-        _frame_check(rs, get_irrep(rs, "triv"))
 
 
 def test_commutator_ef_is_graded_scalar():

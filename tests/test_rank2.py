@@ -98,6 +98,14 @@ def test_table_routes_reject_bad_arguments(label, n, r):
             route(label, n, r)
 
 
+@pytest.mark.parametrize("call", [kappa_factor, kappa_factor_at_critical,
+                                  kappa_factor_conjectured,
+                                  check_kappa_factorization])
+def test_kappa_routes_reject_a_negative_index(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(-1)
+
+
 def test_kappa_factor_sequence():
     assert kappa_factor(0) == ParamPoly.const(Rat(1))
     assert kappa_factor(1) == KAP

@@ -8,7 +8,8 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.linalg import identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import MPoly, weyl_act
-from cherednik.rootsystem import build_root_system, hbar_poly
+from cherednik import rootsystem
+from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
 
 RNG = random.Random(303)
 
@@ -69,7 +70,7 @@ def test_b_map_sends_root_to_coroot_multiple():
         rs = build_root_system(label)
         for a, co in zip(rs.positive_roots, rs.coroots):
             half = rs.metric.pair_dual(a, a) / 2
-            img = rs.b_map(a)
+            img = rs.metric.to_a(a)
             assert tuple(img) == tuple(half * c for c in co)
 
 
@@ -78,7 +79,7 @@ def test_b_roundtrip_random():
         rs = build_root_system(label)
         for _ in range(5):
             x = tuple(QuadExt(Rat(RNG.randint(-4, 4))) for _ in range(rs.rank))
-            back = mat_vec(rs.metric.inv, rs.b_map(x))
+            back = mat_vec(rs.metric.inv, rs.metric.to_a(x))
             assert tuple(back) == x
 
 
@@ -121,6 +122,27 @@ def test_metric_inverse_and_contragredient_matrices():
         assert mat_mul(rs.metric.gram, rs.metric.inv) == ident
         for m in rs.elements:
             assert mat_mul(mat_inv(m), m) == ident
+
+
+_INV_MUTATIONS = {
+    "negated": lambda inv: [[-v for v in row] for row in inv],
+    "doubled": lambda inv: [[v * 2 for v in row] for row in inv],
+    # symmetric, so the mutated inverse is still a symmetric matrix
+    "off_diagonal": lambda inv: [[v if r == c else v + Rat(1, 7)
+                                  for c, v in enumerate(row)]
+                                 for r, row in enumerate(inv)],
+}
+
+
+@pytest.mark.parametrize("label, mutation", [
+    (label, name) for label in ORDERS for name in _INV_MUTATIONS
+    if not (label == "A1" and name == "off_diagonal")])
+def test_wrong_inverse_metric_is_refused_at_construction(monkeypatch, label, mutation):
+    # E and F both contract metric.inv; a wrong one must not reach them
+    stock, mutate = rootsystem.mat_inv, _INV_MUTATIONS[mutation]
+    monkeypatch.setattr(rootsystem, "mat_inv", lambda a: mutate(stock(a)))
+    with pytest.raises(InvariantViolation, match="inverse metric"):
+        RootSystem(label)
 
 
 def test_reflections_fix_their_root_orbit():
