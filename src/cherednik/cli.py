@@ -37,7 +37,7 @@ MAX_SWEEP_POINTS = 10_000
 # layer is 1 x 1 and took under a second).
 MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True): 20}
 # the highest degree a `classify` or `sweep` point may scan, per rank; at the
-# caps A2 triv m = 52 took 60 s and A1 sgn k = 1/3 61 s (as MAX_GRAM_DEGREE)
+# caps A2 triv m = 52 took 60 s and A1 sgn k = 1/3 6 s (as MAX_GRAM_DEGREE)
 MAX_SCAN_DEGREE = {1: 20000, 2: 106}
 # the highest `conjecture --max-q`; at the cap the check (r <= 501) took 61 s
 # and 96 MB (as MAX_GRAM_DEGREE)

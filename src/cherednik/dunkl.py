@@ -3,9 +3,9 @@ hidden sl2 triple (quadratic raising operator, quadratic lowering
 operator, grading element).
 
 The reflection difference quotients are character- and coupling-free, so
-_quotient_columns memoizes them per (root system, root, degree), raised from
-the degree below on integer columns over one denominator, in working
-coordinates v = S x where every root and coroot is rational (rootsystem).  A
+they are kept in one list by degree per (root system, root), each degree
+raised from the one below on integer columns over one denominator, in
+working coordinates v = S x where every root and coroot is rational.  A
 lowering matrix is affine in the couplings, L = D + k1*A + k2*B
 (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
 the v-coordinates on ints from weights split into a rational and a sqrt(3)
@@ -68,6 +68,19 @@ def _to_public(q, k: int) -> QuadExt:
 
 
 @lru_cache(maxsize=None)
+def _quotient_layers(rs: RootSystem, root_idx: int):
+    """The root's constants for _raise_quotient, computed once, and its
+    (den, columns) by degree, a list that _quotient_columns extends on
+    demand."""
+    alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
+    # one degree up multiplies the denominator by step
+    step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
+    # -c_u alpha_w step, the coefficient of v_w Q(p) in Q(v_u p) step
+    lin = [[(w, int(-c * a * step)) for w, a in enumerate(alpha) if a] if c else []
+           for c in coroot]
+    return (step, [int(c * step) for c in coroot], lin), [(1, [[]])]
+
+
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     """The difference quotient Q on the degree-n layer in the working
     coordinates v of the root system, where the root alpha and its coroot c
@@ -77,24 +90,14 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
 
         Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)),
 
-    with Q = 0 on degree 0.  A miss first fills the degrees below in
-    ascending order, so the recursion is at most two levels deep at any
-    degree.
+    with Q = 0 on degree 0.
     """
-    nv = rs.rank
-    if n == 0:
-        return 1, [[0] * len(monomials(nv, -1))]
-    for d in range(1, n):
-        _quotient_columns(rs, root_idx, d)
-    den, q_cols = _quotient_columns(rs, root_idx, n - 1)
-    alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
-    # one degree up multiplies the denominator by step
-    step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
-    co = [int(c * step) for c in coroot]
-    # -c_u alpha_w step, the coefficient of v_w Q(p) in Q(v_u p) step
-    lin = [[(w, int(-c * a * step)) for w, a in enumerate(alpha) if a] if c else []
-           for c in coroot]
-    return _raise_quotient(nv, n, den, q_cols, step, co, lin)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    consts, layers = _quotient_layers(rs, root_idx)
+    while len(layers) <= n:
+        layers.append(_raise_quotient(rs.rank, len(layers), *layers[-1], *consts))
+    return layers[n]
 
 
 def _raise_quotient(nv, deg, den, q_prev, step, coroot, lin):
@@ -119,12 +122,9 @@ def _raise_quotient(nv, deg, den, q_prev, step, coroot, lin):
 
 def mult_matrix(rs: RootSystem, q: MPoly, n: int):
     """Matrix of multiplication by a homogeneous q from degree n up."""
-    nv = rs.rank
-    d = q.degree()
-    src = monomials(nv, n)
-    cols = [poly_coords(q * MPoly(nv, {m: QuadExt(1)}), n + d, nv) for m in src]
-    return [[cols[c][r] for c in range(len(src))]
-            for r in range(len(monomials(nv, n + d)))]
+    nv, d = rs.rank, q.degree()
+    cols = [poly_coords(q * MPoly(nv, {m: QuadExt(1)}), n + d, nv) for m in monomials(nv, n)]
+    return [list(row) for row in zip(*cols)]
 
 
 # -- Dunkl operators -----------------------------------------------------------

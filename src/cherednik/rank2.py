@@ -18,7 +18,7 @@ raw couplings.
 Rows, products and kappa-factors are computed as MPoly(2, ...) with int
 coefficients over one known denominator (1 for A2 and B2 rows, 9^n for G2
 row n, 3^p for kappa-factor p), and become ParamPoly only when returned.
-The rows are memoized; a kappa-factor call holds two at a time.
+The rows are kept in one list per type; a kappa-factor call holds two.
 """
 
 from __future__ import annotations
@@ -93,15 +93,18 @@ def _step(label: str, row, n: int):
 
 
 @lru_cache(maxsize=None)
+def _rows(label: str) -> list:
+    """The rows of label's recursion raised so far, which _row extends."""
+    return [(_ONE,)]
+
+
 def _row(label: str, n: int) -> tuple:
     """Row n of the recursion in integer polynomials (G2 rows times 9^n),
-    raised from row n - 1.  A miss first fills the rows below in ascending
-    order, so the recursion stays shallow."""
-    if n == 0:
-        return (_ONE,)
-    for i in range(1, n):
-        _row(label, i)
-    return tuple(_step(label, _row(label, n - 1), n - 1))
+    appending to _rows, one step each, the rows up to n it lacks."""
+    rows = _rows(label)
+    while len(rows) <= n:
+        rows.append(tuple(_step(label, rows[-1], len(rows) - 1)))
+    return rows[n]
 
 
 def f_power_image(label: str, n: int, r: int) -> ParamPoly:

@@ -291,25 +291,21 @@ class VermaModule:
         if scan_bound is None:
             bound = 2 * ep.m + 4 if ep.natural else DEFAULT_SCAN_BOUND
         else:
-            bound = scan_bound
-            if ep.natural:
-                bound = max(bound, 2 * ep.m + 2)
+            bound = max(scan_bound, 2 * ep.m + 2) if ep.natural else scan_bound
         dims = []
-        zero_at = None
         for n in range(bound + 1):
             r = self.layer_rank(n)
             if r == 0:
-                zero_at = n
                 break
             dims.append(r)
-        gram_finite = zero_at is not None
+        gram_finite = len(dims) <= bound  # a layer of rank 0 ended the scan
         if gram_finite != ep.finite:
             raise InvariantViolation(
                 f"{self.rs.label}/{self.rep.label} at k=({self.k1},{self.k2}): "
                 f"the two finiteness tests disagree "
                 f"(raised-vector: {ep.finite}, form scan: {gram_finite})")
         if gram_finite:
-            top = zero_at - 1
+            top = len(dims) - 1
             d = self.rep.dim
             ok = (ep.m is not None and top == 2 * ep.m
                   and dims[0] == d and dims[top] == d

@@ -14,7 +14,8 @@ import pytest
 import cherednik
 from cherednik import cli
 from cherednik.cli import run
-from cherednik.dunkl import _quotient_columns, b_lowering_parts
+from cherednik.dunkl import _quotient_layers, b_lowering_parts
+from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
@@ -88,6 +89,14 @@ def test_classify_table_format(capsys):
     assert code == 0
     assert "finite:      yes" in out
     assert "graded dims: 1 1 1" in out
+
+
+def test_classify_max_degree_below_two_m_plus_two_is_raised(capsys):
+    code, out, _ = run_cli(
+        ["classify", "--type", "A2", "--chi", "triv", "--k", "-1",
+         "--max-degree", "1", "--format", "table"], capsys)
+    assert code == 0
+    assert "scanned dims: 1 2 3 4 5 6 7 ...\n" in out
 
 
 def test_classify_max_degree_truncates_scan(capsys):
@@ -281,10 +290,17 @@ def test_second_sweep_adds_no_memo_entry(capsys):
             "--k1-range", "-3/2:1/2:1/2", "--k2-range", "-1/2:1/2:1/2"]
     first = run_cli(argv, capsys)
     assert first[0] == 0
-    memos = (_quotient_columns, b_lowering_parts)
-    info = [(m.cache_info().currsize, m.cache_info().misses) for m in memos]
+    rs = build_root_system("B2")
+
+    def state():
+        # keys and misses of both memos, then the degrees kept per root
+        memos = (_quotient_layers, b_lowering_parts)
+        return ([(m.cache_info().currsize, m.cache_info().misses) for m in memos],
+                [len(_quotient_layers(rs, r)[1]) for r in range(rs.num_positive)])
+
+    info = state()
     assert run_cli(argv, capsys) == first
-    assert [(m.cache_info().currsize, m.cache_info().misses) for m in memos] == info
+    assert state() == info
 
 
 def test_sweep_two_dimensional_order(capsys):

@@ -15,9 +15,10 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
-from cherednik.dunkl import (_integer_parts, _quotient_columns, _sign_class,
-                             _sqrt3_powers, _to_public)
+from cherednik.dunkl import (_integer_parts, _quotient_columns, _quotient_layers,
+                             _sign_class, _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
+from cherednik.verma import classify
 
 RNG = random.Random(505)
 TYPES = ("A1", "A2", "B2", "G2")
@@ -144,24 +145,62 @@ def quotient_matrix(rs, root_idx, n):
 
 def test_quotient_matrix_matches_definition():
     for label in TYPES:
-        rs = RootSystem(label)  # fresh caches: every degree comes from the recursion
+        rs = RootSystem(label)  # fresh caches: every degree is raised from the one below
         for ridx in range(rs.num_positive):
             for n in range(1, 13):
                 assert quotient_matrix(rs, ridx, n) == quotient_oracle(rs, ridx, n)
-        # with the cached layers gone, a lower degree restarts from degree 0
-        _quotient_columns.cache_clear()
+        # with the kept degrees gone, a lower degree restarts from degree 0
+        _quotient_layers.cache_clear()
         for ridx in range(rs.num_positive):
             assert quotient_matrix(rs, ridx, 5) == quotient_oracle(rs, ridx, 5)
 
 
 def test_cold_deep_quotient_recurses_shallowly():
-    # a miss fills the degrees below in ascending order, so a cold call far
-    # above the interpreter's recursion limit returns; on A1, Q(v^n) is
+    # the missing degrees are appended in a loop, so a cold call far above
+    # the interpreter's recursion limit returns; on A1, Q(v^n) is
     # 2 v^(n-1) / alpha for odd n and 0 for even n
     rs = build_root_system("A1")
-    _quotient_columns.cache_clear()
+    _quotient_layers.cache_clear()
     assert _quotient_columns(rs, 0, 3000)[1] == [[0]]
     assert quotient_matrix(rs, 0, 2999) == quotient_matrix(rs, 0, 1) != [[0]]
+
+
+def test_negative_degree_quotient_raises():
+    # a negative index would read the kept list from its end
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError):
+        _quotient_columns(rs, 0, -1)
+    with pytest.raises(ValueError):
+        lowering_matrix(rs, get_irrep(rs, "triv"), [Rat(1), Rat(0)], -1, Rat(1), Rat(1))
+
+
+def test_quotients_do_not_depend_on_request_order():
+    for label in TYPES:
+        rs = RootSystem(label)
+        want = {(r, n): _quotient_columns(rs, r, n)
+                for r in range(rs.num_positive) for n in range(16)}
+        _quotient_layers.cache_clear()
+        keys = list(want)
+        random.Random(7).shuffle(keys)
+        for r, n in keys:
+            assert _quotient_columns(rs, r, n) == want[r, n], (label, r, n)
+
+
+def test_quotient_memo_traffic_is_linear(monkeypatch):
+    # one call per lowering build, none from inside: a scan to degree 600
+    # made about 180,000 calls when each degree re-read every degree below
+    calls = []
+    inner = dunkl._quotient_columns
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(dunkl, "_quotient_columns", counted)
+    _quotient_layers.cache_clear()
+    b_lowering_parts.cache_clear()
+    assert not classify("A1", "sgn", Rat(1, 3), Rat(1, 3), scan_bound=600).finite
+    assert 600 <= len(calls) <= 2 * 600
 
 
 def direct_action(rs, rep, y, p, t, k1, k2):

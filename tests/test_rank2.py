@@ -8,7 +8,8 @@ import pytest
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, RatType, rat
 from cherednik import verma
-from cherednik.rank2 import _row
+from cherednik import rank2
+from cherednik.rank2 import _row, _rows
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,
@@ -173,15 +174,34 @@ def shallow_recursion(frames=40):
 
 
 def test_cold_rows_recurse_shallowly():
-    # a miss fills the rows below in ascending order, so a cold deep row
-    # needs only a few frames
-    _row.cache_clear()
+    # the missing rows are appended in a loop, so a cold deep row needs
+    # only a few frames
+    _rows.cache_clear()
     with shallow_recursion():
         rows = {label: _row(label, 25) for label in ("A2", "B2", "G2")}
     # the memo holds integer rows; f_power_image reads them as ParamPoly
     for label, row in rows.items():
         assert ([f_power_image(label, 25, r) for r in range(len(row))]
                 == [f_power_image_closed(label, 25, r) for r in range(len(row))]), label
+
+
+def test_row_memo_traffic_is_linear(monkeypatch):
+    # one _row call per entry asked: an ascending sweep to row 60 made about
+    # 1,890 calls per type when each row re-read every row below
+    calls = []
+    inner = rank2._row
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(rank2, "_row", counted)
+    for label in ("A2", "B2", "G2"):
+        _rows.cache_clear()
+        calls.clear()
+        for n in range(61):
+            f_power_image(label, n, 0)
+        assert len(calls) <= 2 * 61, label
 
 
 def test_cold_kappa_factor_recurses_shallowly():

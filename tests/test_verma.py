@@ -448,6 +448,15 @@ def test_scan_bound_truncates_infinite_scan():
     assert not res.finite and len(res.dims) == 5
 
 
+def test_scan_bound_never_stops_below_two_m_plus_two():
+    # at a lowest-weight scalar -m the scan reaches degree 2m + 2 whatever
+    # the bound asked: A2 triv k = -1 (m = 2) is infinite with seven layers
+    res = classify("A2", "triv", Rat(-1), Rat(-1), scan_bound=1)
+    assert not res.finite and res.dims == (1, 2, 3, 4, 5, 6, 7)
+    res = classify("G2", "triv", Rat(-1, 2), Rat(-1, 2), scan_bound=0)
+    assert res.finite and res.m == 2 and res.dims == (1, 2, 3, 2, 1)
+
+
 def test_chi_validation():
     try:
         classify("A2", "chi1", Rat(1), Rat(1))
