@@ -145,6 +145,37 @@ def test_wrong_inverse_metric_is_refused_at_construction(monkeypatch, label, mut
         RootSystem(label)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_non_invariant_generator_is_refused_at_construction(monkeypatch, label):
+    # x1^2 is fixed by a reflection in x1 but not by the whole group
+    stock = RootSystem._build_invariants
+
+    def with_x1_squared(self):
+        stock(self)
+        self.invariant_gens = self.invariant_gens + [MPoly(2, {(2, 0): QuadExt(1)})]
+
+    monkeypatch.setattr(RootSystem, "_build_invariants", with_x1_squared)
+    with pytest.raises(InvariantViolation, match="invariant generator is not invariant"):
+        RootSystem(label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_non_invariant_metric_is_refused_at_construction(monkeypatch, label):
+    # doubling gram[1][1] keeps the form symmetric and positive definite, and
+    # Metric recomputes its inverse, so only the invariance check can fire
+    stock = RootSystem._build_metric
+
+    def with_doubled_entry(self):
+        stock(self)
+        gram = [list(row) for row in self.metric.gram]
+        gram[1][1] = gram[1][1] * 2
+        self.metric = rootsystem.Metric(tuple(map(tuple, gram)))
+
+    monkeypatch.setattr(RootSystem, "_build_metric", with_doubled_entry)
+    with pytest.raises(InvariantViolation, match="group does not preserve the metric"):
+        RootSystem(label)
+
+
 def test_reflections_fix_their_root_orbit():
     for label in ORDERS:
         rs = build_root_system(label)

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
+from cherednik.errors import InvariantViolation
 from cherednik.scalars import QuadExt, Rat
 from cherednik.rootsystem import RootSystem, build_root_system
-from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
+from cherednik.wrep import (Irrep, _validate, get_irrep, irreps, tensor_one_dim,
+                            twist_couplings)
 
 RNG = random.Random(404)
 
@@ -101,3 +105,46 @@ def test_get_irrep_unknown_label():
         assert "chi1" in str(e)
     else:
         raise AssertionError("expected ValueError")
+
+
+def _replaced(rs, reps, r, w, mat):
+    """reps with rep number r's matrix at group element w replaced by mat."""
+    mats = list(reps[r].matrices)
+    mats[w] = mat
+    return reps[:r] + [Irrep(rs, reps[r].label, mats)] + reps[r + 1:]
+
+
+def _negate_first_nonzero(mat):
+    rows = [list(row) for row in mat]
+    i, j = next((i, j) for i, row in enumerate(rows)
+                for j, v in enumerate(row) if v)
+    rows[i][j] = -rows[i][j]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_validate_catches_every_sign_flip(label):
+    # one negated entry in one matrix of one irrep breaks the homomorphism,
+    # except on A1 (the group {e, s}): there a sign flip of s turns triv into
+    # sgn and back, a homomorphism that only the character table catches
+    rs = RootSystem(label)
+    reps = list(irreps(rs))
+    for r, rep in enumerate(reps):
+        for w, mat in enumerate(rep.matrices):
+            bad = _replaced(rs, reps, r, w, _negate_first_nonzero(mat))
+            want = ("duplicate characters" if label == "A1" and w
+                    else "not a homomorphism")
+            with pytest.raises(InvariantViolation, match=want):
+                _validate(rs, bad)
+
+
+def test_validate_catches_a_doubled_product_matrix():
+    # a matrix that no simple reflection gives directly: the longest element
+    rs = RootSystem("G2")
+    reps = list(irreps(rs))
+    r = next(i for i, rep in enumerate(reps) if rep.label == "std")
+    w = len(rs.elements) - 1
+    assert rs.parent[w] is not None and rs.parent[w][0] != 0
+    doubled = tuple(tuple(2 * v for v in row) for row in reps[r].matrices[w])
+    with pytest.raises(InvariantViolation, match="not a homomorphism"):
+        _validate(rs, _replaced(rs, reps, r, w, doubled))
