@@ -1,6 +1,11 @@
 """Rank <= 2 root systems with exact coordinates, their reflection groups,
 the canonical invariant bilinear form, and invariant-ring generators.
 
+The group is generated from its simple reflections s_i, with parent[w] =
+(p, i) for w = elements[p] s_i and the |W| x rank table right_mult[w][i],
+the index of w s_i.  What is closed under products (invariance of the
+metric and of the invariant generators) is checked on the s_i only.
+
 Coordinates for the plane types use Q(sqrt(3)): equilateral angles for the
 hexagonal types, integer coordinates for the hyperoctahedral one.  Vectors
 in the dual space a* are coefficient tuples on the coordinate functions
@@ -144,23 +149,20 @@ class RootSystem:
         elements = [ident]
         index = {ident: 0}
         parent = [None]
-        cursor = 0
-        while cursor < len(elements):
-            base = elements[cursor]
+        right_mult = []
+        for w, base in enumerate(elements):  # grows while it is read
+            row = []
             for gi, g in enumerate(gens):
                 m = freeze(mat_mul(base, g))
                 if m not in index:
                     index[m] = len(elements)
                     elements.append(m)
-                    parent.append((cursor, gi))
-            cursor += 1
+                    parent.append((w, gi))
+                row.append(index[m])
+            right_mult.append(tuple(row))
         self.elements = elements
         self.parent = parent
-        n = len(elements)
-        self.mult = [[index[freeze(mat_mul(elements[i], elements[j]))]
-                      for j in range(n)] for i in range(n)]
-        self.inverse = [next(j for j in range(n) if self.mult[i][j] == 0)
-                        for i in range(n)]
+        self.right_mult = right_mult
         self.reflection_element = []
         for a, c in zip(self.positive_roots, self.coroots):
             m = _reflection_matrix(a, c)
@@ -273,11 +275,12 @@ class RootSystem:
                 raise InvariantViolation("metric is not positive definite")
         if mat_mul(g, self.metric.inv) != identity(self.rank):
             raise InvariantViolation("inverse metric is not the inverse of the gram matrix")
-        for m in self.elements:
+        gens = [self.elements[w] for w in self.right_mult[0]]
+        for m in gens:
             if freeze(mat_mul(transpose(m), mat_mul(g, m))) != g:
                 raise InvariantViolation("group does not preserve the metric")
         for q in self.invariant_gens:
-            for m in self.elements:
+            for m in gens:
                 if weyl_act(m, q) != q:
                     raise InvariantViolation("invariant generator is not invariant")
         if hbar_poly(self) != _EXPECTED_HBAR[self.label]:

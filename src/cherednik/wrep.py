@@ -4,6 +4,10 @@ orthogonal matrices, characters, and coupling twists.
 Every irreducible here is realized with an orthonormal basis for its
 invariant pairing, so the pairing is the plain dot product and the
 distinguished cyclic vector is the first basis vector.
+
+Each irreducible is a sign per root orbit times the trivial or reflection
+representation, built from its simple-reflection images along the group's
+build order and checked on the |W| x rank right multiplication table.
 """
 
 from __future__ import annotations
@@ -48,24 +52,19 @@ def _trace(m):
     return acc
 
 
-def _scalar_rep(rs, values):
-    return [((QuadExt.coerce(v),),) for v in values]
-
-
-def _one_dim(rs: RootSystem, orbit_values) -> list:
-    """Extend generator signs (per root orbit) along the group's build order."""
-    vals = [None] * len(rs.elements)
-    vals[0] = rat(1)
-    for i in range(1, len(rs.elements)):
-        p, gi = rs.parent[i]
-        orb = rs.orbit_of[rs.simple[gi]]
-        vals[i] = vals[p] * orbit_values[orb]
-    return vals
-
-
-def _tensor_scalar(matrices, values):
-    return [tuple(tuple(c * v for c in row) for row in m)
-            for m, v in zip(matrices, values)]
+def _from_generators(rs: RootSystem, label: str, signs, reflection: bool) -> Irrep:
+    """The irreducible sending each simple reflection s to its root orbit's
+    sign times either 1 or, if reflection, s's own matrix, extended
+    along the group's build order: rho(w s) = rho(w) rho(s)."""
+    gens = []
+    for w, i in zip(rs.right_mult[0], rs.simple):
+        sign = QuadExt(signs[rs.orbit_of[i]])
+        base = rs.elements[w] if reflection else ((QuadExt(1),),)
+        gens.append(tuple(tuple(sign * v for v in row) for row in base))
+    mats = [freeze(identity(len(gens[0])))]
+    for p, gi in rs.parent[1:]:
+        mats.append(freeze(mat_mul(mats[p], gens[gi])))
+    return Irrep(rs, label, mats)
 
 
 @lru_cache(maxsize=None)
@@ -83,43 +82,38 @@ def get_irrep(rs: RootSystem, label: str) -> Irrep:
     raise ValueError(f"unknown character {label!r} for {rs.label} (one of: {known})")
 
 
+# after triv and sgn, in table order: label, signs on the (short, long) root
+# orbit, and whether the signs scale the reflection representation
+_TABLE = {
+    "A1": [],
+    "A2": [("std", (1, 1), True)],
+    "B2": [("std", (1, 1), True), ("chi1", (-1, 1), False),
+           ("chi2", (1, -1), False)],
+    "G2": [("tau", (1, -1), False), ("sgn_tau", (-1, 1), False),
+           ("std", (1, 1), True), ("std_tau", (1, -1), True)],
+}
+
+
 def _build_irreps(rs: RootSystem):
-    triv = Irrep(rs, "triv", _scalar_rep(rs, [1] * len(rs.elements)))
-    sgn = Irrep(rs, "sgn", _scalar_rep(rs, _one_dim(rs, (rat(-1), rat(-1)))))
-    out = [triv, sgn]
-    if rs.label == "A1":
-        pass
-    elif rs.label == "A2":
-        out.append(Irrep(rs, "std", list(rs.elements)))
-    elif rs.label == "B2":
-        out.append(Irrep(rs, "std", list(rs.elements)))
-        chi1 = _one_dim(rs, (rat(-1), rat(1)))
-        out.append(Irrep(rs, "chi1", _scalar_rep(rs, chi1)))
-        chi2 = [a * b for a, b in zip(chi1, _one_dim(rs, (rat(-1), rat(-1))))]
-        out.append(Irrep(rs, "chi2", _scalar_rep(rs, chi2)))
-    else:  # G2
-        tau = _one_dim(rs, (rat(1), rat(-1)))
-        sgn_tau = [a * b for a, b in zip(tau, _one_dim(rs, (rat(-1), rat(-1))))]
-        out.append(Irrep(rs, "tau", _scalar_rep(rs, tau)))
-        out.append(Irrep(rs, "sgn_tau", _scalar_rep(rs, sgn_tau)))
-        out.append(Irrep(rs, "std", list(rs.elements)))
-        out.append(Irrep(rs, "std_tau",
-                         _tensor_scalar(rs.elements, [QuadExt.coerce(v) for v in tau])))
+    table = [("triv", (1, 1), False), ("sgn", (-1, -1), False)] + _TABLE[rs.label]
+    out = [_from_generators(rs, *row) for row in table]
     _validate(rs, out)
     return out
 
 
 def _validate(rs, reps):
-    order = len(rs.elements)
-    if sum(r.dim * r.dim for r in reps) != order:
+    """rho(w) rho(s) = rho(ws) on each edge of rs.right_mult (the edge (e, s)
+    forces rho(e) = I, so rho is a homomorphism by induction on length), and
+    orthogonal generator images."""
+    if sum(r.dim * r.dim for r in reps) != len(rs.elements):
         raise InvariantViolation("squared dimensions do not sum to the group order")
     for r in reps:
-        for i in range(order):
-            for j in range(order):
-                prod = freeze(mat_mul(r.matrices[i], r.matrices[j]))
-                if prod != r.matrices[rs.mult[i][j]]:
+        gens = [r.matrices[w] for w in rs.right_mult[0]]
+        for mat, row in zip(r.matrices, rs.right_mult):
+            for g, ws in zip(gens, row):
+                if freeze(mat_mul(mat, g)) != r.matrices[ws]:
                     raise InvariantViolation(f"{r.label} is not a homomorphism")
-        for m in r.matrices:
+        for m in gens:
             if mat_mul(transpose(m), m) != identity(r.dim):
                 raise InvariantViolation(f"{r.label} matrices are not orthogonal")
     chars = [tuple(r.character) for r in reps]

@@ -157,9 +157,10 @@ def test_criterion_02_defining_relations():
                     assert lhs == rhs, f"{label}: commutator relation fails"
         # covariance relation: w T_y w^{-1} = T_{w(y)}
         for w in range(len(rs.elements)):
-            mat, imat = rs.elements[w], rs.elements[rs.inverse[w]]
+            mat = rs.elements[w]
+            imat = mat_inv(mat)
             for y in dirs:
-                wy = mat_vec(transpose(mat_inv(mat)), y)
+                wy = mat_vec(transpose(imat), y)
                 for p in basis:
                     lhs = weyl_act(mat, dunkl_apply(rs, y, weyl_act(imat, p),
                                                     PP_K1, PP_K2))

@@ -6,7 +6,7 @@ import pytest
 from cherednik.errors import InvariantViolation
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import SQRT3, QuadExt, Rat
-from cherednik.linalg import identity, mat_inv, mat_mul, mat_vec, transpose
+from cherednik.linalg import freeze, identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import MPoly, weyl_act
 from cherednik import rootsystem
 from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
@@ -98,20 +98,29 @@ def test_group_actions_are_adjoint():
             assert lhs == rhs
 
 
-def test_mult_table_and_inverses():
+def test_right_multiplication_table():
     for label in ORDERS:
         rs = build_root_system(label)
         n = len(rs.elements)
-        for _ in range(8):
-            i, j = RNG.randrange(n), RNG.randrange(n)
-            k = rs.mult[i][j]
-            # matrix product matches table entry
-            m = tuple(tuple(sum((rs.elements[i][r][l] * rs.elements[j][l][c]
-                                 for l in range(rs.rank)), QuadExt(0))
-                            for c in range(rs.rank)) for r in range(rs.rank))
-            assert rs.elements[k] == m
+        index = {m: w for w, m in enumerate(rs.elements)}
+        simple = [rs.elements[rs.reflection_element[i]] for i in rs.simple]
+        assert len(rs.right_mult) == n
         for i in range(n):
-            assert rs.mult[i][rs.inverse[i]] == 0
+            assert len(rs.right_mult[i]) == rs.rank
+            for gi, s in enumerate(simple):
+                k = rs.right_mult[i][gi]
+                # matrix product matches table entry
+                m = tuple(tuple(sum((rs.elements[i][r][l] * s[l][c]
+                                     for l in range(rs.rank)), QuadExt(0))
+                                for c in range(rs.rank)) for r in range(rs.rank))
+                assert rs.elements[k] == m
+        for gi in range(rs.rank):
+            # right multiplication by s_i permutes the group
+            assert sorted(row[gi] for row in rs.right_mult) == list(range(n))
+        for i in range(n):
+            # the group is closed under inverses
+            j = index[freeze(mat_inv(rs.elements[i]))]
+            assert mat_mul(rs.elements[i], rs.elements[j]) == identity(rs.rank)
 
 
 def test_metric_inverse_and_contragredient_matrices():

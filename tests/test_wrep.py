@@ -1,14 +1,12 @@
-import random
-
 import pytest
 
+from cherednik import rootsystem, wrep
 from cherednik.errors import InvariantViolation
+from cherednik.linalg import freeze, mat_inv, mat_mul
 from cherednik.scalars import QuadExt, Rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import (Irrep, _validate, get_irrep, irreps, tensor_one_dim,
                             twist_couplings)
-
-RNG = random.Random(404)
 
 LABELS = {
     "A1": {"triv": 1, "sgn": 1},
@@ -33,32 +31,61 @@ def test_irreps_belong_to_their_root_system():
     assert irreps(rs) is irreps(rs)
 
 
-def test_homomorphism_random():
+def _index(rs):
+    """Group element index by matrix: the test's own oracle for products."""
+    return {m: w for w, m in enumerate(rs.elements)}
+
+
+def test_homomorphism_on_all_pairs():
     for label in LABELS:
         rs = build_root_system(label)
+        index = _index(rs)
         n = len(rs.elements)
         for rep in irreps(rs):
-            for _ in range(6):
-                i, j = RNG.randrange(n), RNG.randrange(n)
-                a, b = rep.matrix(i), rep.matrix(j)
-                prod = tuple(
-                    tuple(sum((a[r][l] * b[l][c] for l in range(rep.dim)),
-                              QuadExt(0)) for c in range(rep.dim))
-                    for r in range(rep.dim))
-                assert prod == rep.matrix(rs.mult[i][j])
+            for i in range(n):
+                for j in range(n):
+                    a, b = rep.matrix(i), rep.matrix(j)
+                    prod = tuple(
+                        tuple(sum((a[r][l] * b[l][c] for l in range(rep.dim)),
+                                  QuadExt(0)) for c in range(rep.dim))
+                        for r in range(rep.dim))
+                    k = index[freeze(mat_mul(rs.elements[i], rs.elements[j]))]
+                    assert prod == rep.matrix(k)
 
 
 def test_character_orthogonality():
     for label in LABELS:
         rs = build_root_system(label)
+        index = _index(rs)
         reps = irreps(rs)
         order = len(rs.elements)
+        inverse = [index[freeze(mat_inv(m))] for m in rs.elements]
         for a in reps:
             for b in reps:
                 acc = QuadExt(0)
                 for w in range(order):
-                    acc = acc + a.character[w] * b.character[rs.inverse[w]]
+                    acc = acc + a.character[w] * b.character[inverse[w]]
                 assert acc == QuadExt(order if a.label == b.label else 0)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_build_makes_linearly_many_matrix_products(monkeypatch, label):
+    # the group and every irrep are built and checked along the |W| x rank
+    # right multiplication table, with no product over pairs of elements
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(rootsystem, "mat_mul", counting)
+    monkeypatch.setattr(wrep, "mat_mul", counting)
+    rs = RootSystem(label)
+    bound = 3 * len(rs.elements) * rs.rank
+    assert calls[0] <= bound
+    calls[0] = 0
+    reps = wrep._build_irreps(rs)
+    assert calls[0] <= bound * len(reps)
 
 
 def test_reflection_traces():
