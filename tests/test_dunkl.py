@@ -379,9 +379,9 @@ def test_shared_parts_equal_direct_assembly_for_every_twist():
                     assert key(b_lowering_parts(rs, rep, j, n)) == key(want)
 
 
-def test_cold_g2_parts_assemble_only_triv_and_std(monkeypatch):
-    # tau, sgn and sgn_tau are sign twists of triv, std_tau one of std
-    rs = RootSystem("G2")
+def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
+    # every one-dimensional character is a sign twist of triv, and G2
+    # std_tau one of std, so a fresh root system assembles only those
     assembled = []
     assemble = dunkl._assemble
 
@@ -390,12 +390,16 @@ def test_cold_g2_parts_assemble_only_triv_and_std(monkeypatch):
         return assemble(rs_, rep, y, n)
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
-    for rep in irreps(rs):
-        for j in range(rs.rank):
-            for n in range(5):
-                b_lowering_parts(rs, rep, j, n)
-    assert sorted(set(assembled)) == ["std", "triv"]
-    assert len(assembled) == 2 * rs.rank * 5
+    for label in TYPES:
+        rs = RootSystem(label)
+        assembled.clear()
+        for rep in irreps(rs):
+            for j in range(rs.rank):
+                for n in range(5):
+                    b_lowering_parts(rs, rep, j, n)
+        want = ["triv"] if label == "A1" else ["std", "triv"]
+        assert sorted(set(assembled)) == want, label
+        assert len(assembled) == len(want) * rs.rank * 5, label
 
 
 @pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])

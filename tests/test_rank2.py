@@ -204,6 +204,15 @@ def test_row_memo_traffic_is_linear(monkeypatch):
         assert len(calls) <= 2 * 61, label
 
 
+def test_rows_do_not_depend_on_request_order():
+    for label in ("A2", "B2", "G2"):
+        _rows.cache_clear()
+        up = [_row(label, n) for n in range(13)]
+        _rows.cache_clear()
+        down = [_row(label, n) for n in reversed(range(13))]
+        assert down[::-1] == up, label
+
+
 def test_cold_kappa_factor_recurses_shallowly():
     # kappa-factors are not memoized: every call runs the sequence from p = 0
     with shallow_recursion():

@@ -2,7 +2,7 @@ import pytest
 
 from cherednik import rootsystem, wrep
 from cherednik.errors import InvariantViolation
-from cherednik.linalg import freeze, mat_inv, mat_mul
+from cherednik.linalg import freeze, mat_inv, mat_mul, mat_vec
 from cherednik.scalars import QuadExt, Rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import (Irrep, _validate, get_irrep, irreps, tensor_one_dim,
@@ -86,6 +86,33 @@ def test_build_makes_linearly_many_matrix_products(monkeypatch, label):
     calls[0] = 0
     reps = wrep._build_irreps(rs)
     assert calls[0] <= bound * len(reps)
+
+
+def _sign(rs, signs, w):
+    """The one-dimensional character with these orbit signs at w: the
+    product of the signs of the positive roots that w sends to negative
+    ones, one root per letter of a reduced word for w."""
+    pos = set(rs.positive_roots)
+    out = 1
+    for a, root in enumerate(rs.positive_roots):
+        if tuple(mat_vec(rs.elements[w], root)) not in pos:
+            out *= signs[rs.orbit_of[a]]
+    return out
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_every_irrep_is_its_signs_times_its_base(label):
+    # each stock irrep is one sign per root orbit times triv, or times std
+    # where the table builds it on the reflection representation
+    rs = RootSystem(label)
+    table = [("triv", (1, 1), False), ("sgn", (-1, -1), False)] + wrep._TABLE[label]
+    assert [row[0] for row in table] == [rep.label for rep in irreps(rs)]
+    for (name, signs, reflection), rep in zip(table, irreps(rs)):
+        base = get_irrep(rs, "std" if reflection else "triv")
+        for w, mat in enumerate(rep.matrices):
+            s = _sign(rs, signs, w)
+            assert mat == tuple(tuple(s * v for v in row) for row in base.matrices[w]), \
+                (name, w)
 
 
 def test_reflection_traces():
