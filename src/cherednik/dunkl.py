@@ -14,9 +14,9 @@ the public basis through one power of sqrt(3).  Along the metric transfers
 every nonzero cell lands on an even power, so b_lowering_parts memoizes the
 parts per (root system, character, direction, degree) as sparse integer
 matrices over one denominator, read from the assembly in cell order in one
-pass (an odd power raises InvariantViolation).  Characters whose reflection
-matrices agree up to one sign per root orbit share one assembly: rho (x)
-tau, tau one-dimensional, has rho's D, tau_0 A and tau_1 B.  New couplings
+pass (an odd power raises InvariantViolation).  An irrep that wrep builds as
+one sign per root orbit times its base (triv or std) shares the base's
+assembly: it has the base's D, s_0 A and s_1 B.  New couplings
 cost one integer combination per layer.  lowering_matrix (any direction)
 finishes the same assembly in QuadExt, so the cross-checks built on it also
 cover the integer conversion.  dunkl_apply acts on polynomials through
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import chain, compress
 from operator import add, neg, or_
 
 from .errors import InvariantViolation
@@ -36,7 +36,7 @@ from .scalars import QZERO, SQRT3, QuadExt, Rat
 from .linalg import dot, identity, kron_identity, mat_add, mat_mul, mat_vec
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem, hbar_poly
-from .wrep import get_irrep, irreps
+from .wrep import get_irrep
 
 
 # -- polynomial-layer matrices (character- and coupling-independent) -----------
@@ -302,31 +302,18 @@ def b_direction(rs: RootSystem, j: int):
 
 
 @lru_cache(maxsize=None)
-def _sign_class(rs: RootSystem, rep):
-    """(base, signs): the first irrep of rs whose reflection matrices are
-    rep's up to one sign per root orbit, or (rep, (1, 1)).  D does not see
-    rep and A, B are orbit sums, so rep's parts are base's D, s_0 A, s_1 B."""
-    mats = [(rs.orbit_of[r], w, [list(row) for row in rep.matrix(w)])
-            for r, w in enumerate(rs.reflection_element)]
-    for base, signs in product(irreps(rs), ((1, 1), (-1, 1), (1, -1), (-1, -1))):
-        if all(m == [[x if signs[o] == 1 else -x for x in row]
-                     for row in base.matrix(w)] for o, w, m in mats):
-            return base, signs
-    return rep, (1, 1)
-
-
-@lru_cache(maxsize=None)
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
     j) on the degree-n layer, memoized per (root system, character, direction,
-    degree); a character other than the base of its _sign_class negates A, B."""
-    base, signs = _sign_class(rs, rep)
-    if base is rep:
+    degree).  D does not see rep and A, B are orbit sums of rep(s_alpha), so
+    an irrep other than its own base (Irrep.base, Irrep.signs) has the
+    base's parts with A, B negated where its orbit's sign is -1."""
+    if rep.base is rep:
         return _integer_parts(rs, rep, b_direction(rs, j), n)
-    p = b_lowering_parts(rs, base, j, n)
+    p = b_lowering_parts(rs, rep.base, j, n)
     return LoweringParts(p.rows, p.cols, p.den, p.parts[:1] + tuple(
         (idx, vals if s == 1 else tuple(map(neg, vals)))
-        for (idx, vals), s in zip(p.parts[1:], signs)))
+        for (idx, vals), s in zip(p.parts[1:], rep.signs)))
 
 
 # -- the sl2 triple -------------------------------------------------------------
@@ -380,16 +367,8 @@ def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):
     """The weighted reflection sum acting on the lowest-weight space:
     sum over orbits of (coupling) * (number of positive roots in the
     orbit) * (normalized character value at a reflection)."""
-    acc = None
-    for orbit in (0, 1):
-        count = rs.orbit_counts[orbit]
-        if not count:
-            continue
-        k = k1 if orbit == 0 else k2
-        ratio = rep.refl_char[orbit].rational() / rep.dim
-        term = k * (ratio * count)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Rat(0)
+    return dot((k1, k2), [c.rational() / rep.dim * count
+                          for c, count in zip(rep.refl_char, rs.orbit_counts)])
 
 
 def lowest_weight_scalar(rs: RootSystem, rep, k1, k2):

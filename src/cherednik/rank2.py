@@ -18,7 +18,7 @@ raw couplings.
 Rows, products and kappa-factors are computed as MPoly(2, ...) with int
 coefficients over one known denominator (1 for A2 and B2 rows, 9^n for G2
 row n, 3^p for kappa-factor p), and become ParamPoly only when returned.
-The rows are kept in one list per type; a kappa-factor call holds two.
+Only the last row raised is kept per type; a kappa-factor call holds two.
 """
 
 from __future__ import annotations
@@ -94,17 +94,20 @@ def _step(label: str, row, n: int):
 
 @lru_cache(maxsize=None)
 def _rows(label: str) -> list:
-    """The rows of label's recursion raised so far, which _row extends."""
-    return [(_ONE,)]
+    """[n, row n]: the last row of label's recursion raised, which _row moves."""
+    return [0, (_ONE,)]
 
 
 def _row(label: str, n: int) -> tuple:
     """Row n of the recursion in integer polynomials (G2 rows times 9^n),
-    appending to _rows, one step each, the rows up to n it lacks."""
-    rows = _rows(label)
-    while len(rows) <= n:
-        rows.append(tuple(_step(label, rows[-1], len(rows) - 1)))
-    return rows[n]
+    raised one step at a time from the row _rows holds, or from row 0 when
+    n is below it; only the last row raised is kept."""
+    held = _rows(label)
+    if n < held[0]:
+        held[:] = 0, (_ONE,)
+    while held[0] < n:
+        held[:] = held[0] + 1, tuple(_step(label, held[1], held[0]))
+    return held[1]
 
 
 def f_power_image(label: str, n: int, r: int) -> ParamPoly:

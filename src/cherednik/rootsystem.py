@@ -195,17 +195,9 @@ class RootSystem:
         self.orbit_of = orbit_id
 
     def _build_metric(self):
-        n = self.rank
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = QuadExt(0)
-                for co in self.coroots:
-                    acc = acc + 2 * co[i] * co[j]  # both signs of each root
-                row.append(acc)
-            gram.append(tuple(row))
-        self.metric = Metric(tuple(gram))
+        # 2 sum_c c c^T over the positive coroots: both signs of each root
+        cols = transpose(self.coroots)
+        self.metric = Metric(tuple(tuple(2 * dot(a, b) for b in cols) for a in cols))
         # order the (at most two) orbits by root length, short first
         if len(self._orbit_groups) == 2:
             lens = [

@@ -43,7 +43,7 @@ from .errors import InvariantViolation
 from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
 from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
-                     mat_mul, nonsingular_mod_p, vec_mat)
+                     mat_mul, nonsingular_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
 from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
@@ -142,8 +142,9 @@ class VermaModule:
         Built one degree at a time: the row of x_i * u equals the row of
         u in the previous Gram matrix composed with the Dunkl lowering
         along the transfer of x_i (the form moves multiplication to a
-        Dunkl operator).  Both lowerings of a degree share one scale, so
-        the rows of a layer do too.
+        Dunkl operator).  In the order of `monomials`, that is prev L_0,
+        then in rank 2 the last dim-chi rows of prev times L_1 (x_1^n);
+        both lowerings of a degree share one scale, so a layer's rows do too.
         """
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
@@ -154,14 +155,9 @@ class VermaModule:
         for deg in range(len(grams), n + 1):
             prev, scale = grams[deg - 1]
             lows, s = self._lowerings(deg)
-            prod1 = mat_mul(prev, lows[0])
-            rows = []
-            for m in self.layer_monomials(deg):
-                if m[0] > 0:
-                    pidx = m[1] if self.rs.rank == 2 else 0
-                    rows.extend(prod1[pidx * d:(pidx + 1) * d])
-                else:
-                    rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
+            rows = mat_mul(prev, lows[0])
+            if self.rs.rank == 2:
+                rows += mat_mul(prev[-d:], lows[1])
             if not is_symmetric(rows):
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label}: form is not "

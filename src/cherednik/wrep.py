@@ -5,9 +5,9 @@ Every irreducible here is realized with an orthonormal basis for its
 invariant pairing, so the pairing is the plain dot product and the
 distinguished cyclic vector is the first basis vector.
 
-Each irreducible is a sign per root orbit times the trivial or reflection
-representation, built from its simple-reflection images along the group's
-build order and checked on the |W| x rank right multiplication table.
+Each irreducible is a sign per root orbit times its base, the trivial or
+reflection representation, built from its simple-reflection images along the
+group's build order and checked on the |W| x rank right multiplication table.
 """
 
 from __future__ import annotations
@@ -21,12 +21,16 @@ from .rootsystem import RootSystem
 
 
 class Irrep:
-    """An irreducible representation given by one matrix per group element."""
+    """An irreducible representation given by one matrix per group element:
+    signs[o] on root orbit o times base (triv or std), checked on the simple
+    reflections.  A hand-built Irrep is its own base, with signs (1, 1)."""
 
-    def __init__(self, rs: RootSystem, label: str, matrices):
+    def __init__(self, rs: RootSystem, label: str, matrices, signs=(1, 1), base=None):
         self.rs = rs
         self.label = label
         self.matrices = matrices
+        self.signs = signs
+        self.base = self if base is None else base
         self.dim = len(matrices[0])
         self.character = [_trace(m) for m in matrices]
         self.refl_char = []
@@ -52,10 +56,11 @@ def _trace(m):
     return acc
 
 
-def _from_generators(rs: RootSystem, label: str, signs, reflection: bool) -> Irrep:
+def _from_generators(rs: RootSystem, label: str, signs, reflection: bool,
+                     over=None) -> Irrep:
     """The irreducible sending each simple reflection s to its root orbit's
-    sign times either 1 or, if reflection, s's own matrix, extended
-    along the group's build order: rho(w s) = rho(w) rho(s)."""
+    sign times either 1 or, if reflection, s's own matrix, extended along
+    the group's build order: rho(w s) = rho(w) rho(s); its base is over."""
     gens = []
     for w, i in zip(rs.right_mult[0], rs.simple):
         sign = QuadExt(signs[rs.orbit_of[i]])
@@ -64,7 +69,7 @@ def _from_generators(rs: RootSystem, label: str, signs, reflection: bool) -> Irr
     mats = [freeze(identity(len(gens[0])))]
     for p, gi in rs.parent[1:]:
         mats.append(freeze(mat_mul(mats[p], gens[gi])))
-    return Irrep(rs, label, mats)
+    return Irrep(rs, label, mats, signs, over)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +88,7 @@ def get_irrep(rs: RootSystem, label: str) -> Irrep:
 
 
 # after triv and sgn, in table order: label, signs on the (short, long) root
-# orbit, and whether the signs scale the reflection representation
+# orbit, and whether the signs scale the reflection representation (std)
 _TABLE = {
     "A1": [],
     "A2": [("std", (1, 1), True)],
@@ -96,7 +101,10 @@ _TABLE = {
 
 def _build_irreps(rs: RootSystem):
     table = [("triv", (1, 1), False), ("sgn", (-1, -1), False)] + _TABLE[rs.label]
-    out = [_from_generators(rs, *row) for row in table]
+    out, bases = [], {}
+    for label, signs, reflection in table:
+        out.append(_from_generators(rs, label, signs, reflection, bases.get(reflection)))
+        bases.setdefault(reflection, out[-1])
     _validate(rs, out)
     return out
 
@@ -104,7 +112,7 @@ def _build_irreps(rs: RootSystem):
 def _validate(rs, reps):
     """rho(w) rho(s) = rho(ws) on each edge of rs.right_mult (the edge (e, s)
     forces rho(e) = I, so rho is a homomorphism by induction on length), and
-    orthogonal generator images."""
+    on the simple reflections, orthogonal and equal to sign * base."""
     if sum(r.dim * r.dim for r in reps) != len(rs.elements):
         raise InvariantViolation("squared dimensions do not sum to the group order")
     for r in reps:
@@ -113,9 +121,12 @@ def _validate(rs, reps):
             for g, ws in zip(gens, row):
                 if freeze(mat_mul(mat, g)) != r.matrices[ws]:
                     raise InvariantViolation(f"{r.label} is not a homomorphism")
-        for m in gens:
+        for m, w, i in zip(gens, rs.right_mult[0], rs.simple):
             if mat_mul(transpose(m), m) != identity(r.dim):
                 raise InvariantViolation(f"{r.label} matrices are not orthogonal")
+            sign = QuadExt(r.signs[rs.orbit_of[i]])
+            if m != tuple(tuple(sign * v for v in row) for row in r.base.matrices[w]):
+                raise InvariantViolation(f"{r.label} is not its signs times {r.base.label}")
     chars = [tuple(r.character) for r in reps]
     if len(set(chars)) != len(chars):
         raise InvariantViolation("duplicate characters")

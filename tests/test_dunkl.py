@@ -16,7 +16,7 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              sl2_calibration)
 from cherednik import dunkl
 from cherednik.dunkl import (_integer_parts, _quotient_columns, _quotient_layers,
-                             _sign_class, _sqrt3_powers, _to_public)
+                             _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.verma import classify
 
@@ -359,8 +359,9 @@ def test_cold_lowering_parts_make_no_quadext_products_per_cell():
 
 def test_shared_parts_equal_direct_assembly_for_every_twist():
     # every stock irrep and each of its twists by a one-dimensional
-    # character, the twist built by hand as a new Irrep object: the memoized
-    # parts, shared across a sign class, equal a direct assembly
+    # character, the twist built by hand as a new Irrep object (its own
+    # base): the memoized parts, shared with the base for the stock irreps,
+    # equal a direct assembly
     def key(parts):
         return parts.rows, parts.cols, parts.den, parts.parts
 
@@ -404,12 +405,12 @@ def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
 
 @pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])
 def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
-    # no sign times a stock reflection matrix, so the rep reaches the full
-    # assembly and its integer check; with 1 + sqrt(3) every cell of A has
-    # an entry on each plane
+    # a hand-built rep is its own base, so it reaches the full assembly and
+    # its integer check; with 1 + sqrt(3) every cell of A has an entry on
+    # each plane
     rs = RootSystem("A2")
     bad = Irrep(rs, "sqrt3", [((value,),)] * len(rs.elements))
-    assert _sign_class(rs, bad) == (bad, (1, 1))
+    assert bad.base is bad
     assembled = []
     assemble = dunkl._assemble
 

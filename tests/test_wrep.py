@@ -109,6 +109,7 @@ def test_every_irrep_is_its_signs_times_its_base(label):
     assert [row[0] for row in table] == [rep.label for rep in irreps(rs)]
     for (name, signs, reflection), rep in zip(table, irreps(rs)):
         base = get_irrep(rs, "std" if reflection else "triv")
+        assert rep.signs == signs and rep.base is base, name
         for w, mat in enumerate(rep.matrices):
             s = _sign(rs, signs, w)
             assert mat == tuple(tuple(s * v for v in row) for row in base.matrices[w]), \
@@ -190,6 +191,21 @@ def test_validate_catches_every_sign_flip(label):
                     else "not a homomorphism")
             with pytest.raises(InvariantViolation, match=want):
                 _validate(rs, bad)
+
+
+def test_validate_refuses_an_irrep_that_is_not_its_signs_times_its_base():
+    # std built on the reflection representation but declared over the
+    # one-dimensional triv, and tau (-1 on the long orbit) declared as
+    # (1, 1) times triv
+    rs = RootSystem("G2")
+    reps = list(irreps(rs))
+    triv, tau = get_irrep(rs, "triv"), get_irrep(rs, "tau")
+    for bad in (wrep._from_generators(rs, "std", (1, 1), True, triv),
+                Irrep(rs, "tau", tau.matrices, (1, 1), triv)):
+        r = next(i for i, rep in enumerate(reps) if rep.label == bad.label)
+        with pytest.raises(InvariantViolation,
+                           match=f"{bad.label} is not its signs times triv"):
+            _validate(rs, reps[:r] + [bad] + reps[r + 1:])
 
 
 def test_validate_catches_a_doubled_product_matrix():

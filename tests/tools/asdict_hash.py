@@ -1,0 +1,69 @@
+"""Print one sha256 over `classify(...).as_dict()` on a fixed grid.
+
+    python3 tests/tools/asdict_hash.py
+
+The grid is every type and character at couplings with denominators 1-3
+and |k| <= 2 (one coupling on A1 and A2, k2 = k1; both on B2 and G2),
+plus A1 and A2 at denominators 4-6.  Points whose lowest-weight scalar is
+-m with m > 4 are left out, so every point is cheap; the generic points
+are scanned to the default bound.  The output line is
+
+    points <N> finite <F> sha256 <hex>
+
+and two checkouts classify the grid identically exactly when their lines
+agree.  The package is imported from the `src/` of the checkout this file
+is in, not from an installed copy; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from cherednik.dunkl import lowest_weight_scalar  # noqa: E402
+from cherednik.rootsystem import LABELS, build_root_system  # noqa: E402
+from cherednik.scalars import Rat, is_nonneg_int  # noqa: E402
+from cherednik.verma import classify  # noqa: E402
+from cherednik.wrep import irreps  # noqa: E402
+
+MAX_M = 4
+
+
+def _couplings(dens, bound=2):
+    return sorted({Rat(p, q) for q in dens for p in range(-bound * q, bound * q + 1)})
+
+
+def grid():
+    """(label, chi, k1, k2) in a fixed order, m <= MAX_M."""
+    coarse, fine = _couplings((1, 2, 3)), _couplings(range(1, 7))
+    for label in LABELS:
+        rs = build_root_system(label)
+        if rs.orbit_counts[1]:
+            pairs = [(a, b) for a in coarse for b in coarse]
+        else:
+            pairs = [(k, k) for k in fine]
+        for rep in irreps(rs):
+            for k1, k2 in pairs:
+                m = -lowest_weight_scalar(rs, rep, k1, k2)
+                if not is_nonneg_int(m) or m <= MAX_M:
+                    yield label, rep.label, k1, k2
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    points = finite = 0
+    for point in grid():
+        res = classify(*point).as_dict()
+        digest.update(json.dumps(res, sort_keys=True).encode() + b"\n")
+        points += 1
+        finite += bool(res["finite"])
+    print(f"points {points} finite {finite} sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
