@@ -18,7 +18,7 @@ from cherednik import dunkl
 from cherednik.dunkl import (_integer_parts, _quotient_columns, _quotient_layers,
                              _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
-from cherednik.verma import classify
+from cherednik.verma import VermaModule, classify
 
 RNG = random.Random(505)
 TYPES = ("A1", "A2", "B2", "G2")
@@ -360,8 +360,7 @@ def test_cold_lowering_parts_make_no_quadext_products_per_cell():
 def test_shared_parts_equal_direct_assembly_for_every_twist():
     # every stock irrep and each of its twists by a one-dimensional
     # character, the twist built by hand as a new Irrep object (its own
-    # base): the memoized parts, shared with the base for the stock irreps,
-    # equal a direct assembly
+    # base): the memoized parts equal a direct assembly
     def key(parts):
         return parts.rows, parts.cols, parts.den, parts.parts
 
@@ -382,7 +381,8 @@ def test_shared_parts_equal_direct_assembly_for_every_twist():
 
 def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
     # every one-dimensional character is a sign twist of triv, and G2
-    # std_tau one of std, so a fresh root system assembles only those
+    # std_tau one of std, so the modules of every character on a fresh root
+    # system assemble only those, once per base, direction and degree
     assembled = []
     assemble = dunkl._assemble
 
@@ -393,14 +393,13 @@ def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
     monkeypatch.setattr(dunkl, "_assemble", counting)
     for label in TYPES:
         rs = RootSystem(label)
+        sl2_calibration(rs)  # assembles triv through lowering_matrix
         assembled.clear()
         for rep in irreps(rs):
-            for j in range(rs.rank):
-                for n in range(5):
-                    b_lowering_parts(rs, rep, j, n)
+            VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5)).gram(4)
         want = ["triv"] if label == "A1" else ["std", "triv"]
         assert sorted(set(assembled)) == want, label
-        assert len(assembled) == len(want) * rs.rank * 5, label
+        assert len(assembled) == len(want) * rs.rank * 4, label
 
 
 @pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])

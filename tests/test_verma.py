@@ -443,6 +443,46 @@ def test_twist_coherence_spot():
                 assert other.graded_dims(4) == bd
 
 
+def test_twisted_module_is_its_base_at_signed_couplings():
+    # an irrep that is signs times its base has, at (k1, k2), the integer
+    # layers and raised rows of the base at (s_0 k1, s_1 k2)
+    k1, k2 = Rat(2, 7), Rat(-3, 5)
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            s0, s1 = rep.signs
+            vm = VermaModule(rs, rep, k1, k2)
+            base = VermaModule(rs, rep.base, s0 * k1, s1 * k2)
+            for n in range(8):
+                assert vm._layer(n) == base._layer(n), (label, rep.label, n)
+            assert vm.f_chain(6) == base.f_chain(6), (label, rep.label)
+
+
+def test_twisted_symbolic_gram_is_its_base_at_signed_couplings():
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            s0, s1 = rep.signs
+            got = VermaModule(rs, rep, PP_K1, PP_K2).gram(3)
+            base = VermaModule(rs, rep.base, PP_K1, PP_K2).gram(3)
+            want = [[ParamPoly.coerce(v).eval2(s0 * PP_K1, s1 * PP_K2) for v in row]
+                    for row in base]
+            assert [[ParamPoly.coerce(v) for v in row] for row in got] == want, \
+                (label, rep.label)
+
+
+def test_every_layer_has_full_rank_at_zero_coupling():
+    # at k = 0 every lowering is a transfer derivative, so the form is the
+    # Fischer form of the metric tensor the identity on chi: positive definite
+    for label in TYPES:
+        rs = build_root_system(label)
+        top = 30 if label == "A1" else 12
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, 0, 0)
+            want = [len(vm.layer_monomials(n)) * rep.dim for n in range(top + 1)]
+            assert vm.graded_dims(top) == want, (label, rep.label)
+
+
 def test_scan_bound_truncates_infinite_scan():
     res = classify("A2", "triv", Rat(1, 5), Rat(1, 5), scan_bound=4)
     assert not res.finite and len(res.dims) == 5

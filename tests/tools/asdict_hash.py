@@ -1,4 +1,5 @@
-"""Print one sha256 over `classify(...).as_dict()` on a fixed grid.
+"""Print one sha256 over `classify(...).as_dict()` on a fixed grid, and
+one over the operator layer's parts, Gram layers and raised rows.
 
     python3 tests/tools/asdict_hash.py
 
@@ -6,12 +7,20 @@ The grid is every type and character at couplings with denominators 1-3
 and |k| <= 2 (one coupling on A1 and A2, k2 = k1; both on B2 and G2),
 plus A1 and A2 at denominators 4-6.  Points whose lowest-weight scalar is
 -m with m > 4 are left out, so every point is cheap; the generic points
-are scanned to the default bound.  The output line is
+are scanned to the default bound.  The first output line is
 
     points <N> finite <F> sha256 <hex>
 
 and two checkouts classify the grid identically exactly when their lines
-agree.  The package is imported from the `src/` of the checkout this file
+agree.  The second line,
+
+    layers <N> sha256 <hex>
+
+hashes, for every type and character, the integer lowering parts
+(`b_lowering_parts`: rows, cols, den and parts) of degrees 0-8 in both
+directions, the numeric Gram layers of degrees 0-6 and `f_chain(6)` at
+k = (2/7, -3/5), and the symbolic Gram layers of degrees 0-3 and
+`f_chain(4)`; N counts the hashed items.  The package is imported from the `src/` of the checkout this file
 is in, not from an installed copy; pytest does not collect this file.
 """
 
@@ -24,10 +33,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from cherednik.dunkl import lowest_weight_scalar  # noqa: E402
+from cherednik.dunkl import b_lowering_parts, lowest_weight_scalar  # noqa: E402
+from cherednik.polynomials import PP_K1, PP_K2  # noqa: E402
 from cherednik.rootsystem import LABELS, build_root_system  # noqa: E402
 from cherednik.scalars import Rat, is_nonneg_int  # noqa: E402
-from cherednik.verma import classify  # noqa: E402
+from cherednik.verma import VermaModule, classify  # noqa: E402
 from cherednik.wrep import irreps  # noqa: E402
 
 MAX_M = 4
@@ -53,6 +63,28 @@ def grid():
                     yield label, rep.label, k1, k2
 
 
+def layer_items():
+    """The hashed operator-layer items, in a fixed order, as strings."""
+    for label in LABELS:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            head = f"{label} {rep.label}"
+            for j in range(rs.rank):
+                for n in range(9):
+                    p = b_lowering_parts(rs, rep, j, n)
+                    parts = [(list(idx), vals) for idx, vals in p.parts]
+                    yield f"{head} parts {j} {n} {p.rows} {p.cols} {p.den} {parts}"
+            for vm, top, chain in ((VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5)), 6, 6),
+                                   (VermaModule(rs, rep, PP_K1, PP_K2), 3, 4)):
+                for n in range(top + 1):
+                    yield f"{head} gram {vm.k1} {n} {_cells(vm.gram(n))}"
+                yield f"{head} f_chain {vm.k1} {chain} {_cells(vm.f_chain(chain))}"
+
+
+def _cells(mat):
+    return [[str(v) for v in row] for row in mat]
+
+
 def main() -> int:
     digest = hashlib.sha256()
     points = finite = 0
@@ -62,6 +94,11 @@ def main() -> int:
         points += 1
         finite += bool(res["finite"])
     print(f"points {points} finite {finite} sha256 {digest.hexdigest()}")
+    digest, items = hashlib.sha256(), 0
+    for item in layer_items():
+        digest.update(item.encode() + b"\n")
+        items += 1
+    print(f"layers {items} sha256 {digest.hexdigest()}")
     return 0
 
 
