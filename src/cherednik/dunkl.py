@@ -14,10 +14,8 @@ the public basis through one power of sqrt(3).  Along the metric transfers
 every nonzero cell lands on an even power, so b_lowering_parts memoizes the
 parts per (root system, character, direction, degree) as sparse integer
 matrices over one denominator, read from the assembly in cell order in one
-pass (an odd power raises InvariantViolation).  An irrep that wrep builds as
-one sign per root orbit times its base (triv or std) shares the base's
-assembly: it has the base's D, s_0 A and s_1 B.  New couplings
-cost one integer combination per layer.  lowering_matrix (any direction)
+pass (an odd power raises InvariantViolation).  New couplings cost one
+integer combination per layer.  lowering_matrix (any direction)
 finishes the same assembly in QuadExt, so the cross-checks built on it also
 cover the integer conversion.  dunkl_apply acts on polynomials through
 MPoly.divexact and weyl_act, sharing none of it.
@@ -29,7 +27,7 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import chain, compress
-from operator import add, neg, or_
+from operator import add, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat
@@ -304,16 +302,8 @@ def b_direction(rs: RootSystem, j: int):
 @lru_cache(maxsize=None)
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
-    j) on the degree-n layer, memoized per (root system, character, direction,
-    degree).  D does not see rep and A, B are orbit sums of rep(s_alpha), so
-    an irrep other than its own base (Irrep.base, Irrep.signs) has the
-    base's parts with A, B negated where its orbit's sign is -1."""
-    if rep.base is rep:
-        return _integer_parts(rs, rep, b_direction(rs, j), n)
-    p = b_lowering_parts(rs, rep.base, j, n)
-    return LoweringParts(p.rows, p.cols, p.den, p.parts[:1] + tuple(
-        (idx, vals if s == 1 else tuple(map(neg, vals)))
-        for (idx, vals), s in zip(p.parts[1:], rep.signs)))
+    j) on the degree-n layer, memoized per (root system, irrep, j, n)."""
+    return _integer_parts(rs, rep, b_direction(rs, j), n)
 
 
 # -- the sl2 triple -------------------------------------------------------------

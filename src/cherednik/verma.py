@@ -10,6 +10,9 @@ ranks are the quotient's graded dimensions.
 
 The lowerings, Gram layers and raised rows are integer matrices with one
 rational scale each, combined from the integer parts of LoweringParts.
+An irrep that is one sign per root orbit times its base (Irrep.signs,
+Irrep.base) has the base's D, s_0 A and s_1 B: its module combines the
+base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
 Every layer rank is proven.  A determinant nonzero modulo the prime
 linalg.PRIME proves a layer full rank; otherwise its rank is exact
 fraction-free Bareiss elimination over Z.  Once a layer is singular, every
@@ -21,9 +24,11 @@ sized by a product of the lowerings' column norms.  The digits become
 ParamPoly coefficients directly, already canonical, and a Gram layer is
 unpacked once per symmetric pair: the packed layer has passed the
 symmetry check and unpacking is injective, so both cells hold one value.
-A symbolic layer's minors are polynomials in k1, k2, so full rank at the
-rational point _CERT_POINT proves full rank; only a layer that falls
-short there is ranked by Bareiss over ParamPoly.
+A symbolic layer's minors are polynomials in k1, k2, so full rank at one
+point proves full rank.  The point is k = 0, where every lowering is a
+transfer derivative and the layer, the Fischer form of the metric tensor the
+identity on chi, is positive definite; Bareiss over ParamPoly remains the
+fallback for a layer short of full rank at the point.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -50,7 +55,7 @@ from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
                     lowering_matrix, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
-_CERT_POINT = (Rat(3, 7), Rat(-5, 11))  # where symbolic layers are ranked first
+_CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
 
 
 def _value(rows, scale):
@@ -101,12 +106,12 @@ class VermaModule:
         """The degree-n lowerings along every transfer as int matrices, and
         their shared scale (cached).  With q the common denominator of k1,
         k2 and den that of the parts, each lowering times q * den is
-        combined from its integer parts."""
+        combined from the base's integer parts at the signed couplings."""
         hit = self._low.get(n)
         if hit is None:
-            parts = [b_lowering_parts(self.rs, self.rep, j, n)
+            parts = [b_lowering_parts(self.rs, self.rep.base, j, n)
                      for j in range(self.rs.rank)]
-            k1, k2 = self.k1, self.k2
+            k1, k2 = self.rep.signs[0] * self.k1, self.rep.signs[1] * self.k2
             q = lcm(k1.denominator, k2.denominator)
             den = lcm(*(p.den for p in parts))
             c1 = k1.numerator * (q // k1.denominator)
@@ -192,7 +197,7 @@ class VermaModule:
         unit **= steps
         bound = sum(abs(v) for row in coef for v in row) ** steps
         for d in range(1, 2 * steps + 1 if chain else n + 1):
-            parts = [b_lowering_parts(self.rs, self.rep, j, d)
+            parts = [b_lowering_parts(self.rs, self.rep.base, j, d)
                      for j in range(self.rs.rank)]
             den = lcm(*(p.den for p in parts))
             unit /= den
@@ -277,7 +282,7 @@ class VermaModule:
         if not is_nonneg_int(m0):
             return EPowerResult(False, None, False)
         m = int(m0)
-        rows = self.f_chain(2 * m + 2)
+        rows = self._f_rows(2 * m + 2)[0]
         return EPowerResult(True, m, not any(v for row in rows for v in row))
 
     def classify(self, scan_bound: int | None = None):

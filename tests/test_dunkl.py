@@ -402,6 +402,16 @@ def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
         assert len(assembled) == len(want) * rs.rank * 4, label
 
 
+def test_twisted_modules_add_no_parts_memo_entries():
+    # the memo holds parts of triv and std only: degrees 1-4, every direction
+    for label, want in (("A1", 4), ("A2", 16), ("B2", 16), ("G2", 16)):
+        rs = RootSystem(label)
+        before = b_lowering_parts.cache_info().currsize
+        for rep in irreps(rs):
+            VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5)).gram(4)
+        assert b_lowering_parts.cache_info().currsize - before == want, label
+
+
 @pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])
 def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
     # a hand-built rep is its own base, so it reaches the full assembly and
