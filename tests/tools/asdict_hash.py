@@ -17,11 +17,12 @@ agree.  The second line,
     layers <N> sha256 <hex>
 
 hashes, for every type and character, the integer lowering parts
-(`b_lowering_parts`: rows, cols, den and parts) of degrees 0-8 in both
-directions, the numeric Gram layers of degrees 0-6 and `f_chain(6)` at
+(`b_lowering_parts`: rows, cols, den and parts) of degrees 0-8 in every
+direction, the numeric Gram layers of degrees 0-6 and `f_chain(6)` at
 k = (2/7, -3/5), and the symbolic Gram layers of degrees 0-3 and
-`f_chain(4)`; N counts the hashed items.  The package is imported from the `src/` of the checkout this file
-is in, not from an installed copy; pytest does not collect this file.
+`f_chain(4)`; N counts the hashed items.  The package is imported from
+the `src/` of the checkout this file is in, not from an installed copy;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
