@@ -1,15 +1,16 @@
 """Small exact linear algebra over the scalar tower: every matrix and
 vector helper of the package lives here.
 
-Matrices are plain lists of row lists.  Entries are ints (every Gram layer,
-the packed symbolic ones too; see integer_scale), QuadExt, or ParamPoly
-(unpacked symbolic layers, F matrices).  Ranks are proven, never
-guessed.  A square int matrix whose determinant is nonzero modulo the
-prime PRIME is nonsingular over Q, since a determinant that is 0 over Z
-is 0 mod every prime (nonsingular_mod_p).  Otherwise the rank is exact
-fraction-free Bareiss elimination, in each of these rings (Bareiss, Math.
-Comp. 22, 1968).  Over ParamPoly Bareiss runs only as the fallback of
-verma's rank certificate at one rational point.
+Matrices are plain lists of row lists.  Entries are ints (lowerings and
+Gram layers, the packed symbolic ones too; see integer_scale), QuadExt, or
+ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
+guessed.  An int matrix, square or tall, whose columns are independent
+modulo the prime PRIME has independent columns over Q, since a minor that
+is 0 over Z is 0 mod every prime (nonsingular_mod_p, the one elimination
+mod p: verma's lowering blocks and stacks and its Gram layers).  Otherwise
+the rank is exact fraction-free Bareiss elimination, in each of these
+rings (Bareiss, Math. Comp. 22, 1968).  Over ParamPoly Bareiss runs only
+as the fallback of verma's rank certificate at one rational point.
 """
 
 from __future__ import annotations
@@ -157,14 +158,16 @@ def bareiss_rank(mat) -> int:
 
 
 def nonsingular_mod_p(mat) -> bool:
-    """True when the square int matrix has a nonzero determinant modulo
-    PRIME, which proves it nonsingular over Q.  False is no verdict over Q:
-    p may divide a nonzero determinant.  Gaussian elimination over GF(p),
-    stopped at the first column with no pivot."""
+    """True when the columns of the int matrix, which has at least as many
+    rows as columns, are independent modulo PRIME.  Then some maximal
+    minor is nonzero mod PRIME, hence over Z, which proves the columns
+    independent over Q (a square matrix nonsingular).  False is no verdict
+    over Q: p may divide every nonzero maximal minor.  Gaussian elimination
+    over GF(p), stopped at the first column with no pivot."""
     p = PRIME
     m = [[v % p for v in row] for row in mat]
     n = len(m)
-    for c in range(n):
+    for c in range(len(m[0]) if m else 0):
         piv = next((i for i in range(c, n) if m[i][c]), None)
         if piv is None:
             return False

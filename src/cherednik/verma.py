@@ -13,11 +13,15 @@ rational scale each, combined from the integer parts of LoweringParts.
 An irrep that is one sign per root orbit times its base (Irrep.signs,
 Irrep.base) has the base's D, s_0 A and s_1 B: its module combines the
 base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
-Every layer rank is proven.  A determinant nonzero modulo the prime
-linalg.PRIME proves a layer full rank; otherwise its rank is exact
-fraction-free Bareiss elimination over Z.  Once a layer is singular, every
-higher layer is singular (the radical is a submodule, and x_1 is injective
-on polynomials tensor chi), so no determinant is tried there.  A symbolic
+Every layer rank is proven, degrees settled in ascending order.  As
+G_n[x_i u, w] = G_{n-1}[u, L_i w], while every lower layer is full rank G_n
+is nonsingular exactly when the stacked lowerings [L_0; L_1] are injective.
+Three proofs mod the prime linalg.PRIME are tried in turn: the square block
+of L_0 and the last dim-chi rows of L_1 (on A1, L_0) is nonsingular; the
+whole stack has independent columns; the Gram layer is nonsingular.  So a
+generic scan builds no Gram layer.  Failing all three, and on every higher
+layer (the radical is a submodule and x_1 is injective on polynomials
+tensor chi), the rank is exact fraction-free Bareiss over Z.  A symbolic
 layer (or row) is read off a numeric module at k = (B, B^(n+1)) by
 Kronecker substitution, one coefficient per base-B digit, with B = 2^s
 sized by a product of the lowerings' column norms.  The digits become
@@ -91,7 +95,8 @@ class VermaModule:
         self._low = {}
         self._gram = {}
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
-        self._singular_from = None  # numeric: lowest degree found singular
+        self._full_to = 0  # numeric: degrees 0..this are proven full rank
+        self._singular = None  # numeric: (lowest singular degree, its rank)
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -237,24 +242,40 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        """Rank of the degree-n layer, proven: full rank by a determinant
-        nonzero mod linalg.PRIME (numeric) or at _CERT_POINT (symbolic), else by
-        exact Bareiss elimination."""
+        """Rank of the degree-n layer, proven.  Numeric degrees are settled
+        in ascending order, a call out of order first settling those below
+        n.  With every layer below full rank, degree n is full rank if mod
+        linalg.PRIME the square block of L_0 and the last dim-chi rows of
+        L_1 is nonsingular, else if the stack [L_0; L_1] has independent
+        columns, else if the Gram layer is nonsingular; failing those, and
+        above a singular degree, Bareiss ranks the Gram layer.  A symbolic
+        layer is full rank if it is at _CERT_POINT, else Bareiss ranks it."""
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
             # minors are polynomials: full rank at a point proves it
             self._cert = self._cert or VermaModule(self.rs, self.rep, *_CERT_POINT)
             size = len(self.layer_monomials(n)) * self.rep.dim
             return size if self._cert.layer_rank(n) == size else bareiss_rank(self.gram(n))
-        rows = self._layer(n)[0]
-        # the radical is a submodule and x_1 is injective on polynomials
-        # tensor chi, so every layer above a singular one is singular
-        below = self._singular_from is None or n < self._singular_from
-        if below and nonsingular_mod_p(rows):
-            return len(rows)
-        rank = bareiss_rank(rows)
-        if below and rank < len(rows):
-            self._singular_from = n
-        return rank
+        # every layer above a singular one is singular (module docstring)
+        while self._singular is None and self._full_to < n:
+            deg = self._full_to + 1
+            lows = self._lowerings(deg)[0]
+            block = lows[0] + lows[1][-self.rep.dim:] if len(lows) == 2 else lows[0]
+            stack = [row for low in lows for row in low]
+            if not (nonsingular_mod_p(block) or (len(stack) > len(block)
+                                                 and nonsingular_mod_p(stack))):
+                rows = self._layer(deg)[0]
+                rank = len(rows) if nonsingular_mod_p(rows) else bareiss_rank(rows)
+                if rank < len(rows):
+                    self._singular = deg, rank
+                    break
+            self._full_to = deg
+        if n <= self._full_to:
+            return len(self.layer_monomials(n)) * self.rep.dim
+        if n == self._singular[0]:
+            return self._singular[1]
+        return bareiss_rank(self._layer(n)[0])
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple

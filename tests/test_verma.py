@@ -212,10 +212,11 @@ def test_symbolic_gram_entries_are_parampoly():
 
 
 def test_symbolic_negative_degree_raises():
-    vm = standard_module("G2", "std", PP_K1, PP_K2)
-    for call in (vm.gram, vm.layer_rank):
-        with pytest.raises(ValueError):
-            call(-1)
+    for k1, k2 in ((PP_K1, PP_K2), (Rat(2, 7), Rat(-3, 5))):
+        vm = standard_module("G2", "std", k1, k2)
+        for call in (vm.gram, vm.layer_rank):
+            with pytest.raises(ValueError):
+                call(-1)
 
 
 def test_symbolic_f_chain_below_degree_two_is_identity():
@@ -293,22 +294,72 @@ def test_layer_rank_matches_bareiss_on_every_scanned_layer(point):
     assert ranks == [bareiss_rank(vm._layer(n)[0]) for n in range(len(ranks))]
 
 
+# generic points, one per type, where every layer is proven from the lowerings
+GENERIC = [("A1", "triv", Rat(2, 7), Rat(2, 7)), ("A2", "std", Rat(3, 7), Rat(3, 7)),
+           ("B2", "std", Rat(-5, 11), Rat(2, 7)), ("G2", "std_tau", Rat(1, 7), Rat(-2, 11))]
+
+
 def test_layer_rank_descending_order_matches_ascending():
-    for point in DEEP[1:]:  # the A2 point would add seconds and no new case
+    for point in DEEP[1:] + GENERIC:  # the A2 deep point would add seconds and no new case
         up = _scanned_ranks(*point)[1]
         vm = standard_module(*point)
         assert [vm.layer_rank(n) for n in range(len(up) - 1, -1, -1)] == up[::-1], point
+    for point in GENERIC:
+        # a fresh module asked for degree 14 first settles the degrees below
+        vm = standard_module(*point)
+        size = len(vm.layer_monomials(14)) * vm.rep.dim
+        assert vm.layer_rank(14) == size and not vm._gram, point
+        assert bareiss_rank(vm._layer(14)[0]) == size, point
 
 
-def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p():
+def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
-    for mat, label, chi in (([[p]], "A1", "triv"), ([[1, 0], [0, p]], "A2", "std")):
+    for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
         assert not nonsingular_mod_p(mat)
-        # layer_rank must prove full rank by elimination over Z instead
-        vm = standard_module(label, chi, Rat(2, 7), Rat(2, 7))
-        vm._gram[0] = mat, Rat(1)
-        assert vm.layer_rank(0) == len(mat)
     assert nonsingular_mod_p([[1, 0], [0, p + 1]])
+    assert nonsingular_mod_p([[1, 0], [0, p], [0, 1]])
+    ranks = []
+
+    def counting_rank(mat):
+        ranks.append(bareiss_rank(mat))
+        return ranks[-1]
+
+    monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
+    for label in ("A2", "B2"):
+        # degree-1 lowerings whose block (here the whole stack) and Gram
+        # layer diag(1, 1, 1, p) vanish mod p: layer_rank must prove full
+        # rank by elimination over Z instead
+        vm = standard_module(label, "std", Rat(2, 7), Rat(2, 7))
+        vm._low[1] = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, p]]], Rat(1)
+        ranks.clear()
+        assert vm.layer_rank(1) == 4 and ranks == [4], label
+
+
+def test_each_rank_proof_fires(monkeypatch):
+    # the square block, the whole stack and the Gram layer each prove some
+    # full-rank layer; a generic classification builds no Gram layer
+    proofs = []
+
+    def counting(mat):
+        proofs.append((mat, nonsingular_mod_p(mat)))
+        return proofs[-1][1]
+
+    def routes(point):
+        proofs.clear()
+        vm = standard_module(*point)
+        vm.classify()
+        grams = {id(rows) for rows, _ in vm._gram.values()}
+        return vm, {"gram" if id(mat) in grams else "stack" if len(mat) > len(mat[0])
+                    else "block" for mat, ok in proofs if ok}
+
+    monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
+    vm, fired = routes(("G2", "std", Rat(1, 7), Rat(-2, 11)))
+    assert fired == {"block"} and not vm._gram
+    # the block is singular mod p at degree 3, where G_3 is not
+    vm, fired = routes(("A2", "triv", Rat(-4, 3), Rat(-4, 3)))
+    assert fired == {"block", "stack"} and vm._singular == (4, 3)
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    assert "gram" in routes(("G2", "sgn_tau", Rat(0), Rat(-4, 3)))[1]
 
 
 def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):

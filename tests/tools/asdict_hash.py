@@ -18,9 +18,11 @@ agree.  The second line,
 
 hashes, for every type and character, the integer lowering parts
 (`b_lowering_parts`: rows, cols, den and parts) of degrees 0-8 in every
-direction, the numeric Gram layers of degrees 0-6 and `f_chain(6)` at
-k = (2/7, -3/5), and the symbolic Gram layers of degrees 0-3 and
-`f_chain(4)`; N counts the hashed items.  The package is imported from
+direction, the numeric Gram layers of degrees 0-6, `f_chain(6)` and the
+`graded_dims(12)` of a fresh module at k = (2/7, -3/5), and the symbolic
+Gram layers of degrees 0-3 and `f_chain(4)`; N counts the hashed items.
+`as_dict()` leaves out the dims of an infinite verdict, so the graded
+dims are what covers the ranks of a generic scan.  The package is imported from
 the `src/` of the checkout this file is in, not from an installed copy;
 pytest does not collect this file.
 """
@@ -80,6 +82,8 @@ def layer_items():
                 for n in range(top + 1):
                     yield f"{head} gram {vm.k1} {n} {_cells(vm.gram(n))}"
                 yield f"{head} f_chain {vm.k1} {chain} {_cells(vm.f_chain(chain))}"
+            dims = VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5)).graded_dims(12)
+            yield f"{head} dims {dims}"
 
 
 def _cells(mat):
