@@ -7,7 +7,7 @@ ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
 guessed.  An int matrix, square or tall, whose columns are independent
 modulo the prime PRIME has independent columns over Q, since a minor that
 is 0 over Z is 0 mod every prime (nonsingular_mod_p, the one elimination
-mod p: verma's lowering blocks and stacks and its Gram layers).  Otherwise
+mod p: verma's lowering blocks and stacks).  Otherwise
 the rank is exact fraction-free Bareiss elimination, in each of these
 rings (Bareiss, Math. Comp. 22, 1968).  Over ParamPoly Bareiss runs only
 as the fallback of verma's rank certificate at one rational point.

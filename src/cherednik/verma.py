@@ -16,23 +16,25 @@ base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
 Every layer rank is proven, degrees settled in ascending order.  As
 G_n[x_i u, w] = G_{n-1}[u, L_i w], while every lower layer is full rank G_n
 is nonsingular exactly when the stacked lowerings [L_0; L_1] are injective.
-Three proofs mod the prime linalg.PRIME are tried in turn: the square block
+Two proofs mod the prime linalg.PRIME are tried in turn: the square block
 of L_0 and the last dim-chi rows of L_1 (on A1, L_0) is nonsingular; the
-whole stack has independent columns; the Gram layer is nonsingular.  So a
-generic scan builds no Gram layer.  Failing all three, and on every higher
-layer (the radical is a submodule and x_1 is injective on polynomials
-tensor chi), the rank is exact fraction-free Bareiss over Z.  A symbolic
-layer (or row) is read off a numeric module at k = (B, B^(n+1)) by
-Kronecker substitution, one coefficient per base-B digit, with B = 2^s
-sized by a product of the lowerings' column norms.  The digits become
-ParamPoly coefficients directly, already canonical, and a Gram layer is
-unpacked once per symmetric pair: the packed layer has passed the
-symmetry check and unpacking is injective, so both cells hold one value.
-A symbolic layer's minors are polynomials in k1, k2, so full rank at one
-point proves full rank.  The point is k = 0, where every lowering is a
-transfer derivative and the layer, the Fischer form of the metric tensor the
-identity on chi, is positive definite; Bareiss over ParamPoly remains the
-fallback for a layer short of full rank at the point.
+whole stack has independent columns.  (G_n is P times the stack, P made of
+rows of G_{n-1}: up to content, singular mod p wherever the stack is.)  Failing
+both, and on every higher layer (the radical is a submodule and x_1 is
+injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer.
+So a generic scan builds no Gram layer, and runs no symmetry check: there
+the tests of every rank against Bareiss, and of gram against gram_direct,
+check the lowerings.  A symbolic layer (or row) is read off a numeric
+module at k = (B, B^(n+1)) by Kronecker substitution, one coefficient per
+base-B digit, with B = 2^s sized by a product of the lowerings' column
+norms.  The digits become ParamPoly coefficients directly, already
+canonical, and a Gram layer is unpacked once per symmetric pair: the packed
+layer has passed the symmetry check and unpacking is injective, so both
+cells hold one value.  A symbolic layer's minors are polynomials in k1, k2,
+so full rank at one point proves full rank.  The point is k = 0, where
+every lowering is a transfer derivative and the layer, the Fischer form of
+the metric tensor the identity on chi, is positive definite; Bareiss over
+ParamPoly remains the fallback for a layer short of full rank at the point.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -247,9 +249,9 @@ class VermaModule:
         n.  With every layer below full rank, degree n is full rank if mod
         linalg.PRIME the square block of L_0 and the last dim-chi rows of
         L_1 is nonsingular, else if the stack [L_0; L_1] has independent
-        columns, else if the Gram layer is nonsingular; failing those, and
-        above a singular degree, Bareiss ranks the Gram layer.  A symbolic
-        layer is full rank if it is at _CERT_POINT, else Bareiss ranks it."""
+        columns; failing both, and above a singular degree, Bareiss ranks
+        the Gram layer.  A symbolic layer is full rank if it is at
+        _CERT_POINT, else Bareiss ranks it."""
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
@@ -265,9 +267,8 @@ class VermaModule:
             stack = [row for low in lows for row in low]
             if not (nonsingular_mod_p(block) or (len(stack) > len(block)
                                                  and nonsingular_mod_p(stack))):
-                rows = self._layer(deg)[0]
-                rank = len(rows) if nonsingular_mod_p(rows) else bareiss_rank(rows)
-                if rank < len(rows):
+                rank = bareiss_rank(self._layer(deg)[0])
+                if rank < len(block):
                     self._singular = deg, rank
                     break
             self._full_to = deg

@@ -326,9 +326,9 @@ def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
 
     monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
     for label in ("A2", "B2"):
-        # degree-1 lowerings whose block (here the whole stack) and Gram
-        # layer diag(1, 1, 1, p) vanish mod p: layer_rank must prove full
-        # rank by elimination over Z instead
+        # degree-1 lowerings whose block (here the whole stack) is
+        # diag(1, 1, 1, p), singular mod p: layer_rank must prove full rank
+        # by elimination over Z on the Gram layer instead
         vm = standard_module(label, "std", Rat(2, 7), Rat(2, 7))
         vm._low[1] = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, p]]], Rat(1)
         ranks.clear()
@@ -336,30 +336,38 @@ def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
 
 
 def test_each_rank_proof_fires(monkeypatch):
-    # the square block, the whole stack and the Gram layer each prove some
-    # full-rank layer; a generic classification builds no Gram layer
-    proofs = []
+    # the square block, the whole stack and Bareiss on the Gram layer each
+    # prove some full-rank layer; a generic classification builds no Gram layer
+    fired = set()
 
     def counting(mat):
-        proofs.append((mat, nonsingular_mod_p(mat)))
-        return proofs[-1][1]
+        if nonsingular_mod_p(mat):
+            fired.add("stack" if len(mat) > len(mat[0]) else "block")
+            return True
+        return False
+
+    def counting_rank(mat):
+        rank = bareiss_rank(mat)
+        if rank == len(mat):
+            fired.add("bareiss")
+        return rank
 
     def routes(point):
-        proofs.clear()
+        fired.clear()
         vm = standard_module(*point)
         vm.classify()
-        grams = {id(rows) for rows, _ in vm._gram.values()}
-        return vm, {"gram" if id(mat) in grams else "stack" if len(mat) > len(mat[0])
-                    else "block" for mat, ok in proofs if ok}
+        return vm, set(fired)
 
     monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
-    vm, fired = routes(("G2", "std", Rat(1, 7), Rat(-2, 11)))
-    assert fired == {"block"} and not vm._gram
+    monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
+    vm, got = routes(("G2", "std", Rat(1, 7), Rat(-2, 11)))
+    assert got == {"block"} and not vm._gram
     # the block is singular mod p at degree 3, where G_3 is not
-    vm, fired = routes(("A2", "triv", Rat(-4, 3), Rat(-4, 3)))
-    assert fired == {"block", "stack"} and vm._singular == (4, 3)
+    vm, got = routes(("A2", "triv", Rat(-4, 3), Rat(-4, 3)))
+    assert got == {"block", "stack"} and vm._singular == (4, 3)
+    # mod 3 both fail on some full-rank layer, which Bareiss then proves
     monkeypatch.setattr(linalg, "PRIME", 3)
-    assert "gram" in routes(("G2", "sgn_tau", Rat(0), Rat(-4, 3)))[1]
+    assert "bareiss" in routes(("G2", "sgn_tau", Rat(0), Rat(-4, 3)))[1]
 
 
 def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
