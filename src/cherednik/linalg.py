@@ -4,13 +4,12 @@ vector helper of the package lives here.
 Matrices are plain lists of row lists.  Entries are ints (lowerings and
 Gram layers, the packed symbolic ones too; see integer_scale), QuadExt, or
 ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
-guessed.  An int matrix, square or tall, whose columns are independent
-modulo the prime PRIME has independent columns over Q, since a minor that
-is 0 over Z is 0 mod every prime (nonsingular_mod_p, the one elimination
-mod p: verma's lowering blocks and stacks).  Otherwise
-the rank is exact fraction-free Bareiss elimination, in each of these
-rings (Bareiss, Math. Comp. 22, 1968).  Over ParamPoly Bareiss runs only
-as the fallback of verma's rank certificate at one rational point.
+guessed, and only of int matrices.  An int matrix, square or tall, whose
+columns are independent modulo the prime PRIME has independent columns over
+Q, since a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
+one elimination mod p per verma lowering stack, block rows first).
+Otherwise the rank is exact fraction-free Bareiss elimination over Z
+(Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -18,22 +17,10 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NonDivisibleError
-from .polynomials import ParamPoly
 from .scalars import QuadExt, Rat
 
 # below 2^30, so every residue is a single CPython digit
 PRIME = 1_073_741_789
-
-
-def _exact_div(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        q, r = divmod(x, y)
-        if r:
-            raise NonDivisibleError(f"Bareiss step: {y} does not divide {x}")
-        return q
-    if isinstance(x, ParamPoly) or isinstance(y, ParamPoly):
-        return ParamPoly.coerce(x).divexact(ParamPoly.coerce(y))
-    return x / y
 
 
 def mat_mul(a, b):
@@ -59,11 +46,6 @@ def dot(x, y):
 
 def mat_vec(a, v):
     return [dot(row, v) for row in a]
-
-
-def vec_mat(v, a):
-    """Row vector times matrix."""
-    return [dot(v, col) for col in zip(*a)]
 
 
 def transpose(a):
@@ -126,13 +108,14 @@ def integer_scale(mat):
 
 
 def bareiss_rank(mat) -> int:
-    """Rank over an integral domain, divisions kept exact (Bareiss)."""
+    """Rank of an int matrix, divisions by the previous pivot kept exact
+    (Bareiss); an inexact one raises NonDivisibleError."""
     if not mat or not mat[0]:
         return 0
     m = [row[:] for row in mat]
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    prev = None
+    prev = 1
     for c in range(ncols):
         piv = None
         for i in range(rank, nrows):
@@ -142,14 +125,18 @@ def bareiss_rank(mat) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][c]
+        pr = m[rank]
+        p = pr[c]
         for i in range(rank + 1, nrows):
-            row, pr = m[i], m[rank]
+            row = m[i]
             f = row[c]
             for j in range(c + 1, ncols):
                 num = p * row[j] - f * pr[j]
-                row[j] = _exact_div(num, prev) if prev is not None else num
-            row[c] = f - f
+                q, r = divmod(num, prev)
+                if r:
+                    raise NonDivisibleError(f"Bareiss step: {prev} does not divide {num}")
+                row[j] = q
+            row[c] = 0
         prev = p
         rank += 1
         if rank == nrows:
@@ -163,22 +150,27 @@ def nonsingular_mod_p(mat) -> bool:
     minor is nonzero mod PRIME, hence over Z, which proves the columns
     independent over Q (a square matrix nonsingular).  False is no verdict
     over Q: p may divide every nonzero maximal minor.  Gaussian elimination
-    over GF(p), stopped at the first column with no pivot."""
+    over GF(p), one row at a time against the pivots found so far: it stops
+    as soon as every column has a pivot, so rows past a nonsingular leading
+    square are never read."""
     p = PRIME
-    m = [[v % p for v in row] for row in mat]
-    n = len(m)
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return False
-        m[c], m[piv] = m[piv], m[c]
-        pr = m[c][c + 1:]
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            f = m[i][c] * inv % p
-            if f:
-                m[i][c + 1:] = [(x - f * y) % p for x, y in zip(m[i][c + 1:], pr)]
-    return True
+    n = len(mat[0]) if mat else 0
+    pivots = {}  # column -> the tail after it of a row scaled to 1 there
+    for row in mat:
+        if len(pivots) == n:
+            break
+        r = [v % p for v in row]
+        for c in range(n):
+            f = r[c]
+            if not f:
+                continue
+            pr = pivots.get(c)
+            if pr is None:
+                inv = pow(f, -1, p)
+                pivots[c] = [x * inv % p for x in r[c + 1:]]
+                break
+            r[c + 1:] = [(x - f * y) % p for x, y in zip(r[c + 1:], pr)]
+    return len(pivots) == n
 
 
 def is_symmetric(mat) -> bool:

@@ -16,12 +16,12 @@ base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
 Every layer rank is proven, degrees settled in ascending order.  As
 G_n[x_i u, w] = G_{n-1}[u, L_i w], while every lower layer is full rank G_n
 is nonsingular exactly when the stacked lowerings [L_0; L_1] are injective.
-Two proofs mod the prime linalg.PRIME are tried in turn: the square block
-of L_0 and the last dim-chi rows of L_1 (on A1, L_0) is nonsingular; the
-whole stack has independent columns.  (G_n is P times the stack, P made of
-rows of G_{n-1}: up to content, singular mod p wherever the stack is.)  Failing
-both, and on every higher layer (the radical is a submodule and x_1 is
-injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer.
+One elimination mod the prime linalg.PRIME proves it, its rows block first
+(the square block of L_0 and the last dim-chi rows of L_1; on A1, L_0), so
+a generic layer reads the block only.  (G_n is P times the stack, P made of
+rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
+Failing that, and on every higher layer (the radical is a submodule and x_1
+is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer.
 So a generic scan builds no Gram layer, and runs no symmetry check: there
 the tests of every rank against Bareiss, and of gram against gram_direct,
 check the lowerings.  A symbolic layer (or row) is read off a numeric
@@ -33,8 +33,8 @@ layer has passed the symmetry check and unpacking is injective, so both
 cells hold one value.  A symbolic layer's minors are polynomials in k1, k2,
 so full rank at one point proves full rank.  The point is k = 0, where
 every lowering is a transfer derivative and the layer, the Fischer form of
-the metric tensor the identity on chi, is positive definite; Bareiss over
-ParamPoly remains the fallback for a layer short of full rank at the point.
+the metric tensor the identity on chi, is positive definite: a layer short
+of full rank there raises InvariantViolation.
 
 Two independent finiteness tests are run and cross-checked: vanishing
 of the raised lowest-weight vector in the simple quotient, and a direct
@@ -247,28 +247,31 @@ class VermaModule:
         """Rank of the degree-n layer, proven.  Numeric degrees are settled
         in ascending order, a call out of order first settling those below
         n.  With every layer below full rank, degree n is full rank if mod
-        linalg.PRIME the square block of L_0 and the last dim-chi rows of
-        L_1 is nonsingular, else if the stack [L_0; L_1] has independent
-        columns; failing both, and above a singular degree, Bareiss ranks
-        the Gram layer.  A symbolic layer is full rank if it is at
-        _CERT_POINT, else Bareiss ranks it."""
+        linalg.PRIME the stack [L_0; L_1] has independent columns, in one
+        elimination with the square block of L_0 and the last dim-chi rows
+        of L_1 first; failing that, and above a singular degree, Bareiss
+        ranks the Gram layer.  A symbolic layer is full rank if it is at
+        _CERT_POINT, else InvariantViolation."""
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
             # minors are polynomials: full rank at a point proves it
             self._cert = self._cert or VermaModule(self.rs, self.rep, *_CERT_POINT)
             size = len(self.layer_monomials(n)) * self.rep.dim
-            return size if self._cert.layer_rank(n) == size else bareiss_rank(self.gram(n))
+            if self._cert.layer_rank(n) != size:
+                raise InvariantViolation(
+                    f"{self.rs.label}/{self.rep.label}: degree-{n} layer is not "
+                    f"full rank at (k1, k2) = ({self._cert.k1}, {self._cert.k2})")
+            return size
         # every layer above a singular one is singular (module docstring)
+        d = self.rep.dim
         while self._singular is None and self._full_to < n:
             deg = self._full_to + 1
             lows = self._lowerings(deg)[0]
-            block = lows[0] + lows[1][-self.rep.dim:] if len(lows) == 2 else lows[0]
-            stack = [row for low in lows for row in low]
-            if not (nonsingular_mod_p(block) or (len(stack) > len(block)
-                                                 and nonsingular_mod_p(stack))):
+            stack = lows[0] + lows[1][-d:] + lows[1][:-d] if len(lows) == 2 else lows[0]
+            if not nonsingular_mod_p(stack):
                 rank = bareiss_rank(self._layer(deg)[0])
-                if rank < len(block):
+                if rank < len(stack[0]):
                     self._singular = deg, rank
                     break
             self._full_to = deg

@@ -165,3 +165,25 @@ def test_package_source_has_no_floats():
                 bad.extend(f"{where}: from math import {a.name}" for a in node.names
                            if a.name not in _INTEGER_MATH)
     assert not bad, bad
+
+
+def test_linalg_imports_only_errors_and_scalars():
+    # the linear algebra sits below the polynomial rings: of the package it
+    # may import errors and scalars only
+    path = Path(cherednik.__file__).parent / "linalg.py"
+    pkg = cherednik.__name__
+    got = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            got.update(a.name.partition(".")[2] or pkg for a in node.names
+                       if a.name.partition(".")[0] == pkg)
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level:
+                sub = mod
+            elif mod.partition(".")[0] == pkg:
+                sub = mod.partition(".")[2]
+            else:
+                continue
+            got.update([sub.partition(".")[0]] if sub else [a.name for a in node.names])
+    assert got <= {"errors", "scalars"}, got

@@ -11,7 +11,7 @@ from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
 from cherednik import linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
-                              nonsingular_mod_p, vec_mat)
+                              nonsingular_mod_p)
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -124,7 +124,7 @@ def _parampoly_layers(vm, top):
                 pidx = m[1] if rank == 2 else 0
                 rows.extend(prod1[pidx * d:(pidx + 1) * d])
             else:
-                rows.extend(vec_mat(r, lows[1]) for r in prev[(deg - 1) * d:])
+                rows.extend(mat_mul([r], lows[1])[0] for r in prev[(deg - 1) * d:])
         layers.append([[ParamPoly.coerce(v) for v in row] for row in rows])
     return layers
 
@@ -270,14 +270,14 @@ def test_gram_symbolic_matches_evaluation():
                 assert v == gn[i][j]
 
 
-def test_symbolic_rank_certificate_matches_parampoly_bareiss():
+def test_symbolic_rank_certificate_matches_parampoly_bareiss(ring_bareiss_rank):
     for label in TYPES:
         rs = build_root_system(label)
         for rep in irreps(rs):
             vm = VermaModule(rs, rep, PP_K1, PP_K2)
             for n in range(4):
                 layer = vm.gram(n)
-                want = bareiss_rank(layer)
+                want = ring_bareiss_rank(layer)
                 assert vm.layer_rank(n) == want == len(layer), (label, rep.label, n)
 
 
@@ -337,12 +337,14 @@ def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
 
 def test_each_rank_proof_fires(monkeypatch):
     # the square block, the whole stack and Bareiss on the Gram layer each
-    # prove some full-rank layer; a generic classification builds no Gram layer
+    # prove some full-rank layer; a generic classification builds no Gram
+    # layer.  The stack is ordered block first, so a proof is the block's
+    # when the leading square alone is independent mod p.
     fired = set()
 
     def counting(mat):
         if nonsingular_mod_p(mat):
-            fired.add("stack" if len(mat) > len(mat[0]) else "block")
+            fired.add("block" if nonsingular_mod_p(mat[:len(mat[0])]) else "stack")
             return True
         return False
 
@@ -388,15 +390,35 @@ def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
     assert any(fallbacks)
 
 
-def test_symbolic_rank_falls_back_below_full_rank(monkeypatch):
+def test_one_elimination_per_settled_degree(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return nonsingular_mod_p(mat)
+
+    monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
+    vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+    vm.classify()
+    # degrees 1-3 are full rank and 4 is the first singular one
+    assert vm._full_to == 3 and vm._singular == (4, 3)
+    assert len(calls) == 4
+    # at degree 3 the block is singular mod p, and the rows below it prove the layer
+    stack = calls[2]
+    assert not nonsingular_mod_p(stack[:len(stack[0])]) and nonsingular_mod_p(stack)
+
+
+def test_symbolic_rank_short_at_the_point_raises(monkeypatch):
     # at k = -1/3, L(triv) of A2 is 1-dimensional: its degree-1 layer
-    # evaluates to rank 0 there, but has rank 2 over Q(k1, k2)
+    # evaluates to rank 0 there, though it has rank 2 over Q(k1, k2).  The
+    # certificate point k = 0 is chosen so that this cannot happen.
     point = (Rat(-1, 3), Rat(-1, 3))
     monkeypatch.setattr(verma, "_CERT_POINT", point)
     vm = standard_module("A2", "triv", PP_K1, PP_K2)
     at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm.gram(1)]
     assert bareiss_rank(integer_scale(at)[0]) == 0
-    assert vm.layer_rank(1) == 2
+    with pytest.raises(InvariantViolation, match="not full rank"):
+        vm.layer_rank(1)
 
 
 def test_symbolic_certificate_module_is_built_once(monkeypatch):
