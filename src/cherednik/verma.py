@@ -21,7 +21,8 @@ One elimination mod the prime linalg.PRIME proves it, its rows block first
 a generic layer reads the block only.  (G_n is P times the stack, P made of
 rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
 Failing that, and on every higher layer (the radical is a submodule and x_1
-is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer.
+is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
+as two blocks, the eigenspaces of the reflection of root 0 (W-invariant form).
 So a generic scan builds no Gram layer, and runs no symmetry check: there
 the tests of every rank against Bareiss, and of gram against gram_direct,
 check the lowerings.  A symbolic layer (or row) is read off a numeric
@@ -99,6 +100,7 @@ class VermaModule:
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._full_to = 0  # numeric: degrees 0..this are proven full rank
         self._singular = None  # numeric: (lowest singular degree, its rank)
+        self._parity = None  # set with layer 0 (_reflection_parity)
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -149,38 +151,81 @@ class VermaModule:
 
     # -- the contravariant form -------------------------------------------------
     def _layer(self, n: int):
-        """The degree-n Gram matrix as (matrix, scale), cached per degree.
+        """The degree-n Gram matrix as (class blocks, scale, _classes(n)), cached.
 
         Built one degree at a time: the row of x_i * u equals the row of
         u in the previous Gram matrix composed with the Dunkl lowering
         along the transfer of x_i (the form moves multiplication to a
         Dunkl operator).  In the order of `monomials`, that is prev L_0,
-        then in rank 2 the last dim-chi rows of prev times L_1 (x_1^n);
-        both lowerings of a degree share one scale, so a layer's rows do too.
+        then in rank 2 the last dim-chi rows of prev times L_1 (x_1^n).  L_i
+        maps class c to c ^ flip_i (checked cell by cell), so block c is rows
+        of blocks c ^ flip_i below times blocks of L_i; one scale serves all.
         """
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
-        d = self.rep.dim
         grams = self._gram
         if not grams:
-            grams[0] = integer_scale(identity(d))
+            self._parity = self._reflection_parity()
+            here = self._classes(0)
+            grams[0] = tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here
+        here = grams[len(grams) - 1][2]
         for deg in range(len(grams), n + 1):
-            prev, scale = grams[deg - 1]
-            lows, s = self._lowerings(deg)
-            rows = mat_mul(prev, lows[0])
-            if self.rs.rank == 2:
-                rows += mat_mul(prev[-d:], lows[1])
-            if not is_symmetric(rows):
-                raise InvariantViolation(
-                    f"{self.rs.label}/{self.rep.label}: form is not "
-                    f"symmetric at degree {deg}")
-            rows, c = integer_scale(rows)
-            grams[deg] = rows, scale * s * c
+            (prev, scale, _), (lows, s) = grams[deg - 1], self._lowerings(deg)
+            below, here, flips = here, self._classes(deg), self._parity[2]
+            if any(any(map(low[r].__getitem__, here[c ^ 1])) for low, f in zip(lows, flips)
+                   for c in (0, 1) for r in below[c ^ f]):
+                raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: a degree-"
+                                         f"{deg} lowering maps across the classes")
+            lows = [[[list(map(low[r].__getitem__, here[c])) for r in below[c ^ f]]
+                     for c in (0, 1)] for low, f in zip(lows, flips)]
+            blocks = []
+            for c in (0, 1):
+                rows = mat_mul(prev[c ^ flips[0]], lows[0][c]) if prev[c ^ flips[0]] else []
+                k, part = len(here[c]) - len(below[c ^ flips[0]]), prev[c ^ flips[-1]]
+                rows += mat_mul(part[len(part) - k:], lows[1][c]) if k else []
+                if not is_symmetric(rows):
+                    raise InvariantViolation(
+                        f"{self.rs.label}/{self.rep.label}: form is not "
+                        f"symmetric at degree {deg}")
+                blocks.append(rows)
+            rows, g = integer_scale(blocks[0] + blocks[1])
+            grams[deg] = (rows[:len(blocks[0])], rows[len(blocks[0]):]), scale * s * g, here
         return grams[n]
+
+    def _reflection_parity(self):
+        """The parities [s_ii = -1] of s, the reflection of root 0, on the
+        coordinates and p_t on rep.base (a diagonal sign on each), and flip_j
+        = [s y_j = -y_j] for each transfer y_j (an s-eigenvector)."""
+        w = self.rs.reflection_element[0]
+        mats = self.rs.elements[w], self.rep.base.matrices[w]
+        par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
+        flips = [{par[0][i] for i, v in enumerate(b_direction(self.rs, j)) if v}
+                 for j in range(self.rs.rank)]
+        if any(len(f) != 1 for f in flips) or any(
+                v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
+                for i, row in enumerate(m) for j, v in enumerate(row)):
+            raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: the reflection "
+                                     f"of root 0 is not a sign on the basis and the y_j")
+        return par[0], par[1], [f.pop() for f in flips]
+
+    def _classes(self, n: int):
+        """The degree-n indices per class: x^m e_t is in sum m_i [s_ii = -1] + p_t mod 2."""
+        coords, base, _ = self._parity
+        par = [(sum(e * p for e, p in zip(m, coords)) + b) & 1
+               for m in monomials(self.rs.rank, n) for b in base]
+        return [[i for i, p in enumerate(par) if p == c] for c in (0, 1)]
+
+    def _dense(self, n: int):
+        """The degree-n layer as one int matrix (0 across classes), scale."""
+        (blocks, scale, classes), rows = self._layer(n), {}
+        for block, idx in zip(blocks, classes):
+            rows.update((i, dict(zip(idx, row))) for i, row in zip(idx, block))
+        cols = range(len(rows))
+        return [[rows[i].get(j, 0) for j in cols] for i in cols], scale
 
     def gram(self, n: int):
         """Gram matrix of the contravariant form on the degree-n layer."""
-        return self._unpacked(n, False) if self.symbolic else _value(*self._layer(n))
+        return self._unpacked(n, False) if self.symbolic else _value(*self._dense(n))
 
     def _unpacked(self, n: int, chain: bool):
         """The degree-n layer, or with chain the rows of F(2) ... F(n), over
@@ -212,7 +257,7 @@ class VermaModule:
         den = unit.denominator
         s, stride = (2 * unit.numerator * bound).bit_length(), max(n, 0) + 1
         packed = VermaModule(self.rs, self.rep, 1 << s, 1 << s * stride)
-        rows, scale = packed._f_rows(n) if chain else packed._layer(n)
+        rows, scale = packed._f_rows(n) if chain else packed._dense(n)
         mult = den * scale
         if mult.denominator != 1:
             raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "
@@ -250,8 +295,8 @@ class VermaModule:
         linalg.PRIME the stack [L_0; L_1] has independent columns, in one
         elimination with the square block of L_0 and the last dim-chi rows
         of L_1 first; failing that, and above a singular degree, Bareiss
-        ranks the Gram layer.  A symbolic layer is full rank if it is at
-        _CERT_POINT, else InvariantViolation."""
+        ranks the two blocks of the Gram layer (_layer).  A symbolic layer
+        is full rank if it is at _CERT_POINT, else InvariantViolation."""
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
@@ -270,7 +315,7 @@ class VermaModule:
             lows = self._lowerings(deg)[0]
             stack = lows[0] + lows[1][-d:] + lows[1][:-d] if len(lows) == 2 else lows[0]
             if not nonsingular_mod_p(stack):
-                rank = bareiss_rank(self._layer(deg)[0])
+                rank = sum(map(bareiss_rank, self._layer(deg)[0]))
                 if rank < len(stack[0]):
                     self._singular = deg, rank
                     break
@@ -279,7 +324,7 @@ class VermaModule:
             return len(self.layer_monomials(n)) * self.rep.dim
         if n == self._singular[0]:
             return self._singular[1]
-        return bareiss_rank(self._layer(n)[0])
+        return sum(map(bareiss_rank, self._layer(n)[0]))
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple

@@ -1,13 +1,14 @@
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import Rat, rat
+from cherednik.polynomials import ParamPoly, PP_K1, PP_K2, monomials
+from cherednik.scalars import QuadExt, Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
-from cherednik.wrep import get_irrep, irreps, tensor_one_dim, twist_couplings
+from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import f_matrix
 from cherednik import linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
@@ -81,7 +82,7 @@ def test_numeric_lowerings_and_layers_are_ints():
             vm = VermaModule(rs, rep, rand_k(), rand_k())
             for n in range(5):
                 mats = list(vm._lowerings(n)[0]) if n else []
-                mats.append(vm._layer(n)[0])
+                mats.extend(vm._layer(n)[0])  # the two class blocks
                 assert all(type(v) is int for mat in mats for row in mat for v in row)
 
 
@@ -93,6 +94,98 @@ def test_gram_recursion_equals_direct_assembly():
             vm = VermaModule(rs, rep, k1, k2)
             for n in range(5):
                 assert vm.gram(n) == vm.gram_direct(n), (label, rep.label, n)
+
+
+def _reflection_classes(rs, rep, n):
+    """The degree-n basis indices, x^m e_t in the order of `monomials` then
+    t, of sign +1 and of sign -1 under s, the reflection of root 0, read off
+    s and rep.base(s), which must be diagonal signs."""
+    w = rs.reflection_element[0]
+    signs = []
+    for mat in (rs.elements[w], rep.base.matrices[w]):
+        assert all(v in (1, -1) if i == j else v == 0
+                   for i, row in enumerate(mat) for j, v in enumerate(row))
+        signs.append([1 if row[i] == 1 else -1 for i, row in enumerate(mat)])
+    classes = ([], [])
+    for i, (m, t) in enumerate(product(monomials(rs.rank, n), range(rep.dim))):
+        sign = signs[1][t]
+        for j, e in enumerate(m):
+            sign *= signs[0][j] ** e
+        classes[sign == -1].append(i)
+    return classes
+
+
+def test_gram_never_pairs_the_two_eigenspaces_of_the_reflection_of_root_0():
+    # the form is W-invariant, so gram_direct, composed from the QuadExt
+    # lowerings, is 0 between the two eigenspaces of s; _layer keeps one
+    # block per eigenspace, in the same classes
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            vm = VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5))
+            for n in range(5):
+                plus, minus = _reflection_classes(rs, rep, n)
+                g = vm.gram_direct(n)
+                assert not any(g[i][j] or g[j][i] for i in plus for j in minus), \
+                    (label, rep.label, n)
+                blocks, _, classes = vm._layer(n)
+                assert classes == [plus, minus], (label, rep.label, n)
+                assert [len(b) for b in blocks] == [len(plus), len(minus)]
+
+
+def test_lowering_cell_across_the_classes_raises(monkeypatch):
+    # on A2 triv s negates x_0 only, so L_0 maps class c to class c ^ 1 and
+    # its degree-3 cell from x_0^2 x_1 (class 0) to x_0^2 (class 0) is 0
+    lowerings = VermaModule._lowerings
+
+    def crossed(self, n):
+        lows, scale = lowerings(self, n)
+        if n != 3:
+            return lows, scale
+        first = [list(row) for row in lows[0]]
+        assert first[0][1] == 0
+        first[0][1] = 1
+        return [first, lows[1]], scale
+
+    monkeypatch.setattr(VermaModule, "_lowerings", crossed)
+    with pytest.raises(InvariantViolation, match="across the classes"):
+        standard_module("A2", "triv", Rat(2, 7), Rat(2, 7)).gram(3)
+    # degree 4 is the first singular one, so its Gram layer is built on layer 3
+    with pytest.raises(InvariantViolation, match="across the classes"):
+        classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+
+
+def test_reflection_of_root_0_must_be_a_sign_on_the_basis_and_transfers(monkeypatch):
+    # a hand-built rep whose image of s is a rotation, or a transfer that
+    # mixes the coordinates, leaves no two classes: layer 0 already raises
+    rs = build_root_system("A2")
+    std = get_irrep(rs, "std")
+    mats = list(std.matrices)
+    mats[rs.reflection_element[0]] = next(m for m in mats if m[0][1])
+    with pytest.raises(InvariantViolation, match="not a sign on the basis"):
+        VermaModule(rs, Irrep(rs, "rotated", mats), Rat(2, 7), Rat(2, 7)).gram(0)
+    monkeypatch.setattr(verma, "b_direction", lambda rs_, j: (QuadExt(1), QuadExt(1)))
+    with pytest.raises(InvariantViolation, match="not a sign on the basis"):
+        standard_module("A2", "triv", Rat(2, 7), Rat(2, 7)).gram(0)
+
+
+def test_bareiss_ranks_class_blocks_of_at_most_half_a_layer(monkeypatch):
+    shapes = []
+
+    def recording(mat):
+        shapes.append((len(mat), len(mat[0]) if mat else 0))
+        return bareiss_rank(mat)
+
+    monkeypatch.setattr(verma, "bareiss_rank", recording)
+    vm = standard_module("A2", "triv", Rat(-11, 3), Rat(-11, 3))
+    top = len(vm.classify().dims)  # the degree of the first layer of rank 0
+    low = vm._singular[0]
+    # Bareiss runs on each degree from the first singular one up, one call per block
+    assert len(shapes) == 2 * (top - low + 1)
+    for deg, pair in zip(range(low, top + 1), zip(shapes[::2], shapes[1::2])):
+        size = len(vm.layer_monomials(deg)) * vm.rep.dim
+        assert all(r == c <= -(-size // 2) for r, c in pair), (deg, pair)
+        assert pair[0][0] + pair[1][0] == size, (deg, pair)
 
 
 def test_gram_recursion_equals_direct_assembly_symbolic():
@@ -288,10 +381,26 @@ def _scanned_ranks(label, chi, k1, k2):
     return vm, list(res.dims) + [0] * res.finite
 
 
+def _dense_layers(vm, top):
+    """The integer Gram layers of degrees 0..top as whole matrices, from the
+    lowerings alone: prev L_0, then in rank 2 prev's last dim-chi rows times
+    L_1, each degree divided by its content.  It shares no code with the
+    class blocks of VermaModule._layer."""
+    d = vm.rep.dim
+    layers = [integer_scale(identity(d))[0]]
+    for n in range(1, top + 1):
+        prev, lows = layers[-1], vm._lowerings(n)[0]
+        rows = mat_mul(prev, lows[0])
+        if len(lows) == 2:
+            rows += mat_mul(prev[-d:], lows[1])
+        layers.append(integer_scale(rows)[0])
+    return layers
+
+
 @pytest.mark.parametrize("point", GRID_POINTS + DEEP, ids=lambda p: "/".join(map(str, p)))
 def test_layer_rank_matches_bareiss_on_every_scanned_layer(point):
     vm, ranks = _scanned_ranks(*point)
-    assert ranks == [bareiss_rank(vm._layer(n)[0]) for n in range(len(ranks))]
+    assert ranks == [bareiss_rank(g) for g in _dense_layers(vm, len(ranks) - 1)]
 
 
 # generic points, one per type, where every layer is proven from the lowerings
@@ -309,7 +418,7 @@ def test_layer_rank_descending_order_matches_ascending():
         vm = standard_module(*point)
         size = len(vm.layer_monomials(14)) * vm.rep.dim
         assert vm.layer_rank(14) == size and not vm._gram, point
-        assert bareiss_rank(vm._layer(14)[0]) == size, point
+        assert sum(map(bareiss_rank, vm._layer(14)[0])) == size, point
 
 
 def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
@@ -328,11 +437,12 @@ def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     for label in ("A2", "B2"):
         # degree-1 lowerings whose block (here the whole stack) is
         # diag(1, 1, 1, p), singular mod p: layer_rank must prove full rank
-        # by elimination over Z on the Gram layer instead
+        # by elimination over Z on the Gram layer's two class blocks instead
+        # (x_0 e_0 and x_1 e_1 against x_0 e_1 and x_1 e_0)
         vm = standard_module(label, "std", Rat(2, 7), Rat(2, 7))
         vm._low[1] = [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, p]]], Rat(1)
         ranks.clear()
-        assert vm.layer_rank(1) == 4 and ranks == [4], label
+        assert vm.layer_rank(1) == 4 and ranks == [2, 2], label
 
 
 def test_each_rank_proof_fires(monkeypatch):
