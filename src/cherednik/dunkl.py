@@ -27,7 +27,7 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import chain, compress
-from operator import add, or_
+from operator import add, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat
@@ -56,7 +56,7 @@ def _sqrt3_powers(rs: RootSystem, n: int, d: int = 1):
     times (one per basis vector of a d-dimensional rep): x^m = sqrt(3)^(-h(m))
     v^m, so a v-basis matrix entry (r, c) is sqrt(3)^(h(r) - h(c)) times the
     public one's."""
-    return [dot(rs.sqrt3_exp, m) for m in monomials(rs.rank, n) for _ in range(d)]
+    return [sum(map(mul, rs.sqrt3_exp, m)) for m in monomials(rs.rank, n) for _ in range(d)]
 
 
 def _to_public(q, k: int) -> QuadExt:
@@ -168,11 +168,11 @@ def _weights(rs: RootSystem, rep, y: tuple):
             for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])], roots
 
 
-def _assemble(rs: RootSystem, rep, y, n: int):
+def _assemble(rs: RootSystem, rep, y, n: int, first: int = 0):
     """The Dunkl operator in direction y on the degree-n layer of the
     standard module of rep, in the working coordinates: D = d_y (x) 1 and
     the orbit sums A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the
-    short and the long positive roots.
+    short and the long positive roots, rows from degree-(n-1) monomial first.
 
     Each weight (_weights) is split as w_0 + w_1 sqrt(3), so each part P is
     a pair of integer matrices P_0, P_1 over one denominator den, and its
@@ -181,7 +181,7 @@ def _assemble(rs: RootSystem, rep, y, n: int):
     (den, flat, hr, hc), flat the row-major planes D_0, D_1, ..., B_1.
     """
     d, mono = rep.dim, monomials(rs.rank, n)
-    hr, hc = _sqrt3_powers(rs, n - 1, d), _sqrt3_powers(rs, n, d)
+    hr, hc = _sqrt3_powers(rs, n - 1, d)[first * d:], _sqrt3_powers(rs, n, d)
     cols, size = len(hc), len(hr) * len(hc)
     dw, rw = _weights(rs, rep, tuple(y))
     roots = [(_quotient_columns(rs, ridx, n), ws) for ridx, ws in rw]
@@ -191,15 +191,15 @@ def _assemble(rs: RootSystem, rep, y, n: int):
     # d/dv_i sends monomial b to m_i times monomial b - i
     for i, sg, v in dw:
         w = v.numerator * (den // v.denominator)
-        for b, m in enumerate(mono):
+        for b, m in enumerate(mono[first + i:], first + i):
             if m[i]:
                 for s in range(d):
-                    flat[sg * size + ((b - i) * d + s) * cols + b * d + s] = w * m[i]
+                    flat[sg * size + ((b - i - first) * d + s) * cols + b * d + s] = w * m[i]
     # per (plane, s, t), the sum of its weights times Q_alpha, Q_alpha
     # row-major: entry (a, b) is the cell (a d + s) cols + b d + t of plane
     sums = {}
     for (qden, qcols), ws in roots:
-        qrows = list(chain.from_iterable(zip(*qcols)))
+        qrows = list(chain.from_iterable(zip(*(col[first:] for col in qcols))))
         for plane, s, t, v in ws:
             terms = map((v.numerator * (den // (qden * v.denominator))).__mul__, qrows)
             acc = sums.get((plane, s, t))
@@ -248,14 +248,14 @@ class LoweringParts:
         return max(sums)
 
 
-def _integer_parts(rs: RootSystem, rep, y, n: int) -> LoweringParts:
-    """The parts of _assemble in the public basis over the least common
-    denominator, in cell order: a cell with k = hr - hc is value * 3^((k +
-    1) // 2) / den on the plane k mod 2.  An entry on the other plane (a zero
-    read, or a cell with two entries) has no integer form and raises
-    InvariantViolation, once per part set for every coupling.  den * 3^shift
-    clears the lowest power; the gcd undoes any excess."""
-    den, flat, hr, hc = _assemble(rs, rep, y, n)
+def _integer_parts(rs: RootSystem, rep, y, n: int, first: int = 0) -> LoweringParts:
+    """The parts of _assemble (rows from first) in the public basis over the
+    least common denominator, in cell order: a cell with k = hr - hc is value
+    * 3^((k + 1) // 2) / den on the plane k mod 2.  An entry on the other
+    plane (a zero read, or a cell with two entries) has no integer form and
+    raises InvariantViolation, once per part set for every coupling.  den *
+    3^shift clears the lowest power; the gcd undoes any excess."""
+    den, flat, hr, hc = _assemble(rs, rep, y, n, first)
     rows, cols, size = len(hr), len(hc), len(hr) * len(hc)
     ks = [a - h for a in hr for h in hc]
     shift = max(0, -((min(ks, default=0) + 1) // 2))
@@ -304,6 +304,13 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
     j) on the degree-n layer, memoized per (root system, irrep, j, n)."""
     return _integer_parts(rs, rep, b_direction(rs, j), n)
+
+
+@lru_cache(maxsize=None)
+def b_lowering_tail(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
+    """The last rep.dim rows of b_lowering_parts(rs, rep, j, n), those of
+    x_1^(n-1) in rank 2, built alone over a denominator of their own."""
+    return _integer_parts(rs, rep, b_direction(rs, j), n, len(monomials(rs.rank, n - 1)) - 1)
 
 
 # -- the sl2 triple -------------------------------------------------------------

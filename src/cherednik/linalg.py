@@ -14,6 +14,8 @@ Otherwise the rank is exact fraction-free Bareiss elimination over Z
 
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NonDivisibleError
@@ -92,6 +94,9 @@ def integer_scale(mat):
     with mat == s * ints entrywise (s = 1 for the zero matrix).  Entries
     are ints, rationals or QuadExt; a QuadExt with a nonzero sqrt(3) part
     has no such form and raises InvariantViolation."""
+    with suppress(TypeError):  # all ints (Gram layers, F rows): one gcd pass
+        g = gcd(*chain.from_iterable(mat)) or 1  # math.gcd refuses any other entry
+        return [[v // g for v in row] for row in mat], Rat(g)
     vals = []
     for row in mat:
         for x in row:
@@ -144,21 +149,20 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def nonsingular_mod_p(mat) -> bool:
-    """True when the columns of the int matrix, which has at least as many
-    rows as columns, are independent modulo PRIME.  Then some maximal
-    minor is nonzero mod PRIME, hence over Z, which proves the columns
-    independent over Q (a square matrix nonsingular).  False is no verdict
-    over Q: p may divide every nonzero maximal minor.  Gaussian elimination
-    over GF(p), one row at a time against the pivots found so far: it stops
-    as soon as every column has a pivot, so rows past a nonsingular leading
-    square are never read."""
+def nonsingular_mod_p(mat, more=()) -> bool:
+    """True when the columns of the int matrix, the rows of mat then those of
+    the iterable more, are independent modulo PRIME.  Then some maximal minor
+    is nonzero mod PRIME, hence over Z: the columns are independent over Q,
+    also with each row scaled on its own by a nonzero rational (each minor
+    scales by a nonzero factor).  False is no verdict over Q: p may divide
+    every nonzero maximal minor.  Gaussian elimination over GF(p), one row at
+    a time against the pivots found so far: it stops as soon as every column
+    has a pivot, so rows past a nonsingular leading square, and more (say a
+    generator, not started then), are never read."""
     p = PRIME
     n = len(mat[0]) if mat else 0
     pivots = {}  # column -> the tail after it of a row scaled to 1 there
-    for row in mat:
-        if len(pivots) == n:
-            break
+    for row in chain(mat, more):
         r = [v % p for v in row]
         for c in range(n):
             f = r[c]
@@ -170,6 +174,8 @@ def nonsingular_mod_p(mat) -> bool:
                 pivots[c] = [x * inv % p for x in r[c + 1:]]
                 break
             r[c + 1:] = [(x - f * y) % p for x, y in zip(r[c + 1:], pr)]
+        if len(pivots) == n:
+            break
     return len(pivots) == n
 
 

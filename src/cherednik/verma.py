@@ -16,10 +16,12 @@ base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
 Every layer rank is proven, degrees settled in ascending order.  As
 G_n[x_i u, w] = G_{n-1}[u, L_i w], while every lower layer is full rank G_n
 is nonsingular exactly when the stacked lowerings [L_0; L_1] are injective.
-One elimination mod the prime linalg.PRIME proves it, its rows block first
-(the square block of L_0 and the last dim-chi rows of L_1; on A1, L_0), so
-a generic layer reads the block only.  (G_n is P times the stack, P made of
-rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
+One elimination mod the prime linalg.PRIME proves it, rows block first: the
+square block of L_0 and the tail (L_1's last dim-chi rows, parts built alone
+by b_lowering_tail; on A1, L_0), the rest of L_1 built only if read.  Any
+nonzero rational multiple of a row, at its own scale, proves as well.  (G_n
+is P times the stack, P made of rows of G_{n-1}: up to content, singular
+mod p wherever the stack is.)
 Failing that, and on every higher layer (the radical is a submodule and x_1
 is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
 as two blocks, the eigenspaces of the reflection of root 0 (W-invariant form).
@@ -58,8 +60,9 @@ from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, nonsingular_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
-                    lowering_matrix, lowest_weight_scalar, sl2_calibration)
+from .dunkl import (b_direction, b_lowering_parts, b_lowering_tail, f_apply,
+                    f_coefficients, lowering_matrix, lowest_weight_scalar,
+                    sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
@@ -94,6 +97,9 @@ class VermaModule:
         self.symbolic = (k1, k2) == (PP_K1, PP_K2)
         if not self.symbolic:
             k1, k2 = rat(k1), rat(k2)
+            ks = rep.signs[0] * k1, rep.signs[1] * k2  # _coefs: (q, q s_0 k1, q s_1 k2)
+            q = lcm(*(k.denominator for k in ks))
+            self._coefs = (q, *((q * k).numerator for k in ks))
         self.k1, self.k2 = k1, k2
         self._low = {}
         self._gram = {}
@@ -120,17 +126,25 @@ class VermaModule:
         if hit is None:
             parts = [b_lowering_parts(self.rs, self.rep.base, j, n)
                      for j in range(self.rs.rank)]
-            k1, k2 = self.rep.signs[0] * self.k1, self.rep.signs[1] * self.k2
-            q = lcm(k1.denominator, k2.denominator)
-            den = lcm(*(p.den for p in parts))
-            c1 = k1.numerator * (q // k1.denominator)
-            c2 = k2.numerator * (q // k2.denominator)
-            lows = []
-            for p in parts:
-                f = den // p.den
-                lows.append(p.ints(q * f, c1 * f, c2 * f))
-            hit = self._low[n] = lows, Rat(1, q * den)
+            den, coefs = lcm(*(p.den for p in parts)), self._coefs
+            lows = [p.ints(*(c * (den // p.den) for c in coefs)) for p in parts]
+            hit = self._low[n] = lows, Rat(1, coefs[0] * den)
         return hit
+
+    def _block(self, n: int):
+        """The degree-n rows of L_0 and the last dim-chi rows of L_1 (x_1^(n-1)),
+        each a nonzero rational multiple of the true row: read from the cached
+        lowerings when there, else from the parts of L_0 and b_lowering_tail."""
+        hit, base, d = self._low.get(n), self.rep.base, self.rep.dim
+        if hit is not None:
+            return hit[0][0] + hit[0][1][-d:] if self.rs.rank == 2 else hit[0][0]
+        tail = b_lowering_tail(self.rs, base, 1, n).ints(*self._coefs) if self.rs.rank == 2 else []
+        return b_lowering_parts(self.rs, base, 0, n).ints(*self._coefs) + tail
+
+    def _rest(self, n: int):
+        """The other degree-n rows of L_1, a generator: built once read."""
+        for low in self._lowerings(n)[0][1:]:
+            yield from low[:-self.rep.dim]
 
     def _f_rows(self, top: int):
         """The dim-chi rows of F(2) F(4) ... F(top), the product of the
@@ -309,14 +323,12 @@ class VermaModule:
                     f"full rank at (k1, k2) = ({self._cert.k1}, {self._cert.k2})")
             return size
         # every layer above a singular one is singular (module docstring)
-        d = self.rep.dim
         while self._singular is None and self._full_to < n:
             deg = self._full_to + 1
-            lows = self._lowerings(deg)[0]
-            stack = lows[0] + lows[1][-d:] + lows[1][:-d] if len(lows) == 2 else lows[0]
-            if not nonsingular_mod_p(stack):
+            block = self._block(deg)
+            if not nonsingular_mod_p(block, self._rest(deg)):
                 rank = sum(map(bareiss_rank, self._layer(deg)[0]))
-                if rank < len(stack[0]):
+                if rank < len(block[0]):
                     self._singular = deg, rank
                     break
             self._full_to = deg

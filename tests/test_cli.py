@@ -14,7 +14,7 @@ import pytest
 import cherednik
 from cherednik import cli
 from cherednik.cli import run
-from cherednik.dunkl import _quotient_layers, b_lowering_parts
+from cherednik.dunkl import _quotient_layers, b_lowering_parts, b_lowering_tail
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization
 from cherednik.scalars import Rat
@@ -293,8 +293,8 @@ def test_second_sweep_adds_no_memo_entry(capsys):
     rs = build_root_system("B2")
 
     def state():
-        # keys and misses of both memos, then the degrees kept per root
-        memos = (_quotient_layers, b_lowering_parts)
+        # keys and misses of the memos, then the degrees kept per root
+        memos = (_quotient_layers, b_lowering_parts, b_lowering_tail)
         return ([(m.cache_info().currsize, m.cache_info().misses) for m in memos],
                 [len(_quotient_layers(rs, r)[1]) for r in range(rs.num_positive)])
 

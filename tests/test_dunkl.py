@@ -9,7 +9,7 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
-from cherednik.dunkl import (b_direction, b_lowering_parts,
+from cherednik.dunkl import (b_direction, b_lowering_parts, b_lowering_tail,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, reflection_sum_scalar,
@@ -328,9 +328,30 @@ def test_lowering_parts_reject_sqrt3_part():
     for j in range(rs.rank):
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
             b_lowering_parts(rs, bad, j, 2)
+        # the tail alone runs the same check
+        with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
+            b_lowering_tail(rs, bad, j, 2)
         # the general path finishes the same assembly in Q(sqrt(3))
         mat = lowering_matrix(rs, bad, b_direction(rs, j), 2, k1, k2)
         assert any(v.b for row in mat for v in row)
+
+
+def test_lowering_tail_is_the_last_rows_of_the_full_parts():
+    # the tail is built alone, over a denominator of its own: as exact
+    # fractions it is the last dim-chi rows of the full parts at any coupling
+    couplings = [(1, 0, 0), (3, 2, -5), (7, -1, 4)]
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            for j in range(rs.rank):
+                for n in range(1, 21):
+                    full, tail = b_lowering_parts(rs, rep, j, n), b_lowering_tail(rs, rep, j, n)
+                    assert (tail.rows, tail.cols) == (rep.dim, full.cols)
+                    for c in couplings:
+                        want = [[Rat(v, full.den) for v in row]
+                                for row in full.ints(*c)[-rep.dim:]]
+                        assert [[Rat(v, tail.den) for v in row]
+                                for row in tail.ints(*c)] == want, (label, rep.label, j, n)
 
 
 def test_cold_lowering_parts_make_no_quadext_products_per_cell():
@@ -386,9 +407,9 @@ def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
     assembled = []
     assemble = dunkl._assemble
 
-    def counting(rs_, rep, y, n):
+    def counting(rs_, rep, y, n, first=0):
         assembled.append(rep.label)
-        return assemble(rs_, rep, y, n)
+        return assemble(rs_, rep, y, n, first)
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
     for label in TYPES:
@@ -423,9 +444,9 @@ def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
     assembled = []
     assemble = dunkl._assemble
 
-    def counting(rs_, rep, y, n):
+    def counting(rs_, rep, y, n, first=0):
         assembled.append(rep)
-        return assemble(rs_, rep, y, n)
+        return assemble(rs_, rep, y, n, first)
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
     with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):

@@ -9,7 +9,7 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2, monomials
 from cherednik.scalars import QuadExt, Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_couplings
-from cherednik.dunkl import f_matrix
+from cherednik.dunkl import b_lowering_parts, b_lowering_tail, f_matrix
 from cherednik import linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
                               nonsingular_mod_p)
@@ -452,9 +452,13 @@ def test_each_rank_proof_fires(monkeypatch):
     # when the leading square alone is independent mod p.
     fired = set()
 
-    def counting(mat):
-        if nonsingular_mod_p(mat):
-            fired.add("block" if nonsingular_mod_p(mat[:len(mat[0])]) else "stack")
+    def counting(mat, more=()):
+        # the leading square alone first, so that a block proof reads no more rows
+        if nonsingular_mod_p(mat[:len(mat[0])]):
+            fired.add("block")
+            return True
+        if nonsingular_mod_p(mat, more):
+            fired.add("stack")
             return True
         return False
 
@@ -503,9 +507,10 @@ def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
 def test_one_elimination_per_settled_degree(monkeypatch):
     calls = []
 
-    def counting(mat):
-        calls.append(mat)
-        return nonsingular_mod_p(mat)
+    def counting(mat, more=()):
+        read = []  # the rows of more the elimination reads
+        calls.append((mat, read))
+        return nonsingular_mod_p(mat, (read.append(row) or row for row in more))
 
     monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
     vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
@@ -513,9 +518,32 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     # degrees 1-3 are full rank and 4 is the first singular one
     assert vm._full_to == 3 and vm._singular == (4, 3)
     assert len(calls) == 4
-    # at degree 3 the block is singular mod p, and the rows below it prove the layer
-    stack = calls[2]
-    assert not nonsingular_mod_p(stack[:len(stack[0])]) and nonsingular_mod_p(stack)
+    # at degree 3 the block is singular mod p, and the same elimination goes
+    # on into the rows of L_1 above it, which prove the layer
+    block, read = calls[2]
+    assert len(block) == len(block[0]) and read
+    assert not nonsingular_mod_p(block) and nonsingular_mod_p(block + read)
+    # below it the block alone settles the degree
+    assert not any(read for _, read in calls[:2])
+
+
+def test_generic_classify_builds_l0_and_the_tail_of_l1_only():
+    rs = RootSystem("G2")  # a fresh root system: memo entries of its own
+    memos = (b_lowering_parts, b_lowering_tail)
+    before = [m.cache_info().currsize for m in memos]
+    vm = VermaModule(rs, get_irrep(rs, "std"), Rat(1, 7), Rat(-2, 11))
+    res = vm.classify()
+    assert not res.finite and res.dims == tuple(2 * (n + 1) for n in range(11))
+    # degrees 1-10: the full parts of L_0 and the tail of L_1, no full L_1
+    assert [m.cache_info().currsize - b for m, b in zip(memos, before)] == [10, 10]
+    assert not vm._low and not vm._gram
+
+
+def test_full_l1_is_built_only_where_the_block_is_singular():
+    # no F chain has cached lowerings: degrees 1-2 read the block only, and
+    # degree 3, whose block is singular mod p, builds its full lowerings
+    vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+    assert vm.layer_rank(3) == 4 and set(vm._low) == {3} and not vm._gram
 
 
 def test_symbolic_rank_short_at_the_point_raises(monkeypatch):
