@@ -19,6 +19,10 @@ Rows, products and kappa-factors are computed as MPoly(2, ...) with int
 coefficients over one known denominator (1 for A2 and B2 rows, 9^n for G2
 row n, 3^p for kappa-factor p), and become ParamPoly only when returned.
 Only the last row raised is kept per type; a kappa-factor call holds two.
+The product formulas multiply only the grading factors they keep, so they
+divide nothing.  The direct route's normalization (Q, c) is read off the
+integer lowerings by Kronecker substitution (VermaModule.f_chain of the
+symbolic triv module), and each E^a and Q^r is built once per type.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
 from .wrep import get_irrep, irreps, twist_couplings
-from .dunkl import f_matrix, poly_coords
+from .dunkl import poly_coords
 from .verma import VermaModule
 
 _PZERO = ParamPoly.const(Rat(0))
@@ -127,20 +131,20 @@ def _product(factors) -> MPoly:
 
 
 def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
-    """Product-formula route: numerator product divided exactly by the
-    skipped factors, scaled by the combinatorial constant."""
+    """Product-formula route: the grading product prod_{j<n} (hbar + j)
+    with the skipped factors left out, not divided out (B2 skips the odd
+    j <= 2r - 1, A2 and G2 the j = 2 mod 3 with j <= 3r - 1), times the
+    type's factors and the combinatorial constant."""
     _check_entry(label, n)
     if r < 0 or r > _max_r(label, n):
         return _PZERO
     if label == "B2":
         k1v, hb = _X, _Y
-        num = _product(k1v * 2 + (2 * i - 1) for i in range(1, r + 1))
-        num = num * _product(hb + j for j in range(n))
-        den = _product(hb + (2 * i - 1) for i in range(1, r + 1))
-        return _param(num.divexact(den) * ((-1) ** n * math.factorial(n)))
+        kept = _product(hb + j for j in range(n) if j % 2 == 0 or j >= 2 * r)
+        num = _product(k1v * 2 + (2 * i - 1) for i in range(1, r + 1)) * kept
+        return _param(num * ((-1) ** n * math.factorial(n)))
     hb = _X  # A2 and G2 skip the same grading factors
-    num = _product(hb + j for j in range(n))
-    quot = num.divexact(_product(hb + (3 * i + 2) for i in range(r)))
+    quot = _product(hb + j for j in range(n) if j % 3 != 2 or j >= 3 * r)
     c = (-1) ** (n + r) * math.factorial(n)
     if label == "A2":
         odd = math.factorial(2 * r) // (2 ** r * math.factorial(r))  # (2r - 1)!!
@@ -263,26 +267,25 @@ def _table_invariant(label: str):
     constant c with F(Q) = c * shape * E^(deg Q/2 - 1), where the shape is
     1 for A2, -2(2 k1 + 1) for B2 and kappa for G2 (the values forced by
     the recursions).  For A2, Q is the square of the cubic invariant,
-    which itself lowers to zero."""
+    which itself lowers to zero.  F(Q) is F(deg Q) = f_chain(deg Q, deg Q -
+    2) of the symbolic triv module, read off its integer lowerings."""
     rs = build_root_system(label)
-    triv = get_irrep(rs, "triv")
+    vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
     q = rs.invariant_gens[1]
     if label == "A2":
-        for v in mat_vec(f_matrix(rs, triv, 3, PP_K1, PP_K2), poly_coords(q, 3, 2)):
-            if ParamPoly.coerce(v):
-                raise InvariantViolation("A2 cubic invariant should lower to zero")
+        if any(mat_vec(vm.f_chain(3, 1), poly_coords(q, 3, 2))):
+            raise InvariantViolation("A2 cubic invariant should lower to zero")
         q, shape = q * q, _PONE
     elif label == "B2":
         shape = PP_K1 * Rat(-4) - Rat(2)
     else:  # G2
         shape = PP_K2 - PP_K1
     deg = q.degree()
-    val = mat_vec(f_matrix(rs, triv, deg, PP_K1, PP_K2), poly_coords(q, deg, 2))
+    val = mat_vec(vm.f_chain(deg, deg - 2), poly_coords(q, deg, 2))
     epow = poly_coords(rs.e_poly ** (deg // 2 - 1), deg - 2, 2)
     lead, lead_coef = shape.leading()
     c = None
     for v, e in zip(val, epow):
-        v = ParamPoly.coerce(v)
         if not e:
             if v:
                 raise InvariantViolation(f"{label} normalization: not a quadric multiple")
@@ -299,6 +302,14 @@ def _table_invariant(label: str):
     return q, c
 
 
+@lru_cache(maxsize=None)
+def _power(label: str, of_q: bool, a: int) -> MPoly:
+    """E^a, or with of_q Q^a (Q from _table_invariant), built from the power
+    below: each once per label, and the n <= 6 guard bounds a."""
+    base = _table_invariant(label)[0] if of_q else build_root_system(label).e_poly
+    return base ** 0 if a == 0 else _power(label, of_q, a - 1) * base
+
+
 def f_power_image_direct(label: str, n: int, r: int, k1, k2):
     """Evaluate the (n, r) entry by genuinely composing Dunkl operators
     at numeric couplings.  Cost-guarded to n <= 6."""
@@ -309,7 +320,7 @@ def f_power_image_direct(label: str, n: int, r: int, k1, k2):
         return QuadExt(0)
     vm = _direct_module(label, rat(k1), rat(k2))
     q, c = _table_invariant(label)
-    poly = vm.rs.e_poly ** (n - (q.degree() // 2) * r) * q ** r
+    poly = _power(label, False, n - (q.degree() // 2) * r) * _power(label, True, r)
     val = dot(vm.f_chain(2 * n)[0], poly_coords(poly, 2 * n, vm.rs.rank))
     return QuadExt.coerce(val) * c.inv() ** r
 

@@ -27,10 +27,10 @@ is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
 as two blocks, the eigenspaces of the reflection of root 0 (W-invariant form).
 So a generic scan builds no Gram layer, and runs no symmetry check: there
 the tests of every rank against Bareiss, and of gram against gram_direct,
-check the lowerings.  A symbolic layer (or row) is read off a numeric
-module at k = (B, B^(n+1)) by Kronecker substitution, one coefficient per
-base-B digit, with B = 2^s sized by a product of the lowerings' column
-norms.  The digits become ParamPoly coefficients directly, already
+check the lowerings.  A symbolic layer (or F row from layer b) is read off
+a numeric module at k = (B, B^(n+1)) (B^(n-b+1)) by Kronecker substitution,
+one coefficient per base-B digit, B = 2^s sized by a product of the
+lowerings' column norms.  The digits become ParamPoly coefficients directly, already
 canonical, and a Gram layer is unpacked once per symmetric pair: the packed
 layer has passed the symmetry check and unpacking is injective, so both
 cells hold one value.  A symbolic layer's minors are polynomials in k1, k2,
@@ -44,7 +44,8 @@ of the raised lowest-weight vector in the simple quotient, and a direct
 scan of the form ranks.  A disagreement raises InvariantViolation.  The
 raised-vector test pushes the rows of the degree-0 layer up the chain of
 quadratic lowerings, applied through the cached Dunkl lowerings without
-forming their matrices; the chain commutes with the group and ends in the
+forming their matrices (f_chain starts at any layer: F(n) = f_chain(n,
+n - 2)); the chain commutes with the group and ends in the
 layer chi, so it already kills every isotypic component other than chi
 (Berest-Etingof-Ginzburg, IMRN 2003; Etingof-Ma, arXiv:1001.0432).
 """
@@ -103,6 +104,7 @@ class VermaModule:
         self.k1, self.k2 = k1, k2
         self._low = {}
         self._gram = {}
+        self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._full_to = 0  # numeric: degrees 0..this are proven full rank
         self._singular = None  # numeric: (lowest singular degree, its rank)
@@ -146,22 +148,31 @@ class VermaModule:
         for low in self._lowerings(n)[0][1:]:
             yield from low[:-self.rep.dim]
 
-    def _f_rows(self, top: int):
-        """The dim-chi rows of F(2) F(4) ... F(top), the product of the
-        quadratic lowerings from layer top down to layer 0, as integer rows
-        and one scale: the layer-0 identity rows pushed up through the
-        cached lowerings."""
+    def _f_rows(self, top: int, bottom: int = 0):
+        """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the
+        quadratic lowerings from layer top down to layer bottom, as integer
+        rows and one scale: the identity rows of layer bottom pushed up
+        through the cached lowerings.  One chain is kept per bottom, and a
+        later call with a higher top extends it."""
+        held = self._chains.get(bottom)
+        if held is None or held[0] > top:
+            size = len(self.layer_monomials(bottom)) * self.rep.dim
+            held = bottom, *integer_scale(identity(size))
+        cur, rows, scale = held
         coef, cs = integer_scale(f_coefficients(self.rs))
-        rows, scale = integer_scale(identity(self.rep.dim))
-        for cur in range(2, top + 1, 2):
+        while cur + 2 <= top:
+            cur += 2
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
             rows, s = integer_scale(f_apply(coef, rows, low_m, low_n))
             scale *= s * cs * sm * sn
+        self._chains[bottom] = cur, rows, scale
         return rows, scale
 
-    def f_chain(self, top: int):
-        """The dim-chi rows of F(2) F(4) ... F(top) (see _f_rows)."""
-        return self._unpacked(top, True) if self.symbolic else _value(*self._f_rows(top))
+    def f_chain(self, top: int, bottom: int = 0):
+        """The rows of F(bottom+2) ... F(top) (see _f_rows): F(n) is f_chain(n, n - 2)."""
+        if self.symbolic:
+            return self._unpacked(top, True, bottom)
+        return _value(*self._f_rows(top, bottom))
 
     # -- the contravariant form -------------------------------------------------
     def _layer(self, n: int):
@@ -241,37 +252,38 @@ class VermaModule:
         """Gram matrix of the contravariant form on the degree-n layer."""
         return self._unpacked(n, False) if self.symbolic else _value(*self._dense(n))
 
-    def _unpacked(self, n: int, chain: bool):
-        """The degree-n layer, or with chain the rows of F(2) ... F(n), over
-        ParamPoly, by Kronecker substitution: read off the numeric module at
-        k = (B, B^(n+1)), B = 2^s.  Each entry is a polynomial of total
-        degree <= n, and D times it, D the denominator of the product u of
-        the coupling-free scales (parts and F coefficients), has integer
-        coefficients c_ij: the balanced base-B digits of its packed value
-        once B > 2 max |c_ij|.  Every row is a row one degree (or F step)
-        down times an integer lowering (or F), and coefficient 1-norms are
-        submultiplicative, so max |c_ij| is at most the numerator of u times
-        the product of the lowerings' largest column norms (and of the
+    def _unpacked(self, n: int, chain: bool, bottom: int = 0):
+        """The degree-n layer, or with chain the rows of F(bottom+2) ... F(n),
+        over ParamPoly, by Kronecker substitution: read off the numeric module
+        at k = (B, B^stride), B = 2^s, stride n + 1 (n - bottom + 1 for a
+        chain).  Each entry is a polynomial of total degree < stride, and D
+        times it, D the denominator of the product u of the coupling-free
+        scales (parts and F coefficients), has integer coefficients c_ij: the
+        balanced base-B digits of its packed value once B > 2 max |c_ij|.
+        Every row is a row one degree (or F step) down times an integer
+        lowering (or F), and coefficient 1-norms are submultiplicative, so
+        max |c_ij| is at most the numerator of u times the product of the
+        lowerings' largest column norms over the degrees read (and of the
         1-norm of the integer F coefficients per step).
 
         A Gram layer unpacks the cells j >= i only and puts the same
         immutable ParamPoly at [i][j] and [j][i]: _layer has checked the
         packed layer for symmetry, and equal integers unpack to equal
         polynomials.  F rows are not square and unpack every cell."""
-        steps = max(n, 0) // 2 if chain else 0
+        steps = max(n - bottom, 0) // 2 if chain else 0
         coef, unit = integer_scale(f_coefficients(self.rs))
         unit **= steps
         bound = sum(abs(v) for row in coef for v in row) ** steps
-        for d in range(1, 2 * steps + 1 if chain else n + 1):
+        for d in range(bottom + 1, bottom + 2 * steps + 1) if chain else range(1, n + 1):
             parts = [b_lowering_parts(self.rs, self.rep.base, j, d)
                      for j in range(self.rs.rank)]
             den = lcm(*(p.den for p in parts))
             unit /= den
             bound *= max(p.column_norm() * (den // p.den) for p in parts)
         den = unit.denominator
-        s, stride = (2 * unit.numerator * bound).bit_length(), max(n, 0) + 1
+        s, stride = (2 * unit.numerator * bound).bit_length(), max(n - bottom, 0) + 1
         packed = VermaModule(self.rs, self.rep, 1 << s, 1 << s * stride)
-        rows, scale = packed._f_rows(n) if chain else packed._dense(n)
+        rows, scale = packed._f_rows(n, bottom) if chain else packed._dense(n)
         mult = den * scale
         if mult.denominator != 1:
             raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "

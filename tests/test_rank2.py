@@ -8,7 +8,7 @@ import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, RatType, rat
-from cherednik import verma
+from cherednik import dunkl, verma
 from cherednik import rank2
 from cherednik.rank2 import _row, _rows
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
@@ -89,6 +89,42 @@ def test_direct_route_cost_guard():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_table_invariant_reads_no_quadext_matrices(monkeypatch):
+    # Q and c pinned; a cold normalization reads F(Q) off the integer
+    # lowerings, with no lowering_matrix or f_matrix call
+    want = {"A2": ("9*x1^4*x2^2 - 6*x1^2*x2^4 + x2^6", -62208),
+            "B2": ("x1^2*x2^2", 144),
+            "G2": ("2*x1^6 - 30*x1^4*x2^2 + 30*x1^2*x2^4 - 2*x2^6", 589824)}
+    calls = []
+    for label in want:
+        dunkl.sl2_calibration(build_root_system(label))  # once per root system
+    for mod in (dunkl, verma, rank2):
+        for name in ("lowering_matrix", "f_matrix"):
+            if hasattr(mod, name):
+                def counted(*args, _f=getattr(mod, name), _name=name):
+                    calls.append(_name)
+                    return _f(*args)
+                monkeypatch.setattr(mod, name, counted)
+    rank2._table_invariant.cache_clear()
+    try:
+        for label, (q, c) in want.items():
+            got_q, got_c = rank2._table_invariant(label)
+            assert (str(got_q), got_c) == (q, QuadExt(c)), label
+    finally:
+        rank2._table_invariant.cache_clear()
+    assert calls == []
+
+
+def test_direct_route_unnormalized_entries_match_recursion():
+    # the r = 0 entries use no c: they check the integer parts on their own
+    for label in ("A2", "B2", "G2"):
+        for k1, k2 in ((Rat(2, 7), Rat(-3, 5)), (Rat(-5, 2), Rat(4, 3))):
+            for n in range(7):
+                want = QuadExt.coerce(evaluate_at_couplings(
+                    label, f_power_image(label, n, 0), k1, k2))
+                assert f_power_image_direct(label, n, 0, k1, k2) == want, (label, n)
 
 
 @pytest.mark.parametrize("label, n, r", [("XX", 0, 5), ("A2", -1, 0),

@@ -45,7 +45,8 @@ def test_epower_criterion(label, chi, k1, k2, want):
 
 
 def test_f_chain_matches_f_matrix_product():
-    # f_chain never forms F; the product of the formed F(n) must agree
+    # f_chain never forms F; the product of the formed F(n) must agree,
+    # from layer 0 and from any layer
     for label in TYPES:
         rs = build_root_system(label)
         k1 = Rat(-2, 3)
@@ -62,6 +63,18 @@ def test_f_chain_matches_f_matrix_product():
                     got = [[ParamPoly.coerce(v) for v in row]
                            for row in vm.f_chain(top)]
                     assert got == want, (label, rep.label, a, top)
+                # from layers 1-3, tops out of order: the held chain is
+                # extended upward and restarted below
+                fs = {n: f_matrix(rs, rep, n, a, b) for n in range(3, 8)}
+                for bottom in (1, 2, 3):
+                    for top in (bottom + 2, bottom + 4, bottom + 1, bottom + 3, bottom):
+                        prod = identity(len(vm.layer_monomials(bottom)) * rep.dim)
+                        for n in range(bottom + 2, top + 1, 2):
+                            prod = mat_mul(prod, fs[n])
+                        want = [[ParamPoly.coerce(v) for v in row] for row in prod]
+                        got = [[ParamPoly.coerce(v) for v in row]
+                               for row in vm.f_chain(top, bottom)]
+                        assert got == want, (label, rep.label, a, bottom, top)
 
 
 def test_layer_dims():

@@ -1,5 +1,6 @@
-"""Print one sha256 over `classify(...).as_dict()` on a fixed grid, and
-one over the operator layer's parts, Gram layers and raised rows.
+"""Print one sha256 over `classify(...).as_dict()` on a fixed grid, one
+over the operator layer's parts, Gram layers and raised rows, and one over
+the rank-2 coefficient tables.
 
     python3 tests/tools/asdict_hash.py
 
@@ -22,7 +23,14 @@ direction, the numeric Gram layers of degrees 0-6, `f_chain(6)` and the
 `graded_dims(12)` of a fresh module at k = (2/7, -3/5), and the symbolic
 Gram layers of degrees 0-3 and `f_chain(4)`; N counts the hashed items.
 `as_dict()` leaves out the dims of an infinite verdict, so the graded
-dims are what covers the ranks of a generic scan.  The package is imported from
+dims are what covers the ranks of a generic scan.  The third line,
+
+    tables <N> sha256 <hex>
+
+hashes, for A2, B2 and G2, `f_power_image` and `f_power_image_closed` for
+n <= 12 and every r, `f_power_image_direct` for n <= 5 at two fixed
+couplings, `_table_invariant`'s (Q, c), and `kappa_factor(p)` for p <= 10.
+The package is imported from
 the `src/` of the checkout this file is in, not from an installed copy;
 pytest does not collect this file.
 """
@@ -38,6 +46,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from cherednik.dunkl import b_lowering_parts, lowest_weight_scalar  # noqa: E402
 from cherednik.polynomials import PP_K1, PP_K2  # noqa: E402
+from cherednik.rank2 import (_max_r, _table_invariant, f_power_image,  # noqa: E402
+                             f_power_image_closed, f_power_image_direct,
+                             kappa_factor)
 from cherednik.rootsystem import LABELS, build_root_system  # noqa: E402
 from cherednik.scalars import Rat, is_nonneg_int  # noqa: E402
 from cherednik.verma import VermaModule, classify  # noqa: E402
@@ -86,6 +97,25 @@ def layer_items():
             yield f"{head} dims {dims}"
 
 
+def table_items():
+    """The hashed rank-2 table items, in a fixed order, as strings."""
+    couplings = (Rat(2, 7), Rat(-3, 5)), (Rat(-1, 2), Rat(5, 3))
+    for label in ("A2", "B2", "G2"):
+        for n in range(13):
+            for r in range(_max_r(label, n) + 1):
+                yield (f"{label} table {n} {r} {f_power_image(label, n, r)} "
+                       f"{f_power_image_closed(label, n, r)}")
+        for k1, k2 in couplings:
+            for n in range(6):
+                for r in range(_max_r(label, n) + 1):
+                    yield (f"{label} direct {k1} {k2} {n} {r} "
+                           f"{f_power_image_direct(label, n, r, k1, k2)}")
+        q, c = _table_invariant(label)
+        yield f"{label} invariant {q} {c}"
+    for p in range(11):
+        yield f"kappa {p} {kappa_factor(p)}"
+
+
 def _cells(mat):
     return [[str(v) for v in row] for row in mat]
 
@@ -104,6 +134,11 @@ def main() -> int:
         digest.update(item.encode() + b"\n")
         items += 1
     print(f"layers {items} sha256 {digest.hexdigest()}")
+    digest, items = hashlib.sha256(), 0
+    for item in table_items():
+        digest.update(item.encode() + b"\n")
+        items += 1
+    print(f"tables {items} sha256 {digest.hexdigest()}")
     return 0
 
 
