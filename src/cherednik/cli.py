@@ -121,8 +121,9 @@ def _emit_json(obj) -> None:
 
 
 def _check_scan_degree(label: str, chi: str, k1, k2, max_degree=None) -> None:
-    """UsageError when a classification would scan above MAX_SCAN_DEGREE:
-    to 2m + 2 for a lowest-weight scalar -m (m natural), or to max_degree."""
+    """UsageError when 2m + 2 (lowest-weight scalar -m, m natural) or max_degree
+    is above MAX_SCAN_DEGREE.  classify scans an infinite natural m to 2m + 4,
+    within the cap by parity: such an m is 2 mod 3 on A2 and G2, odd on B2."""
     rs = build_root_system(label)
     m = -lowest_weight_scalar(rs, get_irrep(rs, chi), k1, k2)
     top = max(2 * m + 2 if is_nonneg_int(m) else 0, max_degree or 0)

@@ -12,9 +12,9 @@ the v-coordinates on ints from weights split into a rational and a sqrt(3)
 piece, computed once per (root system, character, direction); a cell reaches
 the public basis through one power of sqrt(3).  Along the metric transfers
 every nonzero cell lands on an even power, so b_lowering_parts memoizes the
-parts per (root system, character, direction, degree) as sparse integer
-matrices over one denominator, read from the assembly in cell order in one
-pass (an odd power raises InvariantViolation).  New couplings cost one
+parts per (root system, character, direction, degree, first row) as sparse
+integer matrices over one denominator, read from the assembly in cell order
+in one pass (an odd power raises InvariantViolation).  New couplings cost one
 integer combination per layer.  lowering_matrix (any direction)
 finishes the same assembly in QuadExt, so the cross-checks built on it also
 cover the integer conversion.  dunkl_apply acts on polynomials through
@@ -300,17 +300,11 @@ def b_direction(rs: RootSystem, j: int):
 
 
 @lru_cache(maxsize=None)
-def b_lowering_parts(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
+def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int = 0) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
-    j) on the degree-n layer, memoized per (root system, irrep, j, n)."""
-    return _integer_parts(rs, rep, b_direction(rs, j), n)
-
-
-@lru_cache(maxsize=None)
-def b_lowering_tail(rs: RootSystem, rep, j: int, n: int) -> LoweringParts:
-    """The last rep.dim rows of b_lowering_parts(rs, rep, j, n), those of
-    x_1^(n-1) in rank 2, built alone over a denominator of their own."""
-    return _integer_parts(rs, rep, b_direction(rs, j), n, len(monomials(rs.rank, n - 1)) - 1)
+    j) on the degree-n layer, rows from degree-(n-1) monomial first (in rank
+    2, n - 1: x_1^(n-1) alone), memoized; full parts pass no first."""
+    return _integer_parts(rs, rep, b_direction(rs, j), n, first)
 
 
 # -- the sl2 triple -------------------------------------------------------------

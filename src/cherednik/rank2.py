@@ -96,17 +96,15 @@ def _step(label: str, row, n: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _rows(label: str) -> list:
-    """[n, row n]: the last row of label's recursion raised, which _row moves."""
-    return [0, (_ONE,)]
+# label -> [n, row n]: the last row of label's recursion raised, which _row moves
+_ROWS = {}
 
 
 def _row(label: str, n: int) -> tuple:
     """Row n of the recursion in integer polynomials (G2 rows times 9^n),
-    raised one step at a time from the row _rows holds, or from row 0 when
+    raised one step at a time from the row _ROWS holds, or from row 0 when
     n is below it; only the last row raised is kept."""
-    held = _rows(label)
+    held = _ROWS.setdefault(label, [0, (_ONE,)])
     if n < held[0]:
         held[:] = 0, (_ONE,)
     while held[0] < n:

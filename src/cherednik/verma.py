@@ -13,15 +13,15 @@ rational scale each, combined from the integer parts of LoweringParts.
 An irrep that is one sign per root orbit times its base (Irrep.signs,
 Irrep.base) has the base's D, s_0 A and s_1 B: its module combines the
 base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
-Every layer rank is proven, degrees settled in ascending order.  As
-G_n[x_i u, w] = G_{n-1}[u, L_i w], while every lower layer is full rank G_n
-is nonsingular exactly when the stacked lowerings [L_0; L_1] are injective.
-One elimination mod the prime linalg.PRIME proves it, rows block first: the
-square block of L_0 and the tail (L_1's last dim-chi rows, parts built alone
-by b_lowering_tail; on A1, L_0), the rest of L_1 built only if read.  Any
-nonzero rational multiple of a row, at its own scale, proves as well.  (G_n
-is P times the stack, P made of rows of G_{n-1}: up to content, singular
-mod p wherever the stack is.)
+Every layer rank is proven, degrees settled in ascending order and kept to
+the lowest singular one.  As G_n[x_i u, w] = G_{n-1}[u, L_i w], while every
+lower layer is full rank G_n is nonsingular exactly when the stacked
+lowerings [L_0; L_1] are injective.  One elimination mod the prime
+linalg.PRIME proves it, rows block first: the square block of L_0 and the
+tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone; on
+A1, L_0), the rest of L_1 built only if read.  Any nonzero rational multiple
+of a row, at its own scale, proves as well.  (G_n is P times the stack, P
+made of rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
 Failing that, and on every higher layer (the radical is a submodule and x_1
 is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
 as two blocks, the eigenspaces of the reflection of root 0 (W-invariant form).
@@ -52,6 +52,7 @@ layer chi, so it already kills every isotypic component other than chi
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
 
 from .errors import InvariantViolation
@@ -61,9 +62,8 @@ from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, nonsingular_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_direction, b_lowering_parts, b_lowering_tail, f_apply,
-                    f_coefficients, lowering_matrix, lowest_weight_scalar,
-                    sl2_calibration)
+from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
+                    lowering_matrix, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
@@ -106,8 +106,7 @@ class VermaModule:
         self._gram = {}
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
-        self._full_to = 0  # numeric: degrees 0..this are proven full rank
-        self._singular = None  # numeric: (lowest singular degree, its rank)
+        self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
         self._parity = None  # set with layer 0 (_reflection_parity)
 
     # -- layers and cached operators -------------------------------------------
@@ -136,12 +135,12 @@ class VermaModule:
     def _block(self, n: int):
         """The degree-n rows of L_0 and the last dim-chi rows of L_1 (x_1^(n-1)),
         each a nonzero rational multiple of the true row: read from the cached
-        lowerings when there, else from the parts of L_0 and b_lowering_tail."""
-        hit, base, d = self._low.get(n), self.rep.base, self.rep.dim
+        lowerings when there, else from the parts of L_0 and of L_1 from row n - 1."""
+        hit, rs, base, d = self._low.get(n), self.rs, self.rep.base, self.rep.dim
         if hit is not None:
-            return hit[0][0] + hit[0][1][-d:] if self.rs.rank == 2 else hit[0][0]
-        tail = b_lowering_tail(self.rs, base, 1, n).ints(*self._coefs) if self.rs.rank == 2 else []
-        return b_lowering_parts(self.rs, base, 0, n).ints(*self._coefs) + tail
+            return hit[0][0] + hit[0][1][-d:] if rs.rank == 2 else hit[0][0]
+        tail = b_lowering_parts(rs, base, 1, n, n - 1).ints(*self._coefs) if rs.rank == 2 else []
+        return b_lowering_parts(rs, base, 0, n).ints(*self._coefs) + tail
 
     def _rest(self, n: int):
         """The other degree-n rows of L_1, a generator: built once read."""
@@ -315,14 +314,14 @@ class VermaModule:
         return rows
 
     def layer_rank(self, n: int) -> int:
-        """Rank of the degree-n layer, proven.  Numeric degrees are settled
-        in ascending order, a call out of order first settling those below
-        n.  With every layer below full rank, degree n is full rank if mod
-        linalg.PRIME the stack [L_0; L_1] has independent columns, in one
-        elimination with the square block of L_0 and the last dim-chi rows
-        of L_1 first; failing that, and above a singular degree, Bareiss
-        ranks the two blocks of the Gram layer (_layer).  A symbolic layer
-        is full rank if it is at _CERT_POINT, else InvariantViolation."""
+        """Rank of the degree-n layer, proven.  Numeric ranks are settled in
+        ascending order into _ranks, to the lowest singular degree, a call out
+        of order first settling those below n.  With every layer below full
+        rank, degree n is full rank if mod linalg.PRIME the stack [L_0; L_1]
+        has independent columns, in one elimination with the square block of
+        L_0 and the last dim-chi rows of L_1 first; failing that, and past the
+        lowest singular degree, Bareiss ranks the two Gram blocks (_layer).  A
+        symbolic layer is full rank if it is at _CERT_POINT, else InvariantViolation."""
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
@@ -335,20 +334,13 @@ class VermaModule:
                     f"full rank at (k1, k2) = ({self._cert.k1}, {self._cert.k2})")
             return size
         # every layer above a singular one is singular (module docstring)
-        while self._singular is None and self._full_to < n:
-            deg = self._full_to + 1
+        ranks, dim = self._ranks, self.rep.dim
+        while len(ranks) <= n and ranks[-1] == len(self.layer_monomials(len(ranks) - 1)) * dim:
+            deg = len(ranks)
             block = self._block(deg)
-            if not nonsingular_mod_p(block, self._rest(deg)):
-                rank = sum(map(bareiss_rank, self._layer(deg)[0]))
-                if rank < len(block[0]):
-                    self._singular = deg, rank
-                    break
-            self._full_to = deg
-        if n <= self._full_to:
-            return len(self.layer_monomials(n)) * self.rep.dim
-        if n == self._singular[0]:
-            return self._singular[1]
-        return sum(map(bareiss_rank, self._layer(n)[0]))
+            full = nonsingular_mod_p(block, self._rest(deg))
+            ranks.append(len(block[0]) if full else sum(map(bareiss_rank, self._layer(deg)[0])))
+        return ranks[n] if n < len(ranks) else sum(map(bareiss_rank, self._layer(n)[0]))
 
     def graded_dims(self, max_degree: int):
         """Ranks of the form per degree = graded dimensions of the simple
@@ -415,16 +407,7 @@ class VermaModule:
                               False, None, tuple(dims), None)
 
 
-class EPowerResult:
-    """Outcome of the raised-vector finiteness test."""
-
-    def __init__(self, natural: bool, m, finite: bool):
-        self.natural = natural
-        self.m = m
-        self.finite = finite
-
-    def __repr__(self):
-        return f"EPowerResult(natural={self.natural}, m={self.m}, finite={self.finite})"
+EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test
 
 
 class ClassifyResult:

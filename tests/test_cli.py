@@ -14,11 +14,12 @@ import pytest
 import cherednik
 from cherednik import cli
 from cherednik.cli import run
-from cherednik.dunkl import _quotient_layers, b_lowering_parts, b_lowering_tail
+from cherednik.dunkl import _quotient_layers, b_lowering_parts, lowest_weight_scalar
 from cherednik.rootsystem import build_root_system
-from cherednik.rank2 import FactorizationReport, check_kappa_factorization
+from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
 from cherednik.scalars import Rat
 from cherednik.verma import standard_module
+from cherednik.wrep import irreps
 
 rng = random.Random(808)
 
@@ -266,6 +267,42 @@ def test_scan_degree_cap_accepts_the_cap():
         cli._check_scan_degree("A1", "sgn", Rat(CAP1 + 1, 2), Rat(CAP1 + 1, 2))
 
 
+def test_accepted_infinite_points_scan_within_the_cap():
+    # the check bounds 2m + 2, but classify scans an infinite point with
+    # natural m to 2m + 4: the closed rule keeps that within the cap, as an
+    # infinite natural m is 2 mod 3 on A2 and G2 and odd on B2, while A1
+    # natural points are finite and the higher irreps have no natural m
+    tops = {}
+    k1s = [Rat(j, 2) for j in range(-40, 4)] + [Rat(j, 3) for j in range(-6, 4)]
+    for label in ("A1", "A2", "B2", "G2"):
+        rs = build_root_system(label)
+        cap = cli.MAX_SCAN_DEGREE[rs.rank]
+        for rep in irreps(rs):
+            h0 = lowest_weight_scalar(rs, rep, Rat(0), Rat(0))
+            a1 = lowest_weight_scalar(rs, rep, Rat(1), Rat(0)) - h0
+            a2 = lowest_weight_scalar(rs, rep, Rat(0), Rat(1)) - h0
+            if rep.dim > 1:  # the lowest-weight scalar is rank/2 at every coupling
+                assert (a1, a2, h0) == (0, 0, Rat(rs.rank, 2)), (label, rep.label)
+                continue
+            for m in range(cap // 2 - 3, cap // 2 + 2):  # 2m + 2 from cap - 4 to cap + 4
+                if label in ("A1", "A2"):
+                    points = [((-m - h0) / (a1 + a2),) * 2]
+                else:
+                    points = [(k1, (-m - h0 - a1 * k1) / a2) for k1 in k1s]
+                for k1, k2 in points:
+                    assert -lowest_weight_scalar(rs, rep, k1, k2) == m
+                    try:
+                        cli._check_scan_degree(label, rep.label, k1, k2)
+                    except cli.UsageError:
+                        assert 2 * m + 2 > cap
+                        continue
+                    if not finite_dim_table(label, k1, k2)[rep.label].exact_decision:
+                        assert 2 * m + 4 <= cap, (label, rep.label, k1, k2)
+                        tops[label] = max(tops.get(label, 0), 2 * m + 4)
+    # B2 reaches the cap itself
+    assert tops == {"A2": CAP2 - 2, "B2": CAP2, "G2": CAP2 - 2}
+
+
 def test_sweep_diagonal(capsys):
     code, out, _ = run_cli(
         ["sweep", "--type", "A1", "--chi", "triv",
@@ -294,7 +331,7 @@ def test_second_sweep_adds_no_memo_entry(capsys):
 
     def state():
         # keys and misses of the memos, then the degrees kept per root
-        memos = (_quotient_layers, b_lowering_parts, b_lowering_tail)
+        memos = (_quotient_layers, b_lowering_parts)
         return ([(m.cache_info().currsize, m.cache_info().misses) for m in memos],
                 [len(_quotient_layers(rs, r)[1]) for r in range(rs.num_positive)])
 

@@ -9,7 +9,7 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
-from cherednik.dunkl import (b_direction, b_lowering_parts, b_lowering_tail,
+from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              poly_coords, reflection_sum_scalar,
@@ -330,22 +330,25 @@ def test_lowering_parts_reject_sqrt3_part():
             b_lowering_parts(rs, bad, j, 2)
         # the tail alone runs the same check
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
-            b_lowering_tail(rs, bad, j, 2)
+            b_lowering_parts(rs, bad, j, 2, 1)
         # the general path finishes the same assembly in Q(sqrt(3))
         mat = lowering_matrix(rs, bad, b_direction(rs, j), 2, k1, k2)
         assert any(v.b for row in mat for v in row)
 
 
 def test_lowering_tail_is_the_last_rows_of_the_full_parts():
-    # the tail is built alone, over a denominator of its own: as exact
-    # fractions it is the last dim-chi rows of the full parts at any coupling
+    # the tail (parts from the row of x_1^(n-1)) is built alone, over a
+    # denominator of its own: as exact fractions it is the last dim-chi rows
+    # of the full parts at any coupling
     couplings = [(1, 0, 0), (3, 2, -5), (7, -1, 4)]
     for label in TYPES:
         rs = build_root_system(label)
         for rep in irreps(rs):
             for j in range(rs.rank):
                 for n in range(1, 21):
-                    full, tail = b_lowering_parts(rs, rep, j, n), b_lowering_tail(rs, rep, j, n)
+                    first = len(monomials(rs.rank, n - 1)) - 1
+                    full = b_lowering_parts(rs, rep, j, n)
+                    tail = b_lowering_parts(rs, rep, j, n, first)
                     assert (tail.rows, tail.cols) == (rep.dim, full.cols)
                     for c in couplings:
                         want = [[Rat(v, full.den) for v in row]

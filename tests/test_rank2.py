@@ -10,7 +10,7 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, RatType, rat
 from cherednik import dunkl, verma
 from cherednik import rank2
-from cherednik.rank2 import _row, _rows
+from cherednik.rank2 import _ROWS, _row
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,
@@ -213,7 +213,7 @@ def shallow_recursion(frames=40):
 def test_cold_rows_recurse_shallowly():
     # the missing rows are appended in a loop, so a cold deep row needs
     # only a few frames
-    _rows.cache_clear()
+    _ROWS.clear()
     with shallow_recursion():
         rows = {label: _row(label, 25) for label in ("A2", "B2", "G2")}
     # the memo holds integer rows; f_power_image reads them as ParamPoly
@@ -234,7 +234,7 @@ def test_row_memo_traffic_is_linear(monkeypatch):
 
     monkeypatch.setattr(rank2, "_row", counted)
     for label in ("A2", "B2", "G2"):
-        _rows.cache_clear()
+        _ROWS.clear()
         calls.clear()
         for n in range(61):
             f_power_image(label, n, 0)
@@ -243,9 +243,9 @@ def test_row_memo_traffic_is_linear(monkeypatch):
 
 def test_rows_do_not_depend_on_request_order():
     for label in ("A2", "B2", "G2"):
-        _rows.cache_clear()
+        _ROWS.clear()
         up = [_row(label, n) for n in range(13)]
-        _rows.cache_clear()
+        _ROWS.clear()
         down = [_row(label, n) for n in reversed(range(13))]
         assert down[::-1] == up, label
 
@@ -253,7 +253,7 @@ def test_rows_do_not_depend_on_request_order():
 def test_rows_hold_only_the_last_row():
     # a cold G2 row 40 kept rows 0-40, 3.45 MB under tracemalloc; row 40
     # alone is about 0.33 MB
-    _rows.cache_clear()
+    _ROWS.clear()
     tracemalloc.start()
     try:
         _row("G2", 40)

@@ -9,8 +9,8 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2, monomials
 from cherednik.scalars import QuadExt, Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_couplings
-from cherednik.dunkl import b_lowering_parts, b_lowering_tail, f_matrix
-from cherednik import linalg, verma
+from cherednik.dunkl import b_direction, f_matrix
+from cherednik import dunkl, linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
                               nonsingular_mod_p)
 from cherednik.verma import VermaModule, classify, standard_module
@@ -192,7 +192,7 @@ def test_bareiss_ranks_class_blocks_of_at_most_half_a_layer(monkeypatch):
     monkeypatch.setattr(verma, "bareiss_rank", recording)
     vm = standard_module("A2", "triv", Rat(-11, 3), Rat(-11, 3))
     top = len(vm.classify().dims)  # the degree of the first layer of rank 0
-    low = vm._singular[0]
+    low = len(vm._ranks) - 1  # the lowest singular degree
     # Bareiss runs on each degree from the first singular one up, one call per block
     assert len(shapes) == 2 * (top - low + 1)
     for deg, pair in zip(range(low, top + 1), zip(shapes[::2], shapes[1::2])):
@@ -493,7 +493,7 @@ def test_each_rank_proof_fires(monkeypatch):
     assert got == {"block"} and not vm._gram
     # the block is singular mod p at degree 3, where G_3 is not
     vm, got = routes(("A2", "triv", Rat(-4, 3), Rat(-4, 3)))
-    assert got == {"block", "stack"} and vm._singular == (4, 3)
+    assert got == {"block", "stack"} and vm._ranks == [1, 2, 3, 4, 3]
     # mod 3 both fail on some full-rank layer, which Bareiss then proves
     monkeypatch.setattr(linalg, "PRIME", 3)
     assert "bareiss" in routes(("G2", "sgn_tau", Rat(0), Rat(-4, 3)))[1]
@@ -529,7 +529,7 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
     vm.classify()
     # degrees 1-3 are full rank and 4 is the first singular one
-    assert vm._full_to == 3 and vm._singular == (4, 3)
+    assert vm._ranks == [1, 2, 3, 4, 3]
     assert len(calls) == 4
     # at degree 3 the block is singular mod p, and the same elimination goes
     # on into the rows of L_1 above it, which prove the layer
@@ -540,16 +540,41 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     assert not any(read for _, read in calls[:2])
 
 
-def test_generic_classify_builds_l0_and_the_tail_of_l1_only():
+def test_generic_classify_builds_l0_and_the_tail_of_l1_only(monkeypatch):
     rs = RootSystem("G2")  # a fresh root system: memo entries of its own
-    memos = (b_lowering_parts, b_lowering_tail)
-    before = [m.cache_info().currsize for m in memos]
+    built = []  # (j, n, first) of every parts memo miss
+    inner = dunkl._integer_parts
+
+    def counting(rs, rep, y, n, first=0):
+        built.append(([b_direction(rs, j) for j in range(rs.rank)].index(y), n, first))
+        return inner(rs, rep, y, n, first)
+
+    monkeypatch.setattr(dunkl, "_integer_parts", counting)
     vm = VermaModule(rs, get_irrep(rs, "std"), Rat(1, 7), Rat(-2, 11))
     res = vm.classify()
     assert not res.finite and res.dims == tuple(2 * (n + 1) for n in range(11))
     # degrees 1-10: the full parts of L_0 and the tail of L_1, no full L_1
-    assert [m.cache_info().currsize - b for m, b in zip(memos, before)] == [10, 10]
+    assert sorted(built) == sorted([(0, n, 0) for n in range(1, 11)]
+                                   + [(1, n, n - 1) for n in range(1, 11)])
     assert not vm._low and not vm._gram
+
+
+def test_ranks_are_kept_to_the_lowest_singular_degree(monkeypatch):
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(mat)
+        return bareiss_rank(mat)
+
+    monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
+    vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+    assert vm.layer_rank(4) == 3 and vm._ranks == [1, 2, 3, 4, 3]
+    # a settled degree is read back; a degree past the list is ranked afresh
+    calls.clear()
+    assert vm.layer_rank(4) == 3 and not calls
+    classes = vm._layer(6)[0]
+    assert vm.layer_rank(6) == sum(map(bareiss_rank, classes))
+    assert calls == list(classes) and vm._ranks == [1, 2, 3, 4, 3]
 
 
 def test_full_l1_is_built_only_where_the_block_is_singular():
