@@ -60,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(/\d+)?(:-?\d+(/\d+)?){0,2}$")
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # one line: "unrecognized arguments" echoes tokens unquoted
+        self.exit(1, f"{self.prog}: error: {message}".replace("\n", "\\n") + "\n")
 
 
 def _nonneg_int(text: str) -> int:

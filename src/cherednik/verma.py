@@ -33,8 +33,11 @@ one coefficient per base-B digit, B = 2^s sized by a product of the
 lowerings' column norms.  The digits become ParamPoly coefficients directly, already
 canonical, and a Gram layer is unpacked once per symmetric pair: the packed
 layer has passed the symmetry check and unpacking is injective, so both
-cells hold one value.  A symbolic layer's minors are polynomials in k1, k2,
-so full rank at one point proves full rank.  The point is k = 0, where
+cells hold one value.  The unpacked layers and F rows are memoized per base
+(_base_unpacked): an irrep with signs (s_0, s_1) reads its base's, each
+distinct entry once with every term c k1^i k2^j times s_0^i s_1^j.  A
+symbolic layer's minors are polynomials in k1, k2, so full rank at one
+point proves full rank.  The point is k = 0, where
 every lowering is a transfer derivative and the layer, the Fischer form of
 the metric tensor the identity on chi, is positive definite: a layer short
 of full rank there raises InvariantViolation.
@@ -53,6 +56,7 @@ layer chi, so it already kills every isotypic component other than chi
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import lcm
 
 from .errors import InvariantViolation
@@ -170,7 +174,7 @@ class VermaModule:
     def f_chain(self, top: int, bottom: int = 0):
         """The rows of F(bottom+2) ... F(top) (see _f_rows): F(n) is f_chain(n, n - 2)."""
         if self.symbolic:
-            return self._unpacked(top, True, bottom)
+            return self._symbolic(top, True, bottom)
         return _value(*self._f_rows(top, bottom))
 
     # -- the contravariant form -------------------------------------------------
@@ -249,9 +253,27 @@ class VermaModule:
 
     def gram(self, n: int):
         """Gram matrix of the contravariant form on the degree-n layer."""
-        return self._unpacked(n, False) if self.symbolic else _value(*self._dense(n))
+        return self._symbolic(n, False) if self.symbolic else _value(*self._dense(n))
 
-    def _unpacked(self, n: int, chain: bool, bottom: int = 0):
+    def _symbolic(self, n: int, chain: bool, bottom: int = 0):
+        """The symbolic layer or F rows of _unpacked, read off the base's
+        memoized ones (_base_unpacked): fresh rows over the same entries, and
+        for an irrep with signs (s_0, s_1) each distinct entry once with every
+        c k1^i k2^j times s_0^i s_1^j, so mirrored Gram cells stay one object."""
+        rows = _base_unpacked(self.rs, self.rep.base, n, chain, bottom)
+        f1, f2 = (int(s < 0) for s in self.rep.signs)
+        if not f1 | f2:
+            return [list(row) for row in rows]
+        twisted = {}
+        for row in rows:
+            for p in row:
+                if id(p) not in twisted:
+                    twisted[id(p)] = ParamPoly._of({e: -c if (e[0] * f1 + e[1] * f2) & 1 else c
+                                                    for e, c in p.terms.items()})
+        return [[twisted[id(p)] for p in row] for row in rows]
+
+    @staticmethod
+    def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int = 0):
         """The degree-n layer, or with chain the rows of F(bottom+2) ... F(n),
         over ParamPoly, by Kronecker substitution: read off the numeric module
         at k = (B, B^stride), B = 2^s, stride n + 1 (n - bottom + 1 for a
@@ -270,22 +292,21 @@ class VermaModule:
         packed layer for symmetry, and equal integers unpack to equal
         polynomials.  F rows are not square and unpack every cell."""
         steps = max(n - bottom, 0) // 2 if chain else 0
-        coef, unit = integer_scale(f_coefficients(self.rs))
+        coef, unit = integer_scale(f_coefficients(rs))
         unit **= steps
         bound = sum(abs(v) for row in coef for v in row) ** steps
         for d in range(bottom + 1, bottom + 2 * steps + 1) if chain else range(1, n + 1):
-            parts = [b_lowering_parts(self.rs, self.rep.base, j, d)
-                     for j in range(self.rs.rank)]
+            parts = [b_lowering_parts(rs, rep.base, j, d) for j in range(rs.rank)]
             den = lcm(*(p.den for p in parts))
             unit /= den
             bound *= max(p.column_norm() * (den // p.den) for p in parts)
         den = unit.denominator
         s, stride = (2 * unit.numerator * bound).bit_length(), max(n - bottom, 0) + 1
-        packed = VermaModule(self.rs, self.rep, 1 << s, 1 << s * stride)
+        packed = VermaModule(rs, rep, 1 << s, 1 << s * stride)
         rows, scale = packed._f_rows(n, bottom) if chain else packed._dense(n)
         mult = den * scale
         if mult.denominator != 1:
-            raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: packed "
+            raise InvariantViolation(f"{rs.label}/{rep.label}: packed "
                                      f"degree-{n} values times {den} are not integers")
         k = mult.numerator
         if chain:
@@ -407,6 +428,8 @@ class VermaModule:
                               False, None, tuple(dims), None)
 
 
+# every symbolic module reads its layers and F rows off its base's (rs, base, n, chain, bottom)
+_base_unpacked = lru_cache(maxsize=None)(VermaModule._unpacked)
 EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test
 
 

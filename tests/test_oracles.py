@@ -10,6 +10,12 @@
   type and character, written once from the code before the Gram layers
   moved to integer matrices.  A diff is a change of behaviour.
 - Layer ranks against sympy's rank over Q.
+- The first singular layer of M(triv) at equal couplings k = -a/b, from the
+  lowest-weight differences d_tau = b(tau) - b(triv) alone: singular
+  polynomials exist exactly at k = -j/d_i with d_i a fundamental degree
+  and d_i not dividing j (Dunkl-de Jeu-Opdam, "Singular polynomials for
+  finite reflection groups", Trans. AMS 346, 1994), and the first singular
+  degree is then the smallest positive integer d_tau.
 """
 
 import json
@@ -20,10 +26,12 @@ import pytest
 
 from cherednik.scalars import QuadExt, Rat, rat
 from cherednik.rootsystem import LABELS, build_root_system
-from cherednik.wrep import irreps
+from cherednik.wrep import get_irrep, irreps
+from cherednik.dunkl import lowest_weight_scalar
 from cherednik.verma import VermaModule, classify
 
 COXETER = {"A1": 2, "A2": 3, "B2": 4, "G2": 6}
+FUNDAMENTAL_DEGREES = {"A1": (2,), "A2": (2, 3), "B2": (2, 4), "G2": (2, 6)}
 GRID = Path(__file__).parent / "golden" / "classify_grid.json"
 
 
@@ -98,3 +106,26 @@ def test_layer_rank_matches_sympy(label):
                 want = sympy.Matrix([[sympy.Rational(str(QuadExt.coerce(v).rational()))
                                       for v in row] for row in g]).rank()
                 assert vm.layer_rank(n) == want, (label, rep.label, k1, k2, n)
+
+
+def test_first_singular_degree_is_the_smallest_lowest_weight_difference():
+    # 184 points k = -a/b, a <= 12, b <= 6, scanned to degree 14 by the ranks;
+    # the oracle reads only the fundamental degrees and the d_tau
+    top, points, singular = 14, 0, 0
+    for label, degrees in FUNDAMENTAL_DEGREES.items():
+        rs = build_root_system(label)
+        assert tuple(rs.degrees) == degrees
+        triv = get_irrep(rs, "triv")
+        for a, b in ((a, b) for b in range(1, 7) for a in range(1, 13) if gcd(a, b) == 1):
+            k = Rat(-a, b)
+            base = lowest_weight_scalar(rs, triv, k, k)
+            diffs = [lowest_weight_scalar(rs, tau, k, k) - base for tau in irreps(rs)]
+            first = min((int(d) for d in diffs if d > 0 and d.denominator == 1), default=None)
+            dunkl_opdam = b > 1 and any(d % b == 0 for d in degrees)
+            want = first if dunkl_opdam and first is not None and first <= top else None
+            vm = VermaModule(rs, triv, k, k)
+            got = next((n for n in range(top + 1)
+                        if vm.layer_rank(n) < len(vm.layer_monomials(n))), None)
+            assert got == want, (label, k, diffs)
+            points, singular = points + 1, singular + (want is not None)
+    assert (points, singular) == (184, 37)

@@ -266,6 +266,7 @@ def test_symmetry_check_guards_the_mirrored_unpack(label, chi, monkeypatch):
         return [lows[0], second], scale
 
     monkeypatch.setattr(VermaModule, "_lowerings", skewed)
+    verma._base_unpacked.cache_clear()  # the layers above are memoized
     for n in (1, 4):
         with pytest.raises(InvariantViolation):
             standard_module(label, chi, PP_K1, PP_K2).gram(n)
@@ -280,6 +281,7 @@ def test_symbolic_gram_unpacks_each_symmetric_pair_once(monkeypatch):
         return unpack(*args)
 
     monkeypatch.setattr(verma, "_unpack", counted)
+    verma._base_unpacked.cache_clear()
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     assert len(vm.gram(4)) == 10
     assert len(calls) == 10 * 11 // 2
@@ -299,12 +301,74 @@ def test_symbolic_reads_build_one_packed_module_each(monkeypatch):
 
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     monkeypatch.setattr(VermaModule, "__init__", counted)
+    verma._base_unpacked.cache_clear()
     vm.gram(4)
     vm.f_chain(4)
     assert len(built) == 2
     for k1, k2 in built:
         s = k1.bit_length() - 1
         assert s > 0 and (k1, k2) == (1 << s, 1 << 5 * s)
+
+
+# A2 sgn; B2 sgn, chi1, chi2; G2 sgn, tau, sgn_tau, std_tau: a sign per root
+# orbit times a base that is not themselves
+TWISTED = [(label, rep.label) for label in ("A2", "B2", "G2")
+           for rep in irreps(build_root_system(label)) if rep.base is not rep]
+
+
+@pytest.mark.parametrize("label, chi", TWISTED)
+def test_twisted_symbolic_reads_equal_their_own_unpacking(label, chi):
+    # read off the base's memoized layers with a sign per monomial; the
+    # reference packs the character's own module at signed couplings
+    rs = build_root_system(label)
+    rep = get_irrep(rs, chi)
+    verma._base_unpacked.cache_clear()
+    vm = VermaModule(rs, rep, PP_K1, PP_K2)
+    for n in range(5):
+        got = vm.gram(n)
+        assert got == VermaModule._unpacked(rs, rep, n, False), (label, chi, n)
+        size = len(got)
+        assert all(got[i][j] is got[j][i] for i in range(size) for j in range(i, size))
+    assert vm.f_chain(4) == VermaModule._unpacked(rs, rep, 4, True)
+    assert vm.f_chain(5, 1) == VermaModule._unpacked(rs, rep, 5, True, 1)
+    # the sign is not the identity: some odd monomial flips
+    assert vm.gram(2) != VermaModule(rs, rep.base, PP_K1, PP_K2).gram(2)
+
+
+@pytest.mark.parametrize("chi", ["std", "std_tau", "sgn"])
+def test_symbolic_reads_are_fresh_rows(chi):
+    # the memo is shared by every module over a base: a caller's edits
+    # stay in the rows it was given
+    vm = standard_module("G2", chi, PP_K1, PP_K2)
+    for read in (lambda: vm.gram(3), lambda: vm.f_chain(4)):
+        rows = read()
+        want = [list(row) for row in rows]
+        rows[0][0] = rows[-1].pop()
+        rows.pop()
+        assert read() == want
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_symbolic_pass_builds_one_packed_module_per_base_and_degree(label, monkeypatch):
+    built = []
+    init = VermaModule.__init__
+
+    def counted(self, rs, rep, k1, k2):
+        if k1 is not PP_K1:  # a packed module at (B, B^stride)
+            built.append((rep.label, (k2.bit_length() - 1) // (k1.bit_length() - 1)))
+        init(self, rs, rep, k1, k2)
+
+    rs = build_root_system(label)
+    reps = irreps(rs)
+    bases = {rep.base.label for rep in reps}
+    monkeypatch.setattr(VermaModule, "__init__", counted)
+    verma._base_unpacked.cache_clear()
+    for n in range(5):
+        for rep in reps:
+            VermaModule(rs, rep, PP_K1, PP_K2).gram(n)
+    assert sorted(built) == sorted((b, n + 1) for b in bases for n in range(5))
+    info = verma._base_unpacked.cache_info()
+    assert (info.misses, info.hits) == (5 * len(bases), 5 * (len(reps) - len(bases)))
 
 
 def test_symbolic_gram_entries_are_parampoly():
@@ -354,6 +418,7 @@ def test_packing_rejects_fractional_values(monkeypatch):
         return lows, scale / 1000003
 
     monkeypatch.setattr(VermaModule, "_lowerings", off_scale)
+    verma._base_unpacked.cache_clear()
     vm = standard_module("B2", "triv", PP_K1, PP_K2)
     with pytest.raises(InvariantViolation):
         vm.gram(2)
