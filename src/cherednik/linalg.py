@@ -7,7 +7,7 @@ ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
 guessed, and only of int matrices.  An int matrix, square or tall, whose
 columns are independent modulo the prime PRIME has independent columns over
 Q, since a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
-one elimination mod p per verma lowering stack, block rows first).
+one elimination mod p per verma lowering stack, over the rows verma yields).
 Otherwise the rank is exact fraction-free Bareiss elimination over Z
 (Bareiss, Math. Comp. 22, 1968).
 """
@@ -149,22 +149,20 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def nonsingular_mod_p(mat, more=()) -> bool:
-    """True when the columns of the int matrix, the rows of mat then those of
-    the iterable more, are independent modulo PRIME.  Then some maximal minor
-    is nonzero mod PRIME, hence over Z: the columns are independent over Q,
+def nonsingular_mod_p(rows, ncols) -> bool:
+    """True when the ncols columns of the int matrix whose rows the iterable
+    rows yields are independent modulo PRIME.  Then some maximal minor is
+    nonzero mod PRIME, hence over Z: the columns are independent over Q,
     also with each row scaled on its own by a nonzero rational (each minor
     scales by a nonzero factor).  False is no verdict over Q: p may divide
     every nonzero maximal minor.  Gaussian elimination over GF(p), one row at
     a time against the pivots found so far: it stops as soon as every column
-    has a pivot, so rows past a nonsingular leading square, and more (say a
-    generator, not started then), are never read."""
+    has a pivot, so the rows past that (say of a generator) are never read."""
     p = PRIME
-    n = len(mat[0]) if mat else 0
     pivots = {}  # column -> the tail after it of a row scaled to 1 there
-    for row in chain(mat, more):
+    for row in rows:
         r = [v % p for v in row]
-        for c in range(n):
+        for c in range(ncols):
             f = r[c]
             if not f:
                 continue
@@ -174,9 +172,9 @@ def nonsingular_mod_p(mat, more=()) -> bool:
                 pivots[c] = [x * inv % p for x in r[c + 1:]]
                 break
             r[c + 1:] = [(x - f * y) % p for x, y in zip(r[c + 1:], pr)]
-        if len(pivots) == n:
+        if len(pivots) == ncols:
             break
-    return len(pivots) == n
+    return len(pivots) == ncols
 
 
 def is_symmetric(mat) -> bool:

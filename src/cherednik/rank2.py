@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvariantViolation
@@ -36,9 +37,9 @@ from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
 from .scalars import QuadExt, Rat, is_nonneg_int, rat
 from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
-from .wrep import get_irrep, irreps, twist_couplings
+from .wrep import irreps, twist_couplings
 from .dunkl import poly_coords
-from .verma import VermaModule
+from .verma import VermaModule, standard_module
 
 _PZERO = ParamPoly.const(Rat(0))
 _PONE = ParamPoly.const(Rat(1))
@@ -205,13 +206,11 @@ def kappa_factor_conjectured(r: int) -> ParamPoly:
     return _param(_conjectured(r))
 
 
-class FactorizationReport:
+class FactorizationReport(namedtuple("FactorizationReport", "checked_up_to first_failure")):
     """Outcome of comparing the critical kappa-factors against their
     conjectured product form."""
 
-    def __init__(self, checked_up_to: int, first_failure):
-        self.checked_up_to = checked_up_to
-        self.first_failure = first_failure
+    __slots__ = ()
 
     @property
     def all_verified(self) -> bool:
@@ -229,11 +228,6 @@ class FactorizationReport:
             "first_failure": self.first_failure,
             "checked_up_to": self.checked_up_to,
         }
-
-    def __repr__(self):
-        if self.all_verified:
-            return f"FactorizationReport(verified through r = {self.checked_up_to})"
-        return f"FactorizationReport(first failure at r = {self.first_failure})"
 
 
 def check_kappa_factorization(max_q: int) -> FactorizationReport:
@@ -255,8 +249,7 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
 
 @lru_cache(maxsize=8)
 def _direct_module(label: str, k1, k2) -> VermaModule:
-    rs = build_root_system(label)
-    return VermaModule(rs, get_irrep(rs, "triv"), k1, k2)
+    return standard_module(label, "triv", k1, k2)
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +260,8 @@ def _table_invariant(label: str):
     the recursions).  For A2, Q is the square of the cubic invariant,
     which itself lowers to zero.  F(Q) is F(deg Q) = f_chain(deg Q, deg Q -
     2) of the symbolic triv module, read off its integer lowerings."""
-    rs = build_root_system(label)
-    vm = VermaModule(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
+    vm = standard_module(label, "triv", PP_K1, PP_K2)
+    rs = vm.rs
     q = rs.invariant_gens[1]
     if label == "A2":
         if any(mat_vec(vm.f_chain(3, 1), poly_coords(q, 3, 2))):
@@ -338,7 +331,8 @@ def evaluate_at_couplings(label: str, poly: ParamPoly, k1, k2):
 
 # -- closed-form classifiers ------------------------------------------------------
 
-class VerySingularResult:
+class VerySingularResult(namedtuple("VerySingularResult", "label finite m branch conditional "
+                                                          "exact_decision kappa")):
     """Closed-form finiteness decision for the trivial character.
 
     branch is "grading" when the graded shift alone decides (including
@@ -348,33 +342,13 @@ class VerySingularResult:
     conjecture-free polynomial-vanishing verdict.
     """
 
-    def __init__(self, label, finite, m, branch, conditional,
-                 exact_decision=None, kappa=None):
-        self.label = label
-        self.finite = finite
-        self.m = m
-        self.branch = branch
-        self.conditional = conditional
-        self.exact_decision = finite if exact_decision is None else exact_decision
-        self.kappa = kappa
+    __slots__ = ()
 
-    def as_dict(self):
-        out = {
-            "type": self.label,
-            "very_singular": self.finite,
-            "m": self.m,
-            "branch": self.branch,
-            "conditional": self.conditional,
-        }
-        if self.conditional:
-            out["exact_decision"] = self.exact_decision
-            out["kappa"] = str(self.kappa)
-        return out
 
-    def __repr__(self):
-        tag = " (conditional)" if self.conditional else ""
-        return (f"VerySingularResult({self.label}: finite={self.finite}, "
-                f"m={self.m}{tag})")
+def _decided(label: str, finite: bool, m, branch: str = "grading") -> VerySingularResult:
+    """A conjecture-free verdict: exact_decision is finite itself, kappa is
+    None, and m is kept only when finite."""
+    return VerySingularResult(label, finite, m if finite else None, branch, False, finite, None)
 
 
 def _hbar_value(label: str, k1, k2):
@@ -390,30 +364,27 @@ def very_singular(label: str, k1, k2) -> VerySingularResult:
     hbar = _hbar_value(label, k1, k2)
     m0 = -hbar
     if not is_nonneg_int(m0):
-        return VerySingularResult(label, False, None, "grading", False)
+        return _decided(label, False, None)
     m = int(m0)
     if label == "A1":
-        return VerySingularResult(label, True, m, "grading", False)
+        return _decided(label, True, m)
     if label == "A2":
-        fin = m % 3 != 2
-        return VerySingularResult(label, fin, m if fin else None, "grading", False)
+        return _decided(label, m % 3 != 2, m)
     if label == "B2":
         if m % 2 == 0:
-            return VerySingularResult(label, True, m, "grading", False)
+            return _decided(label, True, m)
         t = -2 * k1
-        fin = t.denominator == 1 and int(t) % 2 == 1 and 1 <= int(t) <= m
-        return VerySingularResult(label, fin, m if fin else None, "grading", False)
+        return _decided(label, t.denominator == 1 and int(t) % 2 == 1 and 1 <= int(t) <= m, m)
     if label == "G2":
         n = m + 1
         if n % 3 != 0:
-            return VerySingularResult(label, True, m, "grading", False)
+            return _decided(label, True, m)
         r = n // 3
         kappa = k2 - k1
         conj = (kappa.denominator == 1 and abs(int(kappa)) < r
                 and (abs(int(kappa)) % 2) != (r % 2))
         exact = not kappa_factor_at_critical(r).eval2(Rat(0), kappa)
-        return VerySingularResult(label, conj, m if conj else None, "kappa",
-                                  True, exact_decision=exact, kappa=kappa)
+        return VerySingularResult(label, conj, m if conj else None, "kappa", True, exact, kappa)
     raise ValueError(f"unknown root system type {label!r}")
 
 
@@ -426,8 +397,7 @@ def finite_dim_table(label: str, k1, k2) -> dict:
     out = {}
     for rep in irreps(rs):
         if rep.dim != 1:
-            out[rep.label] = VerySingularResult(label, False, None,
-                                                "reflection-trace", False)
+            out[rep.label] = _decided(label, False, None, "reflection-trace")
             continue
         t1, t2 = twist_couplings(rs, rep, k1, k2)
         out[rep.label] = very_singular(label, t1, t2)

@@ -73,7 +73,7 @@ class QuadExt:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b)
+        return QuadExt._of(-self.a, -self.b)
 
     def __sub__(self, other):
         if isinstance(other, QuadExt):

@@ -17,9 +17,9 @@ Every layer rank is proven, degrees settled in ascending order and kept to
 the lowest singular one.  As G_n[x_i u, w] = G_{n-1}[u, L_i w], while every
 lower layer is full rank G_n is nonsingular exactly when the stacked
 lowerings [L_0; L_1] are injective.  One elimination mod the prime
-linalg.PRIME proves it, rows block first: the square block of L_0 and the
-tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone; on
-A1, L_0), the rest of L_1 built only if read.  Any nonzero rational multiple
+linalg.PRIME proves it, over the rows _stack yields: the square block of L_0
+and the tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone;
+on A1, L_0) first, the rest of L_1 built only if read.  Any nonzero rational multiple
 of a row, at its own scale, proves as well.  (G_n is P times the stack, P
 made of rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
 Failing that, and on every higher layer (the radical is a submodule and x_1
@@ -136,20 +136,20 @@ class VermaModule:
             hit = self._low[n] = lows, Rat(1, coefs[0] * den)
         return hit
 
-    def _block(self, n: int):
-        """The degree-n rows of L_0 and the last dim-chi rows of L_1 (x_1^(n-1)),
-        each a nonzero rational multiple of the true row: read from the cached
-        lowerings when there, else from the parts of L_0 and of L_1 from row n - 1."""
+    def _stack(self, n: int):
+        """The degree-n rows of the stack [L_0; L_1], each a nonzero rational
+        multiple of the true row, square block first: all of L_0, the last
+        dim-chi rows (x_1^(n-1)) of each L_j with j >= 1, then the other rows
+        of L_1.  A generator: the block comes from the cached lowerings when
+        there, else from the parts of L_0 and of L_j from row n - 1, and the
+        rest is built only once read."""
         hit, rs, base, d = self._low.get(n), self.rs, self.rep.base, self.rep.dim
-        if hit is not None:
-            return hit[0][0] + hit[0][1][-d:] if rs.rank == 2 else hit[0][0]
-        tail = b_lowering_parts(rs, base, 1, n, n - 1).ints(*self._coefs) if rs.rank == 2 else []
-        return b_lowering_parts(rs, base, 0, n).ints(*self._coefs) + tail
-
-    def _rest(self, n: int):
-        """The other degree-n rows of L_1, a generator: built once read."""
+        yield from hit[0][0] if hit else b_lowering_parts(rs, base, 0, n).ints(*self._coefs)
+        for j in range(1, rs.rank):
+            yield from (hit[0][j][-d:] if hit else
+                        b_lowering_parts(rs, base, j, n, n - 1).ints(*self._coefs))
         for low in self._lowerings(n)[0][1:]:
-            yield from low[:-self.rep.dim]
+            yield from low[:-d]
 
     def _f_rows(self, top: int, bottom: int = 0):
         """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the
@@ -358,9 +358,9 @@ class VermaModule:
         ranks, dim = self._ranks, self.rep.dim
         while len(ranks) <= n and ranks[-1] == len(self.layer_monomials(len(ranks) - 1)) * dim:
             deg = len(ranks)
-            block = self._block(deg)
-            full = nonsingular_mod_p(block, self._rest(deg))
-            ranks.append(len(block[0]) if full else sum(map(bareiss_rank, self._layer(deg)[0])))
+            size = len(self.layer_monomials(deg)) * dim
+            full = nonsingular_mod_p(self._stack(deg), size)
+            ranks.append(size if full else sum(map(bareiss_rank, self._layer(deg)[0])))
         return ranks[n] if n < len(ranks) else sum(map(bareiss_rank, self._layer(n)[0]))
 
     def graded_dims(self, max_degree: int):
@@ -433,18 +433,10 @@ _base_unpacked = lru_cache(maxsize=None)(VermaModule._unpacked)
 EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test
 
 
-class ClassifyResult:
+class ClassifyResult(namedtuple("ClassifyResult", "label chi k1 k2 finite m dims total_dim")):
     """Classification of one simple quotient at fixed couplings."""
 
-    def __init__(self, label, chi, k1, k2, finite, m, dims, total_dim):
-        self.label = label
-        self.chi = chi
-        self.k1 = k1
-        self.k2 = k2
-        self.finite = finite
-        self.m = m
-        self.dims = dims
-        self.total_dim = total_dim
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -191,7 +191,7 @@ def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
             i, j = RNG.randrange(n), RNG.randrange(n)
             c = RNG.randint(-3, 3)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])] if i != j else [0] * n
-        assert nonsingular_mod_p(m) == (bareiss_rank(m) == n), m
+        assert nonsingular_mod_p(m, n) == (bareiss_rank(m) == n), m
     # tall 2n x n, entries in [-9, 9]: every n x n minor is below PRIME by
     # Hadamard's bound, (9 sqrt 6)^6 < 1.2e8.  The elimination must go on
     # past a singular leading n x n head into the rows below it.
@@ -207,11 +207,11 @@ def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
             for row in m:
                 row[i] = row[j] if i != j else 0
         full = bareiss_rank(m) == n
-        assert nonsingular_mod_p(m) == full, m
+        assert nonsingular_mod_p(m, n) == full, m
         continued += full and bareiss_rank(m[:n]) < n
     assert continued
-    assert nonsingular_mod_p([[0, 2], [3, 1]])  # pivot after a row swap
-    assert not nonsingular_mod_p([[0, 1], [0, 2]])  # no pivot in column 0
+    assert nonsingular_mod_p([[0, 2], [3, 1]], 2)  # pivot after a row swap
+    assert not nonsingular_mod_p([[0, 1], [0, 2]], 2)  # no pivot in column 0
 
 
 def test_bareiss_rank_over_parampoly(ring_bareiss_rank):

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -364,6 +366,37 @@ def test_finite_dim_table_matches_per_character():
             assert entry.finite == cl.finite, (label, chi)
             if entry.finite:
                 assert entry.m == cl.m
+
+
+def test_results_are_immutable_values():
+    results = (classify("A2", "triv", Rat(-1, 3), Rat(-1, 3)),
+               very_singular("G2", Rat(-1, 2), Rat(-1, 2)), check_kappa_factorization(2))
+    for res, field in zip(results, ("finite", "exact_decision", "first_failure")):
+        with pytest.raises(AttributeError):
+            setattr(res, field, None)
+    # a verdict that needs no conjecture is its own exact decision, with no kappa
+    conditional = 0
+    for label in ("A1", "A2", "B2", "G2"):
+        for a, b in itertools.product(range(1, 13), range(1, 7)):
+            k = Rat(-a, b)
+            for vs in (very_singular(label, k, k), *finite_dim_table(label, k, k).values()):
+                assert (vs.m is not None) == vs.finite, (label, str(k))
+                if vs.conditional:
+                    conditional += 1
+                else:
+                    assert vs.exact_decision == vs.finite and vs.kappa is None, (label, str(k))
+    assert conditional
+    # repr and as_dict are what selftest's messages and `classify --format json` print
+    fin = classify("G2", "triv", Rat(-1, 2), Rat(-1, 2))
+    inf = classify("B2", "std", Rat(1, 2), Rat(-1, 3))
+    assert repr(fin) == "ClassifyResult(G2/triv at k=(-1/2,-1/2): dim 9)"
+    assert repr(inf) == "ClassifyResult(B2/std at k=(1/2,-1/3): infinite)"
+    assert json.dumps(fin.as_dict()) == (
+        '{"type": "G2", "chi": "triv", "k1": "-1/2", "k2": "-1/2", "finite": true, '
+        '"m": 2, "graded_dims": [1, 2, 3, 2, 1], "dim": 9}')
+    assert json.dumps(inf.as_dict()) == (
+        '{"type": "B2", "chi": "std", "k1": "1/2", "k2": "-1/3", "finite": false, '
+        '"m": null, "graded_dims": null, "dim": null}')
 
 
 def test_standard_types_never_finite_in_table():

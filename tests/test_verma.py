@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
@@ -502,9 +502,9 @@ def test_layer_rank_descending_order_matches_ascending():
 def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
     for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
-        assert not nonsingular_mod_p(mat)
-    assert nonsingular_mod_p([[1, 0], [0, p + 1]])
-    assert nonsingular_mod_p([[1, 0], [0, p], [0, 1]])
+        assert not nonsingular_mod_p(mat, len(mat[0]))
+    assert nonsingular_mod_p([[1, 0], [0, p + 1]], 2)
+    assert nonsingular_mod_p([[1, 0], [0, p], [0, 1]], 2)
     ranks = []
 
     def counting_rank(mat):
@@ -530,12 +530,14 @@ def test_each_rank_proof_fires(monkeypatch):
     # when the leading square alone is independent mod p.
     fired = set()
 
-    def counting(mat, more=()):
+    def counting(rows, ncols):
         # the leading square alone first, so that a block proof reads no more rows
-        if nonsingular_mod_p(mat[:len(mat[0])]):
+        rows = iter(rows)
+        block = list(islice(rows, ncols))
+        if nonsingular_mod_p(block, ncols):
             fired.add("block")
             return True
-        if nonsingular_mod_p(mat, more):
+        if nonsingular_mod_p(chain(block, rows), ncols):
             fired.add("stack")
             return True
         return False
@@ -585,10 +587,11 @@ def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
 def test_one_elimination_per_settled_degree(monkeypatch):
     calls = []
 
-    def counting(mat, more=()):
-        read = []  # the rows of more the elimination reads
-        calls.append((mat, read))
-        return nonsingular_mod_p(mat, (read.append(row) or row for row in more))
+    def counting(rows, ncols):
+        rows = iter(rows)
+        block, read = list(islice(rows, ncols)), []  # read: the rows past the block it reads
+        calls.append((block, read))
+        return nonsingular_mod_p(chain(block, (read.append(row) or row for row in rows)), ncols)
 
     monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
     vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
@@ -600,7 +603,7 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     # on into the rows of L_1 above it, which prove the layer
     block, read = calls[2]
     assert len(block) == len(block[0]) and read
-    assert not nonsingular_mod_p(block) and nonsingular_mod_p(block + read)
+    assert not nonsingular_mod_p(block, len(block)) and nonsingular_mod_p(block + read, len(block))
     # below it the block alone settles the degree
     assert not any(read for _, read in calls[:2])
 

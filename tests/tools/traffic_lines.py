@@ -1,0 +1,139 @@
+"""Print every statement of the package that a reference traffic never runs.
+
+    python3 tests/tools/traffic_lines.py
+
+The traffic is every argv of `tests/golden/cases.json` through `cli.run`
+(output captured and dropped), then one pass of each perfbench workload at
+seed 3131: the ops of `workloads.generate`, each run by `workloads.execute`
+and its output checked by `workloads.check`, as a perfbench worker does.
+`perfbench/workloads.py` is imported from its checkout, read only.  A
+`sys.settrace` hook, set before the package is imported, records each line
+of `src/cherednik/*.py` that runs.
+
+A statement ran when a line of its own (its decorators, its header, or the
+whole of a simple statement) ran, or, for a compound statement, when a
+statement inside it ran; docstrings are not statements.  Each statement
+that never ran is printed as
+
+    src/cherednik/<file>.py:<line>: <first source line>
+
+and a last line `unreached <N> of <M> statements`.  A statement listed here
+is what no command of the golden corpus and no benchmark op reaches: input
+checks and invariant guards that these inputs never trip, and code that
+nothing calls.  A golden case that exits with another code than its own,
+or an op whose check fails, is printed to stderr and makes the exit code 1.
+The package is imported from the `src/` of the checkout this file is in,
+not from an installed copy; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+PKG = ROOT / "src" / "cherednik"
+SEED = 3131
+
+
+def _statements(tree):
+    """Every statement of the module, docstrings left out."""
+    docs = {id(node.body[0]) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    return [node for node in ast.walk(tree) if isinstance(node, ast.stmt) and id(node) not in docs]
+
+
+def _inner(node):
+    """The statements and except handlers directly inside node."""
+    return [s for f in ("body", "orelse", "finalbody", "handlers") for s in getattr(node, f, None) or []]
+
+
+def _header(node):
+    """The lines that belong to node itself, not to a statement inside it."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    inner = [s.lineno for s in _inner(node)]
+    last = min(inner) - 1 if inner else node.end_lineno
+    return range(first, max(last, node.lineno) + 1)
+
+
+def _unreached(path, ran):
+    """The statements of one file that never ran, given the lines that ran,
+    and the number of its statements."""
+    stmts = _statements(ast.parse(path.read_text()))
+    done = {}
+
+    def reached(node):
+        if id(node) not in done:
+            done[id(node)] = (any(n in ran for n in _header(node))
+                              or any(reached(s) for s in _inner(node)))
+        return done[id(node)]
+
+    return [s for s in stmts if not reached(s)], len(stmts)
+
+
+def _traffic():
+    """Run the golden argv and one pass of each workload; return the problems."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import cherednik
+    import cherednik.cli
+    import workloads
+
+    problems = []
+    for case in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cherednik.cli.run(case["argv"])
+            except SystemExit as exc:
+                code = exc.code
+        if code != case["exit"]:
+            problems.append(f"golden {case['id']}: exit {code}, not {case['exit']}")
+    for name in workloads.WORKLOADS:
+        for i, op in enumerate(workloads.generate(name, SEED)):
+            err = workloads.check(cherednik, op, workloads.execute(cherednik, op))
+            if err is not None:
+                problems.append(f"{name} op {i}: {err}")
+    return problems
+
+
+def main() -> int:
+    prefix = str(PKG) + "/"
+    ran = {}  # file -> lines run
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def hook(frame, event, arg):
+        name = frame.f_code.co_filename
+        if not name.startswith(prefix):
+            return None
+        ran.setdefault(name, set())
+        return local
+
+    sys.settrace(hook)
+    try:
+        problems = _traffic()
+    finally:
+        sys.settrace(None)
+    total = unreached = 0
+    for path in sorted(PKG.glob("*.py")):
+        lines = path.read_text().splitlines()
+        missed, count = _unreached(path, ran.get(str(path), set()))
+        total, unreached = total + count, unreached + len(missed)
+        for stmt in sorted(missed, key=lambda s: s.lineno):
+            print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
+    print(f"unreached {unreached} of {total} statements")
+    for p in problems:
+        print(p, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
