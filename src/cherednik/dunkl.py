@@ -11,20 +11,21 @@ lowering matrix is affine in the couplings, L = D + k1*A + k2*B
 the v-coordinates on ints from weights split into a rational and a sqrt(3)
 piece, computed once per (root system, character, direction); a cell reaches
 the public basis through one power of sqrt(3).  Along the metric transfers
-every nonzero cell lands on an even power, so b_lowering_parts memoizes the
-parts per (root system, character, direction, degree, first row) as sparse
-integer matrices over one denominator, read from the assembly in cell order
-in one pass (an odd power raises InvariantViolation).  New couplings cost one
-integer combination per layer.  lowering_matrix (any direction)
-finishes the same assembly in QuadExt, so the cross-checks built on it also
-cover the integer conversion.  dunkl_apply acts on polynomials through
-MPoly.divexact and weyl_act, sharing none of it.
+every nonzero cell lands on an even power, so b_lowering_parts, the one memo
+of the parts, keeps them per (root system, character, direction, degree, first
+row; 0 for the full parts) as sparse integer matrices over one denominator,
+read from the assembly in cell order in one pass (an odd power raises
+InvariantViolation).  New couplings cost one integer combination per layer.
+lowering_matrix (any direction) finishes the same assembly in QuadExt, so the
+cross-checks built on it also cover the integer conversion.  dunkl_apply acts
+on polynomials through MPoly.divexact and weyl_act, sharing none of it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, compress
 from operator import add, mul, or_
@@ -222,16 +223,13 @@ def _combine(rows, cols, parts, coefs, zero):
     return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
 
 
-class LoweringParts:
+class LoweringParts(namedtuple("LoweringParts", "rows cols den parts")):
     """The coupling-free parts of one Dunkl lowering on one layer,
     L = (D + k1*A + k2*B) / den, where D, A, B are sparse integer matrices
     over one shared denominator; each part is stored as its row-major cell
-    indices and its values.  Built by _integer_parts."""
+    indices (an array("I")) and its values.  Built by b_lowering_parts."""
 
-    __slots__ = ("rows", "cols", "den", "parts")
-
-    def __init__(self, rows: int, cols: int, den: int, parts):
-        self.rows, self.cols, self.den, self.parts = rows, cols, den, parts
+    __slots__ = ()
 
     def ints(self, c0: int, c1: int, c2: int):
         """The dense integer matrix c0*D + c1*A + c2*B."""
@@ -246,32 +244,6 @@ class LoweringParts:
             for i, v in zip(idx, vals):
                 sums[i % self.cols] += abs(v)
         return max(sums)
-
-
-def _integer_parts(rs: RootSystem, rep, y, n: int, first: int = 0) -> LoweringParts:
-    """The parts of _assemble (rows from first) in the public basis over the
-    least common denominator, in cell order: a cell with k = hr - hc is value
-    * 3^((k + 1) // 2) / den on the plane k mod 2.  An entry on the other
-    plane (a zero read, or a cell with two entries) has no integer form and
-    raises InvariantViolation, once per part set for every coupling.  den *
-    3^shift clears the lowest power; the gcd undoes any excess."""
-    den, flat, hr, hc = _assemble(rs, rep, y, n, first)
-    rows, cols, size = len(hr), len(hc), len(hr) * len(hc)
-    ks = [a - h for a in hr for h in hc]
-    shift = max(0, -((min(ks, default=0) + 1) // 2))
-    scale = {k: 3 ** ((k + 1) // 2 + shift) for k in set(ks)}
-    parts = []
-    for p in (0, 2 * size, 4 * size):
-        planes = flat[p:p + size], flat[p + size:p + 2 * size]
-        idx = array("I", compress(range(size), map(or_, *planes)))
-        vals = [planes[ks[i] % 2][i] * scale[ks[i]] for i in idx]
-        if 0 in vals or planes[0].count(0) + planes[1].count(0) != 2 * size - len(idx):
-            raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
-        parts.append((idx, vals))
-    den *= 3 ** shift
-    g = math.gcd(den, *chain.from_iterable(vals for _, vals in parts))
-    return LoweringParts(rows, cols, den // g, tuple(
-        (idx, tuple(map(g.__rfloordiv__, vals))) for idx, vals in parts))
 
 
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
@@ -300,11 +272,34 @@ def b_direction(rs: RootSystem, j: int):
 
 
 @lru_cache(maxsize=None)
-def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int = 0) -> LoweringParts:
+def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
-    j) on the degree-n layer, rows from degree-(n-1) monomial first (in rank
-    2, n - 1: x_1^(n-1) alone), memoized; full parts pass no first."""
-    return _integer_parts(rs, rep, b_direction(rs, j), n, first)
+    j) on the degree-n layer, rows from degree-(n-1) monomial first (0 for
+    the full parts; in rank 2, n - 1 gives x_1^(n-1) alone), memoized.
+
+    The parts of _assemble in the public basis over the least common
+    denominator, in cell order: a cell with k = hr - hc is value *
+    3^((k + 1) // 2) / den on the plane k mod 2.  An entry on the other plane
+    (a zero read, or a cell with two entries) has no integer form and raises
+    InvariantViolation, once per part set for every coupling.  den * 3^shift
+    clears the lowest power; the gcd undoes any excess."""
+    den, flat, hr, hc = _assemble(rs, rep, b_direction(rs, j), n, first)
+    rows, cols, size = len(hr), len(hc), len(hr) * len(hc)
+    ks = [a - h for a in hr for h in hc]
+    shift = max(0, -((min(ks, default=0) + 1) // 2))
+    scale = {k: 3 ** ((k + 1) // 2 + shift) for k in set(ks)}
+    parts = []
+    for p in (0, 2 * size, 4 * size):
+        planes = flat[p:p + size], flat[p + size:p + 2 * size]
+        idx = array("I", compress(range(size), map(or_, *planes)))
+        vals = [planes[ks[i] % 2][i] * scale[ks[i]] for i in idx]
+        if 0 in vals or planes[0].count(0) + planes[1].count(0) != 2 * size - len(idx):
+            raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
+        parts.append((idx, vals))
+    den *= 3 ** shift
+    g = math.gcd(den, *chain.from_iterable(vals for _, vals in parts))
+    return LoweringParts(rows, cols, den // g, tuple(
+        (idx, tuple(map(g.__rfloordiv__, vals))) for idx, vals in parts))
 
 
 # -- the sl2 triple -------------------------------------------------------------

@@ -9,7 +9,8 @@ transfer.  The form's radical cuts out the simple quotient, so layer
 ranks are the quotient's graded dimensions.
 
 The lowerings, Gram layers and raised rows are integer matrices with one
-rational scale each, combined from the integer parts of LoweringParts.
+rational scale each, combined from the integer parts that
+dunkl.b_lowering_parts memoizes.
 An irrep that is one sign per root orbit times its base (Irrep.signs,
 Irrep.base) has the base's D, s_0 A and s_1 B: its module combines the
 base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
@@ -19,8 +20,8 @@ lower layer is full rank G_n is nonsingular exactly when the stacked
 lowerings [L_0; L_1] are injective.  One elimination mod the prime
 linalg.PRIME proves it, over the rows _stack yields: the square block of L_0
 and the tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone;
-on A1, L_0) first, the rest of L_1 built only if read.  Any nonzero rational multiple
-of a row, at its own scale, proves as well.  (G_n is P times the stack, P
+on A1, L_0) first, the rest of L_1 built only if read.  Any nonzero rational
+multiple of a row, at its own scale, proves as well.  (G_n is P times the stack, P
 made of rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
 Failing that, and on every higher layer (the radical is a submodule and x_1
 is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
@@ -34,7 +35,7 @@ lowerings' column norms.  The digits become ParamPoly coefficients directly, alr
 canonical, and a Gram layer is unpacked once per symmetric pair: the packed
 layer has passed the symmetry check and unpacking is injective, so both
 cells hold one value.  The unpacked layers and F rows are memoized per base
-(_base_unpacked): an irrep with signs (s_0, s_1) reads its base's, each
+(_unpacked): an irrep with signs (s_0, s_1) reads its base's, each
 distinct entry once with every term c k1^i k2^j times s_0^i s_1^j.  A
 symbolic layer's minors are polynomials in k1, k2, so full rank at one
 point proves full rank.  The point is k = 0, where
@@ -129,7 +130,7 @@ class VermaModule:
         combined from the base's integer parts at the signed couplings."""
         hit = self._low.get(n)
         if hit is None:
-            parts = [b_lowering_parts(self.rs, self.rep.base, j, n)
+            parts = [b_lowering_parts(self.rs, self.rep.base, j, n, 0)
                      for j in range(self.rs.rank)]
             den, coefs = lcm(*(p.den for p in parts)), self._coefs
             lows = [p.ints(*(c * (den // p.den) for c in coefs)) for p in parts]
@@ -144,7 +145,7 @@ class VermaModule:
         there, else from the parts of L_0 and of L_j from row n - 1, and the
         rest is built only once read."""
         hit, rs, base, d = self._low.get(n), self.rs, self.rep.base, self.rep.dim
-        yield from hit[0][0] if hit else b_lowering_parts(rs, base, 0, n).ints(*self._coefs)
+        yield from hit[0][0] if hit else b_lowering_parts(rs, base, 0, n, 0).ints(*self._coefs)
         for j in range(1, rs.rank):
             yield from (hit[0][j][-d:] if hit else
                         b_lowering_parts(rs, base, j, n, n - 1).ints(*self._coefs))
@@ -256,11 +257,11 @@ class VermaModule:
         return self._symbolic(n, False) if self.symbolic else _value(*self._dense(n))
 
     def _symbolic(self, n: int, chain: bool, bottom: int = 0):
-        """The symbolic layer or F rows of _unpacked, read off the base's
-        memoized ones (_base_unpacked): fresh rows over the same entries, and
-        for an irrep with signs (s_0, s_1) each distinct entry once with every
-        c k1^i k2^j times s_0^i s_1^j, so mirrored Gram cells stay one object."""
-        rows = _base_unpacked(self.rs, self.rep.base, n, chain, bottom)
+        """The symbolic layer or F rows, read off the base's memoized ones
+        (_unpacked): fresh rows over the same entries, and for an irrep with
+        signs (s_0, s_1) each distinct entry once with every c k1^i k2^j
+        times s_0^i s_1^j, so mirrored Gram cells stay one object."""
+        rows = _unpacked(self.rs, self.rep.base, n, chain, bottom)
         f1, f2 = (int(s < 0) for s in self.rep.signs)
         if not f1 | f2:
             return [list(row) for row in rows]
@@ -271,51 +272,6 @@ class VermaModule:
                     twisted[id(p)] = ParamPoly._of({e: -c if (e[0] * f1 + e[1] * f2) & 1 else c
                                                     for e, c in p.terms.items()})
         return [[twisted[id(p)] for p in row] for row in rows]
-
-    @staticmethod
-    def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int = 0):
-        """The degree-n layer, or with chain the rows of F(bottom+2) ... F(n),
-        over ParamPoly, by Kronecker substitution: read off the numeric module
-        at k = (B, B^stride), B = 2^s, stride n + 1 (n - bottom + 1 for a
-        chain).  Each entry is a polynomial of total degree < stride, and D
-        times it, D the denominator of the product u of the coupling-free
-        scales (parts and F coefficients), has integer coefficients c_ij: the
-        balanced base-B digits of its packed value once B > 2 max |c_ij|.
-        Every row is a row one degree (or F step) down times an integer
-        lowering (or F), and coefficient 1-norms are submultiplicative, so
-        max |c_ij| is at most the numerator of u times the product of the
-        lowerings' largest column norms over the degrees read (and of the
-        1-norm of the integer F coefficients per step).
-
-        A Gram layer unpacks the cells j >= i only and puts the same
-        immutable ParamPoly at [i][j] and [j][i]: _layer has checked the
-        packed layer for symmetry, and equal integers unpack to equal
-        polynomials.  F rows are not square and unpack every cell."""
-        steps = max(n - bottom, 0) // 2 if chain else 0
-        coef, unit = integer_scale(f_coefficients(rs))
-        unit **= steps
-        bound = sum(abs(v) for row in coef for v in row) ** steps
-        for d in range(bottom + 1, bottom + 2 * steps + 1) if chain else range(1, n + 1):
-            parts = [b_lowering_parts(rs, rep.base, j, d) for j in range(rs.rank)]
-            den = lcm(*(p.den for p in parts))
-            unit /= den
-            bound *= max(p.column_norm() * (den // p.den) for p in parts)
-        den = unit.denominator
-        s, stride = (2 * unit.numerator * bound).bit_length(), max(n - bottom, 0) + 1
-        packed = VermaModule(rs, rep, 1 << s, 1 << s * stride)
-        rows, scale = packed._f_rows(n, bottom) if chain else packed._dense(n)
-        mult = den * scale
-        if mult.denominator != 1:
-            raise InvariantViolation(f"{rs.label}/{rep.label}: packed "
-                                     f"degree-{n} values times {den} are not integers")
-        k = mult.numerator
-        if chain:
-            return [[_unpack(v * k, s, stride, den) for v in row] for row in rows]
-        out = [[None] * len(rows) for _ in rows]
-        for i, row in enumerate(rows):
-            for j in range(i, len(row)):
-                out[i][j] = out[j][i] = _unpack(row[j] * k, s, stride, den)
-        return out
 
     def gram_direct(self, n: int):
         """The same Gram matrix assembled monomial by monomial from
@@ -428,8 +384,52 @@ class VermaModule:
                               False, None, tuple(dims), None)
 
 
-# every symbolic module reads its layers and F rows off its base's (rs, base, n, chain, bottom)
-_base_unpacked = lru_cache(maxsize=None)(VermaModule._unpacked)
+@lru_cache(maxsize=None)
+def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int):
+    """The degree-n layer, or with chain the rows of F(bottom+2) ... F(n), over
+    ParamPoly, by Kronecker substitution, memoized (_symbolic passes the base):
+    read off the numeric module at k = (B, B^stride), B = 2^s, stride n + 1
+    (n - bottom + 1 for a chain).  Each entry is a polynomial of total degree
+    < stride, and D times it, D the denominator of the product u of the
+    coupling-free scales (parts and F coefficients), has integer coefficients
+    c_ij: the balanced base-B digits of its packed value once B > 2 max |c_ij|.
+    Every row is a row one degree (or F step) down times an integer lowering
+    (or F), and coefficient 1-norms are submultiplicative, so max |c_ij| is at
+    most the numerator of u times the product of the lowerings' largest column
+    norms over the degrees read (and of the 1-norm of the integer F
+    coefficients per step).
+
+    A Gram layer unpacks the cells j >= i only and puts the same immutable
+    ParamPoly at [i][j] and [j][i]: _layer has checked the packed layer for
+    symmetry, and equal integers unpack to equal polynomials.  F rows are not
+    square and unpack every cell."""
+    steps = max(n - bottom, 0) // 2 if chain else 0
+    coef, unit = integer_scale(f_coefficients(rs))
+    unit **= steps
+    bound = sum(abs(v) for row in coef for v in row) ** steps
+    for d in range(bottom + 1, bottom + 2 * steps + 1) if chain else range(1, n + 1):
+        parts = [b_lowering_parts(rs, rep.base, j, d, 0) for j in range(rs.rank)]
+        den = lcm(*(p.den for p in parts))
+        unit /= den
+        bound *= max(p.column_norm() * (den // p.den) for p in parts)
+    den = unit.denominator
+    s, stride = (2 * unit.numerator * bound).bit_length(), max(n - bottom, 0) + 1
+    packed = VermaModule(rs, rep, 1 << s, 1 << s * stride)
+    rows, scale = packed._f_rows(n, bottom) if chain else packed._dense(n)
+    mult = den * scale
+    if mult.denominator != 1:
+        raise InvariantViolation(f"{rs.label}/{rep.label}: packed "
+                                 f"degree-{n} values times {den} are not integers")
+    k = mult.numerator
+    if chain:
+        return [[_unpack(v * k, s, stride, den) for v in row] for row in rows]
+    out = [[None] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(row)):
+            out[i][j] = out[j][i] = _unpack(row[j] * k, s, stride, den)
+    return out
+
+
 EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test
 
 

@@ -15,8 +15,8 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
-from cherednik.dunkl import (_integer_parts, _quotient_columns, _quotient_layers,
-                             _sqrt3_powers, _to_public)
+from cherednik.dunkl import (_quotient_columns, _quotient_layers, _sqrt3_powers,
+                             _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.verma import VermaModule, classify
 
@@ -280,7 +280,7 @@ def test_lowering_parts_split_by_orbit():
             k1, k2 = rand_k(), rand_k()
             for n in (1, 3):
                 for j in range(rs.rank):
-                    parts = b_lowering_parts(rs, rep, j, n)
+                    parts = b_lowering_parts(rs, rep, j, n, 0)
                     dm, am, bm = (dense(parts, p) for p in parts.parts)
                     want = lowering_matrix(rs, rep, b_direction(rs, j), n, k1, k2)
                     assert [[(x + a * k1 + b * k2) / parts.den
@@ -304,7 +304,7 @@ def test_cold_lowering_parts_match_direct_action():
             d = rep.dim
             k1, k2 = rand_k(), rand_k()
             for j in range(rs.rank):
-                parts = b_lowering_parts(rs, rep, j, n)
+                parts = b_lowering_parts(rs, rep, j, n, 0)
                 flat = [Rat(0)] * (parts.rows * parts.cols)
                 for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
                     for i, v in zip(idx, vals):
@@ -327,7 +327,7 @@ def test_lowering_parts_reject_sqrt3_part():
     k1, k2 = rand_k(), rand_k()
     for j in range(rs.rank):
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
-            b_lowering_parts(rs, bad, j, 2)
+            b_lowering_parts(rs, bad, j, 2, 0)
         # the tail alone runs the same check
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
             b_lowering_parts(rs, bad, j, 2, 1)
@@ -347,7 +347,7 @@ def test_lowering_tail_is_the_last_rows_of_the_full_parts():
             for j in range(rs.rank):
                 for n in range(1, 21):
                     first = len(monomials(rs.rank, n - 1)) - 1
-                    full = b_lowering_parts(rs, rep, j, n)
+                    full = b_lowering_parts(rs, rep, j, n, 0)
                     tail = b_lowering_parts(rs, rep, j, n, first)
                     assert (tail.rows, tail.cols) == (rep.dim, full.cols)
                     for c in couplings:
@@ -373,7 +373,7 @@ def test_cold_lowering_parts_make_no_quadext_products_per_cell():
         QuadExt.__mul__ = QuadExt.__rmul__ = counting
         try:
             for j in range(rs.rank):
-                b_lowering_parts(rs, std, j, n)
+                b_lowering_parts(rs, std, j, n, 0)
         finally:
             QuadExt.__mul__ = QuadExt.__rmul__ = mul
         return calls[0]
@@ -399,8 +399,8 @@ def test_shared_parts_equal_direct_assembly_for_every_twist():
         for rep in reps:
             for j in range(rs.rank):
                 for n in range(9):
-                    want = _integer_parts(rs, rep, b_direction(rs, j), n)
-                    assert key(b_lowering_parts(rs, rep, j, n)) == key(want)
+                    want = b_lowering_parts.__wrapped__(rs, rep, j, n, 0)
+                    assert key(b_lowering_parts(rs, rep, j, n, 0)) == key(want)
 
 
 def test_cold_parts_assemble_only_triv_and_std(monkeypatch):
@@ -436,6 +436,31 @@ def test_twisted_modules_add_no_parts_memo_entries():
         assert b_lowering_parts.cache_info().currsize - before == want, label
 
 
+def test_each_part_set_is_built_once(monkeypatch):
+    # one memo key per part set: the full parts have first row 0, so the
+    # degree-1 tail of L_1 that a generic rank proof reads, (1, 1, 0), is the
+    # full degree-1 L_1 that the raised-vector chain of a finite point reads
+    rs = RootSystem("G2")
+    sl2_calibration(rs)  # assembles triv through lowering_matrix
+    built = []  # (j, n, first) of every part build
+    assemble = dunkl._assemble
+
+    def counting(rs_, rep, y, n, first=0):
+        built.append(([b_direction(rs_, j) for j in range(rs_.rank)].index(y), n, first))
+        return assemble(rs_, rep, y, n, first)
+
+    monkeypatch.setattr(dunkl, "_assemble", counting)
+    triv = get_irrep(rs, "triv")
+    assert VermaModule(rs, triv, Rat(-1, 2), Rat(-1, 2)).classify().finite
+    assert not VermaModule(rs, triv, Rat(2, 7), Rat(2, 7)).classify().finite
+    assert built.count((1, 1, 0)) == 1
+    assert len(built) == len(set(built))
+    # the memoized parts are values: no caller can change a shared entry
+    parts = b_lowering_parts(rs, triv, 0, 2, 0)
+    with pytest.raises(AttributeError):
+        parts.den = 1
+
+
 @pytest.mark.parametrize("value", [SQRT3, 1 + SQRT3])
 def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
     # a hand-built rep is its own base, so it reaches the full assembly and
@@ -453,7 +478,7 @@ def test_sqrt3_impostor_is_its_own_sign_class(value, monkeypatch):
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
     with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
-        b_lowering_parts(rs, bad, 0, 2)
+        b_lowering_parts(rs, bad, 0, 2, 0)
     assert assembled == [bad]
 
 
@@ -478,10 +503,10 @@ def test_hand_built_irrep_gets_its_own_parts():
     impostor = Irrep(rs, "std", std_tau.matrices)
     for n in (1, 2, 3):
         for j in range(rs.rank):
-            b_lowering_parts(rs, std, j, n)  # fill the stock cache first
-            got = b_lowering_parts(rs, impostor, j, n).parts
-            assert got == b_lowering_parts(rs, std_tau, j, n).parts
-            assert got != b_lowering_parts(rs, std, j, n).parts
+            b_lowering_parts(rs, std, j, n, 0)  # fill the stock cache first
+            got = b_lowering_parts(rs, impostor, j, n, 0).parts
+            assert got == b_lowering_parts(rs, std_tau, j, n, 0).parts
+            assert got != b_lowering_parts(rs, std, j, n, 0).parts
 
 
 def test_lowering_parts_follow_a_copied_root_system():
@@ -493,9 +518,9 @@ def test_lowering_parts_follow_a_copied_root_system():
     for rep in irreps(stock):
         for j in range(rs.rank):
             for n in (1, 2, 3):
-                b_lowering_parts(stock, rep, j, n)
-                got = b_lowering_parts(rs, rep, j, n)
-                want = _integer_parts(rs, rep, b_direction(rs, j), n)
+                b_lowering_parts(stock, rep, j, n, 0)
+                got = b_lowering_parts(rs, rep, j, n, 0)
+                want = b_lowering_parts.__wrapped__(rs, rep, j, n, 0)
                 assert (got.den, got.parts) == (want.den, want.parts)
 
 
@@ -506,7 +531,7 @@ def test_degree_zero_layer_shapes():
         assert quotient_matrix(rs, 0, 0) == []
         for rep in irreps(rs):
             for j in range(rs.rank):
-                parts = b_lowering_parts(rs, rep, j, 0)
+                parts = b_lowering_parts(rs, rep, j, 0, 0)
                 assert (parts.rows, parts.cols) == (0, rep.dim)
                 low = lowering_matrix(rs, rep, b_direction(rs, j), 0, rand_k(), rand_k())
                 assert low == []

@@ -266,7 +266,7 @@ def test_symmetry_check_guards_the_mirrored_unpack(label, chi, monkeypatch):
         return [lows[0], second], scale
 
     monkeypatch.setattr(VermaModule, "_lowerings", skewed)
-    verma._base_unpacked.cache_clear()  # the layers above are memoized
+    verma._unpacked.cache_clear()  # the layers above are memoized
     for n in (1, 4):
         with pytest.raises(InvariantViolation):
             standard_module(label, chi, PP_K1, PP_K2).gram(n)
@@ -281,7 +281,7 @@ def test_symbolic_gram_unpacks_each_symmetric_pair_once(monkeypatch):
         return unpack(*args)
 
     monkeypatch.setattr(verma, "_unpack", counted)
-    verma._base_unpacked.cache_clear()
+    verma._unpacked.cache_clear()
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     assert len(vm.gram(4)) == 10
     assert len(calls) == 10 * 11 // 2
@@ -301,7 +301,7 @@ def test_symbolic_reads_build_one_packed_module_each(monkeypatch):
 
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     monkeypatch.setattr(VermaModule, "__init__", counted)
-    verma._base_unpacked.cache_clear()
+    verma._unpacked.cache_clear()
     vm.gram(4)
     vm.f_chain(4)
     assert len(built) == 2
@@ -322,15 +322,15 @@ def test_twisted_symbolic_reads_equal_their_own_unpacking(label, chi):
     # reference packs the character's own module at signed couplings
     rs = build_root_system(label)
     rep = get_irrep(rs, chi)
-    verma._base_unpacked.cache_clear()
+    verma._unpacked.cache_clear()
     vm = VermaModule(rs, rep, PP_K1, PP_K2)
     for n in range(5):
         got = vm.gram(n)
-        assert got == VermaModule._unpacked(rs, rep, n, False), (label, chi, n)
+        assert got == verma._unpacked.__wrapped__(rs, rep, n, False, 0), (label, chi, n)
         size = len(got)
         assert all(got[i][j] is got[j][i] for i in range(size) for j in range(i, size))
-    assert vm.f_chain(4) == VermaModule._unpacked(rs, rep, 4, True)
-    assert vm.f_chain(5, 1) == VermaModule._unpacked(rs, rep, 5, True, 1)
+    assert vm.f_chain(4) == verma._unpacked.__wrapped__(rs, rep, 4, True, 0)
+    assert vm.f_chain(5, 1) == verma._unpacked.__wrapped__(rs, rep, 5, True, 1)
     # the sign is not the identity: some odd monomial flips
     assert vm.gram(2) != VermaModule(rs, rep.base, PP_K1, PP_K2).gram(2)
 
@@ -362,12 +362,12 @@ def test_symbolic_pass_builds_one_packed_module_per_base_and_degree(label, monke
     reps = irreps(rs)
     bases = {rep.base.label for rep in reps}
     monkeypatch.setattr(VermaModule, "__init__", counted)
-    verma._base_unpacked.cache_clear()
+    verma._unpacked.cache_clear()
     for n in range(5):
         for rep in reps:
             VermaModule(rs, rep, PP_K1, PP_K2).gram(n)
     assert sorted(built) == sorted((b, n + 1) for b in bases for n in range(5))
-    info = verma._base_unpacked.cache_info()
+    info = verma._unpacked.cache_info()
     assert (info.misses, info.hits) == (5 * len(bases), 5 * (len(reps) - len(bases)))
 
 
@@ -418,7 +418,7 @@ def test_packing_rejects_fractional_values(monkeypatch):
         return lows, scale / 1000003
 
     monkeypatch.setattr(VermaModule, "_lowerings", off_scale)
-    verma._base_unpacked.cache_clear()
+    verma._unpacked.cache_clear()
     vm = standard_module("B2", "triv", PP_K1, PP_K2)
     with pytest.raises(InvariantViolation):
         vm.gram(2)
@@ -610,14 +610,15 @@ def test_one_elimination_per_settled_degree(monkeypatch):
 
 def test_generic_classify_builds_l0_and_the_tail_of_l1_only(monkeypatch):
     rs = RootSystem("G2")  # a fresh root system: memo entries of its own
+    dunkl.sl2_calibration(rs)  # assembles triv through lowering_matrix
     built = []  # (j, n, first) of every parts memo miss
-    inner = dunkl._integer_parts
+    inner = dunkl._assemble
 
     def counting(rs, rep, y, n, first=0):
         built.append(([b_direction(rs, j) for j in range(rs.rank)].index(y), n, first))
         return inner(rs, rep, y, n, first)
 
-    monkeypatch.setattr(dunkl, "_integer_parts", counting)
+    monkeypatch.setattr(dunkl, "_assemble", counting)
     vm = VermaModule(rs, get_irrep(rs, "std"), Rat(1, 7), Rat(-2, 11))
     res = vm.classify()
     assert not res.finite and res.dims == tuple(2 * (n + 1) for n in range(11))

@@ -85,7 +85,7 @@ def layer_items():
             head = f"{label} {rep.label}"
             for j in range(rs.rank):
                 for n in range(9):
-                    p = b_lowering_parts(rs, rep, j, n)
+                    p = b_lowering_parts(rs, rep, j, n, 0)
                     parts = [(list(idx), vals) for idx, vals in p.parts]
                     yield f"{head} parts {j} {n} {p.rows} {p.cols} {p.den} {parts}"
             for vm, top, chain in ((VermaModule(rs, rep, Rat(2, 7), Rat(-3, 5)), 6, 6),

@@ -9,7 +9,7 @@ prints one line per character,
 
     G2 sgn base triv signs (-1, -1) seconds 0.0061
 
-then the memo of the bases' symbolic layers, `verma._base_unpacked`,
+then the memo of the bases' symbolic layers, `verma._unpacked`,
 
     memo CacheInfo(hits=4, misses=2, maxsize=None, currsize=2)
 
@@ -51,7 +51,7 @@ def main(argv) -> int:
         seconds = time.perf_counter() - start
         print(f"{label} {rep.label} base {rep.base.label} signs {rep.signs} "
               f"seconds {seconds:.4f}")
-    print(f"memo {verma._base_unpacked.cache_info()}")
+    print(f"memo {verma._unpacked.cache_info()}")
     return 0
 
 
