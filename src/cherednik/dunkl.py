@@ -68,7 +68,7 @@ def _to_public(q, k: int) -> QuadExt:
 
 @lru_cache(maxsize=None)
 def _quotient_layers(rs: RootSystem, root_idx: int):
-    """The root's constants for _raise_quotient, computed once, and its
+    """The root's constants for _quotient_columns, computed once, and its
     (den, columns) by degree, a list that _quotient_columns extends on
     demand."""
     alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
@@ -89,34 +89,30 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
 
         Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p)),
 
-    with Q = 0 on degree 0.
+    with Q = 0 on degree 0, and the denominator grows by step.  In the order
+    of `monomials`, v_u times the i-th monomial of one degree is the (i +
+    u)-th monomial of the next.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    consts, layers = _quotient_layers(rs, root_idx)
+    (step, coroot, lin), layers = _quotient_layers(rs, root_idx)
     while len(layers) <= n:
-        layers.append(_raise_quotient(rs.rank, len(layers), *layers[-1], *consts))
+        deg, (den, q_prev) = len(layers), layers[-1]
+        size = len(monomials(rs.rank, deg - 1))
+        cols = []
+        for c, m in enumerate(monomials(rs.rank, deg)):
+            u = 0 if m[0] else 1  # m = v_u times monomial c - u one degree down
+            q = q_prev[c - u]
+            col = [0] * size
+            col[c - u] = coroot[u] * den
+            for w, x in lin[u]:
+                for t, qv in enumerate(q, w):
+                    col[t] += x * qv
+            for t, qv in enumerate(q, u):
+                col[t] += step * qv
+            cols.append(col)
+        layers.append((den * step, cols))
     return layers[n]
-
-
-def _raise_quotient(nv, deg, den, q_prev, step, coroot, lin):
-    """(den * step, columns) of Q on the degree-deg layer from (den,
-    columns) one degree down.  In the order of `monomials`, v_u times the
-    i-th monomial of one degree is the (i + u)-th monomial of the next."""
-    size = len(monomials(nv, deg - 1))
-    cols = []
-    for c, m in enumerate(monomials(nv, deg)):
-        u = 0 if m[0] else 1  # m = v_u times monomial c - u one degree down
-        q = q_prev[c - u]
-        col = [0] * size
-        col[c - u] = coroot[u] * den
-        for w, x in lin[u]:
-            for t, qv in enumerate(q, w):
-                col[t] += x * qv
-        for t, qv in enumerate(q, u):
-            col[t] += step * qv
-        cols.append(col)
-    return den * step, cols
 
 
 def mult_matrix(rs: RootSystem, q: MPoly, n: int):

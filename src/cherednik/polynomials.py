@@ -16,7 +16,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import NonDivisibleError
-from .scalars import QONE, QZERO, QuadExt, RatType
+from .scalars import QONE, QZERO, QuadExt, RatType, power
 
 _SCALARS = (QuadExt, int, RatType)
 
@@ -135,14 +135,7 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self._lift(QONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self._lift(QONE))
 
     def __eq__(self, other):
         other = self._lift(other)

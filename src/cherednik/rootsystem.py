@@ -1,6 +1,17 @@
 """Rank <= 2 root systems with exact coordinates, their reflection groups,
 the canonical invariant bilinear form, and invariant-ring generators.
 
+A type states three facts (_TYPES): its positive roots, which of them are
+simple, and its second invariant generator.  The rest is derived.  The
+coroot of alpha is 2 B(alpha) / B(alpha, alpha) for any W-invariant form B,
+and these coordinates are orthogonal, all of one length, for the invariant
+form (the metric comes out a multiple of the identity), so each coroot is
+2 alpha / <alpha, alpha> with the coordinate dot product.  The root orbits
+are read off the group, the metric is built from the coroots and the
+quadric invariant from its inverse, and the invariant degrees are the
+degrees of the generators.  The group order and the lowest-weight
+calibration stay stated, as checks.
+
 The group is generated from its simple reflections s_i, with parent[w] =
 (p, i) for w = elements[p] s_i and the |W| x rank table right_mult[w][i],
 the index of w s_i.  What is closed under products (invariance of the
@@ -33,7 +44,16 @@ from .scalars import HALF, QONE, SQRT3, QuadExt, Rat
 
 LABELS = ("A1", "A2", "B2", "G2")
 
-_DEGREES = {"A1": (2,), "A2": (2, 3), "B2": (2, 4), "G2": (2, 6)}
+_H, _S = Rat(1, 2), QuadExt(0, Rat(1, 2))  # 1/2 and sqrt(3)/2
+# what each type states: its positive roots, which of them are simple, and
+# the terms of its second invariant generator (none in rank 1)
+_TYPES = {
+    "A1": ([(1,)], [0], None),
+    "A2": ([(1, 0), (-_H, _S), (_H, _S)], [0, 1], {(2, 1): 3, (0, 3): -1}),
+    "B2": ([(1, 0), (0, 1), (1, 1), (1, -1)], [1, 3], {(2, 2): 1}),
+    "G2": ([(1, 0), (_H, _S), (-_H, _S), (3 * _H, _S), (0, 2 * _S), (-3 * _H, _S)], [0, 5],
+           {(6, 0): 2, (4, 2): -30, (2, 4): 30, (0, 6): -2}),
+}
 _GROUP_ORDER = {"A1": 2, "A2": 6, "B2": 8, "G2": 12}
 
 # lowest-weight calibration: l/2 + k1*|R1+| + k2*|R2+| must reduce to these
@@ -80,7 +100,6 @@ class RootSystem:
         if label not in LABELS:
             raise ValueError(f"unknown root system type {label!r}")
         self.label = label
-        self.degrees = _DEGREES[label]
         self._build_roots()
         self._build_group()
         self._build_orbits()
@@ -91,54 +110,12 @@ class RootSystem:
 
     # -- construction ---------------------------------------------------------
     def _build_roots(self):
-        q = QuadExt
-        h = Rat(1, 2)
-        if self.label == "A1":
-            self.rank = 1
-            pos = [(q(1),)]
-            co = [(q(2),)]
-            simple = [0]
-        elif self.label == "A2":
-            self.rank = 2
-            pos = [
-                (q(1), q(0)),
-                (q(-h), q(0, h)),
-                (q(h), q(0, h)),
-            ]
-            co = [tuple(2 * c for c in a) for a in pos]
-            simple = [0, 1]
-        elif self.label == "B2":
-            self.rank = 2
-            pos = [
-                (q(1), q(0)),
-                (q(0), q(1)),
-                (q(1), q(1)),
-                (q(1), q(-1)),
-            ]
-            co = [
-                (q(2), q(0)),
-                (q(0), q(2)),
-                (q(1), q(1)),
-                (q(1), q(-1)),
-            ]
-            simple = [1, 3]
-        else:  # G2
-            self.rank = 2
-            third = Rat(1, 3)
-            pos = [
-                (q(1), q(0)),
-                (q(h), q(0, h)),
-                (q(-h), q(0, h)),
-                (q(Rat(3, 2)), q(0, h)),
-                (q(0), q(0, 1)),
-                (q(Rat(-3, 2)), q(0, h)),
-            ]
-            co = [tuple(2 * c for c in a) for a in pos[:3]]
-            co += [tuple(2 * third * c for c in a) for a in pos[3:]]
-            simple = [0, 5]
-        self.positive_roots = pos
-        self.coroots = co
-        self.simple = simple
+        pos, simple, _ = _TYPES[self.label]
+        self.simple = list(simple)
+        self.positive_roots = [tuple(map(QuadExt.coerce, a)) for a in pos]
+        self.rank = len(pos[0])
+        # 2 alpha / <alpha, alpha>: see the module docstring
+        self.coroots = [tuple(c * (2 / dot(a, a)) for c in a) for a in self.positive_roots]
 
     def _build_group(self):
         gens = [
@@ -171,7 +148,7 @@ class RootSystem:
             self.reflection_element.append(index[m])
 
     def _build_orbits(self):
-        """Group the positive roots into W-orbits: the orbit of a root is
+        """Number the W-orbits of the positive roots: the orbit of a root is
         its image set under the group, each image read up to sign."""
         pos = self.positive_roots
         key = {}
@@ -179,19 +156,17 @@ class RootSystem:
             key[a] = i
             key[tuple(-c for c in a)] = i
         orbit_id = [-1] * len(pos)
-        orbits = []
         for i, a in enumerate(pos):
             if orbit_id[i] >= 0:
                 continue
             members = {key.get(tuple(mat_vec(m, a))) for m in self.elements}
             if None in members:
                 raise InvariantViolation("group does not permute the roots")
+            n = max(orbit_id) + 1
             for v in members:
-                orbit_id[v] = len(orbits)
-            orbits.append(sorted(members))
-        if len(orbits) > 2:
+                orbit_id[v] = n
+        if max(orbit_id) > 1:
             raise InvariantViolation("more than two root orbits")
-        self._orbit_groups = orbits
         self.orbit_of = orbit_id
 
     def _build_metric(self):
@@ -199,19 +174,11 @@ class RootSystem:
         cols = transpose(self.coroots)
         self.metric = Metric(tuple(tuple(2 * dot(a, b) for b in cols) for a in cols))
         # order the (at most two) orbits by root length, short first
-        if len(self._orbit_groups) == 2:
-            lens = [
-                self.metric.pair_dual(self.positive_roots[g[0]],
-                                      self.positive_roots[g[0]])
-                for g in self._orbit_groups
-            ]
-            if (lens[0] - lens[1]).sign() > 0:
-                self._orbit_groups.reverse()
+        if 1 in self.orbit_of:
+            a, b = (self.positive_roots[self.orbit_of.index(o)] for o in (0, 1))
+            if (self.metric.pair_dual(a, a) - self.metric.pair_dual(b, b)).sign() > 0:
                 self.orbit_of = [1 - o for o in self.orbit_of]
-        self.orbit_counts = (
-            len(self._orbit_groups[0]),
-            len(self._orbit_groups[1]) if len(self._orbit_groups) > 1 else 0,
-        )
+        self.orbit_counts = (self.orbit_of.count(0), self.orbit_of.count(1))
 
     def _build_invariants(self):
         n = self.rank
@@ -222,14 +189,11 @@ class RootSystem:
                 e = e + MPoly.var(i, n) * MPoly.var(j, n) * (HALF * ginv[i][j])
         self.e_poly = e
         gens = [e]
-        if self.label == "A2":
-            gens.append(MPoly(2, {(2, 1): QuadExt(3), (0, 3): QuadExt(-1)}))
-        elif self.label == "B2":
-            gens.append(MPoly(2, {(2, 2): QONE}))
-        elif self.label == "G2":
-            gens.append(MPoly(2, {(6, 0): QuadExt(2), (4, 2): QuadExt(-30),
-                                  (2, 4): QuadExt(30), (0, 6): QuadExt(-2)}))
+        second = _TYPES[self.label][2]
+        if second:
+            gens.append(MPoly(n, {m: QuadExt(c) for m, c in second.items()}))
         self.invariant_gens = gens
+        self.degrees = tuple(q.degree() for q in gens)
 
     def _build_working_coordinates(self):
         """sqrt3_exp (the e_i of v = S x) and the rational roots and coroots
@@ -282,12 +246,6 @@ class RootSystem:
     @property
     def num_positive(self):
         return len(self.positive_roots)
-
-    def orbit_positive(self, which: int):
-        """Positive-root indices of orbit 0 (short) or 1 (long)."""
-        if which >= len(self._orbit_groups):
-            return []
-        return list(self._orbit_groups[which])
 
     def coupling_of_root(self, i: int, k1, k2):
         return k1 if self.orbit_of[i] == 0 else k2

@@ -33,6 +33,18 @@ def is_nonneg_int(q) -> bool:
     return q.denominator == 1 and q >= 0
 
 
+def power(x, n: int, one):
+    """x ** n for an integer n >= 0 by square-and-multiply, one the unit of
+    x's ring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
 class QuadExt:
     """Element a + b*s3 of Q(sqrt(3)), with exact rational parts."""
 
@@ -129,15 +141,8 @@ class QuadExt:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inv() ** (-n)
-        out = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return power(self.inv(), -n, QONE)
+        return power(self, n, QONE)
 
     # -- structure ---------------------------------------------------------
     def norm(self) -> Rat:

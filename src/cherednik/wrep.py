@@ -33,14 +33,9 @@ class Irrep:
         self.base = self if base is None else base
         self.dim = len(matrices[0])
         self.character = [_trace(m) for m in matrices]
-        self.refl_char = []
-        for orbit in (0, 1):
-            idxs = rs.orbit_positive(orbit)
-            if idxs:
-                w = rs.reflection_element[idxs[0]]
-                self.refl_char.append(self.character[w])
-            else:
-                self.refl_char.append(QuadExt(0))
+        # the character at the reflection in each orbit's first root
+        self.refl_char = [self.character[rs.reflection_element[rs.orbit_of.index(o)]]
+                          if o in rs.orbit_of else QuadExt(0) for o in (0, 1)]
 
     def matrix(self, w: int):
         return self.matrices[w]

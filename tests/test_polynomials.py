@@ -100,6 +100,21 @@ def test_divexact_over_the_integers_refuses_a_remainder():
         num.divexact(den)
 
 
+@pytest.mark.parametrize("p, one", [
+    (MPoly(2, {(1, 0): QuadExt(2), (0, 1): SQRT3, (0, 0): QuadExt(-1)}),
+     MPoly(2, {(0, 0): QuadExt(1)})),
+    (PP_K1 * Rat(3) - PP_K2 + ParamPoly.const(Rat(1, 2)), ParamPoly.const(1)),
+], ids=["MPoly", "ParamPoly"])
+def test_powers_are_repeated_products(p, one):
+    prod = one
+    for n in range(5):
+        assert p ** n == prod and type(p ** n) is type(p)
+        prod = prod * p
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError):
+            p ** n
+
+
 def test_mixed_ring_products():
     # an MPoly in x takes ParamPoly coefficients, a ParamPoly never MPoly ones
     x1 = MPoly.var(0, 2)

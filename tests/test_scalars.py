@@ -2,6 +2,8 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 import cherednik
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
@@ -37,6 +39,19 @@ def test_quadext_field_axioms_random():
         if x:
             assert x * x.inv() == QuadExt(1)
             assert (y / x) * x == y
+
+
+def test_quadext_powers_are_repeated_products():
+    for x in (QuadExt(2) + SQRT3, QuadExt(Rat(-3, 4), Rat(5, 2)), QuadExt(Rat(7, 3))):
+        prod = QuadExt(1)
+        for n in range(6):
+            if n in (0, 1, 5):
+                assert x ** n == prod
+            prod = prod * x
+        inv = x.inv()
+        assert x ** -3 == inv * inv * inv
+    with pytest.raises(TypeError):
+        SQRT3 ** 1.5
 
 
 def test_quadext_sign_and_order():

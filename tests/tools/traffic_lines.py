@@ -2,13 +2,10 @@
 
     python3 tests/tools/traffic_lines.py
 
-The traffic is every argv of `tests/golden/cases.json` through `cli.run`
-(output captured and dropped), then one pass of each perfbench workload at
-seed 3131: the ops of `workloads.generate`, each run by `workloads.execute`
-and its output checked by `workloads.check`, as a perfbench worker does.
-`perfbench/workloads.py` is imported from its checkout, read only.  A
+The traffic is that of `traffic.py`: the golden argv, then one pass of
+each perfbench workload at seed 3131, each followed by its check.  A
 `sys.settrace` hook, set before the package is imported, records each line
-of `src/cherednik/*.py` that runs.
+of `src/cherednik/*.py` that runs, the checks' lines too.
 
 A statement ran when a line of its own (its decorators, its header, or the
 whole of a simple statement) ran, or, for a compound statement, when a
@@ -22,22 +19,18 @@ is what no command of the golden corpus and no benchmark op reaches: input
 checks and invariant guards that these inputs never trip, and code that
 nothing calls.  A golden case that exits with another code than its own,
 or an op whose check fails, is printed to stderr and makes the exit code 1.
-The package is imported from the `src/` of the checkout this file is in,
-not from an installed copy; pytest does not collect this file.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
-import json
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
+import traffic
+
+ROOT = traffic.ROOT
 PKG = ROOT / "src" / "cherednik"
-SEED = 3131
 
 
 def _statements(tree):
@@ -78,26 +71,10 @@ def _unreached(path, ran):
 
 def _traffic():
     """Run the golden argv and one pass of each workload; return the problems."""
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import cherednik
-    import cherednik.cli
-    import workloads
-
-    problems = []
-    for case in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text()):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = cherednik.cli.run(case["argv"])
-            except SystemExit as exc:
-                code = exc.code
-        if code != case["exit"]:
-            problems.append(f"golden {case['id']}: exit {code}, not {case['exit']}")
-    for name in workloads.WORKLOADS:
-        for i, op in enumerate(workloads.generate(name, SEED)):
-            err = workloads.check(cherednik, op, workloads.execute(cherednik, op))
-            if err is not None:
-                problems.append(f"{name} op {i}: {err}")
+    cherednik = traffic.load()
+    problems = traffic.golden(cherednik)()
+    for name in traffic.WORKLOADS:
+        problems += traffic.workload(cherednik, name, traffic.SEED)()
     return problems
 
 
