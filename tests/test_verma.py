@@ -488,9 +488,15 @@ GENERIC = [("A1", "triv", Rat(2, 7), Rat(2, 7)), ("A2", "std", Rat(3, 7), Rat(3,
 
 def test_layer_rank_descending_order_matches_ascending():
     for point in DEEP[1:] + GENERIC:  # the A2 deep point would add seconds and no new case
-        up = _scanned_ranks(*point)[1]
+        scanned, up = _scanned_ranks(*point)
         vm = standard_module(*point)
         assert [vm.layer_rank(n) for n in range(len(up) - 1, -1, -1)] == up[::-1], point
+        # a layer below the one a classification holds is rebuilt from
+        # degree 0, and the held layer stays
+        n, held = len(up) - 3, set(scanned._gram)
+        assert all(d > n for d in held), point
+        assert scanned.gram(n) == standard_module(*point).gram(n), point
+        assert set(scanned._gram) == (held or {n}), point
     for point in GENERIC:
         # a fresh module asked for degree 14 first settles the degrees below
         vm = standard_module(*point)
@@ -626,6 +632,41 @@ def test_generic_classify_builds_l0_and_the_tail_of_l1_only(monkeypatch):
     assert sorted(built) == sorted([(0, n, 0) for n in range(1, 11)]
                                    + [(1, n, n - 1) for n in range(1, 11)])
     assert not vm._low and not vm._gram
+
+
+@pytest.mark.parametrize("point", [("A2", "triv", Rat(-7, 3), Rat(-7, 3)),
+                                   ("B2", "triv", Rat(-3, 2), Rat(-1, 2))],
+                         ids=lambda p: "/".join(map(str, p)))
+def test_classify_combines_each_degree_once_and_drops_it(monkeypatch, point):
+    # first singular degree 7 and 2m + 2 = 14 on A2; 2 and 8 on B2
+    combined = []  # (rows, cols) of every integer combination of lowering parts
+    ints = dunkl.LoweringParts.ints
+
+    def counting(parts, *coefs):
+        combined.append((parts.rows, parts.cols))
+        return ints(parts, *coefs)
+
+    monkeypatch.setattr(dunkl.LoweringParts, "ints", counting)
+    vm = standard_module(*point)
+    res = vm.classify()
+    # each degree 1..2m + 2 once: both full lowerings of triv, and no tail
+    assert sorted(combined) == sorted((n, n + 1) for n in range(1, 2 * res.m + 3) for _ in "01")
+    # what is held at the end: the lowerings of 2m + 1 and 2m + 2 and one Gram layer
+    assert len(vm._low) <= 2 and len(vm._gram) == 1
+
+
+def test_gram_then_layer_rank_builds_the_layer_once(monkeypatch):
+    # G2 std at k = -5/6 is first singular at degree 5: layer_rank(12) after
+    # gram(12) settles degrees 1-5, rebuilding layers 0-5 only
+    point = ("G2", "std", Rat(-5, 6), Rat(-5, 6))
+    want = standard_module(*point).layer_rank(12)
+    built = []  # the degrees whose Gram layer is built
+    classes = VermaModule._classes
+    monkeypatch.setattr(VermaModule, "_classes", lambda vm, n: built.append(n) or classes(vm, n))
+    vm = standard_module(*point)
+    vm.gram(12)
+    assert vm.layer_rank(12) == want and list(vm._gram) == [12]
+    assert built == list(range(13)) + list(range(6))
 
 
 def test_ranks_are_kept_to_the_lowest_singular_degree(monkeypatch):
