@@ -10,7 +10,7 @@ lowering matrix is affine in the couplings, L = D + k1*A + k2*B
 (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
 the v-coordinates on ints from weights split into a rational and a sqrt(3)
 piece, computed once per (root system, character, direction); a cell reaches
-the public basis through one power of sqrt(3).  Along the metric transfers
+the public basis through one power of sqrt(3).  Along the transfers c e_j
 every nonzero cell lands on an even power, so b_lowering_parts, the one memo
 of the parts, keeps them per (root system, character, direction, degree, first
 row; 0 for the full parts) as sparse integer matrices over one denominator,
@@ -263,8 +263,9 @@ def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
 
 
 def b_direction(rs: RootSystem, j: int):
-    """a-coordinates of the metric transfer of the j-th coordinate functional."""
-    return rs.metric.gram[j]
+    """a-coordinates of the transfer of the j-th coordinate functional by
+    the invariant form c I: c e_j, c = rs.metric_scale."""
+    return tuple(rs.metric_scale if i == j else QZERO for i in range(rs.rank))
 
 
 @lru_cache(maxsize=None)
@@ -306,32 +307,20 @@ def e_mult_matrix(rs: RootSystem, rep, n: int):
     return kron_identity(mult_matrix(rs, rs.e_poly, n), rep.dim)
 
 
-def f_coefficients(rs: RootSystem):
-    """The c_{jl} = -(1/2) g^{jl} of F = sum c_{jl} L_j L_l (L_j along the
-    metric transfers)."""
-    return [[v * Rat(-1, 2) for v in row] for row in rs.metric.inv]
+def f_coefficient(rs: RootSystem) -> Rat:
+    """The -1/(2c) of F = -(1/(2c)) sum_j L_j L_j (L_j along c e_j)."""
+    return Rat(-1, 2) / rs.metric_scale.rational()
 
 
-def f_apply(coef, rows, low_m, low_n):
-    """rows times sum_{j,l} coef[j][l] L_j L_l on the degree-n layer, from
-    the lowerings along the metric transfers: low_m[j] on the degree-(n-1)
-    layer and low_n[l] on the degree-n layer.  With coef from
-    f_coefficients this is rows F; F itself is never formed:
-
-        rows F = sum_l (sum_j c_{jl} rows L_j) L_l.
-    """
-    lowered = [mat_mul(rows, low) for low in low_m]
+def f_apply(rows, low_m, low_n):
+    """rows times sum_j L_j L_j on the degree-n layer, from the lowerings
+    along the transfers: low_m[j] on the degree-(n-1) layer and low_n[j] on
+    the degree-n layer.  Times f_coefficient this is rows F; F itself is
+    never formed."""
     acc = None
-    for l, low in enumerate(low_n):
-        comb = None
-        for j, part in enumerate(lowered):
-            s = coef[j][l]
-            if s:
-                term = [[v * s for v in row] for row in part]
-                comb = term if comb is None else mat_add(comb, term)
-        if comb is not None:
-            prod = mat_mul(comb, low)
-            acc = prod if acc is None else mat_add(acc, prod)
+    for lm, ln in zip(low_m, low_n):
+        prod = mat_mul(mat_mul(rows, lm), ln)
+        acc = prod if acc is None else mat_add(acc, prod)
     return acc
 
 
@@ -342,7 +331,8 @@ def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
         raise ValueError("the quadratic lowering operator needs degree >= 2")
     low_m, low_n = ([lowering_matrix(rs, rep, b_direction(rs, j), d, k1, k2)
                      for j in range(rs.rank)] for d in (n - 1, n))
-    return f_apply(f_coefficients(rs), identity(len(low_m[0])), low_m, low_n)
+    fc = f_coefficient(rs)
+    return [[v * fc for v in row] for row in f_apply(identity(len(low_m[0])), low_m, low_n)]
 
 
 def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):
@@ -364,8 +354,9 @@ def sl2_calibration(rs: RootSystem):
 
     Confirms that the lowering operator applied to the raising quadric in
     the polynomial module returns minus the lowest-weight scalar of the
-    trivial character.  Both operators contract the inverse metric, which
-    RootSystem checks against the gram matrix when it is built.  Memoized
+    trivial character.  Both operators read the scale c of the invariant
+    form c I, which RootSystem checks when it is built: E multiplies by sum
+    x_i^2 / (2c) and F = -(1/(2c)) sum_j L_j L_j, L_j along c e_j.  Memoized
     per root system; a failed check raises and is not memoized, so it runs
     again on the next call.
     """

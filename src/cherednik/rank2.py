@@ -148,7 +148,7 @@ def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
     if label == "A2":
         odd = math.factorial(2 * r) // (2 ** r * math.factorial(r))  # (2r - 1)!!
         return _param(quot * (c * odd), 3 ** r)
-    return _param(_kappa(r) * quot * c, 9 ** r)
+    return _param(_nth(_kappas(), r) * quot * c, 9 ** r)
 
 
 # -- kappa-factor sequence (G2) --------------------------------------------------
@@ -164,16 +164,17 @@ def _kappas():
         prev, cur = cur, _Y * cur * 3 + prev * (_X + (3 * p - 4)) * (3 * (p - 1))
 
 
-def _kappa(p: int) -> MPoly:
+def _nth(seq, p: int) -> MPoly:
+    """Entry p of an index sequence (_kappas, _conjectures)."""
     if p < 0:
         raise ValueError("index must be nonnegative")
-    return next(itertools.islice(_kappas(), p, None))
+    return next(itertools.islice(seq, p, None))
 
 
 def kappa_factor(p: int) -> ParamPoly:
     """The G2 factor sequence in (hbar, kappa): the part of the table
     entries not explained by the grading products."""
-    return _param(_kappa(p), 3 ** p)
+    return _param(_nth(_kappas(), p), 3 ** p)
 
 
 def _critical(r: int, k: MPoly) -> MPoly:
@@ -189,21 +190,24 @@ def kappa_factor_at_critical(r: int) -> ParamPoly:
     """The kappa-factor specialized to the grading value -(3r-1), a
     polynomial in kappa alone; its vanishing decides the G2
     equal-grading branch."""
-    return _param(_critical(r, _kappa(r)), 3 ** r)
+    return _param(_critical(r, _nth(_kappas(), r)), 3 ** r)
 
 
-def _conjectured(r: int) -> MPoly:
-    if r < 0:
-        raise ValueError("index must be nonnegative")
-    head = _Y if r % 2 else _ONE
-    return head * _product(_Y * _Y - j * j for j in range(r - 1, 0, -2))
+def _conjectures():
+    """The conjectured kappa-factors r = 0, 1, 2, ..., in kappa alone:
+    conj(r) = conj(r - 2) (kappa^2 - (r - 1)^2), conj(0) = 1, conj(1) = kappa."""
+    prev, cur = _ONE, _Y
+    yield prev
+    for r in itertools.count(2):
+        yield cur
+        prev, cur = cur, prev * (_Y * _Y - (r - 1) ** 2)
 
 
 def kappa_factor_conjectured(r: int) -> ParamPoly:
     """The conjectured factorization: products of (kappa^2 - j^2) over
     odd j below r for even r, over even j below r (with a kappa factor)
     for odd r."""
-    return _param(_conjectured(r))
+    return _param(_nth(_conjectures(), r))
 
 
 class FactorizationReport(namedtuple("FactorizationReport", "checked_up_to first_failure")):
@@ -236,11 +240,8 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
     top = 2 * max_q + 1
-    conj = [_ONE, _Y]  # conj[r % 2]: _conjectured(r), carried two indices at a time
-    for r, k in zip(range(top + 1), _kappas()):
-        if r >= 2:
-            conj[r % 2] = conj[r % 2] * (_Y * _Y - (r - 1) ** 2)
-        if _critical(r, k) != conj[r % 2] * 3 ** r:
+    for r, k, conj in zip(range(top + 1), _kappas(), _conjectures()):
+        if _critical(r, k) != conj * 3 ** r:
             return FactorizationReport(top, r)
     return FactorizationReport(top, None)
 

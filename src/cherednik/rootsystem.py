@@ -5,17 +5,19 @@ A type states three facts (_TYPES): its positive roots, which of them are
 simple, and its second invariant generator.  The rest is derived.  The
 coroot of alpha is 2 B(alpha) / B(alpha, alpha) for any W-invariant form B,
 and these coordinates are orthogonal, all of one length, for the invariant
-form (the metric comes out a multiple of the identity), so each coroot is
-2 alpha / <alpha, alpha> with the coordinate dot product.  The root orbits
-are read off the group, the metric is built from the coroots and the
-quadric invariant from its inverse, and the invariant degrees are the
-degrees of the generators.  The group order and the lowest-weight
-calibration stay stated, as checks.
+form, so each coroot is 2 alpha / <alpha, alpha> with the coordinate dot
+product.  The root orbits are read off the group.  The form on a*, 2 sum_c
+c c^T over the coroots, is then checked to be c I with c > 0 and kept as
+the scalar metric_scale = c (8, 12, 12 and 16 for A1, A2, B2 and G2): the
+transfer of x_j to a is c e_j and the quadric invariant is sum_i x_i^2 /
+(2c).  The invariant degrees are the degrees of the generators.  The group
+order and the lowest-weight calibration stay stated, as checks.
 
 The group is generated from its simple reflections s_i, with parent[w] =
 (p, i) for w = elements[p] s_i and the |W| x rank table right_mult[w][i],
-the index of w s_i.  What is closed under products (invariance of the
-metric and of the invariant generators) is checked on the s_i only.
+the index of w s_i; a group past its stated order raises at once.  What is
+closed under products (orthogonality, which keeps the form c I invariant,
+and invariance of the generators) is checked on the s_i only.
 
 Coordinates for the plane types use Q(sqrt(3)): equilateral angles for the
 hexagonal types, integer coordinates for the hyperoctahedral one.  Vectors
@@ -37,8 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .linalg import (dot, freeze, identity, is_symmetric, mat_inv, mat_mul,
-                     mat_vec, transpose)
+from .linalg import dot, freeze, identity, mat_mul, mat_vec, transpose
 from .polynomials import MPoly, PP_K1, PP_K2, ParamPoly, weyl_act
 from .scalars import HALF, QONE, SQRT3, QuadExt, Rat
 
@@ -66,31 +67,9 @@ _EXPECTED_HBAR = {
 
 
 def _reflection_matrix(alpha, coroot):
-    n = len(alpha)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = QuadExt(1 if i == j else 0) - alpha[i] * coroot[j]
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-class Metric:
-    """The invariant form on a*: gram matrix, inverse, and the two transfers."""
-
-    def __init__(self, gram):
-        self.gram = gram
-        self.inv = mat_inv(gram)
-
-    def pair_dual(self, x, z):
-        """B*(x, z) for x, z in a*-coordinates."""
-        return dot(self.to_a(x), z)
-
-    def to_a(self, x):
-        """The transfer a* -> a (pairing against it recovers B*)."""
-        return mat_vec(self.gram, x)
+    """I - alpha coroot^T, the reflection s_alpha acting on a*."""
+    return tuple(tuple(QuadExt(int(i == j)) - a * c for j, c in enumerate(coroot))
+                 for i, a in enumerate(alpha))
 
 
 class RootSystem:
@@ -122,7 +101,7 @@ class RootSystem:
             _reflection_matrix(self.positive_roots[i], self.coroots[i])
             for i in self.simple
         ]
-        ident = freeze(identity(self.rank))
+        ident, order = freeze(identity(self.rank)), _GROUP_ORDER[self.label]
         elements = [ident]
         index = {ident: 0}
         parent = [None]
@@ -135,6 +114,9 @@ class RootSystem:
                     index[m] = len(elements)
                     elements.append(m)
                     parent.append((w, gi))
+                    if len(elements) > order:
+                        raise InvariantViolation(
+                            f"{self.label}: the group has more than {order} elements")
                 row.append(index[m])
             right_mult.append(tuple(row))
         self.elements = elements
@@ -170,25 +152,28 @@ class RootSystem:
         self.orbit_of = orbit_id
 
     def _build_metric(self):
-        # 2 sum_c c c^T over the positive coroots: both signs of each root
+        # 2 sum_c c c^T over the positive coroots (both signs of each root)
+        # must be c I with c > 0: the form is kept as that scalar
         cols = transpose(self.coroots)
-        self.metric = Metric(tuple(tuple(2 * dot(a, b) for b in cols) for a in cols))
+        gram = [[2 * dot(a, b) for b in cols] for a in cols]
+        c = gram[0][0]
+        if gram != [[c * v for v in row] for row in identity(self.rank)] or not (
+                c.is_rational and c.sign() > 0):
+            raise InvariantViolation(
+                f"{self.label}: the invariant form is not a positive multiple of the identity")
+        self.metric_scale = c
         # order the (at most two) orbits by root length, short first
         if 1 in self.orbit_of:
             a, b = (self.positive_roots[self.orbit_of.index(o)] for o in (0, 1))
-            if (self.metric.pair_dual(a, a) - self.metric.pair_dual(b, b)).sign() > 0:
+            if (dot(a, a) - dot(b, b)).sign() > 0:
                 self.orbit_of = [1 - o for o in self.orbit_of]
         self.orbit_counts = (self.orbit_of.count(0), self.orbit_of.count(1))
 
     def _build_invariants(self):
-        n = self.rank
-        ginv = self.metric.inv
-        e = MPoly.zero(n)
-        for i in range(n):
-            for j in range(n):
-                e = e + MPoly.var(i, n) * MPoly.var(j, n) * (HALF * ginv[i][j])
-        self.e_poly = e
-        gens = [e]
+        n, coef = self.rank, HALF * self.metric_scale.inv()
+        self.e_poly = sum((MPoly.var(i, n) * MPoly.var(i, n) * coef for i in range(n)),
+                          MPoly.zero(n))
+        gens = [self.e_poly]
         second = _TYPES[self.label][2]
         if second:
             gens.append(MPoly(n, {m: QuadExt(c) for m, c in second.items()}))
@@ -219,21 +204,9 @@ class RootSystem:
         for a, c in zip(self.positive_roots, self.coroots):
             if dot(c, a) != 2:
                 raise InvariantViolation("coroot pairing <a^, a> != 2")
-        g = self.metric.gram
-        if not is_symmetric(g):
-            raise InvariantViolation("metric is not symmetric")
-        lead = g[0][0]
-        if lead.sign() <= 0:
-            raise InvariantViolation("metric is not positive definite")
-        if self.rank == 2:
-            det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-            if det.sign() <= 0:
-                raise InvariantViolation("metric is not positive definite")
-        if mat_mul(g, self.metric.inv) != identity(self.rank):
-            raise InvariantViolation("inverse metric is not the inverse of the gram matrix")
         gens = [self.elements[w] for w in self.right_mult[0]]
         for m in gens:
-            if freeze(mat_mul(transpose(m), mat_mul(g, m))) != g:
+            if mat_mul(transpose(m), m) != identity(self.rank):
                 raise InvariantViolation("group does not preserve the metric")
         for q in self.invariant_gens:
             for m in gens:

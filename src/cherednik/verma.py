@@ -70,7 +70,7 @@ from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, nonsingular_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficients,
+from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
                     lowering_matrix, lowest_weight_scalar, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
@@ -112,7 +112,6 @@ class VermaModule:
         self.k1, self.k2 = k1, k2
         self._low, self._gram = {}, {}  # degree -> lowerings; {degree: the highest layer built}
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
-        self._fcoef = None  # integer_scale(f_coefficients(rs)), set by _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
         self._parity = None  # set with layer 0 (_reflection_parity)
@@ -122,7 +121,7 @@ class VermaModule:
         return monomials(self.rs.rank, n)
 
     def lowering(self, j: int, n: int):
-        """Dunkl operator along the metric transfer of x_j, degree n -> n-1."""
+        """Dunkl operator along the transfer c e_j of x_j, degree n -> n-1."""
         return lowering_matrix(self.rs, self.rep, b_direction(self.rs, j), n,
                                self.k1, self.k2)
 
@@ -160,19 +159,19 @@ class VermaModule:
         """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the
         quadratic lowerings from layer top down to layer bottom, as integer
         rows and one scale: the identity rows of layer bottom pushed up
-        through the lowerings.  One chain is kept per bottom, and a
-        later call with a higher top extends it."""
+        through the lowerings, each step rows sum_j L_j L_j (f_apply) with
+        F's scalar -1/(2c) taken into the scale.  One chain is kept per
+        bottom, and a later call with a higher top extends it."""
         held = self._chains.get(bottom)
         if held is None or held[0] > top:
             size = len(self.layer_monomials(bottom)) * self.rep.dim
             held = bottom, *integer_scale(identity(size))
-        cur, rows, scale = held
-        coef, cs = self._fcoef = self._fcoef or integer_scale(f_coefficients(self.rs))
+        (cur, rows, scale), fc = held, f_coefficient(self.rs)
         while cur + 2 <= top:
             cur += 2
             (low_m, sm), (low_n, sn) = self._lowerings(cur - 1), self._lowerings(cur)
-            rows, s = integer_scale(f_apply(coef, rows, low_m, low_n))
-            scale *= s * cs * sm * sn
+            rows, s = integer_scale(f_apply(rows, low_m, low_n))
+            scale *= s * fc * sm * sn
         self._chains[bottom] = cur, rows, scale
         return rows, scale
 
@@ -206,7 +205,7 @@ class VermaModule:
             self._parity = self._parity or self._reflection_parity()
             here = self._classes(0)
             deg, layer = 0, (tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here)
-        (prev, scale, here), flips = layer, self._parity[2]
+        (prev, scale, here), flips = layer, self._parity[0]
         for deg in range(deg + 1, n + 1):
             (lows, s), below, here = self._lowerings(deg), here, self._classes(deg)
             if any(any(map(low[r].__getitem__, here[c ^ 1])) for low, f in zip(lows, flips)
@@ -234,23 +233,21 @@ class VermaModule:
 
     def _reflection_parity(self):
         """The parities [s_ii = -1] of s, the reflection of root 0, on the
-        coordinates and p_t on rep.base (a diagonal sign on each), and flip_j
-        = [s y_j = -y_j] for each transfer y_j (an s-eigenvector)."""
+        coordinates and p_t on rep.base, where s must be a diagonal sign on
+        each.  The transfer of x_j is c e_j, so flip_j = [s x_j = -x_j] is
+        the parity of coordinate j."""
         w = self.rs.reflection_element[0]
         mats = self.rs.elements[w], self.rep.base.matrices[w]
         par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
-        flips = [{par[0][i] for i, v in enumerate(b_direction(self.rs, j)) if v}
-                 for j in range(self.rs.rank)]
-        if any(len(f) != 1 for f in flips) or any(
-                v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
-                for i, row in enumerate(m) for j, v in enumerate(row)):
+        if any(v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
+               for i, row in enumerate(m) for j, v in enumerate(row)):
             raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: the reflection "
-                                     f"of root 0 is not a sign on the basis and the y_j")
-        return par[0], par[1], [f.pop() for f in flips]
+                                     f"of root 0 is not a sign on the basis")
+        return par
 
     def _classes(self, n: int):
         """The degree-n indices per class: x^m e_t is in sum m_i [s_ii = -1] + p_t mod 2."""
-        coords, base, _ = self._parity
+        coords, base = self._parity
         par = [(sum(e * p for e, p in zip(m, coords)) + b) & 1
                for m in monomials(self.rs.rank, n) for b in base]
         return [[i for i, p in enumerate(par) if p == c] for c in (0, 1)]
@@ -401,22 +398,20 @@ def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int):
     read off the numeric module at k = (B, B^stride), B = 2^s, stride n + 1
     (n - bottom + 1 for a chain).  Each entry is a polynomial of total degree
     < stride, and D times it, D the denominator of the product u of the
-    coupling-free scales (parts and F coefficients), has integer coefficients
-    c_ij: the balanced base-B digits of its packed value once B > 2 max |c_ij|.
-    Every row is a row one degree (or F step) down times an integer lowering
-    (or F), and coefficient 1-norms are submultiplicative, so max |c_ij| is at
-    most the numerator of u times the product of the lowerings' largest column
-    norms over the degrees read (and of the 1-norm of the integer F
-    coefficients per step).
+    coupling-free scales (the parts' and 1/(2c) per F step), has integer
+    coefficients c_ij: the balanced base-B digits of its packed value once B >
+    2 max |c_ij|.  Every row is a row one degree down times an integer
+    lowering (or one F step down times the rank terms of sum_j L_j L_j), and
+    coefficient 1-norms are submultiplicative, so max |c_ij| is at most the
+    numerator of u times the product of the lowerings' largest column norms
+    over the degrees read (and of the rank per F step).
 
     A Gram layer unpacks the cells j >= i only and puts the same immutable
     ParamPoly at [i][j] and [j][i]: _layer has checked the packed layer for
     symmetry, and equal integers unpack to equal polynomials.  F rows are not
     square and unpack every cell."""
     steps = max(n - bottom, 0) // 2 if chain else 0
-    coef, unit = integer_scale(f_coefficients(rs))
-    unit **= steps
-    bound = sum(abs(v) for row in coef for v in row) ** steps
+    unit, bound = abs(f_coefficient(rs)) ** steps, rs.rank ** steps
     for d in range(bottom + 1, bottom + 2 * steps + 1) if chain else range(1, n + 1):
         parts = [b_lowering_parts(rs, rep.base, j, d, 0) for j in range(rs.rank)]
         den = lcm(*(p.den for p in parts))

@@ -91,8 +91,10 @@ def e_apply(rs, p):
 
 def f_apply(rs, p, k1, k2):
     """Quadratic lowering operator at polynomial level: -(1/2) of the
-    inverse-metric contraction of two metric-transferred Dunkl ops."""
-    ginv = rs.metric.inv
+    inverse-metric contraction of two metric-transferred Dunkl ops, the
+    metric 2 sum_c c c^T over the coroots, inverted here."""
+    cols = transpose(rs.coroots)
+    ginv = mat_inv([[2 * sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols])
     first = [dunkl_apply(rs, b_direction(rs, l), p, k1, k2)
              for l in range(rs.rank)]
     acc = MPoly.zero(rs.rank)

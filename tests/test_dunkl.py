@@ -7,7 +7,7 @@ from cherednik.errors import InvariantViolation
 from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
-from cherednik.rootsystem import Metric, RootSystem, build_root_system, hbar_poly
+from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
@@ -510,11 +510,11 @@ def test_hand_built_irrep_gets_its_own_parts():
 
 
 def test_lowering_parts_follow_a_copied_root_system():
-    # a copy of B2 with another metric has other transfer directions, so
+    # a copy of B2 with another form scale has other transfer directions, so
     # other parts, even when the stock parts of the same irrep are memoized
     stock = build_root_system("B2")
     rs = copy.copy(stock)
-    rs.metric = Metric(((QuadExt(24), QuadExt(0)), (QuadExt(0), QuadExt(24))))
+    rs.metric_scale = QuadExt(24)
     for rep in irreps(stock):
         for j in range(rs.rank):
             for n in (1, 2, 3):

@@ -8,8 +8,8 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.linalg import freeze, identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import MPoly, weyl_act
-from cherednik import rootsystem
 from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
+from cherednik.dunkl import b_direction
 
 RNG = random.Random(303)
 
@@ -33,7 +33,7 @@ def test_counts_per_type():
 
 
 def test_metric_is_coroot_sum():
-    # gram[i][j] = sum over the full coroot set (both signs) of co_i co_j
+    # the sum over the full coroot set (both signs) of co_i co_j is c delta_ij
     for label in ORDERS:
         rs = build_root_system(label)
         n = rs.rank
@@ -42,18 +42,15 @@ def test_metric_is_coroot_sum():
                 acc = QuadExt(0)
                 for co in rs.coroots:
                     acc = acc + 2 * co[i] * co[j]
-                assert rs.metric.gram[i][j] == acc
+                assert acc == (rs.metric_scale if i == j else QuadExt(0))
 
 
 def test_metric_values():
     a2 = build_root_system("A2")
     x1 = (QuadExt(1), QuadExt(0))
-    assert a2.metric.pair_dual(x1, x1) == QuadExt(12)
-    a1 = build_root_system("A1")
-    assert a1.metric.gram == ((QuadExt(8),),)
-    g2 = build_root_system("G2")
-    assert g2.metric.gram == ((QuadExt(16), QuadExt(0)),
-                              (QuadExt(0), QuadExt(16)))
+    assert sum((a * b for a, b in zip(b_direction(a2, 0), x1)), QuadExt(0)) == QuadExt(12)
+    assert {label: build_root_system(label).metric_scale for label in ORDERS} == {
+        "A1": QuadExt(8), "A2": QuadExt(12), "B2": QuadExt(12), "G2": QuadExt(16)}
 
 
 def test_coroot_normalization():
@@ -65,22 +62,14 @@ def test_coroot_normalization():
 
 
 def test_b_map_sends_root_to_coroot_multiple():
-    # B(alpha) = (B*(alpha, alpha)/2) alpha-check
+    # B(alpha) = (B*(alpha, alpha)/2) alpha-check, B the transfer x -> c x
     for label in ORDERS:
         rs = build_root_system(label)
+        transfer = [b_direction(rs, j) for j in range(rs.rank)]
         for a, co in zip(rs.positive_roots, rs.coroots):
-            half = rs.metric.pair_dual(a, a) / 2
-            img = rs.metric.to_a(a)
+            img = mat_vec(transpose(transfer), a)
+            half = sum((u * v for u, v in zip(img, a)), QuadExt(0)) / 2
             assert tuple(img) == tuple(half * c for c in co)
-
-
-def test_b_roundtrip_random():
-    for label in ORDERS:
-        rs = build_root_system(label)
-        for _ in range(5):
-            x = tuple(QuadExt(Rat(RNG.randint(-4, 4))) for _ in range(rs.rank))
-            back = mat_vec(rs.metric.inv, rs.metric.to_a(x))
-            assert tuple(back) == x
 
 
 def test_group_actions_are_adjoint():
@@ -123,34 +112,43 @@ def test_right_multiplication_table():
             assert mat_mul(rs.elements[i], rs.elements[j]) == identity(rs.rank)
 
 
-def test_metric_inverse_and_contragredient_matrices():
+def test_contragredient_matrices():
     for label in ORDERS:
         rs = build_root_system(label)
         ident = identity(rs.rank)
-        assert mat_mul(rs.metric.inv, rs.metric.gram) == ident
-        assert mat_mul(rs.metric.gram, rs.metric.inv) == ident
         for m in rs.elements:
             assert mat_mul(mat_inv(m), m) == ident
 
 
-_INV_MUTATIONS = {
-    "negated": lambda inv: [[-v for v in row] for row in inv],
-    "doubled": lambda inv: [[v * 2 for v in row] for row in inv],
-    # symmetric, so the mutated inverse is still a symmetric matrix
-    "off_diagonal": lambda inv: [[v if r == c else v + Rat(1, 7)
-                                  for c, v in enumerate(row)]
-                                 for r, row in enumerate(inv)],
-}
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_form_off_a_multiple_of_the_identity_is_refused_at_construction(monkeypatch, label):
+    # a doubled coroot 0 makes 2 sum_c c c^T no multiple of the identity,
+    # and the form check runs before the coroot pairing check would fire
+    stock = RootSystem._build_orbits
+
+    def with_doubled_coroot(self):
+        stock(self)
+        self.coroots[0] = tuple(2 * v for v in self.coroots[0])
+
+    monkeypatch.setattr(RootSystem, "_build_orbits", with_doubled_coroot)
+    with pytest.raises(InvariantViolation, match="not a positive multiple of the identity"):
+        RootSystem(label)
 
 
-@pytest.mark.parametrize("label, mutation", [
-    (label, name) for label in ORDERS for name in _INV_MUTATIONS
-    if not (label == "A1" and name == "off_diagonal")])
-def test_wrong_inverse_metric_is_refused_at_construction(monkeypatch, label, mutation):
-    # E and F both contract metric.inv; a wrong one must not reach them
-    stock, mutate = rootsystem.mat_inv, _INV_MUTATIONS[mutation]
-    monkeypatch.setattr(rootsystem, "mat_inv", lambda a: mutate(stock(a)))
-    with pytest.raises(InvariantViolation, match="inverse metric"):
+@pytest.mark.parametrize("label", ORDERS)
+def test_group_of_infinite_order_is_refused_while_it_is_built(monkeypatch, label):
+    # with the coroot of the first simple root doubled, its "reflection"
+    # scales the root by -3: the generated group is infinite, and its
+    # closure must stop past the stated order
+    stock = RootSystem._build_roots
+
+    def with_doubled_coroot(self):
+        stock(self)
+        i = self.simple[0]
+        self.coroots[i] = tuple(2 * v for v in self.coroots[i])
+
+    monkeypatch.setattr(RootSystem, "_build_roots", with_doubled_coroot)
+    with pytest.raises(InvariantViolation, match=f"more than {ORDERS[label]} elements"):
         RootSystem(label)
 
 
@@ -170,17 +168,16 @@ def test_non_invariant_generator_is_refused_at_construction(monkeypatch, label):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_non_invariant_metric_is_refused_at_construction(monkeypatch, label):
-    # doubling gram[1][1] keeps the form symmetric and positive definite, and
-    # Metric recomputes its inverse, so only the invariance check can fire
-    stock = RootSystem._build_metric
+    # a doubled simple reflection, put in after the orbits are read, is no
+    # orthogonal matrix, so it does not preserve the form c I
+    stock = RootSystem._build_orbits
 
-    def with_doubled_entry(self):
+    def with_doubled_reflection(self):
         stock(self)
-        gram = [list(row) for row in self.metric.gram]
-        gram[1][1] = gram[1][1] * 2
-        self.metric = rootsystem.Metric(tuple(map(tuple, gram)))
+        w = self.right_mult[0][1]
+        self.elements[w] = tuple(tuple(2 * v for v in row) for row in self.elements[w])
 
-    monkeypatch.setattr(RootSystem, "_build_metric", with_doubled_entry)
+    monkeypatch.setattr(RootSystem, "_build_orbits", with_doubled_reflection)
     with pytest.raises(InvariantViolation, match="group does not preserve the metric"):
         RootSystem(label)
 

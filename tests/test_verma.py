@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2, monomials
-from cherednik.scalars import QuadExt, Rat, rat
+from cherednik.scalars import Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_couplings
 from cherednik.dunkl import b_direction, f_matrix
@@ -169,17 +169,28 @@ def test_lowering_cell_across_the_classes_raises(monkeypatch):
 
 
 def test_reflection_of_root_0_must_be_a_sign_on_the_basis_and_transfers(monkeypatch):
-    # a hand-built rep whose image of s is a rotation, or a transfer that
-    # mixes the coordinates, leaves no two classes: layer 0 already raises
+    # a hand-built rep whose image of s is a rotation leaves no two classes:
+    # layer 0 already raises
     rs = build_root_system("A2")
     std = get_irrep(rs, "std")
     mats = list(std.matrices)
     mats[rs.reflection_element[0]] = next(m for m in mats if m[0][1])
     with pytest.raises(InvariantViolation, match="not a sign on the basis"):
         VermaModule(rs, Irrep(rs, "rotated", mats), Rat(2, 7), Rat(2, 7)).gram(0)
-    monkeypatch.setattr(verma, "b_direction", lambda rs_, j: (QuadExt(1), QuadExt(1)))
-    with pytest.raises(InvariantViolation, match="not a sign on the basis"):
-        standard_module("A2", "triv", Rat(2, 7), Rat(2, 7)).gram(0)
+    # a transfer (c, c) that mixes the coordinates breaks the sl2 triple,
+    # and past a calibration made without it, its lowerings cross the classes
+    for label in ("A2", "B2", "G2"):
+        rs = RootSystem(label)  # a fresh root system: memo entries of its own
+        mixing = (rs.metric_scale, rs.metric_scale)
+        monkeypatch.setattr(dunkl, "b_direction", lambda rs_, j: mixing)
+        with pytest.raises(InvariantViolation, match="sl2 calibration failed"):
+            dunkl.sl2_calibration(rs)
+        monkeypatch.undo()
+        dunkl.sl2_calibration(rs)
+        monkeypatch.setattr(dunkl, "b_direction", lambda rs_, j: mixing)
+        with pytest.raises(InvariantViolation, match="maps across the classes"):
+            VermaModule(rs, get_irrep(rs, "triv"), Rat(2, 7), Rat(2, 7)).gram(1)
+        monkeypatch.undo()
 
 
 def test_bareiss_ranks_class_blocks_of_at_most_half_a_layer(monkeypatch):
