@@ -5,8 +5,10 @@ operator, grading element).
 The reflection difference quotients are character- and coupling-free, so
 they are kept in one list by degree per (root system, root), each degree
 raised from the one below on integer columns over one denominator, in
-working coordinates v = S x where every root and coroot is rational.  A
-lowering matrix is affine in the couplings, L = D + k1*A + k2*B
+working coordinates v = S x where every root and coroot is rational, for one
+root of each pair that the reflection of root 0 swaps up to sign and for no
+root on an axis (_root_pairs).  A lowering matrix is affine in the
+couplings, L = D + k1*A + k2*B
 (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
 the v-coordinates on ints from weights split into a rational and a sqrt(3)
 piece, computed once per (root system, character, direction); a cell reaches
@@ -67,6 +69,25 @@ def _to_public(q, k: int) -> QuadExt:
 
 
 @lru_cache(maxsize=None)
+def _root_pairs(rs: RootSystem):
+    """The positive roots as (root, partner = eps s(root), eps, axis), s the
+    reflection of root 0, v_0 -> -v_0, and axis the coordinate of a root that
+    is its own partner.  Q_partner = eps (-1)^(a + b + 1) Q_root at (a, b), as
+    v_0 has degree n - 1 - a in row a and n - b in column b; on axis i, Q(v^m)
+    = c_i v^(m - e_i) for odd m_i, else 0.  InvariantViolation unless root 0
+    is (1, 0) with coroot (2, 0) and each s(root) is +- a positive root."""
+    roots, coroots = rs.work_roots, rs.work_coroots
+    if roots[0] != (1, 0)[:rs.rank] or coroots[0] != (2, 0)[:rs.rank]:
+        raise InvariantViolation(f"{rs.label}: root 0 is not (1, 0) with coroot (2, 0)")
+    signed = {tuple(e * x for x in a): (r, e) for r, a in enumerate(roots) for e in (1, -1)}
+    if any((-a[0], *a[1:]) not in signed for a in roots):
+        raise InvariantViolation(f"{rs.label}: s_0 of a root is not +- a positive root")
+    return [(r, partner, eps, int(not a[0]) if r == partner else None)
+            for r, a in enumerate(roots) for partner, eps in [signed[-a[0], *a[1:]]]
+            if r <= partner]
+
+
+@lru_cache(maxsize=None)
 def _quotient_layers(rs: RootSystem, root_idx: int):
     """The root's constants for _quotient_columns, computed once, and its
     (den, columns) by degree, a list that _quotient_columns extends on
@@ -74,10 +95,10 @@ def _quotient_layers(rs: RootSystem, root_idx: int):
     alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
     # one degree up multiplies the denominator by step
     step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
-    # -c_u alpha_w step, the coefficient of v_w Q(p) in Q(v_u p) step
-    lin = [[(w, int(-c * a * step)) for w, a in enumerate(alpha) if a] if c else []
-           for c in coroot]
-    return (step, [int(c * step) for c in coroot], lin), [(1, [[]])]
+    # Q(v_u p) step = sum_w x_w v_w Q(p) + c_u step p, x_w = step ([u = w] - c_u alpha_w)
+    shifts = [[(w, x) for w, a in enumerate(alpha) for x in [int(step * ((u == w) - c * a))] if x]
+              for u, c in enumerate(coroot)]
+    return (step, [int(c * step) for c in coroot], shifts), [(1, [[]])]
 
 
 def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
@@ -95,7 +116,7 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    (step, coroot, lin), layers = _quotient_layers(rs, root_idx)
+    (step, coroot, shifts), layers = _quotient_layers(rs, root_idx)
     while len(layers) <= n:
         deg, (den, q_prev) = len(layers), layers[-1]
         size = len(monomials(rs.rank, deg - 1))
@@ -104,12 +125,9 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
             u = 0 if m[0] else 1  # m = v_u times monomial c - u one degree down
             q = q_prev[c - u]
             col = [0] * size
-            col[c - u] = coroot[u] * den
-            for w, x in lin[u]:
-                for t, qv in enumerate(q, w):
-                    col[t] += x * qv
-            for t, qv in enumerate(q, u):
-                col[t] += step * qv
+            for w, x in shifts[u]:
+                col[w:w + len(q)] = map(add, col[w:w + len(q)], map(x.__mul__, q))
+            col[c - u] += coroot[u] * den
             cols.append(col)
         layers.append((den * step, cols))
     return layers[n]
@@ -155,14 +173,30 @@ def _split(w: QuadExt):
 @lru_cache(maxsize=None)
 def _weights(rs: RootSystem, rep, y: tuple):
     """The weights of _assemble along y, split: (i, sigma, piece) of y_i s_i
-    (d/dx_i = s_i d/dv_i), and per root with <alpha, y> != 0, (root, [(plane,
-    s, t, piece)]) of <alpha, y> rep(s_alpha)[s][t], plane 2 + 2 orbit + sigma."""
-    roots = [(r, [(2 + 2 * rs.orbit_of[r] + sg, s, t, v)
-                  for s, row in enumerate(rep.matrix(rs.reflection_element[r]))
-                  for t, x in enumerate(row) for sg, v in _split(ay * x)])
-             for r, ay in enumerate(dot(a, y) for a in rs.positive_roots) if ay]
+    (d/dx_i = s_i d/dv_i), and per group of _root_pairs with a weight, pairs
+    (root, vden, terms) and axis roots (root, axis, vden, terms), vden the
+    lcm of the denominators.  Root alpha weighs (plane, s, t), plane 2 + 2
+    orbit + sigma, by the piece sigma of <alpha, y> rep(s_alpha)[s][t]; a
+    pair's terms (plane, s, t, cls, w_root + (-1)^(cls + 1) eps w_partner)
+    weigh Q_root on the cells of class cls, an axis root's are its weights."""
+    def weights(r):
+        ay = dot(rs.positive_roots[r], y)
+        return {(2 + 2 * rs.orbit_of[r] + sg, s, t): v
+                for s, row in enumerate(rep.matrix(rs.reflection_element[r]))
+                for t, x in enumerate(row) for sg, v in _split(ay * x)} if ay else {}
+
+    pairs, axis = [], []
+    for r, partner, eps, on in _root_pairs(rs):
+        wr, wp = weights(r), weights(partner) if partner != r else {}
+        vden = math.lcm(*(v.denominator for v in chain(wr.values(), wp.values())))
+        if on is not None and wr:
+            axis.append((r, on, vden, [(*key, v) for key, v in wr.items()]))
+        elif wr or wp:
+            pairs.append((r, vden, [
+                (*key, cls, f) for key in sorted(wr.keys() | wp.keys()) for cls in (0, 1)
+                for f in [wr.get(key, 0) + (2 * cls - 1) * eps * wp.get(key, 0)] if f]))
     return [(i, sg, v) for i in range(rs.rank)
-            for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])], roots
+            for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])], pairs, axis
 
 
 def _assemble(rs: RootSystem, rep, y, n: int, first: int = 0):
@@ -179,11 +213,12 @@ def _assemble(rs: RootSystem, rep, y, n: int, first: int = 0):
     """
     d, mono = rep.dim, monomials(rs.rank, n)
     hr, hc = _sqrt3_powers(rs, n - 1, d)[first * d:], _sqrt3_powers(rs, n, d)
-    cols, size = len(hc), len(hr) * len(hc)
-    dw, rw = _weights(rs, rep, tuple(y))
-    roots = [(_quotient_columns(rs, ridx, n), ws) for ridx, ws in rw]
+    cols, size, width = len(hc), len(hr) * len(hc), len(mono)
+    dw, pairs, axis = _weights(rs, rep, tuple(y))
+    quots = [_quotient_columns(rs, r, n) for r, _, _ in pairs]
     den = math.lcm(*(v.denominator for _, _, v in dw),
-                   *(qden * v.denominator for (qden, _), ws in roots for *_, v in ws))
+                   *(qden * vden for (qden, _), (_, vden, _) in zip(quots, pairs)),
+                   *(rs.work_coroots[r][i].denominator ** n * vden for r, i, vden, _ in axis))
     flat = [0] * (6 * size)
     # d/dv_i sends monomial b to m_i times monomial b - i
     for i, sg, v in dw:
@@ -192,19 +227,29 @@ def _assemble(rs: RootSystem, rep, y, n: int, first: int = 0):
             if m[i]:
                 for s in range(d):
                     flat[sg * size + ((b - i - first) * d + s) * cols + b * d + s] = w * m[i]
-    # per (plane, s, t), the sum of its weights times Q_alpha, Q_alpha
-    # row-major: entry (a, b) is the cell (a d + s) cols + b d + t of plane
+    # one quotient per pair: sum f Q per (plane, s, t, class (a + b) mod 2 of cell (a, b))
     sums = {}
-    for (qden, qcols), ws in roots:
-        qrows = list(chain.from_iterable(zip(*(col[first:] for col in qcols))))
-        for plane, s, t, v in ws:
-            terms = map((v.numerator * (den // (qden * v.denominator))).__mul__, qrows)
-            acc = sums.get((plane, s, t))
-            sums[plane, s, t] = list(terms if acc is None else map(add, acc, terms))
-    for (plane, s, t), acc in sums.items():
+    for (qden, qcols), (_, _, terms) in zip(quots, pairs):
+        rows = list(zip(*(col[first:] for col in qcols)))
+        split = [list(chain.from_iterable(row[(a + cls) & 1::2] for a, row in
+                                          enumerate(rows, first))) for cls in (0, 1)]
+        for plane, s, t, cls, f in terms:
+            part = map((f.numerator * (den // (qden * f.denominator))).__mul__, split[cls])
+            acc = sums.get((plane, s, t, cls))
+            sums[plane, s, t, cls] = list(part if acc is None else map(add, acc, part))
+    for (plane, s, t, cls), acc in sums.items():
+        at = 0
         for a in range(len(hr) // d):
-            start = plane * size + (a * d + s) * cols + t
-            flat[start:start + cols:d] = acc[a * len(mono):(a + 1) * len(mono)]
+            b0 = (a + first + cls) & 1
+            start, cnt = plane * size + (a * d + s) * cols + b0 * d + t, (width - b0 + 1) // 2
+            flat[start:start + 2 * d * cnt:2 * d], at = acc[at:at + cnt], at + cnt
+    # an axis root's cells (b - i, b), for odd m_i, hold c_i (_root_pairs)
+    for r, i, _, terms in axis:
+        for plane, s, t, v in terms:
+            x = int(v * rs.work_coroots[r][i] * den)
+            for b in range(first + i, width):
+                if mono[b][i] & 1:
+                    flat[plane * size + ((b - i - first) * d + s) * cols + b * d + t] += x
     return den, flat, hr, hc
 
 

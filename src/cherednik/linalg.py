@@ -7,7 +7,8 @@ ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
 guessed, and only of int matrices.  An int matrix, square or tall, whose
 columns are independent modulo the prime PRIME has independent columns over
 Q, since a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
-one elimination mod p per verma lowering stack, over the rows verma yields).
+one elimination mod p per verma lowering stack, over the rows verma yields,
+each packed into one int and eliminated within its reflection class).
 Otherwise the rank is exact fraction-free Bareiss elimination over Z
 (Bareiss, Math. Comp. 22, 1968).
 """
@@ -149,7 +150,7 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def nonsingular_mod_p(rows, ncols) -> bool:
+def nonsingular_mod_p(rows, ncols, classes=((slice(None),),)) -> bool:
     """True when the ncols columns of the int matrix whose rows the iterable
     rows yields are independent modulo PRIME.  Then some maximal minor is
     nonzero mod PRIME, hence over Z: the columns are independent over Q,
@@ -157,24 +158,48 @@ def nonsingular_mod_p(rows, ncols) -> bool:
     scales by a nonzero factor).  False is no verdict over Q: p may divide
     every nonzero maximal minor.  Gaussian elimination over GF(p), one row at
     a time against the pivots found so far: it stops as soon as every column
-    has a pivot, so the rows past that (say of a generator) are never read."""
-    p = PRIME
-    pivots = {}  # column -> the tail after it of a row scaled to 1 there
+    has a pivot, so the rows past that (say of a generator) are never read.
+    Each class (slices of a row) is eliminated apart; a row with cells in
+    two raises InvariantViolation.  A row is one int, w = 2 bits(p) +
+    bits(ncols) + 2 bits per cell mod p, slot 0 at column c: by the tail of
+    c's pivot, reduced once, r = (r >> w) + (p - f) tail, f = slot 0 mod p,
+    adds under p^2 per slot in each of at most ncols steps: none carries."""
+    p, w = PRIME, 2 * PRIME.bit_length() + ncols.bit_length() + 2
+    mask, found = (1 << w) - 1, 0
+    pivots = [{} for _ in classes]  # per class: column -> packed tail
     for row in rows:
-        r = [v % p for v in row]
-        for c in range(ncols):
-            f = r[c]
-            if not f:
+        hit = None
+        for cls, piv in zip(classes, pivots):
+            vals = row[cls[0]] if len(cls) == 1 else [v for sl in cls for v in row[sl]]
+            if any(vals):
+                if hit:
+                    raise InvariantViolation("a row has nonzero cells across the classes")
+                hit = vals, piv
+        if hit is None or len(hit[1]) == len(hit[0]):
+            continue  # a zero row, or its class has every pivot
+        (vals, piv), r, c = hit, 0, 0
+        for v in reversed(vals):
+            r = r << w | v % p
+        while r:
+            f = r & mask
+            if not f:  # skip to the lowest nonzero slot
+                z = ((r & -r).bit_length() - 1) // w
+                r, c = r >> z * w, c + z
                 continue
-            pr = pivots.get(c)
-            if pr is None:
-                inv = pow(f, -1, p)
-                pivots[c] = [x * inv % p for x in r[c + 1:]]
+            f %= p
+            tail = piv.get(c)
+            if f and tail is None:
+                inv, r, tail, shift = pow(f, -1, p), r >> w, 0, 0
+                while r:
+                    tail |= (r & mask) * inv % p << shift
+                    r, shift = r >> w, shift + w
+                piv[c] = tail
+                found += 1
                 break
-            r[c + 1:] = [(x - f * y) % p for x, y in zip(r[c + 1:], pr)]
-        if len(pivots) == ncols:
+            r, c = (r >> w) + (p - f) * tail if f else r >> w, c + 1
+        if found == ncols:
             break
-    return len(pivots) == ncols
+    return found == ncols
 
 
 def is_symmetric(mat) -> bool:

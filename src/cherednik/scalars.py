@@ -85,7 +85,7 @@ class QuadExt:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._of(-self.a, -self.b)
+        return QuadExt._of(-self.a, -self.b if self.b else self.b)
 
     def __sub__(self, other):
         if isinstance(other, QuadExt):

@@ -23,12 +23,14 @@ and the tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone;
 on A1, L_0) first, the rest of L_1 built only if read.  Any nonzero rational
 multiple of a row, at its own scale, proves as well.  (G_n is P times the stack, P
 made of rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
-Failing that, and on every higher layer (the radical is a submodule and x_1
-is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
-as two blocks, the eigenspaces of the reflection of root 0 (W-invariant form).
-So a generic scan builds no Gram layer, and runs no symmetry check: there
-the tests of every rank against Bareiss, and of gram against gram_direct,
-check the lowerings.  A symbolic layer (or F row from layer b) is read off
+Each L_i maps an eigenspace of the reflection of root 0 into one, so the
+elimination runs per class (_class_slices) and checks each row.  Failing
+that, and on every higher layer (the radical is a submodule and x_1 is
+injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer as
+two blocks, those eigenspaces (W-invariant form).  So a generic scan builds
+no Gram layer, and runs the class check but no symmetry check; the tests of
+every rank against Bareiss, and of gram against gram_direct, check the
+lowerings.  A symbolic layer (or F row from layer b) is read off
 a numeric module at k = (B, B^(n+1)) (B^(n-b+1)) by Kronecker substitution,
 one coefficient per base-B digit, B = 2^s sized by a product of the
 lowerings' column norms.  The digits become ParamPoly coefficients directly, already
@@ -114,7 +116,6 @@ class VermaModule:
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
-        self._parity = None  # set with layer 0 (_reflection_parity)
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -202,10 +203,9 @@ class VermaModule:
         deg, layer = next(iter(self._gram.items()), (-1, None))
         hold = deg <= n
         if not 0 <= deg <= n:
-            self._parity = self._parity or self._reflection_parity()
             here = self._classes(0)
             deg, layer = 0, (tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here)
-        (prev, scale, here), flips = layer, self._parity[0]
+        (prev, scale, here), flips = layer, _reflection_parity(self.rs, self.rep.base)[0]
         for deg in range(deg + 1, n + 1):
             (lows, s), below, here = self._lowerings(deg), here, self._classes(deg)
             if any(any(map(low[r].__getitem__, here[c ^ 1])) for low, f in zip(lows, flips)
@@ -231,26 +231,20 @@ class VermaModule:
             self._gram = {n: (prev, scale, here)}
         return prev, scale, here
 
-    def _reflection_parity(self):
-        """The parities [s_ii = -1] of s, the reflection of root 0, on the
-        coordinates and p_t on rep.base, where s must be a diagonal sign on
-        each.  The transfer of x_j is c e_j, so flip_j = [s x_j = -x_j] is
-        the parity of coordinate j."""
-        w = self.rs.reflection_element[0]
-        mats = self.rs.elements[w], self.rep.base.matrices[w]
-        par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
-        if any(v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
-               for i, row in enumerate(m) for j, v in enumerate(row)):
-            raise InvariantViolation(f"{self.rs.label}/{self.rep.label}: the reflection "
-                                     f"of root 0 is not a sign on the basis")
-        return par
+    def _class_slices(self, n: int):
+        """The two reflection classes of degree n as slices of a row: column
+        b d + t, x^m e_t with m = (n - b, b) (on A1, (n,)), is in class sum_i
+        m_i flip_i + p_t = flip_0 n + alt b + p_t mod 2, alt = flip_0 ^ flip_1."""
+        flips, base = _reflection_parity(self.rs, self.rep.base)
+        alt, d, out = flips[0] ^ flips[-1], len(base), ([], [])
+        for j in range(d << alt):
+            out[(flips[0] * n + alt * (j // d) + base[j % d]) & 1].append(slice(j, None, d << alt))
+        return out
 
     def _classes(self, n: int):
-        """The degree-n indices per class: x^m e_t is in sum m_i [s_ii = -1] + p_t mod 2."""
-        coords, base = self._parity
-        par = [(sum(e * p for e, p in zip(m, coords)) + b) & 1
-               for m in monomials(self.rs.rank, n) for b in base]
-        return [[i for i, p in enumerate(par) if p == c] for c in (0, 1)]
+        """The degree-n indices per class, ascending (_class_slices)."""
+        cols = range(len(self.layer_monomials(n)) * self.rep.dim)
+        return [sorted(i for sl in cls for i in cols[sl]) for cls in self._class_slices(n)]
 
     def _dense(self, n: int):
         """The degree-n layer as one int matrix (0 across classes), scale."""
@@ -323,7 +317,7 @@ class VermaModule:
         while len(ranks) <= n and ranks[-1] == len(self.layer_monomials(len(ranks) - 1)) * dim:
             deg = len(ranks)
             size = len(self.layer_monomials(deg)) * dim
-            full = nonsingular_mod_p(self._stack(deg), size)
+            full = nonsingular_mod_p(self._stack(deg), size, self._class_slices(deg))
             ranks.append(size if full else sum(map(bareiss_rank, self._layer(deg)[0])))
         return ranks[n] if n < len(ranks) else sum(map(bareiss_rank, self._layer(n)[0]))
 
@@ -433,6 +427,22 @@ def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int):
         for j in range(i, len(row)):
             out[i][j] = out[j][i] = _unpack(row[j] * k, s, stride, den)
     return out
+
+
+@lru_cache(maxsize=None)
+def _reflection_parity(rs: RootSystem, base: Irrep):
+    """The parities [s_ii = -1] of s, the reflection of root 0, on the
+    coordinates and p_t on base, where s must be a diagonal sign on each,
+    memoized per (root system, base).  The transfer of x_j is c e_j, so
+    flip_j = [s x_j = -x_j] is the parity of coordinate j."""
+    w = rs.reflection_element[0]
+    mats = rs.elements[w], base.matrices[w]
+    par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
+    if any(v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
+           for i, row in enumerate(m) for j, v in enumerate(row)):
+        raise InvariantViolation(f"{rs.label}/{base.label}: the reflection "
+                                 f"of root 0 is not a sign on the basis")
+    return par
 
 
 EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test

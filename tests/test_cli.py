@@ -14,7 +14,8 @@ import pytest
 import cherednik
 from cherednik import cli
 from cherednik.cli import run
-from cherednik.dunkl import _quotient_layers, b_lowering_parts, lowest_weight_scalar
+from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
+                             lowest_weight_scalar)
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
 from cherednik.scalars import Rat
@@ -330,10 +331,13 @@ def test_second_sweep_adds_no_memo_entry(capsys):
     rs = build_root_system("B2")
 
     def state():
-        # keys and misses of the memos, then the degrees kept per root
+        # keys and misses of the memos, then the degrees kept per raised root
+        # (the first root of each pair; the others are read off it or are
+        # axis roots in closed form)
         memos = (_quotient_layers, b_lowering_parts)
         return ([(m.cache_info().currsize, m.cache_info().misses) for m in memos],
-                [len(_quotient_layers(rs, r)[1]) for r in range(rs.num_positive)])
+                [len(_quotient_layers(rs, r)[1]) for r, _, _, axis in _root_pairs(rs)
+                 if axis is None])
 
     info = state()
     assert run_cli(argv, capsys) == first

@@ -1,5 +1,7 @@
 import copy
+import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -15,8 +17,8 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
-from cherednik.dunkl import (_quotient_columns, _quotient_layers, _sqrt3_powers,
-                             _to_public)
+from cherednik.dunkl import (_quotient_columns, _quotient_layers, _root_pairs,
+                             _sqrt3_powers, _to_public)
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.verma import VermaModule, classify
 
@@ -186,8 +188,10 @@ def test_quotients_do_not_depend_on_request_order():
 
 
 def test_quotient_memo_traffic_is_linear(monkeypatch):
-    # one call per lowering build, none from inside: a scan to degree 600
-    # made about 180,000 calls when each degree re-read every degree below
+    # one call per part build, none from inside: a scan to degree 600 made
+    # about 180,000 calls when each degree re-read every degree below.  The
+    # A1 root is an axis root, read in closed form, so only the A2 scan
+    # raises a quotient, that of its one pair
     calls = []
     inner = dunkl._quotient_columns
 
@@ -199,7 +203,74 @@ def test_quotient_memo_traffic_is_linear(monkeypatch):
     _quotient_layers.cache_clear()
     b_lowering_parts.cache_clear()
     assert not classify("A1", "sgn", Rat(1, 3), Rat(1, 3), scan_bound=600).finite
-    assert 600 <= len(calls) <= 2 * 600
+    assert not calls
+    assert not classify("A2", "triv", Rat(1, 7), Rat(1, 7), scan_bound=60).finite
+    assert {args[1] for args in calls} == {1}
+    assert 60 <= len(calls) <= 3 * 60
+
+
+def recursive_quotients(rs, root_idx):
+    """(den, columns) of Q on degrees 0, 1, ... for any root, each degree
+    raised from the one below by Q(v_u p) = v_u Q(p) + c_u (p - alpha Q(p))
+    cell by cell, with no pairing and no closed form: the reference for
+    _quotient_columns and for the relations _assemble relies on."""
+    alpha, coroot = rs.work_roots[root_idx], rs.work_coroots[root_idx]
+    step = math.lcm(*(x.denominator for c in coroot for x in (c, *(c * a for a in alpha))))
+    den, cols, deg = 1, [[]], 0
+    while True:
+        yield den, cols
+        deg, size, prev, cols = deg + 1, len(monomials(rs.rank, deg)), cols, []
+        for c, m in enumerate(monomials(rs.rank, deg)):
+            u = 0 if m[0] else 1
+            q, col = prev[c - u], [0] * size
+            col[c - u] = int(coroot[u] * step) * den
+            for w, a in enumerate(alpha):
+                for t, qv in enumerate(q, w):
+                    col[t] += int(-coroot[u] * a * step) * qv
+            for t, qv in enumerate(q, u):
+                col[t] += step * qv
+            cols.append(col)
+        den *= step
+
+
+def test_quotients_of_a_pair_and_of_axis_roots():
+    # every root's quotient equals the plain recursion; a partner's is
+    # eps (-1)^(a + b + 1) times its root's at cell (a, b), and an axis
+    # root's is c_i at the cells (b - i, b) with m_i odd
+    for label in TYPES:
+        rs = RootSystem(label)
+        groups = _root_pairs(rs)
+        assert sorted(chain.from_iterable(set(g[:2]) for g in groups)) == list(
+            range(rs.num_positive))
+        raised = [recursive_quotients(rs, r) for r in range(rs.num_positive)]
+        for n, want in zip(range(31), zip(*raised)):
+            assert [_quotient_columns(rs, r, n) for r in range(rs.num_positive)] == list(want), n
+            for r, partner, eps, axis in groups:
+                den, cols = want[r]
+                if axis is None:
+                    assert want[partner] == (den, [
+                        [eps * (-1) ** (a + b + 1) * v for a, v in enumerate(col)]
+                        for b, col in enumerate(cols)]), (label, r, n)
+                    continue
+                coroot = rs.work_coroots[r]
+                assert partner == r and all(x == 0 for i, x in enumerate(coroot) if i != axis)
+                c = coroot[axis]
+                for b, (m, col) in enumerate(zip(monomials(rs.rank, n), cols)):
+                    assert col == [c * den if a == b - axis and m[axis] % 2 else 0
+                                   for a in range(len(col))], (label, r, n)
+
+
+def test_root_pairing_is_checked_when_built():
+    # root 0 must be (1, 0) with coroot (2, 0), and s_0 must permute the
+    # positive roots up to sign
+    rs = RootSystem("G2")
+    rs.work_roots = rs.work_roots[1:] + rs.work_roots[:1]
+    with pytest.raises(InvariantViolation, match="root 0"):
+        _root_pairs(rs)
+    rs = RootSystem("B2")
+    rs.work_roots = rs.work_roots[:3] + [(Rat(1), Rat(-2))]
+    with pytest.raises(InvariantViolation, match="not \\+- a positive root"):
+        _root_pairs(rs)
 
 
 def direct_action(rs, rep, y, p, t, k1, k2):
@@ -295,28 +366,28 @@ def test_lowering_parts_split_by_orbit():
 
 def test_cold_lowering_parts_match_direct_action():
     # a fresh root system and fresh irreps: every quotient and part of the
-    # degree-7 layer is built from nothing, then checked against the
-    # polynomial-side operator at a random rational point
-    n = 7
-    for label in TYPES:
-        rs = RootSystem(label)
-        for rep in _build_irreps(rs):
-            d = rep.dim
-            k1, k2 = rand_k(), rand_k()
-            for j in range(rs.rank):
-                parts = b_lowering_parts(rs, rep, j, n, 0)
-                flat = [Rat(0)] * (parts.rows * parts.cols)
-                for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
-                    for i, v in zip(idx, vals):
-                        flat[i] += c * Rat(v, parts.den)
-                y = b_direction(rs, j)
-                for b, mono in enumerate(monomials(rs.rank, n)):
-                    p = MPoly(rs.rank, {mono: Rat(1)})
-                    for t in range(d):
-                        want = direct_action(rs, rep, y, p, t, k1, k2)
-                        col = flat[b * d + t::parts.cols]
-                        for s in range(d):
-                            assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
+    # degree-7 and the degree-11 layers is built from nothing, then checked
+    # against the polynomial-side operator at a random rational point
+    for n in (7, 11):
+        for label in TYPES:
+            rs = RootSystem(label)
+            for rep in _build_irreps(rs):
+                d = rep.dim
+                k1, k2 = rand_k(), rand_k()
+                for j in range(rs.rank):
+                    parts = b_lowering_parts(rs, rep, j, n, 0)
+                    flat = [Rat(0)] * (parts.rows * parts.cols)
+                    for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
+                        for i, v in zip(idx, vals):
+                            flat[i] += c * Rat(v, parts.den)
+                    y = b_direction(rs, j)
+                    for b, mono in enumerate(monomials(rs.rank, n)):
+                        p = MPoly(rs.rank, {mono: Rat(1)})
+                        for t in range(d):
+                            want = direct_action(rs, rep, y, p, t, k1, k2)
+                            col = flat[b * d + t::parts.cols]
+                            for s in range(d):
+                                assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
 
 
 def test_lowering_parts_reject_sqrt3_part():
@@ -324,7 +395,7 @@ def test_lowering_parts_reject_sqrt3_part():
     # each lowering has entries with a sqrt(3) part, which have no integer form
     rs = RootSystem("A2")
     bad = Irrep(rs, "sqrt3", [((SQRT3,),)] * len(rs.elements))
-    k1, k2 = rand_k(), rand_k()
+    k1, k2 = Rat(2, 7), Rat(-3, 5)  # k1 != 0, so that A shows
     for j in range(rs.rank):
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
             b_lowering_parts(rs, bad, j, 2, 0)

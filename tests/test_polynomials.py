@@ -6,7 +6,7 @@ from cherednik.errors import InvariantViolation, NonDivisibleError
 from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_image,
                                    monomials, weyl_act)
-from cherednik.linalg import (bareiss_rank, dot, freeze, identity,
+from cherednik.linalg import (PRIME, bareiss_rank, dot, freeze, identity,
                               integer_scale, is_symmetric, kron_identity,
                               mat_inv, mat_mul, mat_vec, nonsingular_mod_p,
                               transpose)
@@ -227,6 +227,63 @@ def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
     assert continued
     assert nonsingular_mod_p([[0, 2], [3, 1]], 2)  # pivot after a row swap
     assert not nonsingular_mod_p([[0, 1], [0, 2]], 2)  # no pivot in column 0
+
+
+def _rank_mod_p(rows, p):
+    """Rank over GF(p), one row at a time on lists of residues, with no
+    packing and no classes: the reference for nonsingular_mod_p."""
+    pivots = {}
+    for row in rows:
+        r = [v % p for v in row]
+        for c in range(len(r)):
+            f = r[c]
+            if f and c not in pivots:
+                inv = pow(f, -1, p)
+                pivots[c] = [x * inv % p for x in r[c + 1:]]
+                break
+            if f:
+                r[c + 1:] = [(x - f * y) % p for x, y in zip(r[c + 1:], pivots[c])]
+    return len(pivots)
+
+
+def _wide_rows(nrows, ncols, cols, p):
+    """nrows random rows on the given columns, residues spread over [0, p)
+    and many at p - 1, so that the packed slots fill up; with some chance one
+    column a multiple of another, so the rank is short."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for row in rows:
+        for c in cols:
+            row[c] = RNG.choice((0, p - 1, -1, RNG.randrange(p), RNG.randrange(-p, p)))
+    if len(cols) > 1 and RNG.random() < 0.4:
+        i, j = RNG.sample(cols, 2)
+        mult = RNG.randrange(p)
+        for row in rows:
+            row[j] = mult * row[i]
+    return rows
+
+
+def test_packed_elimination_matches_list_elimination_on_wide_residues():
+    # the packed rows carry no slot into the next at widths to 60 with
+    # residues up to p - 1; split by classes the answer is the same, and a
+    # row with cells in two classes raises
+    p = PRIME
+    classes = ((slice(0, None, 4), slice(3, None, 4)), (slice(1, None, 4), slice(2, None, 4)))
+    short = 0
+    for _ in range(120):
+        n = RNG.randint(1, 60)
+        rows = _wide_rows(n + RNG.randint(0, 3), n, range(n), p)
+        full = _rank_mod_p(rows, p) == n
+        assert nonsingular_mod_p(rows, n) == full
+        short += not full
+        cls = [sorted(i for sl in c for i in range(n)[sl]) for c in classes]
+        rows = [row for c in cls for row in _wide_rows(len(c) + RNG.randint(0, 2), n, c, p)]
+        RNG.shuffle(rows)
+        assert nonsingular_mod_p(rows, n, classes) == (_rank_mod_p(rows, p) == n)
+        if len(cls[1]):
+            rows[0][cls[0][0]] = rows[0][cls[1][0]] = 1
+            with pytest.raises(InvariantViolation, match="across the classes"):
+                nonsingular_mod_p(rows, n, classes)
+    assert 10 < short < 110
 
 
 def test_bareiss_rank_over_parampoly(ring_bareiss_rank):

@@ -168,6 +168,31 @@ def test_lowering_cell_across_the_classes_raises(monkeypatch):
         classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
 
 
+def test_stack_cell_across_the_classes_raises_on_a_generic_scan(monkeypatch):
+    # a generic classification builds no Gram layer; the elimination mod p
+    # checks each row of the stack against the classes instead
+    point = ("G2", "std", Rat(1, 7), Rat(-2, 11))
+    assert not classify(*point).finite
+    rs = build_root_system("G2")
+    stack = VermaModule._stack
+
+    def crossed(self, n):
+        rows = stack(self, n)
+        if n != 3:
+            yield from rows
+            return
+        row = list(next(rows))
+        cls = [c for c in _reflection_classes(rs, self.rep, n) if any(row[i] for i in c)]
+        other = next(i for c in _reflection_classes(rs, self.rep, n) if c != cls[0] for i in c)
+        row[other] = 1
+        yield row
+        yield from rows
+
+    monkeypatch.setattr(VermaModule, "_stack", crossed)
+    with pytest.raises(InvariantViolation, match="across the classes"):
+        classify(*point)
+
+
 def test_reflection_of_root_0_must_be_a_sign_on_the_basis_and_transfers(monkeypatch):
     # a hand-built rep whose image of s is a rotation leaves no two classes:
     # layer 0 already raises
@@ -547,14 +572,14 @@ def test_each_rank_proof_fires(monkeypatch):
     # when the leading square alone is independent mod p.
     fired = set()
 
-    def counting(rows, ncols):
+    def counting(rows, ncols, classes):
         # the leading square alone first, so that a block proof reads no more rows
         rows = iter(rows)
         block = list(islice(rows, ncols))
-        if nonsingular_mod_p(block, ncols):
+        if nonsingular_mod_p(block, ncols, classes):
             fired.add("block")
             return True
-        if nonsingular_mod_p(chain(block, rows), ncols):
+        if nonsingular_mod_p(chain(block, rows), ncols, classes):
             fired.add("stack")
             return True
         return False
@@ -604,11 +629,12 @@ def test_small_prime_falls_back_to_bareiss_with_identical_results(monkeypatch):
 def test_one_elimination_per_settled_degree(monkeypatch):
     calls = []
 
-    def counting(rows, ncols):
+    def counting(rows, ncols, classes):
         rows = iter(rows)
         block, read = list(islice(rows, ncols)), []  # read: the rows past the block it reads
         calls.append((block, read))
-        return nonsingular_mod_p(chain(block, (read.append(row) or row for row in rows)), ncols)
+        return nonsingular_mod_p(chain(block, (read.append(row) or row for row in rows)),
+                                 ncols, classes)
 
     monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
     vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
