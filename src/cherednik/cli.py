@@ -19,10 +19,10 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, NonDivisibleError
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
-from .scalars import QuadExt, Rat, is_nonneg_int, rat
+from .scalars import QuadExt, Rat, rat
 from .rootsystem import LABELS, build_root_system
 from .wrep import get_irrep, irreps
-from .dunkl import dunkl_apply, lowest_weight_scalar
+from .dunkl import dunkl_apply, natural_m
 from .verma import VermaModule, classify as _classify, standard_module
 from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
                     f_power_image_closed, f_power_image_direct,
@@ -126,8 +126,8 @@ def _check_scan_degree(label: str, chi: str, k1, k2, max_degree=None) -> None:
     is above MAX_SCAN_DEGREE.  classify scans an infinite natural m to 2m + 4,
     within the cap by parity: such an m is 2 mod 3 on A2 and G2, odd on B2."""
     rs = build_root_system(label)
-    m = -lowest_weight_scalar(rs, get_irrep(rs, chi), k1, k2)
-    top = max(2 * m + 2 if is_nonneg_int(m) else 0, max_degree or 0)
+    m = natural_m(rs, get_irrep(rs, chi), k1, k2)
+    top = max(0 if m is None else 2 * m + 2, max_degree or 0)
     if top > MAX_SCAN_DEGREE[rs.rank]:
         raise UsageError(f"{label} {chi} at k = ({k1}, {k2}) scans to degree {top}, "
                          f"above the limit of {MAX_SCAN_DEGREE[rs.rank]}")

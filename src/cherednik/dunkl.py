@@ -21,6 +21,8 @@ InvariantViolation).  New couplings cost one integer combination per layer.
 lowering_matrix (any direction) finishes the same assembly in QuadExt, so the
 cross-checks built on it also cover the integer conversion.  dunkl_apply acts
 on polynomials through MPoly.divexact and weyl_act, sharing none of it.
+lowest_weight_scalar is the one formula for b(chi), and natural_m the one
+test for its m (b(chi) = -m, m natural); verma, cli and rank2 read these.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from itertools import chain, compress
 from operator import add, mul, or_
 
 from .errors import InvariantViolation
-from .scalars import QZERO, SQRT3, QuadExt, Rat
+from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
 from .linalg import dot, identity, kron_identity, mat_add, mat_mul, mat_vec
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
-from .rootsystem import RootSystem, hbar_poly
+from .rootsystem import RootSystem
 from .wrep import get_irrep
 
 
@@ -389,8 +391,14 @@ def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):
 
 
 def lowest_weight_scalar(rs: RootSystem, rep, k1, k2):
-    """Eigenvalue of the grading element on the lowest-weight space."""
+    """b(chi), the grading element's eigenvalue on the lowest-weight space."""
     return reflection_sum_scalar(rs, rep, k1, k2) + Rat(rs.rank, 2)
+
+
+def natural_m(rs: RootSystem, rep, k1, k2):
+    """m when b(chi) = -m for a natural number m (0 included), else None."""
+    m = -lowest_weight_scalar(rs, rep, k1, k2)
+    return int(m) if is_nonneg_int(m) else None
 
 
 @lru_cache(maxsize=None)
@@ -409,6 +417,6 @@ def sl2_calibration(rs: RootSystem):
     evec = poly_coords(rs.e_poly, 2, rs.rank)
     fmat = f_matrix(rs, triv, 2, PP_K1, PP_K2)
     got = ParamPoly.coerce(mat_vec(fmat, evec)[0])
-    if got != -hbar_poly(rs):
+    if got != -lowest_weight_scalar(rs, triv, PP_K1, PP_K2):
         raise InvariantViolation(
             f"{rs.label}: sl2 calibration failed (F of the quadric is {got.to_str()})")

@@ -15,9 +15,8 @@ Otherwise the rank is exact fraction-free Bareiss elimination over Z
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvariantViolation, NonDivisibleError
 from .scalars import QuadExt, Rat
@@ -91,26 +90,11 @@ def freeze(a):
 
 
 def integer_scale(mat):
-    """An integer matrix without common content and a rational scale s
-    with mat == s * ints entrywise (s = 1 for the zero matrix).  Entries
-    are ints, rationals or QuadExt; a QuadExt with a nonzero sqrt(3) part
-    has no such form and raises InvariantViolation."""
-    with suppress(TypeError):  # all ints (Gram layers, F rows): one gcd pass
-        g = gcd(*chain.from_iterable(mat)) or 1  # math.gcd refuses any other entry
-        return [[v // g for v in row] for row in mat], Rat(g)
-    vals = []
-    for row in mat:
-        for x in row:
-            if isinstance(x, QuadExt):
-                if x.b:
-                    raise InvariantViolation(f"{x} has a sqrt(3) part: no integer form")
-                x = x.a
-            vals.append(x)
-    den = lcm(*(x.denominator for x in vals))
-    vals = [x.numerator * (den // x.denominator) for x in vals]
-    g = gcd(*vals) or 1
-    it = (v // g for v in vals)
-    return [[next(it) for _ in row] for row in mat], Rat(g, den)
+    """An int matrix without common content and its content s as a Rat, with
+    mat == s * ints entrywise (s = 1 for the zero matrix): one gcd pass over
+    the int matrix mat (Gram layers, F rows)."""
+    g = gcd(*chain.from_iterable(mat)) or 1
+    return [[v // g for v in row] for row in mat], Rat(g)
 
 
 def bareiss_rank(mat) -> int:

@@ -34,11 +34,11 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
-from .scalars import QuadExt, Rat, is_nonneg_int, rat
+from .scalars import QuadExt, Rat, rat
 from .linalg import dot, mat_vec
 from .rootsystem import build_root_system
-from .wrep import irreps, twist_couplings
-from .dunkl import poly_coords
+from .wrep import get_irrep, irreps, twist_couplings
+from .dunkl import lowest_weight_scalar, natural_m, poly_coords
 from .verma import VermaModule, standard_module
 
 _PZERO = ParamPoly.const(Rat(0))
@@ -319,15 +319,13 @@ def f_power_image_direct(label: str, n: int, r: int, k1, k2):
 
 def evaluate_at_couplings(label: str, poly: ParamPoly, k1, k2):
     """Evaluate a table polynomial at raw couplings, translating them to
-    the type's natural parameters."""
+    the type's natural parameters (hbar: lowest_weight_scalar of triv)."""
+    if label not in _TABLE_TYPES:
+        raise ValueError(f"no such table family: {label!r}")
     k1, k2 = rat(k1), rat(k2)
-    if label == "A2":
-        return poly.eval2(1 + 3 * k1, Rat(0))
-    if label == "B2":
-        return poly.eval2(k1, 1 + 2 * (k1 + k2))
-    if label == "G2":
-        return poly.eval2(1 + 3 * (k1 + k2), k2 - k1)
-    raise ValueError(f"no such table family: {label!r}")
+    rs = build_root_system(label)
+    hbar = lowest_weight_scalar(rs, get_irrep(rs, "triv"), k1, k2)
+    return poly.eval2(*{"A2": (hbar, Rat(0)), "B2": (k1, hbar), "G2": (hbar, k2 - k1)}[label])
 
 
 # -- closed-form classifiers ------------------------------------------------------
@@ -352,21 +350,14 @@ def _decided(label: str, finite: bool, m, branch: str = "grading") -> VerySingul
     return VerySingularResult(label, finite, m if finite else None, branch, False, finite, None)
 
 
-def _hbar_value(label: str, k1, k2):
-    rs = build_root_system(label)
-    c1, c2 = rs.orbit_counts
-    return Rat(rs.rank, 2) + k1 * c1 + k2 * c2
-
-
 def very_singular(label: str, k1, k2) -> VerySingularResult:
     """Closed-form test for finite dimensionality of the simple quotient
     at the trivial character."""
     k1, k2 = rat(k1), rat(k2)
-    hbar = _hbar_value(label, k1, k2)
-    m0 = -hbar
-    if not is_nonneg_int(m0):
+    rs = build_root_system(label)
+    m = natural_m(rs, get_irrep(rs, "triv"), k1, k2)
+    if m is None:
         return _decided(label, False, None)
-    m = int(m0)
     if label == "A1":
         return _decided(label, True, m)
     if label == "A2":

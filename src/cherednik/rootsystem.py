@@ -11,7 +11,9 @@ c c^T over the coroots, is then checked to be c I with c > 0 and kept as
 the scalar metric_scale = c (8, 12, 12 and 16 for A1, A2, B2 and G2): the
 transfer of x_j to a is c e_j and the quadric invariant is sum_i x_i^2 /
 (2c).  The invariant degrees are the degrees of the generators.  The group
-order and the lowest-weight calibration stay stated, as checks.
+order and the orbit counts (|R1+|, |R2+|) stay stated, as checks: with the
+rank, the length of a root tuple, the counts fix the trivial character's
+lowest-weight scalar rank/2 + k1 |R1+| + k2 |R2+|.
 
 The group is generated from its simple reflections s_i, with parent[w] =
 (p, i) for w = elements[p] s_i and the |W| x rank table right_mult[w][i],
@@ -40,8 +42,8 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .linalg import dot, freeze, identity, mat_mul, mat_vec, transpose
-from .polynomials import MPoly, PP_K1, PP_K2, ParamPoly, weyl_act
-from .scalars import HALF, QONE, SQRT3, QuadExt, Rat
+from .polynomials import MPoly, weyl_act
+from .scalars import HALF, SQRT3, QuadExt, Rat
 
 LABELS = ("A1", "A2", "B2", "G2")
 
@@ -56,14 +58,7 @@ _TYPES = {
            {(6, 0): 2, (4, 2): -30, (2, 4): 30, (0, 6): -2}),
 }
 _GROUP_ORDER = {"A1": 2, "A2": 6, "B2": 8, "G2": 12}
-
-# lowest-weight calibration: l/2 + k1*|R1+| + k2*|R2+| must reduce to these
-_EXPECTED_HBAR = {
-    "A1": ParamPoly({(0, 0): HALF, (1, 0): QONE}),
-    "A2": ParamPoly({(0, 0): QONE, (1, 0): QuadExt(3)}),
-    "B2": ParamPoly({(0, 0): QONE, (1, 0): QuadExt(2), (0, 1): QuadExt(2)}),
-    "G2": ParamPoly({(0, 0): QONE, (1, 0): QuadExt(3), (0, 1): QuadExt(3)}),
-}
+_ORBIT_COUNTS = {"A1": (1, 0), "A2": (3, 0), "B2": (2, 2), "G2": (3, 3)}
 
 
 def _reflection_matrix(alpha, coroot):
@@ -212,8 +207,9 @@ class RootSystem:
             for m in gens:
                 if weyl_act(m, q) != q:
                     raise InvariantViolation("invariant generator is not invariant")
-        if hbar_poly(self) != _EXPECTED_HBAR[self.label]:
-            raise InvariantViolation("lowest-weight calibration mismatch")
+        if self.orbit_counts != _ORBIT_COUNTS[self.label]:
+            raise InvariantViolation(f"{self.label}: orbit counts {self.orbit_counts}, "
+                                     f"expected {_ORBIT_COUNTS[self.label]}")
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -227,11 +223,3 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
     return RootSystem(label)
-
-
-def hbar_poly(rs: RootSystem) -> ParamPoly:
-    """The lowest-weight scalar for the trivial character, as a polynomial
-    in the two couplings: rank/2 + k1*|R1+| + k2*|R2+|."""
-    c1, c2 = rs.orbit_counts
-    return (ParamPoly.const(Rat(rs.rank, 2))
-            + PP_K1 * ParamPoly.const(c1) + PP_K2 * ParamPoly.const(c2))

@@ -67,16 +67,21 @@ from math import lcm
 
 from .errors import InvariantViolation
 from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
-from .scalars import QuadExt, Rat, is_nonneg_int, rat
+from .scalars import QuadExt, Rat, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
                      mat_mul, nonsingular_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
 from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
-                    lowering_matrix, lowest_weight_scalar, sl2_calibration)
+                    lowering_matrix, natural_m, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
+
+
+def _int_identity(n):
+    """The n x n identity over the ints: where a chain or layer 0 starts."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _value(rows, scale):
@@ -166,7 +171,7 @@ class VermaModule:
         held = self._chains.get(bottom)
         if held is None or held[0] > top:
             size = len(self.layer_monomials(bottom)) * self.rep.dim
-            held = bottom, *integer_scale(identity(size))
+            held = bottom, _int_identity(size), Rat(1)
         (cur, rows, scale), fc = held, f_coefficient(self.rs)
         while cur + 2 <= top:
             cur += 2
@@ -204,7 +209,7 @@ class VermaModule:
         hold = deg <= n
         if not 0 <= deg <= n:
             here = self._classes(0)
-            deg, layer = 0, (tuple(integer_scale(identity(len(c)))[0] for c in here), Rat(1), here)
+            deg, layer = 0, (tuple(_int_identity(len(c)) for c in here), Rat(1), here)
         (prev, scale, here), flips = layer, _reflection_parity(self.rs, self.rep.base)[0]
         for deg in range(deg + 1, n + 1):
             (lows, s), below, here = self._lowerings(deg), here, self._classes(deg)
@@ -331,8 +336,7 @@ class VermaModule:
         """m when the lowest-weight scalar is -m with m a natural number, else None."""
         if self.symbolic:
             raise ValueError("the raised-vector test needs numeric couplings")
-        m = -lowest_weight_scalar(self.rs, self.rep, self.k1, self.k2)
-        return int(m) if is_nonneg_int(m) else None
+        return natural_m(self.rs, self.rep, self.k1, self.k2)
 
     def epower_criterion(self):
         """Whether the raised lowest-weight vector dies in the simple quotient.

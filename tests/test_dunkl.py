@@ -9,12 +9,12 @@ from cherednik.errors import InvariantViolation
 from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
-from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
+from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_parts,
                              dunkl_apply, e_mult_matrix,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
-                             poly_coords, reflection_sum_scalar,
+                             natural_m, poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
 from cherednik.dunkl import (_quotient_columns, _quotient_layers, _root_pairs,
@@ -613,12 +613,28 @@ def test_sl2_calibration_all_types():
         sl2_calibration(build_root_system(label))  # raises on failure
 
 
+def test_natural_m_at_its_edges():
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    t1, t2 = get_irrep(a1, "triv"), get_irrep(a2, "triv")
+    m = natural_m(a2, t2, Rat(-1, 3), Rat(0))  # b = 0
+    assert m == 0 and type(m) is int
+    assert natural_m(a1, t1, Rat(-5, 2), Rat(0)) == 2  # b = -2
+    assert natural_m(a1, t1, Rat(-1), Rat(0)) is None  # b = -1/2
+    assert natural_m(a1, t1, Rat(1), Rat(0)) is None  # b = 3/2
+    for label in ("A2", "B2", "G2"):
+        rs = build_root_system(label)
+        std = get_irrep(rs, "std")
+        for k1, k2 in ((Rat(-1, 3), Rat(0)), (Rat(-5, 2), Rat(7, 3)), (Rat(-9), Rat(-8))):
+            assert lowest_weight_scalar(rs, std, k1, k2) == 1
+            assert natural_m(rs, std, k1, k2) is None
+
+
 def test_commutator_ef_is_graded_scalar():
     # [E, F] acts on the degree-n layer of M(triv) by (hbar + n)
     for label in TYPES:
         rs = build_root_system(label)
         triv = get_irrep(rs, "triv")
-        hb = hbar_poly(rs)
+        hb = lowest_weight_scalar(rs, triv, PP_K1, PP_K2)
         for n in (0, 1, 2, 3):
             dim = len(monomials(rs.rank, n))
             ef = None

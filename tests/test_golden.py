@@ -6,11 +6,15 @@ also has its expected stderr in `tests/golden/<id>.err`.  The files were
 written once from the code as it stood when the corpus was added, so a
 diff here is a change of behaviour: mend the code, or record the change
 and its reason before touching a golden file.
+
+The three lines of `tests/tools/asdict_hash.py` are pinned the same way.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,22 @@ def test_golden(case):
     assert out == (GOLDEN / f"{case['id']}.out").read_text()
     if case["exit"] != 0:
         assert err == (GOLDEN / f"{case['id']}.err").read_text()
+
+
+# A line may change only for a fix that has been shown to be one and is
+# recorded, with the new line and its reason, in CHANGES.md.
+ASDICT_LINES = [
+    "points 3266 finite 260 sha256 "
+    "5a8f8e5d32b0bcd145f7944805c36c08f4d15e58d1dffa24d8477c1d82eb173a",
+    "layers 494 sha256 1523b162263a65979f7b09873813887532bce3cb4e77476812c5a26c4e69d8e3",
+    "tables 193 sha256 a85843482e70e9c120233b937a43410f390f395265770b5e233c423b297f8ec5",
+]
+
+
+def test_asdict_hash_lines():
+    # the tool imports the package from this checkout's src/, in a fresh interpreter
+    tool = Path(__file__).parent / "tools" / "asdict_hash.py"
+    done = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ASDICT_LINES

@@ -84,6 +84,20 @@ def test_direct_route_random_couplings():
                     assert got == want, (label, n, r, str(k1), str(k2))
 
 
+def test_evaluate_at_couplings_slots():
+    # the table variables at raw couplings, by hand: hbar is 1 + 3 k1 on A2,
+    # 1 + 2 (k1 + k2) on B2 and 1 + 3 (k1 + k2) on G2; A1 has no table family
+    k1, k2 = Rat(2, 7), Rat(-3, 5)
+    want = {"A2": (1 + 3 * k1, 0), "B2": (k1, 1 + 2 * (k1 + k2)),
+            "G2": (1 + 3 * (k1 + k2), k2 - k1)}
+    for label, slots in want.items():
+        got = tuple(evaluate_at_couplings(label, p, k1, k2) for p in (PP_K1, PP_K2))
+        assert got == slots, label
+    for label in ("A1", "XX"):
+        with pytest.raises(ValueError, match="no such table family"):
+            evaluate_at_couplings(label, PP_K1, k1, k2)
+
+
 def test_direct_route_cost_guard():
     try:
         f_power_image_direct("A2", 7, 0, Rat(1), Rat(1))

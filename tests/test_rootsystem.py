@@ -8,8 +8,10 @@ from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.linalg import freeze, identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.polynomials import MPoly, weyl_act
-from cherednik.rootsystem import RootSystem, build_root_system, hbar_poly
-from cherednik.dunkl import b_direction
+from cherednik import rootsystem
+from cherednik.rootsystem import RootSystem, build_root_system
+from cherednik.wrep import get_irrep
+from cherednik.dunkl import b_direction, lowest_weight_scalar
 
 RNG = random.Random(303)
 
@@ -258,10 +260,23 @@ def test_working_coordinates_reject_a_mixed_root():
 def test_hbar_polys():
     half = ParamPoly.const(Rat(1, 2))
     one = ParamPoly.const(Rat(1))
-    assert hbar_poly(build_root_system("A1")) == PP_K1 + half
-    assert hbar_poly(build_root_system("A2")) == PP_K1 * Rat(3) + one
-    assert hbar_poly(build_root_system("B2")) == (PP_K1 + PP_K2) * Rat(2) + one
-    assert hbar_poly(build_root_system("G2")) == (PP_K1 + PP_K2) * Rat(3) + one
+
+    def hbar(label):
+        rs = build_root_system(label)
+        return lowest_weight_scalar(rs, get_irrep(rs, "triv"), PP_K1, PP_K2)
+
+    assert hbar("A1") == PP_K1 + half
+    assert hbar("A2") == PP_K1 * Rat(3) + one
+    assert hbar("B2") == (PP_K1 + PP_K2) * Rat(2) + one
+    assert hbar("G2") == (PP_K1 + PP_K2) * Rat(3) + one
+
+
+@pytest.mark.parametrize("label", ORDERS)
+def test_stated_orbit_counts_are_checked(label, monkeypatch):
+    c1, c2 = ORBITS[label]
+    monkeypatch.setitem(rootsystem._ORBIT_COUNTS, label, (c1 + 1, c2))
+    with pytest.raises(InvariantViolation, match="orbit counts"):
+        RootSystem(label)
 
 
 def test_unknown_label_rejected():

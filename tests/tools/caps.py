@@ -15,6 +15,10 @@ requests:
 - `scan-A1`, `scan-A2`: the deepest natural m that MAX_SCAN_DEGREE accepts,
   2m + 2 = 20000 on A1 and 106 on rank 2 (m = 9999 and 52);
 - `scan-G2`: a generic rank-2 scan to the same cap, G2 std at (1/2, -1/3);
+- `natural-G2`, `natural-A2`: natural points where L(triv) is infinite, so
+  no Gram layer is built and the module holds the lowerings of every degree
+  up to 2m + 2: G2 at (-9, -8) (m = 50, kappa = 1, r = 17) and A2 at k = -17
+  (m = 50);
 - `gram-*`: the MAX_GRAM_DEGREE requests that its comment names, a numeric
   G2 std layer at the singular point k = -5/6 and the symbolic G2 std and A1
   layers, each at its cap;
@@ -39,6 +43,8 @@ REQUESTS = {
     "scan-A1": "classify --type A1 --chi triv --k -19999/2",
     "scan-A2": "classify --type A2 --chi triv --k -53/3",
     "scan-G2": "classify --type G2 --chi std --k1 1/2 --k2 -1/3 --max-degree 106",
+    "natural-G2": "classify --type G2 --chi triv --k1 -9 --k2 -8",
+    "natural-A2": "classify --type A2 --chi triv --k -17",
     "gram-G2": "gram --type G2 --chi std --k -5/6 --degree 80",
     "gram-G2-symbolic": "gram --type G2 --chi std --symbolic --degree 20",
     "gram-A1-symbolic": "gram --type A1 --chi triv --symbolic --degree 1200",
