@@ -36,7 +36,7 @@ from operator import add, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
-from .linalg import dot, identity, kron_identity, mat_add, mat_mul, mat_vec
+from .linalg import dot, identity, mat_add, mat_mul, mat_vec
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem
 from .wrep import get_irrep
@@ -135,13 +135,6 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     return layers[n]
 
 
-def mult_matrix(rs: RootSystem, q: MPoly, n: int):
-    """Matrix of multiplication by a homogeneous q from degree n up."""
-    nv, d = rs.rank, q.degree()
-    cols = [poly_coords(q * MPoly(nv, {m: QuadExt(1)}), n + d, nv) for m in monomials(nv, n)]
-    return [list(row) for row in zip(*cols)]
-
-
 # -- Dunkl operators -----------------------------------------------------------
 
 def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
@@ -184,7 +177,7 @@ def _weights(rs: RootSystem, rep, y: tuple):
     def weights(r):
         ay = dot(rs.positive_roots[r], y)
         return {(2 + 2 * rs.orbit_of[r] + sg, s, t): v
-                for s, row in enumerate(rep.matrix(rs.reflection_element[r]))
+                for s, row in enumerate(rep.matrices[rs.reflection_element[r]])
                 for t, x in enumerate(row) for sg, v in _split(ay * x)} if ay else {}
 
     pairs, axis = [], []
@@ -350,8 +343,17 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> Lowerin
 
 def e_mult_matrix(rs: RootSystem, rep, n: int):
     """Matrix of the raising operator (multiplication by the invariant
-    quadric) from the degree-n layer to the degree-(n+2) layer."""
-    return kron_identity(mult_matrix(rs, rs.e_poly, n), rep.dim)
+    quadric) from the degree-n layer to the degree-(n+2) layer: each quadric
+    coefficient in its cell, per degree-n monomial and basis vector of chi."""
+    d, low = rep.dim, monomials(rs.rank, n)
+    pos = {m: i for i, m in enumerate(monomials(rs.rank, n + 2))}
+    out = [[QuadExt(0)] * (len(low) * d) for _ in range(len(pos) * d)]
+    for j, m in enumerate(low):
+        for e, v in rs.e_poly.terms.items():
+            i = pos[tuple(map(add, m, e))]
+            for s in range(d):
+                out[i * d + s][j * d + s] = v
+    return out
 
 
 def f_coefficient(rs: RootSystem) -> Rat:

@@ -67,23 +67,6 @@ def mat_inv(a):
     return [[s / det, -q / det], [-r / det, p / det]]
 
 
-def kron_identity(a, d):
-    """a tensor the d x d identity: entry (i, j) of a on the diagonal of
-    block (i, j)."""
-    if d == 1:
-        return [row[:] for row in a]
-    rows, cols = len(a), len(a[0])
-    out = [[QuadExt(0)] * (cols * d) for _ in range(rows * d)]
-    for i in range(rows):
-        for j in range(cols):
-            v = a[i][j]
-            if not v:
-                continue
-            for s in range(d):
-                out[i * d + s][j * d + s] = v
-    return out
-
-
 def freeze(a):
     """The matrix as a tuple of row tuples, usable as a dict key."""
     return tuple(map(tuple, a))

@@ -59,12 +59,15 @@ def _param(poly: MPoly, den: int = 1) -> ParamPoly:
     return ParamPoly._of({e: QuadExt._of(Rat(c, den)) for e, c in poly.terms.items()})
 
 
-def _check_entry(label: str, n: int):
-    """The argument check shared by the three routes to the (n, r) entry."""
+def _in_triangle(label: str, n: int, r: int) -> bool:
+    """The argument check of the three routes to the (n, r) entry (and of
+    evaluate_at_couplings, at (0, 0)), then whether 0 <= r <= max_r:
+    outside that triangle an entry is zero by convention."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if label not in _TABLE_TYPES:
         raise ValueError(f"no such table family: {label!r}")
+    return 0 <= r <= _max_r(label, n)
 
 
 def _step(label: str, row, n: int):
@@ -116,8 +119,7 @@ def _row(label: str, n: int) -> tuple:
 def f_power_image(label: str, n: int, r: int) -> ParamPoly:
     """Recursion route to the (n, r) entry; out-of-triangle indices are
     zero by convention."""
-    _check_entry(label, n)
-    if r < 0 or r > _max_r(label, n):
+    if not _in_triangle(label, n, r):
         return _PZERO
     return _param(_row(label, n)[r], 9 ** n if label == "G2" else 1)
 
@@ -134,8 +136,7 @@ def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
     with the skipped factors left out, not divided out (B2 skips the odd
     j <= 2r - 1, A2 and G2 the j = 2 mod 3 with j <= 3r - 1), times the
     type's factors and the combinatorial constant."""
-    _check_entry(label, n)
-    if r < 0 or r > _max_r(label, n):
+    if not _in_triangle(label, n, r):
         return _PZERO
     if label == "B2":
         k1v, hb = _X, _Y
@@ -275,22 +276,11 @@ def _table_invariant(label: str):
     deg = q.degree()
     val = mat_vec(vm.f_chain(deg, deg - 2), poly_coords(q, deg, 2))
     epow = poly_coords(rs.e_poly ** (deg // 2 - 1), deg - 2, 2)
+    i = next(i for i, e in enumerate(epow) if e)
     lead, lead_coef = shape.leading()
-    c = None
-    for v, e in zip(val, epow):
-        if not e:
-            if v:
-                raise InvariantViolation(f"{label} normalization: not a quadric multiple")
-            continue
-        ratio = v / e
-        cand = ratio.coefficient(*lead) / lead_coef
-        if ratio != shape * ParamPoly.const(cand):
-            raise InvariantViolation(f"{label} normalization has the wrong shape")
-        if c is not None and cand != c:
-            raise InvariantViolation(f"{label} normalization is not constant")
-        c = cand
-    if not c:
-        raise InvariantViolation(f"{label} normalization vanished")
+    c = (val[i] / epow[i]).coefficient(*lead) / lead_coef
+    if not c or any(v != shape * (c * e) for v, e in zip(val, epow)):
+        raise InvariantViolation(f"{label} normalization: F(Q) is not c * shape * E^p, c != 0")
     return q, c
 
 
@@ -305,10 +295,10 @@ def _power(label: str, of_q: bool, a: int) -> MPoly:
 def f_power_image_direct(label: str, n: int, r: int, k1, k2):
     """Evaluate the (n, r) entry by genuinely composing Dunkl operators
     at numeric couplings.  Cost-guarded to n <= 6."""
-    _check_entry(label, n)
+    inside = _in_triangle(label, n, r)
     if n > 6:
         raise ValueError("direct route is cost-guarded to n <= 6")
-    if r < 0 or r > _max_r(label, n):
+    if not inside:
         return QuadExt(0)
     vm = _direct_module(label, rat(k1), rat(k2))
     q, c = _table_invariant(label)
@@ -320,8 +310,7 @@ def f_power_image_direct(label: str, n: int, r: int, k1, k2):
 def evaluate_at_couplings(label: str, poly: ParamPoly, k1, k2):
     """Evaluate a table polynomial at raw couplings, translating them to
     the type's natural parameters (hbar: lowest_weight_scalar of triv)."""
-    if label not in _TABLE_TYPES:
-        raise ValueError(f"no such table family: {label!r}")
+    _in_triangle(label, 0, 0)
     k1, k2 = rat(k1), rat(k2)
     rs = build_root_system(label)
     hbar = lowest_weight_scalar(rs, get_irrep(rs, "triv"), k1, k2)
@@ -367,17 +356,16 @@ def very_singular(label: str, k1, k2) -> VerySingularResult:
             return _decided(label, True, m)
         t = -2 * k1
         return _decided(label, t.denominator == 1 and int(t) % 2 == 1 and 1 <= int(t) <= m, m)
-    if label == "G2":
-        n = m + 1
-        if n % 3 != 0:
-            return _decided(label, True, m)
-        r = n // 3
-        kappa = k2 - k1
-        conj = (kappa.denominator == 1 and abs(int(kappa)) < r
-                and (abs(int(kappa)) % 2) != (r % 2))
-        exact = not kappa_factor_at_critical(r).eval2(Rat(0), kappa)
-        return VerySingularResult(label, conj, m if conj else None, "kappa", True, exact, kappa)
-    raise ValueError(f"unknown root system type {label!r}")
+    # G2: build_root_system has rejected every other label
+    n = m + 1
+    if n % 3 != 0:
+        return _decided(label, True, m)
+    r = n // 3
+    kappa = k2 - k1
+    conj = (kappa.denominator == 1 and abs(int(kappa)) < r
+            and (abs(int(kappa)) % 2) != (r % 2))
+    exact = not kappa_factor_at_critical(r).eval2(Rat(0), kappa)
+    return VerySingularResult(label, conj, m if conj else None, "kappa", True, exact, kappa)
 
 
 def finite_dim_table(label: str, k1, k2) -> dict:

@@ -37,9 +37,6 @@ class Irrep:
         self.refl_char = [self.character[rs.reflection_element[rs.orbit_of.index(o)]]
                           if o in rs.orbit_of else QuadExt(0) for o in (0, 1)]
 
-    def matrix(self, w: int):
-        return self.matrices[w]
-
     def __repr__(self):
         return f"Irrep({self.rs.label}:{self.label}, dim {self.dim})"
 

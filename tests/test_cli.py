@@ -19,7 +19,7 @@ from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
 from cherednik.scalars import Rat
-from cherednik.verma import standard_module
+from cherednik.verma import VermaModule, standard_module
 from cherednik.wrep import irreps
 
 rng = random.Random(808)
@@ -409,6 +409,18 @@ def test_exit_code_bad_range(capsys):
         ["sweep", "--type", "A1", "--chi", "triv", "--k1-range", "2:1:1"],
         capsys)
     assert code == 1
+
+
+def test_invariant_violation_exits_two(capsys, monkeypatch):
+    # a cross-check that fails inside a command: exit 2, one line on stderr
+    epower = VermaModule.epower_criterion
+    monkeypatch.setattr(VermaModule, "epower_criterion",
+                        lambda self: epower(self)._replace(finite=False))
+    code, out, err = run_cli(
+        ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"], capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("cherednik: invariant violation: A2/triv at k=(-4/3,-4/3): "
+                          "the two finiteness tests disagree")
 
 
 def test_negative_rational_tokens_accepted(capsys):

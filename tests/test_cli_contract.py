@@ -102,6 +102,8 @@ def test_exit_code_contract(monkeypatch):
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(argvs())
     @example(["info", "--type", "A2", "a\nb"])  # argparse echoes extra tokens unquoted
+    @example(["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1"])  # no step
+    @example(["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1:0"])  # zero step
     def check(argv):
         code, err = _exit(argv)
         assert code == 0 and err == "" or code == 1 and len(err.splitlines()) == 1, \

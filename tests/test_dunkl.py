@@ -285,7 +285,7 @@ def direct_action(rs, rep, y, p, t, k1, k2):
                     acc = acc + p.diff(i) * y[i]
         for a in range(rs.num_positive):
             alpha = rs.positive_roots[a]
-            rv = rep.matrix(rs.reflection_element[a])[s][t]
+            rv = rep.matrices[rs.reflection_element[a]][s][t]
             c = dot(alpha, y) * rv
             if not c:
                 continue
@@ -630,28 +630,30 @@ def test_natural_m_at_its_edges():
 
 
 def test_commutator_ef_is_graded_scalar():
-    # [E, F] acts on the degree-n layer of M(triv) by (hbar + n)
+    # [E, F] acts on the degree-n layer of M(chi) by (b(chi) + n), for the
+    # one-dimensional triv and, on rank 2, the two-dimensional std
     for label in TYPES:
         rs = build_root_system(label)
-        triv = get_irrep(rs, "triv")
-        hb = lowest_weight_scalar(rs, triv, PP_K1, PP_K2)
-        for n in (0, 1, 2, 3):
-            dim = len(monomials(rs.rank, n))
-            ef = None
-            if n >= 2:
-                ef = mat_mul(e_mult_matrix(rs, triv, n - 2),
-                             f_matrix(rs, triv, n, PP_K1, PP_K2))
-            fe = mat_mul(f_matrix(rs, triv, n + 2, PP_K1, PP_K2),
-                         e_mult_matrix(rs, triv, n))
-            want = hb + Rat(n)
-            for i in range(dim):
-                for j in range(dim):
-                    v = ParamPoly.coerce(fe[i][j])
-                    if ef is not None:
-                        v = ParamPoly.coerce(ef[i][j]) - v
-                    else:
-                        v = -v
-                    assert v == (want if i == j else ParamPoly())
+        for chi in ("triv", "std")[:rs.rank]:  # A1 has no std
+            rep = get_irrep(rs, chi)
+            hb = lowest_weight_scalar(rs, rep, PP_K1, PP_K2)
+            for n in (0, 1, 2, 3):
+                dim = len(monomials(rs.rank, n)) * rep.dim
+                ef = None
+                if n >= 2:
+                    ef = mat_mul(e_mult_matrix(rs, rep, n - 2),
+                                 f_matrix(rs, rep, n, PP_K1, PP_K2))
+                fe = mat_mul(f_matrix(rs, rep, n + 2, PP_K1, PP_K2),
+                             e_mult_matrix(rs, rep, n))
+                want = hb + Rat(n)
+                for i in range(dim):
+                    for j in range(dim):
+                        v = ParamPoly.coerce(fe[i][j])
+                        if ef is not None:
+                            v = ParamPoly.coerce(ef[i][j]) - v
+                        else:
+                            v = -v
+                        assert v == (want if i == j else ParamPoly()), (label, rep.label, n)
 
 
 def test_lowest_weight_scalars():

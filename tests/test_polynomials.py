@@ -7,9 +7,8 @@ from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_image,
                                    monomials, weyl_act)
 from cherednik.linalg import (PRIME, bareiss_rank, dot, freeze, identity,
-                              integer_scale, is_symmetric, kron_identity,
-                              mat_inv, mat_mul, mat_vec, nonsingular_mod_p,
-                              transpose)
+                              integer_scale, is_symmetric, mat_inv, mat_mul,
+                              mat_vec, nonsingular_mod_p, transpose)
 
 RNG = random.Random(202)
 
@@ -171,14 +170,6 @@ def test_linalg_inverse_and_kron():
     for m in ([[QuadExt(3)]], [[QuadExt(1), SQRT3], [SQRT3, QuadExt(4)]],
               [[QuadExt(0), QuadExt(2)], [QuadExt(-1), SQRT3]]):
         assert mat_mul(mat_inv(m), m) == identity(len(m))
-    a = [[QuadExt(1), QuadExt(0), SQRT3], [QuadExt(0), QuadExt(2), QuadExt(0)]]
-    k = kron_identity(a, 2)
-    assert len(k) == 4 and len(k[0]) == 6
-    for i in range(4):
-        for j in range(6):
-            want = a[i // 2][j // 2] if i % 2 == j % 2 else QuadExt(0)
-            assert k[i][j] == want
-    assert kron_identity(a, 1) == a and kron_identity(a, 1) is not a
 
 
 def test_rank_with_quadratic_entries(ring_bareiss_rank):

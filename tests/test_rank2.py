@@ -19,6 +19,8 @@ from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              kappa_factor, kappa_factor_at_critical,
                              kappa_factor_conjectured,
                              very_singular)
+from cherednik.dunkl import poly_coords
+from cherednik.errors import InvariantViolation
 from cherednik.rootsystem import build_root_system
 from cherednik.verma import classify
 
@@ -99,12 +101,10 @@ def test_evaluate_at_couplings_slots():
 
 
 def test_direct_route_cost_guard():
-    try:
-        f_power_image_direct("A2", 7, 0, Rat(1), Rat(1))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
+    # the guard comes before the triangle: (7, 3) is outside it, and raises too
+    for r in (0, 3):
+        with pytest.raises(ValueError, match="cost-guarded"):
+            f_power_image_direct("A2", 7, r, Rat(1), Rat(1))
 
 
 def test_table_invariant_reads_no_quadext_matrices(monkeypatch):
@@ -131,6 +131,32 @@ def test_table_invariant_reads_no_quadext_matrices(monkeypatch):
     finally:
         rank2._table_invariant.cache_clear()
     assert calls == []
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("row", [0, 1])
+def test_table_normalization_check_fires(label, row, monkeypatch):
+    # one entry of F(Q) moved, in a column that Q reads: row 0 is where E^p
+    # is nonzero and c is read, row 1 (x_0^(deg-3) x_1) where E^p is zero
+    q = rank2._table_invariant(label)[0]
+    deg = q.degree()
+    epow = poly_coords(build_root_system(label).e_poly ** (deg // 2 - 1), deg - 2, 2)
+    assert [bool(e) for e in epow[:2]] == [True, False]
+    col = next(j for j, x in enumerate(poly_coords(q, deg, 2)) if x)
+    assert (col == 0) == (label == "G2")  # only the G2 invariant has x_0^deg
+    f_chain = verma.VermaModule.f_chain
+
+    def moved(self, top, bottom=0):
+        rows = f_chain(self, top, bottom)
+        if top != deg:  # A2's check that its cubic lowers to zero
+            return rows
+        rows = [list(r) for r in rows]
+        rows[row][col] += PP_K1
+        return rows
+
+    monkeypatch.setattr(verma.VermaModule, "f_chain", moved)
+    with pytest.raises(InvariantViolation, match=f"{label} normalization: F\\(Q\\) is not"):
+        rank2._table_invariant.__wrapped__(label)
 
 
 def test_direct_route_unnormalized_entries_match_recursion():

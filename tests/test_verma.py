@@ -168,6 +168,26 @@ def test_lowering_cell_across_the_classes_raises(monkeypatch):
         classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
 
 
+def test_lowering_cell_inside_its_class_breaks_the_symmetry(monkeypatch):
+    # the degree-3 cell of L_0 from x_0^3 (class 1) to x_0^2 (class 0) is
+    # one the class check allows; moving it leaves the Gram block asymmetric
+    lowerings = VermaModule._lowerings
+
+    def moved(self, n):
+        lows, scale = lowerings(self, n)
+        if n != 3:
+            return lows, scale
+        first = [list(row) for row in lows[0]]
+        first[0][0] += 1
+        return [first, lows[1]], scale
+
+    monkeypatch.setattr(VermaModule, "_lowerings", moved)
+    with pytest.raises(InvariantViolation, match="form is not symmetric at degree 3"):
+        standard_module("A2", "triv", Rat(2, 7), Rat(2, 7)).gram(3)
+    with pytest.raises(InvariantViolation, match="form is not symmetric at degree 3"):
+        classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+
+
 def test_stack_cell_across_the_classes_raises_on_a_generic_scan(monkeypatch):
     # a generic classification builds no Gram layer; the elimination mod p
     # checks each row of the stack against the classes instead
@@ -757,6 +777,31 @@ def test_symbolic_certificate_module_is_built_once(monkeypatch):
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     assert vm.graded_dims(6) == [(n + 1) * vm.rep.dim for n in range(7)]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("k, want", [(Rat(-4, 3), (True, 3, True)),
+                                     (Rat(1, 2), (False, None, False)),
+                                     (Rat(-2), (True, 5, False))])
+def test_classify_raises_when_the_two_finiteness_tests_disagree(k, want, monkeypatch):
+    # A2 triv, finite (m = 3), generic, and natural but infinite (m = 5): the
+    # raised-vector verdict flipped must trip the cross-check with the scan
+    ep = standard_module("A2", "triv", k, k).epower_criterion()
+    assert (ep.natural, ep.m, ep.finite) == want
+    epower = VermaModule.epower_criterion
+    monkeypatch.setattr(VermaModule, "epower_criterion",
+                        lambda self: epower(self)._replace(finite=not want[2]))
+    with pytest.raises(InvariantViolation, match="the two finiteness tests disagree"):
+        classify("A2", "triv", k, k)
+
+
+def test_classify_raises_on_a_broken_finite_shape(monkeypatch):
+    # one more rank on layer 1 of a finite quotient: the scan still ends,
+    # but the dimensions are no longer a palindrome of length 2m + 1
+    assert classify("A2", "triv", Rat(-4, 3), Rat(-4, 3)).dims == (1, 2, 3, 4, 3, 2, 1)
+    layer_rank = VermaModule.layer_rank
+    monkeypatch.setattr(VermaModule, "layer_rank", lambda self, n: layer_rank(self, n) + (n == 1))
+    with pytest.raises(InvariantViolation, match="break the finite-quotient shape"):
+        classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
 
 
 def test_a1_dimension_law():

@@ -44,13 +44,13 @@ def test_homomorphism_on_all_pairs():
         for rep in irreps(rs):
             for i in range(n):
                 for j in range(n):
-                    a, b = rep.matrix(i), rep.matrix(j)
+                    a, b = rep.matrices[i], rep.matrices[j]
                     prod = tuple(
                         tuple(sum((a[r][l] * b[l][c] for l in range(rep.dim)),
                                   QuadExt(0)) for c in range(rep.dim))
                         for r in range(rep.dim))
                     k = index[freeze(mat_mul(rs.elements[i], rs.elements[j]))]
-                    assert prod == rep.matrix(k)
+                    assert prod == rep.matrices[k]
 
 
 def test_character_orthogonality():

@@ -1,0 +1,44 @@
+"""Print every `raise` of the package that the tier-1 suite never executes.
+
+    python3 tests/tools/suite_raises.py [PYTEST_ARGS ...]
+
+Runs pytest in this process, on `tests/` with
+`--continue-on-collection-errors` unless other arguments are given, under
+the line hook of `traffic_lines.py`, set before the package is imported.
+Each `raise` statement of `src/cherednik/*.py` that no test ran is printed
+as
+
+    src/cherednik/<file>.py:<line>: <source line>
+
+then a last line `unreached <N> of <M> raises`.  A raise listed here is a
+check that no test fires: an input check that no test feeds a bad input,
+or an invariant guard that no fault test trips.  The hook sees this process
+only, so a raise reached only in a test's child process (`test_golden`'s
+asdict_hash run, `test_cli`'s `python -O` selftest) is listed too.  The
+trace slows the suite several times over.  The exit code is pytest's.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+
+import pytest
+
+import traffic_lines
+
+ROOT = traffic_lines.ROOT
+
+
+def main(argv) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
+                    "--continue-on-collection-errors"]
+    code, ran = traffic_lines.traced(lambda: pytest.main(args))
+    traffic_lines.report(ran, ast.Raise, "raises")
+    return int(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

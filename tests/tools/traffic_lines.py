@@ -56,7 +56,7 @@ def _header(node):
 
 def _unreached(path, ran):
     """The statements of one file that never ran, given the lines that ran,
-    and the number of its statements."""
+    and all of its statements."""
     stmts = _statements(ast.parse(path.read_text()))
     done = {}
 
@@ -66,7 +66,7 @@ def _unreached(path, ran):
                               or any(reached(s) for s in _inner(node)))
         return done[id(node)]
 
-    return [s for s in stmts if not reached(s)], len(stmts)
+    return [s for s in stmts if not reached(s)], stmts
 
 
 def _traffic():
@@ -78,9 +78,12 @@ def _traffic():
     return problems
 
 
-def main() -> int:
+def traced(run):
+    """run() under a `sys.settrace` hook that records each line of
+    `src/cherednik/*.py` that runs; returns its result and the lines run,
+    file -> set."""
     prefix = str(PKG) + "/"
-    ran = {}  # file -> lines run
+    ran = {}
 
     def local(frame, event, arg):
         if event == "line":
@@ -96,17 +99,29 @@ def main() -> int:
 
     sys.settrace(hook)
     try:
-        problems = _traffic()
+        return run(), ran
     finally:
         sys.settrace(None)
+
+
+def report(ran, kind=ast.stmt, noun="statements"):
+    """Print each statement of the given kind that never ran, then the line
+    `unreached <N> of <M> <noun>`."""
     total = unreached = 0
     for path in sorted(PKG.glob("*.py")):
         lines = path.read_text().splitlines()
-        missed, count = _unreached(path, ran.get(str(path), set()))
-        total, unreached = total + count, unreached + len(missed)
+        missed, stmts = _unreached(path, ran.get(str(path), set()))
+        missed = [s for s in missed if isinstance(s, kind)]
+        total += sum(isinstance(s, kind) for s in stmts)
+        unreached += len(missed)
         for stmt in sorted(missed, key=lambda s: s.lineno):
             print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
-    print(f"unreached {unreached} of {total} statements")
+    print(f"unreached {unreached} of {total} {noun}")
+
+
+def main() -> int:
+    problems, ran = traced(_traffic)
+    report(ran)
     for p in problems:
         print(p, file=sys.stderr)
     return 1 if problems else 0
