@@ -4,13 +4,13 @@ vector helper of the package lives here.
 Matrices are plain lists of row lists.  Entries are ints (lowerings and
 Gram layers, the packed symbolic ones too; see integer_scale), QuadExt, or
 ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
-guessed, and only of int matrices.  An int matrix, square or tall, whose
-columns are independent modulo the prime PRIME has independent columns over
-Q, since a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
+guessed; the package ranks int matrices only.  One, square or tall, whose
+columns are independent modulo the prime PRIME has independent columns
+over Q, as a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
 one elimination mod p per verma lowering stack, over the rows verma yields,
 each packed into one int and eliminated within its reflection class).
-Otherwise the rank is exact fraction-free Bareiss elimination over Z
-(Bareiss, Math. Comp. 22, 1968).
+Otherwise bareiss_rank, fraction-free (Bareiss, Math. Comp. 22, 1968), ranks
+it; the tests run it on QuadExt and ParamPoly matrices too, as references.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def integer_scale(mat):
 
 
 def bareiss_rank(mat) -> int:
-    """Rank of an int matrix, divisions by the previous pivot kept exact
-    (Bareiss); an inexact one raises NonDivisibleError."""
+    """Rank over ints (the package) or QuadExt, ParamPoly (the tests), each
+    divmod by the previous pivot exact (Bareiss), else NonDivisibleError."""
     if not mat or not mat[0]:
         return 0
     m = [row[:] for row in mat]

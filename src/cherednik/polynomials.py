@@ -184,6 +184,10 @@ class MPoly:
                     del rem[g]
         return self._like(quot)
 
+    def __divmod__(self, other):
+        """Exact (quotient, 0) for linalg.bareiss_rank; other may be a scalar."""
+        return self.divexact(self._lift(other)), self._like({})
+
     # -- calculus / structure -----------------------------------------------
     def diff(self, i: int) -> "MPoly":
         t = {}

@@ -137,6 +137,10 @@ class QuadExt:
             return QuadExt(other) / self
         return NotImplemented
 
+    def __divmod__(self, other):
+        """(self / other, 0): Q(s3) is a field (linalg.bareiss_rank)."""
+        return self / other, QZERO
+
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

@@ -175,6 +175,18 @@ def test_negative_degree_quotient_raises():
         lowering_matrix(rs, get_irrep(rs, "triv"), [Rat(1), Rat(0)], -1, Rat(1), Rat(1))
 
 
+def test_poly_coords_refuses_a_non_homogeneous_polynomial():
+    p = MPoly(2, {(2, 0): QuadExt(1), (0, 1): QuadExt(1)})
+    with pytest.raises(InvariantViolation, match="homogeneous degree-2"):
+        poly_coords(p, 2, 2)
+
+
+def test_f_matrix_needs_degree_two():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError, match="degree >= 2"):
+        f_matrix(rs, get_irrep(rs, "triv"), 1, Rat(1), Rat(1))
+
+
 def test_quotients_do_not_depend_on_request_order():
     for label in TYPES:
         rs = RootSystem(label)

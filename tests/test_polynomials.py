@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cherednik import linalg
 from cherednik.errors import InvariantViolation, NonDivisibleError
 from cherednik.scalars import QuadExt, Rat, SQRT3
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_image,
@@ -172,11 +173,11 @@ def test_linalg_inverse_and_kron():
         assert mat_mul(mat_inv(m), m) == identity(len(m))
 
 
-def test_rank_with_quadratic_entries(ring_bareiss_rank):
+def test_rank_with_quadratic_entries():
     a = [[QuadExt(1), SQRT3], [SQRT3, QuadExt(3)]]      # rank 1
-    assert ring_bareiss_rank(a) == 1
+    assert bareiss_rank(a) == 1
     b = [[QuadExt(1), SQRT3], [SQRT3, QuadExt(4)]]      # det = 1
-    assert ring_bareiss_rank(b) == 2
+    assert bareiss_rank(b) == 2
 
 
 def test_bareiss_rank_over_integers():
@@ -277,18 +278,37 @@ def test_packed_elimination_matches_list_elimination_on_wide_residues():
     assert 10 < short < 110
 
 
-def test_bareiss_rank_over_parampoly(ring_bareiss_rank):
+def test_bareiss_rank_over_parampoly():
     k1, k2 = PP_K1, PP_K2
     one, zero = ParamPoly.const(1), ParamPoly()
-    assert ring_bareiss_rank([[k1, k1 * k2], [one, k2]]) == 1
-    assert ring_bareiss_rank([[k1, one], [one, k2]]) == 2
-    assert ring_bareiss_rank([[zero] * 3 for _ in range(2)]) == 0
+    assert bareiss_rank([[k1, k1 * k2], [one, k2]]) == 1
+    assert bareiss_rank([[k1, one], [one, k2]]) == 2
+    assert bareiss_rank([[zero] * 3 for _ in range(2)]) == 0
     # the first pivot needs a row swap; the third row is k2 * row 2 + k1 * row 1,
     # and the second Bareiss step divides exactly by the first pivot k1
     m = [[zero, k2, one], [k1, one, zero], [k1 * k2, k2 + k1 * k2, k1]]
-    assert ring_bareiss_rank(m) == 2
+    assert bareiss_rank(m) == 2
     m[2][2] = k1 + one
-    assert ring_bareiss_rank(m) == 3
+    assert bareiss_rank(m) == 3
+
+
+def test_inexact_bareiss_step_raises(monkeypatch):
+    # a remainder left by the first step's division, as an inexact one would
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(NonDivisibleError, match="Bareiss step: 1 does not divide -2"):
+        bareiss_rank([[1, 2], [3, 4]])
+
+
+def test_divmod_divides_exactly_or_raises():
+    # bareiss_rank's steps over the symbolic and quadratic rings
+    k1, k2 = PP_K1, PP_K2
+    assert divmod(k1 * k2 + k1, k1) == (k2 + 1, ParamPoly())
+    assert divmod(k1 * k2, 1) == (k1 * k2, ParamPoly())
+    with pytest.raises(NonDivisibleError):
+        divmod(k1 * k2 + 1, k1)
+    assert divmod(SQRT3, QuadExt(2)) == (QuadExt(0, Rat(1, 2)), QuadExt(0))
+    with pytest.raises(ZeroDivisionError):
+        divmod(QuadExt(1), QuadExt(0))
 
 
 def test_integer_scale():

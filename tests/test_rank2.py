@@ -159,6 +159,26 @@ def test_table_normalization_check_fires(label, row, monkeypatch):
         rank2._table_invariant.__wrapped__(label)
 
 
+def test_a2_cubic_check_fires(monkeypatch):
+    # F of the cubic invariant 3 x_0^2 x_1 - x_1^3, f_chain(3, 1) on its
+    # coordinates, moved off zero in a column that the cubic reads
+    col = next(j for j, x in enumerate(poly_coords(
+        build_root_system("A2").invariant_gens[1], 3, 2)) if x)
+    f_chain = verma.VermaModule.f_chain
+
+    def moved(self, top, bottom=0):
+        rows = f_chain(self, top, bottom)
+        if (top, bottom) != (3, 1):
+            return rows
+        rows = [list(r) for r in rows]
+        rows[0][col] += PP_K1
+        return rows
+
+    monkeypatch.setattr(verma.VermaModule, "f_chain", moved)
+    with pytest.raises(InvariantViolation, match="A2 cubic invariant should lower to zero"):
+        rank2._table_invariant.__wrapped__("A2")
+
+
 def test_direct_route_unnormalized_entries_match_recursion():
     # the r = 0 entries use no c: they check the integer parts on their own
     for label in ("A2", "B2", "G2"):

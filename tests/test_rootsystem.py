@@ -279,6 +279,57 @@ def test_stated_orbit_counts_are_checked(label, monkeypatch):
         RootSystem(label)
 
 
+@pytest.mark.parametrize("label", ORDERS)
+def test_stated_group_order_is_checked(label, monkeypatch):
+    # the group closes short of a stated order one larger
+    order = ORDERS[label]
+    monkeypatch.setitem(rootsystem._GROUP_ORDER, label, order + 1)
+    with pytest.raises(InvariantViolation, match=f"group order {order}, expected {order + 1}"):
+        RootSystem(label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_reflection_outside_the_generated_group_is_refused(label, monkeypatch):
+    # one simple reflection stated twice generates {1, s}, which lacks the
+    # reflections in the other positive roots
+    roots, simple, second = rootsystem._TYPES[label]
+    monkeypatch.setitem(rootsystem._TYPES, label, (roots, [simple[0]] * 2, second))
+    with pytest.raises(InvariantViolation, match="reflection is not in the generated group"):
+        RootSystem(label)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("doubled, want", [(False, "more than two root orbits"),
+                                           (True, "group does not permute the roots")])
+def test_group_that_breaks_the_root_orbits_is_refused(label, doubled, want, monkeypatch):
+    # with the group cut to the identity each of the 3 or more positive
+    # roots is its own orbit; twice the identity sends roots off the roots
+    stock = RootSystem._build_group
+
+    def with_other_elements(self):
+        stock(self)
+        one = self.elements[0]
+        self.elements = [one, tuple(tuple(2 * v for v in r) for r in one)] if doubled else [one]
+
+    monkeypatch.setattr(RootSystem, "_build_group", with_other_elements)
+    with pytest.raises(InvariantViolation, match=want):
+        RootSystem(label)
+
+
+@pytest.mark.parametrize("label", ORDERS)
+def test_coroot_pairing_is_checked(label, monkeypatch):
+    # a coroot doubled after the group, orbits and form are built
+    stock = RootSystem._build_working_coordinates
+
+    def with_doubled_coroot(self):
+        stock(self)
+        self.coroots[0] = tuple(2 * v for v in self.coroots[0])
+
+    monkeypatch.setattr(RootSystem, "_build_working_coordinates", with_doubled_coroot)
+    with pytest.raises(InvariantViolation, match="coroot pairing"):
+        RootSystem(label)
+
+
 def test_unknown_label_rejected():
     try:
         build_root_system("C3")

@@ -445,6 +445,13 @@ def test_symbolic_negative_degree_raises():
                 call(-1)
 
 
+def test_symbolic_module_refuses_the_finiteness_tests():
+    vm = standard_module("A2", "triv", PP_K1, PP_K2)
+    for call in (vm.classify, vm.epower_criterion):
+        with pytest.raises(ValueError, match="needs numeric couplings"):
+            call()
+
+
 def test_symbolic_f_chain_below_degree_two_is_identity():
     vm = standard_module("G2", "std", PP_K1, PP_K2)
     want = [[ParamPoly.coerce(v) for v in row] for row in identity(2)]
@@ -497,14 +504,14 @@ def test_gram_symbolic_matches_evaluation():
                 assert v == gn[i][j]
 
 
-def test_symbolic_rank_certificate_matches_parampoly_bareiss(ring_bareiss_rank):
+def test_symbolic_rank_certificate_matches_parampoly_bareiss():
     for label in TYPES:
         rs = build_root_system(label)
         for rep in irreps(rs):
             vm = VermaModule(rs, rep, PP_K1, PP_K2)
             for n in range(4):
                 layer = vm.gram(n)
-                want = ring_bareiss_rank(layer)
+                want = bareiss_rank(layer)
                 assert vm.layer_rank(n) == want == len(layer), (label, rep.label, n)
 
 
@@ -751,7 +758,7 @@ def test_full_l1_is_built_only_where_the_block_is_singular():
     assert vm.layer_rank(3) == 4 and set(vm._low) == {3} and not vm._gram
 
 
-def test_symbolic_rank_short_at_the_point_raises(monkeypatch, ring_bareiss_rank):
+def test_symbolic_rank_short_at_the_point_raises(monkeypatch):
     # at k = -1/3, L(triv) of A2 is 1-dimensional: its degree-1 layer
     # evaluates to rank 0 there, though it has rank 2 over Q(k1, k2).  The
     # certificate point k = 0 is chosen so that this cannot happen.
@@ -759,7 +766,7 @@ def test_symbolic_rank_short_at_the_point_raises(monkeypatch, ring_bareiss_rank)
     monkeypatch.setattr(verma, "_CERT_POINT", point)
     vm = standard_module("A2", "triv", PP_K1, PP_K2)
     at = [[ParamPoly.coerce(v).eval2(*point) for v in row] for row in vm.gram(1)]
-    assert ring_bareiss_rank(at) == 0
+    assert bareiss_rank(at) == 0
     with pytest.raises(InvariantViolation, match="not full rank"):
         vm.layer_rank(1)
 

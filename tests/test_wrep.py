@@ -208,6 +208,33 @@ def test_validate_refuses_an_irrep_that_is_not_its_signs_times_its_base():
             _validate(rs, reps[:r] + [bad] + reps[r + 1:])
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_table_without_std_is_refused(label, monkeypatch):
+    # the squared dimensions then fall short of the group order
+    table = [row for row in wrep._TABLE[label] if row[0] != "std"]
+    monkeypatch.setitem(wrep._TABLE, label, table)
+    with pytest.raises(InvariantViolation, match="squared dimensions do not sum"):
+        wrep._build_irreps(RootSystem(label))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_std_conjugated_off_the_orthogonal_group_is_refused(label, monkeypatch):
+    # std conjugated by a shear is still a homomorphism with the same
+    # character, but its simple reflections are not orthogonal
+    shear, unshear = ([[QuadExt(1), QuadExt(s)], [QuadExt(0), QuadExt(1)]] for s in (1, -1))
+    build = wrep._from_generators
+
+    def sheared(rs, name, signs, reflection, over=None):
+        rep = build(rs, name, signs, reflection, over)
+        if name == "std":
+            rep.matrices = [freeze(mat_mul(mat_mul(shear, m), unshear)) for m in rep.matrices]
+        return rep
+
+    monkeypatch.setattr(wrep, "_from_generators", sheared)
+    with pytest.raises(InvariantViolation, match="std matrices are not orthogonal"):
+        wrep._build_irreps(RootSystem(label))
+
+
 def test_validate_catches_a_doubled_product_matrix():
     # a matrix that no simple reflection gives directly: the longest element
     rs = RootSystem("G2")
