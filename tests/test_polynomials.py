@@ -326,3 +326,43 @@ def test_integer_scale():
 def test_is_symmetric():
     assert is_symmetric([[Rat(1), Rat(5)], [Rat(5), Rat(2)]])
     assert not is_symmetric([[Rat(1), Rat(5)], [Rat(4), Rat(2)]])
+
+
+def test_polynomial_guards():
+    with pytest.raises(TypeError, match="MPoly is not hashable"):
+        hash(MPoly(2, {(1, 0): QuadExt(1)}))
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        (PP_K1 * PP_K2).divexact(ParamPoly())
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        MPoly(2, {(1, 0): 1}).divexact(MPoly.zero(2))
+    zero = MPoly.zero(2)
+    assert zero.degree() == -1 and ParamPoly().degree() == -1
+    with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+        zero.leading()
+    with pytest.raises(ValueError, match="generator index must be 0 or 1"):
+        ParamPoly.gen(2)
+
+
+def test_parampoly_is_immutable_and_hashable():
+    with pytest.raises(AttributeError, match="ParamPoly is immutable"):
+        PP_K1.terms = {}
+    assert hash(PP_K1 + 1) == hash(1 + PP_K1)
+    assert len({PP_K1 * 2, 2 * PP_K1, PP_K2}) == 2
+
+
+def test_parampoly_coerce_takes_scalars_only():
+    assert ParamPoly.coerce(PP_K1) is PP_K1
+    for x in (3, Rat(1, 2), QuadExt(1, 1)):
+        c = ParamPoly.coerce(x)
+        assert type(c) is ParamPoly and c.terms == {(0, 0): QuadExt.coerce(x)}
+    assert ParamPoly.coerce(0).terms == {}
+    for bad in (MPoly(2, {(1, 0): 1}), 1.5, "1"):
+        with pytest.raises(TypeError, match="to ParamPoly"):
+            ParamPoly.coerce(bad)
+
+
+def test_to_str_parenthesizes_sums():
+    p = MPoly(2, {(1, 0): QuadExt(1, 1), (0, 1): QuadExt(0, -1),
+                  (0, 0): QuadExt(Rat(-1, 2))})
+    assert p.to_str() == "(1+s3)*x1 - s3*x2 - 1/2"
+    assert (PP_K1 * QuadExt(0, 2) - PP_K2).to_str() == "2*s3*k1 - k2"

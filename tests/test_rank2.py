@@ -519,3 +519,23 @@ def test_very_singular_points_lie_in_singular_reference():
                 if vs.finite:
                     ref = singular_reference(label, k, k)
                     assert ref is True, (label, str(k))
+
+
+def test_kappa_factorization_report_names_the_first_failure(monkeypatch, capsys):
+    # conjectured factors doubled at r = 3: the report stops there
+    from cherednik import cli
+
+    stock = rank2._conjectures
+
+    def off_at_three():
+        for r, c in enumerate(stock()):
+            yield c * 2 if r == 3 else c
+
+    monkeypatch.setattr(rank2, "_conjectures", off_at_three)
+    rep = check_kappa_factorization(2)
+    assert rep.first_failure == 3 and rep.verified_up_to == 2
+    assert rep.all_verified is False
+    want = {"verified_up_to": 2, "first_failure": 3, "checked_up_to": 5}
+    assert rep.as_dict() == want
+    assert cli.run(["conjecture", "--max-q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == want

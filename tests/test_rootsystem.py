@@ -337,3 +337,15 @@ def test_unknown_label_rejected():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_short_roots_get_the_first_orbit_whatever_the_root_order(monkeypatch):
+    # B2 with its long roots first: the orbit found first is the long one,
+    # and the short one is renumbered to orbit 0, the orbit of k1
+    second = rootsystem._TYPES["B2"][2]
+    monkeypatch.setitem(rootsystem._TYPES, "B2",
+                        ([(1, 1), (1, -1), (1, 0), (0, 1)], [3, 1], second))
+    rs = RootSystem("B2")
+    assert rs.orbit_of == [1, 1, 0, 0]
+    assert rs.orbit_counts == (2, 2)
+    assert [rs.coupling_of_root(i, "k1", "k2") for i in range(4)] == ["k2", "k2", "k1", "k1"]

@@ -202,3 +202,117 @@ def test_linalg_imports_only_errors_and_scalars():
                 continue
             got.update([sub.partition(".")[0]] if sub else [a.name for a in node.names])
     assert got <= {"errors", "scalars"}, got
+
+
+# -- operand rules: what a QuadExt operation accepts and what it returns -----
+
+_X = QuadExt(Rat(3, 4), -1)
+_OTHERS = [3, Rat(-5, 2), QuadExt(Rat(1, 3), 2)]
+
+
+def _parts(v):
+    """(a, b) of v = a + b*s3, for an int, a Rat or a QuadExt."""
+    return (v.a, v.b) if isinstance(v, QuadExt) else (Rat(v), Rat(0))
+
+
+def _quotient(x, y):
+    # (a + b s3) / (c + d s3) = (a + b s3)(c - d s3) / (c^2 - 3 d^2)
+    (a, b), (c, d) = x, y
+    n = c * c - 3 * d * d
+    return (a * c - 3 * b * d) / n, (b * c - a * d) / n
+
+
+@pytest.mark.parametrize("other", _OTHERS, ids=["int", "Rat", "QuadExt"])
+def test_mixed_operands_give_a_quadext_of_the_exact_value(other):
+    (a, b), (c, d) = _parts(_X), _parts(other)
+    want = {
+        "x + y": ((a + c, b + d), _X + other), "y + x": ((a + c, b + d), other + _X),
+        "x - y": ((a - c, b - d), _X - other), "y - x": ((c - a, d - b), other - _X),
+        "x * y": ((a * c + 3 * b * d, a * d + b * c), _X * other),
+        "y * x": ((a * c + 3 * b * d, a * d + b * c), other * _X),
+        "x / y": (_quotient((a, b), (c, d)), _X / other),
+        "y / x": (_quotient((c, d), (a, b)), other / _X),
+    }
+    for op, (parts, got) in want.items():
+        assert type(got) is QuadExt, op
+        assert (got.a, got.b) == parts, op
+        assert type(got.a) is type(got.b) is type(Rat(0)), op
+
+
+def test_equality_and_hash_across_int_rat_and_quadext():
+    for scalar, q in ((3, QuadExt(3)), (Rat(-5, 2), QuadExt(Rat(-5, 2))),
+                      (Rat(4, 2), QuadExt(2))):
+        assert q == scalar and scalar == q
+        assert hash(q) == hash(scalar)
+    assert QuadExt(Rat(1, 3), 2) == QuadExt(Rat(2, 6), Rat(2))
+    assert hash(QuadExt(Rat(1, 3), 2)) == hash(QuadExt(Rat(2, 6), Rat(2)))
+    assert QuadExt(3, 1) != 3 and 3 != QuadExt(3, 1)
+    assert QuadExt(3) != 4 and QuadExt(Rat(1, 2)) != Rat(1, 3)
+    assert QuadExt(Rat(3, 2)) != 1.5  # no float is a value of the field
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"], ids=["float", "str"])
+def test_float_and_str_operands_are_refused(bad):
+    for op in (lambda: _X + bad, lambda: bad + _X, lambda: _X - bad, lambda: bad - _X,
+               lambda: _X * bad, lambda: bad * _X, lambda: _X / bad, lambda: bad / _X):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_polynomial_operands_defer_to_the_polynomial():
+    from cherednik.polynomials import MPoly
+
+    const = ParamPoly.const(_X)
+    assert type(_X + PP_K1) is ParamPoly and _X + PP_K1 == PP_K1 + const
+    assert type(_X - PP_K1) is ParamPoly and _X - PP_K1 == const - PP_K1
+    assert type(_X * PP_K1) is ParamPoly and _X * PP_K1 == PP_K1 * const
+    assert _X == const and const == _X
+    x1 = MPoly(2, {(1, 0): QuadExt(1)})
+    assert type(_X + x1) is MPoly and (_X + x1).terms == {(1, 0): QuadExt(1), (0, 0): _X}
+    assert type(_X - x1) is MPoly and (_X - x1).terms == {(1, 0): QuadExt(-1), (0, 0): _X}
+    assert type(_X * x1) is MPoly and (_X * x1).terms == {(1, 0): _X}
+    assert _X == MPoly(2, {(0, 0): _X}) and _X != x1
+    with pytest.raises(TypeError):  # no division by a polynomial
+        _X / PP_K1
+
+
+@pytest.mark.parametrize("zero", [0, Rat(0), QuadExt(0)], ids=["int", "Rat", "QuadExt"])
+def test_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        _X / zero
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        divmod(_X, zero)
+
+
+def test_zero_has_no_inverse():
+    for op in (lambda: QuadExt(0).inv(), lambda: QuadExt(0) ** -1,
+               lambda: 1 / QuadExt(0), lambda: Rat(1) / QuadExt(0)):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            op()
+
+
+def test_coercions_refuse_other_types():
+    with pytest.raises(TypeError, match="cannot coerce float to a rational"):
+        rat(1.5)
+    with pytest.raises(TypeError, match="cannot coerce str to QuadExt"):
+        QuadExt.coerce("1")
+    assert QuadExt.coerce(_X) is _X
+    assert QuadExt.coerce(Rat(1, 2)) == QuadExt(Rat(1, 2))
+    assert type(QuadExt.coerce(2).a) is type(Rat(0))
+
+
+def test_quadext_is_immutable():
+    with pytest.raises(AttributeError, match="QuadExt is immutable"):
+        _X.a = Rat(1)
+    with pytest.raises(AttributeError, match="QuadExt is immutable"):
+        _X.c = Rat(1)
+
+
+def test_quadext_str_forms():
+    assert str(QuadExt(Rat(-1, 2))) == "-1/2"
+    assert str(QuadExt(0, 1)) == "s3"
+    assert str(QuadExt(0, -1)) == "-s3"
+    assert str(QuadExt(0, Rat(3, 2))) == "3/2*s3"
+    assert str(QuadExt(2, 1)) == "2+s3"
+    assert str(QuadExt(2, -1)) == "2-s3"
+    assert str(QuadExt(Rat(-1, 2), -2)) == "-1/2-2*s3"

@@ -245,3 +245,22 @@ def test_validate_catches_a_doubled_product_matrix():
     doubled = tuple(tuple(2 * v for v in row) for row in reps[r].matrices[w])
     with pytest.raises(InvariantViolation, match="not a homomorphism"):
         _validate(rs, _replaced(rs, reps, r, w, doubled))
+
+
+def test_twists_need_a_one_dimensional_character():
+    for label in ("A2", "B2", "G2"):
+        rs = build_root_system(label)
+        std = get_irrep(rs, "std")
+        with pytest.raises(ValueError, match="twisting character must be one-dimensional"):
+            tensor_one_dim(rs, get_irrep(rs, "triv"), std)
+        with pytest.raises(ValueError, match="twisting character must be one-dimensional"):
+            twist_couplings(rs, std, Rat(1), Rat(2))
+
+
+def test_twist_outside_the_table_is_refused():
+    # a hand-built one-dimensional Irrep of character 2 on every element:
+    # no irreducible has twice the trivial character
+    rs = build_root_system("B2")
+    doubled = Irrep(rs, "doubled", [((QuadExt(2),),)] * len(rs.elements))
+    with pytest.raises(InvariantViolation, match="twisted character is not in the table"):
+        tensor_one_dim(rs, get_irrep(rs, "triv"), doubled)
