@@ -7,6 +7,8 @@ ParamPoly for symbolic ones.  ParamPoly is the two-variable subclass for
 the couplings k1, k2 over Q(sqrt(3)): immutable, hashable, with QuadExt
 coefficients.  An MPoly in x may carry ParamPoly coefficients, never the
 reverse, so ParamPoly arithmetic defers to MPoly for any other MPoly.
+Each ring lifts an operand once, by its _lift: MPoly any value as a
+constant, ParamPoly a scalar only (ParamPoly.coerce: that lift or TypeError).
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import NonDivisibleError
-from .scalars import QONE, QZERO, QuadExt, RatType, power
-
-_SCALARS = (QuadExt, int, RatType)
+from .scalars import QONE, QZERO, QuadExt, _lift, power
 
 
 def _glex_key(e):
@@ -241,6 +241,15 @@ class MPoly:
         return f"{type(self).__name__}<{self}>"
 
 
+def _param_lift(x):
+    """x in the coupling ring: a ParamPoly as it is, a scalar as the
+    constant of its scalar _lift, None for anything else."""
+    if type(x) is ParamPoly:
+        return x
+    c = _lift(x)
+    return None if c is None else ParamPoly._of({(0, 0): c} if c else {})
+
+
 class ParamPoly(MPoly):
     """Polynomial in the two couplings k1, k2 with QuadExt coefficients.
 
@@ -290,17 +299,12 @@ class ParamPoly(MPoly):
 
     @classmethod
     def coerce(cls, x) -> "ParamPoly":
-        if isinstance(x, ParamPoly):
-            return x
-        if isinstance(x, _SCALARS):
-            return cls.const(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ParamPoly")
+        out = _param_lift(x)
+        if out is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to ParamPoly")
+        return out
 
-    def _lift(self, other):
-        if type(other) is ParamPoly:
-            return other
-        # an MPoly in x may have ParamPoly coefficients, never the reverse
-        return ParamPoly.const(other) if isinstance(other, _SCALARS) else None
+    _lift = staticmethod(_param_lift)
 
     # -- queries / evaluation / composition -----------------------------------
     def coefficient(self, e1: int, e2: int) -> QuadExt:

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: rationals and the field Q(s3) with s3 = sqrt(3).
 
 Everything here is immutable and hashable; no floats ever enter the
-tower.  Polynomials over this field, in the coordinates or in the couplings
-k1, k2, live in polynomials.
+tower.  QuadExt lifts every operand once, by _lift: an int or rational
+becomes the rational QuadExt, and anything else gets NotImplemented (a
+polynomial then acts, a float or str raises TypeError).  Polynomials over
+this field, in the coordinates or the couplings k1, k2, live in polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
 RatType = type(Rat(0))
-_INTLIKE = (int, RatType)
 _RZERO = Rat(0)  # the default part: one zero, not a new one per QuadExt
 
 
@@ -68,19 +69,15 @@ class QuadExt:
 
     @classmethod
     def coerce(cls, x) -> "QuadExt":
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, _INTLIKE):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to QuadExt")
+        out = _lift(x)
+        if out is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to QuadExt")
+        return out
 
     # -- ring/field operations -------------------------------------------
     def __add__(self, other):
-        if isinstance(other, QuadExt):
-            return QuadExt(self.a + other.a, self.b + other.b)
-        if isinstance(other, _INTLIKE):
-            return QuadExt(self.a + other, self.b)
-        return NotImplemented
+        o = _lift(other)
+        return NotImplemented if o is None else QuadExt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -88,28 +85,23 @@ class QuadExt:
         return QuadExt._of(-self.a, -self.b if self.b else self.b)
 
     def __sub__(self, other):
-        if isinstance(other, QuadExt):
-            return QuadExt(self.a - other.a, self.b - other.b)
-        if isinstance(other, _INTLIKE):
-            return QuadExt(self.a - other, self.b)
-        return NotImplemented
+        o = _lift(other)
+        return NotImplemented if o is None else QuadExt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        if isinstance(other, _INTLIKE):
-            return QuadExt(other - self.a, -self.b)
-        return NotImplemented
+        o = _lift(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        if isinstance(other, QuadExt):
-            a, b, c, d = self.a, self.b, other.a, other.b
-            if not b:  # rational fast paths: most factors have one nonzero part
-                return QuadExt(a * c, a * d)
-            if not d:
-                return QuadExt(a * c, b * c)
-            return QuadExt(a * c + 3 * b * d, a * d + b * c)
-        if isinstance(other, _INTLIKE):
-            return QuadExt(self.a * other, self.b * other)
-        return NotImplemented
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if not b:  # rational fast paths: most factors have one nonzero part
+            return QuadExt(a * c, a * d)
+        if not d:
+            return QuadExt(a * c, b * c)
+        return QuadExt(a * c + 3 * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -120,22 +112,18 @@ class QuadExt:
         return QuadExt(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
-        if isinstance(other, QuadExt):
-            if not other.b:
-                if not other.a:
-                    raise ZeroDivisionError("division by zero")
-                return QuadExt(self.a / other.a, self.b / other.a)
-            return self * other.inv()
-        if isinstance(other, _INTLIKE):
-            if not other:
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        if not o.b:
+            if not o.a:
                 raise ZeroDivisionError("division by zero")
-            return QuadExt(self.a / other, self.b / other)
-        return NotImplemented
+            return QuadExt(self.a / o.a, self.b / o.a)
+        return self * o.inv()
 
     def __rtruediv__(self, other):
-        if isinstance(other, _INTLIKE):
-            return QuadExt(other) / self
-        return NotImplemented
+        o = _lift(other)
+        return NotImplemented if o is None else o / self
 
     def __divmod__(self, other):
         """(self / other, 0): Q(s3) is a field (linalg.bareiss_rank)."""
@@ -169,11 +157,8 @@ class QuadExt:
 
     # -- comparisons/hashing ------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, _INTLIKE):
-            return not self.b and self.a == other
-        return NotImplemented
+        o = _lift(other)
+        return NotImplemented if o is None else (self.a == o.a and self.b == o.b)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -199,6 +184,16 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r})"
+
+
+def _lift(x):
+    """x in Q(sqrt(3)): a QuadExt as it is, an int or rational as the
+    rational QuadExt, None for anything else."""
+    if isinstance(x, QuadExt):
+        return x
+    if isinstance(x, (int, RatType)):
+        return QuadExt._of(rat(x))
+    return None
 
 
 _new = object.__new__

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import cherednik
-from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.polynomials import MPoly, ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
 
@@ -260,8 +260,6 @@ def test_float_and_str_operands_are_refused(bad):
 
 
 def test_polynomial_operands_defer_to_the_polynomial():
-    from cherednik.polynomials import MPoly
-
     const = ParamPoly.const(_X)
     assert type(_X + PP_K1) is ParamPoly and _X + PP_K1 == PP_K1 + const
     assert type(_X - PP_K1) is ParamPoly and _X - PP_K1 == const - PP_K1
@@ -304,8 +302,6 @@ def test_coercions_refuse_other_types():
 def test_quadext_is_immutable():
     with pytest.raises(AttributeError, match="QuadExt is immutable"):
         _X.a = Rat(1)
-    with pytest.raises(AttributeError, match="QuadExt is immutable"):
-        _X.c = Rat(1)
 
 
 def test_quadext_str_forms():
