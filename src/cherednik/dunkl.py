@@ -64,10 +64,11 @@ def _sqrt3_powers(rs: RootSystem, n: int, d: int = 1):
     return [sum(map(mul, rs.sqrt3_exp, m)) for m in monomials(rs.rank, n) for _ in range(d)]
 
 
-def _to_public(q, k: int) -> QuadExt:
-    """The rational q times sqrt(3)^k."""
-    x = q * Rat(3) ** (k // 2)
-    return QuadExt(0, x) if k % 2 else QuadExt(x)
+def _to_public(v: int, den: int, k: int) -> QuadExt:
+    """v / den times sqrt(3)^k."""
+    e = k // 2  # sqrt(3)^k = 3^e sqrt(3)^(k mod 2)
+    v, den = (v * 3 ** e, den) if e >= 0 else (v, den * 3 ** -e)
+    return QuadExt._of(0, v, den) if k % 2 else QuadExt._of(v, 0, den)
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +298,7 @@ def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
             if v:
                 c, sg = i % size, i // size
                 k = hr[c // cols] - hc[c % cols] + sg
-                vals[c] = vals.get(c, QZERO) + _to_public(Rat(v, den), k)
+                vals[c] = vals.get(c, QZERO) + _to_public(v, den, k)
         parts.append((vals.keys(), vals.values()))
     return _combine(len(hr), cols, parts, (1, k1, k2), QZERO)
 
@@ -384,12 +385,20 @@ def f_matrix(rs: RootSystem, rep, n: int, k1, k2):
     return [[v * fc for v in row] for row in f_apply(identity(len(low_m[0])), low_m, low_n)]
 
 
+@lru_cache(maxsize=None)
+def _orbit_weights(rs: RootSystem, rep):
+    """Per root orbit, its number of positive roots times the normalized
+    character value at a reflection in it, as Rat: memoized per (root
+    system, irrep)."""
+    return tuple(c.rational() / rep.dim * count
+                 for c, count in zip(rep.refl_char, rs.orbit_counts))
+
+
 def reflection_sum_scalar(rs: RootSystem, rep, k1, k2):
     """The weighted reflection sum acting on the lowest-weight space:
     sum over orbits of (coupling) * (number of positive roots in the
     orbit) * (normalized character value at a reflection)."""
-    return dot((k1, k2), [c.rational() / rep.dim * count
-                          for c, count in zip(rep.refl_char, rs.orbit_counts)])
+    return dot((k1, k2), _orbit_weights(rs, rep))
 
 
 def lowest_weight_scalar(rs: RootSystem, rep, k1, k2):

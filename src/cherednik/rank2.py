@@ -56,7 +56,7 @@ def _max_r(label: str, n: int) -> int:
 
 def _param(poly: MPoly, den: int = 1) -> ParamPoly:
     """An integer table polynomial over its denominator, as a ParamPoly."""
-    return ParamPoly._of({e: QuadExt._of(Rat(c, den)) for e, c in poly.terms.items()})
+    return ParamPoly._of({e: QuadExt._of(c, 0, den) for e, c in poly.terms.items()})
 
 
 def _in_triangle(label: str, n: int, r: int) -> bool:

@@ -1,13 +1,23 @@
 """Exact scalar arithmetic: rationals and the field Q(s3) with s3 = sqrt(3).
 
 Everything here is immutable and hashable; no floats ever enter the
-tower.  QuadExt lifts every operand once, by _lift: an int or rational
-becomes the rational QuadExt, and anything else gets NotImplemented (a
-polynomial then acts, a float or str raises TypeError).  Polynomials over
-this field, in the coordinates or the couplings k1, k2, live in polynomials.
+tower.  A QuadExt is three ints (p, q, d), the value (p + q*s3) / d, in
+canonical form: d > 0 and gcd(p, q, d) = 1, so zero is (0, 0, 1) and two
+values are equal exactly when their triples are.  Each of + - * /, inv,
+==, bool and hash is a few int products and at most one gcd, and builds
+no Rat.  A Rat is built only where a rational part is read (.a, .b,
+rational(), norm(), sign(), str and repr), where QuadExt(a, b) is given a
+part that is not an int, and to hash a value whose d is not 1, so that a
+rational value hashes as its Rat does.  QuadExt lifts every operand once,
+by _lift: an int or rational becomes the rational QuadExt, and anything
+else gets NotImplemented (a polynomial then acts, a float or str raises
+TypeError).  Polynomials over this field, in the coordinates or the
+couplings k1, k2, live in polynomials.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 try:  # gmpy2 is an optional accelerator; fractions.Fraction is the fallback
     from gmpy2 import mpq as Rat
@@ -15,7 +25,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
 RatType = type(Rat(0))
-_RZERO = Rat(0)  # the default part: one zero, not a new one per QuadExt
+_RZERO = Rat(0)  # .b of a rational value: one zero, not a new one per read
 
 
 def rat(x) -> Rat:
@@ -47,22 +57,23 @@ def power(x, n: int, one):
 
 
 class QuadExt:
-    """Element a + b*s3 of Q(sqrt(3)), with exact rational parts."""
+    """Element a + b*s3 of Q(sqrt(3)), stored as the canonical ints (p, q,
+    d) of (p + q*s3) / d (module docstring); a and b are read as Rat."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a=_RZERO, b=_RZERO):
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
+    def __new__(cls, a=0, b=0):
+        if type(a) is int and type(b) is int:
+            return _make(a, b, 1)
+        a, b = rat(a), rat(b)
+        return _reduce(a.numerator * b.denominator, b.numerator * a.denominator,
+                       a.denominator * b.denominator)
 
     @classmethod
-    def _of(cls, a, b=_RZERO) -> "QuadExt":
-        """a + b*s3 from parts that are already Rat, unchecked: for callers
-        that build the parts themselves."""
-        out = _new(cls)
-        _set_a(out, a)
-        _set_b(out, b)
-        return out
+    def _of(cls, p: int, q: int = 0, d: int = 1) -> "QuadExt":
+        """(p + q*s3) / d from ints with d > 0, reduced by their gcd: for
+        callers that hold the value as ints."""
+        return _reduce(p, q, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -74,19 +85,38 @@ class QuadExt:
             raise TypeError(f"cannot coerce {type(x).__name__} to QuadExt")
         return out
 
+    # -- the rational parts ------------------------------------------------
+    @property
+    def a(self) -> Rat:
+        return Rat(self._p, self._d)
+
+    @property
+    def b(self) -> Rat:
+        return Rat(self._q, self._d) if self._q else _RZERO
+
     # -- ring/field operations -------------------------------------------
     def __add__(self, other):
         o = _lift(other)
-        return NotImplemented if o is None else QuadExt(self.a + o.a, self.b + o.b)
+        if o is None:
+            return NotImplemented
+        p, q, d, r, s, e = self._p, self._q, self._d, o._p, o._q, o._d
+        if d == e:
+            return _reduce(p + r, q + s, d)
+        return _reduce(p * e + r * d, q * e + s * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._of(-self.a, -self.b if self.b else self.b)
+        return _make(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
         o = _lift(other)
-        return NotImplemented if o is None else QuadExt(self.a - o.a, self.b - o.b)
+        if o is None:
+            return NotImplemented
+        p, q, d, r, s, e = self._p, self._q, self._d, o._p, o._q, o._d
+        if d == e:
+            return _reduce(p - r, q - s, d)
+        return _reduce(p * e - r * d, q * e - s * d, d * e)
 
     def __rsub__(self, other):
         o = _lift(other)
@@ -96,30 +126,28 @@ class QuadExt:
         o = _lift(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
-        if not b:  # rational fast paths: most factors have one nonzero part
-            return QuadExt(a * c, a * d)
-        if not d:
-            return QuadExt(a * c, b * c)
-        return QuadExt(a * c + 3 * b * d, a * d + b * c)
+        p, q, r, s = self._p, self._q, o._p, o._q
+        return _reduce(p * r + 3 * q * s, p * s + q * r, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "QuadExt":
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero")
-        return QuadExt(self.a / n, -self.b / n)
+        return QONE / self
 
     def __truediv__(self, other):
+        """(p + q s3)/d over (r + s s3)/e is (p + q s3)(r - s s3) e over
+        d (r^2 - 3 s^2), and (p + q s3) e over d r when s = 0."""
         o = _lift(other)
         if o is None:
             return NotImplemented
-        if not o.b:
-            if not o.a:
-                raise ZeroDivisionError("division by zero")
-            return QuadExt(self.a / o.a, self.b / o.a)
-        return self * o.inv()
+        p, q, r, s, e = self._p, self._q, o._p, o._q, o._d
+        if s:
+            p, q, r = p * r - 3 * q * s, q * r - p * s, r * r - 3 * s * s
+        if not r:  # r^2 = 3 s^2 only at zero: s3 is irrational
+            raise ZeroDivisionError("division by zero")
+        if r < 0:
+            p, q, r = -p, -q, -r
+        return _reduce(p * e, q * e, self._d * r)
 
     def __rtruediv__(self, other):
         o = _lift(other)
@@ -139,7 +167,8 @@ class QuadExt:
     # -- structure ---------------------------------------------------------
     def norm(self) -> Rat:
         """Field norm a^2 - 3*b^2; zero exactly on the zero element."""
-        return self.a * self.a - 3 * self.b * self.b
+        p, q, d = self._p, self._q, self._d
+        return Rat(p * p - 3 * q * q, d * d)
 
     def sign(self) -> int:
         """The sign of a rational value; a sqrt(3) part raises ValueError."""
@@ -148,25 +177,30 @@ class QuadExt:
 
     @property
     def is_rational(self) -> bool:
-        return not self.b
+        return not self._q
 
     def rational(self) -> Rat:
-        if self.b:
+        if self._q:
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return Rat(self._p, self._d)
 
     # -- comparisons/hashing ------------------------------------------------
     def __eq__(self, other):
         o = _lift(other)
-        return NotImplemented if o is None else (self.a == o.a and self.b == o.b)
+        if o is None:
+            return NotImplemented
+        return self._p == o._p and self._q == o._q and self._d == o._d
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self._p or self._q)
 
     def __hash__(self):
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        """hash(a) for a rational value, else hash((a, b)): of the ints
+        themselves when d = 1, as an int hashes as its Rat."""
+        p, q, d = self._p, self._q, self._d
+        if d == 1:
+            return hash((p, q)) if q else hash(p)
+        return hash((Rat(p, d), Rat(q, d))) if q else hash(Rat(p, d))
 
     def __str__(self):
         a, b = self.a, self.b
@@ -186,21 +220,37 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r})"
 
 
+def _make(p: int, q: int, d: int) -> QuadExt:
+    """The QuadExt of a triple already canonical, unchecked."""
+    out = _new(QuadExt)
+    _set_p(out, p)
+    _set_q(out, q)
+    _set_d(out, d)
+    return out
+
+
+def _reduce(p: int, q: int, d: int) -> QuadExt:
+    """The QuadExt of (p + q*s3) / d, d > 0, put in canonical form."""
+    g = gcd(p, q, d)
+    return _make(p, q, d) if g == 1 else _make(p // g, q // g, d // g)
+
+
 def _lift(x):
     """x in Q(sqrt(3)): a QuadExt as it is, an int or rational as the
     rational QuadExt, None for anything else."""
-    if isinstance(x, QuadExt):
+    if type(x) is QuadExt:
         return x
-    if isinstance(x, (int, RatType)):
-        return QuadExt._of(rat(x))
+    if isinstance(x, int):
+        return _make(x, 0, 1)
+    if isinstance(x, RatType):
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
 _new = object.__new__
-_set_a, _set_b = QuadExt.a.__set__, QuadExt.b.__set__
+_set_p, _set_q, _set_d = QuadExt._p.__set__, QuadExt._q.__set__, QuadExt._d.__set__
 
 QZERO = QuadExt(0)
 QONE = QuadExt(1)
 SQRT3 = QuadExt(0, 1)
 HALF = QuadExt(Rat(1, 2))
-

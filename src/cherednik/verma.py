@@ -56,7 +56,8 @@ other than chi (Berest-Etingof-Ginzburg, IMRN 2003; Etingof-Ma,
 arXiv:1001.0432).  classify runs both in one ascending walk over the degrees,
 combining each degree's lowerings once.  A module holds a degree's lowerings
 (_low) until _layer has built the next degree, the highest Gram layer built
-(_gram), one F chain per bottom (_chains) and the settled ranks (_ranks).
+(_gram), one F chain per bottom (_chains), the settled ranks (_ranks) and
+its m, computed once for classify and epower_criterion (_m).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
+_UNREAD = object()  # VermaModule._m before _natural_m has run
 
 
 def _int_identity(n):
@@ -86,7 +88,8 @@ def _int_identity(n):
 
 def _value(rows, scale):
     """The true matrix scale * rows."""
-    return [[QuadExt(v * scale) for v in row] for row in rows]
+    num, den = scale.numerator, scale.denominator
+    return [[QuadExt._of(v * num, 0, den) for v in row] for row in rows]
 
 
 def _unpack(v: int, s: int, stride: int, den: int) -> ParamPoly:
@@ -97,7 +100,7 @@ def _unpack(v: int, s: int, stride: int, den: int) -> ParamPoly:
     while v:
         c = ((v + half) & mask) - half
         if c:
-            terms[e % stride, e // stride] = QuadExt._of(Rat(c, den))
+            terms[e % stride, e // stride] = QuadExt._of(c, 0, den)
         v, e = (v - c) >> s, e + 1
     return ParamPoly._of(terms)
 
@@ -121,6 +124,7 @@ class VermaModule:
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
+        self._m = _UNREAD  # numeric: natural_m, read once (_natural_m)
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -333,10 +337,13 @@ class VermaModule:
 
     # -- finiteness tests --------------------------------------------------------
     def _natural_m(self):
-        """m when the lowest-weight scalar is -m with m a natural number, else None."""
+        """m when the lowest-weight scalar is -m with m a natural number, else
+        None, computed on the first call and kept."""
         if self.symbolic:
             raise ValueError("the raised-vector test needs numeric couplings")
-        return natural_m(self.rs, self.rep, self.k1, self.k2)
+        if self._m is _UNREAD:
+            self._m = natural_m(self.rs, self.rep, self.k1, self.k2)
+        return self._m
 
     def epower_criterion(self):
         """Whether the raised lowest-weight vector dies in the simple quotient.

@@ -140,7 +140,7 @@ def quotient_matrix(rs, root_idx, n):
     of _quotient_columns taken to the public basis."""
     den, cols = _quotient_columns(rs, root_idx, n)
     hr, hc = _sqrt3_powers(rs, n - 1), _sqrt3_powers(rs, n)
-    return [[_to_public(Rat(col[a], den), h - hc[b]) for b, col in enumerate(cols)]
+    return [[_to_public(col[a], den, h - hc[b]) for b, col in enumerate(cols)]
             for a, h in enumerate(hr)]
 
 

@@ -1,15 +1,28 @@
 import ast
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cherednik
+from cherednik import scalars
 from cherednik.polynomials import MPoly, ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
+from cherednik.scalars import QuadExt, Rat, RatType, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
 
 RNG = random.Random(101)
+
+
+def _triple(v):
+    """The stored ints (p, q, d) of v = (p + q s3) / d."""
+    return v._p, v._q, v._d
+
+
+def _is_canonical(v):
+    p, q, d = _triple(v)
+    return all(type(x) is int for x in (p, q, d)) and d > 0 and math.gcd(p, q, d) == 1
 
 
 def rand_quad():
@@ -69,12 +82,15 @@ def test_quadext_rational_detection():
 
 
 def test_trusted_quadext_matches_the_checked_constructor():
-    for a, b in ((Rat(3, 4), None), (Rat(-5), Rat(1, 2)), (Rat(0), None)):
-        q = QuadExt._of(a) if b is None else QuadExt._of(a, b)
-        want = QuadExt(a) if b is None else QuadExt(a, b)
-        assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
-    # the default sqrt(3) part is one shared rational zero
-    assert QuadExt._of(Rat(3, 4)).b is QuadExt(Rat(3, 4)).b is QuadExt().b
+    # _of takes (p, q, d) of (p + q s3) / d and reduces it by the gcd
+    for (p, q, d), want in (((3, 0, 4), QuadExt(Rat(3, 4))), ((6, 0, 8), QuadExt(Rat(3, 4))),
+                            ((-10, 1, 2), QuadExt(-5, Rat(1, 2))), ((0, 0, 7), QuadExt()),
+                            ((0, -6, 4), QuadExt(0, Rat(-3, 2)))):
+        got = QuadExt._of(p, q, d)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert _triple(got) == _triple(want) and _is_canonical(got)
+    # the sqrt(3) part of a rational value is one shared rational zero
+    assert QuadExt._of(3, 0, 4).b is QuadExt(Rat(3, 4)).b is QuadExt().b
 
 
 def test_rat_helpers():
@@ -219,6 +235,8 @@ def _quotient(x, y):
     # (a + b s3) / (c + d s3) = (a + b s3)(c - d s3) / (c^2 - 3 d^2)
     (a, b), (c, d) = x, y
     n = c * c - 3 * d * d
+    if not n:
+        raise ZeroDivisionError("division by zero")
     return (a * c - 3 * b * d) / n, (b * c - a * d) / n
 
 
@@ -312,3 +330,139 @@ def test_quadext_str_forms():
     assert str(QuadExt(2, 1)) == "2+s3"
     assert str(QuadExt(2, -1)) == "2-s3"
     assert str(QuadExt(Rat(-1, 2), -2)) == "-1/2-2*s3"
+
+
+# -- the int triple against a reference kept here: a pair of Rat --------------
+
+def _ref_rat(rng):
+    """A Rat that is zero, an integer, with a factor shared by its parts
+    before reduction, or with a numerator of about 100 bits."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Rat(0)
+    if kind == 1:
+        return Rat(rng.randint(-9, 9))
+    if kind == 2:
+        f = rng.choice((2, 3, 6, 12))
+        return Rat(f * rng.randint(-9, 9), f * rng.randint(1, 9))
+    if kind == 3:
+        return Rat(rng.randint(-2 ** 100, 2 ** 100), rng.randint(1, 2 ** 60))
+    return Rat(rng.randint(-60, 60), rng.randint(1, 60))
+
+
+def _ref_operand(rng):
+    """(x, (a, b)): x an int, a Rat or a QuadExt of the value a + b s3."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        n = rng.choice((0, 1, -1, rng.randint(-30, 30), rng.randint(-2 ** 80, 2 ** 80)))
+        return n, (Rat(n), Rat(0))
+    if kind == 1:
+        r = _ref_rat(rng)
+        return r, (r, Rat(0))
+    if kind == 2:  # a triple with a common factor, left for _of to reduce
+        g, d = rng.choice((1, 2, 3, 6)), rng.randint(1, 9)
+        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+        return QuadExt._of(g * p, g * q, g * d), (Rat(p, d), Rat(q, d))
+    a, b = _ref_rat(rng), _ref_rat(rng)
+    return QuadExt(a, b), (a, b)
+
+
+_REF_OPS = {
+    "+": (lambda x, y: x + y, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (lambda x, y: x - y, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (lambda x, y: x * y,
+          lambda x, y: (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])),
+    "/": (lambda x, y: x / y, _quotient),
+}
+
+
+def _ref_str(a, b):
+    if not b:
+        return str(a)
+    bs = "s3" if b == 1 else "-s3" if b == -1 else f"{b}*s3"
+    if not a:
+        return bs
+    return f"{a}{bs}" if bs[0] == "-" else f"{a}+{bs}"
+
+
+def _assert_matches(v, ref, what):
+    a, b = ref
+    assert type(v) is QuadExt and _is_canonical(v), what
+    assert (v.a, v.b) == (a, b) and type(v.a) is type(v.b) is RatType, what
+    assert hash(v) == (hash((a, b)) if b else hash(a)), what
+    assert str(v) == _ref_str(a, b) and repr(v) == f"QuadExt({a!r}, {b!r})", what
+    assert bool(v) == bool(a or b) and v.is_rational == (not b), what
+    assert v.norm() == a * a - 3 * b * b, what
+    assert -v == QuadExt(-a, -b) and _is_canonical(-v), what
+
+
+def _outcome(fn, *args):
+    """fn's value, or its exception's type and message."""
+    try:
+        return fn(*args), None
+    except ZeroDivisionError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_quadext_triples_match_a_rational_pair_reference():
+    rng = random.Random(4301)
+    for trial in range(600):
+        (x, rx), (y, ry) = _ref_operand(rng), _ref_operand(rng)
+        if not isinstance(x, QuadExt) and not isinstance(y, QuadExt):
+            x, rx = QuadExt(*rx), rx
+        for v, ref in ((x, rx), (y, ry)):
+            if isinstance(v, QuadExt):
+                _assert_matches(v, ref, (trial, "operand"))
+            else:  # an int or a Rat hashes and compares as its QuadExt
+                assert hash(QuadExt(v)) == hash(v) and QuadExt(v) == v, (trial, v)
+        for op, (fn, ref_fn) in _REF_OPS.items():
+            got, err = _outcome(fn, x, y)
+            want, want_err = _outcome(ref_fn, rx, ry)
+            assert err == want_err, (trial, op, x, y)
+            if want_err is None:
+                _assert_matches(got, want, (trial, x, op, y))
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry), (trial, x, y)
+        q = x if isinstance(x, QuadExt) else y
+        rq = rx if q is x else ry
+        got, err = _outcome(q.inv)
+        want, want_err = _outcome(_quotient, (Rat(1), Rat(0)), rq)
+        assert err == want_err, (trial, q)
+        if want_err is None:
+            _assert_matches(got, want, (trial, "inv", q))
+            _assert_matches(q ** -2, _quotient(want, rq), (trial, "** -2", q))
+        assert _outcome(divmod, q, 0)[1] == (ZeroDivisionError, "division by zero")
+
+
+def test_integral_operations_build_no_rational(monkeypatch):
+    # + - * /, ==, bool and hash on integral values run on the ints alone: no
+    # Rat is built, by the scalars module's name or (fractions backend) at all
+    xs = [QuadExt(2, 3), QuadExt(-5), QuadExt(0, 1), QuadExt(0), QuadExt(7, -4)]
+    built = []
+    rat_new = scalars.Rat
+
+    def counting(*args):
+        built.append(args)
+        return rat_new(*args)
+
+    monkeypatch.setattr(scalars, "Rat", counting)
+    if RatType is Fraction:
+        fraction_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for x in xs:
+        for y in xs + [3, -1, 0]:
+            for v in (x + y, y + x, x - y, y - x, x * y, y * x):
+                assert v._d == 1
+                hash(v)
+                bool(v)
+            if y:
+                x / y
+            if x:
+                y / x
+            assert (x == y) is (y == x) is (_triple(x) == _triple(QuadExt.coerce(y)))
+        hash(x)
+    assert built == []

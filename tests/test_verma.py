@@ -953,6 +953,27 @@ def test_scan_bound_never_stops_below_two_m_plus_two():
     assert res.finite and res.m == 2 and res.dims == (1, 2, 3, 2, 1)
 
 
+@pytest.mark.parametrize("point", [("A2", "triv", Rat(-4, 3), Rat(-4, 3)),
+                                   ("A2", "triv", Rat(-1), Rat(-1)),
+                                   ("G2", "std", Rat(1, 2), Rat(-1, 3))],
+                         ids=["finite", "infinite-natural", "generic"])
+def test_classify_computes_the_lowest_weight_scalar_once(monkeypatch, point):
+    # classify and epower_criterion share the module's m: one b(chi) per
+    # module, and none more on a second call
+    vm, calls = standard_module(*point), []  # built first: it runs the sl2 calibration
+    lws = dunkl.lowest_weight_scalar
+
+    def counting(*args):
+        calls.append(args[2:])
+        return lws(*args)
+
+    monkeypatch.setattr(dunkl, "lowest_weight_scalar", counting)
+    first = vm.classify()
+    assert vm.classify() == first
+    vm.epower_criterion()
+    assert calls == [point[2:]]
+
+
 def test_chi_validation():
     try:
         classify("A2", "chi1", Rat(1), Rat(1))
