@@ -8,21 +8,21 @@ raised from the one below on integer columns over one denominator, in
 working coordinates v = S x where every root and coroot is rational, for one
 root of each pair that the reflection of root 0 swaps up to sign and for no
 root on an axis (_root_pairs).  A lowering matrix is affine in the
-couplings, L = D + k1*A + k2*B
-(Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).  _assemble builds D, A and B in
-the v-coordinates on ints from weights split into a rational and a sqrt(3)
-piece, computed once per (root system, character, direction); a cell reaches
-the public basis through one power of sqrt(3).  Along the transfers c e_j
-every nonzero cell lands on an even power, so b_lowering_parts, the one memo
-of the parts, keeps them per (root system, character, direction, degree, first
-row; 0 for the full parts) as sparse integer matrices over one denominator,
-read from the assembly in cell order in one pass (an odd power raises
-InvariantViolation).  New couplings cost one integer combination per layer.
-lowering_matrix (any direction) finishes the same assembly in QuadExt, so the
-cross-checks built on it also cover the integer conversion.  dunkl_apply acts
-on polynomials through MPoly.divexact and weyl_act, sharing none of it.
-lowest_weight_scalar is the one formula for b(chi), and natural_m the one
-test for its m (b(chi) = -m, m natural); verma, cli and rank2 read these.
+couplings, L = D + k1*A + k2*B (Dunkl-de Jeu-Opdam, Trans. AMS 346, 1994).
+_assemble writes D, A and B on ints straight into the public basis, each as
+a rational and a sqrt(3) plane over one denominator: a cell's power of
+sqrt(3) is fixed by its place, so each pair's quotient carries its powers of
+3 (_quotient_classes), and the weights are int pairs computed once per (root
+system, character, direction).  b_lowering_parts, the one memo of the parts,
+keeps them per (root system, character, direction, degree, first row; 0 for
+the full parts) as sparse integer matrices over one denominator (along the
+transfers c e_j, a nonzero sqrt(3) plane raises InvariantViolation); new
+couplings cost one integer combination per layer.  lowering_matrix (any
+direction) reads the same planes as QuadExt, so the cross-checks built on it
+also cover the public conversion.  dunkl_apply acts on polynomials through
+MPoly.divexact and weyl_act, sharing none of it.  lowest_weight_scalar is
+the one formula for b(chi), and natural_m the one test for its m (b(chi) =
+-m, m natural); verma, cli and rank2 read these.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import math
 from array import array
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, compress
-from operator import add, mul, or_
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
@@ -56,21 +56,6 @@ def poly_coords(p: MPoly, degree: int, nvars: int):
     return vec
 
 
-def _sqrt3_powers(rs: RootSystem, n: int, d: int = 1):
-    """h(m) = sum_i e_i m_i for each monomial m of degree n, each repeated d
-    times (one per basis vector of a d-dimensional rep): x^m = sqrt(3)^(-h(m))
-    v^m, so a v-basis matrix entry (r, c) is sqrt(3)^(h(r) - h(c)) times the
-    public one's."""
-    return [sum(map(mul, rs.sqrt3_exp, m)) for m in monomials(rs.rank, n) for _ in range(d)]
-
-
-def _to_public(v: int, den: int, k: int) -> QuadExt:
-    """v / den times sqrt(3)^k."""
-    e = k // 2  # sqrt(3)^k = 3^e sqrt(3)^(k mod 2)
-    v, den = (v * 3 ** e, den) if e >= 0 else (v, den * 3 ** -e)
-    return QuadExt._of(0, v, den) if k % 2 else QuadExt._of(v, 0, den)
-
-
 @lru_cache(maxsize=None)
 def _root_pairs(rs: RootSystem):
     """The positive roots as (root, partner = eps s(root), eps, axis), s the
@@ -78,10 +63,10 @@ def _root_pairs(rs: RootSystem):
     is its own partner.  Q_partner = eps (-1)^(a + b + 1) Q_root at (a, b), as
     v_0 has degree n - 1 - a in row a and n - b in column b; on axis i, Q(v^m)
     = c_i v^(m - e_i) for odd m_i, else 0.  InvariantViolation unless root 0
-    is (1, 0) with coroot (2, 0) and each s(root) is +- a positive root."""
+    is (1, 0) with coroot (2, 0), e_0 = 0 and s(root) is +- a positive root."""
     roots, coroots = rs.work_roots, rs.work_coroots
-    if roots[0] != (1, 0)[:rs.rank] or coroots[0] != (2, 0)[:rs.rank]:
-        raise InvariantViolation(f"{rs.label}: root 0 is not (1, 0) with coroot (2, 0)")
+    if roots[0] != (1, 0)[:rs.rank] or coroots[0] != (2, 0)[:rs.rank] or rs.sqrt3_exp[0]:
+        raise InvariantViolation(f"{rs.label}: root 0 is not (1, 0) with coroot (2, 0), v_0 = x_0")
     signed = {tuple(e * x for x in a): (r, e) for r, a in enumerate(roots) for e in (1, -1)}
     if any((-a[0], *a[1:]) not in signed for a in roots):
         raise InvariantViolation(f"{rs.label}: s_0 of a root is not +- a positive root")
@@ -136,6 +121,22 @@ def _quotient_columns(rs: RootSystem, root_idx: int, n: int):
     return layers[n]
 
 
+@lru_cache(maxsize=4)  # the pairs of one degree, full and tail, for every direction
+def _quotient_classes(rs: RootSystem, root_idx: int, n: int, first: int, shift: int):
+    """(den, classes) of Q on the degree-n layer from row first, a cell (a,
+    b) times 3^((a - b) // 2 + shift) if e = 1 (_assemble), classes[cls] the
+    cells with b = a + cls mod 2 in row order, each row padded to odd length."""
+    den, cols = _quotient_columns(rs, root_idx, n)
+    cols = [c[first:] for c in cols] if first else cols
+    if rs.sqrt3_exp[-1]:
+        top, rows = first + 2 * shift, n - first  # top: the index of cell (first, 0)
+        powers = list(accumulate(repeat(3, (top + rows) // 2), mul, initial=1))
+        pow3 = list(chain.from_iterable(zip(powers, powers)))  # 3^(j // 2) at index j
+        cols = [map(mul, c, pow3[top - b:top - b + rows]) for b, c in enumerate(cols)]
+    cells = list(chain.from_iterable(zip(*cols, *[repeat(0)][len(cols) & 1:])))
+    return den, (cells[first & 1::2], cells[~first & 1::2])
+
+
 # -- Dunkl operators -----------------------------------------------------------
 
 def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
@@ -161,92 +162,89 @@ def dunkl_apply(rs: RootSystem, y, p: MPoly, k1, k2) -> MPoly:
     return out
 
 
-def _split(w: QuadExt):
-    """The nonzero pieces (sigma, w_sigma) of w = w_0 + w_1 sqrt(3)."""
-    return [(sg, v) for sg, v in enumerate((w.a, w.b)) if v]
-
-
 @lru_cache(maxsize=None)
 def _weights(rs: RootSystem, rep, y: tuple):
-    """The weights of _assemble along y, split: (i, sigma, piece) of y_i s_i
-    (d/dx_i = s_i d/dv_i), and per group of _root_pairs with a weight, pairs
-    (root, vden, terms) and axis roots (root, axis, vden, terms), vden the
-    lcm of the denominators.  Root alpha weighs (plane, s, t), plane 2 + 2
-    orbit + sigma, by the piece sigma of <alpha, y> rep(s_alpha)[s][t]; a
-    pair's terms (plane, s, t, cls, w_root + (-1)^(cls + 1) eps w_partner)
-    weigh Q_root on the cells of class cls, an axis root's are its weights."""
+    """The weights of _assemble along y as int (numerator, denominator)
+    pairs: (lcm of the denominators in cells, cells, pairs).  Root alpha
+    weighs (plane 2 + 2 orbit + sigma, s, t) by the piece sigma of <alpha,
+    y> rep(s_alpha)[s][t], sqrt(3)^k on cell (a, b), k = e (a - b) + sigma.
+    cells: (i, public plane, s, t, k, w, axis), w m_i at (b - i, b) for y_i
+    s_i (d/dx_i = s_i d/dv_i), or w c_i at odd m_i for a root on axis i;
+    pairs: per group of _root_pairs, (root, vden, terms), a term ((public
+    plane, s, t, cls), cls, f) weighing class cls by f = w_root + (-1)^(cls
+    + 1) eps w_partner, times 3 for sigma = 1 on an odd k."""
+    e = rs.sqrt3_exp[-1]
+
     def weights(r):
         ay = dot(rs.positive_roots[r], y)
         return {(2 + 2 * rs.orbit_of[r] + sg, s, t): v
                 for s, row in enumerate(rep.matrices[rs.reflection_element[r]])
-                for t, x in enumerate(row) for sg, v in _split(ay * x)} if ay else {}
+                for t, x in enumerate(row) for z in [ay * x]
+                for sg, v in enumerate((z.a, z.b)) if v} if ay else {}
 
-    pairs, axis = [], []
+    cells = [(i, k & 1, s, s, k, v.numerator, v.denominator, False) for i in range(rs.rank)
+             for z in [y[i] * SQRT3 ** rs.sqrt3_exp[i]] for sg, v in enumerate((z.a, z.b))
+             if v for k in [sg - e * i] for s in range(rep.dim)]
+    pairs = []
     for r, partner, eps, on in _root_pairs(rs):
         wr, wp = weights(r), weights(partner) if partner != r else {}
-        vden = math.lcm(*(v.denominator for v in chain(wr.values(), wp.values())))
-        if on is not None and wr:
-            axis.append((r, on, vden, [(*key, v) for key, v in wr.items()]))
+        if on is not None:
+            cells += [(on, plane & ~1 | k & 1, s, t, k, x.numerator, x.denominator, True)
+                      for (plane, s, t), v in wr.items()
+                      for k, x in [((plane & 1) - e * on, v * rs.work_coroots[r][on])]]
         elif wr or wp:
-            pairs.append((r, vden, [
-                (*key, cls, f) for key in sorted(wr.keys() | wp.keys()) for cls in (0, 1)
-                for f in [wr.get(key, 0) + (2 * cls - 1) * eps * wp.get(key, 0)] if f]))
-    return [(i, sg, v) for i in range(rs.rank)
-            for sg, v in _split(y[i] * SQRT3 ** rs.sqrt3_exp[i])], pairs, axis
+            terms = [((plane ^ odd, s, t, cls), cls, f.numerator * 3 ** (plane & odd),
+                      f.denominator) for plane, s, t in sorted(wr.keys() | wp.keys())
+                     for cls in (0, 1) for odd in [e & cls] for f in [
+                         wr.get((plane, s, t), 0)
+                         + (2 * cls - 1) * eps * wp.get((plane, s, t), 0)] if f]
+            pairs.append((r, math.lcm(*(t[-1] for t in terms)), terms))
+    return math.lcm(*(c[6] for c in cells)), cells, pairs
 
 
 def _assemble(rs: RootSystem, rep, y, n: int, first: int = 0):
     """The Dunkl operator in direction y on the degree-n layer of the
-    standard module of rep, in the working coordinates: D = d_y (x) 1 and
-    the orbit sums A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the
-    short and the long positive roots, rows from degree-(n-1) monomial first.
+    standard module of rep, in the public basis: D = d_y (x) 1 and the
+    orbit sums A, B of <alpha, y> Q_alpha (x) rep(s_alpha) over the short
+    and the long positive roots, rows from degree-(n-1) monomial first.
 
-    Each weight (_weights) is split as w_0 + w_1 sqrt(3), so each part P is
-    a pair of integer matrices P_0, P_1 over one denominator den, and its
-    public cell (r, c) is sum_sigma P_sigma[r][c] / den *
-    sqrt(3)^(hr[r] - hc[c] + sigma), hr and hc from _sqrt3_powers.  Returns
-    (den, flat, hr, hc), flat the row-major planes D_0, D_1, ..., B_1.
+    Q and d/dv act in the working coordinates, x^m = sqrt(3)^(-e m_1) v^m
+    (e = 0 on A1 and B2), so a cell (a, b) is sqrt(3)^k times its v-value,
+    k = e (a - b) + sigma (_weights), and is written where it is computed as
+    3^(k // 2 + shift) times that on plane k mod 2, shift = e ((n - first)
+    // 2 + 1) keeping powers whole.  Returns (rows, cols, den, planes),
+    planes {index: row-major ints} of those written among D_0, D_1, A_0,
+    A_1, B_0, B_1, a cell of part P being (P_0 + P_1 sqrt(3)) / den.
     """
     d, mono = rep.dim, monomials(rs.rank, n)
-    hr, hc = _sqrt3_powers(rs, n - 1, d)[first * d:], _sqrt3_powers(rs, n, d)
-    cols, size, width = len(hc), len(hr) * len(hc), len(mono)
-    dw, pairs, axis = _weights(rs, rep, tuple(y))
-    quots = [_quotient_columns(rs, r, n) for r, _, _ in pairs]
-    den = math.lcm(*(v.denominator for _, _, v in dw),
-                   *(qden * vden for (qden, _), (_, vden, _) in zip(quots, pairs)),
-                   *(rs.work_coroots[r][i].denominator ** n * vden for r, i, vden, _ in axis))
-    flat = [0] * (6 * size)
-    # d/dv_i sends monomial b to m_i times monomial b - i
-    for i, sg, v in dw:
-        w = v.numerator * (den // v.denominator)
-        for b, m in enumerate(mono[first + i:], first + i):
-            if m[i]:
-                for s in range(d):
-                    flat[sg * size + ((b - i - first) * d + s) * cols + b * d + s] = w * m[i]
-    # one quotient per pair: sum f Q per (plane, s, t, class (a + b) mod 2 of cell (a, b))
-    sums = {}
-    for (qden, qcols), (_, _, terms) in zip(quots, pairs):
-        rows = list(zip(*(col[first:] for col in qcols)))
-        split = [list(chain.from_iterable(row[(a + cls) & 1::2] for a, row in
-                                          enumerate(rows, first))) for cls in (0, 1)]
-        for plane, s, t, cls, f in terms:
-            part = map((f.numerator * (den // (qden * f.denominator))).__mul__, split[cls])
-            acc = sums.get((plane, s, t, cls))
-            sums[plane, s, t, cls] = list(part if acc is None else map(add, acc, part))
+    width = len(mono)
+    rows, cols = len(monomials(rs.rank, n - 1)[first:]) * d, width * d
+    shift = rs.sqrt3_exp[-1] * ((n - first) // 2 + 1)
+    wden, cells, pairs = _weights(rs, rep, tuple(y))
+    quots = [_quotient_classes(rs, r, n, first, shift) for r, _, _ in pairs]
+    den = math.lcm(wden, *(qden * vden for (qden, _), (_, vden, _) in zip(quots, pairs)))
+    # built in blocks per s, rows padded to odd length W: one slice per class
+    W, R, sums = width | 1, rows // d, {}
+    for (qden, classes), (_, _, terms) in zip(quots, pairs):  # sum f Q per key
+        for key, cls, num, f_den in terms:
+            part = map((num * (den // (qden * f_den))).__mul__, classes[cls])
+            acc = sums.get(key)
+            sums[key] = list(part if acc is None else map(add, acc, part))
+    planes = {p: [0] * (R * W * d * d) for p in {key[0] for key in sums} | {c[1] for c in cells}}
     for (plane, s, t, cls), acc in sums.items():
-        at = 0
-        for a in range(len(hr) // d):
-            b0 = (a + first + cls) & 1
-            start, cnt = plane * size + (a * d + s) * cols + b0 * d + t, (width - b0 + 1) // 2
-            flat[start:start + 2 * d * cnt:2 * d], at = acc[at:at + cnt], at + cnt
-    # an axis root's cells (b - i, b), for odd m_i, hold c_i (_root_pairs)
-    for r, i, _, terms in axis:
-        for plane, s, t, v in terms:
-            x = int(v * rs.work_coroots[r][i] * den)
-            for b in range(first + i, width):
-                if mono[b][i] & 1:
-                    flat[plane * size + ((b - i - first) * d + s) * cols + b * d + t] += x
-    return den, flat, hr, hc
+        planes[plane][(s * R * W + ((first + cls) & 1)) * d + t:(s + 1) * R * W * d:2 * d] = acc
+    # d/dv_i: m_i at (b - i, b); an axis root: c_i there for odd m_i (_root_pairs)
+    for i, plane, s, t, k, num, v_den, on_axis in cells:
+        w, out = num * (den // v_den) * 3 ** (k // 2 + shift), planes[plane]
+        for b in range(first + i, width):
+            m = mono[b][i] & 1 if on_axis else mono[b][i]
+            if m:
+                out[((s * R + b - i - first) * W + b) * d + t] += w * m
+    if (d, W) != (1, width):
+        starts = [(s * R + a) * W * d for a in range(R) for s in range(d)]
+        planes = {p: list(chain.from_iterable(v[o:o + cols] for o in starts))
+                  for p, v in planes.items()}
+    return rows, cols, den * 3 ** shift, planes
 
 
 def _combine(rows, cols, parts, coefs, zero):
@@ -286,21 +284,13 @@ class LoweringParts(namedtuple("LoweringParts", "rows cols den parts")):
 def lowering_matrix(rs: RootSystem, rep, y, n: int, k1, k2):
     """Matrix of the Dunkl operator in direction y on the degree-n layer
     of the standard module with lowest-weight representation rep.  Any
-    direction is allowed, so values may carry sqrt(3): the planes of
-    `_assemble` are taken to the public basis in QuadExt, without the
-    integer form."""
-    den, flat, hr, hc = _assemble(rs, rep, y, n)
-    cols, size = len(hc), len(hr) * len(hc)
-    parts = []
-    for p in range(3):
-        vals = {}
-        for i, v in enumerate(flat[2 * p * size:(2 * p + 2) * size]):
-            if v:
-                c, sg = i % size, i // size
-                k = hr[c // cols] - hc[c % cols] + sg
-                vals[c] = vals.get(c, QZERO) + _to_public(v, den, k)
-        parts.append((vals.keys(), vals.values()))
-    return _combine(len(hr), cols, parts, (1, k1, k2), QZERO)
+    direction is allowed, so values may carry sqrt(3): each cell of the
+    planes of `_assemble` is read as one QuadExt, without the integer form."""
+    rows, cols, den, planes = _assemble(rs, rep, y, n)
+    p0, p1 = ([planes.get(p, [0] * (rows * cols)) for p in range(sg, 6, 2)] for sg in (0, 1))
+    parts = [(idx, [QuadExt._of(a[i], b[i], den) for i in idx]) for a, b in zip(p0, p1)
+             for idx in [list(compress(range(rows * cols), map(or_, a, b)))]]
+    return _combine(rows, cols, parts, (1, k1, k2), QZERO)
 
 
 def b_direction(rs: RootSystem, j: int):
@@ -313,31 +303,18 @@ def b_direction(rs: RootSystem, j: int):
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
     j) on the degree-n layer, rows from degree-(n-1) monomial first (0 for
-    the full parts; in rank 2, n - 1 gives x_1^(n-1) alone), memoized.
-
-    The parts of _assemble in the public basis over the least common
-    denominator, in cell order: a cell with k = hr - hc is value *
-    3^((k + 1) // 2) / den on the plane k mod 2.  An entry on the other plane
-    (a zero read, or a cell with two entries) has no integer form and raises
-    InvariantViolation, once per part set for every coupling.  den * 3^shift
-    clears the lowest power; the gcd undoes any excess."""
-    den, flat, hr, hc = _assemble(rs, rep, b_direction(rs, j), n, first)
-    rows, cols, size = len(hr), len(hc), len(hr) * len(hc)
-    ks = [a - h for a in hr for h in hc]
-    shift = max(0, -((min(ks, default=0) + 1) // 2))
-    scale = {k: 3 ** ((k + 1) // 2 + shift) for k in set(ks)}
-    parts = []
-    for p in (0, 2 * size, 4 * size):
-        planes = flat[p:p + size], flat[p + size:p + 2 * size]
-        idx = array("I", compress(range(size), map(or_, *planes)))
-        vals = [planes[ks[i] % 2][i] * scale[ks[i]] for i in idx]
-        if 0 in vals or planes[0].count(0) + planes[1].count(0) != 2 * size - len(idx):
-            raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
-        parts.append((idx, vals))
-    den *= 3 ** shift
+    the full parts; in rank 2, n - 1 gives x_1^(n-1) alone), memoized: the
+    rational planes of _assemble over its denominator in cell order, reduced
+    by their gcd.  A nonzero sqrt(3) plane has no integer form and raises
+    InvariantViolation, once per part set for every coupling."""
+    rows, cols, den, planes = _assemble(rs, rep, b_direction(rs, j), n, first)
+    if any(any(planes.get(p, ())) for p in (1, 3, 5)):
+        raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
+    parts = [(array("I", compress(range(rows * cols), p)), list(compress(p, p)))
+             for p in (planes.get(i, ()) for i in (0, 2, 4))]
     g = math.gcd(den, *chain.from_iterable(vals for _, vals in parts))
     return LoweringParts(rows, cols, den // g, tuple(
-        (idx, tuple(map(g.__rfloordiv__, vals))) for idx, vals in parts))
+        (idx, tuple(map(floordiv, vals, repeat(g)))) for idx, vals in parts))
 
 
 # -- the sl2 triple -------------------------------------------------------------

@@ -149,6 +149,9 @@ class MPoly:
     def __hash__(self):
         raise TypeError("MPoly is not hashable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return MPoly, (self.nvars, self.terms)
+
     def divexact(self, other: "MPoly") -> "MPoly":
         """Exact quotient self / other; NonDivisibleError if inexact.
 
@@ -285,6 +288,9 @@ class ParamPoly(MPoly):
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def __reduce__(self):  # the slots refuse assignment: rebuild from the terms
+        return ParamPoly, (self.terms,)
 
     # -- constructors -------------------------------------------------------
     @classmethod

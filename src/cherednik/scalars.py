@@ -4,20 +4,22 @@ Everything here is immutable and hashable; no floats ever enter the
 tower.  A QuadExt is three ints (p, q, d), the value (p + q*s3) / d, in
 canonical form: d > 0 and gcd(p, q, d) = 1, so zero is (0, 0, 1) and two
 values are equal exactly when their triples are.  Each of + - * /, inv,
-==, bool and hash is a few int products and at most one gcd, and builds
-no Rat.  A Rat is built only where a rational part is read (.a, .b,
-rational(), norm(), sign(), str and repr), where QuadExt(a, b) is given a
-part that is not an int, and to hash a value whose d is not 1, so that a
-rational value hashes as its Rat does.  QuadExt lifts every operand once,
-by _lift: an int or rational becomes the rational QuadExt, and anything
-else gets NotImplemented (a polynomial then acts, a float or str raises
-TypeError).  Polynomials over this field, in the coordinates or the
+==, bool and hash is a few int products and at most one gcd or modular
+inverse, and builds no Rat (a value hashes as its Rat parts would,
+_hash_ratio).  A Rat is built only where a rational part is read (.a, .b,
+rational(), norm(), sign(), str and repr) and where QuadExt(a, b) is given
+a part that is not an int.  Copies and pickles rebuild a value through
+QuadExt._of, as the slots refuse assignment.  QuadExt lifts every operand
+once, by _lift: an int or rational becomes the rational QuadExt, and
+anything else gets NotImplemented (a polynomial then acts, a float or str
+raises TypeError).  Polynomials over this field, in the coordinates or the
 couplings k1, k2, live in polynomials.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from sys import hash_info
 
 try:  # gmpy2 is an optional accelerator; fractions.Fraction is the fallback
     from gmpy2 import mpq as Rat
@@ -195,12 +197,15 @@ class QuadExt:
         return bool(self._p or self._q)
 
     def __hash__(self):
-        """hash(a) for a rational value, else hash((a, b)): of the ints
-        themselves when d = 1, as an int hashes as its Rat."""
+        """hash(a) for a rational value, else hash((a, b)), from the ints:
+        an int hashes as its Rat, and so does p / d by _hash_ratio."""
         p, q, d = self._p, self._q, self._d
         if d == 1:
             return hash((p, q)) if q else hash(p)
-        return hash((Rat(p, d), Rat(q, d))) if q else hash(Rat(p, d))
+        return hash((_hash_ratio(p, d), _hash_ratio(q, d))) if q else _hash_ratio(p, d)
+
+    def __reduce__(self):  # copy and pickle rebuild the value from its ints
+        return QuadExt._of, (self._p, self._q, self._d)
 
     def __str__(self):
         a, b = self.a, self.b
@@ -233,6 +238,14 @@ def _reduce(p: int, q: int, d: int) -> QuadExt:
     """The QuadExt of (p + q*s3) / d, d > 0, put in canonical form."""
     g = gcd(p, q, d)
     return _make(p, q, d) if g == 1 else _make(p // g, q // g, d // g)
+
+
+def _hash_ratio(p: int, d: int, _P=hash_info.modulus) -> int:
+    """hash(p / d), d > 0, by the numeric-hash rule of the Python docs."""
+    while not p % _P and not d % _P:
+        p, d = p // _P, d // _P
+    h = abs(p) % _P * pow(d, -1, _P) % _P if d % _P else hash_info.inf
+    return -2 if p < 0 and h == 1 else -h if p < 0 else h
 
 
 def _lift(x):

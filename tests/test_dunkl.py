@@ -1,12 +1,14 @@
 import copy
 import math
 import random
+from fractions import Fraction
 from itertools import chain
 
 import pytest
 
 from cherednik.errors import InvariantViolation
-from cherednik.scalars import SQRT3, QuadExt, Rat
+from cherednik import scalars
+from cherednik.scalars import SQRT3, QuadExt, Rat, RatType
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import RootSystem, build_root_system
@@ -17,8 +19,7 @@ from cherednik.dunkl import (b_direction, b_lowering_parts,
                              natural_m, poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
-from cherednik.dunkl import (_quotient_columns, _quotient_layers, _root_pairs,
-                             _sqrt3_powers, _to_public)
+from cherednik.dunkl import _quotient_columns, _quotient_layers, _root_pairs
 from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.verma import VermaModule, classify
 
@@ -137,10 +138,12 @@ def quotient_oracle(rs, ridx, n):
 def quotient_matrix(rs, root_idx, n):
     """Matrix of p -> (p - r.p)/alpha on the degree-n layer, for one
     positive root (a reflection difference quotient): the integer columns
-    of _quotient_columns taken to the public basis."""
+    of _quotient_columns taken to the public basis, where x^m =
+    sqrt(3)^(-h(m)) v^m with h(m) = sum_i e_i m_i."""
     den, cols = _quotient_columns(rs, root_idx, n)
-    hr, hc = _sqrt3_powers(rs, n - 1), _sqrt3_powers(rs, n)
-    return [[_to_public(col[a], den, h - hc[b]) for b, col in enumerate(cols)]
+    hr, hc = ([sum(e * k for e, k in zip(rs.sqrt3_exp, m)) for m in monomials(rs.rank, d)]
+              for d in (n - 1, n))
+    return [[QuadExt(Rat(col[a], den)) * SQRT3 ** (h - hc[b]) for b, col in enumerate(cols)]
             for a, h in enumerate(hr)]
 
 
@@ -376,6 +379,15 @@ def test_lowering_parts_split_by_orbit():
                         assert not any(v for row in bm for v in row)
 
 
+def parts_at(parts, k1, k2):
+    """The row-major cells of (D + k1 A + k2 B) / den as Rat."""
+    flat = [Rat(0)] * (parts.rows * parts.cols)
+    for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
+        for i, v in zip(idx, vals):
+            flat[i] += c * Rat(v, parts.den)
+    return flat
+
+
 def test_cold_lowering_parts_match_direct_action():
     # a fresh root system and fresh irreps: every quotient and part of the
     # degree-7 and the degree-11 layers is built from nothing, then checked
@@ -388,10 +400,7 @@ def test_cold_lowering_parts_match_direct_action():
                 k1, k2 = rand_k(), rand_k()
                 for j in range(rs.rank):
                     parts = b_lowering_parts(rs, rep, j, n, 0)
-                    flat = [Rat(0)] * (parts.rows * parts.cols)
-                    for (idx, vals), c in zip(parts.parts, (1, k1, k2)):
-                        for i, v in zip(idx, vals):
-                            flat[i] += c * Rat(v, parts.den)
+                    flat = parts_at(parts, k1, k2)
                     y = b_direction(rs, j)
                     for b, mono in enumerate(monomials(rs.rank, n)):
                         p = MPoly(rs.rank, {mono: Rat(1)})
@@ -400,6 +409,72 @@ def test_cold_lowering_parts_match_direct_action():
                             col = flat[b * d + t::parts.cols]
                             for s in range(d):
                                 assert coords_poly(col[s::d], n - 1, rs.rank) == want[s]
+
+
+def test_parts_tails_and_sqrt3_lowerings_match_direct_action():
+    # b_lowering_parts and lowering_matrix read the same public planes of
+    # _assemble; the action on polynomials shares none of it.  On fresh A2
+    # and G2 (the types with sqrt(3) coordinates), both stock bases: the
+    # full parts and the one-row tails of both directions at degree 6, and
+    # lowering_matrix along a direction with sqrt(3) parts at degree 5
+    rng = random.Random(606)
+    for label in ("A2", "G2"):
+        rs = RootSystem(label)
+        for rep in _build_irreps(rs):
+            if rep.label not in ("triv", "std"):
+                continue
+            d = rep.dim
+            k1, k2 = (Rat(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2))
+            sq = tuple(QuadExt(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rs.rank))
+            for j, y, n in [(j, b_direction(rs, j), 6) for j in range(rs.rank)] + [(None, sq, 5)]:
+                if j is None:
+                    mat = lowering_matrix(rs, rep, y, n, k1, k2)
+                    reads = [(0, [v for row in mat for v in row], len(mat[0]))]
+                else:
+                    reads = [(first, parts_at(parts, k1, k2), parts.cols) for first in (0, n - 1)
+                             for parts in [b_lowering_parts(rs, rep, j, n, first)]]
+                for b, mono in enumerate(monomials(rs.rank, n)):
+                    for t in range(d):
+                        want = direct_action(rs, rep, y, MPoly(rs.rank, {mono: Rat(1)}), t, k1, k2)
+                        for first, flat, cols in reads:
+                            col = flat[b * d + t::cols]
+                            for s in range(d):
+                                assert col[s::d] == poly_coords(want[s], n - 1, rs.rank)[first:], (
+                                    label, rep.label, y, first, b, t, s)
+
+
+def test_warm_part_builds_construct_no_rational(monkeypatch):
+    # once the weights and the quotient constants are warm, the parts of a
+    # new degree are built on ints alone: no Rat by the name of the modules
+    # that build them, and (fractions backend) no Fraction at all
+    bases = [(rs, rep) for rs in map(RootSystem, TYPES) for rep in _build_irreps(rs)
+             if rep.label in ("triv", "std")]
+    for rs, rep in bases:
+        for j in range(rs.rank):
+            b_lowering_parts(rs, rep, j, 1, 0)
+    built = []
+    rat_new = scalars.Rat
+
+    def counting(*args):
+        built.append(args)
+        return rat_new(*args)
+
+    monkeypatch.setattr(scalars, "Rat", counting)
+    monkeypatch.setattr(dunkl, "Rat", counting)
+    if RatType is Fraction:
+        fraction_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for rs, rep in bases:
+        for j in range(rs.rank):
+            for n in (5, 6):
+                for first in sorted({0, n - 1}) if rs.rank == 2 else (0,):
+                    b_lowering_parts(rs, rep, j, n, first)
+    assert built == []
 
 
 def test_lowering_parts_reject_sqrt3_part():

@@ -1,6 +1,9 @@
 import ast
+import copy
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +14,12 @@ from cherednik import scalars
 from cherednik.polynomials import MPoly, ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, RatType, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
+from cherednik.rootsystem import build_root_system
+from cherednik.verma import VermaModule
+from cherednik.wrep import get_irrep
 
 RNG = random.Random(101)
+_MODULUS = sys.hash_info.modulus
 
 
 def _triple(v):
@@ -434,9 +441,12 @@ def test_quadext_triples_match_a_rational_pair_reference():
 
 
 def test_integral_operations_build_no_rational(monkeypatch):
-    # + - * /, ==, bool and hash on integral values run on the ints alone: no
-    # Rat is built, by the scalars module's name or (fractions backend) at all
+    # + - * /, ==, bool and hash on integral values, and hash on any value,
+    # run on the ints alone: no Rat is built, by the scalars module's name or
+    # (fractions backend) at all
     xs = [QuadExt(2, 3), QuadExt(-5), QuadExt(0, 1), QuadExt(0), QuadExt(7, -4)]
+    fractional = [QuadExt(Rat(1, 2)), QuadExt(Rat(-3, 7), Rat(5, 2)), QuadExt(0, Rat(1, 3)),
+                  QuadExt._of(-1, 0, _MODULUS), QuadExt._of(_MODULUS, 1, _MODULUS)]
     built = []
     rat_new = scalars.Rat
 
@@ -465,4 +475,54 @@ def test_integral_operations_build_no_rational(monkeypatch):
                 y / x
             assert (x == y) is (y == x) is (_triple(x) == _triple(QuadExt.coerce(y)))
         hash(x)
+    for x in fractional:
+        hash(x)
     assert built == []
+
+
+def test_hash_of_a_fraction_follows_the_numeric_hash_rule():
+    # a value whose d is not 1 hashes from its ints as its Rat parts do:
+    # seeded values with negative numerators, denominators divisible by the
+    # hash modulus (an infinite hash, or a factor of it shared with the
+    # numerator), and a ratio hashing to -1 before the rule's -1 -> -2
+    rng = random.Random(4401)
+    big = 10 ** 30
+    values = [QuadExt(Rat(rng.randint(-big, big), rng.randint(2, big)),
+                      Rat(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(200)]
+    values += [QuadExt(Rat(rng.randint(-big, big), rng.randint(2, big))) for _ in range(200)]
+    values += [QuadExt._of(p, q, d) for p, q, d in (
+        (1, 0, _MODULUS), (-1, 0, _MODULUS), (3, 0, 2 * _MODULUS), (7, 0, _MODULUS ** 2),
+        (_MODULUS, 1, _MODULUS), (2 * _MODULUS, -5, 3 * _MODULUS), (0, 1, _MODULUS),
+        (-(_MODULUS + 2), 0, 2), (-(_MODULUS + 2), 1, 2))]
+    for v in values:
+        assert v._d != 1
+        assert hash(v) == (hash((v.a, v.b)) if v.b else hash(v.a)), v
+    assert hash(QuadExt(Rat(-(_MODULUS + 2), 2))) == hash(Rat(-(_MODULUS + 2), 2)) == -2
+    assert hash(QuadExt._of(-1, 0, _MODULUS)) == -sys.hash_info.inf
+
+
+def _copies(v):
+    return copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))
+
+
+def test_copies_and_pickles_keep_value_hash_and_type():
+    # the slots refuse assignment, so a copy or a pickle rebuilds the value
+    # through its constructor: equal, of the same type and hash, and still
+    # immutable; a symbolic Gram layer of G2 std round-trips whole
+    rs = build_root_system("G2")
+    layer = VermaModule(rs, get_irrep(rs, "std"), PP_K1, PP_K2).gram(2)
+    values = [QuadExt(5), QuadExt(Rat(-3, 4)), SQRT3, QuadExt(Rat(1, 3), Rat(-2, 5)),
+              QuadExt._of(1, 0, _MODULUS), PP_K1, PP_K1 * PP_K2 - QuadExt(Rat(1, 2), 1)]
+    values += [v for row in layer for v in row]
+    assert any(type(v) is ParamPoly and len(v.terms) > 1 for v in values)
+    for v in values:
+        for c in _copies(v):
+            assert type(c) is type(v) and c == v and hash(c) == hash(v), v
+            with pytest.raises(AttributeError, match="is immutable"):
+                c.terms = {}
+    for c in _copies(layer):
+        assert c == layer
+        assert [[type(v) for v in row] for row in c] == [[type(v) for v in row] for row in layer]
+    x = MPoly(2, {(1, 0): QuadExt(Rat(1, 2), 1), (0, 2): QuadExt(-3)})
+    for c in _copies(x):
+        assert type(c) is MPoly and c == x and c is not x and c.terms is not x.terms
