@@ -30,8 +30,8 @@ from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
 
 MAX_SWEEP_POINTS = 10_000
 # the highest `gram --degree` per (rank, --symbolic).  The slowest accepted
-# request takes under a minute (2-core x86, Python 3.11, fractions backend,
-# timed by tests/tools/caps.py): at the caps, a numeric G2 std layer at the
+# request takes under a minute (2-core x86, Python 3.11, timed by
+# tests/tools/caps.py): at the caps, a numeric G2 std layer at the
 # singular point k = -5/6 took 10 s, a symbolic G2 std one 42-52 s and a
 # symbolic A1 one 11 s (a numeric A1 layer is 1 x 1 and takes under a second).
 MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True): 20}
@@ -427,7 +427,7 @@ def run(argv=None) -> int:
         # ValueError: unknown character labels and similar request-level problems
         print(f"cherednik: error: {e}", file=sys.stderr)
         return 1
-    except (InvariantViolation, NonDivisibleError, AssertionError) as e:
+    except (InvariantViolation, NonDivisibleError) as e:
         print(f"cherednik: invariant violation: {e}", file=sys.stderr)
         return 2
 

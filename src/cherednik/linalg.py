@@ -26,7 +26,8 @@ PRIME = 1_073_741_789
 
 
 def mat_mul(a, b):
-    assert len(b) == len(a[0])
+    if len(b) != len(a[0]):
+        raise InvariantViolation(f"mat_mul of {len(a[0])} columns by {len(b)} rows")
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
 

@@ -18,21 +18,16 @@ couplings k1, k2, live in polynomials.
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from math import gcd
 from sys import hash_info
 
-try:  # gmpy2 is an optional accelerator; fractions.Fraction is the fallback
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
-RatType = type(Rat(0))
 _RZERO = Rat(0)  # .b of a rational value: one zero, not a new one per read
 
 
 def rat(x) -> Rat:
     """Coerce an int, canonical "p/q" string, or rational to Rat."""
-    if isinstance(x, RatType):
+    if isinstance(x, Rat):
         return x
     if isinstance(x, int):
         return Rat(x)
@@ -255,7 +250,7 @@ def _lift(x):
         return x
     if isinstance(x, int):
         return _make(x, 0, 1)
-    if isinstance(x, RatType):
+    if isinstance(x, Rat):
         return _make(x.numerator, 0, x.denominator)
     return None
 

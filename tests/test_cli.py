@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import cherednik
-from cherednik import cli
+from cherednik import cli, verma
 from cherednik.cli import run
 from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
                              lowest_weight_scalar)
+from cherednik.errors import InvariantViolation
+from cherednik.linalg import mat_mul
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
 from cherednik.scalars import Rat
@@ -463,6 +465,39 @@ def test_selftest_survives_optimized_mode():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+_GRAM = ["gram", "--type", "A2", "--chi", "triv", "--k", "1/3", "--degree", "2"]
+# a Gram layer product whose second factor lost its last row
+_SKEW_CHILD = f"""
+import json, sys
+from cherednik import cli, linalg, verma
+from cherednik.errors import InvariantViolation
+try:
+    got = repr(linalg.mat_mul([[1, 2]], [[1]]))
+except InvariantViolation:
+    got = "raised"
+verma.mat_mul = lambda a, b: linalg.mat_mul(a, b[:-1])
+code = cli.run({_GRAM!r})
+print(json.dumps([sys.flags.optimize, got, code]))
+"""
+
+
+def test_mat_mul_shape_check_survives_optimized_mode(capsys, monkeypatch):
+    # the shape check is a raise, not an assert: it fires in process and in
+    # a python -O child, and a command that hits it exits 2 with one line
+    with pytest.raises(InvariantViolation, match="mat_mul of 2 columns by 1 rows"):
+        mat_mul([[1, 2]], [[1]])
+    monkeypatch.setattr(verma, "mat_mul", lambda a, b: mat_mul(a, b[:-1]))
+    code, out, err = run_cli(_GRAM, capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("cherednik: invariant violation: mat_mul of ")
+    src = str(Path(cherednik.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _SKEW_CHILD], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    out, err = proc.stdout.splitlines(), proc.stderr.splitlines()
+    assert proc.returncode == 0 and json.loads(out[-1]) == [1, "raised", 2], proc.stderr
+    assert len(err) == 1 and err[0].startswith("cherednik: invariant violation: mat_mul of ")
 
 
 def test_broken_pipe_exits_quietly():

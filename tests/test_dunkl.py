@@ -8,7 +8,7 @@ import pytest
 
 from cherednik.errors import InvariantViolation
 from cherednik import scalars
-from cherednik.scalars import SQRT3, QuadExt, Rat, RatType
+from cherednik.scalars import SQRT3, QuadExt, Rat
 from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import RootSystem, build_root_system
@@ -446,7 +446,7 @@ def test_parts_tails_and_sqrt3_lowerings_match_direct_action():
 def test_warm_part_builds_construct_no_rational(monkeypatch):
     # once the weights and the quotient constants are warm, the parts of a
     # new degree are built on ints alone: no Rat by the name of the modules
-    # that build them, and (fractions backend) no Fraction at all
+    # that build them, and no Fraction at all
     bases = [(rs, rep) for rs in map(RootSystem, TYPES) for rep in _build_irreps(rs)
              if rep.label in ("triv", "std")]
     for rs, rep in bases:
@@ -461,14 +461,13 @@ def test_warm_part_builds_construct_no_rational(monkeypatch):
 
     monkeypatch.setattr(scalars, "Rat", counting)
     monkeypatch.setattr(dunkl, "Rat", counting)
-    if RatType is Fraction:
-        fraction_new = Fraction.__new__
+    fraction_new = Fraction.__new__
 
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return fraction_new(cls, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     for rs, rep in bases:
         for j in range(rs.rank):
             for n in (5, 6):

@@ -7,18 +7,23 @@ written once from the code as it stood when the corpus was added, so a
 diff here is a change of behaviour: mend the code, or record the change
 and its reason before touching a golden file.
 
-The three lines of `tests/tools/asdict_hash.py` are pinned the same way.
+The three lines of `tests/tools/asdict_hash.py` are pinned the same way,
+and the whole corpus is run once more in a `python -O` child: the package
+has one configuration, so its bytes and exit codes do not change.
 """
 
 import contextlib
+import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cherednik
 from cherednik.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,6 +31,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def run_captured(argv):
+    """(exit code, stdout, stderr) of cli.run(argv) in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -42,6 +48,33 @@ def test_golden(case):
     assert out == (GOLDEN / f"{case['id']}.out").read_text()
     if case["exit"] != 0:
         assert err == (GOLDEN / f"{case['id']}.err").read_text()
+
+
+# prints the optimize flag, then (code, stdout, stderr) of every argv read
+# from stdin, as one JSON line
+_OPTIMIZED_CHILD = f"""
+import contextlib, io, json, sys
+from cherednik.cli import run
+{inspect.getsource(run_captured)}
+print(json.dumps([sys.flags.optimize, [run_captured(a) for a in json.load(sys.stdin)]]))
+"""
+
+
+def test_golden_corpus_under_optimized_mode():
+    # every case again, in one python -O child: same exit code, same stdout,
+    # and the committed stderr (none for a case that exits 0)
+    src = str(Path(cherednik.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHILD],
+                          input=json.dumps([c["argv"] for c in CASES]), capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    optimize, got = json.loads(done.stdout)
+    assert optimize == 1 and len(got) == len(CASES)
+    for case, (code, out, err) in zip(CASES, got):
+        want_err = (GOLDEN / f"{case['id']}.err").read_text() if case["exit"] else ""
+        assert code == case["exit"], case["id"]
+        assert out == (GOLDEN / f"{case['id']}.out").read_text(), case["id"]
+        assert err == want_err, case["id"]
 
 
 # A line may change only for a fix that has been shown to be one and is

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat, RatType, rat
+from cherednik.scalars import QuadExt, Rat, rat
 from cherednik import dunkl, verma
 from cherednik import rank2
 from cherednik.rank2 import _ROWS, _row
@@ -363,7 +363,7 @@ def assert_canonical(p):
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == 2 and all(type(i) is int for i in e)
         assert type(c) is QuadExt and c
-        assert type(c.a) is RatType and type(c.b) is RatType
+        assert type(c.a) is Rat and type(c.b) is Rat
 
 
 def test_trusted_constructors_give_canonical_values():

@@ -12,7 +12,7 @@ import pytest
 import cherednik
 from cherednik import scalars
 from cherednik.polynomials import MPoly, ParamPoly, PP_K1, PP_K2
-from cherednik.scalars import QuadExt, Rat, RatType, SQRT3, is_nonneg_int, rat
+from cherednik.scalars import QuadExt, Rat, SQRT3, is_nonneg_int, rat
 from cherednik.errors import NonDivisibleError
 from cherednik.rootsystem import build_root_system
 from cherednik.verma import VermaModule
@@ -202,6 +202,22 @@ def test_package_source_has_no_floats():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 bad.extend(f"{where}: from math import {a.name}" for a in node.names
                            if a.name not in _INTEGER_MATH)
+    assert not bad, bad
+
+
+def test_package_source_has_one_configuration():
+    # the package runs the same code under every install and interpreter
+    # flag: no assert (python -O strips it) and no import fallback
+    bad = []
+    for path in sorted(Path(cherednik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Assert):
+                bad.append(f"{where}: assert")
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                bad.extend(f"{where}: except {n}" for n in sorted(
+                    names & {"ImportError", "ModuleNotFoundError"}))
     assert not bad, bad
 
 
@@ -395,7 +411,7 @@ def _ref_str(a, b):
 def _assert_matches(v, ref, what):
     a, b = ref
     assert type(v) is QuadExt and _is_canonical(v), what
-    assert (v.a, v.b) == (a, b) and type(v.a) is type(v.b) is RatType, what
+    assert (v.a, v.b) == (a, b) and type(v.a) is type(v.b) is Rat, what
     assert hash(v) == (hash((a, b)) if b else hash(a)), what
     assert str(v) == _ref_str(a, b) and repr(v) == f"QuadExt({a!r}, {b!r})", what
     assert bool(v) == bool(a or b) and v.is_rational == (not b), what
@@ -443,7 +459,7 @@ def test_quadext_triples_match_a_rational_pair_reference():
 def test_integral_operations_build_no_rational(monkeypatch):
     # + - * /, ==, bool and hash on integral values, and hash on any value,
     # run on the ints alone: no Rat is built, by the scalars module's name or
-    # (fractions backend) at all
+    # at all
     xs = [QuadExt(2, 3), QuadExt(-5), QuadExt(0, 1), QuadExt(0), QuadExt(7, -4)]
     fractional = [QuadExt(Rat(1, 2)), QuadExt(Rat(-3, 7), Rat(5, 2)), QuadExt(0, Rat(1, 3)),
                   QuadExt._of(-1, 0, _MODULUS), QuadExt._of(_MODULUS, 1, _MODULUS)]
@@ -455,14 +471,13 @@ def test_integral_operations_build_no_rational(monkeypatch):
         return rat_new(*args)
 
     monkeypatch.setattr(scalars, "Rat", counting)
-    if RatType is Fraction:
-        fraction_new = Fraction.__new__
+    fraction_new = Fraction.__new__
 
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return fraction_new(cls, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     for x in xs:
         for y in xs + [3, -1, 0]:
             for v in (x + y, y + x, x - y, y - x, x * y, y * x):

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import chain, islice, product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,30 @@ def test_lowering_cell_inside_its_class_breaks_the_symmetry(monkeypatch):
         standard_module("A2", "triv", Rat(2, 7), Rat(2, 7)).gram(3)
     with pytest.raises(InvariantViolation, match="form is not symmetric at degree 3"):
         classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
+
+
+def test_stack_rows_from_held_lowerings_match_the_parts():
+    # _stack reads its square block from the held lowerings (_low) when
+    # classify has combined them, else from the memoized parts (L_0 full, the
+    # L_j tails from row n - 1): both yield positive multiples of the same
+    # rows, so each pair agrees over the gcd of its entries
+    def primitive(row):
+        g = gcd(*row)
+        assert g > 0
+        return [v // g for v in row]
+
+    for label in TYPES:
+        rs = build_root_system(label)
+        k1 = Rat(2, 5)
+        k2 = k1 if rs.orbit_counts[1] == 0 else Rat(-3, 7)
+        for rep in irreps(rs):
+            held, fresh = VermaModule(rs, rep, k1, k2), VermaModule(rs, rep, k1, k2)
+            for n in range(1, 9):
+                held._lowerings(n)
+                assert n in held._low and n not in fresh._low
+                a, b = list(held._stack(n)), list(fresh._stack(n))
+                assert len(a) == len(b), (label, rep.label, n)
+                assert list(map(primitive, a)) == list(map(primitive, b)), (label, rep.label, n)
 
 
 def test_stack_cell_across_the_classes_raises_on_a_generic_scan(monkeypatch):
