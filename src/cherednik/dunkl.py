@@ -36,7 +36,7 @@ from operator import add, floordiv, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
-from .linalg import dot, identity, mat_add, mat_mul, mat_vec
+from .linalg import dot, identity, mat_mul, mat_vec
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem
 from .wrep import get_irrep
@@ -340,15 +340,11 @@ def f_coefficient(rs: RootSystem) -> Rat:
 
 
 def f_apply(rows, low_m, low_n):
-    """rows times sum_j L_j L_j on the degree-n layer, from the lowerings
-    along the transfers: low_m[j] on the degree-(n-1) layer and low_n[j] on
-    the degree-n layer.  Times f_coefficient this is rows F; F itself is
-    never formed."""
-    acc = None
-    for lm, ln in zip(low_m, low_n):
-        prod = mat_mul(mat_mul(rows, lm), ln)
-        acc = prod if acc is None else mat_add(acc, prod)
-    return acc
+    """rows times sum_j L_j L_j on the degree-n layer as one product: rows
+    times the low_m side by side (L_j on the degree-(n-1) layer) times the
+    low_n stacked (L_j on the degree-n layer), the lowerings along the
+    transfers.  Times f_coefficient this is rows F; F is never formed."""
+    return mat_mul(mat_mul(rows, [list(chain(*r)) for r in zip(*low_m)]), list(chain(*low_n)))
 
 
 def f_matrix(rs: RootSystem, rep, n: int, k1, k2):

@@ -5,9 +5,9 @@ Matrices are plain lists of row lists.  Entries are ints (lowerings and
 Gram layers, the packed symbolic ones too; see integer_scale), QuadExt, or
 ParamPoly (unpacked symbolic layers, F matrices).  Ranks are proven, never
 guessed; the package ranks int matrices only.  One, square or tall, whose
-columns are independent modulo the prime PRIME has independent columns
-over Q, as a minor that is 0 over Z is 0 mod every prime (nonsingular_mod_p:
-one elimination mod p per verma lowering stack, over the rows verma yields,
+rank modulo the prime PRIME is its column count has independent columns
+over Q, as a minor that is 0 over Z is 0 mod every prime (rank_mod_p: one
+elimination mod p per verma lowering stack, over the rows verma yields,
 each packed into one int and eliminated within its reflection class).
 Otherwise bareiss_rank, fraction-free (Bareiss, Math. Comp. 22, 1968), ranks
 it; the tests run it on QuadExt and ParamPoly matrices too, as references.
@@ -30,10 +30,6 @@ def mat_mul(a, b):
         raise InvariantViolation(f"mat_mul of {len(a[0])} columns by {len(b)} rows")
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def dot(x, y):
@@ -118,15 +114,15 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def nonsingular_mod_p(rows, ncols, classes=((slice(None),),)) -> bool:
-    """True when the ncols columns of the int matrix whose rows the iterable
-    rows yields are independent modulo PRIME.  Then some maximal minor is
-    nonzero mod PRIME, hence over Z: the columns are independent over Q,
-    also with each row scaled on its own by a nonzero rational (each minor
-    scales by a nonzero factor).  False is no verdict over Q: p may divide
-    every nonzero maximal minor.  Gaussian elimination over GF(p), one row at
-    a time against the pivots found so far: it stops as soon as every column
-    has a pivot, so the rows past that (say of a generator) are never read.
+def rank_mod_p(rows, ncols, classes=((slice(None),),)) -> int:
+    """Rank modulo PRIME of the int matrix with ncols columns whose rows the
+    iterable rows yields.  At ncols some maximal minor is nonzero mod PRIME,
+    hence over Z: the columns are independent over Q, also with each row
+    scaled on its own by a nonzero rational (each minor scales by a nonzero
+    factor).  A lower rank is only a lower bound over Q: p may divide every
+    nonzero minor.  Gaussian elimination over GF(p), one row at a time
+    against the pivots found so far, the rank being the pivot count: it stops
+    once every column has a pivot, so the rows past that are never read.
     Each class (slices of a row) is eliminated apart; a row with cells in
     two raises InvariantViolation.  A row is one int, w = 2 bits(p) +
     bits(ncols) + 2 bits per cell mod p, slot 0 at column c: by the tail of
@@ -167,7 +163,7 @@ def nonsingular_mod_p(rows, ncols, classes=((slice(None),),)) -> bool:
             r, c = (r >> w) + (p - f) * tail if f else r >> w, c + 1
         if found == ncols:
             break
-    return found == ncols
+    return found
 
 
 def is_symmetric(mat) -> bool:

@@ -108,12 +108,7 @@ class QuadExt:
 
     def __sub__(self, other):
         o = _lift(other)
-        if o is None:
-            return NotImplemented
-        p, q, d, r, s, e = self._p, self._q, self._d, o._p, o._q, o._d
-        if d == e:
-            return _reduce(p - r, q - s, d)
-        return _reduce(p * e - r * d, q * e - s * d, d * e)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = _lift(other)

@@ -17,14 +17,15 @@ base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
 Every layer rank is proven, degrees settled in ascending order and kept to
 the lowest singular one.  As G_n[x_i u, w] = G_{n-1}[u, L_i w], while every
 lower layer is full rank G_n is nonsingular exactly when the stacked
-lowerings [L_0; L_1] are injective.  One elimination mod the prime
-linalg.PRIME proves it, over the rows _stack yields: the square block of L_0
-and the tail (L_1's last dim-chi rows, b_lowering_parts from row n - 1 alone;
-on A1, L_0) first, the rest of L_1 built only if read.  Any nonzero rational
-multiple of a row, at its own scale, proves as well.  (G_n is P times the stack, P
-made of rows of G_{n-1}: up to content, singular mod p wherever the stack is.)
-Each L_i maps an eigenspace of the reflection of root 0 into one, so the
-elimination runs per class (_class_slices) and checks each row.  Failing
+lowerings [L_0; L_1] are injective.  Its rank mod the prime linalg.PRIME
+(rank_mod_p, one elimination over the rows _stack yields) proves it: the
+square block of L_0 and the tail (L_1's last dim-chi rows, b_lowering_parts
+from row n - 1 alone; on A1, L_0) first, the rest of L_1 built only if read.
+Any nonzero rational multiple of a row, at its own scale, proves as well.
+(G_n is P times the stack, P made of rows of G_{n-1}: up to content,
+singular mod p wherever the stack is.)  Each L_i maps an eigenspace of the
+reflection of root 0 into one, so the elimination runs per class
+(_class_slices) and checks each row.  Failing
 that, and on every higher layer (the radical is a submodule and x_1 is
 injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer as
 two blocks, those eigenspaces (W-invariant form).  So a generic scan builds
@@ -70,7 +71,7 @@ from .errors import InvariantViolation
 from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
 from .scalars import QuadExt, Rat, rat
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
-                     mat_mul, nonsingular_mod_p)
+                     mat_mul, rank_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
 from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
@@ -305,11 +306,11 @@ class VermaModule:
         """Rank of the degree-n layer, proven.  Numeric ranks are settled in
         ascending order into _ranks, to the lowest singular degree, a call out
         of order first settling those below n.  With every layer below full
-        rank, degree n is full rank if mod linalg.PRIME the stack [L_0; L_1]
-        has independent columns, in one elimination with the square block of
-        L_0 and the last dim-chi rows of L_1 first; failing that, and past the
-        lowest singular degree, Bareiss ranks the two Gram blocks (_layer).  A
-        symbolic layer is full rank if it is at _CERT_POINT, else InvariantViolation."""
+        rank, degree n is full rank if the stack [L_0; L_1] has full column
+        rank mod linalg.PRIME (rank_mod_p), one elimination with the square
+        block of L_0 and the last dim-chi rows of L_1 first; failing that, and
+        past the lowest singular degree, Bareiss ranks the two Gram blocks
+        (_layer).  Symbolic: full rank at _CERT_POINT, else InvariantViolation."""
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         if self.symbolic:
@@ -326,7 +327,7 @@ class VermaModule:
         while len(ranks) <= n and ranks[-1] == len(self.layer_monomials(len(ranks) - 1)) * dim:
             deg = len(ranks)
             size = len(self.layer_monomials(deg)) * dim
-            full = nonsingular_mod_p(self._stack(deg), size, self._class_slices(deg))
+            full = rank_mod_p(self._stack(deg), size, self._class_slices(deg)) == size
             ranks.append(size if full else sum(map(bareiss_rank, self._layer(deg)[0])))
         return ranks[n] if n < len(ranks) else sum(map(bareiss_rank, self._layer(n)[0]))
 

@@ -14,13 +14,13 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
 from cherednik.dunkl import (b_direction, b_lowering_parts,
-                             dunkl_apply, e_mult_matrix,
+                             dunkl_apply, e_mult_matrix, f_apply, f_coefficient,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              natural_m, poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
 from cherednik.dunkl import _quotient_columns, _quotient_layers, _root_pairs
-from cherednik.linalg import dot, mat_inv, mat_mul, mat_vec, transpose
+from cherednik.linalg import dot, identity, mat_inv, mat_mul, mat_vec, transpose
 from cherednik.verma import VermaModule, classify
 
 RNG = random.Random(505)
@@ -740,6 +740,42 @@ def test_commutator_ef_is_graded_scalar():
                         else:
                             v = -v
                         assert v == (want if i == j else ParamPoly()), (label, rep.label, n)
+
+
+def _f_sum(rows, low_m, low_n):
+    """sum_j rows L_j(n-1) L_j(n): each term by mat_mul, the terms added
+    cell by cell."""
+    terms = [mat_mul(mat_mul(rows, lm), ln) for lm, ln in zip(low_m, low_n)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = [[out[i][j] + term[i][j] for j in range(len(out[i]))] for i in range(len(out))]
+    return out
+
+
+def test_f_apply_is_the_sum_over_transfers():
+    # f_apply states sum_j L_j(n-1) L_j(n) as one product; here it is the
+    # sum, on the int lowerings of a module (A1: one direction) and, times
+    # f_coefficient, the symbolic f_matrix
+    for label in TYPES:
+        rs = build_root_system(label)
+        for chi in ("triv", "std")[:rs.rank]:  # A1 has no std
+            rep = get_irrep(rs, chi)
+            vm = VermaModule(rs, rep, Rat(2, 5), Rat(-3, 7))
+            for n in range(2, 7):
+                (low_m, _), (low_n, _) = vm._lowerings(n - 1), vm._lowerings(n)
+                size = len(low_m[0])
+                assert len(low_m) == rs.rank and size == len(monomials(rs.rank, n - 2)) * rep.dim
+                rows = [[RNG.randint(-4, 4) for _ in range(size)] for _ in range(3)]
+                rows += [[int(i == j) for j in range(size)] for i in range(size)]
+                assert f_apply(rows, low_m, low_n) == _f_sum(rows, low_m, low_n), (label, chi, n)
+            fc = f_coefficient(rs)
+            for n in (2, 3, 4):
+                low_m, low_n = ([lowering_matrix(rs, rep, b_direction(rs, j), d, PP_K1, PP_K2)
+                                 for j in range(rs.rank)] for d in (n - 1, n))
+                want = [[ParamPoly.coerce(v * fc) for v in row]
+                        for row in _f_sum(identity(len(low_m[0])), low_m, low_n)]
+                got = [list(map(ParamPoly.coerce, row)) for row in f_matrix(rs, rep, n, PP_K1, PP_K2)]
+                assert got == want, (label, chi, n)
 
 
 def test_lowest_weight_scalars():

@@ -9,7 +9,7 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_ima
                                    monomials, weyl_act)
 from cherednik.linalg import (PRIME, bareiss_rank, dot, freeze, identity,
                               integer_scale, is_symmetric, mat_inv, mat_mul,
-                              mat_vec, nonsingular_mod_p, transpose)
+                              mat_vec, rank_mod_p, transpose)
 
 RNG = random.Random(202)
 
@@ -190,7 +190,8 @@ def test_bareiss_rank_over_integers():
 
 
 def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
-    # |det| <= 6! * 9^6 < PRIME here, so det = 0 mod PRIME only when det = 0
+    # every minor is at most 6! * 9^6 < PRIME here, so it is 0 mod PRIME only
+    # when it is 0: the rank mod PRIME is the rank
     for _ in range(200):
         n = RNG.randint(1, 6)
         m = [[RNG.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -198,7 +199,7 @@ def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
             i, j = RNG.randrange(n), RNG.randrange(n)
             c = RNG.randint(-3, 3)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])] if i != j else [0] * n
-        assert nonsingular_mod_p(m, n) == (bareiss_rank(m) == n), m
+        assert rank_mod_p(m, n) == bareiss_rank(m), m
     # tall 2n x n, entries in [-9, 9]: every n x n minor is below PRIME by
     # Hadamard's bound, (9 sqrt 6)^6 < 1.2e8.  The elimination must go on
     # past a singular leading n x n head into the rows below it.
@@ -213,17 +214,18 @@ def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
             i, j = RNG.randrange(n), RNG.randrange(n)
             for row in m:
                 row[i] = row[j] if i != j else 0
-        full = bareiss_rank(m) == n
-        assert nonsingular_mod_p(m, n) == full, m
-        continued += full and bareiss_rank(m[:n]) < n
+        rank = bareiss_rank(m)
+        assert rank_mod_p(m, n) == rank, m
+        continued += rank == n and bareiss_rank(m[:n]) < n
     assert continued
-    assert nonsingular_mod_p([[0, 2], [3, 1]], 2)  # pivot after a row swap
-    assert not nonsingular_mod_p([[0, 1], [0, 2]], 2)  # no pivot in column 0
+    assert rank_mod_p([[0, 2], [3, 1]], 2) == 2  # pivot after a row swap
+    assert rank_mod_p([[0, 1], [0, 2]], 2) == 1  # no pivot in column 0
+    assert rank_mod_p(iter(()), 3) == 0 == rank_mod_p([], 2, ((slice(0, 1),), (slice(1, 2),)))
 
 
 def _rank_mod_p(rows, p):
     """Rank over GF(p), one row at a time on lists of residues, with no
-    packing and no classes: the reference for nonsingular_mod_p."""
+    packing and no classes: the reference for rank_mod_p."""
     pivots = {}
     for row in rows:
         r = [v % p for v in row]
@@ -264,17 +266,17 @@ def test_packed_elimination_matches_list_elimination_on_wide_residues():
     for _ in range(120):
         n = RNG.randint(1, 60)
         rows = _wide_rows(n + RNG.randint(0, 3), n, range(n), p)
-        full = _rank_mod_p(rows, p) == n
-        assert nonsingular_mod_p(rows, n) == full
-        short += not full
+        rank = _rank_mod_p(rows, p)
+        assert rank_mod_p(rows, n) == rank
+        short += rank < n
         cls = [sorted(i for sl in c for i in range(n)[sl]) for c in classes]
         rows = [row for c in cls for row in _wide_rows(len(c) + RNG.randint(0, 2), n, c, p)]
         RNG.shuffle(rows)
-        assert nonsingular_mod_p(rows, n, classes) == (_rank_mod_p(rows, p) == n)
+        assert rank_mod_p(rows, n, classes) == _rank_mod_p(rows, p)
         if len(cls[1]):
             rows[0][cls[0][0]] = rows[0][cls[1][0]] = 1
             with pytest.raises(InvariantViolation, match="across the classes"):
-                nonsingular_mod_p(rows, n, classes)
+                rank_mod_p(rows, n, classes)
     assert 10 < short < 110
 
 

@@ -13,7 +13,7 @@ from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_coupl
 from cherednik.dunkl import b_direction, f_matrix
 from cherednik import dunkl, linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
-                              nonsingular_mod_p)
+                              rank_mod_p)
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -596,9 +596,9 @@ def test_layer_rank_descending_order_matches_ascending():
 def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
     for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
-        assert not nonsingular_mod_p(mat, len(mat[0]))
-    assert nonsingular_mod_p([[1, 0], [0, p + 1]], 2)
-    assert nonsingular_mod_p([[1, 0], [0, p], [0, 1]], 2)
+        assert rank_mod_p(mat, len(mat[0])) == len(mat[0]) - 1
+    assert rank_mod_p([[1, 0], [0, p + 1]], 2) == 2
+    assert rank_mod_p([[1, 0], [0, p], [0, 1]], 2) == 2
     ranks = []
 
     def counting_rank(mat):
@@ -628,13 +628,14 @@ def test_each_rank_proof_fires(monkeypatch):
         # the leading square alone first, so that a block proof reads no more rows
         rows = iter(rows)
         block = list(islice(rows, ncols))
-        if nonsingular_mod_p(block, ncols, classes):
+        rank = rank_mod_p(block, ncols, classes)
+        if rank == ncols:
             fired.add("block")
-            return True
-        if nonsingular_mod_p(chain(block, rows), ncols, classes):
+            return rank
+        rank = rank_mod_p(chain(block, rows), ncols, classes)
+        if rank == ncols:
             fired.add("stack")
-            return True
-        return False
+        return rank
 
     def counting_rank(mat):
         rank = bareiss_rank(mat)
@@ -648,7 +649,7 @@ def test_each_rank_proof_fires(monkeypatch):
         vm.classify()
         return vm, set(fired)
 
-    monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
+    monkeypatch.setattr(verma, "rank_mod_p", counting)
     monkeypatch.setattr(verma, "bareiss_rank", counting_rank)
     vm, got = routes(("G2", "std", Rat(1, 7), Rat(-2, 11)))
     assert got == {"block"} and not vm._gram
@@ -685,10 +686,10 @@ def test_one_elimination_per_settled_degree(monkeypatch):
         rows = iter(rows)
         block, read = list(islice(rows, ncols)), []  # read: the rows past the block it reads
         calls.append((block, read))
-        return nonsingular_mod_p(chain(block, (read.append(row) or row for row in rows)),
-                                 ncols, classes)
+        return rank_mod_p(chain(block, (read.append(row) or row for row in rows)),
+                          ncols, classes)
 
-    monkeypatch.setattr(verma, "nonsingular_mod_p", counting)
+    monkeypatch.setattr(verma, "rank_mod_p", counting)
     vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
     vm.classify()
     # degrees 1-3 are full rank and 4 is the first singular one
@@ -698,7 +699,7 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     # on into the rows of L_1 above it, which prove the layer
     block, read = calls[2]
     assert len(block) == len(block[0]) and read
-    assert not nonsingular_mod_p(block, len(block)) and nonsingular_mod_p(block + read, len(block))
+    assert rank_mod_p(block, len(block)) < len(block) == rank_mod_p(block + read, len(block))
     # below it the block alone settles the degree
     assert not any(read for _, read in calls[:2])
 

@@ -9,8 +9,9 @@ prints one line per request (all of them, or the NAMEs given),
 
 with the seconds of `cli.run(argv)` alone (the package import is before
 the clock starts), the interpreter's peak resident set (`ru_maxrss`) in
-MB and the exit code; the request's output goes to /dev/null.  The
-requests:
+MB and the exit code; the request's output goes to /dev/null.  A request
+whose interpreter dies prints `failed:` and the last line of its stderr
+instead, and the tool then exits 1.  The requests:
 
 - `scan-A1`, `scan-A2`: the deepest natural m that MAX_SCAN_DEGREE accepts,
   2m + 2 = 20000 on A1 and 106 on rank 2 (m = 9999 and 52);
@@ -71,13 +72,17 @@ def main(argv) -> int:
     if unknown:
         print(f"unknown request {unknown[0]}; known: {' '.join(REQUESTS)}", file=sys.stderr)
         return 1
+    failed = False
     for name in argv or REQUESTS:
         request = REQUESTS[name]
         done = subprocess.run([sys.executable, "-c", _CHILD, SRC, *request.split()],
                               capture_output=True, text=True)
-        line = done.stdout.strip() or f"failed: {done.stderr.strip().splitlines()[-1:]}"
+        line = done.stdout.strip()
+        if done.returncode:
+            failed = True
+            line = f"failed: {(done.stderr.strip().splitlines() or ['no stderr'])[-1]}"
         print(f"{name:17} {line}  {request}", flush=True)
-    return 0
+    return int(failed)
 
 
 if __name__ == "__main__":
