@@ -425,6 +425,20 @@ def test_invariant_violation_exits_two(capsys, monkeypatch):
                           "the two finiteness tests disagree")
 
 
+def test_verdict_hit_with_another_m_exits_two(verdict_memo, capsys, monkeypatch):
+    # A2 sgn at 4/3 reads the verdict of its class, A2 triv at -4/3 (m = 3),
+    # only once its own m agrees: made 4, it is an invariant violation
+    argv = ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"]
+    assert run_cli(argv, capsys)[0] == 0
+    own = verma.natural_m
+    monkeypatch.setattr(verma, "natural_m",
+                        lambda rs, rep, k1, k2: own(rs, rep, k1, k2) + (rep.label == "sgn"))
+    code, out, err = run_cli(["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"], capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("cherednik: invariant violation: A2/sgn at k=(4/3,4/3): m = 4")
+    assert verma.classify.cache_info()[:2] == (1, 1)
+
+
 def test_negative_rational_tokens_accepted(capsys):
     # "-1/3" and "-4/3:0:1/3" must parse as option values, not flags
     code, out, _ = run_cli(

@@ -1022,3 +1022,71 @@ def test_classifying_leaves_no_state_on_root_system_or_irreps():
     assert res.finite
     VermaModule(rs, get_irrep(rs, "std"), Rat(1, 2), Rat(1, 3)).classify(4)
     assert [state(obj) for obj in (rs, *reps)] == before
+
+
+def _class_request(label, chi, k1, k2):
+    """The request of chi's base at the signed couplings: chi's sign-twist class."""
+    rep = get_irrep(build_root_system(label), chi)
+    return label, rep.base.label, rep.signs[0] * k1, rep.signs[1] * k2
+
+
+def test_verdict_memo_answers_every_twist_of_the_grid(verdict_memo):
+    # bases first, so every grid point, twisted or not, is a hit, and each
+    # relabeled verdict is the one its own module computes
+    bases = list(dict.fromkeys(_class_request(*p) for p in GRID_POINTS))
+    for point in bases:
+        classify(*point)
+    assert classify.cache_info()[:2] == (0, len(bases))
+    for label, chi, k1, k2 in GRID_POINTS:
+        fresh = standard_module(label, chi, k1, k2).classify()
+        assert classify(label, chi, k1, k2).as_dict() == fresh.as_dict(), (label, chi, k1, k2)
+    info = classify.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(GRID_POINTS), len(bases), len(bases))
+
+
+def test_verdict_hit_with_another_m_raises(verdict_memo, monkeypatch):
+    # A2 sgn at 4/3 is in the class of A2 triv at -4/3 (m = 3); its own m
+    # made 4 must not be answered by the class's verdict
+    assert classify("A2", "triv", Rat(-4, 3), Rat(-4, 3)).m == 3
+    own = verma.natural_m
+    monkeypatch.setattr(verma, "natural_m",
+                        lambda rs, rep, k1, k2: own(rs, rep, k1, k2) + (rep.label == "sgn"))
+    with pytest.raises(InvariantViolation, match="A2/sgn at k=.4/3,4/3.: m = 4, but its "
+                                                 "class triv at k=.-4/3,-4/3. has m = 3"):
+        classify("A2", "sgn", Rat(4, 3), Rat(4, 3))
+    assert classify.cache_info()[:2] == (1, 1)
+
+
+def test_verdict_memo_stays_within_its_budget(verdict_memo):
+    # long A1 verdicts (2m + 1 dims, m <= 600) until the first eviction: the
+    # charge never passes the budget and the oldest entries go first
+    budget, cost = verma.VERDICT_BUDGET, verma._VERDICT_COST
+    held = verma._VERDICTS._held
+    ks, keys, asked, m = [], [], 0, 600
+    while len(held) == len(keys):
+        k = Rat(-1, 2) - m
+        assert len(classify("A1", "triv", k, k).dims) == 2 * m + 1
+        ks.append(k)
+        keys.append(("A1", "triv", *standard_module("A1", "triv", k, k)._coefs, None))
+        asked += 2 * m + 1 + cost
+        assert classify.cache_info().charge == sum(len(v[2]) + cost
+                                                   for v in held.values()) <= budget
+        m -= 4
+    assert asked > budget and list(held) == keys[len(keys) - len(held):]
+    misses = classify.cache_info().misses
+    classify("A1", "triv", ks[0], ks[0])
+    assert classify.cache_info().misses == misses + 1
+    # a verdict charged more than the whole budget is not kept
+    verma._VERDICTS.put("too long", (True, 0, (1,) * budget, budget))
+    assert "too long" not in held and classify.cache_info().charge <= budget
+
+
+def test_verdict_memo_keeps_more_than_the_grid_reuse_distance(verdict_memo):
+    # 600 small classes, then a twist of each in the same order: a reuse
+    # distance of 600 requests, and every twist is a hit
+    ks = [Rat(j, 601) for j in range(1, 601)]
+    for k in ks:
+        classify("A1", "triv", k, k)
+    for k in ks:
+        assert not classify("A1", "sgn", -k, -k).finite
+    assert classify.cache_info()[:2] == (600, 600)

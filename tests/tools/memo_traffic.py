@@ -8,8 +8,10 @@ workload at seed N (default 3131), then the golden argv under the name
 `golden`.  Each traffic runs in its own interpreter, so no memo is warm
 when it starts.
 
-A memo is every `functools.lru_cache` object that a module of the package
-defines, named `<module>.<name>`.  After the traffic, one line per memo,
+A memo is every object with a `cache_info()` that a module of the package
+defines, named `<module>.<name>`: the `functools.lru_cache` functions, and
+`verma.classify` with the verdict memo under it.  After the traffic, one
+line per memo,
 
     deep     dunkl.b_lowering_parts        hits   1904  misses    128  entries    128
 
