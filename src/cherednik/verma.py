@@ -60,14 +60,14 @@ combining each degree's lowerings once.  A module holds a degree's lowerings
 (_gram), one F chain per bottom (_chains), the settled ranks (_ranks) and
 its m, computed once for classify and epower_criterion (_m).
 
-The module function classify remembers one verdict per sign-twist class
-(type, base, s_0 k1, s_1 k2, scan bound), bounded by VERDICT_BUDGET: a
-twisted request reads its class's verdict once its own m agrees (_Verdicts).
+The module function classify remembers the verdicts of the last 128
+sign-twist classes (_class_verdict): a request reads the verdict of its class
+representative, its base at (s_0 k1, s_1 k2), once its own m agrees.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 
@@ -82,11 +82,6 @@ from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
                     lowering_matrix, natural_m, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
-# the verdict memo under classify holds entries charged len(dims) + _VERDICT_COST
-# each, at most this much in all: over 870 verdicts of a default scan (at most
-# 11 dims), or three of an A1 point at the scan cap (20,000 dims)
-VERDICT_BUDGET = 1 << 16
-_VERDICT_COST = 64  # per entry: the key, the value and the table slot
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
 _UNREAD = object()  # VermaModule._m before _natural_m has run
 
@@ -94,6 +89,12 @@ _UNREAD = object()  # VermaModule._m before _natural_m has run
 def _int_identity(n):
     """The n x n identity over the ints: where a chain or layer 0 starts."""
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _signed(rep: Irrep, k1, k2):
+    """(s_0 k1, s_1 k2), by negation rather than a Fraction product: the
+    couplings at which rep's module is its base's (Irrep.signs, Irrep.base)."""
+    return (k1 if rep.signs[0] > 0 else -k1), (k2 if rep.signs[1] > 0 else -k2)
 
 
 def _value(rows, scale):
@@ -126,9 +127,9 @@ class VermaModule:
         self.symbolic = (k1, k2) == (PP_K1, PP_K2)
         if not self.symbolic:
             k1, k2 = rat(k1), rat(k2)
-            ks = rep.signs[0] * k1, rep.signs[1] * k2  # _coefs: (q, q s_0 k1, q s_1 k2)
-            q = lcm(*(k.denominator for k in ks))
-            self._coefs = (q, *((q * k).numerator for k in ks))
+            (a, b), (c, d) = ((k.numerator, k.denominator) for k in _signed(rep, k1, k2))
+            q = lcm(b, d)
+            self._coefs = (q, a * (q // b), c * (q // d))  # (q, q s_0 k1, q s_1 k2)
         self.k1, self.k2 = k1, k2
         self._low, self._gram = {}, {}  # degree -> lowerings; {degree: the highest layer built}
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
@@ -492,81 +493,39 @@ class ClassifyResult(namedtuple("ClassifyResult", "label chi k1 k2 finite m dims
                 f"k=({self.k1},{self.k2}): {state})")
 
 
-VerdictInfo = namedtuple("VerdictInfo", "hits misses maxsize currsize charge")
-
-
-class _Verdicts:
-    """The verdict memo under classify, least recently used first out.  A key
-    is (type, base, q, q s_0 k1, q s_1 k2, scan bound) and a value (finite, m,
-    dims, total_dim), m the natural m or None: str, int, None and tuples only,
-    so no entry keeps a RootSystem or Irrep alive.  Each entry is charged
-    len(dims) + _VERDICT_COST; the charge held stays within the budget, and a
-    verdict charged more than the whole budget is not kept."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.clear()
-
-    def clear(self):
-        self._held, self._charge, self._hits, self._misses = OrderedDict(), 0, 0, 0
-
-    def info(self) -> VerdictInfo:
-        """Hits, misses, the budget, the entries and the charge they hold."""
-        return VerdictInfo(self._hits, self._misses, self.budget, len(self._held),
-                           self._charge)
-
-    def get(self, key):
-        value = self._held.get(key)
-        if value is None:
-            self._misses += 1
-        else:
-            self._hits += 1
-            self._held.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        cost = len(value[2]) + _VERDICT_COST
-        if cost > self.budget:
-            return
-        self._held[key] = value
-        self._charge += cost
-        while self._charge > self.budget:
-            self._charge -= len(self._held.popitem(last=False)[1][2]) + _VERDICT_COST
-
-
-_VERDICTS = _Verdicts(VERDICT_BUDGET)
-
-
 def standard_module(label: str, chi: str, k1, k2) -> VermaModule:
     rs = build_root_system(label)
     return VermaModule(rs, get_irrep(rs, chi), k1, k2)
 
 
+@lru_cache(maxsize=128)
+def _class_verdict(label: str, base: str, k1, k2, scan_bound):
+    """(natural m, finite, dims, total_dim) of base at the signed couplings:
+    no entry keeps a RootSystem or Irrep alive."""
+    vm = standard_module(label, base, k1, k2)
+    res = vm.classify(scan_bound)
+    return vm._natural_m(), res.finite, res.dims, res.total_dim
+
+
 def classify(label: str, chi: str, k1, k2, scan_bound=None) -> ClassifyResult:
-    """VermaModule.classify of the request, remembered per sign-twist class.
-    chi runs on its base's integer parts at (s_0 k1, s_1 k2), keyed as the
-    ints _coefs, so with the same m and scan bound its verdict is the base's.
-    A miss classifies and keeps the verdict; a hit recomputes only chi's own
-    m, raises InvariantViolation if it is not the kept one, and relabels the
-    verdict.  classify.cache_info() and classify.cache_clear() read and empty
-    the memo."""
-    vm = standard_module(label, chi, k1, k2)
-    m = vm._natural_m()  # first, as in VermaModule.classify: raises on symbolic couplings
-    rs, rep = vm.rs, vm.rep
-    key = (rs.label, rep.base.label, *vm._coefs, scan_bound)
-    held = _VERDICTS.get(key)
-    if held is None:
-        res = vm.classify(scan_bound)
-        _VERDICTS.put(key, (res.finite, m, res.dims, res.total_dim))
-        return res
-    finite, held_m, dims, total = held
-    if m != held_m:
-        raise InvariantViolation(
-            f"{rs.label}/{rep.label} at k=({vm.k1},{vm.k2}): m = {m}, but its class "
-            f"{rep.base.label} at k=({rep.signs[0] * vm.k1},{rep.signs[1] * vm.k2}) "
-            f"has m = {held_m}")
-    return ClassifyResult(rs.label, rep.label, vm.k1, vm.k2, finite, m if finite else None,
+    """VermaModule.classify of the request: chi runs on its base's parts at
+    (s_0 k1, s_1 k2), so with the same m its verdict is _class_verdict's, which
+    classify.cache_info() and classify.cache_clear() read and empty.  A twist
+    with another m than its class raises InvariantViolation."""
+    rs = build_root_system(label)
+    rep = get_irrep(rs, chi)
+    if type(k1) is ParamPoly and (k1, k2) == (PP_K1, PP_K2):
+        raise ValueError("the raised-vector test needs numeric couplings")
+    k1, k2 = rat(k1), rat(k2)
+    s1, s2 = _signed(rep, k1, k2)
+    m, finite, dims, total = _class_verdict(rs.label, rep.base.label, s1, s2, scan_bound)
+    if rep is not rep.base:
+        own = natural_m(rs, rep, k1, k2)
+        if own != m:
+            raise InvariantViolation(f"{rs.label}/{rep.label} at k=({k1},{k2}): m = {own}, but "
+                                     f"its class {rep.base.label} at k=({s1},{s2}) has m = {m}")
+    return ClassifyResult(rs.label, rep.label, k1, k2, finite, m if finite else None,
                           dims, total)
 
 
-classify.cache_info, classify.cache_clear = _VERDICTS.info, _VERDICTS.clear
+classify.cache_info, classify.cache_clear = _class_verdict.cache_info, _class_verdict.cache_clear

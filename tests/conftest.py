@@ -4,18 +4,20 @@ import pytest
 
 from cherednik import verma
 
+_CLASS_VERDICT = verma._class_verdict  # the memo under verma.classify
+
 
 @pytest.fixture(autouse=True)
 def _verdict_memo_keeps_nothing(monkeypatch):
     # every classify of a test runs the engine: a kept verdict would answer a
     # twist or a repeat, and so before a fault that a test injects could run
-    monkeypatch.setattr(verma._VERDICTS, "budget", 0)
-    verma.classify.cache_clear()
+    monkeypatch.setattr(verma, "_class_verdict", _CLASS_VERDICT.__wrapped__)
+    _CLASS_VERDICT.cache_clear()
 
 
 @pytest.fixture
 def verdict_memo(monkeypatch):
-    """The verdict memo under classify, empty and at its budget: for the
-    tests of the memo itself."""
-    monkeypatch.setattr(verma._VERDICTS, "budget", verma.VERDICT_BUDGET)
-    verma.classify.cache_clear()
+    """The verdict memo under classify, empty and in use: for the tests of
+    the memo itself."""
+    monkeypatch.setattr(verma, "_class_verdict", _CLASS_VERDICT)
+    _CLASS_VERDICT.cache_clear()

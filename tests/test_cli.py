@@ -425,6 +425,19 @@ def test_invariant_violation_exits_two(capsys, monkeypatch):
                           "the two finiteness tests disagree")
 
 
+def test_twisted_invariant_violation_names_its_class(capsys, monkeypatch):
+    # A2 sgn at 4/3 is classified as its class, A2 triv at -4/3: a failing
+    # cross-check there exits 2 with one line naming the class
+    epower = VermaModule.epower_criterion
+    monkeypatch.setattr(VermaModule, "epower_criterion",
+                        lambda self: epower(self)._replace(finite=False))
+    code, out, err = run_cli(
+        ["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"], capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("cherednik: invariant violation: A2/triv at k=(-4/3,-4/3): "
+                          "the two finiteness tests disagree")
+
+
 def test_verdict_hit_with_another_m_exits_two(verdict_memo, capsys, monkeypatch):
     # A2 sgn at 4/3 reads the verdict of its class, A2 triv at -4/3 (m = 3),
     # only once its own m agrees: made 4, it is an invariant violation

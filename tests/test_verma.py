@@ -1057,36 +1057,57 @@ def test_verdict_hit_with_another_m_raises(verdict_memo, monkeypatch):
     assert classify.cache_info()[:2] == (1, 1)
 
 
-def test_verdict_memo_stays_within_its_budget(verdict_memo):
-    # long A1 verdicts (2m + 1 dims, m <= 600) until the first eviction: the
-    # charge never passes the budget and the oldest entries go first
-    budget, cost = verma.VERDICT_BUDGET, verma._VERDICT_COST
-    held = verma._VERDICTS._held
-    ks, keys, asked, m = [], [], 0, 600
-    while len(held) == len(keys):
-        k = Rat(-1, 2) - m
-        assert len(classify("A1", "triv", k, k).dims) == 2 * m + 1
-        ks.append(k)
-        keys.append(("A1", "triv", *standard_module("A1", "triv", k, k)._coefs, None))
-        asked += 2 * m + 1 + cost
-        assert classify.cache_info().charge == sum(len(v[2]) + cost
-                                                   for v in held.values()) <= budget
-        m -= 4
-    assert asked > budget and list(held) == keys[len(keys) - len(held):]
-    misses = classify.cache_info().misses
+def test_verdict_memo_keeps_the_last_128_classes(verdict_memo):
+    # 129 generic A1 classes: the memo holds the last 128, least recently
+    # used going first
+    ks = [Rat(j, 257) for j in range(1, 130)]
+    for k in ks:
+        classify("A1", "triv", k, k)
+    assert classify.cache_info()[:4] == (0, 129, 128, 128)
+    classify("A1", "triv", ks[-1], ks[-1])
+    assert classify.cache_info()[:2] == (1, 129)
     classify("A1", "triv", ks[0], ks[0])
-    assert classify.cache_info().misses == misses + 1
-    # a verdict charged more than the whole budget is not kept
-    verma._VERDICTS.put("too long", (True, 0, (1,) * budget, budget))
-    assert "too long" not in held and classify.cache_info().charge <= budget
+    assert classify.cache_info()[:2] == (1, 130)
+    # with the first class read again before the 129th, the second goes
+    classify.cache_clear()
+    for k in ks[:128]:
+        classify("A1", "triv", k, k)
+    classify("A1", "triv", ks[0], ks[0])
+    classify("A1", "triv", ks[128], ks[128])
+    assert classify.cache_info()[:4] == (1, 129, 128, 128)
+    classify("A1", "triv", ks[0], ks[0])
+    assert classify.cache_info()[:2] == (2, 129)
+    classify("A1", "triv", ks[1], ks[1])
+    assert classify.cache_info()[:2] == (2, 130)
 
 
-def test_verdict_memo_keeps_more_than_the_grid_reuse_distance(verdict_memo):
-    # 600 small classes, then a twist of each in the same order: a reuse
-    # distance of 600 requests, and every twist is a hit
-    ks = [Rat(j, 601) for j in range(1, 601)]
+def test_verdict_memo_keeps_a_reuse_distance_of_128(verdict_memo):
+    # 128 small classes, then a twist of each in the same order: a reuse
+    # distance of 128 requests, and every twist is a hit
+    ks = [Rat(j, 129) for j in range(1, 129)]
     for k in ks:
         classify("A1", "triv", k, k)
     for k in ks:
         assert not classify("A1", "sgn", -k, -k).finite
-    assert classify.cache_info()[:2] == (600, 600)
+    assert classify.cache_info()[:2] == (128, 128)
+
+
+def test_twisted_engine_fault_names_its_class(monkeypatch):
+    # A2 sgn at 4/3 is classified as its class representative, A2 triv at
+    # -4/3, so a cross-check failing there names the representative
+    epower = VermaModule.epower_criterion
+    monkeypatch.setattr(VermaModule, "epower_criterion",
+                        lambda self: epower(self)._replace(finite=False))
+    with pytest.raises(InvariantViolation, match=r"^A2/triv at k=\(-4/3,-4/3\): the two "
+                                                 r"finiteness tests disagree"):
+        classify("A2", "sgn", Rat(4, 3), Rat(4, 3))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_classify_needs_numeric_couplings(label, verdict_memo):
+    # symbolic couplings have no verdict: the raise comes before the memo
+    info = classify.cache_info()
+    for chi in ("triv", "sgn"):
+        with pytest.raises(ValueError, match="needs numeric couplings"):
+            classify(label, chi, PP_K1, PP_K2)
+    assert classify.cache_info() == info

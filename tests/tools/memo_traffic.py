@@ -9,9 +9,10 @@ workload at seed N (default 3131), then the golden argv under the name
 when it starts.
 
 A memo is every object with a `cache_info()` that a module of the package
-defines, named `<module>.<name>`: the `functools.lru_cache` functions, and
-`verma.classify` with the verdict memo under it.  After the traffic, one
-line per memo,
+defines, named `<module>.<name>`: the `functools.lru_cache` functions.  An
+object whose `cache_info` is another's is that memo again and is skipped:
+`verma.classify` reads the verdict memo `verma._class_verdict`.  After the
+traffic, one line per memo,
 
     deep     dunkl.b_lowering_parts        hits   1904  misses    128  entries    128
 
@@ -40,7 +41,8 @@ def _memos(package):
     return [(f"{mod.__name__.rsplit('.', 1)[-1]}.{attr}", obj)
             for mod in sorted(mods, key=lambda m: m.__name__)
             for attr, obj in sorted(vars(mod).items())
-            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
+            and getattr(obj.cache_info, "__self__", obj) is obj]
 
 
 def _one(name, seed):
