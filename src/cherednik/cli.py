@@ -200,15 +200,13 @@ def _cmd_gram(args) -> int:
         k1, k2 = _resolve_couplings(args)
         vm = VermaModule(rs, rep, k1, k2)
     g = vm.gram(args.degree)
-    # entries may pass the 4,300 digits Python >= 3.11 prints by default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # entries may pass the 4,300 digits Python prints by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         entries = [[str(e) for e in row] for row in g]  # QuadExt or ParamPoly
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
     _emit_json({
         "type": rs.label,
         "chi": rep.label,

@@ -131,7 +131,8 @@ class VermaModule:
             q = lcm(b, d)
             self._coefs = (q, a * (q // b), c * (q // d))  # (q, q s_0 k1, q s_1 k2)
         self.k1, self.k2 = k1, k2
-        self._low, self._gram = {}, {}  # degree -> lowerings; {degree: the highest layer built}
+        self._low = {}  # degree -> lowerings
+        self._gram = {}  # {degree: highest layer built}; perfbench/spans.py tests `n in _gram`
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)

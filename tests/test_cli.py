@@ -183,23 +183,21 @@ def test_gram_degree_cap(capsys, monkeypatch):
 def test_gram_prints_entries_of_any_size(capsys):
     # the entries run past the 4,300 digits Python prints by default; the
     # limit is lifted only while the command runs
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(
         ["gram", "--type", "A1", "--chi", "sgn", "--k", "123456/654321",
          "--degree", "1200"], capsys)
     assert (code, err) == (0, "")
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
     g = standard_module("A1", "sgn", Rat(123456, 654321), Rat(123456, 654321)).gram(1200)
     entries = json.loads(out)["entries"]
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     try:
         assert max(len(e) for row in entries for e in row) > 4300
         assert [[Rat(e) for e in row] for row in entries] == [
             [e.rational() for e in row] for row in g]
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def test_one_process_runs_usage_error_then_golden_commands(capsys):

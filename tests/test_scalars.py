@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,21 @@ def test_package_source_has_one_configuration():
                 bad.extend(f"{where}: except {n}" for n in sorted(
                     names & {"ImportError", "ModuleNotFoundError"}))
     assert not bad, bad
+
+
+def test_package_source_meets_the_python_floor():
+    # requires-python in pyproject.toml is the floor's one statement: this
+    # interpreter meets it and every module parses at it.  feature_version
+    # refuses only some newer grammar (type aliases, PEP 695 generics and
+    # except* below 3.11) and accepts starred subscripts and PEP 701 f-strings
+    # at 3.10, so running tier-1 on the floor interpreter stays the real check
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    spec = tomllib.loads(pyproject.read_text())["project"]["requires-python"]
+    assert spec.startswith(">="), spec
+    floor = tuple(int(part) for part in spec[2:].split("."))
+    assert sys.version_info >= floor
+    for path in sorted(Path(cherednik.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def test_linalg_imports_only_errors_and_scalars():
