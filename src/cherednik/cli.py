@@ -30,16 +30,16 @@ from .rank2 import (_max_r, check_kappa_factorization, f_power_image,
 
 MAX_SWEEP_POINTS = 10_000
 # the highest `gram --degree` per (rank, --symbolic).  The slowest accepted
-# request takes under a minute (2-core x86, Python 3.11, timed by
-# tests/tools/caps.py): at the caps, a numeric G2 std layer at the
-# singular point k = -5/6 took 10 s, a symbolic G2 std one 42-52 s and a
-# symbolic A1 one 11 s (a numeric A1 layer is 1 x 1 and takes under a second).
+# request takes under a minute (2-core x86, Python 3.11, timed by the cap
+# requests of tests/tools/timing.py): at the caps, a numeric G2 std layer at
+# the singular point k = -5/6 took 8.1 s, a symbolic G2 std one 28 s and a
+# symbolic A1 one 8.7 s (a numeric A1 layer is 1 x 1 and takes under a second).
 MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True): 20}
 # the highest degree a `classify` or `sweep` point may scan, per rank; at the
-# caps A2 triv m = 52 took 10-14 s and A1 triv m = 9999 6 s (as MAX_GRAM_DEGREE)
+# caps A2 triv m = 52 took 6.9 s and A1 triv m = 9999 4.0 s (as MAX_GRAM_DEGREE)
 MAX_SCAN_DEGREE = {1: 20000, 2: 106}
 # the highest `conjecture --max-q`; at the cap the check (r <= 501) took
-# 42-53 s and 97 MB (as MAX_GRAM_DEGREE)
+# 29 s and 97 MB (as MAX_GRAM_DEGREE)
 MAX_CONJECTURE_Q = 250
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

@@ -1,10 +1,12 @@
 """Command-line interface: output schemas, formats, exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +17,14 @@ import cherednik
 from cherednik import cli, verma
 from cherednik.cli import run
 from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
-                             lowest_weight_scalar)
+                             lowest_weight_scalar, natural_m)
 from cherednik.errors import InvariantViolation
 from cherednik.linalg import mat_mul
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
 from cherednik.scalars import Rat
 from cherednik.verma import VermaModule, standard_module
-from cherednik.wrep import irreps
+from cherednik.wrep import get_irrep, irreps
 
 rng = random.Random(808)
 
@@ -302,6 +304,54 @@ def test_accepted_infinite_points_scan_within_the_cap():
                         tops[label] = max(tops.get(label, 0), 2 * m + 4)
     # B2 reaches the cap itself
     assert tops == {"A2": CAP2 - 2, "B2": CAP2, "G2": CAP2 - 2}
+
+
+TOOLS = Path(__file__).parent / "tools"
+
+
+def test_timing_cap_requests_sit_at_the_caps():
+    # each cap request of tests/tools/timing.py is the worst one its cap
+    # accepts, so a cap that moves takes its request along; none is run
+    spec = importlib.util.spec_from_file_location("timing", TOOLS / "timing.py")
+    timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timing)
+    args = {name: cli.build_parser().parse_args(timing.REQUESTS[name].split())
+            for name in ("scan-A1", "scan-A2", "scan-G2", "gram-G2", "gram-G2-symbolic",
+                         "gram-A1-symbolic", "sweep", "conjecture")}
+
+    def natural(name):
+        rs = build_root_system(args[name].type)
+        return natural_m(rs, get_irrep(rs, args[name].chi), *cli._resolve_couplings(args[name]))
+
+    assert (natural("scan-A1"), natural("scan-A2")) == (9999, 52)
+    assert 2 * natural("scan-A1") + 2 == CAP1 and 2 * natural("scan-A2") + 2 == CAP2
+    assert natural("scan-G2") is None and args["scan-G2"].max_degree == CAP2
+    for name in ("gram-G2", "gram-G2-symbolic", "gram-A1-symbolic"):
+        rank = build_root_system(args[name].type).rank
+        assert args[name].degree == cli.MAX_GRAM_DEGREE[rank, args[name].symbolic], name
+    sweep = args["sweep"]
+    points = cli._parse_range(sweep.k1_range)[2] * cli._parse_range(sweep.k2_range)[2]
+    assert points == cli.MAX_SWEEP_POINTS
+    assert args["conjecture"].max_q == cli.MAX_CONJECTURE_Q
+
+
+def test_every_tool_imports_and_the_timing_runner_works():
+    # pytest collects no file of tests/tools, and their imports reach private
+    # names of the package and perfbench/workloads: a rename must fail here
+    names = sorted(path.stem for path in TOOLS.glob("*.py"))
+    code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import " + ", ".join(names)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    timing = [sys.executable, str(TOOLS / "timing.py")]
+    done = subprocess.run([*timing, "--", "info", "--type", "A1"], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"argv +runs  1  seconds +\d+\.\d{4}  peak_rss_mb +\d+  exit 0  "
+                        r"info --type A1\n", done.stdout)
+    done = subprocess.run([*timing, "bogus"], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("unknown request bogus;")
 
 
 def test_sweep_diagonal(capsys):

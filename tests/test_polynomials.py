@@ -189,7 +189,7 @@ def test_bareiss_rank_over_integers():
     assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
 
 
-def test_nonsingular_mod_p_agrees_with_bareiss_on_small_entries():
+def test_rank_mod_p_agrees_with_bareiss_on_small_entries():
     # every minor is at most 6! * 9^6 < PRIME here, so it is 0 mod PRIME only
     # when it is 0: the rank mod PRIME is the rank
     for _ in range(200):

@@ -593,7 +593,7 @@ def test_layer_rank_descending_order_matches_ascending():
         assert sum(map(bareiss_rank, vm._layer(14)[0])) == size, point
 
 
-def test_nonsingular_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
+def test_rank_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
     for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
         assert rank_mod_p(mat, len(mat[0])) == len(mat[0]) - 1
