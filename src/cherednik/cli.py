@@ -428,7 +428,3 @@ def run(argv=None) -> int:
     except (InvariantViolation, NonDivisibleError) as e:
         print(f"cherednik: invariant violation: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -68,7 +68,7 @@ representative, its base at (s_0 k1, s_1 k2), once its own m agrees.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import InvariantViolation
@@ -83,7 +83,6 @@ from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
-_UNREAD = object()  # VermaModule._m before _natural_m has run
 
 
 def _int_identity(n):
@@ -136,7 +135,6 @@ class VermaModule:
         self._chains = {}  # bottom -> (top, rows, scale) of _f_rows
         self._cert = None  # symbolic: the numeric module at _CERT_POINT
         self._ranks = [rep.dim]  # numeric: proven ranks of degrees 0.. (layer_rank)
-        self._m = _UNREAD  # numeric: natural_m, read once (_natural_m)
 
     # -- layers and cached operators -------------------------------------------
     def layer_monomials(self, n: int):
@@ -348,14 +346,13 @@ class VermaModule:
         return [self.layer_rank(n) for n in range(max_degree + 1)]
 
     # -- finiteness tests --------------------------------------------------------
-    def _natural_m(self):
+    @cached_property
+    def _m(self):
         """m when the lowest-weight scalar is -m with m a natural number, else
-        None, computed on the first call and kept."""
+        None, computed on the first read and kept."""
         if self.symbolic:
             raise ValueError("the raised-vector test needs numeric couplings")
-        if self._m is _UNREAD:
-            self._m = natural_m(self.rs, self.rep, self.k1, self.k2)
-        return self._m
+        return natural_m(self.rs, self.rep, self.k1, self.k2)
 
     def epower_criterion(self):
         """Whether the raised lowest-weight vector dies in the simple quotient.
@@ -364,7 +361,7 @@ class VermaModule:
         vanishes on its chi-isotypic part; F^(m+1) commutes with the group and
         lands in layer 0, a copy of chi, so the test is that the dim-chi rows
         of layer 0 pushed up the chain (_f_rows, from where it stands) are 0."""
-        m = self._natural_m()
+        m = self._m
         if m is None:
             return EPowerResult(False, None, False)
         rows = self._f_rows(2 * m + 2)[0]
@@ -376,7 +373,7 @@ class VermaModule:
         not natural), each degree 0 < n <= top has its lowerings combined
         before its rank is proven, and F(n) pushed at even n; after the scan,
         epower_criterion extends the chain (at a finite point, one step)."""
-        m = self._natural_m()
+        m = self._m
         top = -1 if m is None else 2 * m + 2
         default = DEFAULT_SCAN_BOUND if m is None else top + 2
         bound = default if scan_bound is None else max(scan_bound, top)
@@ -505,7 +502,7 @@ def _class_verdict(label: str, base: str, k1, k2, scan_bound):
     no entry keeps a RootSystem or Irrep alive."""
     vm = standard_module(label, base, k1, k2)
     res = vm.classify(scan_bound)
-    return vm._natural_m(), res.finite, res.dims, res.total_dim
+    return vm._m, res.finite, res.dims, res.total_dim
 
 
 def classify(label: str, chi: str, k1, k2, scan_bound=None) -> ClassifyResult:

@@ -22,7 +22,7 @@ from cherednik.errors import InvariantViolation
 from cherednik.linalg import mat_mul
 from cherednik.rootsystem import build_root_system
 from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
-from cherednik.scalars import Rat
+from cherednik.scalars import QuadExt, Rat
 from cherednik.verma import VermaModule, standard_module
 from cherednik.wrep import get_irrep, irreps
 
@@ -531,48 +531,64 @@ def test_sweep_point_cap(capsys):
         assert err.startswith("cherednik: error:") and "limit" in err
 
 
-def test_selftest_survives_optimized_mode():
-    # python -O strips assert statements; the selftest checks must stay
-    src = str(Path(cherednik.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-m", "cherednik", "selftest",
-                           "--seed", "0"], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "selftest passed" in proc.stdout
+# one fault per selftest check, each on the one name the check reads:
+# (owner, name, the fault built from the real value, the check's message)
+_SELFTEST_FAULTS = [
+    (QuadExt, "__sub__", lambda real: QuadExt.__add__,
+     "scalars: (1 + s3)(1 - s3) != -2"),
+    (QuadExt, "inv", lambda real: lambda self: self,
+     "scalars: (2 + s3)^-1 (2 + s3) != 1"),
+    # each operator shifted by the constant y_0: D_y2 D_y1 - D_y1 D_y2 = y2_0 - y1_0
+    (cli, "dunkl_apply", lambda real: lambda rs, y, p, k1, k2: real(rs, y, p, k1, k2) + y[0],
+     "A1: Dunkl operators fail to commute"),
+    # every module at A2's finite point k = -1/3, where layer 2 dies
+    (cli, "standard_module", lambda real: lambda label, chi, k1, k2: real(
+        "A2", chi, Rat(-1, 3), Rat(-1, 3)),
+     "A2 triv: rank certificate fails at degree 2"),
+    (VermaModule, "gram_direct", lambda real: lambda self, n: [],
+     "A2 triv: packed layer differs from direct assembly at degree 3"),
+    (cli, "f_power_image_closed", lambda real: lambda label, n, r: None,
+     "A2: recursion/closed-form mismatch at (0,0)"),
+    (cli, "f_power_image_direct", lambda real: lambda label, n, r, k1, k2: None,
+     "A2: direct route mismatch at (0,0)"),
+    (cli, "check_kappa_factorization",
+     lambda real: lambda max_q: real(max_q)._replace(first_failure=1),
+     "kappa factorization failed below index 7"),
+    # each spot check answered with the other point's verdict
+    (cli, "_classify", lambda real: lambda *_: real("A2", "triv", Rat(1, 2), Rat(1, 2)),
+     "A2 triv at k = -1/3: ClassifyResult(A2/triv at k=(1/2,1/2): infinite), "
+     "expected dim 1"),
+    (cli, "_classify", lambda real: lambda *_: real("A2", "triv", Rat(-1, 3), Rat(-1, 3)),
+     "A2 triv at k = 1/2: ClassifyResult(A2/triv at k=(-1/3,-1/3): dim 1), "
+     "expected infinite"),
+    (cli, "very_singular", lambda real: lambda label, k1, k2: real(label, -k1, -k2),
+     "G2 very singular at k = -1/2: finite=False, m=None, expected m = 2"),
+]
+
+
+@pytest.mark.parametrize("owner, name, fault, message", _SELFTEST_FAULTS,
+                         ids=[f"{o.__name__.rpartition('.')[2]}.{n}"
+                              for o, n, _, _ in _SELFTEST_FAULTS])
+def test_selftest_check_fires(capsys, monkeypatch, owner, name, fault, message):
+    # each selftest check fires on its fault: exit 2, the check's message
+    # as the one line on stderr
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    code, _, err = run_cli(["selftest", "--seed", "7"], capsys)
+    assert (code, err) == (2, f"cherednik: invariant violation: {message}\n")
 
 
 _GRAM = ["gram", "--type", "A2", "--chi", "triv", "--k", "1/3", "--degree", "2"]
-# a Gram layer product whose second factor lost its last row
-_SKEW_CHILD = f"""
-import json, sys
-from cherednik import cli, linalg, verma
-from cherednik.errors import InvariantViolation
-try:
-    got = repr(linalg.mat_mul([[1, 2]], [[1]]))
-except InvariantViolation:
-    got = "raised"
-verma.mat_mul = lambda a, b: linalg.mat_mul(a, b[:-1])
-code = cli.run({_GRAM!r})
-print(json.dumps([sys.flags.optimize, got, code]))
-"""
 
 
-def test_mat_mul_shape_check_survives_optimized_mode(capsys, monkeypatch):
-    # the shape check is a raise, not an assert: it fires in process and in
-    # a python -O child, and a command that hits it exits 2 with one line
+def test_mat_mul_shape_check_exits_two_with_one_line(capsys, monkeypatch):
+    # the shape check raises, and a command that hits it (a Gram layer product
+    # whose second factor lost its last row) exits 2 with one line
     with pytest.raises(InvariantViolation, match="mat_mul of 2 columns by 1 rows"):
         mat_mul([[1, 2]], [[1]])
     monkeypatch.setattr(verma, "mat_mul", lambda a, b: mat_mul(a, b[:-1]))
     code, out, err = run_cli(_GRAM, capsys)
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("cherednik: invariant violation: mat_mul of ")
-    src = str(Path(cherednik.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", _SKEW_CHILD], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    out, err = proc.stdout.splitlines(), proc.stderr.splitlines()
-    assert proc.returncode == 0 and json.loads(out[-1]) == [1, "raised", 2], proc.stderr
-    assert len(err) == 1 and err[0].startswith("cherednik: invariant violation: mat_mul of ")
 
 
 def test_broken_pipe_exits_quietly():

@@ -62,7 +62,11 @@ print(json.dumps([sys.flags.optimize, [run_captured(a) for a in json.load(sys.st
 
 def test_golden_corpus_under_optimized_mode():
     # every case again, in one python -O child: same exit code, same stdout,
-    # and the committed stderr (none for a case that exits 0)
+    # and the committed stderr (none for a case that exits 0).  This is the
+    # one -O run of the suite, and one is enough: test_scalars'
+    # test_package_source_has_one_configuration refuses assert, __debug__ and
+    # sys.flags in the package, the only things -O changes, so a check that
+    # fires in process fires here too
     src = str(Path(cherednik.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHILD],
                           input=json.dumps([c["argv"] for c in CASES]), capture_output=True,

@@ -208,13 +208,27 @@ def test_package_source_has_no_floats():
 
 def test_package_source_has_one_configuration():
     # the package runs the same code under every install and interpreter
-    # flag: no assert (python -O strips it) and no import fallback
+    # flag, and no import fallback.  This is the proof that python -O changes
+    # nothing: -O strips assert statements, makes __debug__ False and sets
+    # sys.flags.optimize, so none of the three may appear (docstrings go only
+    # under -OO).  With this check the golden corpus needs one -O run
     bad = []
     for path in sorted(Path(cherednik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sys_names = {a.asname or a.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for a in node.names if a.name == "sys"}
+        for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Assert):
                 bad.append(f"{where}: assert")
+            elif isinstance(node, ast.Name) and node.id == "__debug__":
+                bad.append(f"{where}: __debug__")
+            elif (isinstance(node, ast.Attribute) and node.attr == "flags"
+                  and isinstance(node.value, ast.Name) and node.value.id in sys_names):
+                bad.append(f"{where}: sys.flags")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                bad.extend(f"{where}: from sys import flags" for a in node.names
+                           if a.name == "flags")
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
                 names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
                 bad.extend(f"{where}: except {n}" for n in sorted(

@@ -14,9 +14,8 @@ then a last line `unreached <N> of <M> raises`.  A raise listed here is a
 check that no test fires: an input check that no test feeds a bad input,
 or an invariant guard that no fault test trips.  The hook sees this process
 only, so a raise reached only in a test's child process (`test_golden`'s
-asdict_hash and `python -O` corpus runs, `test_cli`'s `python -O`
-children) is listed too.  The trace slows the suite several times over.
-The exit code is pytest's.
+asdict_hash and `python -O` corpus runs) is listed too.  The trace slows
+the suite several times over.  The exit code is pytest's.
 pytest does not collect this file.
 """
 
