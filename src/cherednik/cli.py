@@ -2,8 +2,8 @@
 
 Subcommands: info, classify, gram, sweep, conjecture, selftest.  All
 multiplicities enter as exact rational strings ("p/q" or an integer);
-there is no floating-point entry point.  Exit codes: 0 success, 1
-usage or parse error, 2 internal invariant violation.
+there is no floating-point entry point.  `run` returns each exit code:
+0 success or --help, 1 usage or parse error, 2 invariant violation.
 """
 
 from __future__ import annotations
@@ -413,7 +413,10 @@ _parser = lru_cache(maxsize=None)(build_parser)
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:  # a usage error (1) or --help (0)
+        return e.code
     try:
         return args.fn(args)
     except BrokenPipeError:

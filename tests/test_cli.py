@@ -30,11 +30,8 @@ rng = random.Random(808)
 
 
 def run_cli(argv, capsys):
-    """Invoke the CLI, normalizing argparse SystemExit into a return code."""
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of cli.run(argv)."""
+    code = run(argv)
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -435,13 +432,6 @@ def test_exit_code_unknown_character(capsys):
     assert code == 1
 
 
-def test_exit_code_missing_second_coupling(capsys):
-    code, _, err = run_cli(
-        ["classify", "--type", "B2", "--chi", "triv", "--k1", "1/2"], capsys)
-    assert code == 1
-    assert "two root orbits" in err
-
-
 def test_exit_code_conflicting_couplings(capsys):
     code, _, _ = run_cli(
         ["classify", "--type", "B2", "--chi", "triv", "--k", "1",
@@ -454,11 +444,11 @@ def test_exit_code_unknown_type(capsys):
     assert code == 1
 
 
-def test_exit_code_bad_range(capsys):
-    code, _, _ = run_cli(
-        ["sweep", "--type", "A1", "--chi", "triv", "--k1-range", "2:1:1"],
-        capsys)
-    assert code == 1
+def test_help_exits_zero(capsys):
+    # argparse prints the usage, then exits 0: run returns that code
+    code, out, err = run_cli(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
 
 
 def test_invariant_violation_exits_two(capsys, monkeypatch):
@@ -486,7 +476,7 @@ def test_twisted_invariant_violation_names_its_class(capsys, monkeypatch):
                           "the two finiteness tests disagree")
 
 
-def test_verdict_hit_with_another_m_exits_two(verdict_memo, capsys, monkeypatch):
+def test_verdict_hit_with_another_m_exits_two(capsys, monkeypatch):
     # A2 sgn at 4/3 reads the verdict of its class, A2 triv at -4/3 (m = 3),
     # only once its own m agrees: made 4, it is an invariant violation
     argv = ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"]

@@ -4,10 +4,10 @@ one line on stderr, and never raises.
 argv is drawn from a grammar of the subcommands and their flags, with odd
 tokens in every value slot (empty strings, non-ASCII digits, 1/0, huge
 numerators, a newline) and extra tokens after them.  The request caps are
-patched small so that every accepted request is cheap.  argparse's own
-exits (SystemExit, for a usage error or --help) count as the exit code:
-they are what the `cherednik` console script returns.  Exit 2 is kept for
-invariant violations, so it fails here like an exception does.
+patched small so that every accepted request is cheap.  `cli.run`
+returns argparse's usage errors and --help as exit codes, as the
+`cherednik` console script does.  Exit 2 is kept for invariant
+violations, so it fails here like an exception does.
 """
 
 import contextlib
@@ -86,10 +86,7 @@ def argvs(draw):
 def _exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.run(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.run(argv)
     return code, err.getvalue()
 
 

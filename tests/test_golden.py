@@ -34,10 +34,7 @@ def run_captured(argv):
     """(exit code, stdout, stderr) of cli.run(argv) in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

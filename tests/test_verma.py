@@ -218,6 +218,7 @@ def test_stack_cell_across_the_classes_raises_on_a_generic_scan(monkeypatch):
     # checks each row of the stack against the classes instead
     point = ("G2", "std", Rat(1, 7), Rat(-2, 11))
     assert not classify(*point).finite
+    classify.cache_clear()  # the fault must reach the engine, not a kept verdict
     rs = build_root_system("G2")
     stack = VermaModule._stack
 
@@ -831,6 +832,7 @@ def test_classify_raises_on_a_broken_finite_shape(monkeypatch):
     # one more rank on layer 1 of a finite quotient: the scan still ends,
     # but the dimensions are no longer a palindrome of length 2m + 1
     assert classify("A2", "triv", Rat(-4, 3), Rat(-4, 3)).dims == (1, 2, 3, 4, 3, 2, 1)
+    classify.cache_clear()  # the fault must reach the engine, not a kept verdict
     layer_rank = VermaModule.layer_rank
     monkeypatch.setattr(VermaModule, "layer_rank", lambda self, n: layer_rank(self, n) + (n == 1))
     with pytest.raises(InvariantViolation, match="break the finite-quotient shape"):
@@ -1030,7 +1032,7 @@ def _class_request(label, chi, k1, k2):
     return label, rep.base.label, rep.signs[0] * k1, rep.signs[1] * k2
 
 
-def test_verdict_memo_answers_every_twist_of_the_grid(verdict_memo):
+def test_verdict_memo_answers_every_twist_of_the_grid():
     # bases first, so every grid point, twisted or not, is a hit, and each
     # relabeled verdict is the one its own module computes
     bases = list(dict.fromkeys(_class_request(*p) for p in GRID_POINTS))
@@ -1044,7 +1046,7 @@ def test_verdict_memo_answers_every_twist_of_the_grid(verdict_memo):
     assert (info.hits, info.misses, info.currsize) == (len(GRID_POINTS), len(bases), len(bases))
 
 
-def test_verdict_hit_with_another_m_raises(verdict_memo, monkeypatch):
+def test_verdict_hit_with_another_m_raises(monkeypatch):
     # A2 sgn at 4/3 is in the class of A2 triv at -4/3 (m = 3); its own m
     # made 4 must not be answered by the class's verdict
     assert classify("A2", "triv", Rat(-4, 3), Rat(-4, 3)).m == 3
@@ -1057,7 +1059,7 @@ def test_verdict_hit_with_another_m_raises(verdict_memo, monkeypatch):
     assert classify.cache_info()[:2] == (1, 1)
 
 
-def test_verdict_memo_keeps_the_last_128_classes(verdict_memo):
+def test_verdict_memo_keeps_the_last_128_classes():
     # 129 generic A1 classes: the memo holds the last 128, least recently
     # used going first
     ks = [Rat(j, 257) for j in range(1, 130)]
@@ -1081,7 +1083,7 @@ def test_verdict_memo_keeps_the_last_128_classes(verdict_memo):
     assert classify.cache_info()[:2] == (2, 130)
 
 
-def test_verdict_memo_keeps_a_reuse_distance_of_128(verdict_memo):
+def test_verdict_memo_keeps_a_reuse_distance_of_128():
     # 128 small classes, then a twist of each in the same order: a reuse
     # distance of 128 requests, and every twist is a hit
     ks = [Rat(j, 129) for j in range(1, 129)]
@@ -1104,7 +1106,7 @@ def test_twisted_engine_fault_names_its_class(monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
-def test_classify_needs_numeric_couplings(label, verdict_memo):
+def test_classify_needs_numeric_couplings(label):
     # symbolic couplings have no verdict: the raise comes before the memo
     info = classify.cache_info()
     for chi in ("triv", "sgn"):

@@ -15,8 +15,8 @@ check that no test fires: an input check that no test feeds a bad input,
 or an invariant guard that no fault test trips.  The hook sees this process
 only, so a raise reached only in a test's child process (`test_golden`'s
 asdict_hash and `python -O` corpus runs) is listed too.  The trace slows
-the suite several times over.  The exit code is pytest's.
-pytest does not collect this file.
+the suite several times over.  The exit code is 1 when pytest fails or a
+raise is unreached, else 0.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def main(argv) -> int:
     args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
                     "--continue-on-collection-errors"]
     code, ran = traffic_lines.traced(lambda: pytest.main(args))
-    traffic_lines.report(ran, ast.Raise, "raises")
-    return int(code)
+    unreached = traffic_lines.report(ran, ast.Raise, "raises")
+    return int(code != 0 or unreached != 0)
 
 
 if __name__ == "__main__":

@@ -41,10 +41,7 @@ def golden(cherednik):
     problems = []
     for case in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text()):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = cherednik.cli.run(case["argv"])
-            except SystemExit as exc:
-                code = exc.code
+            code = cherednik.cli.run(case["argv"])
         if code != case["exit"]:
             problems.append(f"golden {case['id']}: exit {code}, not {case['exit']}")
     return lambda: problems

@@ -106,7 +106,7 @@ def traced(run):
 
 def report(ran, kind=ast.stmt, noun="statements"):
     """Print each statement of the given kind that never ran, then the line
-    `unreached <N> of <M> <noun>`."""
+    `unreached <N> of <M> <noun>`; return N."""
     total = unreached = 0
     for path in sorted(PKG.glob("*.py")):
         lines = path.read_text().splitlines()
@@ -117,6 +117,7 @@ def report(ran, kind=ast.stmt, noun="statements"):
         for stmt in sorted(missed, key=lambda s: s.lineno):
             print(f"{path.relative_to(ROOT)}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
     print(f"unreached {unreached} of {total} {noun}")
+    return unreached
 
 
 def main() -> int:
