@@ -38,8 +38,8 @@ MAX_GRAM_DEGREE = {(1, False): 1200, (1, True): 1200, (2, False): 80, (2, True):
 # the highest degree a `classify` or `sweep` point may scan, per rank; at the
 # caps A2 triv m = 52 took 6.9 s and A1 triv m = 9999 4.0 s (as MAX_GRAM_DEGREE)
 MAX_SCAN_DEGREE = {1: 20000, 2: 106}
-# the highest `conjecture --max-q`; at the cap the check (r <= 501) took
-# 29 s and 97 MB (as MAX_GRAM_DEGREE)
+# the highest `conjecture --max-q`, set when the check took 29 s and 97 MB at
+# it (r <= 501); on rows over hbar it takes 7.6 s and 84 MB (as MAX_GRAM_DEGREE)
 MAX_CONJECTURE_Q = 250
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

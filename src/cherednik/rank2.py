@@ -15,14 +15,18 @@ couplings: A2 tables use (hbar,), B2 tables (k1, hbar), G2 tables
 character and kappa = k2 - k1.  evaluate_at_couplings bridges back to
 raw couplings.
 
-Rows, products and kappa-factors are computed as MPoly(2, ...) with int
-coefficients over one known denominator (1 for A2 and B2 rows, 9^n for G2
-row n, 3^p for kappa-factor p), and become ParamPoly only when returned.
-Only the last row raised is kept per type; a kappa-factor call holds two.
-The product formulas multiply only the grading factors they keep, so they
-divide nothing.  The direct route's normalization (Q, c) is read off the
-integer lowerings by Kronecker substitution (VermaModule.f_chain of the
-symbolic triv module), and each E^a and Q^r is built once per type.
+Rows, products and kappa-factors have int coefficients over one known
+denominator (1 for A2 and B2 rows, 9^n for G2 row n, 3^p for kappa-factor
+p) and are rows over hbar: a tuple of int lists, list j the coefficients
+in hbar of k1^j on B2 and of kappa^j on G2, one list on A2.  A factor
+(hbar + c) is one multiply-add per list, a factor k1 or kappa prepends a
+list, and they become ParamPoly only when returned.  The recursion keeps
+the last row raised per type, the product formulas the last product per
+(type, r), each extended one step at a time; a kappa-factor call holds
+two, and the check evaluates them at hbar = -(3r - 1) by Horner's rule.
+The direct route works on x-polynomials (MPoly): its normalization (Q, c)
+is read off the integer lowerings by Kronecker substitution (f_chain of
+the symbolic triv module), and each E^a and Q^r is built once per type.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, sub
 
 from .errors import InvariantViolation
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2
@@ -43,9 +48,6 @@ from .verma import VermaModule, standard_module
 
 _PZERO = ParamPoly.const(Rat(0))
 _PONE = ParamPoly.const(Rat(1))
-# the two table variables (hbar or k1, then kappa or hbar) over the integers
-_X, _Y = MPoly(2, {(1, 0): 1}), MPoly(2, {(0, 1): 1})
-_ZERO, _ONE = MPoly(2), MPoly(2, {(0, 0): 1})
 
 _TABLE_TYPES = ("A2", "B2", "G2")
 
@@ -54,9 +56,28 @@ def _max_r(label: str, n: int) -> int:
     return n // 2 if label == "B2" else n // 3
 
 
-def _param(poly: MPoly, den: int = 1) -> ParamPoly:
-    """An integer table polynomial over its denominator, as a ParamPoly."""
-    return ParamPoly._of({e: QuadExt._of(c, 0, den) for e, c in poly.terms.items()})
+def _param(rows, den: int = 1, inner: int = 0) -> ParamPoly:
+    """Integer rows over their denominator as a ParamPoly: rows[j][i] is the
+    coefficient of x^i y^j, x in slot inner (hbar, or kappa alone), y in the other."""
+    coef = QuadExt if den == 1 else (lambda c: QuadExt._of(c, 0, den))
+    return ParamPoly._of({(j, i) if inner else (i, j): coef(c)
+                          for j, row in enumerate(rows) for i, c in enumerate(row) if c})
+
+
+def _hb(p, c: int, s: int = 1) -> tuple:
+    """p (s hbar + c)."""
+    return tuple([*map(add, [c * a for a in row] + [0], [0] + [s * a for a in row])]
+                 if row else [] for row in p)
+
+
+def _scale(p, c: int) -> tuple:
+    return tuple([c * a for a in row] for row in p)
+
+
+def _sum(*ps) -> tuple:
+    """Sum of rows over hbar (() is zero, [] a zero list, ([],) + p is k1 or kappa times p)."""
+    return tuple([*map(sum, itertools.zip_longest(*rows, fillvalue=0))]
+                 for rows in itertools.zip_longest(*ps, fillvalue=()))
 
 
 def _in_triangle(label: str, n: int, r: int) -> bool:
@@ -75,28 +96,21 @@ def _step(label: str, row, n: int):
     rows are integral as they stand; the G2 step is scaled by 9."""
 
     def get(r):
-        return row[r] if 0 <= r < len(row) else _ZERO
+        return row[r] if 0 <= r < len(row) else ()
 
     out = []
-    if label == "A2":
-        hb = _X
-        for r in range(_max_r(label, n + 1) + 1):
-            t = get(r - 1) * (r * (2 * r - 1))
-            u = get(r) * (hb + (n + 3 * r)) * (n + 1 - 3 * r)
-            out.append(t - u)
-    elif label == "B2":
-        k1v, hb = _X, _Y
-        for r in range(_max_r(label, n + 1) + 1):
-            t = get(r - 1) * (k1v * 2 + (2 * r - 1)) * (-2 * r)
-            u = get(r) * (hb + (n + 2 * r)) * (n + 1 - 2 * r)
-            out.append(t - u)
-    else:  # G2
-        hb, kap = _X, _Y
-        for r in range(_max_r(label, n + 1) + 1):
-            t = get(r) * (hb + (n + 3 * r)) * (-(n + 1 - 3 * r))
-            u = get(r - 1) * kap * r
-            v = get(r - 2) * (r * (r - 1))
-            out.append((t + u) * 9 - v)
+    for r in range(_max_r(label, n + 1) + 1):
+        if label == "A2":
+            a, t = n + 1 - 3 * r, get(r - 1)
+            out.append(_sum(_scale(t, r * (2 * r - 1)), _hb(get(r), -a * (n + 3 * r), -a)))
+        elif label == "B2":  # -2r (2 k1 + 2r-1) row[r-1] - (n+1-2r) (hbar + n+2r) row[r]
+            a, t = n + 1 - 2 * r, get(r - 1)
+            out.append(_sum(([],) + _scale(t, -4 * r), _scale(t, -2 * r * (2 * r - 1)),
+                            _hb(get(r), -a * (n + 2 * r), -a)))
+        else:  # G2: 9 (kappa r row[r-1] - (n+1-3r) (hbar + n+3r) row[r]) - r (r-1) row[r-2]
+            a = 9 * (n + 1 - 3 * r)
+            out.append(_sum(_hb(get(r), -a * (n + 3 * r), -a), ([],) + _scale(get(r - 1), 9 * r),
+                            _scale(get(r - 2), -r * (r - 1))))
     return out
 
 
@@ -105,12 +119,12 @@ _ROWS = {}
 
 
 def _row(label: str, n: int) -> tuple:
-    """Row n of the recursion in integer polynomials (G2 rows times 9^n),
+    """Row n of the recursion in integer rows over hbar (G2 rows times 9^n),
     raised one step at a time from the row _ROWS holds, or from row 0 when
     n is below it; only the last row raised is kept."""
-    held = _ROWS.setdefault(label, [0, (_ONE,)])
+    held = _ROWS.setdefault(label, [0, (([1],),)])
     if n < held[0]:
-        held[:] = 0, (_ONE,)
+        held[:] = 0, (([1],),)
     while held[0] < n:
         held[:] = held[0] + 1, tuple(_step(label, held[1], held[0]))
     return held[1]
@@ -121,51 +135,59 @@ def f_power_image(label: str, n: int, r: int) -> ParamPoly:
     zero by convention."""
     if not _in_triangle(label, n, r):
         return _PZERO
-    return _param(_row(label, n)[r], 9 ** n if label == "G2" else 1)
+    return _param(_row(label, n)[r], 9 ** n if label == "G2" else 1, label == "B2")
 
 
-def _product(factors) -> MPoly:
-    acc = _ONE
-    for f in factors:
-        acc = acc * f
-    return acc
+# (label, r) -> [n, product n]: the last product of _product, which it extends
+_PRODUCTS = {}
+
+
+def _product(label: str, n: int, r: int) -> tuple:
+    """The (n, r) product formula without its constant: prod_{j<n} (hbar + j)
+    with the skipped factors left out, not divided out (B2 skips the odd
+    j <= 2r - 1, A2 and G2 the j = 2 mod 3 with j <= 3r - 1), times
+    prod_{i<=r} (2 k1 + 2i - 1) on B2 and 3^r kappa-factor r on G2; extended
+    one factor at a time from the product _PRODUCTS holds, or from n = 0."""
+    held = _PRODUCTS.get((label, r))
+    if held is None or n < held[0]:
+        p = _nth(_kappas(), r) if label == "G2" else ([1],)
+        for i in range(1, r + 1 if label == "B2" else 1):
+            p = _sum(([],) + _scale(p, 2), _scale(p, 2 * i - 1))
+        held = _PRODUCTS[label, r] = [0, p]
+    while held[0] < n:
+        j = held[0]
+        skip = j < 2 * r and j % 2 if label == "B2" else j < 3 * r and j % 3 == 2
+        held[:] = j + 1, held[1] if skip else _hb(held[1], j)
+    return held[1]
 
 
 def f_power_image_closed(label: str, n: int, r: int) -> ParamPoly:
-    """Product-formula route: the grading product prod_{j<n} (hbar + j)
-    with the skipped factors left out, not divided out (B2 skips the odd
-    j <= 2r - 1, A2 and G2 the j = 2 mod 3 with j <= 3r - 1), times the
-    type's factors and the combinatorial constant."""
+    """Product-formula route: _product times the combinatorial constant."""
     if not _in_triangle(label, n, r):
         return _PZERO
+    c = (-1) ** n * math.factorial(n)
     if label == "B2":
-        k1v, hb = _X, _Y
-        kept = _product(hb + j for j in range(n) if j % 2 == 0 or j >= 2 * r)
-        num = _product(k1v * 2 + (2 * i - 1) for i in range(1, r + 1)) * kept
-        return _param(num * ((-1) ** n * math.factorial(n)))
-    hb = _X  # A2 and G2 skip the same grading factors
-    quot = _product(hb + j for j in range(n) if j % 3 != 2 or j >= 3 * r)
-    c = (-1) ** (n + r) * math.factorial(n)
-    if label == "A2":
-        odd = math.factorial(2 * r) // (2 ** r * math.factorial(r))  # (2r - 1)!!
-        return _param(quot * (c * odd), 3 ** r)
-    return _param(_nth(_kappas(), r) * quot * c, 9 ** r)
+        return _param(_scale(_product(label, n, r), c), 1, 1)
+    if label == "A2":  # times (2r - 1)!!
+        c *= math.factorial(2 * r) // (2 ** r * math.factorial(r))
+    return _param(_scale(_product(label, n, r), (-1) ** r * c), (3 if label == "A2" else 9) ** r)
 
 
 # -- kappa-factor sequence (G2) --------------------------------------------------
 
 def _kappas():
-    """3^p times the kappa-factors, p = 0, 1, 2, ...: integer polynomials
+    """3^p times the kappa-factors, p = 0, 1, 2, ...: integer rows over hbar
     with K'(p) = 3 kappa K'(p-1) + 3 (p-1) (hbar + 3p - 4) K'(p-2).  Only
     the last two are held, so a deep index needs no more memory than its own."""
-    prev, cur = _ONE, _Y * 3
+    prev, cur = ([1],), ([], [3])
     yield prev
     for p in itertools.count(2):
         yield cur
-        prev, cur = cur, _Y * cur * 3 + prev * (_X + (3 * p - 4)) * (3 * (p - 1))
+        prev, cur = cur, _sum(([],) + _scale(cur, 3),
+                              _hb(prev, 3 * (p - 1) * (3 * p - 4), 3 * (p - 1)))
 
 
-def _nth(seq, p: int) -> MPoly:
+def _nth(seq, p: int):
     """Entry p of an index sequence (_kappas, _conjectures)."""
     if p < 0:
         raise ValueError("index must be nonnegative")
@@ -178,37 +200,34 @@ def kappa_factor(p: int) -> ParamPoly:
     return _param(_nth(_kappas(), p), 3 ** p)
 
 
-def _critical(r: int, k: MPoly) -> MPoly:
-    """k (3^r times kappa-factor r) at hbar = -(3r-1), in kappa alone."""
-    pw = [(-(3 * r - 1)) ** i for i in range(r + 1)]
-    t = {}
-    for (i, j), c in k.terms.items():
-        t[0, j] = t.get((0, j), 0) + c * pw[i]
-    return MPoly(2, t)
+def _critical(r: int, k) -> list:
+    """k (3^r kappa-factor r) at hbar = h = -(3r-1) by Horner's rule: kappa-coefficients."""
+    h = -(3 * r - 1)
+    return [reduce(lambda acc, c: acc * h + c, reversed(row), 0) for row in k]
 
 
 def kappa_factor_at_critical(r: int) -> ParamPoly:
     """The kappa-factor specialized to the grading value -(3r-1), a
     polynomial in kappa alone; its vanishing decides the G2
     equal-grading branch."""
-    return _param(_critical(r, _nth(_kappas(), r)), 3 ** r)
+    return _param((_critical(r, _nth(_kappas(), r)),), 3 ** r, 1)
 
 
 def _conjectures():
-    """The conjectured kappa-factors r = 0, 1, 2, ..., in kappa alone:
+    """The conjectured kappa-factors r = 0, 1, 2, ..., int lists in kappa:
     conj(r) = conj(r - 2) (kappa^2 - (r - 1)^2), conj(0) = 1, conj(1) = kappa."""
-    prev, cur = _ONE, _Y
+    prev, cur = [1], [0, 1]
     yield prev
     for r in itertools.count(2):
         yield cur
-        prev, cur = cur, prev * (_Y * _Y - (r - 1) ** 2)
+        prev, cur = cur, [*map(sub, [0, 0] + prev, [(r - 1) ** 2 * a for a in prev] + [0, 0])]
 
 
 def kappa_factor_conjectured(r: int) -> ParamPoly:
     """The conjectured factorization: products of (kappa^2 - j^2) over
     odd j below r for even r, over even j below r (with a kappa factor)
     for odd r."""
-    return _param(_nth(_conjectures(), r))
+    return _param((_nth(_conjectures(), r),), 1, 1)
 
 
 class FactorizationReport(namedtuple("FactorizationReport", "checked_up_to first_failure")):
@@ -242,7 +261,7 @@ def check_kappa_factorization(max_q: int) -> FactorizationReport:
         raise ValueError("max_q must be nonnegative")
     top = 2 * max_q + 1
     for r, k, conj in zip(range(top + 1), _kappas(), _conjectures()):
-        if _critical(r, k) != conj * 3 ** r:
+        if _critical(r, k) != _scale((conj,), 3 ** r)[0]:
             return FactorizationReport(top, r)
     return FactorizationReport(top, None)
 

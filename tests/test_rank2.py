@@ -8,11 +8,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from cherednik.polynomials import ParamPoly, PP_K1, PP_K2
+from cherednik.polynomials import MPoly, ParamPoly, PP_K1, PP_K2
 from cherednik.scalars import QuadExt, Rat, rat
 from cherednik import dunkl, verma
 from cherednik import rank2
-from cherednik.rank2 import _ROWS, _row
+from cherednik.rank2 import _PRODUCTS, _ROWS, _product, _row
 from cherednik.rank2 import (check_kappa_factorization, evaluate_at_couplings,
                              f_power_image, f_power_image_closed,
                              f_power_image_direct, finite_dim_table,
@@ -261,6 +261,37 @@ def test_tables_match_param_poly_reference():
     assert [kappa_factor(p) for p in range(32)] == reference_kappa_factors(31)
 
 
+def test_critical_kappa_factors_match_param_poly_reference():
+    # the reference specialized by ParamPoly.eval2, which shares no helper
+    # with the package's rows over hbar
+    ref = reference_kappa_factors(31)
+    for r in range(32):
+        assert kappa_factor_at_critical(r) == ref[r].eval2(Rat(-(3 * r - 1)), KAP), r
+
+
+def test_tables_and_kappa_check_make_no_mpoly_product(monkeypatch):
+    # the table routes and the kappa check work on int rows over hbar; only
+    # the direct route multiplies polynomials (in x, over QuadExt)
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(self, other, _f=getattr(MPoly, name)):
+            calls.append(type(self))
+            return _f(self, other)
+        monkeypatch.setattr(MPoly, name, counted)
+    _ROWS.clear()
+    _PRODUCTS.clear()
+    for label in ("A2", "B2", "G2"):
+        for n in range(13):
+            for r in range(max_r(label, n) + 1):
+                f_power_image(label, n, r)
+                f_power_image_closed(label, n, r)
+    for f in (kappa_factor, kappa_factor_at_critical, kappa_factor_conjectured):
+        for p in range(16):
+            f(p)
+    check_kappa_factorization(15)
+    assert calls == []
+
+
 @contextmanager
 def shallow_recursion(frames=40):
     """A recursion limit a few dozen frames above the caller's own depth."""
@@ -323,6 +354,58 @@ def test_rows_hold_only_the_last_row():
     finally:
         tracemalloc.stop()
     assert retained < 1_000_000
+
+
+def test_products_do_not_depend_on_request_order():
+    for label in ("A2", "B2", "G2"):
+        for r in range(max_r(label, 12) + 1):
+            ns = [n for n in range(13) if r <= max_r(label, n)]
+            _PRODUCTS.clear()
+            up = [_product(label, n, r) for n in ns]
+            _PRODUCTS.clear()
+            down = [_product(label, n, r) for n in reversed(ns)]
+            assert down[::-1] == up, (label, r)
+
+
+def test_products_hold_one_product_per_type_and_r():
+    # an ascending B2 sweep to n = 40 that kept every product held 3.65 MB
+    # under tracemalloc; the last product of each r is about 0.48 MB
+    _PRODUCTS.clear()
+    tracemalloc.start()
+    try:
+        for n in range(41):
+            for r in range(max_r("B2", n) + 1):
+                _product("B2", n, r)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert sorted(_PRODUCTS) == [("B2", r) for r in range(21)]
+    assert all(held[0] == 40 for held in _PRODUCTS.values())
+
+
+def test_product_memo_traffic_is_linear(monkeypatch):
+    # each (type, r) product is multiplied by at most one factor per n of an
+    # ascending sweep to n = 60, besides the r - 1 steps that build 3^r
+    # kappa-factor r on G2; multiplying every factor anew for each entry
+    # took 1,830 factors at r = 0
+    calls = []
+    inner = rank2._hb
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(rank2, "_hb", counted)
+    for label in ("A2", "B2", "G2"):
+        _PRODUCTS.clear()
+        per_r = {}
+        for n in range(61):
+            for r in range(max_r(label, n) + 1):
+                calls.clear()
+                _product(label, n, r)
+                per_r[r] = per_r.get(r, 0) + len(calls)
+        assert all(count <= 61 + r for r, count in per_r.items()), label
 
 
 def test_cold_kappa_factor_recurses_shallowly():
@@ -529,7 +612,7 @@ def test_kappa_factorization_report_names_the_first_failure(monkeypatch, capsys)
 
     def off_at_three():
         for r, c in enumerate(stock()):
-            yield c * 2 if r == 3 else c
+            yield [2 * a for a in c] if r == 3 else c
 
     monkeypatch.setattr(rank2, "_conjectures", off_at_three)
     rep = check_kappa_factorization(2)

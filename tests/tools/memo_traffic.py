@@ -16,11 +16,17 @@ traffic, one line per memo,
 
     deep     dunkl.b_lowering_parts        hits   1904  misses    128  entries    128
 
-from its `cache_info()`.  The memo counts are read before the ops'
-outputs are checked by `workloads.check`, so the checks add no traffic.  A
-failed check, or a golden case that exits with another code than its own,
-is printed to stderr and makes the exit code 1.  pytest does not collect
-this file.
+from its `cache_info()`.  Then one line for each of the two holders of
+`rank2`, which keep the last recursion row per type (`_ROWS`) and the
+last product formula per (type, r) (`_PRODUCTS`) and have no
+`cache_info()`: its entries and the highest n it holds (None when empty),
+
+    symbolic rank2._PRODUCTS               entries    17  highest n    12
+
+All counts are read before the ops' outputs are checked by
+`workloads.check`, so the checks add no traffic.  A failed check, or a
+golden case that exits with another code than its own, is printed to
+stderr and makes the exit code 1.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ def _one(name, seed):
         info = obj.cache_info()
         print(f"{name:8} {memo:29} hits {info.hits:6}  misses {info.misses:5}  "
               f"entries {info.currsize:5}")
+    for holder in ("_ROWS", "_PRODUCTS"):
+        held = getattr(cherednik.rank2, holder)
+        top = max((n for n, _ in held.values()), default=None)
+        print(f"{name:8} {'rank2.' + holder:29} entries {len(held):5}  highest n {top!s:>5}")
     problems = check()
     for p in problems:
         print(p, file=sys.stderr)
