@@ -1,8 +1,10 @@
-"""Command-line interface: output schemas, formats, exit codes."""
+"""Command-line interface: what the golden corpus of `test_golden` does not
+pin.  The corpus holds the bytes of every subcommand and output format and
+of five usage errors; the tests here hold the request caps, the injected
+faults, the memos, the usage errors the corpus has no case for, `--help`
+and the broken pipe."""
 
-import csv
 import importlib.util
-import io
 import json
 import os
 import random
@@ -15,131 +17,26 @@ import pytest
 
 import cherednik
 from cherednik import cli, verma
-from cherednik.cli import run
 from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
                              lowest_weight_scalar, natural_m)
 from cherednik.errors import InvariantViolation
 from cherednik.linalg import mat_mul
 from cherednik.rootsystem import build_root_system
-from cherednik.rank2 import FactorizationReport, check_kappa_factorization, finite_dim_table
+from cherednik.rank2 import FactorizationReport, finite_dim_table
 from cherednik.scalars import QuadExt, Rat
 from cherednik.verma import VermaModule, standard_module
 from cherednik.wrep import get_irrep, irreps
+from test_golden import run_captured
 
 rng = random.Random(808)
 
 
-def run_cli(argv, capsys):
-    """(exit code, stdout, stderr) of cli.run(argv)."""
-    code = run(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def test_info_schema(capsys):
-    code, out, _ = run_cli(["info", "--type", "B2"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["type"] == "B2"
-    assert d["rank"] == 2
-    assert d["group_order"] == 8
-    assert d["positive_roots"] == 4
-    assert d["orbit_sizes"] == [2, 2]
-    assert d["invariant_degrees"] == [2, 4]
-    labels = {c["label"] for c in d["characters"]}
-    assert labels == {"triv", "sgn", "chi1", "chi2", "std"}
-    dims = {c["label"]: c["dim"] for c in d["characters"]}
-    assert dims["std"] == 2 and dims["triv"] == 1
-
-
-def test_classify_known_finite_point(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--type", "A2", "--chi", "triv", "--k", "-1/3"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["finite"] is True
-    assert d["m"] == 0
-    assert d["graded_dims"] == [1]
-    assert d["dim"] == 1
-    assert d["k1"] == "-1/3" and d["k2"] == "-1/3"
-
-
-def test_classify_infinite_nulls(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--type", "B2", "--chi", "std", "--k", "1/2"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["finite"] is False
-    assert d["m"] is None
-    assert d["graded_dims"] is None
-    assert d["dim"] is None
-
-
-def test_classify_csv_format(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3",
-         "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["type", "k1", "k2", "chi", "finite", "m", "dim"]
-    assert rows[1] == ["A2", "-4/3", "-4/3", "triv", "true", "3", "16"]
-
-
-def test_classify_table_format(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--type", "A1", "--chi", "triv", "--k", "-3/2",
-         "--format", "table"], capsys)
-    assert code == 0
-    assert "finite:      yes" in out
-    assert "graded dims: 1 1 1" in out
-
-
-def test_classify_max_degree_below_two_m_plus_two_is_raised(capsys):
-    code, out, _ = run_cli(
+def test_classify_max_degree_below_two_m_plus_two_is_raised():
+    code, out, _ = run_captured(
         ["classify", "--type", "A2", "--chi", "triv", "--k", "-1",
-         "--max-degree", "1", "--format", "table"], capsys)
+         "--max-degree", "1", "--format", "table"])
     assert code == 0
     assert "scanned dims: 1 2 3 4 5 6 7 ...\n" in out
-
-
-def test_classify_max_degree_truncates_scan(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--type", "A1", "--chi", "triv", "--k", "1/5",
-         "--max-degree", "4"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["finite"] is False
-
-
-def test_gram_numeric_matches_library(capsys):
-    code, out, _ = run_cli(
-        ["gram", "--type", "B2", "--chi", "triv", "--k1", "1/2",
-         "--k2", "-1/3", "--degree", "2"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    vm = standard_module("B2", "triv", Rat(1, 2), Rat(-1, 3))
-    g = vm.gram(2)
-    assert d["size"] == len(g) == 3
-    assert d["entries"] == [[str(e) for e in row] for row in g]
-    assert d["layer_rank"] == vm.layer_rank(2)
-    assert d["k1"] == "1/2" and d["k2"] == "-1/3"
-
-
-def test_gram_symbolic(capsys):
-    # (type, chi, degree, layer dimension); degree 0 and rank-2 layers
-    # carry entries that are not polynomials in the couplings
-    for label, chi, degree, size in (("A1", "triv", 1, 1), ("A1", "triv", 0, 1),
-                                     ("A2", "triv", 2, 3), ("G2", "std", 1, 4)):
-        code, out, _ = run_cli(
-            ["gram", "--type", label, "--chi", chi, "--degree", str(degree),
-             "--symbolic"], capsys)
-        assert code == 0
-        d = json.loads(out)
-        assert d["k1"] is None and d["k2"] is None and d["layer_rank"] is None
-        assert d["size"] == size == len(d["entries"])
-        assert all(isinstance(e, str) for row in d["entries"] for e in row)
-        if degree:
-            assert "k1" in d["entries"][0][0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,23 +45,13 @@ def test_gram_symbolic(capsys):
      "--max-degree", "-3"],
     ["conjecture", "--max-q", "-2"],
 ])
-def test_negative_bounds_rejected(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
+def test_negative_bounds_rejected(argv):
+    code, out, err = run_captured(argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "non-negative integer" in err
 
 
-def test_gram_deep_one_wide_layer(capsys):
-    # one Gram layer per degree, built without recursion
-    code, out, _ = run_cli(
-        ["gram", "--type", "A1", "--chi", "triv", "--k", "1/2",
-         "--degree", "1200"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["size"] == 1 and d["layer_rank"] == 1
-
-
-def test_gram_degree_cap(capsys, monkeypatch):
+def test_gram_degree_cap(monkeypatch):
     # refused before any module is built: one error line, nothing on stdout
     def no_module(*args):
         raise AssertionError("a module was built")
@@ -173,23 +60,26 @@ def test_gram_degree_cap(capsys, monkeypatch):
     for argv in (["--type", "G2", "--chi", "std", "--k", "1/2", "--degree", "81"],
                  ["--type", "B2", "--chi", "triv", "--degree", "21", "--symbolic"],
                  ["--type", "A1", "--chi", "triv", "--k", "1/2", "--degree", "1201"]):
-        code, out, err = run_cli(["gram"] + argv, capsys)
+        code, out, err = run_captured(["gram"] + argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("cherednik: error:") and "limit" in err
 
 
-def test_gram_prints_entries_of_any_size(capsys):
+def test_gram_prints_entries_of_any_size():
     # the entries run past the 4,300 digits Python prints by default; the
-    # limit is lifted only while the command runs
+    # limit is lifted only while the command runs.  The A1 layer at the cap
+    # is one entry, built one degree at a time without recursion
     limit = sys.get_int_max_str_digits()
-    code, out, err = run_cli(
+    code, out, err = run_captured(
         ["gram", "--type", "A1", "--chi", "sgn", "--k", "123456/654321",
-         "--degree", "1200"], capsys)
+         "--degree", "1200"])
     assert (code, err) == (0, "")
     assert sys.get_int_max_str_digits() == limit
     g = standard_module("A1", "sgn", Rat(123456, 654321), Rat(123456, 654321)).gram(1200)
-    entries = json.loads(out)["entries"]
+    d = json.loads(out)
+    assert d["size"] == 1 and d["layer_rank"] == 1
+    entries = d["entries"]
     sys.set_int_max_str_digits(0)
     try:
         assert max(len(e) for row in entries for e in row) > 4300
@@ -199,15 +89,15 @@ def test_gram_prints_entries_of_any_size(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_one_process_runs_usage_error_then_golden_commands(capsys):
+def test_one_process_runs_usage_error_then_golden_commands():
     # the parser is built once and serves every later call unchanged
     golden = Path(__file__).parent / "golden"
     cases = {c["id"]: c for c in json.loads((golden / "cases.json").read_text())}
     cli._parser.cache_clear()
-    code, out, err = run_cli(["classify", "--type", "A2", "--chi", "triv"], capsys)
+    code, out, err = run_captured(["classify", "--type", "A2", "--chi", "triv"])
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     for cid in ("classify-B2-triv-m1_2-json", "gram-B2-std-readme"):
-        code, out, _ = run_cli(cases[cid]["argv"], capsys)
+        code, out, _ = run_captured(cases[cid]["argv"])
         assert code == 0
         assert out == (golden / f"{cid}.out").read_text()
     assert cli._parser.cache_info()[:2] == (2, 1)  # hits, misses
@@ -227,33 +117,33 @@ CAP1, CAP2 = cli.MAX_SCAN_DEGREE[1], cli.MAX_SCAN_DEGREE[2]
     ["sweep", "--type", "B2", "--chi", "triv", "--k1-range", "-1/2:1/2:1/2",
      "--k2-range", "-100:0:50"],
 ])
-def test_scan_degree_cap(argv, capsys, monkeypatch):
+def test_scan_degree_cap(argv, monkeypatch):
     # refused before any classification: one error line, nothing on stdout
     def no_classify(*args, **kwargs):
         raise AssertionError("a point was classified")
 
     monkeypatch.setattr(cli, "_classify", no_classify)
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_captured(argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("cherednik: error:") and "limit" in err
 
 
-def test_conjecture_cap(capsys, monkeypatch):
+def test_conjecture_cap(monkeypatch):
     # refused before any check: one error line, nothing on stdout
     def no_check(max_q):
         raise AssertionError("the factorization was checked")
 
     monkeypatch.setattr(cli, "check_kappa_factorization", no_check)
     cap = cli.MAX_CONJECTURE_Q
-    code, out, err = run_cli(["conjecture", "--max-q", str(cap + 1)], capsys)
+    code, out, err = run_captured(["conjecture", "--max-q", str(cap + 1)])
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("cherednik: error:") and "limit" in err
     # the cap itself is accepted
     monkeypatch.setattr(cli, "check_kappa_factorization",
                         lambda max_q: FactorizationReport(2 * max_q + 1, None))
-    code, out, _ = run_cli(["conjecture", "--max-q", str(cap)], capsys)
+    code, out, _ = run_captured(["conjecture", "--max-q", str(cap)])
     assert code == 0 and json.loads(out)["checked_up_to"] == 2 * cap + 1
 
 
@@ -351,29 +241,11 @@ def test_every_tool_imports_and_the_timing_runner_works():
     assert done.stderr.startswith("unknown request bogus;")
 
 
-def test_sweep_diagonal(capsys):
-    code, out, _ = run_cli(
-        ["sweep", "--type", "A1", "--chi", "triv",
-         "--k1-range", "-3/2:1/2:1/2"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["type", "k1", "k2", "chi", "finite", "m", "dim"]
-    body = rows[1:]
-    assert [r[1] for r in body] == ["-3/2", "-1", "-1/2", "0", "1/2"]
-    assert all(r[1] == r[2] for r in body)
-    verdicts = {r[1]: r[4] for r in body}
-    assert verdicts["-3/2"] == "true" and verdicts["-1/2"] == "true"
-    assert verdicts["-1"] == "false" and verdicts["1/2"] == "false"
-    by_k = {r[1]: r for r in body}
-    assert by_k["-3/2"][5] == "1" and by_k["-3/2"][6] == "3"
-    assert by_k["-1"][5] == "" and by_k["-1"][6] == ""
-
-
-def test_second_sweep_adds_no_memo_entry(capsys):
+def test_second_sweep_adds_no_memo_entry():
     # the memos grow with the deepest degree asked, not with the requests
     argv = ["sweep", "--type", "B2", "--chi", "triv",
             "--k1-range", "-3/2:1/2:1/2", "--k2-range", "-1/2:1/2:1/2"]
-    first = run_cli(argv, capsys)
+    first = run_captured(argv)
     assert first[0] == 0
     rs = build_root_system("B2")
 
@@ -387,135 +259,85 @@ def test_second_sweep_adds_no_memo_entry(capsys):
                  if axis is None])
 
     info = state()
-    assert run_cli(argv, capsys) == first
+    assert run_captured(argv) == first
     assert state() == info
 
 
-def test_sweep_two_dimensional_order(capsys):
-    code, out, _ = run_cli(
-        ["sweep", "--type", "B2", "--chi", "triv",
-         "--k1-range", "-1/2:0:1/2", "--k2-range", "-1/2:0:1/2"], capsys)
-    assert code == 0
-    body = list(csv.reader(io.StringIO(out)))[1:]
-    assert [(r[1], r[2]) for r in body] == [
-        ("-1/2", "-1/2"), ("-1/2", "0"), ("0", "-1/2"), ("0", "0")]
-    assert body[0][4] == "true" and body[0][6] == "4"
-
-
-def test_sweep_deterministic(capsys):
-    argv = ["sweep", "--type", "A2", "--chi", "sgn", "--k1-range", "0:1:1/3"]
-    _, out1, _ = run_cli(argv, capsys)
-    _, out2, _ = run_cli(argv, capsys)
-    assert out1 == out2 and out1.count("\n") == 5
-
-
-def test_conjecture_small(capsys):
-    code, out, _ = run_cli(["conjecture", "--max-q", "3"], capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["checked_up_to"] == 7
-    assert d["verified_up_to"] == 7
-    assert d["first_failure"] is None
-    assert out == json.dumps(check_kappa_factorization(3).as_dict(), indent=2) + "\n"
-
-
-def test_exit_code_bad_rational(capsys):
-    code, _, err = run_cli(
-        ["classify", "--type", "A2", "--chi", "triv", "--k", "0.5"], capsys)
-    assert code == 1
-    assert "rational" in err or "rational" in repr(err)
-
-
-def test_exit_code_unknown_character(capsys):
-    code, _, _ = run_cli(
-        ["classify", "--type", "A2", "--chi", "bogus", "--k", "1"], capsys)
-    assert code == 1
-
-
-def test_exit_code_conflicting_couplings(capsys):
-    code, _, _ = run_cli(
+def test_exit_code_conflicting_couplings():
+    code, _, _ = run_captured(
         ["classify", "--type", "B2", "--chi", "triv", "--k", "1",
-         "--k1", "1"], capsys)
+         "--k1", "1"])
     assert code == 1
 
 
-def test_exit_code_unknown_type(capsys):
-    code, _, _ = run_cli(["info", "--type", "D4"], capsys)
-    assert code == 1
+def test_exit_code_unknown_type():
+    # info's own --type: the corpus's unknown type runs classify
+    code, out, err = run_captured(["info", "--type", "D4"])
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("cherednik info: error: argument --type: invalid choice: 'D4'")
 
 
-def test_help_exits_zero(capsys):
+def test_help_exits_zero():
     # argparse prints the usage, then exits 0: run returns that code
-    code, out, err = run_cli(["--help"], capsys)
+    code, out, err = run_captured(["--help"])
     assert (code, err) == (0, "")
     assert out.startswith("usage: ")
 
 
-def test_invariant_violation_exits_two(capsys, monkeypatch):
+def test_invariant_violation_exits_two(monkeypatch):
     # a cross-check that fails inside a command: exit 2, one line on stderr
     epower = VermaModule.epower_criterion
     monkeypatch.setattr(VermaModule, "epower_criterion",
                         lambda self: epower(self)._replace(finite=False))
-    code, out, err = run_cli(
-        ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"], capsys)
+    code, out, err = run_captured(
+        ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"])
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("cherednik: invariant violation: A2/triv at k=(-4/3,-4/3): "
                           "the two finiteness tests disagree")
 
 
-def test_twisted_invariant_violation_names_its_class(capsys, monkeypatch):
+def test_twisted_invariant_violation_names_its_class(monkeypatch):
     # A2 sgn at 4/3 is classified as its class, A2 triv at -4/3: a failing
     # cross-check there exits 2 with one line naming the class
     epower = VermaModule.epower_criterion
     monkeypatch.setattr(VermaModule, "epower_criterion",
                         lambda self: epower(self)._replace(finite=False))
-    code, out, err = run_cli(
-        ["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"], capsys)
+    code, out, err = run_captured(
+        ["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"])
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("cherednik: invariant violation: A2/triv at k=(-4/3,-4/3): "
                           "the two finiteness tests disagree")
 
 
-def test_verdict_hit_with_another_m_exits_two(capsys, monkeypatch):
+def test_verdict_hit_with_another_m_exits_two(monkeypatch):
     # A2 sgn at 4/3 reads the verdict of its class, A2 triv at -4/3 (m = 3),
     # only once its own m agrees: made 4, it is an invariant violation
     argv = ["classify", "--type", "A2", "--chi", "triv", "--k", "-4/3"]
-    assert run_cli(argv, capsys)[0] == 0
+    assert run_captured(argv)[0] == 0
     own = verma.natural_m
     monkeypatch.setattr(verma, "natural_m",
                         lambda rs, rep, k1, k2: own(rs, rep, k1, k2) + (rep.label == "sgn"))
-    code, out, err = run_cli(["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"], capsys)
+    code, out, err = run_captured(["classify", "--type", "A2", "--chi", "sgn", "--k", "4/3"])
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("cherednik: invariant violation: A2/sgn at k=(4/3,4/3): m = 4")
     assert verma.classify.cache_info()[:2] == (1, 1)
 
 
-def test_negative_rational_tokens_accepted(capsys):
-    # "-1/3" and "-4/3:0:1/3" must parse as option values, not flags
-    code, out, _ = run_cli(
-        ["classify", "--type", "A2", "--chi", "triv", "--k1", "-1/3"], capsys)
-    assert code == 0 and json.loads(out)["finite"] is True
-    code, out, _ = run_cli(
-        ["sweep", "--type", "A2", "--chi", "triv",
-         "--k1-range", "-4/3:0:1/3"], capsys)
-    assert code == 0 and out.count("\n") == 6
-
-
-def test_selftest_reproducible(capsys):
+def test_selftest_reproducible():
     seed = str(rng.randint(0, 10**6))
-    code1, out1, _ = run_cli(["selftest", "--seed", seed], capsys)
-    code2, out2, _ = run_cli(["selftest", "--seed", seed], capsys)
+    code1, out1, _ = run_captured(["selftest", "--seed", seed])
+    code2, out2, _ = run_captured(["selftest", "--seed", seed])
     assert code1 == code2 == 0
     assert out1 == out2
     assert "selftest passed" in out1
 
 
-def test_sweep_point_cap(capsys):
+def test_sweep_point_cap():
     # the count is known before any point runs: no header, one error line
     for ranges in (["--k1-range", "0:1:1/10000000"],
                    ["--k1-range", "0:1:1/200", "--k2-range", "0:1:1/200"]):
-        code, out, err = run_cli(
-            ["sweep", "--type", "B2", "--chi", "triv"] + ranges, capsys)
+        code, out, err = run_captured(
+            ["sweep", "--type", "B2", "--chi", "triv"] + ranges)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("cherednik: error:") and "limit" in err
@@ -559,24 +381,24 @@ _SELFTEST_FAULTS = [
 @pytest.mark.parametrize("owner, name, fault, message", _SELFTEST_FAULTS,
                          ids=[f"{o.__name__.rpartition('.')[2]}.{n}"
                               for o, n, _, _ in _SELFTEST_FAULTS])
-def test_selftest_check_fires(capsys, monkeypatch, owner, name, fault, message):
+def test_selftest_check_fires(monkeypatch, owner, name, fault, message):
     # each selftest check fires on its fault: exit 2, the check's message
     # as the one line on stderr
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
-    code, _, err = run_cli(["selftest", "--seed", "7"], capsys)
+    code, _, err = run_captured(["selftest", "--seed", "7"])
     assert (code, err) == (2, f"cherednik: invariant violation: {message}\n")
 
 
 _GRAM = ["gram", "--type", "A2", "--chi", "triv", "--k", "1/3", "--degree", "2"]
 
 
-def test_mat_mul_shape_check_exits_two_with_one_line(capsys, monkeypatch):
+def test_mat_mul_shape_check_exits_two_with_one_line(monkeypatch):
     # the shape check raises, and a command that hits it (a Gram layer product
     # whose second factor lost its last row) exits 2 with one line
     with pytest.raises(InvariantViolation, match="mat_mul of 2 columns by 1 rows"):
         mat_mul([[1, 2]], [[1]])
     monkeypatch.setattr(verma, "mat_mul", lambda a, b: mat_mul(a, b[:-1]))
-    code, out, err = run_cli(_GRAM, capsys)
+    code, out, err = run_captured(_GRAM)
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("cherednik: invariant violation: mat_mul of ")
 
@@ -607,8 +429,8 @@ def test_broken_pipe_exits_quietly():
     ["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1:1",
      "--k2-range", "0:1:1"],
 ])
-def test_one_orbit_rejects_second_coupling(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
+def test_one_orbit_rejects_second_coupling(argv):
+    code, out, err = run_captured(argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("cherednik: error:") and "one root orbit" in err
@@ -622,16 +444,16 @@ def test_one_orbit_rejects_second_coupling(argv, capsys):
     ["gram", "--type", "B2", "--chi", "triv", "--degree", "1", "--symbolic",
      "--k1", "1", "--k2", "2"],
 ])
-def test_symbolic_gram_rejects_couplings(argv, capsys):
-    code, out, err = run_cli(argv, capsys)
+def test_symbolic_gram_rejects_couplings(argv):
+    code, out, err = run_captured(argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("cherednik: error:") and "--symbolic" in err
 
 
-def test_one_orbit_accepts_equal_second_coupling(capsys):
-    code, out, _ = run_cli(["classify", "--type", "A2", "--chi", "triv",
-                            "--k1", "-1/3", "--k2", "-2/6"], capsys)
+def test_one_orbit_accepts_equal_second_coupling():
+    code, out, _ = run_captured(["classify", "--type", "A2", "--chi", "triv",
+                                 "--k1", "-1/3", "--k2", "-2/6"])
     assert code == 0
     d = json.loads(out)
     assert d["k1"] == d["k2"] == "-1/3" and d["finite"]

@@ -10,8 +10,6 @@ returns argparse's usage errors and --help as exit codes, as the
 violations, so it fails here like an exception does.
 """
 
-import contextlib
-import io
 from fractions import Fraction
 
 import pytest
@@ -22,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from cherednik import cli
 from cherednik.rootsystem import LABELS, build_root_system
 from cherednik.wrep import irreps
+from test_golden import run_captured
 
 CHARACTERS = {label: [rep.label for rep in irreps(build_root_system(label))] for label in LABELS}
 HUGE = "9" * 5000  # past the digits int() parses by default
@@ -83,13 +82,6 @@ def argvs(draw):
     return argv
 
 
-def _exit(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, err.getvalue()
-
-
 def test_exit_code_contract(monkeypatch):
     monkeypatch.setattr(cli, "MAX_SCAN_DEGREE", {1: 12, 2: 8})
     monkeypatch.setattr(cli, "MAX_GRAM_DEGREE", dict.fromkeys(cli.MAX_GRAM_DEGREE, 4))
@@ -102,7 +94,7 @@ def test_exit_code_contract(monkeypatch):
     @example(["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1"])  # no step
     @example(["sweep", "--type", "A2", "--chi", "triv", "--k1-range", "0:1:0"])  # zero step
     def check(argv):
-        code, err = _exit(argv)
+        code, _, err = run_captured(argv)
         assert code == 0 and err == "" or code == 1 and len(err.splitlines()) == 1, \
             (argv, code, err)
 

@@ -10,6 +10,11 @@ and its reason before touching a golden file.
 The three lines of `tests/tools/asdict_hash.py` are pinned the same way,
 and the whole corpus is run once more in a `python -O` child: the package
 has one configuration, so its bytes and exit codes do not change.
+
+The corpus is the one pin for the CLI's output bytes, and a test of
+`test_cli` checks only what no case here reaches, so a behaviour is
+pinned once.  Every in-process CLI test runs its argv through
+`run_captured`.
 """
 
 import contextlib

@@ -122,6 +122,12 @@ def test_mixed_ring_products():
     for p in (left, right):
         assert type(p) is MPoly and p.terms == {(1, 0): PP_K1}
     assert left == right
+    assert repr(left) == "MPoly<k1*x1>"
+    # a sum or difference defers from ParamPoly to the MPoly in x
+    total, diff = PP_K1 + x1, PP_K1 - x1
+    assert type(total) is type(diff) is MPoly
+    assert total.terms == {(1, 0): 1, (0, 0): PP_K1}
+    assert diff.terms == {(1, 0): -1, (0, 0): PP_K1}
     assert ParamPoly.const(3) == QuadExt(3)
 
 

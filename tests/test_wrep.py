@@ -22,6 +22,7 @@ def test_tables_complete():
         reps = irreps(rs)
         assert {r.label: r.dim for r in reps} == want
         assert sum(r.dim ** 2 for r in reps) == len(rs.elements)
+    assert repr(get_irrep(build_root_system("G2"), "std_tau")) == "Irrep(G2:std_tau, dim 2)"
 
 
 def test_irreps_belong_to_their_root_system():
