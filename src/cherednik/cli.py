@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("conjecture",
-                       help="verify the conjectured kappa-factor root pattern")
+                       help="check the kappa recursion against its proven roots")
     p.add_argument("--max-q", required=True, type=_nonneg_int)
     p.set_defaults(fn=_cmd_conjecture)
 

@@ -186,7 +186,7 @@ def test_accepted_infinite_points_scan_within_the_cap():
                     except cli.UsageError:
                         assert 2 * m + 2 > cap
                         continue
-                    if not finite_dim_table(label, k1, k2)[rep.label].exact_decision:
+                    if not finite_dim_table(label, k1, k2)[rep.label].finite:
                         assert 2 * m + 4 <= cap, (label, rep.label, k1, k2)
                         tops[label] = max(tops.get(label, 0), 2 * m + 4)
     # B2 reaches the cap itself
@@ -239,6 +239,18 @@ def test_every_tool_imports_and_the_timing_runner_works():
     done = subprocess.run([*timing, "bogus"], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("unknown request bogus;")
+
+
+def test_benchmark_workloads_pass_their_own_output_check(monkeypatch):
+    # one pass of each perfbench workload at the reference seed, each output
+    # judged by perfbench/workloads.check, the check the benchmark applies
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import traffic
+
+    assert traffic.WORKLOADS == ("deep", "sweep", "scan", "symbolic")
+    problems = [line for name in traffic.WORKLOADS
+                for line in traffic.workload(cherednik, name, traffic.SEED)()]
+    assert problems == []
 
 
 def test_second_sweep_adds_no_memo_entry():

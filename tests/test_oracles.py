@@ -9,6 +9,11 @@
   `classify(...).as_dict()` on a fixed grid of m <= 4 points over every
   type and character, written once from the code before the Gram layers
   moved to integer matrices.  A diff is a change of behaviour.
+- The shape of a complete intersection: at every rank-2 finite point of
+  that grid the graded dimensions are the coefficients of [d1][d2],
+  [d] = 1 + t + ... + t^(d-1), with d1 + d2 = 2m + 2, and both degrees
+  are positive lowest-weight differences b(tau) - b(chi).  Observed, not
+  proven; the check reads the JSON and `lowest_weight_scalar` only.
 - Layer ranks against sympy's rank over Q.
 - The first singular layer of M(triv) at equal couplings k = -a/b, from the
   lowest-weight differences d_tau = b(tau) - b(triv) alone: singular
@@ -19,7 +24,7 @@
 """
 
 import json
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -35,13 +40,13 @@ FUNDAMENTAL_DEGREES = {"A1": (2,), "A2": (2, 3), "B2": (2, 4), "G2": (2, 6)}
 GRID = Path(__file__).parent / "golden" / "classify_grid.json"
 
 
-def beg_dims(r, rank):
-    """Coefficients of (1 + t + ... + t^(r-1))^rank."""
+def q_product(*degrees):
+    """Coefficients of [d1][d2]..., [d] = 1 + t + ... + t^(d-1)."""
     poly = [1]
-    for _ in range(rank):
-        out = [0] * (len(poly) + r - 1)
+    for d in degrees:
+        out = [0] * (len(poly) + d - 1)
         for i, c in enumerate(poly):
-            for j in range(r):
+            for j in range(d):
                 out[i + j] += c
         poly = out
     return poly
@@ -57,7 +62,7 @@ def test_beg_closed_character(label, r):
     res = classify(label, "triv", k, k)
     rank = build_root_system(label).rank
     assert res.finite
-    assert list(res.dims) == beg_dims(r, rank)
+    assert list(res.dims) == q_product(*[r] * rank)
     assert res.total_dim == r ** rank
 
 
@@ -88,6 +93,24 @@ def test_classify_grid_pinned():
         got = classify(want["type"], want["chi"], rat(want["k1"]),
                        rat(want["k2"])).as_dict()
         assert got == want
+
+
+def test_finite_grid_points_are_complete_intersections():
+    # every rank-2 finite point of the pinned grid: the graded dimensions are
+    # those of [d1][d2] with d1 + d2 = 2m + 2, and d1, d2 are lowest-weight
+    # differences b(tau) - b(chi); read off the JSON, decided by nothing here
+    points = [p for p in json.loads(GRID.read_text()) if p["finite"] and p["type"] != "A1"]
+    assert len(points) == 83
+    for p in points:
+        s, dim = 2 * p["m"] + 2, p["dim"]
+        d1 = (s - isqrt(s * s - 4 * dim)) // 2
+        d2 = s - d1
+        assert d1 * d2 == dim and p["graded_dims"] == q_product(d1, d2), p
+        rs = build_root_system(p["type"])
+        k1, k2 = rat(p["k1"]), rat(p["k2"])
+        base = lowest_weight_scalar(rs, get_irrep(rs, p["chi"]), k1, k2)
+        diffs = {lowest_weight_scalar(rs, tau, k1, k2) - base for tau in irreps(rs)}
+        assert d1 in diffs and d2 in diffs, p
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -3,8 +3,8 @@
 Couplings are drawn as rationals with small denominators for every type
 and character.  The reference is `rank2.finite_dim_table`, which shares no
 code with the classifier: 2-dimensional characters are never finite, and
-on the G2 residual branch (where the closed rule is conjectural) the
-conjecture-free `exact_decision` decides, with m = -hbar.  Points whose
+on the G2 branch 3 | m + 1 its parity rule is theorem (a) of `rank2`, so
+its verdict and m are the reference throughout.  Points whose
 lowest-weight scalar is -m with m > 6 are filtered out to bound the cost.
 Every finite quotient must have palindromic graded dimensions of length
 2m + 1.
@@ -48,15 +48,7 @@ small_rationals = st.builds(Rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4
 
 def expected_verdict(label, chi, k1, k2):
     """(finite, m) from the closed rules."""
-    rs = build_root_system(label)
-    rep = get_irrep(rs, chi)
-    if rep.dim == 2:
-        return False, None
     res = finite_dim_table(label, k1, k2)[chi]
-    if res.conditional:
-        if not res.exact_decision:
-            return False, None
-        return True, int(-lowest_weight_scalar(rs, rep, k1, k2))
     return res.finite, res.m
 
 

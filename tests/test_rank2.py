@@ -484,15 +484,14 @@ def test_very_singular_matches_classifier():
         assert vs.finite == cl.finite, (label, str(k1), str(k2))
         if vs.finite:
             assert vs.m == cl.m
-        if vs.conditional:
-            assert vs.exact_decision == cl.finite
 
 
 def test_very_singular_branches():
     assert very_singular("G2", Rat(-1, 3), Rat(-1, 3)).branch == "grading"
     vs = very_singular("G2", Rat(-1, 2), Rat(-1, 2))
-    assert vs.branch == "kappa" and vs.conditional and vs.kappa == 0
-    assert not very_singular("B2", Rat(-1, 2), Rat(-1, 2)).conditional
+    assert vs.branch == "kappa" and vs.finite and vs.m == 2
+    assert vs._fields == ("label", "finite", "m", "branch")
+    assert very_singular("B2", Rat(-1, 2), Rat(-1, 2)).branch == "grading"
     # kappa-branch swap symmetry: the decision only sees |k2 - k1|
     a = very_singular("G2", Rat(-3, 2), Rat(-1, 2))
     b = very_singular("G2", Rat(-1, 2), Rat(-3, 2))
@@ -514,21 +513,18 @@ def test_finite_dim_table_matches_per_character():
 def test_results_are_immutable_values():
     results = (classify("A2", "triv", Rat(-1, 3), Rat(-1, 3)),
                very_singular("G2", Rat(-1, 2), Rat(-1, 2)), check_kappa_factorization(2))
-    for res, field in zip(results, ("finite", "exact_decision", "first_failure")):
+    for res, field in zip(results, ("finite", "branch", "first_failure")):
         with pytest.raises(AttributeError):
             setattr(res, field, None)
-    # a verdict that needs no conjecture is its own exact decision, with no kappa
-    conditional = 0
+    # m is kept exactly when finite, on the kappa branch too
+    kappa = 0
     for label in ("A1", "A2", "B2", "G2"):
         for a, b in itertools.product(range(1, 13), range(1, 7)):
             k = Rat(-a, b)
             for vs in (very_singular(label, k, k), *finite_dim_table(label, k, k).values()):
                 assert (vs.m is not None) == vs.finite, (label, str(k))
-                if vs.conditional:
-                    conditional += 1
-                else:
-                    assert vs.exact_decision == vs.finite and vs.kappa is None, (label, str(k))
-    assert conditional
+                kappa += vs.branch == "kappa"
+    assert kappa
     # repr and as_dict are what selftest's messages and `classify --format json` print
     fin = classify("G2", "triv", Rat(-1, 2), Rat(-1, 2))
     inf = classify("B2", "std", Rat(1, 2), Rat(-1, 3))
