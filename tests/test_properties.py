@@ -7,7 +7,10 @@ on the G2 branch 3 | m + 1 its parity rule is theorem (a) of `rank2`, so
 its verdict and m are the reference throughout.  Points whose
 lowest-weight scalar is -m with m > 6 are filtered out to bound the cost.
 Every finite quotient must have palindromic graded dimensions of length
-2m + 1.
+2m + 1.  This is the one check of the classifier against
+`finite_dim_table` (and so `very_singular`) on every type and character;
+criteria 08 and 09 of `test_acceptance` compare `very_singular` only on
+their own B2 and G2 grids.
 
 A second property is the diagram automorphism sigma of B2 and G2, which
 swaps the two root orbits: it swaps chi1 and chi2 on B2, tau and sgn_tau on
@@ -21,7 +24,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from cherednik.scalars import Rat, is_nonneg_int, rat
 from cherednik.rootsystem import LABELS, build_root_system
@@ -74,8 +77,29 @@ def points(draw, cases=CASES):
     return label, chi, k1, k2
 
 
+# the examples: the trivial character where criteria 08 and 09 do not compare
+# very_singular, and every character at one point per rank-2 type
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(points())
+@example(("A1", "triv", Rat(-1, 2), Rat(-1, 2)))
+@example(("A1", "triv", Rat(1), Rat(1)))
+@example(("A2", "triv", Rat(-2, 3), Rat(-2, 3)))
+@example(("A2", "triv", Rat(-1), Rat(-1)))
+@example(("B2", "triv", Rat(-3, 2), Rat(1, 2)))
+@example(("B2", "triv", Rat(-3, 2), Rat(-1, 2)))
+@example(("G2", "triv", Rat(-1, 3), Rat(-2, 3)))
+@example(("A2", "triv", Rat(1, 3), Rat(1, 3)))
+@example(("A2", "sgn", Rat(1, 3), Rat(1, 3)))
+@example(("A2", "std", Rat(1, 3), Rat(1, 3)))
+@example(("B2", "sgn", Rat(-1, 2), Rat(-1, 2)))
+@example(("B2", "std", Rat(-1, 2), Rat(-1, 2)))
+@example(("B2", "chi1", Rat(-1, 2), Rat(-1, 2)))
+@example(("B2", "chi2", Rat(-1, 2), Rat(-1, 2)))
+@example(("G2", "sgn", Rat(-1, 6), Rat(-1, 6)))
+@example(("G2", "tau", Rat(-1, 6), Rat(-1, 6)))
+@example(("G2", "sgn_tau", Rat(-1, 6), Rat(-1, 6)))
+@example(("G2", "std", Rat(-1, 6), Rat(-1, 6)))
+@example(("G2", "std_tau", Rat(-1, 6), Rat(-1, 6)))
 def test_classify_agrees_with_closed_rules(point):
     label, chi, k1, k2 = point
     rs = build_root_system(label)

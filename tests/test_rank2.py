@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import json
-import random
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -24,17 +23,11 @@ from cherednik.errors import InvariantViolation
 from cherednik.rootsystem import build_root_system
 from cherednik.verma import classify
 
-RNG = random.Random(707)
-
 HB, KAP = PP_K1, PP_K2
 
 
 def max_r(label, n):
     return n // 2 if label == "B2" else n // 3
-
-
-def rand_k():
-    return Rat(RNG.randint(-7, 7), RNG.choice((1, 2, 3, 5)))
 
 
 def test_pinned_table_entries():
@@ -63,27 +56,6 @@ def test_out_of_triangle_is_zero():
     assert f_power_image("A2", 4, -1) == zero
     assert f_power_image_closed("A2", 1, 5) == zero
     assert f_power_image_direct("B2", 1, -1, Rat(0), Rat(0)) == QuadExt(0)
-
-
-def test_recursion_equals_closed_form():
-    for label in ("A2", "B2", "G2"):
-        for n in range(13):
-            for r in range(max_r(label, n) + 1):
-                assert (f_power_image(label, n, r)
-                        == f_power_image_closed(label, n, r)), (label, n, r)
-
-
-def test_direct_route_random_couplings():
-    for label in ("A2", "B2", "G2"):
-        for _ in range(3):
-            k1 = rand_k()
-            k2 = k1 if label == "A2" else rand_k()
-            for n in range(5):
-                for r in range(max_r(label, n) + 1):
-                    want = QuadExt.coerce(evaluate_at_couplings(
-                        label, f_power_image(label, n, r), k1, k2))
-                    got = f_power_image_direct(label, n, r, k1, k2)
-                    assert got == want, (label, n, r, str(k1), str(k2))
 
 
 def test_evaluate_at_couplings_slots():
@@ -221,44 +193,11 @@ def test_kappa_factor_sequence():
 # as the paper states them: an oracle for the scalings (9^n for G2 rows, 3^p
 # for the kappa-factors) that the package's integer tables carry.
 
-def reference_step(label, row, n):
-    def get(r):
-        return row[r] if 0 <= r < len(row) else ParamPoly()
-
-    out = []
-    for r in range(max_r(label, n + 1) + 1):
-        if label == "A2":
-            t = get(r - 1) * Rat(r * (2 * r - 1))
-            u = get(r) * (HB + Rat(n + 3 * r)) * Rat(n + 1 - 3 * r)
-            out.append(t - u)
-        elif label == "B2":
-            t = get(r - 1) * (PP_K1 * Rat(2) + Rat(2 * r - 1)) * Rat(-2 * r)
-            u = get(r) * (PP_K2 + Rat(n + 2 * r)) * Rat(n + 1 - 2 * r)
-            out.append(t - u)
-        else:
-            t = get(r) * (HB + Rat(n + 3 * r)) * Rat(-(n + 1 - 3 * r))
-            u = get(r - 1) * KAP * Rat(r)
-            v = get(r - 2) * Rat(r * (r - 1), 9)
-            out.append(t + u - v)
-    return out
-
-
 def reference_kappa_factors(top):
     ks = [ParamPoly.const(Rat(1)), KAP]
     for p in range(2, top + 1):
         ks.append(KAP * ks[p - 1] + ks[p - 2] * (HB + Rat(3 * p - 4)) * Rat(p - 1, 3))
     return ks
-
-
-def test_tables_match_param_poly_reference():
-    for label in ("A2", "B2", "G2"):
-        row = [ParamPoly.const(Rat(1))]
-        for n in range(15):
-            if n:
-                row = reference_step(label, row, n - 1)
-            got = [f_power_image(label, n, r) for r in range(max_r(label, n) + 1)]
-            assert got == row, (label, n)
-    assert [kappa_factor(p) for p in range(32)] == reference_kappa_factors(31)
 
 
 def test_critical_kappa_factors_match_param_poly_reference():
@@ -415,15 +354,6 @@ def test_cold_kappa_factor_recurses_shallowly():
     assert kappa_factor_at_critical(25) == kappa_factor_conjectured(25)
 
 
-def test_kappa_factorization_report():
-    rep = check_kappa_factorization(15)
-    assert rep.all_verified
-    assert rep.verified_up_to == 31
-    assert rep.first_failure is None
-    d = rep.as_dict()
-    assert d["verified_up_to"] == 31 and d["first_failure"] is None
-
-
 def test_kappa_factorization_matches_one_index_at_a_time():
     # the check carries one conjectured product per parity; the reference
     # compares the public kappa-factors index by index
@@ -471,21 +401,6 @@ def test_trusted_constructors_give_canonical_values():
                     assert_canonical(entry)
 
 
-def test_very_singular_matches_classifier():
-    pts = [("A1", Rat(-1, 2), Rat(-1, 2)), ("A1", Rat(1), Rat(1)),
-           ("A2", Rat(-2, 3), Rat(-2, 3)), ("A2", Rat(-1), Rat(-1)),
-           ("B2", Rat(-1, 2), Rat(-1, 2)), ("B2", Rat(-1, 4), Rat(-3, 4)),
-           ("B2", Rat(-3, 2), Rat(1, 2)), ("B2", Rat(-3, 2), Rat(-1, 2)),
-           ("G2", Rat(-1, 3), Rat(-1, 3)), ("G2", Rat(-1, 2), Rat(-1, 2)),
-           ("G2", Rat(-1, 3), Rat(-2, 3)), ("G2", Rat(-3, 2), Rat(-1, 2))]
-    for label, k1, k2 in pts:
-        vs = very_singular(label, k1, k2)
-        cl = classify(label, "triv", k1, k2)
-        assert vs.finite == cl.finite, (label, str(k1), str(k2))
-        if vs.finite:
-            assert vs.m == cl.m
-
-
 def test_very_singular_branches():
     assert very_singular("G2", Rat(-1, 3), Rat(-1, 3)).branch == "grading"
     vs = very_singular("G2", Rat(-1, 2), Rat(-1, 2))
@@ -496,18 +411,6 @@ def test_very_singular_branches():
     a = very_singular("G2", Rat(-3, 2), Rat(-1, 2))
     b = very_singular("G2", Rat(-1, 2), Rat(-3, 2))
     assert a.finite and b.finite and a.m == b.m
-
-
-def test_finite_dim_table_matches_per_character():
-    grids = [("A2", Rat(1, 3), Rat(1, 3)), ("B2", Rat(-1, 2), Rat(-1, 2)),
-             ("G2", Rat(-1, 6), Rat(-1, 6))]
-    for label, k1, k2 in grids:
-        table = finite_dim_table(label, k1, k2)
-        for chi, entry in table.items():
-            cl = classify(label, chi, k1, k2)
-            assert entry.finite == cl.finite, (label, chi)
-            if entry.finite:
-                assert entry.m == cl.m
 
 
 def test_results_are_immutable_values():

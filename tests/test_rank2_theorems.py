@@ -23,8 +23,9 @@ unit rows for n < 30 and `kappa_factor` for p <= 30.  The k-parts and the
 proportionalities are checked on `f_power_image_closed` as exact ParamPoly
 products for n <= 30; the identities themselves hold for every n and r.
 What stays unproven is the recursion against the definition of the
-tables, which the direct route checks for n <= 5 (`test_rank2`,
-acceptance item 10).
+tables, which the direct route checks for n <= 5 (acceptance item 10),
+and for the r = 0 entries, which use no normalization, also for n <= 6
+(`test_rank2::test_direct_route_unnormalized_entries_match_recursion`).
 """
 
 import math

@@ -9,7 +9,7 @@ import pytest
 from cherednik.polynomials import ParamPoly, PP_K1, PP_K2, monomials
 from cherednik.scalars import Rat, rat
 from cherednik.rootsystem import RootSystem, build_root_system
-from cherednik.wrep import Irrep, get_irrep, irreps, tensor_one_dim, twist_couplings
+from cherednik.wrep import Irrep, get_irrep, irreps
 from cherednik.dunkl import b_direction, f_matrix
 from cherednik import dunkl, linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
@@ -515,21 +515,6 @@ def test_packing_rejects_fractional_values(monkeypatch):
         vm.f_chain(2)
 
 
-def test_gram_symbolic_matches_evaluation():
-    rs = build_root_system("B2")
-    rep = get_irrep(rs, "triv")
-    sym = VermaModule(rs, rep, PP_K1, PP_K2)
-    k1, k2 = Rat(1, 2), Rat(-2, 3)
-    num = VermaModule(rs, rep, k1, k2)
-    for n in range(4):
-        gs = sym.gram(n)
-        gn = num.gram(n)
-        for i in range(len(gs)):
-            for j in range(len(gs)):
-                v = ParamPoly.coerce(gs[i][j]).eval2(k1, k2)
-                assert v == gn[i][j]
-
-
 def test_symbolic_rank_certificate_matches_parampoly_bareiss():
     for label in TYPES:
         rs = build_root_system(label)
@@ -839,94 +824,6 @@ def test_classify_raises_on_a_broken_finite_shape(monkeypatch):
         classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
 
 
-def test_a1_dimension_law():
-    # L(triv) at k = -1/2 - n has graded dims 1,1,...,1 (2n+1 layers)
-    for n in range(4):
-        res = classify("A1", "triv", Rat(-1, 2) - n, Rat(-1, 2) - n)
-        assert res.finite and res.m == n
-        assert res.dims == (1,) * (2 * n + 1)
-        assert res.total_dim == 2 * n + 1
-    assert not classify("A1", "triv", Rat(1, 2), Rat(1, 2)).finite
-    assert not classify("A1", "triv", Rat(2), Rat(2)).finite
-    # sgn twist mirrors it at positive couplings
-    res = classify("A1", "sgn", Rat(3, 2), Rat(3, 2))
-    assert res.finite and res.total_dim == 3
-
-
-def test_a2_dimension_pattern():
-    # finite at hbar = -m, m != 2 (mod 3); dims are 1,2,...,j,...,2,1
-    cases = {Rat(-1, 3): (1,), Rat(-2, 3): (1, 2, 1),
-             Rat(-4, 3): (1, 2, 3, 4, 3, 2, 1)}
-    for k, dims in cases.items():
-        res = classify("A2", "triv", k, k)
-        assert res.finite and res.dims == dims
-    # the gap: m = 2 (mod 3) stays infinite even though hbar is a
-    # nonpositive integer
-    assert not classify("A2", "triv", Rat(-1), Rat(-1)).finite
-    assert not classify("A2", "triv", Rat(-2), Rat(-2)).finite
-
-
-def test_a2_sgn_branch_counterexamples():
-    # The sign-character branch is finite exactly when 3k - 1 is a
-    # nonnegative integer other than 2 (mod 3); the mirrored copy of the
-    # trivial-character rule.  Two pinned counterexamples to the variant
-    # with 3k + 1 = m: k = 1/3 is finite, k = 1 is not.
-    res = classify("A2", "sgn", Rat(1, 3), Rat(1, 3))
-    assert res.finite and res.total_dim == 1 and res.m == 0
-    assert not classify("A2", "sgn", Rat(1), Rat(1)).finite
-    assert not classify("A2", "sgn", Rat(0), Rat(0)).finite
-    res = classify("A2", "sgn", Rat(2, 3), Rat(2, 3))
-    assert res.finite and res.dims == (1, 2, 1)
-
-
-def test_b2_points():
-    res = classify("B2", "triv", Rat(-1, 4), Rat(-1, 4))
-    assert res.finite and res.total_dim == 1
-    res = classify("B2", "triv", Rat(-1, 2), Rat(-1, 2))
-    assert res.finite and res.dims == (1, 2, 1)
-    assert not classify("B2", "triv", Rat(-1, 4), Rat(-3, 4)).finite
-    assert not classify("B2", "std", Rat(-1, 2), Rat(-1, 2)).finite
-    res = classify("B2", "triv", Rat(-3, 2), Rat(-1, 2))
-    assert res.finite and res.m == 3 and res.total_dim == 12
-
-
-def test_g2_points():
-    res = classify("G2", "triv", Rat(-1, 6), Rat(-1, 6))
-    assert res.finite and res.total_dim == 1
-    res = classify("G2", "triv", Rat(-1, 2), Rat(-1, 2))
-    assert res.finite and res.m == 2 and res.dims == (1, 2, 3, 2, 1)
-    assert not classify("G2", "triv", Rat(-1, 3), Rat(-2, 3)).finite
-    assert not classify("G2", "std", Rat(-1, 2), Rat(-1, 2)).finite
-
-
-def test_finite_dims_are_palindromic():
-    pts = [("A1", "triv", Rat(-5, 2), Rat(-5, 2)),
-           ("A2", "triv", Rat(-4, 3), Rat(-4, 3)),
-           ("B2", "triv", Rat(-3, 2), Rat(-1, 2)),
-           ("G2", "triv", Rat(-1, 2), Rat(-1, 2))]
-    for label, chi, k1, k2 in pts:
-        res = classify(label, chi, k1, k2)
-        assert res.finite
-        dims = res.dims
-        assert dims == dims[::-1]
-        assert dims[0] == 1 and len(dims) == 2 * res.m + 1
-
-
-def test_twist_coherence_spot():
-    for label in TYPES:
-        rs = build_root_system(label)
-        taus = [r for r in irreps(rs) if r.dim == 1]
-        k1, k2 = rand_k(), rand_k()
-        for chi in irreps(rs):
-            base = standard_module(label, chi.label, k1, k2)
-            bd = base.graded_dims(4)
-            for tau in taus:
-                t1, t2 = twist_couplings(rs, tau, k1, k2)
-                other = standard_module(
-                    label, tensor_one_dim(rs, chi, tau).label, t1, t2)
-                assert other.graded_dims(4) == bd
-
-
 def test_twisted_module_is_its_base_at_signed_couplings():
     # an irrep that is signs times its base has, at (k1, k2), the integer
     # layers and raised rows of the base at (s_0 k1, s_1 k2)
@@ -1000,15 +897,6 @@ def test_classify_computes_the_lowest_weight_scalar_once(monkeypatch, point):
     assert vm.classify() == first
     vm.epower_criterion()
     assert calls == [point[2:]]
-
-
-def test_chi_validation():
-    try:
-        classify("A2", "chi1", Rat(1), Rat(1))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
 
 
 def test_classifying_leaves_no_state_on_root_system_or_irreps():
