@@ -13,16 +13,18 @@ _assemble writes D, A and B on ints straight into the public basis, each as
 a rational and a sqrt(3) plane over one denominator: a cell's power of
 sqrt(3) is fixed by its place, so each pair's quotient carries its powers of
 3 (_quotient_classes), and the weights are int pairs computed once per (root
-system, character, direction).  b_lowering_parts, the one memo of the parts,
-keeps them per (root system, character, direction, degree, first row; 0 for
-the full parts) as sparse integer matrices over one denominator (along the
-transfers c e_j, a nonzero sqrt(3) plane raises InvariantViolation); new
-couplings cost one integer combination per layer.  lowering_matrix (any
-direction) reads the same planes as QuadExt, so the cross-checks built on it
-also cover the public conversion.  dunkl_apply acts on polynomials through
-MPoly.divexact and weyl_act, sharing none of it.  lowest_weight_scalar is
-the one formula for b(chi), and natural_m the one test for its m (b(chi) =
--m, m natural); verma, cli and rank2 read these.
+system, character, direction).  Along the transfers c e_j, two memos keep
+them per (root system, character, direction, degree, first row; 0 for the
+full parts), and a nonzero sqrt(3) plane raises InvariantViolation:
+b_lowering_parts as sparse integer matrices over one denominator, and
+b_lowering_residues as rows packed mod p per reflection class
+(class_slices), from which verma forms a stack row at new couplings by three
+multiply-adds.  lowering_matrix (any direction) reads the same planes as
+QuadExt, so the cross-checks built on it also cover the public conversion.
+dunkl_apply acts on polynomials through MPoly.divexact and weyl_act, sharing
+none of it.  lowest_weight_scalar is the one formula for b(chi), and
+natural_m the one test for its m (b(chi) = -m, m natural); verma, cli and
+rank2 read these.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import add, floordiv, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
-from .linalg import dot, identity, mat_mul, mat_vec
+from .linalg import dot, identity, mat_mul, mat_vec, pack_planes
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem
 from .wrep import get_irrep
@@ -299,22 +301,67 @@ def b_direction(rs: RootSystem, j: int):
     return tuple(rs.metric_scale if i == j else QZERO for i in range(rs.rank))
 
 
+def _integer_planes(rs: RootSystem, rep, j: int, n: int, first: int):
+    """(rows, cols, den, [D, A, B]) of _assemble along b_direction(rs, j), ()
+    for a plane not written; a nonzero sqrt(3) plane raises InvariantViolation."""
+    rows, cols, den, planes = _assemble(rs, rep, b_direction(rs, j), n, first)
+    if any(any(planes.get(p, ())) for p in (1, 3, 5)):
+        raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
+    return rows, cols, den, [planes.get(i, ()) for i in (0, 2, 4)]
+
+
 @lru_cache(maxsize=None)
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
     j) on the degree-n layer, rows from degree-(n-1) monomial first (0 for
     the full parts; in rank 2, n - 1 gives x_1^(n-1) alone), memoized: the
     rational planes of _assemble over its denominator in cell order, reduced
-    by their gcd.  A nonzero sqrt(3) plane has no integer form and raises
-    InvariantViolation, once per part set for every coupling."""
-    rows, cols, den, planes = _assemble(rs, rep, b_direction(rs, j), n, first)
-    if any(any(planes.get(p, ())) for p in (1, 3, 5)):
-        raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
-    parts = [(array("I", compress(range(rows * cols), p)), list(compress(p, p)))
-             for p in (planes.get(i, ()) for i in (0, 2, 4))]
+    by their gcd (_integer_planes)."""
+    rows, cols, den, planes = _integer_planes(rs, rep, j, n, first)
+    parts = [(array("I", compress(range(rows * cols), p)), list(compress(p, p))) for p in planes]
     g = math.gcd(den, *chain.from_iterable(vals for _, vals in parts))
     return LoweringParts(rows, cols, den // g, tuple(
         (idx, tuple(map(floordiv, vals, repeat(g)))) for idx, vals in parts))
+
+
+@lru_cache(maxsize=None)
+def b_lowering_residues(rs: RootSystem, rep, j: int, n: int, first: int, p: int):
+    """Per row of the integer planes of b_lowering_parts(rs, rep, j, n, first),
+    before its gcd: (class, D, A, B) packed mod p (linalg.pack_planes), p the
+    linalg.PRIME it reads, memoized.  c0 D + c1 A + c2 B is c0 den times the
+    lowering's row at (k1, k2) = (c1, c2) / c0.  The class check is on D, A
+    and B apart, so no coupling can hide a crossed cell."""
+    _, cols, _, planes = _integer_planes(rs, rep, j, n, first)
+    return tuple(pack_planes(planes, cols, class_slices(rs, rep, n)))
+
+
+@lru_cache(maxsize=None)
+def reflection_parity(rs: RootSystem, base):
+    """The parities [s_ii = -1] of s, the reflection of root 0, on the
+    coordinates and p_t on base, where s must be a diagonal sign on each,
+    memoized per (root system, base).  The transfer of x_j is c e_j, so
+    flip_j = [s x_j = -x_j] is the parity of coordinate j."""
+    w = rs.reflection_element[0]
+    mats = rs.elements[w], base.matrices[w]
+    par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
+    if any(v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
+           for i, row in enumerate(m) for j, v in enumerate(row)):
+        raise InvariantViolation(f"{rs.label}/{base.label}: the reflection "
+                                 f"of root 0 is not a sign on the basis")
+    return par
+
+
+@lru_cache(maxsize=None)
+def class_slices(rs: RootSystem, base, n: int):
+    """The two reflection classes of degree n as tuples of slices of a row:
+    column b d + t, x^m e_t with m = (n - b, b) (on A1, (n,)), is in class
+    sum_i m_i flip_i + p_t = flip_0 n + alt b + p_t mod 2, alt = flip_0 ^
+    flip_1.  Memoized per (root system, base, degree)."""
+    flips, signs = reflection_parity(rs, base)
+    alt, d, out = flips[0] ^ flips[-1], len(signs), ([], [])
+    for j in range(d << alt):
+        out[(flips[0] * n + alt * (j // d) + signs[j % d]) & 1].append(slice(j, None, d << alt))
+    return tuple(map(tuple, out))
 
 
 # -- the sl2 triple -------------------------------------------------------------

@@ -10,41 +10,40 @@ ranks are the quotient's graded dimensions.
 
 The lowerings, Gram layers and raised rows are integer matrices with one
 rational scale each, combined from the integer parts that
-dunkl.b_lowering_parts memoizes.
-An irrep that is one sign per root orbit times its base (Irrep.signs,
-Irrep.base) has the base's D, s_0 A and s_1 B: its module combines the
-base's parts at (s_0 k1, s_1 k2), while gram_direct assembles the irrep.
-Every layer rank is proven, degrees settled in ascending order and kept to
-the lowest singular one.  As G_n[x_i u, w] = G_{n-1}[u, L_i w], while every
-lower layer is full rank G_n is nonsingular exactly when the stacked
-lowerings [L_0; L_1] are injective.  Its rank mod the prime linalg.PRIME
-(rank_mod_p, one elimination over the rows _stack yields) proves it: the
-square block of L_0 and the tail (L_1's last dim-chi rows, b_lowering_parts
-from row n - 1 alone; on A1, L_0) first, the rest of L_1 built only if read.
-Any nonzero rational multiple of a row, at its own scale, proves as well.
-(G_n is P times the stack, P made of rows of G_{n-1}: up to content,
-singular mod p wherever the stack is.)  Each L_i maps an eigenspace of the
-reflection of root 0 into one, so the elimination runs per class
-(_class_slices) and checks each row.  Failing
-that, and on every higher layer (the radical is a submodule and x_1 is
-injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer as
-two blocks, those eigenspaces (W-invariant form).  So a generic scan builds
-no Gram layer, and runs the class check but no symmetry check; the tests of
-every rank against Bareiss, and of gram against gram_direct, check the
-lowerings.  A symbolic layer (or F row from layer b) is read off
-a numeric module at k = (B, B^(n+1)) (B^(n-b+1)) by Kronecker substitution,
-one coefficient per base-B digit, B = 2^s sized by a product of the
-lowerings' column norms.  The digits become ParamPoly coefficients directly, already
-canonical, and a Gram layer is unpacked once per symmetric pair: the packed
-layer has passed the symmetry check and unpacking is injective, so both
-cells hold one value.  The unpacked layers and F rows are memoized per base
-(_unpacked): an irrep with signs (s_0, s_1) reads its base's, each
-distinct entry once with every term c k1^i k2^j times s_0^i s_1^j.  A
-symbolic layer's minors are polynomials in k1, k2, so full rank at one
-point proves full rank.  The point is k = 0, where
-every lowering is a transfer derivative and the layer, the Fischer form of
-the metric tensor the identity on chi, is positive definite: a layer short
-of full rank there raises InvariantViolation.
+dunkl.b_lowering_parts memoizes.  An irrep that is one sign per root orbit
+times its base (Irrep.signs, Irrep.base) has the base's D, s_0 A and s_1 B:
+its module combines the base's parts at (s_0 k1, s_1 k2), while gram_direct
+assembles the irrep.  Every layer rank is proven, degrees settled in
+ascending order and kept to the lowest singular one.  As G_n[x_i u, w] =
+G_{n-1}[u, L_i w], while every lower layer is full rank G_n is nonsingular
+exactly when the stacked lowerings [L_0; L_1] are injective.  Its rank mod
+the prime linalg.PRIME (rank_mod_p, one elimination over the rows _stack
+yields) proves it: the square block of L_0 and the tail (L_1's last dim-chi
+rows, from row n - 1 alone; on A1, L_0) first, the rest of L_1 built only if
+read.  With no natural m and k != 0, a row is c0 D + c1 A + c2 B of the
+residues mod p that dunkl.b_lowering_residues memoizes; any nonzero multiple
+of a row proves as well.  (G_n is P times the stack, P made of rows of G_{n-1}: up to
+content, singular mod p wherever the stack is.)  Each L_i maps an eigenspace
+of the reflection of root 0 into one, so the elimination runs per class
+(dunkl.class_slices), each row checked when packed.  Failing that, and on
+every higher layer (the radical is a submodule and x_1 is injective on
+polynomials tensor chi), Bareiss over Z ranks the Gram layer as two blocks,
+those eigenspaces (W-invariant form).  So a generic scan builds no Gram
+layer, and runs the class check but no symmetry check; the tests of every
+rank against Bareiss, and of gram against gram_direct, check the lowerings.
+A symbolic layer (or F row from layer b) is read off a numeric module at k =
+(B, B^(n+1)) (B^(n-b+1)) by Kronecker substitution, one coefficient per
+base-B digit, B = 2^s sized by a product of the lowerings' column norms.
+The digits become ParamPoly coefficients directly, already canonical, and a
+Gram layer is unpacked once per symmetric pair: the packed layer has passed
+the symmetry check and unpacking is injective, so both cells hold one value.
+The unpacked layers and F rows are memoized per base (_unpacked): an irrep
+with signs (s_0, s_1) reads its base's, each distinct entry once with every
+term c k1^i k2^j times s_0^i s_1^j.  A symbolic layer's minors are
+polynomials in k1, k2, so full rank at one point proves full rank.  The
+point is k = 0, where every lowering is a transfer derivative and the layer,
+the Fischer form of the metric tensor the identity on chi, is positive
+definite: a layer short of full rank there raises InvariantViolation.
 
 Two independent finiteness tests are run and cross-checked: vanishing of the
 raised lowest-weight vector in the simple quotient, and a direct scan of the
@@ -74,12 +73,14 @@ from math import lcm
 from .errors import InvariantViolation
 from .polynomials import PP_K1, PP_K2, ParamPoly, monomials
 from .scalars import QuadExt, Rat, rat
+from . import linalg
 from .linalg import (bareiss_rank, identity, integer_scale, is_symmetric,
-                     mat_mul, rank_mod_p)
+                     mat_mul, pack_rows, rank_mod_p)
 from .rootsystem import RootSystem, build_root_system
 from .wrep import Irrep, get_irrep
-from .dunkl import (b_direction, b_lowering_parts, f_apply, f_coefficient,
-                    lowering_matrix, natural_m, sl2_calibration)
+from .dunkl import (b_direction, b_lowering_parts, b_lowering_residues, class_slices,
+                    f_apply, f_coefficient, lowering_matrix, natural_m,
+                    reflection_parity, sl2_calibration)
 
 DEFAULT_SCAN_BOUND = 10
 _CERT_POINT = (Rat(0), Rat(0))  # where symbolic layers are ranked first
@@ -161,19 +162,27 @@ class VermaModule:
         return hit
 
     def _stack(self, n: int):
-        """The degree-n rows of the stack [L_0; L_1], each a nonzero rational
-        multiple of the true row, square block first: all of L_0, the last
-        dim-chi rows (x_1^(n-1)) of each L_j with j >= 1, then the other rows
-        of L_1.  A generator: the block comes from the lowerings when held
-        (classify combines degrees up to 2m + 2 first), else from the parts of
-        L_0 and of L_j from row n - 1, and the rest is built only once read."""
-        hit, rs, base, d = self._low.get(n), self.rs, self.rep.base, self.rep.dim
-        yield from hit[0][0] if hit else b_lowering_parts(rs, base, 0, n, 0).ints(*self._coefs)
-        for j in range(1, rs.rank):
-            yield from (hit[0][j][-d:] if hit else
-                        b_lowering_parts(rs, base, j, n, n - 1).ints(*self._coefs))
-        for low in self._lowerings(n)[0][1:]:
-            yield from low[:-d]
+        """The degree-n rows of the stack [L_0; L_1] as (class, packed) pairs
+        for rank_mod_p, each a nonzero multiple of the true row mod p, square
+        block first: all of L_0, the last dim-chi rows (x_1^(n-1)) of L_1 (in
+        rank 2), then the other rows of L_1, each part read only once
+        reached.  Held lowerings, else the integer parts where they are
+        combined anyway (at a natural m, and at k = 0, where symbolic layers
+        certify their ranks), go through pack_rows; elsewhere a row is c0 D +
+        c1 A + c2 B of the residues that b_lowering_residues memoizes."""
+        rs, base, d, p = self.rs, self.rep.base, self.rep.dim, linalg.PRIME
+        hit, classes = self._low.get(n), class_slices(rs, base, n)
+        keys = ((0, 0, None), (1, n - 1, None), (1, 0, -d))[:2 * rs.rank - 1]
+        if hit or not any(self._coefs[1:]) or self._m is not None:
+            for j, first, stop in keys:
+                low = ((hit[0][j][-d:] if first else hit[0][j]) if hit else
+                       b_lowering_parts(rs, base, j, n, first).ints(*self._coefs))
+                yield from pack_rows(low[:stop], classes)
+            return
+        c0, c1, c2 = (c % p for c in self._coefs)
+        for j, first, stop in keys:
+            for cls, a, b, c in b_lowering_residues(rs, base, j, n, first, p)[:stop]:
+                yield cls, c0 * a + c1 * b + c2 * c
 
     def _f_rows(self, top: int, bottom: int = 0):
         """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the
@@ -224,7 +233,7 @@ class VermaModule:
         if not 0 <= deg <= n:
             here = self._classes(0)
             deg, layer = 0, (tuple(_int_identity(len(c)) for c in here), Rat(1), here)
-        (prev, scale, here), flips = layer, _reflection_parity(self.rs, self.rep.base)[0]
+        (prev, scale, here), flips = layer, reflection_parity(self.rs, self.rep.base)[0]
         for deg in range(deg + 1, n + 1):
             (lows, s), below, here = self._lowerings(deg), here, self._classes(deg)
             if any(any(map(low[r].__getitem__, here[c ^ 1])) for low, f in zip(lows, flips)
@@ -250,20 +259,11 @@ class VermaModule:
             self._gram = {n: (prev, scale, here)}
         return prev, scale, here
 
-    def _class_slices(self, n: int):
-        """The two reflection classes of degree n as slices of a row: column
-        b d + t, x^m e_t with m = (n - b, b) (on A1, (n,)), is in class sum_i
-        m_i flip_i + p_t = flip_0 n + alt b + p_t mod 2, alt = flip_0 ^ flip_1."""
-        flips, base = _reflection_parity(self.rs, self.rep.base)
-        alt, d, out = flips[0] ^ flips[-1], len(base), ([], [])
-        for j in range(d << alt):
-            out[(flips[0] * n + alt * (j // d) + base[j % d]) & 1].append(slice(j, None, d << alt))
-        return out
-
     def _classes(self, n: int):
-        """The degree-n indices per class, ascending (_class_slices)."""
+        """The degree-n indices per class, ascending (dunkl.class_slices)."""
         cols = range(len(self.layer_monomials(n)) * self.rep.dim)
-        return [sorted(i for sl in cls for i in cols[sl]) for cls in self._class_slices(n)]
+        return [sorted(i for sl in cls for i in cols[sl])
+                for cls in class_slices(self.rs, self.rep.base, n)]
 
     def _dense(self, n: int):
         """The degree-n layer as one int matrix (0 across classes), scale."""
@@ -336,7 +336,8 @@ class VermaModule:
         while len(ranks) <= n and ranks[-1] == len(self.layer_monomials(len(ranks) - 1)) * dim:
             deg = len(ranks)
             size = len(self.layer_monomials(deg)) * dim
-            full = rank_mod_p(self._stack(deg), size, self._class_slices(deg)) == size
+            classes = class_slices(self.rs, self.rep.base, deg)
+            full = rank_mod_p(self._stack(deg), size, classes) == size
             ranks.append(size if full else sum(map(bareiss_rank, self._layer(deg)[0])))
         return ranks[n] if n < len(ranks) else sum(map(bareiss_rank, self._layer(n)[0]))
 
@@ -447,22 +448,6 @@ def _unpacked(rs: RootSystem, rep: Irrep, n: int, chain: bool, bottom: int):
         for j in range(i, len(row)):
             out[i][j] = out[j][i] = _unpack(row[j] * k, s, stride, den)
     return out
-
-
-@lru_cache(maxsize=None)
-def _reflection_parity(rs: RootSystem, base: Irrep):
-    """The parities [s_ii = -1] of s, the reflection of root 0, on the
-    coordinates and p_t on base, where s must be a diagonal sign on each,
-    memoized per (root system, base).  The transfer of x_j is c e_j, so
-    flip_j = [s x_j = -x_j] is the parity of coordinate j."""
-    w = rs.reflection_element[0]
-    mats = rs.elements[w], base.matrices[w]
-    par = [[int(row[i] == -1) for i, row in enumerate(m)] for m in mats]
-    if any(v != (i == j) * (1 - 2 * p[i]) for m, p in zip(mats, par)
-           for i, row in enumerate(m) for j, v in enumerate(row)):
-        raise InvariantViolation(f"{rs.label}/{base.label}: the reflection "
-                                 f"of root 0 is not a sign on the basis")
-    return par
 
 
 EPowerResult = namedtuple("EPowerResult", "natural m finite")  # of the raised-vector test

@@ -18,7 +18,7 @@ import pytest
 import cherednik
 from cherednik import cli, verma
 from cherednik.dunkl import (_quotient_layers, _root_pairs, b_lowering_parts,
-                             lowest_weight_scalar, natural_m)
+                             b_lowering_residues, lowest_weight_scalar, natural_m)
 from cherednik.errors import InvariantViolation
 from cherednik.linalg import mat_mul
 from cherednik.rootsystem import build_root_system
@@ -265,7 +265,7 @@ def test_second_sweep_adds_no_memo_entry():
         # keys and misses of the memos, then the degrees kept per raised root
         # (the first root of each pair; the others are read off it or are
         # axis roots in closed form)
-        memos = (_quotient_layers, b_lowering_parts)
+        memos = (_quotient_layers, b_lowering_parts, b_lowering_residues)
         return ([(m.cache_info().currsize, m.cache_info().misses) for m in memos],
                 [len(_quotient_layers(rs, r)[1]) for r, _, _, axis in _root_pairs(rs)
                  if axis is None])

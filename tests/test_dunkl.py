@@ -13,14 +13,14 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, monomials,
                                    weyl_act)
 from cherednik.rootsystem import RootSystem, build_root_system
 from cherednik.wrep import Irrep, _build_irreps, get_irrep, irreps
-from cherednik.dunkl import (b_direction, b_lowering_parts,
+from cherednik.dunkl import (b_direction, b_lowering_parts, b_lowering_residues,
                              dunkl_apply, e_mult_matrix, f_apply, f_coefficient,
                              f_matrix, lowering_matrix, lowest_weight_scalar,
                              natural_m, poly_coords, reflection_sum_scalar,
                              sl2_calibration)
 from cherednik import dunkl
 from cherednik.dunkl import _quotient_columns, _quotient_layers, _root_pairs
-from cherednik.linalg import dot, identity, mat_mul, mat_vec
+from cherednik.linalg import PRIME, dot, identity, mat_mul, mat_vec
 from cherednik.verma import VermaModule, classify
 
 RNG = random.Random(505)
@@ -427,7 +427,10 @@ def test_lowering_parts_reject_sqrt3_part():
     for j in range(rs.rank):
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
             b_lowering_parts(rs, bad, j, 2, 0)
-        # the tail alone runs the same check
+        # the tail alone runs the same check, and so do the packed residues
+        for first in (0, 1):
+            with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
+                b_lowering_residues(rs, bad, j, 2, first, PRIME)
         with pytest.raises(InvariantViolation, match=r"sqrt\(3\) part"):
             b_lowering_parts(rs, bad, j, 2, 1)
         # the general path finishes the same assembly in Q(sqrt(3))
@@ -536,9 +539,10 @@ def test_twisted_modules_add_no_parts_memo_entries():
 
 
 def test_each_part_set_is_built_once(monkeypatch):
-    # one memo key per part set: the full parts have first row 0, so the
-    # degree-1 tail of L_1 that a generic rank proof reads, (1, 1, 0), is the
-    # full degree-1 L_1 that the raised-vector chain of a finite point reads
+    # one key per part set in each memo: the full parts have first row 0, so
+    # the degree-1 tail of L_1, (1, 1, 0), is the full degree-1 L_1.  A finite
+    # point combines the integer parts, which the raised-vector chain also
+    # reads; a generic point proves its ranks from the packed residues
     rs = RootSystem("G2")
     sl2_calibration(rs)  # assembles triv through lowering_matrix
     built = []  # (j, n, first) of every part build
@@ -550,10 +554,13 @@ def test_each_part_set_is_built_once(monkeypatch):
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
     triv = get_irrep(rs, "triv")
-    assert VermaModule(rs, triv, Rat(-1, 2), Rat(-1, 2)).classify().finite
-    assert not VermaModule(rs, triv, Rat(2, 7), Rat(2, 7)).classify().finite
-    assert built.count((1, 1, 0)) == 1
-    assert len(built) == len(set(built))
+    for k, finite in ((Rat(-1, 2), True), (Rat(2, 7), False)):
+        built.clear()
+        assert VermaModule(rs, triv, k, k).classify().finite == finite
+        assert built.count((1, 1, 0)) == 1 and len(built) == len(set(built))
+    # a second generic point reads the residues built for the first
+    built.clear()
+    assert not VermaModule(rs, triv, Rat(3, 7), Rat(3, 7)).classify().finite and built == []
     # the memoized parts are values: no caller can change a shared entry
     parts = b_lowering_parts(rs, triv, 0, 2, 0)
     with pytest.raises(AttributeError):

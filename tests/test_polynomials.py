@@ -9,7 +9,7 @@ from cherednik.polynomials import (MPoly, ParamPoly, PP_K1, PP_K2, _monomial_ima
                                    monomials, weyl_act)
 from cherednik.linalg import (PRIME, bareiss_rank, dot, freeze, identity,
                               integer_scale, is_symmetric, mat_inv, mat_mul,
-                              mat_vec, rank_mod_p, transpose)
+                              mat_vec, pack_rows, rank_mod_p, transpose)
 
 RNG = random.Random(202)
 
@@ -195,6 +195,11 @@ def test_bareiss_rank_over_integers():
     assert bareiss_rank([[4, 6, 2], [6, 9, 3], [2, 3, 1]]) == 1
 
 
+def _rank_p(mat, n, classes=((slice(None),),)):
+    """rank_mod_p of the int rows mat with n columns, packed by pack_rows."""
+    return rank_mod_p(pack_rows(mat, classes), n, classes)
+
+
 def test_rank_mod_p_agrees_with_bareiss_on_small_entries():
     # every minor is at most 6! * 9^6 < PRIME here, so it is 0 mod PRIME only
     # when it is 0: the rank mod PRIME is the rank
@@ -205,7 +210,7 @@ def test_rank_mod_p_agrees_with_bareiss_on_small_entries():
             i, j = RNG.randrange(n), RNG.randrange(n)
             c = RNG.randint(-3, 3)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])] if i != j else [0] * n
-        assert rank_mod_p(m, n) == bareiss_rank(m), m
+        assert _rank_p(m, n) == bareiss_rank(m), m
     # tall 2n x n, entries in [-9, 9]: every n x n minor is below PRIME by
     # Hadamard's bound, (9 sqrt 6)^6 < 1.2e8.  The elimination must go on
     # past a singular leading n x n head into the rows below it.
@@ -221,12 +226,12 @@ def test_rank_mod_p_agrees_with_bareiss_on_small_entries():
             for row in m:
                 row[i] = row[j] if i != j else 0
         rank = bareiss_rank(m)
-        assert rank_mod_p(m, n) == rank, m
+        assert _rank_p(m, n) == rank, m
         continued += rank == n and bareiss_rank(m[:n]) < n
     assert continued
-    assert rank_mod_p([[0, 2], [3, 1]], 2) == 2  # pivot after a row swap
-    assert rank_mod_p([[0, 1], [0, 2]], 2) == 1  # no pivot in column 0
-    assert rank_mod_p(iter(()), 3) == 0 == rank_mod_p([], 2, ((slice(0, 1),), (slice(1, 2),)))
+    assert _rank_p([[0, 2], [3, 1]], 2) == 2  # pivot after a row swap
+    assert _rank_p([[0, 1], [0, 2]], 2) == 1  # no pivot in column 0
+    assert rank_mod_p(iter(()), 3) == 0 == _rank_p([], 2, ((slice(0, 1),), (slice(1, 2),)))
 
 
 def _rank_mod_p(rows, p):
@@ -273,17 +278,35 @@ def test_packed_elimination_matches_list_elimination_on_wide_residues():
         n = RNG.randint(1, 60)
         rows = _wide_rows(n + RNG.randint(0, 3), n, range(n), p)
         rank = _rank_mod_p(rows, p)
-        assert rank_mod_p(rows, n) == rank
+        assert _rank_p(rows, n) == rank
         short += rank < n
         cls = [sorted(i for sl in c for i in range(n)[sl]) for c in classes]
         rows = [row for c in cls for row in _wide_rows(len(c) + RNG.randint(0, 2), n, c, p)]
         RNG.shuffle(rows)
-        assert rank_mod_p(rows, n, classes) == _rank_mod_p(rows, p)
+        assert _rank_p(rows, n, classes) == _rank_mod_p(rows, p)
         if len(cls[1]):
             rows[0][cls[0][0]] = rows[0][cls[1][0]] = 1
             with pytest.raises(InvariantViolation, match="across the classes"):
-                rank_mod_p(rows, n, classes)
+                _rank_p(rows, n, classes)
     assert 10 < short < 110
+    # rows entering as c0 D + c1 A + c2 B, as verma's generic stack yields
+    # them: with every residue and every coefficient at p - 1 a slot starts
+    # at 3 (p - 1)^2, and the carry bound must still hold
+    short = 0
+    for _ in range(60):
+        n, extra = RNG.randint(1, 60), RNG.randint(0, 3)
+        parts = [[RNG.choice((0, p - 1, -1)) for _ in range((n + extra) * n)] for _ in "DAB"]
+        if RNG.random() < 0.4:  # a zero column in every part: the rank is short
+            j = RNG.randrange(n)
+            for flat in parts:
+                flat[j::n] = [0] * (n + extra)
+        c = p - 1  # c0 = c1 = c2
+        rows = [[f[o:o + n] for f in parts] for o in range(0, (n + extra) * n, n)]
+        rank = _rank_mod_p([[c * (d + a + b) for d, a, b in zip(*row)] for row in rows], p)
+        packed = ([r for _, r in pack_rows(row)] for row in rows)
+        assert rank_mod_p(((0, c * d + c * a + c * b) for d, a, b in packed), n) == rank
+        short += rank < n
+    assert 5 < short < 55
 
 
 def test_bareiss_rank_over_parampoly():

@@ -1,7 +1,6 @@
 import json
 import random
 from itertools import chain, islice, product
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ from cherednik.wrep import Irrep, get_irrep, irreps
 from cherednik.dunkl import b_direction, f_matrix
 from cherednik import dunkl, linalg, verma
 from cherednik.linalg import (bareiss_rank, identity, integer_scale, mat_mul,
-                              rank_mod_p)
+                              pack_rows, rank_mod_p)
 from cherednik.verma import VermaModule, classify, standard_module
 from cherednik.errors import InvariantViolation
 
@@ -189,16 +188,27 @@ def test_lowering_cell_inside_its_class_breaks_the_symmetry(monkeypatch):
         classify("A2", "triv", Rat(-4, 3), Rat(-4, 3))
 
 
-def test_stack_rows_from_held_lowerings_match_the_parts():
-    # _stack reads its square block from the held lowerings (_low) when
-    # classify has combined them, else from the memoized parts (L_0 full, the
-    # L_j tails from row n - 1): both yield positive multiples of the same
-    # rows, so each pair agrees over the gcd of its entries
-    def primitive(row):
-        g = gcd(*row)
-        assert g > 0
-        return [v // g for v in row]
+def _slots(packed, size, p):
+    """The residues mod p of the first size slots of a packed row."""
+    w = linalg.slot_width(size)
+    return [(packed >> k * w & (1 << w) - 1) % p for k in range(size)]
 
+
+def _proportional(a, b, p):
+    """Whether the residue lists a and b are equal up to one nonzero factor."""
+    k = next((i for i, v in enumerate(b) if v), None)
+    if k is None or not a[k]:
+        return not any(a) and k is None
+    f = a[k] * pow(b[k], -1, p) % p
+    return a == [f * v % p for v in b]
+
+
+def test_stack_rows_from_held_lowerings_match_the_parts():
+    # _stack packs its rows from the held lowerings (_low) when classify has
+    # combined them, else combines the memoized residues (L_0 full, the L_j
+    # tails from row n - 1): each pair has one class and residues equal up to
+    # one nonzero factor
+    p = linalg.PRIME
     for label in TYPES:
         rs = build_root_system(label)
         k1 = Rat(2, 5)
@@ -208,35 +218,69 @@ def test_stack_rows_from_held_lowerings_match_the_parts():
             for n in range(1, 9):
                 held._lowerings(n)
                 assert n in held._low and n not in fresh._low
+                size = len(held.layer_monomials(n)) * rep.dim
                 a, b = list(held._stack(n)), list(fresh._stack(n))
                 assert len(a) == len(b), (label, rep.label, n)
-                assert list(map(primitive, a)) == list(map(primitive, b)), (label, rep.label, n)
+                for (ca, va), (cb, vb) in zip(a, b):
+                    assert ca == cb or not va and not vb, (label, rep.label, n)
+                    assert _proportional(_slots(va, size, p), _slots(vb, size, p), p), \
+                        (label, rep.label, n)
+
+
+def test_residues_combine_to_the_integer_parts_at_any_coupling():
+    # c0 D + c1 A + c2 B of a part set's memoized residues is, row by row,
+    # the packed row of the integer parts combined at (c0, c1, c2), up to the
+    # row's scale (the residues keep the parts' gcd), with one class
+    rng, p = random.Random(58), linalg.PRIME
+    for label in TYPES:
+        rs = build_root_system(label)
+        for rep in irreps(rs):
+            for j, n in product(range(rs.rank), range(1, 9)):
+                classes = dunkl.class_slices(rs, rep, n)
+                for first in sorted({0, n - 1}) if rs.rank == 2 else (0,):
+                    parts = dunkl.b_lowering_parts(rs, rep, j, n, first)
+                    c0, c1, c2 = (rng.randint(-p, p) for _ in range(3))
+                    want = list(pack_rows(parts.ints(c0, c1, c2), classes))
+                    got = dunkl.b_lowering_residues(rs, rep, j, n, first, p)
+                    assert len(got) == len(want) == parts.rows, (label, rep.label, j, n, first)
+                    for (cls, d, a, b), (wcls, v) in zip(got, want):
+                        u = c0 % p * d + c1 % p * a + c2 % p * b
+                        assert cls == wcls or not u and not v, (label, rep.label, j, n, first)
+                        assert _proportional(_slots(u, parts.cols, p), _slots(v, parts.cols, p),
+                                             p), (label, rep.label, j, n, first)
+
+
+def _crossed(rs, n, cells):
+    """A stand-in for dunkl._assemble that adds, on the degree-n full parts of
+    L_0, cells[plane] to row 0 at a column outside its reflection class."""
+    assemble = dunkl._assemble
+
+    def crossed(rs_, rep, y, deg, first=0):
+        rows, cols, den, planes = assemble(rs_, rep, y, deg, first)
+        if rs_ is rs and (deg, first, y) == (n, 0, b_direction(rs, 0)):
+            cell = next(i for i in range(cols) if any(planes[q][i] for q in (0, 2, 4)))
+            other = next(i for c in _reflection_classes(rs, rep, n) if cell not in c for i in c)
+            for plane, v in cells.items():
+                planes[plane][other] += v
+        return rows, cols, den, planes
+
+    return crossed
 
 
 def test_stack_cell_across_the_classes_raises_on_a_generic_scan(monkeypatch):
-    # a generic classification builds no Gram layer; the elimination mod p
-    # checks each row of the stack against the classes instead
-    point = ("G2", "std", Rat(1, 7), Rat(-2, 11))
-    assert not classify(*point).finite
-    classify.cache_clear()  # the fault must reach the engine, not a kept verdict
-    rs = build_root_system("G2")
-    stack = VermaModule._stack
-
-    def crossed(self, n):
-        rows = stack(self, n)
-        if n != 3:
-            yield from rows
-            return
-        row = list(next(rows))
-        cls = [c for c in _reflection_classes(rs, self.rep, n) if any(row[i] for i in c)]
-        other = next(i for c in _reflection_classes(rs, self.rep, n) if c != cls[0] for i in c)
-        row[other] = 1
-        yield row
-        yield from rows
-
-    monkeypatch.setattr(VermaModule, "_stack", crossed)
-    with pytest.raises(InvariantViolation, match="across the classes"):
-        classify(*point)
+    # a generic classification builds no Gram layer; the stack's residues
+    # are checked against the classes instead, once per part set as they are
+    # built, on D, A and B apart: so also a crossed cell of A whose negative
+    # in B cancels it at k1 = k2 raises
+    for k2, cells in ((Rat(-2, 11), {0: 1}), (Rat(1, 7), {2: 1, 4: -1})):
+        point = ("G2", "std", Rat(1, 7), k2)
+        assert not classify(*point).finite and standard_module(*point)._m is None
+        rs = RootSystem("G2")  # a fresh root system: memo entries of its own
+        dunkl.sl2_calibration(rs)  # assembles triv through lowering_matrix
+        monkeypatch.setattr(dunkl, "_assemble", _crossed(rs, 3, cells))
+        with pytest.raises(InvariantViolation, match="across the classes"):
+            VermaModule(rs, get_irrep(rs, "std"), *point[2:]).classify()
+        monkeypatch.undo()
 
 
 def test_reflection_of_root_0_must_be_a_sign_on_the_basis_and_transfers(monkeypatch):
@@ -581,10 +625,14 @@ def test_layer_rank_descending_order_matches_ascending():
 
 def test_rank_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
+
+    def rank(mat):
+        return rank_mod_p(pack_rows(mat), len(mat[0]))
+
     for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
-        assert rank_mod_p(mat, len(mat[0])) == len(mat[0]) - 1
-    assert rank_mod_p([[1, 0], [0, p + 1]], 2) == 2
-    assert rank_mod_p([[1, 0], [0, p], [0, 1]], 2) == 2
+        assert rank(mat) == len(mat[0]) - 1
+    assert rank([[1, 0], [0, p + 1]]) == 2
+    assert rank([[1, 0], [0, p], [0, 1]]) == 2
     ranks = []
 
     def counting_rank(mat):
@@ -671,7 +719,7 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     def counting(rows, ncols, classes):
         rows = iter(rows)
         block, read = list(islice(rows, ncols)), []  # read: the rows past the block it reads
-        calls.append((block, read))
+        calls.append((block, read, classes))
         return rank_mod_p(chain(block, (read.append(row) or row for row in rows)),
                           ncols, classes)
 
@@ -683,31 +731,39 @@ def test_one_elimination_per_settled_degree(monkeypatch):
     assert len(calls) == 4
     # at degree 3 the block is singular mod p, and the same elimination goes
     # on into the rows of L_1 above it, which prove the layer
-    block, read = calls[2]
-    assert len(block) == len(block[0]) and read
-    assert rank_mod_p(block, len(block)) < len(block) == rank_mod_p(block + read, len(block))
+    (block, read, classes), size = calls[2], len(vm.layer_monomials(3))
+    assert len(block) == size and read
+    assert rank_mod_p(block, size, classes) < size == rank_mod_p(block + read, size, classes)
     # below it the block alone settles the degree
-    assert not any(read for _, read in calls[:2])
+    assert not any(read for _, read, _ in calls[:2])
 
 
-def test_generic_classify_builds_l0_and_the_tail_of_l1_only(monkeypatch):
-    rs = RootSystem("G2")  # a fresh root system: memo entries of its own
-    dunkl.sl2_calibration(rs)  # assembles triv through lowering_matrix
-    built = []  # (j, n, first) of every parts memo miss
-    inner = dunkl._assemble
+def _counting_assembly(monkeypatch):
+    """The list that (j, n, first) of every part assembly from now on joins."""
+    built, inner = [], dunkl._assemble
 
     def counting(rs, rep, y, n, first=0):
         built.append(([b_direction(rs, j) for j in range(rs.rank)].index(y), n, first))
         return inner(rs, rep, y, n, first)
 
     monkeypatch.setattr(dunkl, "_assemble", counting)
+    return built
+
+
+def test_generic_classify_builds_l0_and_the_tail_of_l1_only(monkeypatch):
+    rs = RootSystem("G2")  # a fresh root system: memo entries of its own
+    dunkl.sl2_calibration(rs)  # assembles triv through lowering_matrix
+    built = _counting_assembly(monkeypatch)
+    parts = dunkl.b_lowering_parts.cache_info()
     vm = VermaModule(rs, get_irrep(rs, "std"), Rat(1, 7), Rat(-2, 11))
     res = vm.classify()
     assert not res.finite and res.dims == tuple(2 * (n + 1) for n in range(11))
-    # degrees 1-10: the full parts of L_0 and the tail of L_1, no full L_1
+    # degrees 1-10: the full parts of L_0 and the tail of L_1, no full L_1,
+    # each built once as packed residues and never as integer parts
     assert sorted(built) == sorted([(0, n, 0) for n in range(1, 11)]
                                    + [(1, n, n - 1) for n in range(1, 11)])
     assert not vm._low and not vm._gram
+    assert dunkl.b_lowering_parts.cache_info() == parts
 
 
 @pytest.mark.parametrize("point", [("A2", "triv", Rat(-7, 3), Rat(-7, 3)),
@@ -763,11 +819,15 @@ def test_ranks_are_kept_to_the_lowest_singular_degree(monkeypatch):
     assert calls == list(classes) and vm._ranks == [1, 2, 3, 4, 3]
 
 
-def test_full_l1_is_built_only_where_the_block_is_singular():
-    # no F chain has cached lowerings: degrees 1-2 read the block only, and
-    # degree 3, whose block is singular mod p, builds its full lowerings
-    vm = standard_module("A2", "triv", Rat(-4, 3), Rat(-4, 3))
-    assert vm.layer_rank(3) == 4 and set(vm._low) == {3} and not vm._gram
+def test_full_l1_is_built_only_where_the_block_is_singular(monkeypatch):
+    # at a generic point degree 1 reads the block only, and degree 2, whose
+    # block is singular mod p (its layer is not), the full residues of L_1 too
+    rs = RootSystem("B2")  # a fresh root system: memo entries of its own
+    dunkl.sl2_calibration(rs)  # assembles triv through lowering_matrix
+    built = _counting_assembly(monkeypatch)
+    vm = VermaModule(rs, get_irrep(rs, "std"), Rat(1, 2), Rat(1, 2))
+    assert vm._m is None and vm.layer_rank(2) == 6 and not vm._low and not vm._gram
+    assert built == [(0, 1, 0), (1, 1, 0), (0, 2, 0), (1, 2, 1), (1, 2, 0)]
 
 
 def test_symbolic_rank_short_at_the_point_raises(monkeypatch):

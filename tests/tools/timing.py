@@ -33,10 +33,11 @@ instead, and the tool then exits 1.  The requests:
 - the set-up probes: `setup` times the set-up itself and shows the median
   milliseconds of each stage, summed over the four types; `parts-deep`
   and `parts-scan` clear every memo of `cherednik.dunkl` and time cold
-  `b_lowering_parts` builds of one key set: the full parts (first
-  row 0) that a perfbench `deep` pass reads, triv on A2, B2 and G2 in both
-  transfer directions to degree 22, and the parts of a generic scan of G2
-  std to degree 100, L_0 full and the one-row tails of L_1 (first row n - 1).
+  builds of one key set: `b_lowering_parts`, the full parts (first row 0)
+  that a perfbench `deep` pass reads, triv on A2, B2 and G2 in both
+  transfer directions to degree 22; and `b_lowering_residues`, the packed
+  residues that a generic scan of G2 std to degree 100 reads, L_0 full and
+  the one-row tails of L_1 (first row n - 1).
 
 Compare two checkouts in one session, alternating them: the speed of a
 shared host drifts.  Whether the import compiles `src/` depends on the
@@ -114,7 +115,7 @@ def child(name, *argv) -> None:
     """Run one request in this interpreter, which must be fresh, and print
     its sample as one line of JSON."""
     spent = _setup()
-    from cherednik import cli, dunkl, get_irrep, build_root_system
+    from cherednik import cli, dunkl, get_irrep, build_root_system, linalg
 
     sample = {"exit": 0}
     if name == "setup":
@@ -124,16 +125,19 @@ def child(name, *argv) -> None:
         # (type, chi, transfer direction, degree, first row) of each build,
         # made here: made at import, they move a garbage collection into the
         # sl2 calibration and `setup` reads it 0.5 ms slower
+        deep = name == "parts-deep"
         keys = ([(label, "triv", j, n, 0) for label in ("A2", "B2", "G2")
-                 for n in range(1, 23) for j in range(2)] if name == "parts-deep" else
+                 for n in range(1, 23) for j in range(2)] if deep else
                 [("G2", "std", j, n, n - 1 if j else 0) for n in range(1, 101) for j in range(2)])
         calls = [(rs, get_irrep(rs, chi), j, n, first) for label, chi, j, n, first in keys
                  for rs in [build_root_system(label)]]
+        build = (dunkl.b_lowering_parts if deep else
+                 lambda *key: dunkl.b_lowering_residues(*key, linalg.PRIME))
         for memo in vars(dunkl).values():
             getattr(memo, "cache_clear", lambda: None)()
         start = time.perf_counter()
         for args in calls:
-            dunkl.b_lowering_parts(*args)
+            build(*args)
         sample["seconds"] = time.perf_counter() - start
     else:
         classify = argv[:1] == ("classify",)
