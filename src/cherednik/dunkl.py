@@ -18,27 +18,28 @@ them per (root system, character, direction, degree, first row; 0 for the
 full parts), and a nonzero sqrt(3) plane raises InvariantViolation:
 b_lowering_parts as sparse integer matrices over one denominator, and
 b_lowering_residues as rows packed mod p per reflection class
-(class_slices), from which verma forms a stack row at new couplings by three
-multiply-adds.  lowering_matrix (any direction) reads the same planes as
-QuadExt, so the cross-checks built on it also cover the public conversion.
-dunkl_apply acts on polynomials through MPoly.divexact and weyl_act, sharing
-none of it.  lowest_weight_scalar is the one formula for b(chi), and
-natural_m the one test for its m (b(chi) = -m, m natural); verma, cli and
-rank2 read these.
+(class_slices), read off the first memo's entry when it holds one; verma
+forms a stack row at new couplings from them by three multiply-adds.
+lowering_matrix (any direction) reads the same planes as QuadExt, so the
+cross-checks built on it also cover the public conversion.  dunkl_apply
+acts on polynomials through MPoly.divexact and weyl_act, sharing none of
+it.  lowest_weight_scalar is the one formula for b(chi), and natural_m the
+one test for its m (b(chi) = -m, m natural); verma, cli and rank2 read
+these.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
-from functools import lru_cache
+from collections import Counter, namedtuple
+from functools import lru_cache, update_wrapper
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, mul, or_
 
 from .errors import InvariantViolation
 from .scalars import QZERO, SQRT3, QuadExt, Rat, is_nonneg_int
-from .linalg import dot, identity, mat_mul, mat_vec, pack_planes
+from .linalg import dot, identity, mat_mul, mat_vec, pack_rows
 from .polynomials import MPoly, ParamPoly, PP_K1, PP_K2, monomials, weyl_act
 from .rootsystem import RootSystem
 from .wrep import get_irrep
@@ -302,15 +303,35 @@ def b_direction(rs: RootSystem, j: int):
 
 
 def _integer_planes(rs: RootSystem, rep, j: int, n: int, first: int):
-    """(rows, cols, den, [D, A, B]) of _assemble along b_direction(rs, j), ()
-    for a plane not written; a nonzero sqrt(3) plane raises InvariantViolation."""
+    """(rows, cols, den, [D, A, B]) of _assemble along b_direction(rs, j),
+    zeros for a plane not written; a nonzero sqrt(3) plane raises
+    InvariantViolation."""
     rows, cols, den, planes = _assemble(rs, rep, b_direction(rs, j), n, first)
     if any(any(planes.get(p, ())) for p in (1, 3, 5)):
         raise InvariantViolation("a lowering part has a sqrt(3) part: no integer form")
-    return rows, cols, den, [planes.get(i, ()) for i in (0, 2, 4)]
+    return rows, cols, den, [planes.get(i) or [0] * (rows * cols) for i in (0, 2, 4)]
 
 
-@lru_cache(maxsize=None)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # lru_cache's fields
+
+
+def _memo(fn):
+    """functools.lru_cache(maxsize=None) over fn, whose entries a reader can
+    look up without building one: memo.held, a dict by argument tuple."""
+    held, count = {}, Counter()  # of hits (True) and misses (False)
+
+    def memo(*key):
+        count[key in held] += 1
+        if key not in held:
+            held[key] = fn(*key)
+        return held[key]
+
+    memo.held, memo.cache_clear = held, lambda: (held.clear(), count.clear())
+    memo.cache_info = lambda: _CacheInfo(count[True], count[False], None, len(held))
+    return update_wrapper(memo, fn)
+
+
+@_memo
 def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> LoweringParts:
     """The coupling-free integer parts of the lowering along b_direction(rs,
     j) on the degree-n layer, rows from degree-(n-1) monomial first (0 for
@@ -326,13 +347,19 @@ def b_lowering_parts(rs: RootSystem, rep, j: int, n: int, first: int) -> Lowerin
 
 @lru_cache(maxsize=None)
 def b_lowering_residues(rs: RootSystem, rep, j: int, n: int, first: int, p: int):
-    """Per row of the integer planes of b_lowering_parts(rs, rep, j, n, first),
-    before its gcd: (class, D, A, B) packed mod p (linalg.pack_planes), p the
-    linalg.PRIME it reads, memoized.  c0 D + c1 A + c2 B is c0 den times the
-    lowering's row at (k1, k2) = (c1, c2) / c0.  The class check is on D, A
-    and B apart, so no coupling can hide a crossed cell."""
-    _, cols, _, planes = _integer_planes(rs, rep, j, n, first)
-    return tuple(pack_planes(planes, cols, class_slices(rs, rep, n)))
+    """Per row of b_lowering_parts(rs, rep, j, n, first), up to one nonzero
+    factor: (class, D, A, B) packed mod p (linalg.pack_rows), memoized; read
+    off the parts when their memo holds them, else off _assemble's planes
+    with no gcd.  c0 D + c1 A + c2 B is a multiple of the lowering's row at
+    (k1, k2) = (c1, c2) / c0.  The class check covers D, A and B apart, so
+    no coupling can hide a crossed cell."""
+    held = b_lowering_parts.held.get((rs, rep, j, n, first))
+    if held is None:
+        _, cols, _, planes = _integer_planes(rs, rep, j, n, first)
+        mats = [[plane[o:o + cols] for o in range(0, len(plane), cols)] for plane in planes]
+    else:
+        cols, mats = held.cols, [held.ints(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return tuple(pack_rows(mats, cols, class_slices(rs, rep, n), p))
 
 
 @lru_cache(maxsize=None)

@@ -114,70 +114,52 @@ def bareiss_rank(mat) -> int:
     return rank
 
 
-def slot_width(ncols: int) -> int:
-    """The bits of one cell of a packed row with ncols columns (pack_rows)."""
-    return 2 * PRIME.bit_length() + ncols.bit_length() + 2
+def slot_width(ncols: int, p: int) -> int:
+    """The bits of one cell of a row with ncols columns packed mod p (pack_rows)."""
+    return 2 * p.bit_length() + ncols.bit_length() + 2
 
 
-def pack_rows(rows, classes=((slice(None),),)):
-    """For rank_mod_p, the list of (class, packed) per int row of rows: the
-    class c (a tuple of slices of a row) holding every nonzero cell, and its
-    cells of c mod PRIME, the k-th in bits from k slot_width(len(row)) on;
-    (0, 0) for a zero row.  Cells in two classes raise InvariantViolation."""
-    p, w, out = PRIME, None, []
-    for row in rows:
-        w, hit, r = w or slot_width(len(row)), None, 0
-        for c, cls in enumerate(classes):
-            vals = row[cls[0]] if len(cls) == 1 else [v for sl in cls for v in row[sl]]
-            if any(vals):
-                if hit is not None:
-                    raise InvariantViolation("a row has nonzero cells across the classes")
-                hit = c
-                for v in reversed(vals):
-                    r = r << w | v % p
-        out.append((hit or 0, r))
-    return out
-
-
-def pack_planes(planes, ncols, classes):
-    """pack_rows for the rows of several int matrices with ncols columns, each
-    flat in row-major order, visiting only nonzero cells: per row (class, one
-    packed int per matrix).  Cells of one row in two classes, in any of the
-    matrices, raise InvariantViolation."""
-    p, w, each = PRIME, slot_width(ncols), range(ncols)
-    where = [None] * ncols
+def pack_rows(mats, ncols, classes, p):
+    """For rank_mod_p, lazily, per row of the int matrices mats, lists of
+    rows of ncols cells all with the same number of rows, visiting only
+    nonzero cells: (class c, one packed int per matrix), c (a tuple of slices
+    of a row) holding every nonzero cell of the row in every matrix, and the
+    cells of c mod p, the k-th in bits from k slot_width(ncols, p) on; (0, 0,
+    ...) for a zero row.  Cells of one row in two classes raise
+    InvariantViolation."""
+    w, each, where = slot_width(ncols, p), range(ncols), [None] * ncols
     for c, cls in enumerate(classes):
         for k, i in enumerate(chain(*map(each.__getitem__, cls))):
             where[i] = 1 << c, k * w  # the class as a bit, the cell's shift
-    out = [[0] * (len(planes) + 1) for _ in range(max(map(len, planes)) // ncols)]
-    for part, plane in enumerate(planes, 1):
-        for row, o in zip(out, range(0, len(plane), ncols)):
-            seg, met, acc = plane[o:o + ncols], 0, 0
-            for col in compress(each, seg):
+    for rows in zip(*mats):
+        met, packed = 0, []  # met: the classes met, as bits
+        for row in rows:
+            acc = 0
+            for col in compress(each, row):
                 bit, shift = where[col]
-                met, acc = met | bit, acc + (seg[col] % p << shift)
-            row[0], row[part] = row[0] | met, acc  # row[0]: the classes met
-    if any(row[0] & row[0] - 1 for row in out):
-        raise InvariantViolation("a row has nonzero cells across the classes")
-    return [(max(row[0].bit_length() - 1, 0), *row[1:]) for row in out]
+                met, acc = met | bit, acc + (row[col] % p << shift)
+            packed.append(acc)
+        if met & met - 1:
+            raise InvariantViolation("a row has nonzero cells across the classes")
+        yield max(met.bit_length() - 1, 0), *packed
 
 
 def rank_mod_p(rows, ncols, classes=((slice(None),),)) -> int:
     """Rank modulo PRIME of the int matrix with ncols columns whose rows the
     iterable rows yields packed in classes, as (class, packed) pairs (as
-    pack_rows packs them).  At ncols some maximal minor is nonzero mod PRIME,
-    hence over Z: the columns are independent over Q, also with each row
-    scaled on its own by a nonzero rational (each minor scales by a nonzero
-    factor).  A lower rank is only a lower bound over Q: p may divide every
-    nonzero minor.  Gaussian elimination over GF(p), one row at a time against
-    the pivots of its class, the rank being the pivot count: it stops once
-    every column has a pivot, and skips a row whose class has every pivot.
-    Slot 0 at column c (w = slot_width(ncols) bits) is reduced by the tail of
-    c's pivot, reduced once: r = (r >> w) + (p - f) tail, f = slot 0 mod p,
-    adds under p^2 per slot in each of at most ncols steps; a slot enters
-    below 3 p^2 (verma sums three products of residues), and (ncols + 3) p^2 <
-    2^w: none carries."""
-    p, w = PRIME, slot_width(ncols)
+    pack_rows packs them mod PRIME).  At ncols some maximal minor is
+    nonzero mod PRIME, hence over Z: the columns are independent over Q, also
+    with each row scaled on its own by a nonzero rational (each minor scales
+    by a nonzero factor).  A lower rank is only a lower bound over Q: p may
+    divide every nonzero minor.  Gaussian elimination over GF(p), one row at
+    a time against the pivots of its class, the rank being the pivot count:
+    it stops once every column has a pivot, and skips a row whose class has
+    every pivot.  Slot 0 at column c (w = slot_width(ncols, p) bits) is
+    reduced by the tail of c's pivot, reduced once: r = (r >> w) + (p - f)
+    tail, f = slot 0 mod p, adds under p^2 per slot in each of at most ncols
+    steps; a slot enters below 3 p^2 (verma sums three products of
+    residues), and (ncols + 3) p^2 < 2^w: none carries."""
+    p, w = PRIME, slot_width(ncols, PRIME)
     mask, found = (1 << w) - 1, 0
     sizes = [sum(map(len, map(range(ncols).__getitem__, cls))) for cls in classes]
     pivots = [{} for _ in classes]  # per class: column -> packed tail

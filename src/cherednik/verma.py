@@ -20,17 +20,18 @@ exactly when the stacked lowerings [L_0; L_1] are injective.  Its rank mod
 the prime linalg.PRIME (rank_mod_p, one elimination over the rows _stack
 yields) proves it: the square block of L_0 and the tail (L_1's last dim-chi
 rows, from row n - 1 alone; on A1, L_0) first, the rest of L_1 built only if
-read.  With no natural m and k != 0, a row is c0 D + c1 A + c2 B of the
+read.  Unless the lowerings are held, a row is c0 D + c1 A + c2 B of the
 residues mod p that dunkl.b_lowering_residues memoizes; any nonzero multiple
-of a row proves as well.  (G_n is P times the stack, P made of rows of G_{n-1}: up to
-content, singular mod p wherever the stack is.)  Each L_i maps an eigenspace
-of the reflection of root 0 into one, so the elimination runs per class
-(dunkl.class_slices), each row checked when packed.  Failing that, and on
-every higher layer (the radical is a submodule and x_1 is injective on
-polynomials tensor chi), Bareiss over Z ranks the Gram layer as two blocks,
-those eigenspaces (W-invariant form).  So a generic scan builds no Gram
-layer, and runs the class check but no symmetry check; the tests of every
-rank against Bareiss, and of gram against gram_direct, check the lowerings.
+of a row proves as well.  (G_n is P times the stack, P made of rows of
+G_{n-1}: up to content, singular mod p wherever the stack is.)  Each L_i
+maps an eigenspace of the reflection of root 0 into one, so the elimination
+runs per class (dunkl.class_slices), each row checked when packed.
+Failing that, and on every higher layer (the radical is a submodule and x_1
+is injective on polynomials tensor chi), Bareiss over Z ranks the Gram layer
+as two blocks, those eigenspaces (W-invariant form).  So a generic scan
+builds no Gram layer, and runs the class check but no symmetry check; the
+tests of every rank against Bareiss, and of gram against gram_direct, check
+the lowerings.
 A symbolic layer (or F row from layer b) is read off a numeric module at k =
 (B, B^(n+1)) (B^(n-b+1)) by Kronecker substitution, one coefficient per
 base-B digit, B = 2^s sized by a product of the lowerings' column norms.
@@ -166,23 +167,19 @@ class VermaModule:
         for rank_mod_p, each a nonzero multiple of the true row mod p, square
         block first: all of L_0, the last dim-chi rows (x_1^(n-1)) of L_1 (in
         rank 2), then the other rows of L_1, each part read only once
-        reached.  Held lowerings, else the integer parts where they are
-        combined anyway (at a natural m, and at k = 0, where symbolic layers
-        certify their ranks), go through pack_rows; elsewhere a row is c0 D +
-        c1 A + c2 B of the residues that b_lowering_residues memoizes."""
+        reached.  Held lowerings (classify combines degrees up to 2m + 2
+        first) are packed by pack_rows; else a row is c0 D + c1 A + c2 B of
+        the residues that b_lowering_residues memoizes."""
         rs, base, d, p = self.rs, self.rep.base, self.rep.dim, linalg.PRIME
-        hit, classes = self._low.get(n), class_slices(rs, base, n)
-        keys = ((0, 0, None), (1, n - 1, None), (1, 0, -d))[:2 * rs.rank - 1]
-        if hit or not any(self._coefs[1:]) or self._m is not None:
-            for j, first, stop in keys:
-                low = ((hit[0][j][-d:] if first else hit[0][j]) if hit else
-                       b_lowering_parts(rs, base, j, n, first).ints(*self._coefs))
-                yield from pack_rows(low[:stop], classes)
-            return
+        hit, size = self._low.get(n), len(self.layer_monomials(n)) * d
         c0, c1, c2 = (c % p for c in self._coefs)
-        for j, first, stop in keys:
-            for cls, a, b, c in b_lowering_residues(rs, base, j, n, first, p)[:stop]:
-                yield cls, c0 * a + c1 * b + c2 * c
+        for j, first, stop in ((0, 0, None), (1, n - 1, None), (1, 0, -d))[:2 * rs.rank - 1]:
+            if hit:
+                low = hit[0][j][-d:] if first else hit[0][j][:stop]
+                yield from pack_rows([low], size, class_slices(rs, base, n), p)
+            else:
+                for cls, a, b, c in b_lowering_residues(rs, base, j, n, first, p)[:stop]:
+                    yield cls, c0 * a + c1 * b + c2 * c
 
     def _f_rows(self, top: int, bottom: int = 0):
         """The rows of F(bottom+2) F(bottom+4) ... F(top), the product of the

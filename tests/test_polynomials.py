@@ -197,7 +197,7 @@ def test_bareiss_rank_over_integers():
 
 def _rank_p(mat, n, classes=((slice(None),),)):
     """rank_mod_p of the int rows mat with n columns, packed by pack_rows."""
-    return rank_mod_p(pack_rows(mat, classes), n, classes)
+    return rank_mod_p(pack_rows([mat], n, classes, PRIME), n, classes)
 
 
 def test_rank_mod_p_agrees_with_bareiss_on_small_entries():
@@ -301,10 +301,10 @@ def test_packed_elimination_matches_list_elimination_on_wide_residues():
             for flat in parts:
                 flat[j::n] = [0] * (n + extra)
         c = p - 1  # c0 = c1 = c2
-        rows = [[f[o:o + n] for f in parts] for o in range(0, (n + extra) * n, n)]
-        rank = _rank_mod_p([[c * (d + a + b) for d, a, b in zip(*row)] for row in rows], p)
-        packed = ([r for _, r in pack_rows(row)] for row in rows)
-        assert rank_mod_p(((0, c * d + c * a + c * b) for d, a, b in packed), n) == rank
+        mats = [[f[o:o + n] for o in range(0, (n + extra) * n, n)] for f in parts]
+        rank = _rank_mod_p([[c * (d + a + b) for d, a, b in zip(*row)] for row in zip(*mats)], p)
+        packed = pack_rows(mats, n, ((slice(None),),), p)
+        assert rank_mod_p(((k, c * d + c * a + c * b) for k, d, a, b in packed), n) == rank
         short += rank < n
     assert 5 < short < 55
 

@@ -190,8 +190,13 @@ def test_lowering_cell_inside_its_class_breaks_the_symmetry(monkeypatch):
 
 def _slots(packed, size, p):
     """The residues mod p of the first size slots of a packed row."""
-    w = linalg.slot_width(size)
+    w = linalg.slot_width(size, p)
     return [(packed >> k * w & (1 << w) - 1) % p for k in range(size)]
+
+
+def _packed(mat, ncols, classes):
+    """The rows of the int matrix mat packed mod PRIME by pack_rows."""
+    return list(pack_rows([mat], ncols, classes, linalg.PRIME))
 
 
 def _proportional(a, b, p):
@@ -227,27 +232,33 @@ def test_stack_rows_from_held_lowerings_match_the_parts():
                         (label, rep.label, n)
 
 
-def test_residues_combine_to_the_integer_parts_at_any_coupling():
-    # c0 D + c1 A + c2 B of a part set's memoized residues is, row by row,
-    # the packed row of the integer parts combined at (c0, c1, c2), up to the
-    # row's scale (the residues keep the parts' gcd), with one class
+def test_residues_combine_to_the_integer_parts_at_any_coupling(monkeypatch):
+    # c0 D + c1 A + c2 B of a part set's residues, read off its held integer
+    # parts or off _assemble's planes, is, row by row, the packed row of the
+    # integer parts combined at (c0, c1, c2), up to the row's scale (the
+    # planes keep the parts' gcd), with one class
     rng, p = random.Random(58), linalg.PRIME
+    build = dunkl.b_lowering_residues.__wrapped__
     for label in TYPES:
         rs = build_root_system(label)
         for rep in irreps(rs):
             for j, n in product(range(rs.rank), range(1, 9)):
                 classes = dunkl.class_slices(rs, rep, n)
                 for first in sorted({0, n - 1}) if rs.rank == 2 else (0,):
-                    parts = dunkl.b_lowering_parts(rs, rep, j, n, first)
+                    key = rs, rep, j, n, first
+                    parts = dunkl.b_lowering_parts(*key)
                     c0, c1, c2 = (rng.randint(-p, p) for _ in range(3))
-                    want = list(pack_rows(parts.ints(c0, c1, c2), classes))
-                    got = dunkl.b_lowering_residues(rs, rep, j, n, first, p)
-                    assert len(got) == len(want) == parts.rows, (label, rep.label, j, n, first)
-                    for (cls, d, a, b), (wcls, v) in zip(got, want):
-                        u = c0 % p * d + c1 % p * a + c2 % p * b
-                        assert cls == wcls or not u and not v, (label, rep.label, j, n, first)
-                        assert _proportional(_slots(u, parts.cols, p), _slots(v, parts.cols, p),
-                                             p), (label, rep.label, j, n, first)
+                    want = _packed(parts.ints(c0, c1, c2), parts.cols, classes)
+                    with monkeypatch.context() as cold:
+                        cold.setattr(dunkl.b_lowering_parts, "held", {})
+                        planes = build(*key, p)
+                    for got in (build(*key, p), planes):
+                        assert len(got) == len(want) == parts.rows, key
+                        for (cls, d, a, b), (wcls, v) in zip(got, want):
+                            u = c0 % p * d + c1 % p * a + c2 % p * b
+                            assert cls == wcls or not u and not v, key
+                            assert _proportional(_slots(u, parts.cols, p),
+                                                 _slots(v, parts.cols, p), p), key
 
 
 def _crossed(rs, n, cells):
@@ -627,7 +638,7 @@ def test_rank_mod_p_is_no_verdict_on_multiples_of_p(monkeypatch):
     p = linalg.PRIME
 
     def rank(mat):
-        return rank_mod_p(pack_rows(mat), len(mat[0]))
+        return rank_mod_p(_packed(mat, len(mat[0]), ((slice(None),),)), len(mat[0]))
 
     for mat in ([[p]], [[1, 0], [0, p]], [[1, 0], [0, p], [0, 2 * p]]):
         assert rank(mat) == len(mat[0]) - 1
